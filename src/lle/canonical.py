@@ -4,7 +4,8 @@ One iteration from t_i to t_{i-1} is: denoise (sampler), enforce observation
 consistency (corrector), re-noise to the next level (noiser). The driver
 `run` iterates this down a time grid; `run_with_combiner` additionally lets
 a callback replace the corrected estimate before the noiser, which is how
-the learned extrapolation plugs in without duplicating the data flow.
+the learned extrapolation plugs in, for training and inference alike,
+without duplicating the data flow.
 """
 
 from __future__ import annotations
@@ -155,21 +156,28 @@ def _residual_grad_x0(obs: ops.Observation, x0: np.ndarray) -> np.ndarray:
     return 2.0 * ops.nl_vjp(obs.op, x0, ops.nl_apply(obs.op, x0) - obs.y)
 
 
+def _noisy_branch(ctx: StepContext, obs: ops.Observation) -> np.ndarray:
+    """DDRM/DDNM spectral coordinates where sigma_{t_prev} < sqrt(ab_prev) sigma_y / s_k."""
+    if obs.sigma_y == 0.0:
+        return np.zeros(obs.op.r, dtype=bool)
+    ab_prev = ctx.schedule.alphabar(ctx.t_prev)
+    return ctx.schedule.sigma(ctx.t_prev) < math.sqrt(ab_prev) * obs.sigma_y / obs.op.s
+
+
 def corr_ddnm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
     """Null-space-preserving projection with noise-aware spectral scaling."""
     op = _require_linear(obs, "DDNM corrector")
     x0 = ctx.x0_sampled
     ab_prev = ctx.schedule.alphabar(ctx.t_prev)
     sig_prev = ctx.schedule.sigma(ctx.t_prev)
-    if obs.sigma_y == 0.0:
-        lam = np.ones(op.r)
-    else:
-        thresh = math.sqrt(ab_prev) * obs.sigma_y / op.s
+    middle = _noisy_branch(ctx, obs)
+    lam = np.ones(op.r)
+    if np.any(middle):
         lam = np.where(
-            sig_prev >= thresh,
-            1.0,
+            middle,
             op.s * sig_prev * math.sqrt(max(0.0, 1.0 - params.eta**2))
             / (math.sqrt(ab_prev) * obs.sigma_y),
+            1.0,
         )
     spectral_y = (obs.y @ op.U) / op.s
     innovation = spectral_y - x0 @ op.V
@@ -184,10 +192,7 @@ def corr_ddrm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
     sig_prev = ctx.schedule.sigma(ctx.t_prev)
     xbar = x0 @ op.V
     ybar = (obs.y @ op.U) / op.s
-    if obs.sigma_y == 0.0:
-        middle = np.zeros(op.r, dtype=bool)
-    else:
-        middle = sig_prev < math.sqrt(ab_prev) * obs.sigma_y / op.s
+    middle = _noisy_branch(ctx, obs)
     blend = (1.0 - params.eta_b) * xbar + params.eta_b * ybar
     if np.any(middle):
         snr_step = math.sqrt(max(0.0, 1.0 - params.eta**2)) * sig_prev / math.sqrt(ab_prev)
@@ -344,15 +349,10 @@ def daps_step_size(daps: DAPSParams, t: int, T: int) -> float:
     return daps.eta0 * (daps.delta + (t / T) * (1.0 - daps.delta))
 
 
-def corr_daps(
-    ctx: StepContext,
-    obs: ops.Observation,
-    params: AlgoParams,
-    x0_anchor: np.ndarray | None = None,
-) -> np.ndarray:
+def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
     """Langevin chain targeting the anchored posterior around x_{0,t_i}."""
     daps = params.daps
-    anchor = ctx.x0_sampled if x0_anchor is None else x0_anchor
+    anchor = ctx.x0_sampled
     if daps.n_langevin == 0:
         return np.array(anchor, copy=True)
     sigma = daps.sigma_langevin
@@ -395,30 +395,25 @@ CORRECTORS = {
 # ---------------------------------------------------------------------------
 
 
-def noiser_ddim(xhat: np.ndarray, ctx: StepContext, eta: float) -> np.ndarray:
+def _ddim_noise(xhat: np.ndarray, ctx: StepContext, c1: float, c2: float) -> np.ndarray:
     """sqrt(ab_prev) xhat + c1 eps_noise + c2 eps_theta(x_t, t_i)."""
-    ab_prev = ctx.schedule.alphabar(ctx.t_prev)
-    c1, c2 = dif.ddim_coeffs(ctx.schedule, ctx.t_i, ctx.t_prev, eta)
-    out = math.sqrt(ab_prev) * xhat
+    out = math.sqrt(ctx.schedule.alphabar(ctx.t_prev)) * xhat
     if c2 != 0.0:
         out = out + c2 * ctx.eps_cached
     if c1 != 0.0:
         out = out + c1 * ctx.stream.standard_normal(xhat.shape)
     return out
+
+
+def noiser_ddim(xhat: np.ndarray, ctx: StepContext, eta: float) -> np.ndarray:
+    """DDIM noiser with the schedule's (c1, c2) for this eta."""
+    return _ddim_noise(xhat, ctx, *dif.ddim_coeffs(ctx.schedule, ctx.t_i, ctx.t_prev, eta))
 
 
 def noiser_dmps(xhat: np.ndarray, ctx: StepContext, eta: float) -> np.ndarray:
     """DMPS DDIM variant: c1 = eta*sigma_prev, c2 = sqrt(1-eta^2)*sigma_prev."""
-    ab_prev = ctx.schedule.alphabar(ctx.t_prev)
     sig_prev = ctx.schedule.sigma(ctx.t_prev)
-    c1 = eta * sig_prev
-    c2 = math.sqrt(1.0 - eta * eta) * sig_prev
-    out = math.sqrt(ab_prev) * xhat
-    if c2 != 0.0:
-        out = out + c2 * ctx.eps_cached
-    if c1 != 0.0:
-        out = out + c1 * ctx.stream.standard_normal(xhat.shape)
-    return out
+    return _ddim_noise(xhat, ctx, eta * sig_prev, math.sqrt(1.0 - eta * eta) * sig_prev)
 
 
 def noiser_direct(xhat: np.ndarray, ctx: StepContext) -> np.ndarray:
@@ -468,10 +463,7 @@ def noiser_ddrm(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams
     op = _require_linear(obs, "DDRM noiser")
     ab_prev = ctx.schedule.alphabar(ctx.t_prev)
     sig_prev = ctx.schedule.sigma(ctx.t_prev)
-    if obs.sigma_y == 0.0:
-        middle = np.zeros(op.r, dtype=bool)
-    else:
-        middle = sig_prev < math.sqrt(ab_prev) * obs.sigma_y / op.s
+    middle = _noisy_branch(ctx, obs)
     rad = 1.0 - ab_prev - ab_prev * obs.sigma_y**2 * params.eta_b**2 / op.s**2
     rad = np.where(middle, 0.0, rad)
     if np.any(rad < -1e-12):
@@ -485,10 +477,7 @@ def noiser_ddnm(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams
     op = _require_linear(obs, "DDNM noiser")
     ab_prev = ctx.schedule.alphabar(ctx.t_prev)
     sig_prev = ctx.schedule.sigma(ctx.t_prev)
-    if obs.sigma_y == 0.0:
-        middle = np.zeros(op.r, dtype=bool)
-    else:
-        middle = sig_prev < math.sqrt(ab_prev) * obs.sigma_y / op.s
+    middle = _noisy_branch(ctx, obs)
     rad = sig_prev**2 - obs.sigma_y**2 * ab_prev / op.s**2
     rad = np.where(middle, 0.0, rad)
     if np.any(rad < -1e-12):
@@ -535,44 +524,28 @@ def noiser_resample(xhat: np.ndarray, ctx: StepContext, params: AlgoParams) -> n
     return blend
 
 
+NOISERS = {
+    "DDRM": noiser_ddrm,
+    "DDNM": noiser_ddnm,
+    "DPS": lambda xhat, ctx, obs, params: noiser_ddim(xhat, ctx, params.eta),
+    "PiGDM": lambda xhat, ctx, obs, params: noiser_ddim(xhat, ctx, params.eta),
+    "REDdiff": lambda xhat, ctx, obs, params: noiser_direct(xhat, ctx),
+    "DiffPIR": lambda xhat, ctx, obs, params: noiser_diffpir(xhat, ctx, params.eta),
+    "DMPS": lambda xhat, ctx, obs, params: noiser_dmps(xhat, ctx, params.eta),
+    "ReSample": lambda xhat, ctx, obs, params: noiser_resample(xhat, ctx, params),
+    "DAPS": lambda xhat, ctx, obs, params: noiser_direct(xhat, ctx),
+}
+
+
 def apply_noiser(
     params: AlgoParams, ctx: StepContext, obs: ops.Observation, xhat: np.ndarray
 ) -> np.ndarray:
-    algo = params.algorithm
-    if algo == "DDRM":
-        return noiser_ddrm(xhat, ctx, obs, params)
-    if algo == "DDNM":
-        return noiser_ddnm(xhat, ctx, obs, params)
-    if algo in ("DPS", "PiGDM"):
-        return noiser_ddim(xhat, ctx, params.eta)
-    if algo == "DMPS":
-        return noiser_dmps(xhat, ctx, params.eta)
-    if algo in ("REDdiff", "DAPS"):
-        return noiser_direct(xhat, ctx)
-    if algo == "DiffPIR":
-        return noiser_diffpir(xhat, ctx, params.eta)
-    if algo == "ReSample":
-        return noiser_resample(xhat, ctx, params)
-    raise ConfigurationError(f"unknown algorithm {algo!r}")
+    return NOISERS[params.algorithm](xhat, ctx, obs, params)
 
 
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
-
-
-def run_step(
-    params: AlgoParams,
-    prior,
-    schedule,
-    obs: ops.Observation,
-    ctx: StepContext,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One canonical iteration; returns (xhat, x at t_prev)."""
-    sample_phi(params, prior, schedule, ctx)
-    xhat = CORRECTORS[params.algorithm](ctx, obs, params)
-    x_next = apply_noiser(params, ctx, obs, xhat)
-    return xhat, x_next
 
 
 def run_with_combiner(
@@ -583,23 +556,18 @@ def run_with_combiner(
     grid: dif.TimeGrid,
     stream: RngStream,
     combiner=None,
-    x_init: np.ndarray | None = None,
 ) -> np.ndarray:
     """Iterate Phi -> h -> (combiner) -> Psi down the grid from x ~ N(0, I).
 
+    The start batch is drawn from stream with one row per row of obs.y, so
+    a (m,) observation gives a (d,) trajectory and (N, m) gives (N, d).
     combiner(i, history, xhat) may replace the corrected estimate before the
     noiser; history holds the combiner outputs of earlier steps (oldest
     first). Returns the final estimate at t_1 (identical to x_{t_0} for the
     DDIM-family noisers since alphabar_0 = 1).
     """
-    d = prior.d
     ts = grid.timesteps
-    if x_init is None:
-        shape = (d,)
-        x = stream.standard_normal(shape)
-    else:
-        x = np.array(x_init, copy=True)
-    prev_est = None
+    x = stream.standard_normal(obs.y.shape[:-1] + (prior.d,))
     history: list[np.ndarray] = []
     for i in range(grid.S, 0, -1):
         idx = grid.S - i
@@ -610,14 +578,13 @@ def run_with_combiner(
             prior=prior,
             schedule=schedule,
             stream=stream,
-            prev_xhat=prev_est,
+            prev_xhat=history[-1] if history else None,
         )
         sample_phi(params, prior, schedule, ctx)
         xhat = CORRECTORS[params.algorithm](ctx, obs, params)
         est = combiner(i, history, xhat) if combiner is not None else xhat
         history.append(est)
         x = apply_noiser(params, ctx, obs, est)
-        prev_est = est
     return history[-1]
 
 

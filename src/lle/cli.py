@@ -26,9 +26,7 @@ def _cmd_gen_prior(args):
 
 def _cmd_gen_refs(args):
     cfg = harness.load_config(args.config)
-    tc = cfg.train_config or lle.TrainConfig()
-    if tc.base_seed == 0:
-        tc.base_seed = cfg.train_seed
+    tc = cfg.train_config or lle.TrainConfig(base_seed=cfg.train_seed)
     stream = RngStream(tc.base_seed).child(11)
     refs = lle.generate_references(cfg.prior, cfg.schedule, tc, stream)
     save_array(args.out, refs.shape[0], refs.shape[1], refs)

