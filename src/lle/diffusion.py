@@ -72,8 +72,10 @@ class GaussianMixturePrior:
     """Gaussian mixture q(x0) with exact noised-mixture score.
 
     At noise level t the marginal is
-    q_t = sum_k w_k N(sqrt(ab)*mu_k, ab*Sigma_k + (1-ab)*I),
-    whose factorizations are cached per timestep.
+    q_t = sum_k w_k N(sqrt(ab)*mu_k, C_k), C_k = ab*Sigma_k + (1-ab)*I.
+    Each Sigma_k = Q_k diag(lam_k) Q_k^T is diagonalized once, here; C_k has
+    the same eigenvectors and eigenvalues ab*lam_k + 1 - ab, so at any t its
+    inverse and log-determinant are a diagonal scaling in the eigenbasis.
     """
 
     def __init__(self, weights, means, covariances):
@@ -85,10 +87,11 @@ class GaussianMixturePrior:
             raise ValueError("mixture weights must sum to 1")
         if np.any(self.weights <= 0):
             raise ValueError("mixture weights must be positive")
-        for k in range(self.K):
-            # raises LinAlgError if not positive definite
-            np.linalg.cholesky(self.covariances[k])
-        self._noised_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # raises LinAlgError if not positive definite
+        self._chol = np.linalg.cholesky(self.covariances)
+        self._lam, self._eigvecs = np.linalg.eigh(self.covariances)
+        # rows (k, j) hold eigenvector j of component k: maps (B, K*d) back to (B, d)
+        self._eigvecs_rows = self._eigvecs.transpose(0, 2, 1).reshape(self.K * self.d, self.d)
 
     # -- serialization ----------------------------------------------------
 
@@ -128,48 +131,31 @@ class GaussianMixturePrior:
             idx = comp == k
             if not np.any(idx):
                 continue
-            L = np.linalg.cholesky(self.covariances[k])
-            out[idx] = self.means[k] + eps[idx] @ L.T
+            out[idx] = self.means[k] + eps[idx] @ self._chol[k].T
         return out
 
     # -- noised-mixture internals ----------------------------------------
 
-    def _noised(self, schedule: DiffusionSchedule, t: int):
-        """Per-component (means_t, cholesky factors, log-normalizers) at level t."""
-        cached = self._noised_cache.get(t)
-        if cached is not None:
-            return cached
-        ab = schedule.alphabar(t)
-        means_t = math.sqrt(ab) * self.means
-        chols = np.empty_like(self.covariances)
-        lognorm = np.empty(self.K)
-        eye = np.eye(self.d)
-        for k in range(self.K):
-            cov_t = ab * self.covariances[k] + (1.0 - ab) * eye
-            L = np.linalg.cholesky(cov_t)
-            chols[k] = L
-            logdet = 2.0 * np.sum(np.log(np.diag(L)))
-            lognorm[k] = math.log(self.weights[k]) - 0.5 * (
-                logdet + self.d * math.log(2.0 * math.pi)
-            )
-        self._noised_cache[t] = (means_t, chols, lognorm)
-        return means_t, chols, lognorm
-
     def _resp_and_whitened(self, schedule, x: np.ndarray, t: int):
-        """Responsibilities r (B,K) and solves u_k = C_k^-1 (x - m_k) (K,B,d)."""
-        means_t, chols, lognorm = self._noised(schedule, t)
-        B = x.shape[0]
-        u = np.empty((self.K, B, self.d))
-        logp = np.empty((B, self.K))
-        for k in range(self.K):
-            diff = x - means_t[k]
-            z = np.linalg.solve(chols[k], diff.T)  # L z = diff
-            u[k] = np.linalg.solve(chols[k].T, z).T  # L^T u = z
-            logp[:, k] = lognorm[k] - 0.5 * np.sum(z * z, axis=0)
-        m = logp.max(axis=1, keepdims=True)
-        r = np.exp(logp - m)
+        """Responsibilities r (B,K), reciprocal eigenvalues w (K,d) of C_k, and
+        y_k = Q_k^T C_k^-1 (x - m_k) (K,B,d), the solves in each component's
+        eigenbasis (so C_k^-1 (x - m_k) = Q_k y_k)."""
+        ab = schedule.alphabar(t)
+        ev = ab * self._lam + (1.0 - ab)
+        w = 1.0 / ev
+        z = (x - math.sqrt(ab) * self.means[:, None, :]) @ self._eigvecs
+        y = z * w[:, None, :]
+        lognorm = np.log(self.weights) - 0.5 * (
+            np.log(ev).sum(axis=1) + self.d * math.log(2.0 * math.pi)
+        )
+        logp = lognorm - 0.5 * np.einsum("kbd,kbd->bk", z, y)
+        r = np.exp(logp - logp.max(axis=1, keepdims=True))
         r /= r.sum(axis=1, keepdims=True)
-        return r, u
+        return r, y, w
+
+    def _from_eigenbasis(self, c: np.ndarray) -> np.ndarray:
+        """sum_k Q_k c_k for eigenbasis coordinates c (K,B,d), as one (B,d) matmul."""
+        return c.transpose(1, 0, 2).reshape(c.shape[1], -1) @ self._eigvecs_rows
 
 
 def _as_batch(x: np.ndarray):
@@ -182,8 +168,8 @@ def _as_batch(x: np.ndarray):
 def gmm_score(prior, schedule, x, t: int) -> np.ndarray:
     """Exact gradient of log q_t at x (batched over leading axis)."""
     xb, squeeze = _as_batch(x)
-    r, u = prior._resp_and_whitened(schedule, xb, t)
-    score = -np.einsum("bk,kbd->bd", r, u)
+    r, y, _ = prior._resp_and_whitened(schedule, xb, t)
+    score = -prior._from_eigenbasis(r.T[:, :, None] * y)
     return score[0] if squeeze else score
 
 
@@ -202,18 +188,14 @@ def gmm_eps_jvp(prior, schedule, x, t: int, v) -> np.ndarray:
     vb, _ = _as_batch(np.asarray(v, dtype=float))
     if vb.shape[0] == 1 and xb.shape[0] > 1:
         vb = np.broadcast_to(vb, xb.shape)
-    r, u = prior._resp_and_whitened(schedule, xb, t)
-    means_t, chols, _ = prior._noised(schedule, t)
-    B = xb.shape[0]
-    # H = sum_k r_k (-C_k^-1 + g_k g_k^T) - s s^T, with g_k = -u_k
-    score = -np.einsum("bk,kbd->bd", r, u)
-    hv = np.zeros((B, prior.d))
-    for k in range(prior.K):
-        z = np.linalg.solve(chols[k], vb.T)
-        cinv_v = np.linalg.solve(chols[k].T, z).T
-        gk_dot_v = np.sum(-u[k] * vb, axis=1, keepdims=True)
-        hv += r[:, k : k + 1] * (-cinv_v + (-u[k]) * gk_dot_v)
-    hv -= score * np.sum(score * vb, axis=1, keepdims=True)
+    r, y, w = prior._resp_and_whitened(schedule, xb, t)
+    # H = sum_k r_k (u_k u_k^T - C_k^-1) - s s^T with u_k = Q_k y_k, s = -sum_k r_k u_k;
+    # with p_k = Q_k^T v: Hv = sum_k r_k Q_k (y_k (y_k.p_k + s.v) - w_k p_k)
+    p = vb @ prior._eigvecs
+    yp = np.einsum("kbd,kbd->kb", y, p)
+    sv = -np.einsum("bk,kb->b", r, yp)
+    coords = y * (yp + sv)[:, :, None] - w[:, None, :] * p
+    hv = prior._from_eigenbasis(r.T[:, :, None] * coords)
     out = -schedule.sigma(t) * hv
     return out[0] if squeeze else out
 
@@ -257,12 +239,14 @@ def ddim_step(
         return x.copy()
     if t_from < t_to:
         raise InvalidGridError(f"t_from={t_from} must exceed t_to={t_to}")
-    x0 = tweedie(prior, schedule, x, t_from)
+    # one eps serves both the Tweedie estimate x0 and the c2 term
+    eps = gmm_eps(prior, schedule, x, t_from)
+    x0 = (x - schedule.sigma(t_from) * eps) / math.sqrt(schedule.alphabar(t_from))
     ab_t = schedule.alphabar(t_to)
     c1, c2 = ddim_coeffs(schedule, t_from, t_to, eta)
     out = math.sqrt(ab_t) * x0
     if c2 != 0.0:
-        out = out + c2 * gmm_eps(prior, schedule, x, t_from)
+        out = out + c2 * eps
     if c1 != 0.0:
         if noise is None:
             noise = stream.standard_normal(x.shape)

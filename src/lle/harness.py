@@ -6,7 +6,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -74,11 +74,12 @@ def _algo_params_from(obj: dict) -> canon.AlgoParams:
         raise ConfigError(f"unknown algorithm {name!r}")
     params = canon.default_params(name)
     simple = {"eta", "eta_b", "zeta", "xi", "lam", "gamma_rs", "exact_hc"}
+    overrides = {}
     for key, val in obj.items():
         if key == "name":
             continue
         if key in simple:
-            setattr(params, key, val)
+            overrides[key] = val
         elif key == "daps":
             for k, v in val.items():
                 setattr(params.daps, k, v)
@@ -87,7 +88,10 @@ def _algo_params_from(obj: dict) -> canon.AlgoParams:
                 setattr(params.inner_opt, k, v)
         else:
             raise ConfigError(f"unknown algorithm parameter {key!r}")
-    return params
+    try:
+        return replace(params, **overrides)  # re-runs AlgoParams validation
+    except canon.ConfigurationError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -121,6 +125,9 @@ def load_config(path) -> ExperimentConfig:
     lle_spec = raw.get("lle")
     train_config = None
     if lle_spec not in (None, "none"):
+        unknown = sorted(set(lle_spec) - {f.name for f in fields(lle.TrainConfig)})
+        if unknown:
+            raise ConfigError(f"unknown lle key(s) {unknown}")
         train_config = lle.TrainConfig(**{"base_seed": train_seed, **lle_spec})
     cfg = ExperimentConfig(
         prior=prior,

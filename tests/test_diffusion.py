@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lle import diffusion as dif
 from lle.numerics import RngStream
@@ -189,6 +190,110 @@ def test_jvp_zero_direction(schedule, small_prior):
 
 
 # ---------------------------------------------------------------------------
+# eigenbasis kernels against the per-timestep Cholesky reference
+# ---------------------------------------------------------------------------
+
+
+def cholesky_resp_and_whitened(prior, schedule, x, t):
+    """Reference: factor C_k = ab*Sigma_k + (1-ab)*I at t and solve triangularly.
+
+    Returns responsibilities r (B,K), u_k = C_k^-1 (x - m_k) (K,B,d), and the
+    Cholesky factors.
+    """
+    ab = schedule.alphabar(t)
+    means_t = math.sqrt(ab) * prior.means
+    chols = np.empty_like(prior.covariances)
+    lognorm = np.empty(prior.K)
+    for k in range(prior.K):
+        L = np.linalg.cholesky(ab * prior.covariances[k] + (1.0 - ab) * np.eye(prior.d))
+        chols[k] = L
+        logdet = 2.0 * np.sum(np.log(np.diag(L)))
+        lognorm[k] = math.log(prior.weights[k]) - 0.5 * (
+            logdet + prior.d * math.log(2.0 * math.pi)
+        )
+    u = np.empty((prior.K, x.shape[0], prior.d))
+    logp = np.empty((x.shape[0], prior.K))
+    for k in range(prior.K):
+        z = np.linalg.solve(chols[k], (x - means_t[k]).T)
+        u[k] = np.linalg.solve(chols[k].T, z).T
+        logp[:, k] = lognorm[k] - 0.5 * np.sum(z * z, axis=0)
+    r = np.exp(logp - logp.max(axis=1, keepdims=True))
+    r /= r.sum(axis=1, keepdims=True)
+    return r, u, chols
+
+
+def cholesky_eps(prior, schedule, x, t):
+    r, u, _ = cholesky_resp_and_whitened(prior, schedule, x, t)
+    return schedule.sigma(t) * np.einsum("bk,kbd->bd", r, u)
+
+
+def cholesky_eps_jvp(prior, schedule, x, t, v):
+    r, u, chols = cholesky_resp_and_whitened(prior, schedule, x, t)
+    score = -np.einsum("bk,kbd->bd", r, u)
+    hv = np.zeros_like(x)
+    for k in range(prior.K):
+        cinv_v = np.linalg.solve(chols[k].T, np.linalg.solve(chols[k], v.T)).T
+        gk_dot_v = np.sum(-u[k] * v, axis=1, keepdims=True)
+        hv += r[:, k : k + 1] * (-cinv_v + (-u[k]) * gk_dot_v)
+    hv -= score * np.sum(score * v, axis=1, keepdims=True)
+    return -schedule.sigma(t) * hv
+
+
+def ill_conditioned_mixture(rng, d, K, cond):
+    """Random means and SPD covariances Q diag(lam) Q^T, lam spanning cond."""
+    covs = np.empty((K, d, d))
+    for k in range(K):
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        lam = rng.uniform(0.1, 3.0) * np.geomspace(1.0 / cond, 1.0, d)
+        covs[k] = (Q * rng.permutation(lam)) @ Q.T
+        covs[k] = 0.5 * (covs[k] + covs[k].T)
+    w = rng.uniform(0.5, 1.5, K)
+    return dif.GaussianMixturePrior(w / w.sum(), 2.0 * rng.standard_normal((K, d)), covs)
+
+
+def max_rel(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    d=st.integers(min_value=1, max_value=8),
+    K=st.integers(min_value=1, max_value=3),
+    log_cond=st.floats(min_value=0.0, max_value=6.0),
+    t=st.integers(min_value=1, max_value=1000),
+    B=st.sampled_from([1, 7]),
+)
+@settings(max_examples=200, deadline=None)
+def test_eigenbasis_kernels_match_cholesky_reference(schedule, seed, d, K, log_cond, t, B):
+    # x is a draw from the noised marginal q_t, where DDIM and the solvers
+    # evaluate eps. Far off the support at t near 1, with split
+    # responsibilities, r depends on Mahalanobis distances of ~1e5 whose last
+    # digits neither kernel gets right, and the two drift apart by up to ~1e-9.
+    rng = np.random.default_rng(seed)
+    prior = ill_conditioned_mixture(rng, d, K, 10.0**log_cond)
+    ab = schedule.alphabar(t)
+    x0 = prior.sample(RngStream(seed % 2**20), B)
+    x = math.sqrt(ab) * x0 + schedule.sigma(t) * rng.standard_normal((B, d))
+    v = rng.standard_normal((B, d))
+    eps = dif.gmm_eps(prior, schedule, x, t)
+    jvp = dif.gmm_eps_jvp(prior, schedule, x, t, v)
+    assert max_rel(eps, cholesky_eps(prior, schedule, x, t)) <= 1e-10
+    assert max_rel(jvp, cholesky_eps_jvp(prior, schedule, x, t, v)) <= 1e-10
+
+
+def test_prior_sampling_uses_cholesky_draws():
+    prior = random_mixture(31, 5, 3)
+    got = prior.sample(RngStream(32), 50)
+    stream = RngStream(32)
+    u = stream.uniform(50)
+    comp = np.clip(np.searchsorted(np.cumsum(prior.weights), u), 0, prior.K - 1)
+    eps = stream.standard_normal((50, prior.d))
+    for k in range(prior.K):
+        L = np.linalg.cholesky(prior.covariances[k])
+        assert np.array_equal(got[comp == k], prior.means[k] + eps[comp == k] @ L.T)
+
+
+# ---------------------------------------------------------------------------
 # DDIM
 # ---------------------------------------------------------------------------
 
@@ -216,6 +321,22 @@ def test_ddim_step_to_zero_is_tweedie(schedule, small_prior):
     x = RngStream(26).standard_normal(6)
     out = dif.ddim_step(small_prior, schedule, x, 600, 0, eta=0.0)
     assert np.max(np.abs(out - dif.tweedie(small_prior, schedule, x, 600))) < 1e-14
+
+
+def test_ddim_step_evaluates_eps_once(schedule, small_prior, monkeypatch):
+    calls = []
+    original = dif.gmm_eps
+
+    def counting(*args):
+        calls.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(dif, "gmm_eps", counting)
+    x = RngStream(31).standard_normal((4, 6))
+    dif.ddim_step(small_prior, schedule, x, 600, 300, eta=0.5, stream=RngStream(2))
+    assert calls == [600]
+    dif.ddim_run(small_prior, schedule, x, 900, 6, eta=0.0)
+    assert calls == [600, 900, 750, 600, 450, 300, 150]
 
 
 def test_ddim_step_stochastic_determinism(schedule, small_prior):

@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +75,32 @@ def test_load_config_rejects_unknown_param(tmp_path):
                         algorithm={"name": "DPS", "temperature": 2.0})
     with pytest.raises(harness.ConfigError):
         harness.load_config(path)
+
+
+def test_load_config_rejects_eta_out_of_range(tmp_path):
+    path = write_config(tmp_path / "cfg.json", algorithm={"name": "DDNM", "eta": 2.0})
+    with pytest.raises(harness.ConfigError, match="eta"):
+        harness.load_config(path)
+
+
+def test_load_config_rejects_unknown_lle_key(tmp_path):
+    path = write_config(tmp_path / "cfg.json", lle={"n_refs": 4, "bogus": 1})
+    with pytest.raises(harness.ConfigError, match="bogus"):
+        harness.load_config(path)
+
+
+def test_readme_config_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    raw = json.loads(re.sub(r"//.*", "", block))
+    raw["n_test"] = 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    cfg = harness.load_config(path)
+    assert cfg.params.algorithm == "DDNM" and cfg.train_config.base_seed == 13
+    recons, truths = harness.run_experiment(cfg, seed=5)
+    assert recons.shape == truths.shape == (2, 8)
+    assert np.all(np.isfinite(recons))
 
 
 def test_algo_params_nested_overrides(tmp_path):
