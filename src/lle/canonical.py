@@ -11,6 +11,7 @@ without duplicating the data flow.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,24 @@ class ConfigurationError(ValueError):
     pass
 
 
+def check_number(name: str, value, integer: bool = False, minimum: float | None = None) -> None:
+    """Raise ConfigurationError naming `name` unless value is a finite number
+    (an integer if asked; a bool is neither), at least `minimum` if given."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) or not (
+        integer or math.isfinite(value)
+    ):
+        what = "an integer" if integer else "a finite number"
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def _check_bool(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be true or false, got {value!r}")
+
+
 @dataclass
 class DAPSParams:
     k_ddim: int = 5
@@ -53,12 +72,26 @@ class DAPSParams:
     sigma_langevin: float | None = None  # default max(sigma_y, 0.02)
     noiseless_linear: bool = False
 
+    def __post_init__(self):
+        check_number("daps.k_ddim", self.k_ddim, integer=True, minimum=1)
+        check_number("daps.n_langevin", self.n_langevin, integer=True, minimum=0)
+        check_number("daps.eta0", self.eta0)
+        check_number("daps.delta", self.delta)
+        if self.sigma_langevin is not None:
+            check_number("daps.sigma_langevin", self.sigma_langevin, minimum=0.0)
+        _check_bool("daps.noiseless_linear", self.noiseless_linear)
+
 
 @dataclass
 class InnerOptParams:
     lr: float = 0.01
     momentum: float = 0.9
     steps: int = 50
+
+    def __post_init__(self):
+        check_number("inner_opt.lr", self.lr)
+        check_number("inner_opt.momentum", self.momentum)
+        check_number("inner_opt.steps", self.steps, integer=True, minimum=0)
 
 
 @dataclass
@@ -79,8 +112,11 @@ class AlgoParams:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
+        for name in ("eta", "eta_b", "zeta", "xi", "lam", "gamma_rs"):
+            check_number(name, getattr(self, name))
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigurationError("eta must lie in [0, 1]")
+        _check_bool("exact_hc", self.exact_hc)
 
 
 def default_params(algorithm: str) -> AlgoParams:

@@ -15,7 +15,7 @@ import numpy as np
 from . import diffusion as dif
 from . import extrapolation as lle
 from . import harness
-from .numerics import RngStream, load_array, save_array
+from .numerics import load_array, save_array
 
 
 def _cmd_gen_prior(args):
@@ -27,8 +27,7 @@ def _cmd_gen_prior(args):
 def _cmd_gen_refs(args):
     cfg = harness.load_config(args.config)
     tc = cfg.train_config or lle.TrainConfig(base_seed=cfg.train_seed)
-    stream = RngStream(tc.base_seed).child(11)
-    refs = lle.generate_references(cfg.prior, cfg.schedule, tc, stream)
+    refs = lle.generate_references(cfg.prior, cfg.schedule, tc)
     save_array(args.out, refs.shape[0], refs.shape[1], refs)
     print(f"wrote {refs.shape[0]}x{refs.shape[1]} reference samples to {args.out}")
 

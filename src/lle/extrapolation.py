@@ -7,6 +7,10 @@ per-timestep coefficient vector so the linear combination of all previous
 estimates best matches the ground truth, and hands the combined estimate
 back to the driver's noiser. Inference replays the same data flow with the
 coefficients fixed.
+
+The fitting loss is evaluated batch-wise: one array reduction over the
+(N, d) batch gives every per-sample loss, and the single-sample `loss` is
+the one-row case of the same kernel.
 """
 
 from __future__ import annotations
@@ -41,13 +45,12 @@ class GradientDomainPlugin:
     tag = "gradient-domain"
 
     def value_and_grad(self, x: np.ndarray, ref: np.ndarray):
-        dx = np.diff(x)
-        dref = np.diff(ref)
-        r = dx - dref
-        val = float(np.sum(r * r))
+        """Per-row value and gradient over the last axis of (..., d) arrays."""
+        r = np.diff(x, axis=-1) - np.diff(ref, axis=-1)
+        val = np.sum(r * r, axis=-1)
         grad = np.zeros_like(x)
-        grad[:-1] -= 2.0 * r
-        grad[1:] += 2.0 * r
+        grad[..., :-1] -= 2.0 * r
+        grad[..., 1:] += 2.0 * r
         return val, grad
 
 
@@ -59,23 +62,29 @@ def make_plugin(tag: str):
     raise ValueError(f"unknown perceptual plugin {tag!r}")
 
 
+def _row_losses(x: np.ndarray, x_gt: np.ndarray, omega: float, plugin) -> np.ndarray:
+    """||x - x_gt||^2 + omega * plugin(x, x_gt) per row of (..., d) arrays."""
+    if x.shape != x_gt.shape:
+        raise ValueError(f"shape mismatch {x.shape} vs {x_gt.shape}")
+    r = x - x_gt
+    val = np.sum(r * r, axis=-1)
+    if omega != 0.0 and plugin is not None:
+        val = val + omega * plugin.value_and_grad(x, x_gt)[0]
+    return val
+
+
 def loss(x: np.ndarray, x_gt: np.ndarray, omega: float = 0.0, plugin=None) -> float:
     """||x - x_gt||^2 + omega * plugin(x, x_gt) for a single sample."""
     x = np.asarray(x, dtype=float)
     x_gt = np.asarray(x_gt, dtype=float)
-    if x.shape != x_gt.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {x_gt.shape}")
-    val = float(np.sum((x - x_gt) ** 2))
-    if omega != 0.0 and plugin is not None:
-        val += omega * plugin.value_and_grad(x, x_gt)[0]
-    return val
+    return float(_row_losses(x, x_gt, omega, plugin))
 
 
 def batch_loss(xs: np.ndarray, gts: np.ndarray, omega: float = 0.0, plugin=None) -> float:
     """Mean per-sample loss over a (N, d) batch."""
-    return float(
-        np.mean([loss(x, g, omega, plugin) for x, g in zip(np.atleast_2d(xs), np.atleast_2d(gts))])
-    )
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    gts = np.atleast_2d(np.asarray(gts, dtype=float))
+    return float(np.mean(_row_losses(xs, gts, omega, plugin)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +250,18 @@ def loss_grad_gamma(bases, x_gt, theta, omega, plugin=None, op=None, decoupled=F
     resid = xt - x_gt
     sens = 2.0 * resid
     if omega != 0.0 and plugin is not None:
-        pg = np.stack(
-            [plugin.value_and_grad(xt[n], x_gt[n])[1] for n in range(N)], axis=0
-        )
-        sens = sens + omega * pg
+        sens = sens + omega * plugin.value_and_grad(xt, x_gt)[1]
     if not decoupled:
-        return np.array([np.sum(sens * b) for b in bases]) / N
+        return _inner_products(sens, bases) / N
     par, perp = _project_bases(bases, op)
-    g_par = [np.sum(sens * b) for b in par]
-    g_perp = [np.sum(sens * b) for b in perp]
-    return np.array(g_par + g_perp) / N
+    return np.concatenate([_inner_products(sens, par), _inner_products(sens, perp)]) / N
+
+
+def _inner_products(sens, bases):
+    """[np.sum(sens * b) for b in bases] as one reduction over the stacked bases
+    (each row is summed over its N*d entries, as np.sum(sens * b) is)."""
+    stacked = np.asarray(bases)
+    return np.sum((stacked * sens).reshape(len(stacked), -1), axis=1)
 
 
 def solve_ls_closed_form(bases, x_gt, op=None, decoupled=False, reg=1e-10):
@@ -417,8 +428,14 @@ def train_timestep(
     return best, trace
 
 
-def generate_references(prior, schedule, config: TrainConfig, stream: RngStream):
-    """N reference samples via a ref_steps-step deterministic DDIM run."""
+def generate_references(prior, schedule, config: TrainConfig, stream: RngStream | None = None):
+    """N reference samples via a ref_steps-step deterministic DDIM run.
+
+    The stream defaults to the one `train` uses for config.base_seed. The
+    result does not depend on the step count, so one set serves a sweep.
+    """
+    if stream is None:
+        stream = RngStream(config.base_seed).child(11)
     x = stream.standard_normal((config.n_refs, prior.d))
     return dif.ddim_run(prior, schedule, x, schedule.T, config.ref_steps, eta=0.0)
 
@@ -439,14 +456,18 @@ def train(
     obs_builder,
     grid: dif.TimeGrid,
     config: TrainConfig,
+    refs: np.ndarray | None = None,
 ):
     """Walk the grid once, optimizing coefficients per timestep.
 
     obs_builder(x0_batch, stream) -> Observation with per-sample rows of y.
+    refs, when given, must be what `generate_references(prior, schedule,
+    config)` returns; it is read, never written.
     Returns (LLECoefficients, loss traces keyed by timestep).
     """
     base = RngStream(config.base_seed)
-    refs = generate_references(prior, schedule, config, base.child(11))
+    if refs is None:
+        refs = generate_references(prior, schedule, config)
     observation = obs_builder(refs, base.child(12))
     op = observation.op if observation.is_linear else None
     if config.decoupled and op is None:

@@ -75,20 +75,22 @@ def _algo_params_from(obj: dict) -> canon.AlgoParams:
     params = canon.default_params(name)
     simple = {"eta", "eta_b", "zeta", "xi", "lam", "gamma_rs", "exact_hc"}
     overrides = {}
-    for key, val in obj.items():
-        if key == "name":
-            continue
-        if key in simple:
-            overrides[key] = val
-        elif key == "daps":
-            for k, v in val.items():
-                setattr(params.daps, k, v)
-        elif key == "inner_opt":
-            for k, v in val.items():
-                setattr(params.inner_opt, k, v)
-        else:
-            raise ConfigError(f"unknown algorithm parameter {key!r}")
     try:
+        for key, val in obj.items():
+            if key == "name":
+                continue
+            if key in simple:
+                overrides[key] = val
+            elif key in ("daps", "inner_opt"):
+                block = getattr(params, key)
+                if not isinstance(val, dict):
+                    raise ConfigError(f"{key} must be an object, got {val!r}")
+                unknown = sorted(set(val) - {f.name for f in fields(block)})
+                if unknown:
+                    raise ConfigError(f"unknown {key} key(s) {unknown}")
+                overrides[key] = replace(block, **val)
+            else:
+                raise ConfigError(f"unknown algorithm parameter {key!r}")
         return replace(params, **overrides)  # re-runs AlgoParams validation
     except canon.ConfigurationError as exc:
         raise ConfigError(str(exc)) from exc
@@ -120,6 +122,11 @@ def load_config(path) -> ExperimentConfig:
         beta_end=sched_spec.get("beta_end", 0.02),
     )
     task = raw["task"]
+    sigma_y = task.get("sigma_y", 0.0)
+    try:
+        canon.check_number("task.sigma_y", sigma_y, minimum=0.0)
+    except canon.ConfigurationError as exc:
+        raise ConfigError(str(exc)) from exc
     seeds = raw.get("seeds", {})
     train_seed = seeds.get("train", 1)
     lle_spec = raw.get("lle")
@@ -133,7 +140,7 @@ def load_config(path) -> ExperimentConfig:
         prior=prior,
         schedule=schedule,
         op_spec=task["operator"],
-        sigma_y=task.get("sigma_y", 0.0),
+        sigma_y=sigma_y,
         params=_algo_params_from(raw["algorithm"]),
         steps=raw.get("steps", 3),
         train_config=train_config,
@@ -276,8 +283,11 @@ def run_experiment(config: ExperimentConfig, seed: int, coeffs=None):
     return recons, truths
 
 
-def train_lle(config: ExperimentConfig, steps: int | None = None):
-    """Train coefficients for this configuration; returns (coeffs, traces)."""
+def train_lle(config: ExperimentConfig, steps: int | None = None, refs=None):
+    """Train coefficients for this configuration; returns (coeffs, traces).
+
+    refs: the reference batch, if already generated (see `sweep`).
+    """
     if config.train_config is None:
         raise ConfigError("configuration has no LLE training block")
     grid = dif.make_time_grid(config.schedule, steps or config.steps)
@@ -288,7 +298,8 @@ def train_lle(config: ExperimentConfig, steps: int | None = None):
         return ops.Observation(y=y, op=op, sigma_y=config.sigma_y)
 
     return lle.train(
-        config.params, config.prior, config.schedule, obs_builder, grid, config.train_config
+        config.params, config.prior, config.schedule, obs_builder, grid, config.train_config,
+        refs=refs,
     )
 
 
@@ -297,7 +308,12 @@ def train_lle(config: ExperimentConfig, steps: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _sweep_cell(config: ExperimentConfig, S: int):
+def _sweep_cell(config: ExperimentConfig, S: int, refs=None):
+    """The base and LLE rows for one step count.
+
+    refs is the sweep's shared reference batch, or the exception that
+    generating it raised, which turns the LLE row into an error row.
+    """
     algo = config.params.algorithm
     rows = []
     grid_cfg = replace(config, steps=S)
@@ -310,7 +326,9 @@ def _sweep_cell(config: ExperimentConfig, S: int):
         base_recon = None
     try:
         if config.train_config is not None:
-            coeffs, _ = train_lle(grid_cfg)
+            if isinstance(refs, Exception):
+                raise refs
+            coeffs, _ = train_lle(grid_cfg, refs=refs)
         else:
             coeffs = lle.LLECoefficients.identity(
                 dif.make_time_grid(config.schedule, S)
@@ -328,14 +346,24 @@ def _mean_mse(recon, truth) -> float:
 
 
 def _mean_psnr(recon, truth, peak) -> float:
-    return psnr(recon, truth, peak)
+    return float(np.mean([psnr(r, t, peak) for r, t in zip(recon, truth)]))
 
 
 def sweep(config: ExperimentConfig, steps_list) -> str:
-    """Train + evaluate per step count; returns deterministic CSV text."""
+    """Train + evaluate per step count; returns deterministic CSV text.
+
+    The training references do not depend on the step count, so they are
+    generated once and shared by every cell.
+    """
     if not steps_list:
         raise ConfigError("steps_list is empty")
-    results = {S: _sweep_cell(config, S) for S in steps_list}
+    refs = None
+    if config.train_config is not None:
+        try:
+            refs = lle.generate_references(config.prior, config.schedule, config.train_config)
+        except Exception as exc:  # reported in every cell's LLE row
+            refs = exc
+    results = {S: _sweep_cell(config, S, refs) for S in steps_list}
     buf = io.StringIO()
     buf.write("algorithm,S,strategy,mean_mse,mean_psnr\n")
     for S in sorted(steps_list):

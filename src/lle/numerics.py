@@ -7,11 +7,12 @@ reproducible from (base_seed, stream_id) alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 ARRAY_MAGIC = b"LLEF64\n"
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 class FormatError(ValueError):
@@ -35,18 +36,40 @@ class RngStream:
     base_seed: int
     stream_id: int = 0
     counter: int = 0
+    # one generator per stream, rewound before every draw; not part of the
+    # stream's identity, so equality and repr ignore it
+    _gen: np.random.Generator | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def child(self, stream_id: int) -> "RngStream":
         """Fresh stream sharing base_seed, with its own id and zero counter."""
         return RngStream(self.base_seed, stream_id, 0)
 
     def _generator(self) -> np.random.Generator:
-        bitgen = np.random.Philox(
-            key=(self.base_seed & 0xFFFFFFFFFFFFFFFF)
-            ^ ((self.stream_id & 0xFFFFFFFFFFFFFFFF) << 64),
-            counter=self.counter << 66,
-        )
-        return np.random.Generator(bitgen)
+        """A generator that draws what ``Philox(key, counter << 66)`` would.
+
+        The first draw builds it; later draws rewind the same object by
+        setting the whole Philox state (key, counter, empty buffer), so a
+        reassigned field takes effect on the next draw.
+        """
+        key = (self.base_seed & _MASK64) ^ ((self.stream_id & _MASK64) << 64)
+        ctr = self.counter << 66
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.Philox(key=key, counter=ctr))
+            return self._gen
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.frombuffer(ctr.to_bytes(32, "little"), dtype="<u8"),
+                "key": np.frombuffer(key.to_bytes(16, "little"), dtype="<u8"),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._gen
 
     def standard_normal(self, shape) -> np.ndarray:
         """Draw i.i.d. N(0,1) deviates and advance the counter by one block."""

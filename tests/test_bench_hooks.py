@@ -7,14 +7,18 @@ from pathlib import Path
 from lle import canonical as canon
 from lle import harness
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+def _load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return _load_bench_module("tracer")
 
 
 def test_tracer_targets_exist():
@@ -55,3 +59,23 @@ def test_tracer_counts_driver_layers(tmp_path):
     assert calls.get("canonical.apply_noiser") == 6
     assert calls.get("canonical.run_with_combiner") == 3
     assert canon.CORRECTORS["DDNM"] is canon.corr_ddnm
+
+
+def test_benchmark_configs_load_and_sweep_runs(tmp_path):
+    configs = _load_bench_module("configs")
+    for workload in configs.WORKLOADS:
+        directory = tmp_path / workload
+        directory.mkdir()
+        plan = configs.workload_plan(workload, seed=1)
+        for path in configs.write_configs(plan, str(directory)).values():
+            harness.load_config(path)
+    # the sweep workload's own config, with training shrunk to a few steps
+    plan = configs.workload_plan("sweep-d8", seed=1)
+    raw = plan["configs"]["ddnm"]
+    raw["lle"].update(n_refs=4, ref_steps=20, epochs=3, warmup=1)
+    path = tmp_path / "small-sweep.json"
+    path.write_text(json.dumps(raw))
+    text = harness.sweep(harness.load_config(path), list(configs.SWEEP_STEPS))
+    rows = text.strip().split("\n")[1:]
+    assert len(rows) == 2 * len(configs.SWEEP_STEPS)
+    assert not any("error" in row for row in rows)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lle import canonical as canon
 from lle import diffusion as dif
@@ -34,6 +35,65 @@ def test_batch_loss_averages():
     xs = np.array([[1.0, 0.0], [0.0, 2.0]])
     gts = np.zeros((2, 2))
     assert lle.batch_loss(xs, gts) == pytest.approx(2.5)
+
+
+def _row_loss_reference(x, g, omega, with_plugin):
+    """The per-sample loss written row by row, as a reference for the batch kernel."""
+    val = float(np.sum((x - g) ** 2))
+    if with_plugin:
+        r = np.diff(x) - np.diff(g)
+        val += omega * float(np.sum(r * r))
+    return val
+
+
+def _plugin_grad_reference(x, g):
+    r = np.diff(x) - np.diff(g)
+    grad = np.zeros_like(x)
+    grad[:-1] -= 2.0 * r
+    grad[1:] += 2.0 * r
+    return grad
+
+
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    d=st.integers(min_value=1, max_value=70),
+    n_bases=st.integers(min_value=1, max_value=4),
+    log_scale=st.integers(min_value=-5, max_value=5),
+    omega=st.floats(min_value=0.0, max_value=10.0),
+    with_plugin=st.booleans(),
+    decoupled=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=200, deadline=None)
+def test_batch_loss_and_gradient_equal_per_sample_loop(
+    n, d, n_bases, log_scale, omega, with_plugin, decoupled, seed
+):
+    stream = RngStream(seed)
+    scale = 10.0**log_scale
+    bases = [scale * stream.standard_normal((n, d)) for _ in range(n_bases)]
+    x_gt = scale * stream.standard_normal((n, d))
+    theta = stream.standard_normal(2 * n_bases if decoupled else n_bases)
+    op = ops.mask_operator(d, list(range(0, d, 2))) if decoupled else None
+    plugin = lle.GradientDomainPlugin() if with_plugin else None
+    use_plugin = with_plugin and omega != 0.0
+
+    xt = lle._combined(bases, theta, op, decoupled)
+    rows = [_row_loss_reference(x, g, omega, use_plugin) for x, g in zip(xt, x_gt)]
+    assert lle.batch_loss(xt, x_gt, omega, plugin) == float(np.mean(rows))
+    assert lle.loss(xt[0], x_gt[0], omega, plugin) == rows[0]
+
+    sens = 2.0 * (xt - x_gt)
+    if use_plugin:
+        sens = sens + omega * np.stack(
+            [_plugin_grad_reference(x, g) for x, g in zip(xt, x_gt)], axis=0
+        )
+    directions = bases
+    if decoupled:
+        par = [ops.project(op, b, "range") for b in bases]
+        directions = par + [b - p for b, p in zip(bases, par)]
+    expected = np.array([np.sum(sens * b) for b in directions]) / n
+    got = lle.loss_grad_gamma(bases, x_gt, theta, omega, plugin, op, decoupled)
+    assert np.array_equal(got, expected)
 
 
 def test_gradient_domain_plugin_shift_invariant():

@@ -12,7 +12,7 @@ from lle import diffusion as dif
 from lle import extrapolation as lle
 from lle import harness
 from lle import operators as ops
-from lle.numerics import RngStream
+from lle.numerics import RngStream, psnr
 
 
 def write_config(path, **overrides):
@@ -101,6 +101,36 @@ def test_readme_config_example_runs(tmp_path):
     recons, truths = harness.run_experiment(cfg, seed=5)
     assert recons.shape == truths.shape == (2, 8)
     assert np.all(np.isfinite(recons))
+
+
+@pytest.mark.parametrize("key", ["eta", "eta_b", "zeta", "xi", "lam", "gamma_rs"])
+def test_load_config_rejects_non_numeric_param(tmp_path, key):
+    path = write_config(tmp_path / "cfg.json", algorithm={"name": "DDRM", key: "0.5"})
+    with pytest.raises(harness.ConfigError, match=key):
+        harness.load_config(path)
+
+
+@pytest.mark.parametrize("block, bad", [("daps", {"n_langevn": 3}),
+                                        ("inner_opt", {"stepz": 3})])
+def test_load_config_rejects_unknown_nested_key(tmp_path, block, bad):
+    path = write_config(tmp_path / "cfg.json", algorithm={"name": "DAPS", block: bad})
+    with pytest.raises(harness.ConfigError, match=f"{block}.*{next(iter(bad))}"):
+        harness.load_config(path)
+
+
+def test_load_config_rejects_non_numeric_nested_value(tmp_path):
+    path = write_config(tmp_path / "cfg.json",
+                        algorithm={"name": "DAPS", "daps": {"n_langevin": "5"}})
+    with pytest.raises(harness.ConfigError, match="daps.n_langevin"):
+        harness.load_config(path)
+
+
+def test_load_config_rejects_negative_sigma_y(tmp_path):
+    path = write_config(tmp_path / "cfg.json",
+                        task={"operator": {"kind": "mask", "keep_ratio": 0.5, "seed": 1},
+                              "sigma_y": -0.1})
+    with pytest.raises(harness.ConfigError, match="sigma_y"):
+        harness.load_config(path)
 
 
 def test_algo_params_nested_overrides(tmp_path):
@@ -284,3 +314,55 @@ def test_sweep_repeats_identically(tmp_path):
     first = harness.sweep(harness.load_config(cfg_path), [2, 3])
     second = harness.sweep(harness.load_config(cfg_path), [2, 3])
     assert first == second
+
+
+def _csv_rows(text):
+    return [tuple(line.split(",")) for line in text.strip().split("\n")[1:]]
+
+
+def test_sweep_draws_references_once_and_matches_separate_cells(tmp_path, monkeypatch):
+    cfg = harness.load_config(write_config(tmp_path / "c.json"))
+    calls = []
+    real = lle.generate_references
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lle, "generate_references", spy)
+    text = harness.sweep(cfg, [2, 3, 4])
+    assert len(calls) == 1
+    # each cell on its own, training draws its own references
+    expected = []
+    for S in (2, 3, 4):
+        rows = sorted(harness._sweep_cell(cfg, S), key=lambda r: r[2])
+        expected += [(a, str(s), strat, f"{m:.12g}", f"{p:.12g}") for a, s, strat, m, p in rows]
+    assert len(calls) == 4
+    assert _csv_rows(text) == expected
+
+
+def test_sweep_reference_failure_gives_lle_error_rows(tmp_path, monkeypatch):
+    cfg = harness.load_config(write_config(tmp_path / "c.json"))
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("no references")
+
+    monkeypatch.setattr(lle, "generate_references", broken)
+    rows = _csv_rows(harness.sweep(cfg, [2, 3]))
+    assert [r[:3] for r in rows] == [("DDNM", "2", "LLE"), ("DDNM", "2", "base"),
+                                     ("DDNM", "3", "LLE"), ("DDNM", "3", "base")]
+    for r in rows:
+        if r[2] == "LLE":
+            assert r[3:] == ("error", "error:RuntimeError")
+        else:
+            assert math.isfinite(float(r[3])) and math.isfinite(float(r[4]))
+
+
+def test_sweep_mean_psnr_is_mean_of_per_sample_psnr(tmp_path):
+    cfg = harness.load_config(write_config(tmp_path / "c.json", n_test=4))
+    rows = {(r[1], r[2]): r for r in _csv_rows(harness.sweep(cfg, [2]))}
+    recon, truths = harness.run_experiment(cfg, cfg.test_seed)
+    per_sample = [psnr(r, t, cfg.peak) for r, t in zip(recon, truths)]
+    assert float(rows[("2", "base")][4]) == pytest.approx(np.mean(per_sample), rel=1e-11)
+    pooled = psnr(recon, truths, cfg.peak)
+    assert abs(np.mean(per_sample) - pooled) > 1e-6  # the two differ on this batch
