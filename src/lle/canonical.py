@@ -58,7 +58,7 @@ def check_number(name: str, value, integer: bool = False, minimum: float | None 
         raise ConfigurationError(f"{name} must be >= {minimum}, got {value!r}")
 
 
-def _check_bool(name: str, value) -> None:
+def check_bool(name: str, value) -> None:
     if not isinstance(value, bool):
         raise ConfigurationError(f"{name} must be true or false, got {value!r}")
 
@@ -79,7 +79,7 @@ class DAPSParams:
         check_number("daps.delta", self.delta)
         if self.sigma_langevin is not None:
             check_number("daps.sigma_langevin", self.sigma_langevin, minimum=0.0)
-        _check_bool("daps.noiseless_linear", self.noiseless_linear)
+        check_bool("daps.noiseless_linear", self.noiseless_linear)
 
 
 @dataclass
@@ -116,7 +116,7 @@ class AlgoParams:
             check_number(name, getattr(self, name))
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigurationError("eta must lie in [0, 1]")
-        _check_bool("exact_hc", self.exact_hc)
+        check_bool("exact_hc", self.exact_hc)
 
 
 def default_params(algorithm: str) -> AlgoParams:
@@ -137,7 +137,8 @@ def default_params(algorithm: str) -> AlgoParams:
 
 @dataclass
 class StepContext:
-    """Per-step bundle; eps is evaluated once and shared by corrector and noiser."""
+    """Per-step bundle; eps and the mixture whitening at (x_t, t_i) are
+    evaluated once and shared by sampler, corrector and noiser."""
 
     x_t: np.ndarray
     t_i: int
@@ -148,12 +149,27 @@ class StepContext:
     prev_xhat: np.ndarray | None = None
     x0_sampled: np.ndarray | None = None
     _eps: np.ndarray | None = None
+    _whitened: tuple | None = None
+
+    @property
+    def whitened(self) -> tuple:
+        if self._whitened is None:
+            self._whitened = dif.whiten(self.prior, self.schedule, self.x_t, self.t_i)
+        return self._whitened
 
     @property
     def eps_cached(self) -> np.ndarray:
         if self._eps is None:
-            self._eps = dif.gmm_eps(self.prior, self.schedule, self.x_t, self.t_i)
+            self._eps = dif.gmm_eps(
+                self.prior, self.schedule, self.x_t, self.t_i, whitened=self.whitened
+            )
         return self._eps
+
+    def eps_jvp(self, v: np.ndarray) -> np.ndarray:
+        """(d eps/dx) v at (x_t, t_i), reusing the step's whitening."""
+        return dif.gmm_eps_jvp(
+            self.prior, self.schedule, self.x_t, self.t_i, v, whitened=self.whitened
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +264,7 @@ def corr_dps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.n
     # d x0/d x_t = (I - sqrt(1-ab) d eps/dx) / sqrt(ab); symmetric, so the
     # transpose-vector product is the same JVP.
     ab = ctx.schedule.alphabar(ctx.t_i)
-    jvp = dif.gmm_eps_jvp(ctx.prior, ctx.schedule, ctx.x_t, ctx.t_i, g_x0)
+    jvp = ctx.eps_jvp(g_x0)
     grad_xt = (g_x0 - ctx.schedule.sigma(ctx.t_i) * jvp) / math.sqrt(ab)
     zeta_t = params.zeta * math.sqrt(ab)
     ab_prev = ctx.schedule.alphabar(ctx.t_prev)
@@ -267,7 +283,7 @@ def corr_pigdm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np
     # A^T (A A^T + ratio I)^-1 resid, diagonal on the range of U; the
     # U-complement part is annihilated by diag(s) V^T.
     w = (resid @ op.U) * (op.s / (op.s**2 + ratio)) @ op.V.T
-    jw = dif.gmm_eps_jvp(ctx.prior, ctx.schedule, ctx.x_t, ctx.t_i, w)
+    jw = ctx.eps_jvp(w)
     ab = ctx.schedule.alphabar(ctx.t_i)
     jtw = (w - ctx.schedule.sigma(ctx.t_i) * jw) / math.sqrt(ab)
     scale = math.sqrt(ab / ctx.schedule.alphabar(ctx.t_prev))
@@ -286,18 +302,23 @@ def corr_reddiff(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> 
     return p + params.xi * step
 
 
-def _momentum_descent(objective_grad, x_init, lr, momentum, steps, loss_fn=None):
-    """Plain SGD with momentum; optional divergence guard via loss_fn."""
+def _momentum_descent(value_and_grad, x_init, lr, momentum, steps):
+    """Plain SGD with momentum and a divergence guard.
+
+    value_and_grad(x) -> (loss, gradient), both from one residual at x.
+    Raises ConvergenceError when an iterate's loss is non-finite or above
+    ten times the starting loss.
+    """
     x = np.array(x_init, copy=True)
     vel = np.zeros_like(x)
-    loss0 = loss_fn(x) if loss_fn is not None else None
+    loss0, grad = value_and_grad(x)
+    limit = 10.0 * max(loss0, 1e-30)
     for _ in range(steps):
-        vel = momentum * vel - lr * objective_grad(x)
+        vel = momentum * vel - lr * grad
         x = x + vel
-        if loss_fn is not None:
-            cur = loss_fn(x)
-            if not np.isfinite(cur) or cur > 10.0 * max(loss0, 1e-30):
-                raise ConvergenceError("inner optimizer diverged")
+        cur, grad = value_and_grad(x)
+        if not math.isfinite(cur) or cur > limit:
+            raise ConvergenceError("inner optimizer diverged")
     return x
 
 
@@ -355,29 +376,41 @@ def corr_dmps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
 
 
 def corr_resample(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
-    """Hard data consistency: argmin ||y - A(x)||^2 from x0 by momentum descent."""
+    """Hard data consistency: argmin ||y - A(x)||^2 from x0 by momentum descent.
+
+    For a linear A = U diag(s) V^T the gradient 2 A^T (A x - y) lies in the
+    span of V, so the descent runs on the range coordinates c = V^T x alone,
+    with ||A x - y||^2 = ||s c - U^T y||^2 + ||y - U U^T y||^2.
+    """
     x0 = ctx.x0_sampled
+    opt = params.inner_opt
     if params.exact_hc and obs.is_linear:
         op = obs.op
         return x0 + ops.pinv_apply(op, obs.y - ops.apply(op, x0))
-    if params.inner_opt.steps == 0:
+    if opt.steps == 0:
         return x0.copy()
+    if not obs.is_linear:
+        nlop = obs.op
 
-    def loss(x):
-        if obs.is_linear:
-            r = ops.apply(obs.op, x) - obs.y
-        else:
-            r = ops.nl_apply(obs.op, x) - obs.y
-        return float(np.sum(r * r))
+        def value_and_grad(x):
+            fx = ops.nl_apply(nlop, x)
+            r = fx - obs.y
+            return float(np.sum(r * r)), 2.0 * ops.nl_vjp(nlop, x, r, fx=fx)
 
-    return _momentum_descent(
-        lambda x: _residual_grad_x0(obs, x),
-        x0,
-        params.inner_opt.lr,
-        params.inner_opt.momentum,
-        params.inner_opt.steps,
-        loss_fn=loss,
-    )
+        return _momentum_descent(value_and_grad, x0, opt.lr, opt.momentum, opt.steps)
+    op = obs.op
+    ybar = obs.y @ op.U
+    out_of_range = obs.y - ybar @ op.U.T
+    loss_perp = float(np.vdot(out_of_range, out_of_range))
+    two_s = 2.0 * op.s
+
+    def value_and_grad_range(c):
+        r = op.s * c - ybar
+        return float(np.vdot(r, r)) + loss_perp, two_s * r
+
+    c0 = x0 @ op.V
+    c = _momentum_descent(value_and_grad_range, c0, opt.lr, opt.momentum, opt.steps)
+    return x0 + (c - c0) @ op.V.T
 
 
 def daps_step_size(daps: DAPSParams, t: int, T: int) -> float:
@@ -386,7 +419,14 @@ def daps_step_size(daps: DAPSParams, t: int, T: int) -> float:
 
 
 def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
-    """Langevin chain targeting the anchored posterior around x_{0,t_i}."""
+    """Langevin chain targeting the anchored posterior around x_{0,t_i}.
+
+    Each step is x <- drift(x) + sqrt(2 eta_t) xi with the gradient drift
+    x - eta_t ((x - anchor) / r^2 + w A^T (A x - y)), w = 1/sigma^2 (1/eta_t
+    for the noiseless-linear variant). For a linear A = U diag(s) V^T that
+    drift is affine, x M + g with M = (1 - eta_t/r^2) I - eta_t w V diag(s^2) V^T
+    and g = (eta_t/r^2) anchor + eta_t w A^T y, built once per call.
+    """
     daps = params.daps
     anchor = ctx.x0_sampled
     if daps.n_langevin == 0:
@@ -400,16 +440,28 @@ def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
         )
     eta_t = daps_step_size(daps, ctx.t_i, ctx.schedule.T)
     r2 = 1.0 - ctx.schedule.alphabar(ctx.t_i)
+    if obs.is_linear or daps.noiseless_linear:
+        # raises only for the noiseless variant on a nonlinear operator
+        op = _require_linear(obs, "DAPS noiseless-linear variant")
+        # the noiseless data term is (1/(2 eta_t)) ||A x - y||^2, so eta_t w = 1
+        eta_w = 1.0 if daps.noiseless_linear else eta_t / sigma**2
+        M = (1.0 - eta_t / r2) * np.eye(op.n) - (op.V * (eta_w * op.s**2)) @ op.V.T
+        g = (eta_t / r2) * anchor + eta_w * ops.apply_adjoint(op, obs.y)
+
+        def drift(x):
+            return x @ M + g
+
+    else:
+
+        def drift(x):
+            grad = (x - anchor) / r2
+            data_grad = 0.5 * _residual_grad_x0(obs, x) / sigma**2
+            return x - eta_t * (grad + data_grad)
+
+    noise_scale = math.sqrt(2.0 * eta_t)
     x = np.array(anchor, copy=True)
     for _ in range(daps.n_langevin):
-        grad = (x - anchor) / r2
-        if daps.noiseless_linear:
-            op = _require_linear(obs, "DAPS noiseless-linear variant")
-            # data term (1/(2 eta_t)) ||A x - y||^2; the eta_t cancels in the update
-            data_grad = ops.apply_adjoint(op, ops.apply(op, x) - obs.y) / eta_t
-        else:
-            data_grad = 0.5 * _residual_grad_x0(obs, x) / sigma**2
-        x = x - eta_t * (grad + data_grad) + math.sqrt(2.0 * eta_t) * ctx.stream.standard_normal(x.shape)
+        x = drift(x) + noise_scale * ctx.stream.standard_normal(x.shape)
     return x
 
 

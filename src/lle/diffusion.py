@@ -165,30 +165,45 @@ def _as_batch(x: np.ndarray):
     return x, False
 
 
-def gmm_score(prior, schedule, x, t: int) -> np.ndarray:
+def whiten(prior, schedule, x, t: int):
+    """The mixture's (responsibilities, whitened residuals, reciprocal
+    eigenvalues) at (x, t); pass it as `whitened=` to evaluate `gmm_eps` and
+    `gmm_eps_jvp` at the same (x, t) without repeating the solves."""
+    return prior._resp_and_whitened(schedule, _as_batch(x)[0], t)
+
+
+def gmm_score(prior, schedule, x, t: int, whitened=None) -> np.ndarray:
     """Exact gradient of log q_t at x (batched over leading axis)."""
     xb, squeeze = _as_batch(x)
-    r, y, _ = prior._resp_and_whitened(schedule, xb, t)
+    if whitened is None:
+        whitened = prior._resp_and_whitened(schedule, xb, t)
+    r, y, _ = whitened
     score = -prior._from_eigenbasis(r.T[:, :, None] * y)
     return score[0] if squeeze else score
 
 
-def gmm_eps(prior, schedule, x, t: int) -> np.ndarray:
-    """Noise-prediction surrogate: eps = -sqrt(1-ab_t) * grad log q_t."""
+def gmm_eps(prior, schedule, x, t: int, whitened=None) -> np.ndarray:
+    """Noise-prediction surrogate: eps = -sqrt(1-ab_t) * grad log q_t.
+
+    whitened: `whiten(prior, schedule, x, t)`, when the caller already has it.
+    """
     sig = schedule.sigma(t)
-    return -sig * gmm_score(prior, schedule, x, t)
+    return -sig * gmm_score(prior, schedule, x, t, whitened)
 
 
-def gmm_eps_jvp(prior, schedule, x, t: int, v) -> np.ndarray:
+def gmm_eps_jvp(prior, schedule, x, t: int, v, whitened=None) -> np.ndarray:
     """Directional derivative (d eps/dx) v via the analytic mixture Hessian.
 
     The Hessian of log q_t is symmetric, so this doubles as the VJP.
+    whitened: `whiten(prior, schedule, x, t)`, when the caller already has it.
     """
     xb, squeeze = _as_batch(x)
     vb, _ = _as_batch(np.asarray(v, dtype=float))
     if vb.shape[0] == 1 and xb.shape[0] > 1:
         vb = np.broadcast_to(vb, xb.shape)
-    r, y, w = prior._resp_and_whitened(schedule, xb, t)
+    if whitened is None:
+        whitened = prior._resp_and_whitened(schedule, xb, t)
+    r, y, w = whitened
     # H = sum_k r_k (u_k u_k^T - C_k^-1) - s s^T with u_k = Q_k y_k, s = -sum_k r_k u_k;
     # with p_k = Q_k^T v: Hv = sum_k r_k Q_k (y_k (y_k.p_k + s.v) - w_k p_k)
     p = vb @ prior._eigvecs

@@ -304,10 +304,36 @@ class TrainConfig:
     optimizer: str = "schedule-free"  # | adam
     base_seed: int = 0
 
+    def __post_init__(self):
+        for name, minimum in (("n_refs", 1), ("ref_steps", 1), ("epochs", 0), ("warmup", 0)):
+            canon.check_number(f"lle.{name}", getattr(self, name), integer=True, minimum=minimum)
+        canon.check_number("lle.base_seed", self.base_seed, integer=True)
+        for name in ("noisy_gt", "decoupled", "closed_form"):
+            canon.check_bool(f"lle.{name}", getattr(self, name))
+        for name, allowed in (
+            ("plugin", ("none", "gradient-domain")),
+            ("lr_rule", ("constant", "dynamic")),
+            ("init_mode", ("adaptive-linear", "soft-nonlinear")),
+            ("optimizer", ("schedule-free", "adam")),
+        ):
+            if getattr(self, name) not in allowed:
+                raise canon.ConfigurationError(
+                    f"lle.{name} must be one of {list(allowed)}, got {getattr(self, name)!r}"
+                )
+        if self.omega is not None:
+            canon.check_number("lle.omega", self.omega, minimum=0.0)
+            if self.omega != 0.0 and self.plugin == "none":
+                raise canon.ConfigurationError("lle.omega is non-zero but lle.plugin is \"none\"")
+        if self.closed_form and self.resolved_omega() != 0.0:
+            raise canon.ConfigurationError(
+                f"lle.closed_form needs omega = 0, got {self.resolved_omega()}"
+                " (a plugin's default omega is 0.1)"
+            )
+
     def resolved_omega(self) -> float:
         if self.omega is not None:
             return self.omega
-        return 0.1 if self.plugin not in (None, "none") else 0.0
+        return 0.1 if self.plugin != "none" else 0.0
 
 
 def make_ground_truth(

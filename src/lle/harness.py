@@ -123,36 +123,46 @@ def load_config(path) -> ExperimentConfig:
     )
     task = raw["task"]
     sigma_y = task.get("sigma_y", 0.0)
-    try:
-        canon.check_number("task.sigma_y", sigma_y, minimum=0.0)
-    except canon.ConfigurationError as exc:
-        raise ConfigError(str(exc)) from exc
     seeds = raw.get("seeds", {})
     train_seed = seeds.get("train", 1)
+    test_seed = seeds.get("test", 2)
+    steps = raw.get("steps", 3)
+    n_test = raw.get("n_test", 10)
+    peak = raw.get("peak", 2.0)
     lle_spec = raw.get("lle")
     train_config = None
-    if lle_spec not in (None, "none"):
-        unknown = sorted(set(lle_spec) - {f.name for f in fields(lle.TrainConfig)})
-        if unknown:
-            raise ConfigError(f"unknown lle key(s) {unknown}")
-        train_config = lle.TrainConfig(**{"base_seed": train_seed, **lle_spec})
-    cfg = ExperimentConfig(
+    try:
+        canon.check_number("task.sigma_y", sigma_y, minimum=0.0)
+        canon.check_number("seeds.train", train_seed, integer=True)
+        canon.check_number("seeds.test", test_seed, integer=True)
+        canon.check_number("steps", steps, integer=True, minimum=1)
+        canon.check_number("n_test", n_test, integer=True, minimum=1)
+        canon.check_number("peak", peak)
+        if peak <= 0:
+            raise ConfigError(f"peak must be > 0, got {peak!r}")
+        if lle_spec not in (None, "none"):
+            if not isinstance(lle_spec, dict):
+                raise ConfigError(f"lle must be an object or \"none\", got {lle_spec!r}")
+            unknown = sorted(set(lle_spec) - {f.name for f in fields(lle.TrainConfig)})
+            if unknown:
+                raise ConfigError(f"unknown lle key(s) {unknown}")
+            train_config = lle.TrainConfig(**{"base_seed": train_seed, **lle_spec})
+    except canon.ConfigurationError as exc:
+        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(
         prior=prior,
         schedule=schedule,
         op_spec=task["operator"],
         sigma_y=sigma_y,
         params=_algo_params_from(raw["algorithm"]),
-        steps=raw.get("steps", 3),
+        steps=steps,
         train_config=train_config,
         train_seed=train_seed,
-        test_seed=seeds.get("test", 2),
-        n_test=raw.get("n_test", 10),
-        peak=raw.get("peak", 2.0),
+        test_seed=test_seed,
+        n_test=n_test,
+        peak=peak,
         raw=raw,
     )
-    if cfg.steps < 1 or cfg.n_test < 1:
-        raise ConfigError("steps and n_test must be >= 1")
-    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 
 ARRAY_MAGIC = b"LLEF64\n"
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_COUNTER_LIMIT = 2**190  # counter << 66 must fit Philox's 256-bit counter
 
 
 class FormatError(ValueError):
@@ -36,39 +37,50 @@ class RngStream:
     base_seed: int
     stream_id: int = 0
     counter: int = 0
-    # one generator per stream, rewound before every draw; not part of the
-    # stream's identity, so equality and repr ignore it
+    # one generator per stream and the Philox state dict it is rewound to
+    # before every draw; not part of the stream's identity, so equality and
+    # repr ignore them
     _gen: np.random.Generator | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _state: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def child(self, stream_id: int) -> "RngStream":
         """Fresh stream sharing base_seed, with its own id and zero counter."""
         return RngStream(self.base_seed, stream_id, 0)
 
     def _generator(self) -> np.random.Generator:
-        """A generator that draws what ``Philox(key, counter << 66)`` would.
+        """A generator that draws what ``Philox(key, counter << 66)`` would,
+        with key = base_seed + 2**64 * stream_id (each taken mod 2**64).
 
-        The first draw builds it; later draws rewind the same object by
-        setting the whole Philox state (key, counter, empty buffer), so a
-        reassigned field takes effect on the next draw.
+        The first draw builds the generator and its state dict; every draw
+        writes the key and counter words into that dict in place and sets
+        it (which also empties the output buffer), so a reassigned field
+        takes effect on the next draw.
         """
-        key = (self.base_seed & _MASK64) ^ ((self.stream_id & _MASK64) << 64)
-        ctr = self.counter << 66
+        c = self.counter
+        if not 0 <= c < _COUNTER_LIMIT:
+            raise ValueError(f"counter must lie in [0, 2**190), got {c}")
         if self._gen is None:
-            self._gen = np.random.Generator(np.random.Philox(key=key, counter=ctr))
-            return self._gen
-        self._gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.frombuffer(ctr.to_bytes(32, "little"), dtype="<u8"),
-                "key": np.frombuffer(key.to_bytes(16, "little"), dtype="<u8"),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+            self._gen = np.random.Generator(np.random.Philox(key=0))
+            self._state = {
+                "bit_generator": "Philox",
+                "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+                "buffer": [0, 0, 0, 0],
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        words = self._state["state"]
+        key = words["key"]
+        key[0] = self.base_seed & _MASK64
+        key[1] = self.stream_id & _MASK64
+        # counter << 66 as four little-endian 64-bit words; the lowest is 0
+        ctr = words["counter"]
+        ctr[1] = (c << 2) & _MASK64
+        ctr[2] = (c >> 62) & _MASK64
+        ctr[3] = c >> 126
+        self._gen.bit_generator.state = self._state
         return self._gen
 
     def standard_normal(self, shape) -> np.ndarray:

@@ -289,8 +289,10 @@ def nl_apply(nlop: NonlinearOperator, x: np.ndarray) -> np.ndarray:
     return np.tanh(nlop.scale * _circ_conv(np.asarray(nlop.kernel), x))
 
 
-def nl_vjp(nlop: NonlinearOperator, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """v^T (d nl_apply/dx); the symmetric kernel makes correlation = convolution."""
-    x = np.asarray(x, dtype=float)
-    y = nl_apply(nlop, x)
+def nl_vjp(nlop: NonlinearOperator, x: np.ndarray, v: np.ndarray, fx=None) -> np.ndarray:
+    """v^T (d nl_apply/dx); the symmetric kernel makes correlation = convolution.
+
+    fx: nl_apply(nlop, x), when the caller already has it.
+    """
+    y = nl_apply(nlop, x) if fx is None else fx
     return _circ_conv(np.asarray(nlop.kernel), nlop.scale * (1.0 - y * y) * np.asarray(v))

@@ -5,7 +5,10 @@ import json
 from pathlib import Path
 
 from lle import canonical as canon
+from lle import diffusion as dif
 from lle import harness
+from lle import operators as ops
+from lle.numerics import RngStream
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -79,3 +82,25 @@ def test_benchmark_configs_load_and_sweep_runs(tmp_path):
     rows = text.strip().split("\n")[1:]
     assert len(rows) == 2 * len(configs.SWEEP_STEPS)
     assert not any("error" in row for row in rows)
+
+
+def test_run_nine_rows_replay_canonical_run(tmp_path):
+    # the benchmark's run-nine check, on a 3-sample test batch: row
+    # run_seed % n_test of run_experiment equals canonical.run bit for bit
+    configs = _load_bench_module("configs")
+    plan = configs.workload_plan("run-nine", seed=1)
+    run_seed = plan["run_seed"]
+    assert len(plan["calls"]) == len(canon.ALGORITHMS)
+    for _, name in plan["calls"]:
+        raw = dict(plan["configs"][name], n_test=3)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        cfg = harness.load_config(path)
+        recons, _ = harness.run_experiment(cfg, run_seed)
+        _, ys, op = harness.make_test_batch(cfg)
+        i = run_seed % cfg.n_test
+        obs = ops.Observation(y=ys[i], op=op, sigma_y=cfg.sigma_y)
+        grid = dif.make_time_grid(cfg.schedule, cfg.steps)
+        base = canon.run(cfg.params, cfg.prior, cfg.schedule, obs, grid, run_seed,
+                         stream=RngStream(run_seed, 1000 + i))
+        assert base.astype("<f8").tobytes() == recons[i].tobytes(), name

@@ -466,6 +466,227 @@ def test_daps_chain_is_seeded(schedule, small_prior):
 
 
 # ---------------------------------------------------------------------------
+# DAPS and ReSample inner loops against their full-space reference loops
+# ---------------------------------------------------------------------------
+
+
+def _daps_reference(ctx, obs, params):
+    """The per-iteration DAPS loop with an operator call per gradient."""
+    daps = params.daps
+    anchor = ctx.x0_sampled
+    sigma = daps.sigma_langevin
+    if sigma is None:
+        sigma = max(obs.sigma_y, 0.02)
+    eta_t = canon.daps_step_size(daps, ctx.t_i, ctx.schedule.T)
+    r2 = 1.0 - ctx.schedule.alphabar(ctx.t_i)
+    x = np.array(anchor, copy=True)
+    for _ in range(daps.n_langevin):
+        grad = (x - anchor) / r2
+        if daps.noiseless_linear:
+            data_grad = ops.apply_adjoint(obs.op, ops.apply(obs.op, x) - obs.y) / eta_t
+        elif obs.is_linear:
+            data_grad = 0.5 * 2.0 * ops.apply_adjoint(obs.op, ops.apply(obs.op, x) - obs.y) / sigma**2
+        else:
+            data_grad = 0.5 * 2.0 * ops.nl_vjp(obs.op, x, ops.nl_apply(obs.op, x) - obs.y) / sigma**2
+        x = x - eta_t * (grad + data_grad) + math.sqrt(2.0 * eta_t) * ctx.stream.standard_normal(x.shape)
+    return x
+
+
+def _resample_reference(x0, obs, lr, momentum, steps):
+    """Momentum descent on ||y - A(x)||^2 in the full space, loss and gradient
+    each from their own operator calls."""
+    def residual(x):
+        fx = ops.apply(obs.op, x) if obs.is_linear else ops.nl_apply(obs.op, x)
+        return fx - obs.y
+
+    def grad(x):
+        if obs.is_linear:
+            return 2.0 * ops.apply_adjoint(obs.op, residual(x))
+        return 2.0 * ops.nl_vjp(obs.op, x, residual(x))
+
+    def loss(x):
+        r = residual(x)
+        return float(np.sum(r * r))
+
+    x = np.array(x0, copy=True)
+    vel = np.zeros_like(x)
+    loss0 = loss(x)
+    for _ in range(steps):
+        vel = momentum * vel - lr * grad(x)
+        x = x + vel
+        cur = loss(x)
+        if not np.isfinite(cur) or cur > 10.0 * max(loss0, 1e-30):
+            raise canon.ConvergenceError("inner optimizer diverged")
+    return x
+
+
+def _inner_loop_operator(kind, d=6):
+    if kind == "mask":
+        return ops.mask_operator(d, [0, 2, 3])
+    if kind == "blur":
+        return ops.blur_operator(d, [0.25, 0.5, 0.25])
+    if kind == "dense":
+        # m = 8 > r = 3: y has a part outside the range of U
+        s = RngStream(310)
+        A = s.standard_normal((8, 3)) @ s.standard_normal((3, d))
+        return ops.dense_operator(A / np.linalg.norm(A, 2))
+    return ops.NonlinearOperator(kernel=np.array([0.25, 0.5, 0.25]), scale=0.8)
+
+
+def _inner_loop_case(small_prior, schedule, kind, batch, sigma_y, seed):
+    op = _inner_loop_operator(kind)
+    shape = (batch,) if batch > 1 else ()
+    m = 6 if kind == "nonlinear" else op.m
+    y = RngStream(seed, 1).standard_normal(shape + (m,))
+    obs = ops.Observation(y=y, op=op, sigma_y=sigma_y)
+    x_t = RngStream(seed, 2).standard_normal(shape + (6,))
+    ctx = make_ctx(small_prior, schedule, x_t, 500, 250, stream=RngStream(seed, 3))
+    return obs, ctx
+
+
+def copy_ctx(ctx, stream):
+    return canon.StepContext(
+        x_t=ctx.x_t, t_i=ctx.t_i, t_prev=ctx.t_prev, prior=ctx.prior,
+        schedule=ctx.schedule, stream=stream, x0_sampled=ctx.x0_sampled,
+    )
+
+
+def _rel_dev(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("kind, noiseless", [
+    ("mask", False), ("blur", False), ("dense", False), ("nonlinear", False),
+    ("mask", True), ("blur", True), ("dense", True),
+])
+def test_daps_matches_reference_loop(schedule, small_prior, kind, noiseless, batch):
+    obs, ctx = _inner_loop_case(small_prior, schedule, kind, batch,
+                                0.0 if noiseless else 0.1, 320)
+    params = canon.default_params("DAPS")
+    params.daps.n_langevin = 40
+    params.daps.eta0 = 1e-3
+    params.daps.noiseless_linear = noiseless
+    ref_ctx = copy_ctx(ctx, clone(ctx.stream))
+    got = canon.corr_daps(ctx, obs, params)
+    ref = _daps_reference(ref_ctx, obs, params)
+    assert got.shape == ref.shape
+    if kind == "nonlinear":
+        assert np.array_equal(got, ref)  # the nonlinear drift is unchanged
+    else:
+        assert _rel_dev(got, ref) <= 1e-12
+    assert ctx.stream.counter == ref_ctx.stream.counter
+
+
+def test_daps_noiseless_variant_rejects_nonlinear(schedule, small_prior):
+    obs, ctx = _inner_loop_case(small_prior, schedule, "nonlinear", 1, 0.1, 321)
+    params = canon.default_params("DAPS")
+    params.daps.noiseless_linear = True
+    with pytest.raises(canon.UnsupportedOperatorError):
+        canon.corr_daps(ctx, obs, params)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("kind", ["mask", "blur", "dense", "nonlinear"])
+def test_resample_matches_full_space_loop(schedule, small_prior, kind, batch):
+    obs, ctx = _inner_loop_case(small_prior, schedule, kind, batch, 0.05, 330)
+    params = canon.default_params("ReSample")
+    opt = params.inner_opt
+    got = canon.corr_resample(ctx, obs, params)
+    ref = _resample_reference(ctx.x0_sampled, obs, opt.lr, opt.momentum, opt.steps)
+    if kind == "nonlinear":
+        assert np.array_equal(got, ref)
+    else:
+        assert _rel_dev(got, ref) <= 1e-12
+    if kind == "dense":
+        op = obs.op
+        assert np.linalg.norm(obs.y - (obs.y @ op.U) @ op.U.T) > 0.1
+
+
+@pytest.mark.parametrize("kind", ["mask", "dense", "nonlinear"])
+def test_resample_large_step_still_diverges(schedule, small_prior, kind):
+    obs, ctx = _inner_loop_case(small_prior, schedule, kind, 1, 0.05, 340)
+    # start near consistency, so that a bounded (tanh) loss can still grow 10x
+    fx0 = ops.nl_apply(obs.op, ctx.x0_sampled) if kind == "nonlinear" else ops.apply(
+        obs.op, ctx.x0_sampled)
+    obs = ops.Observation(y=fx0 + 0.01 * obs.y, op=obs.op, sigma_y=obs.sigma_y)
+    params = canon.default_params("ReSample")
+    params.inner_opt.lr = 50.0
+    opt = params.inner_opt
+    with pytest.raises(canon.ConvergenceError):
+        _resample_reference(ctx.x0_sampled, obs, opt.lr, opt.momentum, opt.steps)
+    with pytest.raises(canon.ConvergenceError):
+        canon.corr_resample(ctx, obs, params)
+
+
+def test_resample_guard_counts_out_of_range_residual(schedule, small_prior):
+    obs, ctx = _inner_loop_case(small_prior, schedule, "dense", 1, 0.05, 360)
+    op, x0 = obs.op, ctx.x0_sampled
+    in_range = (obs.y @ op.U) @ op.U.T
+    y = ops.apply(op, x0) + (obs.y - in_range) + 1e-4 * in_range
+    obs = ops.Observation(y=y, op=op, sigma_y=obs.sigma_y)
+    params = canon.default_params("ReSample")
+    params.inner_opt = canon.InnerOptParams(lr=2.0, momentum=0.0, steps=3)
+
+    def in_range_loss(x):
+        r = ((ops.apply(op, x) - y) @ op.U) @ op.U.T
+        return float(np.sum(r * r))
+
+    ref = _resample_reference(x0, obs, 2.0, 0.0, 3)
+    # the in-range residual alone grows tenfold; the whole residual does not
+    assert in_range_loss(ref) > 10.0 * in_range_loss(x0)
+    got = canon.corr_resample(ctx, obs, params)
+    assert _rel_dev(got, ref) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# shared mixture whitening
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["DPS", "PiGDM"])
+def test_guided_step_whitens_once_and_matches_separate_calls(
+    schedule, small_prior, monkeypatch, name
+):
+    op = ops.mask_operator(6, [0, 2, 4])
+    obs = ops.Observation(y=np.array([0.3, -0.2, 0.1]), op=op, sigma_y=0.05)
+    x_t = RngStream(350).standard_normal(6)
+    params = canon.default_params(name)
+
+    def step(stream):
+        ctx = canon.StepContext(x_t=x_t, t_i=600, t_prev=300, prior=small_prior,
+                                schedule=schedule, stream=stream)
+        canon.sample_phi(params, small_prior, schedule, ctx)
+        xhat = canon.CORRECTORS[name](ctx, obs, params)
+        return xhat, canon.apply_noiser(params, ctx, obs, xhat)
+
+    # the same step with ε and its JVP each whitening on their own
+    calls = {"whiten": 0, "eps": 0, "jvp": 0}
+    orig_eps, orig_jvp = dif.gmm_eps, dif.gmm_eps_jvp
+    monkeypatch.setattr(dif, "gmm_eps", lambda p, s, x, t, whitened=None: orig_eps(p, s, x, t))
+    monkeypatch.setattr(dif, "gmm_eps_jvp",
+                        lambda p, s, x, t, v, whitened=None: orig_jvp(p, s, x, t, v))
+    separate = step(RngStream(351))
+    monkeypatch.undo()
+
+    orig_whiten = small_prior._resp_and_whitened
+
+    def count(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(small_prior, "_resp_and_whitened", count("whiten", orig_whiten))
+    monkeypatch.setattr(dif, "gmm_eps", count("eps", orig_eps))
+    monkeypatch.setattr(dif, "gmm_eps_jvp", count("jvp", orig_jvp))
+    shared = step(RngStream(351))
+    assert calls == {"whiten": 1, "eps": 1, "jvp": 1}
+    for a, b in zip(shared, separate):
+        assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # noisers
 # ---------------------------------------------------------------------------
 

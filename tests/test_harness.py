@@ -133,6 +133,52 @@ def test_load_config_rejects_negative_sigma_y(tmp_path):
         harness.load_config(path)
 
 
+@pytest.mark.parametrize("bad, key", [
+    ({"optimizer": "sgd"}, "lle.optimizer"),
+    ({"epochs": -2}, "lle.epochs"),
+    ({"warmup": 1.5}, "lle.warmup"),
+    ({"closed_form": "yes"}, "lle.closed_form"),
+    ({"decoupled": 1}, "lle.decoupled"),
+    ({"omega": 0.5}, "lle.omega"),
+    ({"omega": "0.1", "plugin": "gradient-domain"}, "lle.omega"),
+    ({"closed_form": True, "plugin": "gradient-domain"}, "lle.closed_form"),
+    ({"closed_form": True, "plugin": "gradient-domain", "omega": 0.3}, "lle.closed_form"),
+    ({"init_mode": "linear"}, "lle.init_mode"),
+    ({"lr_rule": "cosine"}, "lle.lr_rule"),
+    ({"plugin": "vgg"}, "lle.plugin"),
+    ({"n_refs": 0}, "lle.n_refs"),
+    ({"ref_steps": "999"}, "lle.ref_steps"),
+])
+def test_load_config_rejects_bad_lle_value(tmp_path, bad, key):
+    lle_spec = {"n_refs": 4, "ref_steps": 30, "epochs": 5, "warmup": 2, **bad}
+    path = write_config(tmp_path / "cfg.json", lle=lle_spec)
+    with pytest.raises(harness.ConfigError, match=re.escape(key)):
+        harness.load_config(path)
+
+
+@pytest.mark.parametrize("bad, key", [
+    ({"steps": "3"}, "steps"),
+    ({"steps": 2.5}, "steps"),
+    ({"steps": 0}, "steps"),
+    ({"n_test": 1.5}, "n_test"),
+    ({"peak": 0}, "peak"),
+    ({"peak": -2.0}, "peak"),
+    ({"seeds": {"train": "5", "test": 6}}, "seeds.train"),
+    ({"lle": [4]}, "lle"),
+])
+def test_load_config_rejects_bad_top_level_value(tmp_path, bad, key):
+    path = write_config(tmp_path / "cfg.json", **bad)
+    with pytest.raises(harness.ConfigError, match=re.escape(key)):
+        harness.load_config(path)
+
+
+def test_load_config_accepts_closed_form_with_zero_omega_plugin(tmp_path):
+    path = write_config(tmp_path / "cfg.json", lle={
+        "n_refs": 4, "ref_steps": 30, "closed_form": True,
+        "plugin": "gradient-domain", "omega": 0.0})
+    assert harness.load_config(path).train_config.resolved_omega() == 0.0
+
+
 def test_algo_params_nested_overrides(tmp_path):
     path = write_config(
         tmp_path / "cfg.json",

@@ -93,6 +93,28 @@ class TestRngStream:
         assert used == RngStream(6, stream_id=1, counter=1)
         assert repr(used) == "RngStream(base_seed=6, stream_id=1, counter=1)"
 
+    @pytest.mark.parametrize("bad", [-1, 2**190, 2**256 + 3])
+    def test_out_of_range_counter_raises_on_every_draw(self, bad):
+        with pytest.raises(ValueError, match="counter"):
+            RngStream(1, stream_id=2, counter=bad).standard_normal(3)
+        s = RngStream(1, stream_id=2)
+        s.standard_normal(3)
+        s.counter = bad
+        for _ in range(2):
+            with pytest.raises(ValueError, match="counter"):
+                s.uniform(3)
+        assert s.counter == bad
+
+    def test_largest_counter_does_not_wrap(self):
+        top = 2**190 - 1
+        philox = np.random.Philox(key=5 ^ (3 << 64), counter=top << 66)
+        expected = np.random.Generator(philox).standard_normal(4)
+        s = RngStream(5, stream_id=3)
+        s.standard_normal(1)
+        s.counter = top
+        assert np.array_equal(s.standard_normal(4), expected)
+        assert np.array_equal(RngStream(5, 3, top).standard_normal(4), expected)
+
     def test_sample_helper_empty(self):
         assert sample_standard_normal(RngStream(0), 0).size == 0
 
