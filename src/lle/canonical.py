@@ -6,19 +6,26 @@ consistency (corrector), re-noise to the next level (noiser). The driver
 a callback replace the corrected estimate before the noiser, which is how
 the learned extrapolation plugs in, for training and inference alike,
 without duplicating the data flow.
+
+Every config block, the parameter dataclasses here included, is a
+`ConfigBlock` whose fields each carry one `rule`; construction checks them
+all and `from_dict` builds a block from JSON, naming any bad key's path.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+import operator
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import diffusion as dif
 from . import operators as ops
 from .numerics import RngStream
+from .optim import ScheduleFreeAdamW
 
 ALGORITHMS = (
     "DDRM",
@@ -45,78 +52,115 @@ class ConfigurationError(ValueError):
     pass
 
 
-def check_number(name: str, value, integer: bool = False, minimum: float | None = None) -> None:
-    """Raise ConfigurationError naming `name` unless value is a finite number
-    (an integer if asked; a bool is neither), at least `minimum` if given."""
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind) or not (
-        integer or math.isfinite(value)
-    ):
-        what = "an integer" if integer else "a finite number"
-        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigurationError(f"{name} must be >= {minimum}, got {value!r}")
+# annotation -> (accepted type, what an error asks for); other annotations
+# (a nested block, "object") are not type-checked
+_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a finite number"),
+          "bool": (bool, "true or false"), "str": (str, "a string"),
+          "list": (list, "a list"), "dict": (dict, "an object")}
+_BOUNDS = {"minimum": (operator.ge, ">="), "maximum": (operator.le, "<="),
+           "above": (operator.gt, ">"), "below": (operator.lt, "<")}
 
 
-def check_bool(name: str, value) -> None:
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be true or false, got {value!r}")
+def rule(default=MISSING, *, choices=None, optional=False, key=None, **bounds):
+    """A config field, declared once as `name: type = rule(...)`: no default
+    makes the key required; optional allows None; bounds are minimum, maximum
+    (inclusive), above, below (exclusive); key is the JSON key, if not name."""
+    return field(default=default, metadata={"rule": (choices, optional, bounds), "key": key})
 
 
-@dataclass
-class DAPSParams:
-    k_ddim: int = 5
-    n_langevin: int = 100
-    eta0: float = 1e-4
-    delta: float = 0.01
-    sigma_langevin: float | None = None  # default max(sigma_y, 0.02)
-    noiseless_linear: bool = False
+def _check(name: str, value, kind: str, choices, optional: bool, bounds: dict) -> None:
+    if value is None and optional:
+        return
+    if choices is not None and value not in choices:
+        raise ConfigurationError(f"{name} must be one of {list(choices)}, got {value!r}")
+    if kind in _TYPES:
+        accepted, what = _TYPES[kind]
+        # a bool is no number; finite by comparison, so a huge int cannot overflow
+        if (isinstance(value, bool) != (kind == "bool") or not isinstance(value, accepted)
+                or kind == "float" and not abs(value) < math.inf):
+            raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+    for bound, limit in bounds.items():
+        holds, sign = _BOUNDS[bound]
+        if not holds(value, limit):
+            raise ConfigurationError(f"{name} must be {sign} {limit}, got {value!r}")
+
+
+class ConfigBlock:
+    """Base of the config dataclasses: construction checks each field's rule.
+    `block` is the block's dotted path, which errors name keys from."""
+
+    block = ""
+
+    @classmethod
+    def _path(cls, key: str) -> str:
+        return f"{cls.block}.{key}" if cls.block else key
 
     def __post_init__(self):
-        check_number("daps.k_ddim", self.k_ddim, integer=True, minimum=1)
-        check_number("daps.n_langevin", self.n_langevin, integer=True, minimum=0)
-        check_number("daps.eta0", self.eta0)
-        check_number("daps.delta", self.delta)
-        if self.sigma_langevin is not None:
-            check_number("daps.sigma_langevin", self.sigma_langevin, minimum=0.0)
-        check_bool("daps.noiseless_linear", self.noiseless_linear)
+        for f in fields(self):
+            if "rule" in f.metadata:
+                name = self._path(f.metadata["key"] or f.name)
+                kind = f.type.split(" |")[0]  # "float | None" is checked as "float"
+                _check(name, getattr(self, f.name), kind, *f.metadata["rule"])
+
+    @classmethod
+    def from_dict(cls, obj, base=None):
+        """Build the block from a parsed JSON object; given keys override base
+        (absent: the defaults) and nested blocks recurse. A non-object, an
+        unknown key or a missing required key is an error naming its path."""
+        if not isinstance(obj, dict):
+            raise ConfigurationError(f"{cls.block or 'a config'} must be an object, got {obj!r}")
+        by_key = {f.metadata.get("key") or f.name: f for f in fields(cls)}
+        unknown = [cls._path(key) for key in sorted(set(obj) - set(by_key))]
+        if unknown:
+            raise ConfigurationError(f"unknown config key(s) {', '.join(unknown)}")
+        values = {}
+        for key, f in by_key.items():
+            nested = vars(sys.modules[cls.__module__]).get(f.type)
+            if key in obj and isinstance(nested, type) and issubclass(nested, ConfigBlock):
+                values[f.name] = nested.from_dict(obj[key], getattr(base, f.name, None))
+            elif key in obj:
+                values[f.name] = obj[key]
+            elif base is not None:
+                values[f.name] = getattr(base, f.name)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigurationError(f"missing config key {cls._path(key)}")
+        return cls(**values)
 
 
 @dataclass
-class InnerOptParams:
-    lr: float = 0.01
-    momentum: float = 0.9
-    steps: int = 50
-
-    def __post_init__(self):
-        check_number("inner_opt.lr", self.lr)
-        check_number("inner_opt.momentum", self.momentum)
-        check_number("inner_opt.steps", self.steps, integer=True, minimum=0)
+class DAPSParams(ConfigBlock):
+    block = "algorithm.daps"
+    k_ddim: int = rule(5, minimum=1)
+    n_langevin: int = rule(100, minimum=0)
+    eta0: float = rule(1e-4, minimum=0.0)
+    delta: float = rule(0.01, minimum=0.0)
+    sigma_langevin: float | None = rule(None, minimum=0.0, optional=True)  # None: max(sigma_y, .02)
+    noiseless_linear: bool = rule(False)
 
 
 @dataclass
-class AlgoParams:
+class InnerOptParams(ConfigBlock):
+    block = "algorithm.inner_opt"
+    lr: float = rule(0.01, minimum=0.0)
+    momentum: float = rule(0.9, minimum=0.0, below=1.0)
+    steps: int = rule(50, minimum=0)
+
+
+@dataclass
+class AlgoParams(ConfigBlock):
     """Algorithm tag plus the hyperparameters it consults (others ignored)."""
 
-    algorithm: str = "DDNM"
-    eta: float = 0.85
-    eta_b: float = 1.0  # DDRM
-    zeta: float = 1.0  # DPS
-    xi: float = 1.0  # RED-diff learning rate
-    lam: float = 1.0  # RED-diff / DiffPIR / DMPS weight
-    gamma_rs: float = 100.0  # ReSample
-    exact_hc: bool = False  # ReSample closed-form shortcut (linear ops only)
+    block = "algorithm"
+    algorithm: str = rule(choices=ALGORITHMS, key="name")
+    eta: float = rule(0.85, minimum=0.0, maximum=1.0)
+    eta_b: float = rule(1.0, minimum=0.0, maximum=1.0)  # DDRM
+    zeta: float = rule(1.0, minimum=0.0)  # DPS
+    xi: float = rule(1.0, minimum=0.0)  # RED-diff learning rate
+    lam: float = rule(1.0, minimum=0.0)  # RED-diff / DiffPIR / DMPS weight
+    gamma_rs: float = rule(100.0, minimum=0.0)  # ReSample
+    exact_hc: bool = rule(False)  # ReSample closed-form shortcut (linear ops only)
     daps: DAPSParams = field(default_factory=DAPSParams)
     inner_opt: InnerOptParams = field(default_factory=InnerOptParams)
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
-        for name in ("eta", "eta_b", "zeta", "xi", "lam", "gamma_rs"):
-            check_number(name, getattr(self, name))
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigurationError("eta must lie in [0, 1]")
-        check_bool("exact_hc", self.exact_hc)
 
 
 def default_params(algorithm: str) -> AlgoParams:
@@ -205,7 +249,8 @@ def _residual_grad_x0(obs: ops.Observation, x0: np.ndarray) -> np.ndarray:
     """Gradient of ||y - A(x0)||^2 with respect to x0."""
     if obs.is_linear:
         return 2.0 * ops.apply_adjoint(obs.op, ops.apply(obs.op, x0) - obs.y)
-    return 2.0 * ops.nl_vjp(obs.op, x0, ops.nl_apply(obs.op, x0) - obs.y)
+    fx = ops.nl_apply(obs.op, x0)
+    return 2.0 * ops.nl_vjp(obs.op, x0, fx - obs.y, fx=fx)
 
 
 def _noisy_branch(ctx: StepContext, obs: ops.Observation) -> np.ndarray:
@@ -338,8 +383,6 @@ def corr_diffpir(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> 
             corrected = (op.s * ybar + rho * xbar) / (op.s**2 + rho)
         return x0 + (corrected - xbar) @ op.V.T
     # nonlinear: inner schedule-free AdamW on the proximal objective
-    from .optim import ScheduleFreeAdamW
-
     def loss(x):
         r = ops.nl_apply(obs.op, x) - obs.y
         return float(np.sum(r * r) + rho * np.sum((x - x0) ** 2))
@@ -519,15 +562,22 @@ def _spectral_noiser(
     ctx: StepContext,
     obs: ops.Observation,
     params: AlgoParams,
-    range_std_low: np.ndarray,
-    range_std_high: np.ndarray,
-    middle: np.ndarray,
+    rad: np.ndarray,
 ) -> np.ndarray:
-    """Shared three-branch coordinatewise noiser of DDRM/DDNM in the V-basis."""
+    """Shared three-branch coordinatewise noiser of DDRM/DDNM in the V-basis.
+
+    rad is the per-coordinate range variance outside the noisy branch.
+    """
     op = obs.op
     ab_prev = ctx.schedule.alphabar(ctx.t_prev)
     sig_prev = ctx.schedule.sigma(ctx.t_prev)
     eta = params.eta
+    middle = _noisy_branch(ctx, obs)
+    rad = np.where(middle, 0.0, rad)
+    if np.any(rad < -1e-12):
+        raise ConfigurationError(
+            f"{params.algorithm} noiser radicand is negative; check sigma_y (and DDRM's eta_b)"
+        )
     eps = ctx.stream.standard_normal(xhat.shape)
     sqrt_ab = math.sqrt(ab_prev)
     # null-space branch (s_k = 0): deterministic eps_theta share plus fresh noise
@@ -542,7 +592,7 @@ def _spectral_noiser(
     # range coordinates: per-k standard deviation by branch
     xbar = xhat @ op.V
     ebar = eps @ op.V
-    std = np.where(middle, range_std_low, range_std_high)
+    std = np.where(middle, np.full(op.r, eta * sig_prev), np.sqrt(np.clip(rad, 0.0, None)))
     out_range = (sqrt_ab * xbar + std * ebar) @ op.V.T
     return out_null + out_range
 
@@ -550,29 +600,15 @@ def _spectral_noiser(
 def noiser_ddrm(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
     op = _require_linear(obs, "DDRM noiser")
     ab_prev = ctx.schedule.alphabar(ctx.t_prev)
-    sig_prev = ctx.schedule.sigma(ctx.t_prev)
-    middle = _noisy_branch(ctx, obs)
     rad = 1.0 - ab_prev - ab_prev * obs.sigma_y**2 * params.eta_b**2 / op.s**2
-    rad = np.where(middle, 0.0, rad)
-    if np.any(rad < -1e-12):
-        raise ConfigurationError("DDRM noiser radicand is negative; check eta_b/sigma_y")
-    std_high = np.sqrt(np.clip(rad, 0.0, None))
-    std_low = np.full(op.r, params.eta * sig_prev)
-    return _spectral_noiser(xhat, ctx, obs, params, std_low, std_high, middle)
+    return _spectral_noiser(xhat, ctx, obs, params, rad)
 
 
 def noiser_ddnm(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
     op = _require_linear(obs, "DDNM noiser")
     ab_prev = ctx.schedule.alphabar(ctx.t_prev)
-    sig_prev = ctx.schedule.sigma(ctx.t_prev)
-    middle = _noisy_branch(ctx, obs)
-    rad = sig_prev**2 - obs.sigma_y**2 * ab_prev / op.s**2
-    rad = np.where(middle, 0.0, rad)
-    if np.any(rad < -1e-12):
-        raise ConfigurationError("DDNM noiser radicand is negative; check sigma_y")
-    std_high = np.sqrt(np.clip(rad, 0.0, None))
-    std_low = np.full(op.r, params.eta * sig_prev)
-    return _spectral_noiser(xhat, ctx, obs, params, std_low, std_high, middle)
+    rad = ctx.schedule.sigma(ctx.t_prev) ** 2 - obs.sigma_y**2 * ab_prev / op.s**2
+    return _spectral_noiser(xhat, ctx, obs, params, rad)
 
 
 def noiser_diffpir(xhat: np.ndarray, ctx: StepContext, eta: float) -> np.ndarray:

@@ -12,7 +12,6 @@ import sys
 
 import numpy as np
 
-from . import diffusion as dif
 from . import extrapolation as lle
 from . import harness
 from .numerics import load_array, save_array

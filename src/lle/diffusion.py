@@ -83,6 +83,9 @@ class GaussianMixturePrior:
         self.means = np.asarray(means, dtype=float)
         self.covariances = np.asarray(covariances, dtype=float)
         self.K, self.d = self.means.shape
+        if self.weights.shape != (self.K,) or self.covariances.shape != (self.K, self.d, self.d):
+            raise ValueError(f"mixture shapes differ: weights {self.weights.shape}, means "
+                             f"{self.means.shape}, covariances {self.covariances.shape}")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
         if np.any(self.weights <= 0):
@@ -245,7 +248,6 @@ def ddim_step(
     t_from: int,
     t_to: int,
     eta: float = 0.0,
-    noise=None,
     stream: RngStream | None = None,
 ) -> np.ndarray:
     """One DDIM step from t_from down to t_to; t_from == t_to is identity."""
@@ -263,9 +265,7 @@ def ddim_step(
     if c2 != 0.0:
         out = out + c2 * eps
     if c1 != 0.0:
-        if noise is None:
-            noise = stream.standard_normal(x.shape)
-        out = out + c1 * noise
+        out = out + c1 * stream.standard_normal(x.shape)
     return out
 
 

@@ -15,6 +15,7 @@ the one-row case of the same kernel.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ import numpy as np
 from . import canonical as canon
 from . import diffusion as dif
 from . import operators as ops
+from .canonical import rule
 from .numerics import RngStream
 from .optim import Adam, ScheduleFreeAdamW
 
@@ -168,8 +170,6 @@ class LLECoefficients:
         return combine(self.gamma[idx], history, xhat, op=op, gamma_perp=gp)
 
     def to_json(self) -> str:
-        import json
-
         obj = {
             "steps": self.S,
             "decoupled": self.decoupled,
@@ -184,8 +184,6 @@ class LLECoefficients:
 
     @classmethod
     def from_json(cls, text: str) -> "LLECoefficients":
-        import json
-
         obj = json.loads(text)
         decoupled = obj["decoupled"]
         if decoupled:
@@ -289,41 +287,27 @@ def solve_ls_closed_form(bases, x_gt, op=None, decoupled=False, reg=1e-10):
 
 
 @dataclass
-class TrainConfig:
-    n_refs: int = 50
-    ref_steps: int = 999
-    omega: float | None = None  # default 0.1 with a plugin, else 0
-    plugin: str = "none"
-    epochs: int = 100
-    warmup: int = 50
-    lr_rule: str = "constant"  # constant 0.04/S | dynamic 0.2*ab_{t_{i+1}}/S
-    init_mode: str = "adaptive-linear"  # | soft-nonlinear
-    noisy_gt: bool = False  # DDRM/DDNM only
-    decoupled: bool = False
-    closed_form: bool = False  # fast path, requires omega = 0
-    optimizer: str = "schedule-free"  # | adam
-    base_seed: int = 0
+class TrainConfig(canon.ConfigBlock):
+    block = "lle"
+    n_refs: int = rule(50, minimum=1)
+    ref_steps: int = rule(999, minimum=1)
+    omega: float | None = rule(None, minimum=0.0, optional=True)  # 0.1 with a plugin, else 0
+    plugin: str = rule("none", choices=("none", "gradient-domain"))
+    epochs: int = rule(100, minimum=0)
+    warmup: int = rule(50, minimum=0)
+    # constant 0.04/S | dynamic 0.2*ab_{t_{i+1}}/S
+    lr_rule: str = rule("constant", choices=("constant", "dynamic"))
+    init_mode: str = rule("adaptive-linear", choices=("adaptive-linear", "soft-nonlinear"))
+    noisy_gt: bool = rule(False)  # DDRM/DDNM only
+    decoupled: bool = rule(False)
+    closed_form: bool = rule(False)  # fast path, requires omega = 0
+    optimizer: str = rule("schedule-free", choices=("schedule-free", "adam"))
+    base_seed: int = rule(0)
 
     def __post_init__(self):
-        for name, minimum in (("n_refs", 1), ("ref_steps", 1), ("epochs", 0), ("warmup", 0)):
-            canon.check_number(f"lle.{name}", getattr(self, name), integer=True, minimum=minimum)
-        canon.check_number("lle.base_seed", self.base_seed, integer=True)
-        for name in ("noisy_gt", "decoupled", "closed_form"):
-            canon.check_bool(f"lle.{name}", getattr(self, name))
-        for name, allowed in (
-            ("plugin", ("none", "gradient-domain")),
-            ("lr_rule", ("constant", "dynamic")),
-            ("init_mode", ("adaptive-linear", "soft-nonlinear")),
-            ("optimizer", ("schedule-free", "adam")),
-        ):
-            if getattr(self, name) not in allowed:
-                raise canon.ConfigurationError(
-                    f"lle.{name} must be one of {list(allowed)}, got {getattr(self, name)!r}"
-                )
-        if self.omega is not None:
-            canon.check_number("lle.omega", self.omega, minimum=0.0)
-            if self.omega != 0.0 and self.plugin == "none":
-                raise canon.ConfigurationError("lle.omega is non-zero but lle.plugin is \"none\"")
+        super().__post_init__()
+        if self.omega is not None and self.omega != 0.0 and self.plugin == "none":
+            raise canon.ConfigurationError("lle.omega is non-zero but lle.plugin is \"none\"")
         if self.closed_form and self.resolved_omega() != 0.0:
             raise canon.ConfigurationError(
                 f"lle.closed_form needs omega = 0, got {self.resolved_omega()}"
@@ -345,7 +329,6 @@ def make_ground_truth(
     t_i: int,
     t_prev: int,
     noisy_gt: bool = False,
-    stream: RngStream | None = None,
 ) -> np.ndarray:
     """Training target at t_i: x0, or the algorithm's own corrector applied to x0."""
     if not noisy_gt:
@@ -360,7 +343,7 @@ def make_ground_truth(
         t_prev=t_prev,
         prior=prior,
         schedule=schedule,
-        stream=stream if stream is not None else RngStream(0, 0),
+        stream=RngStream(0, 0),  # the DDRM/DDNM correctors draw nothing
         x0_sampled=np.array(x0, copy=True),
     )
     return canon.CORRECTORS[params.algorithm](ctx, obs, params)

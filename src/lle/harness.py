@@ -1,4 +1,9 @@
-"""Experiment configuration, closed-form posterior oracle, metrics, and sweeps."""
+"""Experiment configuration, closed-form posterior oracle, metrics, and sweeps.
+
+Each block of a JSON config is a `canonical.ConfigBlock`, and `load_config`
+builds them all, with the prior and the operator, before anything runs: a
+bad key or value is a `ConfigError` naming its dotted path (`schedule.T`).
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -14,13 +19,12 @@ from . import canonical as canon
 from . import diffusion as dif
 from . import extrapolation as lle
 from . import operators as ops
-from .numerics import MetricReport, RngStream, psnr
+from .canonical import ConfigBlock, rule
+from .numerics import MetricReport, RngStream, mse, psnr
 
 SIGMA_FLOOR = 1e-6
 
-
-class ConfigError(ValueError):
-    pass
+ConfigError = canon.ConfigurationError
 
 
 # ---------------------------------------------------------------------------
@@ -29,10 +33,112 @@ class ConfigError(ValueError):
 
 
 @dataclass
+class SeededPrior(ConfigBlock):
+    block = "prior"
+    dim: int = rule(minimum=1)
+    components: int = rule(minimum=1)
+    seed: int = rule(0)
+
+
+@dataclass
+class InlinePrior(ConfigBlock):
+    block = "prior"
+    weights: list = rule()
+    means: list = rule()
+    covariances: list = rule()
+
+
+@dataclass
+class PriorFile(ConfigBlock):
+    block = "prior"
+    file: str = rule()  # relative to the config file
+
+
+# operator kind -> (required keys, optional keys); "a|b" is exactly one of a, b
+OPERATOR_KEYS = {
+    "mask": ("keep_indices|keep_ratio", "n seed"),
+    "avgpool": ("factor", "n"),
+    "blur": ("kernel|sigma", "n width"),
+    "hadamard": ("keep_ratio", "n seed"),
+    "dense": ("matrix", ""),
+    "nonlinear": ("", "kernel width sigma scale"),
+}
+
+
+@dataclass
+class OperatorSpec(ConfigBlock):
+    """Every operator key; None is not given (defaults: `ops.build_operator`)."""
+
+    block = "task.operator"
+    kind: str = rule(choices=tuple(OPERATOR_KEYS))
+    n: int | None = rule(None, minimum=1, optional=True)  # default prior.dim
+    keep_indices: list | None = rule(None, optional=True)
+    keep_ratio: float | None = rule(None, above=0.0, maximum=1.0, optional=True)
+    seed: int | None = rule(None, optional=True)
+    factor: int | None = rule(None, minimum=1, optional=True)
+    kernel: list | None = rule(None, optional=True)
+    sigma: float | None = rule(None, above=0.0, optional=True)
+    width: int | None = rule(None, minimum=1, optional=True)
+    matrix: list | None = rule(None, optional=True)
+    scale: float | None = rule(None, above=0.0, optional=True)
+
+    def __post_init__(self):
+        super().__post_init__()
+        required, optional = OPERATOR_KEYS[self.kind]
+        given = {key for key, val in vars(self).items() if val is not None} - {"kind"}
+        for key in sorted(given - set(required.replace("|", " ").split() + optional.split())):
+            raise ConfigError(f"operator kind {self.kind!r} takes no key {self._path(key)}")
+        for names in (alt.split("|") for alt in required.split()):
+            if len(given.intersection(names)) != 1:
+                paths = ", ".join(map(self._path, names))
+                raise ConfigError(f"operator kind {self.kind!r} needs exactly one of {paths}")
+        for key, other in (("seed", "keep_indices"), ("width", "kernel"), ("sigma", "kernel")):
+            if {key, other} <= given:
+                raise ConfigError(f"{self._path(key)} is not read when {other} is given")
+
+
+@dataclass
+class TaskSpec(ConfigBlock):
+    block = "task"
+    operator: OperatorSpec = rule()
+    sigma_y: float = rule(0.0, minimum=0.0)
+
+
+@dataclass
+class ScheduleSpec(ConfigBlock):
+    block = "schedule"
+    T: int = rule(1000, minimum=1)
+    beta_start: float = rule(1e-4, above=0.0, below=1.0)
+    beta_end: float = rule(0.02, above=0.0, below=1.0)
+
+
+@dataclass
+class SeedsSpec(ConfigBlock):
+    block = "seeds"
+    train: int = rule(1)
+    test: int = rule(2)
+
+
+@dataclass
+class ConfigFile(ConfigBlock):
+    """The top level; `load_config` builds prior, algorithm and lle."""
+
+    prior: dict = rule()  # a SeededPrior, InlinePrior or PriorFile
+    task: TaskSpec = rule()
+    algorithm: dict = rule()  # a canonical.AlgoParams over default_params(name)
+    schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
+    seeds: SeedsSpec = field(default_factory=SeedsSpec)
+    steps: int = rule(3, minimum=1)
+    n_test: int = rule(10, minimum=1)
+    peak: float = rule(2.0, above=0.0)
+    lle: object = rule(None)  # an extrapolation.TrainConfig, "none" or null
+
+
+@dataclass
 class ExperimentConfig:
     prior: dif.GaussianMixturePrior
     schedule: dif.DiffusionSchedule
-    op_spec: dict
+    op: object  # ops.LinearOperator or ops.NonlinearOperator, built at load
     sigma_y: float
     params: canon.AlgoParams
     steps: int
@@ -41,18 +147,9 @@ class ExperimentConfig:
     test_seed: int
     n_test: int
     peak: float
-    raw: dict
 
     def operator(self):
-        spec = dict(self.op_spec)
-        if spec.get("kind") == "nonlinear":
-            kernel = spec.get("kernel")
-            if kernel is None:
-                kernel = ops.gaussian_kernel(spec.get("width", 5), spec.get("sigma", 1.0))
-            return ops.NonlinearOperator(kernel=np.asarray(kernel, dtype=float),
-                                         scale=spec.get("scale", 1.0))
-        spec.setdefault("n", self.prior.d)
-        return ops.build_operator(spec)
+        return self.op
 
 
 def random_prior(dim: int, components: int, seed: int) -> dif.GaussianMixturePrior:
@@ -68,100 +165,56 @@ def random_prior(dim: int, components: int, seed: int) -> dif.GaussianMixturePri
     return dif.GaussianMixturePrior(w, means, covs)
 
 
-def _algo_params_from(obj: dict) -> canon.AlgoParams:
-    name = obj.get("name")
-    if name not in canon.ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {name!r}")
-    params = canon.default_params(name)
-    simple = {"eta", "eta_b", "zeta", "xi", "lam", "gamma_rs", "exact_hc"}
-    overrides = {}
+def _built(path: str, build, *args):
+    """build(*args), with a ValueError from the builder raised as a ConfigError naming path."""
     try:
-        for key, val in obj.items():
-            if key == "name":
-                continue
-            if key in simple:
-                overrides[key] = val
-            elif key in ("daps", "inner_opt"):
-                block = getattr(params, key)
-                if not isinstance(val, dict):
-                    raise ConfigError(f"{key} must be an object, got {val!r}")
-                unknown = sorted(set(val) - {f.name for f in fields(block)})
-                if unknown:
-                    raise ConfigError(f"unknown {key} key(s) {unknown}")
-                overrides[key] = replace(block, **val)
-            else:
-                raise ConfigError(f"unknown algorithm parameter {key!r}")
-        return replace(params, **overrides)  # re-runs AlgoParams validation
-    except canon.ConfigurationError as exc:
-        raise ConfigError(str(exc)) from exc
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _load_prior(spec: dict, config_dir: str) -> dif.GaussianMixturePrior:
+    if "file" in spec:
+        path = os.path.join(config_dir, PriorFile.from_dict(spec).file)
+        return _built("prior.file", dif.GaussianMixturePrior.load, path)
+    if "weights" in spec:
+        p = InlinePrior.from_dict(spec)
+        return _built("prior", dif.GaussianMixturePrior, p.weights, p.means, p.covariances)
+    p = SeededPrior.from_dict(spec)
+    return random_prior(p.dim, p.components, p.seed)
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as f:
-        raw = json.load(f)
-    prior_spec = raw["prior"]
-    if "file" in prior_spec:
-        base = os.path.dirname(os.path.abspath(path))
-        prior = dif.GaussianMixturePrior.load(
-            os.path.join(base, prior_spec["file"])
-            if not os.path.isabs(prior_spec["file"])
-            else prior_spec["file"]
-        )
-    elif "weights" in prior_spec:
-        prior = dif.GaussianMixturePrior(
-            prior_spec["weights"], prior_spec["means"], prior_spec["covariances"]
-        )
-    else:
-        prior = random_prior(
-            prior_spec["dim"], prior_spec["components"], prior_spec.get("seed", 0)
-        )
-    sched_spec = raw.get("schedule", {})
-    schedule = dif.linear_beta_schedule(
-        T=sched_spec.get("T", 1000),
-        beta_start=sched_spec.get("beta_start", 1e-4),
-        beta_end=sched_spec.get("beta_end", 0.02),
-    )
-    task = raw["task"]
-    sigma_y = task.get("sigma_y", 0.0)
-    seeds = raw.get("seeds", {})
-    train_seed = seeds.get("train", 1)
-    test_seed = seeds.get("test", 2)
-    steps = raw.get("steps", 3)
-    n_test = raw.get("n_test", 10)
-    peak = raw.get("peak", 2.0)
-    lle_spec = raw.get("lle")
+        top = ConfigFile.from_dict(json.load(f))
+    prior = _load_prior(top.prior, os.path.dirname(os.path.abspath(path)))
+    op_keys = {key: val for key, val in vars(top.task.operator).items() if val is not None}
+    op = _built("task.operator", ops.build_operator, {"n": prior.d, **op_keys})
+    if getattr(op, "n", prior.d) != prior.d:
+        raise ConfigError(f"task.operator acts on size {op.n}, the prior on size {prior.d}")
+    sched = top.schedule
+    schedule = dif.linear_beta_schedule(sched.T, sched.beta_start, sched.beta_end)
+    if not schedule.alphabar(sched.T) > 0.0:  # the sampler divides by sqrt(alphabar_t)
+        raise ConfigError("schedule.beta_end is too large: alphabar_T underflows to 0")
+    _built("steps", dif.make_time_grid, schedule, top.steps)
+    name = top.algorithm.get("name")
+    preset = canon.default_params(name) if name in canon.ALGORITHMS else None
     train_config = None
-    try:
-        canon.check_number("task.sigma_y", sigma_y, minimum=0.0)
-        canon.check_number("seeds.train", train_seed, integer=True)
-        canon.check_number("seeds.test", test_seed, integer=True)
-        canon.check_number("steps", steps, integer=True, minimum=1)
-        canon.check_number("n_test", n_test, integer=True, minimum=1)
-        canon.check_number("peak", peak)
-        if peak <= 0:
-            raise ConfigError(f"peak must be > 0, got {peak!r}")
-        if lle_spec not in (None, "none"):
-            if not isinstance(lle_spec, dict):
-                raise ConfigError(f"lle must be an object or \"none\", got {lle_spec!r}")
-            unknown = sorted(set(lle_spec) - {f.name for f in fields(lle.TrainConfig)})
-            if unknown:
-                raise ConfigError(f"unknown lle key(s) {unknown}")
-            train_config = lle.TrainConfig(**{"base_seed": train_seed, **lle_spec})
-    except canon.ConfigurationError as exc:
-        raise ConfigError(str(exc)) from exc
+    if top.lle not in (None, "none"):
+        base = lle.TrainConfig(base_seed=top.seeds.train)
+        train_config = lle.TrainConfig.from_dict(top.lle, base)
     return ExperimentConfig(
         prior=prior,
         schedule=schedule,
-        op_spec=task["operator"],
-        sigma_y=sigma_y,
-        params=_algo_params_from(raw["algorithm"]),
-        steps=steps,
+        op=op,
+        sigma_y=top.task.sigma_y,
+        params=canon.AlgoParams.from_dict(top.algorithm, preset),
+        steps=top.steps,
         train_config=train_config,
-        train_seed=train_seed,
-        test_seed=test_seed,
-        n_test=n_test,
-        peak=peak,
-        raw=raw,
+        train_seed=top.seeds.train,
+        test_seed=top.seeds.test,
+        n_test=top.n_test,
+        peak=top.peak,
     )
 
 
@@ -325,34 +378,24 @@ def _sweep_cell(config: ExperimentConfig, S: int, refs=None):
     generating it raised, which turns the LLE row into an error row.
     """
     algo = config.params.algorithm
-    rows = []
     grid_cfg = replace(config, steps=S)
-    try:
-        base_recon, truths = run_experiment(grid_cfg, grid_cfg.test_seed)
-        rows.append((algo, S, "base", _mean_mse(base_recon, truths),
-                     _mean_psnr(base_recon, truths, config.peak)))
-    except Exception as exc:  # cell failure must not abort the sweep
-        rows.append((algo, S, "base", "error", f"error:{type(exc).__name__}"))
-        base_recon = None
-    try:
-        if config.train_config is not None:
-            if isinstance(refs, Exception):
-                raise refs
-            coeffs, _ = train_lle(grid_cfg, refs=refs)
-        else:
-            coeffs = lle.LLECoefficients.identity(
-                dif.make_time_grid(config.schedule, S)
-            )
-        lle_recon, truths = run_experiment(grid_cfg, grid_cfg.test_seed, coeffs=coeffs)
-        rows.append((algo, S, "LLE", _mean_mse(lle_recon, truths),
-                     _mean_psnr(lle_recon, truths, config.peak)))
-    except Exception as exc:
-        rows.append((algo, S, "LLE", "error", f"error:{type(exc).__name__}"))
+
+    def lle_coeffs():
+        if config.train_config is None:
+            return lle.LLECoefficients.identity(dif.make_time_grid(config.schedule, S))
+        if isinstance(refs, Exception):
+            raise refs
+        return train_lle(grid_cfg, refs=refs)[0]
+
+    rows = []
+    for strategy, coeffs in (("base", lambda: None), ("LLE", lle_coeffs)):
+        try:
+            recon, truths = run_experiment(grid_cfg, grid_cfg.test_seed, coeffs=coeffs())
+            rows.append((algo, S, strategy, mse(recon, truths),
+                         _mean_psnr(recon, truths, config.peak)))
+        except Exception as exc:  # cell failure must not abort the sweep
+            rows.append((algo, S, strategy, "error", f"error:{type(exc).__name__}"))
     return rows
-
-
-def _mean_mse(recon, truth) -> float:
-    return float(np.mean((recon - truth) ** 2))
 
 
 def _mean_psnr(recon, truth, peak) -> float:

@@ -51,7 +51,8 @@ class RngStream:
 
     def _generator(self) -> np.random.Generator:
         """A generator that draws what ``Philox(key, counter << 66)`` would,
-        with key = base_seed + 2**64 * stream_id (each taken mod 2**64).
+        with key = base_seed + 2**64 * stream_id (each taken mod 2**64), for
+        one draw; the counter advances past it.
 
         The first draw builds the generator and its state dict; every draw
         writes the key and counter words into that dict in place and sets
@@ -81,28 +82,21 @@ class RngStream:
         ctr[2] = (c >> 62) & _MASK64
         ctr[3] = c >> 126
         self._gen.bit_generator.state = self._state
+        self.counter = c + 1
         return self._gen
 
     def standard_normal(self, shape) -> np.ndarray:
         """Draw i.i.d. N(0,1) deviates and advance the counter by one block."""
-        gen = self._generator()
-        self.counter += 1
-        return gen.standard_normal(shape)
+        return self._generator().standard_normal(shape)
 
     def uniform(self, shape) -> np.ndarray:
-        gen = self._generator()
-        self.counter += 1
-        return gen.random(shape)
+        return self._generator().random(shape)
 
     def integers(self, low: int, high: int, shape) -> np.ndarray:
-        gen = self._generator()
-        self.counter += 1
-        return gen.integers(low, high, size=shape)
+        return self._generator().integers(low, high, size=shape)
 
     def permutation(self, n: int) -> np.ndarray:
-        gen = self._generator()
-        self.counter += 1
-        return gen.permutation(n)
+        return self._generator().permutation(n)
 
 
 def sample_standard_normal(stream: RngStream, n: int) -> np.ndarray:

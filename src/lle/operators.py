@@ -129,27 +129,17 @@ def _circulant_eigensystem(kernel_full: np.ndarray):
     """
     n = kernel_full.size
     j = np.arange(n)
-    lams = np.empty(n)
-    basis = np.empty((n, n))
-    col = 0
+    lams, columns = [], []
     for freq in range(n // 2 + 1):
         ang = 2.0 * math.pi * freq * j / n
         lam = float(np.sum(kernel_full * np.cos(2.0 * math.pi * freq * np.arange(n) / n)))
-        if freq == 0:
-            basis[:, col] = 1.0 / math.sqrt(n)
-            lams[col] = lam
-            col += 1
-        elif 2 * freq == n:
-            basis[:, col] = np.cos(ang) / math.sqrt(n)  # alternating +-1/sqrt(n)
-            lams[col] = lam
-            col += 1
+        if freq == 0 or 2 * freq == n:  # the constant and the alternating +-1/sqrt(n)
+            columns.append(np.cos(ang) / math.sqrt(n))
+            lams.append(lam)
         else:
-            basis[:, col] = np.cos(ang) * math.sqrt(2.0 / n)
-            lams[col] = lam
-            basis[:, col + 1] = np.sin(ang) * math.sqrt(2.0 / n)
-            lams[col + 1] = lam
-            col += 2
-    return lams, basis
+            columns += [np.cos(ang) * math.sqrt(2.0 / n), np.sin(ang) * math.sqrt(2.0 / n)]
+            lams += [lam, lam]
+    return np.array(lams), np.stack(columns, axis=1)
 
 
 def mask_operator(n: int, keep_indices) -> LinearOperator:
@@ -229,8 +219,8 @@ def dense_operator(matrix) -> LinearOperator:
     return LinearOperator(n=n, m=m, V=Vt[keep].T, U=U[:, keep], s=s[keep], kind="dense")
 
 
-def build_operator(spec: dict) -> LinearOperator:
-    """Construct an operator from a config-style spec dict (see harness docs)."""
+def build_operator(spec: dict):
+    """Construct an operator from a config-style spec dict (see `harness.OperatorSpec`)."""
     kind = spec.get("kind")
     n = spec.get("n")
     if kind == "mask":
@@ -249,6 +239,12 @@ def build_operator(spec: dict) -> LinearOperator:
         return hadamard_operator(n, spec["keep_ratio"], spec.get("seed", 0))
     if kind == "dense":
         return dense_operator(spec["matrix"])
+    if kind == "nonlinear":
+        if "kernel" in spec:
+            kernel = spec["kernel"]
+        else:
+            kernel = gaussian_kernel(spec.get("width", 5), spec.get("sigma", 1.0))
+        return NonlinearOperator(kernel=np.asarray(kernel, dtype=float), scale=spec.get("scale", 1.0))
     raise OperatorSpecError(f"unknown operator kind {kind!r}")
 
 

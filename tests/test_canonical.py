@@ -603,6 +603,40 @@ def test_resample_matches_full_space_loop(schedule, small_prior, kind, batch):
         assert np.linalg.norm(obs.y - (obs.y @ op.U) @ op.U.T) > 0.1
 
 
+def _count_convolutions(monkeypatch):
+    calls = []
+    real = ops._circ_conv
+
+    def spy(kernel, x):
+        calls.append(x.shape)
+        return real(kernel, x)
+
+    monkeypatch.setattr(ops, "_circ_conv", spy)
+    return calls
+
+
+def test_residual_grad_nonlinear_shares_its_forward_pass(schedule, small_prior, monkeypatch):
+    obs, ctx = _inner_loop_case(small_prior, schedule, "nonlinear", 1, 0.1, 345)
+    x = ctx.x0_sampled
+    expected = 2.0 * ops.nl_vjp(obs.op, x, ops.nl_apply(obs.op, x) - obs.y)
+    calls = _count_convolutions(monkeypatch)
+    got = canon._residual_grad_x0(obs, x)
+    assert len(calls) == 2  # one forward pass, one VJP
+    assert np.array_equal(got, expected)
+
+
+def test_diffpir_nonlinear_inner_loop_convolution_count(schedule, small_prior, monkeypatch):
+    obs, ctx = _inner_loop_case(small_prior, schedule, "nonlinear", 1, 0.2, 346)
+    params = canon.default_params("DiffPIR")
+    params.inner_opt.steps = 10
+    params.inner_opt.lr = 0.05
+    calls = _count_convolutions(monkeypatch)
+    canon.corr_diffpir(ctx, obs, params)
+    # the starting loss, then per step a forward pass and a VJP for the
+    # gradient and a forward pass for the loss
+    assert len(calls) == 1 + 3 * 10
+
+
 @pytest.mark.parametrize("kind", ["mask", "dense", "nonlinear"])
 def test_resample_large_step_still_diverges(schedule, small_prior, kind):
     obs, ctx = _inner_loop_case(small_prior, schedule, kind, 1, 0.05, 340)

@@ -1,11 +1,14 @@
 import copy
+import dataclasses
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lle import canonical as canon
 from lle import diffusion as dif
@@ -412,3 +415,320 @@ def test_sweep_mean_psnr_is_mean_of_per_sample_psnr(tmp_path):
     assert float(rows[("2", "base")][4]) == pytest.approx(np.mean(per_sample), rel=1e-11)
     pooled = psnr(recon, truths, cfg.peak)
     assert abs(np.mean(per_sample) - pooled) > 1e-6  # the two differ on this batch
+
+
+# ---------------------------------------------------------------------------
+# config rule tables
+# ---------------------------------------------------------------------------
+
+
+def _base_config():
+    return {
+        "prior": {"dim": 4, "components": 2, "seed": 9},
+        "task": {"operator": {"kind": "mask", "keep_ratio": 0.5, "seed": 1},
+                 "sigma_y": 0.05},
+        "algorithm": {"name": "DDNM"},
+        "steps": 2,
+        "n_test": 3,
+        "seeds": {"train": 5, "test": 6},
+    }
+
+
+def _load_raw(tmp_path, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    return harness.load_config(path)
+
+
+def _set(cfg, path, value):
+    """Set the dotted path of cfg to value, creating blocks on the way."""
+    *parents, key = path.split(".")
+    for p in parents:
+        cfg = cfg.setdefault(p, {})
+    cfg[key] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    # accepted and ignored by earlier loaders
+    ("n_tests", 5),
+    ("schedule.betastart", 0.5),
+    ("prior.sed", 3),
+    ("seeds.tran", 3),
+    ("task.sigma", 0.1),
+    ("task.operator.sed", 3),
+    # a bare TypeError or AttributeError naming no key
+    ("schedule.T", "1000"),
+    ("schedule.T", 10.5),
+    ("prior.dim", "4"),
+    ("algorithm", "DDNM"),
+])
+def test_load_config_names_each_bad_key(tmp_path, path, value):
+    raw = _base_config()
+    _set(raw, path, value)
+    with pytest.raises(harness.ConfigError, match=re.escape(path)):
+        _load_raw(tmp_path, raw)
+
+
+def test_mask_keep_is_rejected_at_load(tmp_path):
+    # earlier loaders accepted it, then failed at run time with KeyError
+    raw = _base_config()
+    raw["task"]["operator"] = {"kind": "mask", "keep": 0.5}
+    with pytest.raises(harness.ConfigError, match=re.escape("task.operator.keep")):
+        _load_raw(tmp_path, raw)
+
+
+@pytest.mark.parametrize("operator, named", [
+    ({"kind": "fft"}, "task.operator.kind"),
+    ({"kind": "dense", "matrix": [[1.0] * 4], "seed": 3}, "task.operator.seed"),
+    ({"kind": "avgpool"}, "task.operator.factor"),
+    ({"kind": "mask", "keep_ratio": 0.5, "keep_indices": [0]}, "task.operator.keep_ratio"),
+    ({"kind": "blur", "width": 3}, "task.operator.sigma"),
+    ({"kind": "mask", "keep_ratio": "0.5"}, "task.operator.keep_ratio"),
+    ({"kind": "hadamard", "keep_ratio": 0.0}, "task.operator.keep_ratio"),
+    ({"kind": "nonlinear", "scale": -1.0}, "task.operator.scale"),
+    ({"kind": "mask", "keep_ratio": 0.5, "n": 5}, "task.operator"),
+    ({"kind": "mask", "keep_indices": [0, 2], "seed": 4}, "task.operator.seed"),
+    ({"kind": "nonlinear", "kernel": [0.25, 0.5, 0.25], "width": 3}, "task.operator.width"),
+    ({"kind": "blur", "kernel": [0.25, 0.5, 0.25], "width": 3}, "task.operator.width"),
+    ({"kind": "dense", "matrix": [[1.0, 2.0]]}, "task.operator"),
+])
+def test_load_config_checks_operator_keys_per_kind(tmp_path, operator, named):
+    raw = _base_config()
+    raw["task"]["operator"] = operator
+    with pytest.raises(harness.ConfigError, match=re.escape(named)):
+        _load_raw(tmp_path, raw)
+
+
+@pytest.mark.parametrize("operator", [
+    {"kind": "avgpool", "factor": 3},  # 3 does not divide prior.dim 4
+    {"kind": "mask", "keep_indices": [7]},  # out of range for prior.dim 4
+    {"kind": "blur", "kernel": [0.25, 0.5]},  # even length
+    {"kind": "nonlinear", "kernel": [0.2, 0.3, 0.4]},  # not normalized
+])
+def test_operator_builder_errors_name_the_operator_block(tmp_path, operator):
+    raw = _base_config()
+    raw["task"]["operator"] = operator
+    with pytest.raises(harness.ConfigError, match=re.escape("task.operator")):
+        _load_raw(tmp_path, raw)
+
+
+def test_operator_is_built_once_at_load(tmp_path, monkeypatch):
+    cfg = harness.load_config(write_config(tmp_path / "c.json"))
+
+    def rebuilt(spec):
+        raise AssertionError("operator rebuilt after load")
+
+    monkeypatch.setattr(ops, "build_operator", rebuilt)
+    assert cfg.operator() is cfg.operator()
+    _, _, op = harness.make_test_batch(cfg)
+    assert op is cfg.operator()
+    harness.train_lle(cfg)
+
+
+def test_load_config_rejects_steps_beyond_schedule(tmp_path):
+    raw = _base_config()
+    raw["schedule"] = {"T": 10}
+    raw["steps"] = 11
+    with pytest.raises(harness.ConfigError, match="steps"):
+        _load_raw(tmp_path, raw)
+
+
+def test_load_config_rejects_schedule_without_signal(tmp_path):
+    # every beta lies in (0, 1), yet alphabar_T underflows, and earlier loaders
+    # ran it to all-NaN reconstructions
+    raw = _base_config()
+    raw["schedule"] = {"beta_end": 0.9999}
+    with pytest.raises(harness.ConfigError, match=re.escape("schedule.beta_end")):
+        _load_raw(tmp_path, raw)
+
+
+def test_load_config_rejects_malformed_inline_prior(tmp_path):
+    raw = _base_config()
+    raw["prior"] = {"weights": [0.5, 0.5], "means": [[0.0] * 4] * 2,
+                    "covariances": [np.eye(3).tolist()] * 2}
+    with pytest.raises(harness.ConfigError, match="prior"):
+        _load_raw(tmp_path, raw)
+    raw["prior"]["covariances"] = [np.eye(4).tolist()] * 2
+    raw["prior"]["weights"] = [0.25, 0.25, 0.5]
+    with pytest.raises(harness.ConfigError, match="prior"):
+        _load_raw(tmp_path, raw)
+    raw["prior"]["weights"] = [0.5, 0.5]
+    cfg = _load_raw(tmp_path, raw)
+    assert cfg.prior.d == 4 and cfg.prior.K == 2
+
+
+def test_config_error_is_the_configuration_error():
+    # one exception type, so a sweep's error rows keep the name ConfigurationError
+    assert harness.ConfigError is canon.ConfigurationError
+    with pytest.raises(harness.ConfigError, match=re.escape("algorithm.eta")):
+        canon.AlgoParams(algorithm="DPS", eta=1.5)
+
+
+def _config_blocks():
+    seen, todo = [], [canon.ConfigBlock]
+    while todo:
+        cls = todo.pop()
+        for sub in cls.__subclasses__():
+            seen.append(sub)
+            todo.append(sub)
+    return seen
+
+
+def test_readme_config_schema_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config schema", 1)[1].split("\n### ", 1)[0]
+    blocks = _config_blocks()
+    assert {"seeds", "schedule", "task", "task.operator", "prior", "algorithm",
+            "algorithm.daps", "algorithm.inner_opt", "lle"} <= {b.block for b in blocks}
+    missing = [f"{cls.block}.{f.metadata.get('key') or f.name}"
+               for cls in blocks for f in dataclasses.fields(cls)
+               if not re.search(rf"\b{re.escape(f.metadata.get('key') or f.name)}\b", section)]
+    assert not missing
+    for kind in harness.OPERATOR_KEYS:
+        assert f"{kind}:" in section, kind
+
+
+# ---- property: a mutated config names its key; a valid one runs -----------
+
+_WRONG_VALUES = ("x", True, [1], None, float("nan"), float("inf"))
+# keys whose null means "use the default"
+_NULLABLE = {"lle", "lle.omega", "algorithm.daps.sigma_langevin", "task.operator.n",
+             "task.operator.seed", "task.operator.width", "task.operator.scale"}
+_REQUIRED = {"prior", "task", "algorithm", "task.operator", "task.operator.kind",
+             "algorithm.name", "prior.dim", "prior.components",
+             "task.operator.keep_ratio", "task.operator.sigma", "task.operator.matrix"}
+
+
+@st.composite
+def _valid_configs(draw):
+    d = draw(st.sampled_from([4, 8]))
+    kind = draw(st.sampled_from(["mask", "blur", "dense"]))
+    seed = draw(st.integers(0, 2**31))
+    if kind == "mask":
+        operator = {"kind": "mask", "n": d, "keep_ratio": draw(st.sampled_from([0.5, 0.75, 1.0])),
+                    "seed": seed}
+    elif kind == "blur":
+        operator = {"kind": "blur", "n": d, "sigma": draw(st.floats(0.5, 2.0)), "width": 3}
+    else:
+        m = draw(st.integers(1, d))
+        A = RngStream(seed, 3).standard_normal((m, d)) / math.sqrt(d)
+        operator = {"kind": "dense", "matrix": A.tolist()}
+    algorithm = draw(st.sampled_from(canon.ALGORITHMS))
+    preset = canon.default_params(algorithm)
+    alg = {"name": algorithm}
+    for key in ("eta", "eta_b", "zeta", "xi", "lam", "gamma_rs", "exact_hc"):
+        alg[key] = getattr(preset, key)
+    if algorithm == "DAPS":
+        alg["daps"] = {"k_ddim": 2, "n_langevin": 5, "eta0": 1e-4, "delta": 0.01,
+                       "sigma_langevin": draw(st.sampled_from([None, 0.05])),
+                       "noiseless_linear": False}
+    if algorithm in ("DiffPIR", "ReSample"):
+        alg["inner_opt"] = {"lr": preset.inner_opt.lr, "momentum": 0.9, "steps": 5}
+    cfg = {
+        "prior": {"dim": d, "components": 2, "seed": seed},
+        "schedule": {"T": 1000, "beta_start": 1e-4, "beta_end": 0.02},
+        "task": {"operator": operator, "sigma_y": draw(st.sampled_from([0.01, 0.1]))},
+        "algorithm": alg,
+        "steps": 2,
+        "n_test": 1,
+        "peak": 2.0,
+        "seeds": {"train": seed, "test": seed + 1},
+    }
+    if draw(st.booleans()):
+        plugin = draw(st.sampled_from(["none", "gradient-domain"]))
+        closed_form = draw(st.booleans())
+        cfg["lle"] = {"n_refs": 4, "ref_steps": 10, "epochs": 3, "warmup": 1,
+                      "omega": 0.0 if closed_form else None, "plugin": plugin,
+                      "lr_rule": draw(st.sampled_from(["constant", "dynamic"])),
+                      "init_mode": draw(st.sampled_from(["adaptive-linear", "soft-nonlinear"])),
+                      "noisy_gt": False, "decoupled": False, "closed_form": closed_form,
+                      "optimizer": draw(st.sampled_from(["schedule-free", "adam"])),
+                      "base_seed": seed}
+    return cfg
+
+
+def _is_wrong(candidate, value, path):
+    """Whether candidate is a wrong value where the valid config has value."""
+    if candidate is None:
+        return path not in _NULLABLE
+    if isinstance(candidate, float) and not math.isfinite(candidate):
+        return True  # wrong even where a float is right
+    return type(candidate) is not type(value)
+
+
+def _key_paths(block, prefix=""):
+    for key, value in block.items():
+        path = f"{prefix}{key}"
+        yield path
+        if isinstance(value, dict):
+            yield from _key_paths(value, path + ".")
+
+
+def _bounds(path):
+    """The declared bounds of the field at a dotted path, from the rule tables."""
+    parent, _, key = path.rpartition(".")
+    tables = {b.block: b for b in _config_blocks() if b is not harness.InlinePrior
+              and b is not harness.PriorFile}
+    for f in dataclasses.fields(tables[parent]):
+        if (f.metadata.get("key") or f.name) == key and "rule" in f.metadata:
+            return f.metadata["rule"][2]
+    return {}
+
+
+def _past(bound, limit, value):
+    if bound in ("above", "below"):
+        return limit
+    step = -1 if bound == "minimum" else 1
+    if isinstance(value, int) and not isinstance(value, bool):
+        return limit + step
+    return float(np.nextafter(limit, step * math.inf))
+
+
+@st.composite
+def _mutations(draw, cfg):
+    """(mutated config, the dotted path its error must name)."""
+    path = draw(st.sampled_from(sorted(_key_paths(cfg))))
+    *parents, key = path.split(".")
+    block = cfg
+    for p in parents:
+        block = block[p]
+    value = block[key]
+    options = ["rename", "wrong"]
+    if path in _REQUIRED:
+        options.append("drop")
+    bounds = _bounds(path)
+    if bounds:
+        options.append("bound")
+    how = draw(st.sampled_from(options))
+    mutated = copy.deepcopy(cfg)
+    target = mutated
+    for p in parents:
+        target = target[p]
+    if how == "rename":
+        target[key + "_"] = target.pop(key)
+        return mutated, path + "_"
+    if how == "drop":
+        del target[key]
+        return mutated, path
+    if how == "bound":
+        bound = draw(st.sampled_from(sorted(bounds)))
+        target[key] = _past(bound, bounds[bound], value)
+        return mutated, path
+    wrong = [w for w in _WRONG_VALUES if _is_wrong(w, value, path)]
+    target[key] = draw(st.sampled_from(wrong))
+    return mutated, path
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_config_is_rejected_naming_its_key_or_runs_finite(data):
+    cfg = data.draw(_valid_configs())
+    mutated, path = data.draw(_mutations(cfg))
+    with tempfile.TemporaryDirectory() as tmp:
+        good = _load_raw(Path(tmp), cfg)
+        recons, truths = harness.run_experiment(good, seed=3)
+        assert recons.shape == truths.shape == (1, good.prior.d)
+        assert np.all(np.isfinite(recons))
+        with pytest.raises(harness.ConfigError) as err:
+            _load_raw(Path(tmp), mutated)
+    assert path in str(err.value), (path, str(err.value))
