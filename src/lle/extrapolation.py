@@ -8,9 +8,12 @@ estimates best matches the ground truth, and hands the combined estimate
 back to the driver's noiser. Inference replays the same data flow with the
 coefficients fixed.
 
-The fitting loss is evaluated batch-wise: one array reduction over the
-(N, d) batch gives every per-sample loss, and the single-sample `loss` is
-the one-row case of the same kernel.
+Each step's fit runs over one stacked basis (`stack_bases`): the J
+estimates, or, decoupled, their J range and J null projections, so the
+decoupled fit is the coupled fit over 2J projected bases. The fitting loss
+is evaluated batch-wise: one array reduction over the (N, d) batch gives
+every per-sample loss, and the single-sample `loss` is the one-row case of
+the same kernel.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ def batch_loss(xs: np.ndarray, gts: np.ndarray, omega: float = 0.0, plugin=None)
 # ---------------------------------------------------------------------------
 
 
-def _is_identity(gamma: np.ndarray) -> bool:
+def _is_identity(gamma) -> bool:
+    gamma = np.asarray(gamma)
     return gamma[-1] == 1.0 and (gamma.size == 1 or not np.any(gamma[:-1]))
 
 
@@ -109,28 +113,25 @@ def combine(
 
     With gamma_perp present the combination is applied separately to range
     projections (gamma) and null projections (gamma_perp), then summed.
+    Identity coefficients (the last one-hot, in both parts) return xhat.
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.size != len(history) + 1:
         raise ValueError(
             f"coefficient vector has {gamma.size} entries for {len(history)} history terms"
         )
-    if gamma_perp is None:
-        if _is_identity(gamma):
-            return np.array(xhat, copy=True)
-        out = gamma[-1] * xhat
-        for g, h in zip(gamma[:-1], history):
-            if g != 0.0:
-                out = out + g * h
-        return out
-    if op is None:
+    if gamma_perp is not None and op is None:
         raise ValueError("decoupled combination requires the linear operator")
-    gamma_perp = np.asarray(gamma_perp, dtype=float)
-    bases = list(history) + [xhat]
-    out = np.zeros_like(np.asarray(xhat, dtype=float))
-    for gp, gq, b in zip(gamma, gamma_perp, bases):
-        rng = ops.project(op, b, "range")
-        out = out + gp * rng + gq * (b - rng)
+    if _is_identity(gamma) and (gamma_perp is None or _is_identity(gamma_perp)):
+        return np.array(xhat, copy=True)
+    if gamma_perp is not None:
+        theta = np.concatenate([gamma, np.asarray(gamma_perp, dtype=float)])
+        return _combined(stack_bases(list(history) + [xhat], op, True), theta)
+    # xhat first: `train` feeds this sum to the next step; `_combined`'s order moves fits
+    out = gamma[-1] * xhat
+    for g, h in zip(gamma[:-1], history):
+        if g != 0.0:
+            out = out + g * h
     return out
 
 
@@ -215,70 +216,52 @@ class LLECoefficients:
 # ---------------------------------------------------------------------------
 
 
-def _project_bases(bases, op):
-    par = [ops.project(op, b, "range") for b in bases]
-    perp = [b - p for b, p in zip(bases, par)]
-    return par, perp
-
-
-def _combined(bases, theta, op, decoupled):
-    J = len(bases)
+def stack_bases(bases, op=None, decoupled=False) -> np.ndarray:
+    """The fit's basis at one timestep, built once: the (J, N, d) estimates,
+    oldest first with xhat last; decoupled, the (2J, N, d) stack of their range
+    projections followed by their null projections.
+    """
+    stacked = np.asarray(bases, dtype=float)
     if not decoupled:
-        out = theta[0] * bases[0]
-        for g, b in zip(theta[1:], bases[1:]):
-            out = out + g * b
-        return out
-    par, perp = _project_bases(bases, op)
-    out = theta[0] * par[0] + theta[J] * perp[0]
-    for j in range(1, J):
-        out = out + theta[j] * par[j] + theta[J + j] * perp[j]
+        return stacked
+    rng = ops.project(op, stacked, "range")
+    return np.concatenate([rng, stacked - rng])
+
+
+def _combined(stacked, theta):
+    out = theta[0] * stacked[0]
+    for g, b in zip(theta[1:], stacked[1:]):
+        out = out + g * b
     return out
 
 
-def gamma_objective(bases, x_gt, theta, omega, plugin, op=None, decoupled=False):
-    """Mean training loss at coefficient vector theta (2J entries if decoupled)."""
-    xt = _combined(bases, theta, op, decoupled)
-    return batch_loss(xt, x_gt, omega, plugin)
+def gamma_objective(stacked, x_gt, theta, omega, plugin):
+    """Mean training loss at coefficient vector theta (one entry per basis)."""
+    return batch_loss(_combined(stacked, theta), x_gt, omega, plugin)
 
 
-def loss_grad_gamma(bases, x_gt, theta, omega, plugin=None, op=None, decoupled=False):
+def loss_grad_gamma(stacked, x_gt, theta, omega, plugin=None):
     """Exact gradient of the mean loss over theta; fixed-order summation."""
-    N = x_gt.shape[0]
-    xt = _combined(bases, theta, op, decoupled)
-    resid = xt - x_gt
-    sens = 2.0 * resid
+    stacked = np.asarray(stacked, dtype=float)
+    xt = _combined(stacked, theta)
+    sens = 2.0 * (xt - x_gt)
     if omega != 0.0 and plugin is not None:
         sens = sens + omega * plugin.value_and_grad(xt, x_gt)[1]
-    if not decoupled:
-        return _inner_products(sens, bases) / N
-    par, perp = _project_bases(bases, op)
-    return np.concatenate([_inner_products(sens, par), _inner_products(sens, perp)]) / N
+    # each row summed over its N*d entries, as np.sum(sens * basis) is
+    return np.sum((stacked * sens).reshape(len(stacked), -1), axis=1) / x_gt.shape[0]
 
 
-def _inner_products(sens, bases):
-    """[np.sum(sens * b) for b in bases] as one reduction over the stacked bases
-    (each row is summed over its N*d entries, as np.sum(sens * b) is)."""
-    stacked = np.asarray(bases)
-    return np.sum((stacked * sens).reshape(len(stacked), -1), axis=1)
+def solve_ls_closed_form(stacked, x_gt, reg=1e-10):
+    """Normal-equations minimizer of the batch MSE; valid only when omega = 0.
 
-
-def solve_ls_closed_form(bases, x_gt, op=None, decoupled=False, reg=1e-10):
-    """Normal-equations minimizer of the batch MSE; valid only when omega = 0."""
-
-    def solve(bs):
-        J = len(bs)
-        G = np.empty((J, J))
-        rhs = np.empty(J)
-        for j in range(J):
-            for k in range(j, J):
-                G[j, k] = G[k, j] = np.sum(bs[j] * bs[k])
-            rhs[j] = np.sum(bs[j] * x_gt)
-        return np.linalg.solve(G + reg * np.eye(J), rhs)
-
-    if not decoupled:
-        return solve(bases)
-    par, perp = _project_bases(bases, op)
-    return np.concatenate([solve(par), solve(perp)])
+    Gram and right-hand side are per-row sums over the flattened stack, so each
+    entry is np.sum(b_j * b_k) bit for bit (a gemm would reorder the sums); one
+    Gram row at a time keeps the temporary at one stack's size.
+    """
+    F = np.asarray(stacked, dtype=float).reshape(len(stacked), -1)
+    G = np.array([np.sum(f * F, axis=-1) for f in F])
+    rhs = np.sum(F * np.ravel(x_gt), axis=-1)
+    return np.linalg.solve(G + reg * np.eye(len(F)), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +281,8 @@ class TrainConfig(canon.ConfigBlock):
     # constant 0.04/S | dynamic 0.2*ab_{t_{i+1}}/S
     lr_rule: str = rule("constant", choices=("constant", "dynamic"))
     init_mode: str = rule("adaptive-linear", choices=("adaptive-linear", "soft-nonlinear"))
-    noisy_gt: bool = rule(False)  # DDRM/DDNM only
-    decoupled: bool = rule(False)
+    noisy_gt: bool = rule(False)  # NOISY_GT_ALGORITHMS only; `load_config` rejects others
+    decoupled: bool = rule(False)  # linear operators only; `load_config` rejects "nonlinear"
     closed_form: bool = rule(False)  # fast path, requires omega = 0
     optimizer: str = rule("schedule-free", choices=("schedule-free", "adam"))
     base_seed: int = rule(0)
@@ -320,6 +303,9 @@ class TrainConfig(canon.ConfigBlock):
         return 0.1 if self.plugin != "none" else 0.0
 
 
+NOISY_GT_ALGORITHMS = ("DDRM", "DDNM")  # whose corrector defines a noisy target
+
+
 def make_ground_truth(
     params: canon.AlgoParams,
     prior,
@@ -333,9 +319,9 @@ def make_ground_truth(
     """Training target at t_i: x0, or the algorithm's own corrector applied to x0."""
     if not noisy_gt:
         return np.array(x0, copy=True)
-    if params.algorithm not in ("DDRM", "DDNM"):
+    if params.algorithm not in NOISY_GT_ALGORITHMS:
         raise canon.ConfigurationError(
-            "noisy ground truth is defined only for DDRM and DDNM"
+            f"noisy ground truth is defined only for {' and '.join(NOISY_GT_ALGORITHMS)}"
         )
     ctx = canon.StepContext(
         x_t=x0,
@@ -385,26 +371,18 @@ def init_coeffs(
     return gamma
 
 
-def train_timestep(
-    bases,
-    x_gt,
-    init_theta,
-    config: TrainConfig,
-    lr_t: float,
-    t_i: int,
-    op=None,
-):
-    """Optimize the coefficient vector at one timestep.
+def train_timestep(stacked, x_gt, init_theta, config: TrainConfig, lr_t: float, t_i: int):
+    """Optimize the coefficient vector over one timestep's `stack_bases`.
 
     Returns (best theta, per-epoch loss trace). The best-by-training-loss
     snapshot guarantees final loss <= initial loss.
     """
+    stacked = np.asarray(stacked, dtype=float)
     omega = config.resolved_omega()
     plugin = make_plugin(config.plugin)
-    decoupled = config.decoupled
 
     def obj(theta):
-        return gamma_objective(bases, x_gt, theta, omega, plugin, op, decoupled)
+        return gamma_objective(stacked, x_gt, theta, omega, plugin)
 
     theta = np.asarray(init_theta, dtype=float)
     best = theta.copy()
@@ -413,7 +391,7 @@ def train_timestep(
     if not math.isfinite(best_loss):
         raise TrainingDivergedError(f"non-finite loss at timestep {t_i}")
     if config.closed_form and omega == 0.0:
-        cand = solve_ls_closed_form(bases, x_gt, op, decoupled)
+        cand = solve_ls_closed_form(stacked, x_gt)
         cand_loss = obj(cand)
         if cand_loss <= best_loss:
             best, best_loss = cand, cand_loss
@@ -424,9 +402,7 @@ def train_timestep(
     else:
         opt = ScheduleFreeAdamW(theta, lr=lr_t, warmup=config.warmup)
     for _ in range(config.epochs):
-        g = loss_grad_gamma(
-            bases, x_gt, opt.eval_point(), omega, plugin, op, decoupled
-        )
+        g = loss_grad_gamma(stacked, x_gt, opt.eval_point(), omega, plugin)
         cur = obj(opt.step(g))
         if not math.isfinite(cur):
             raise TrainingDivergedError(f"training diverged at timestep {t_i}")
@@ -508,15 +484,13 @@ def train(
             config.decoupled,
         )
         lr_t = _learning_rate(config, schedule, grid, idx)
-        theta, traces[t_i] = train_timestep(history + [xhat], x_gt, theta0, config, lr_t, t_i, op)
-        if config.decoupled:
-            J = idx + 1
-            g_par, g_perp = theta[:J], theta[J:]
-            gammas.append(g_par)
-            gammas_perp.append(g_perp)
-            return combine(g_par, history, xhat, op=op, gamma_perp=g_perp)
-        gammas.append(theta)
-        return combine(theta, history, xhat)
+        stacked = stack_bases(history + [xhat], op, config.decoupled)
+        theta, traces[t_i] = train_timestep(stacked, x_gt, theta0, config, lr_t, t_i)
+        J = idx + 1  # theta is gamma, then gamma_perp when decoupled
+        gammas.append(theta[:J])
+        gammas_perp.append(theta[J:])
+        gamma_perp = theta[J:] if config.decoupled else None
+        return combine(theta[:J], history, xhat, op=op, gamma_perp=gamma_perp)
 
     canon.run_with_combiner(
         params, prior, schedule, observation, grid, base.child(13), combiner=fit

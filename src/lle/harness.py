@@ -199,16 +199,22 @@ def load_config(path) -> ExperimentConfig:
     _built("steps", dif.make_time_grid, schedule, top.steps)
     name = top.algorithm.get("name")
     preset = canon.default_params(name) if name in canon.ALGORITHMS else None
+    params = canon.AlgoParams.from_dict(top.algorithm, preset)
     train_config = None
     if top.lle not in (None, "none"):
         base = lle.TrainConfig(base_seed=top.seeds.train)
         train_config = lle.TrainConfig.from_dict(top.lle, base)
+        if train_config.noisy_gt and params.algorithm not in lle.NOISY_GT_ALGORITHMS:
+            allowed = " and ".join(lle.NOISY_GT_ALGORITHMS)
+            raise ConfigError(f"lle.noisy_gt needs {allowed}, not {params.algorithm}")
+        if train_config.decoupled and not isinstance(op, ops.LinearOperator):
+            raise ConfigError("lle.decoupled needs a linear operator, not 'nonlinear'")
     return ExperimentConfig(
         prior=prior,
         schedule=schedule,
         op=op,
         sigma_y=top.task.sigma_y,
-        params=canon.AlgoParams.from_dict(top.algorithm, preset),
+        params=params,
         steps=top.steps,
         train_config=train_config,
         train_seed=top.seeds.train,

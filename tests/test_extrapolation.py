@@ -77,7 +77,7 @@ def test_batch_loss_and_gradient_equal_per_sample_loop(
     plugin = lle.GradientDomainPlugin() if with_plugin else None
     use_plugin = with_plugin and omega != 0.0
 
-    xt = lle._combined(bases, theta, op, decoupled)
+    xt = lle._combined(lle.stack_bases(bases, op, decoupled), theta)
     rows = [_row_loss_reference(x, g, omega, use_plugin) for x, g in zip(xt, x_gt)]
     assert lle.batch_loss(xt, x_gt, omega, plugin) == float(np.mean(rows))
     assert lle.loss(xt[0], x_gt[0], omega, plugin) == rows[0]
@@ -92,7 +92,7 @@ def test_batch_loss_and_gradient_equal_per_sample_loop(
         par = [ops.project(op, b, "range") for b in bases]
         directions = par + [b - p for b, p in zip(bases, par)]
     expected = np.array([np.sum(sens * b) for b in directions]) / n
-    got = lle.loss_grad_gamma(bases, x_gt, theta, omega, plugin, op, decoupled)
+    got = lle.loss_grad_gamma(lle.stack_bases(bases, op, decoupled), x_gt, theta, omega, plugin)
     assert np.array_equal(got, expected)
 
 
@@ -170,6 +170,24 @@ def test_combine_decoupled_replicated_equals_coupled():
     assert np.max(np.abs(coupled - decoupled)) < 1e-12
 
 
+def test_decoupled_identity_reproduces_base_on_dense_operator(schedule):
+    # a dense operator's projections do not sum back to x bit for bit, so only
+    # the identity shortcut keeps the base solver's bytes
+    prior = random_mixture(130, 16, 3)
+    op = ops.dense_operator(RngStream(131).standard_normal((6, 16)) / 4.0)
+    truth = prior.sample(RngStream(132), 1)[0]
+    obs = ops.Observation(y=ops.observe(op, truth, 0.05, RngStream(133)), op=op, sigma_y=0.05)
+    grid = dif.make_time_grid(schedule, 4)
+    ident = lle.LLECoefficients.identity(grid)
+    coeffs = lle.LLECoefficients(S=4, decoupled=True, timesteps=ident.timesteps,
+                                 gamma=ident.gamma, gamma_perp=[g.copy() for g in ident.gamma])
+    for name in canon.ALGORITHMS:
+        params = canon.default_params(name)
+        base = canon.run(params, prior, schedule, obs, grid, seed=17)
+        via = lle.infer(params, prior, schedule, obs, grid, coeffs, seed=17)
+        assert np.array_equal(base, via), name
+
+
 def test_coefficients_validation_and_identity(schedule):
     grid = dif.make_time_grid(schedule, 3)
     ident = lle.LLECoefficients.identity(grid)
@@ -217,6 +235,25 @@ def test_closed_form_matches_lstsq():
     B = np.stack([b.ravel() for b in bases], axis=1)
     expected, *_ = np.linalg.lstsq(B, x_gt.ravel(), rcond=None)
     assert np.max(np.abs(theta - expected)) < 1e-6
+
+
+@pytest.mark.parametrize("op", [
+    ops.mask_operator(8, [0, 3, 4, 6]),
+    ops.blur_operator(8, [0.25, 0.5, 0.25]),
+    ops.dense_operator(RngStream(134).standard_normal((5, 8))),
+], ids=["mask", "blur", "dense"])
+def test_joint_decoupled_solve_separates_into_range_and_null(op):
+    # range and null projections are orthogonal, so the 2J Gram is block diagonal
+    stream = RngStream(135)
+    J = 3
+    bases = [stream.standard_normal((6, 8)) for _ in range(J)]
+    x_gt = stream.standard_normal((6, 8))
+    stacked = lle.stack_bases(bases, op, decoupled=True)
+    assert stacked.shape == (2 * J, 6, 8)
+    joint = lle.solve_ls_closed_form(stacked, x_gt)
+    apart = np.concatenate([lle.solve_ls_closed_form(stacked[:J], x_gt),
+                            lle.solve_ls_closed_form(stacked[J:], x_gt)])
+    assert np.max(np.abs(joint - apart)) <= 1e-12 * np.max(np.abs(apart))
 
 
 def test_gamma_gradient_fd():
@@ -376,6 +413,27 @@ def test_train_decoupled_produces_two_vectors():
     )
     coeffs, _ = lle.train(params, prior, schedule, obs_builder, grid, tc)
     assert coeffs.decoupled and len(coeffs.gamma_perp) == 3
+
+
+def test_decoupled_training_projects_once_per_timestep(monkeypatch):
+    calls = []
+    real = ops.project
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "project", spy)
+    counts = []
+    for epochs in (3, 12):
+        params, prior, schedule, op, obs_builder, grid, tc = small_training_setup(
+            "DPS", decoupled=True, epochs=epochs
+        )
+        calls.clear()
+        lle.train(params, prior, schedule, obs_builder, grid, tc)
+        counts.append(len(calls))
+    # one for the fit's stacked basis, one for the combined estimate
+    assert counts == [2 * grid.S, 2 * grid.S]
 
 
 def test_identity_inference_is_bit_identical_to_base():

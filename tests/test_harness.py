@@ -175,6 +175,25 @@ def test_load_config_rejects_bad_top_level_value(tmp_path, bad, key):
         harness.load_config(path)
 
 
+def test_load_config_rejects_noisy_gt_for_other_algorithms(tmp_path):
+    lle_spec = {"n_refs": 4, "ref_steps": 30, "noisy_gt": True}
+    harness.load_config(write_config(tmp_path / "ok.json", lle=lle_spec))  # DDNM
+    path = write_config(tmp_path / "cfg.json", lle=lle_spec, algorithm={"name": "DPS"})
+    with pytest.raises(harness.ConfigError, match=re.escape("lle.noisy_gt")):
+        harness.load_config(path)
+
+
+def test_load_config_rejects_decoupled_on_nonlinear_operator(tmp_path):
+    path = write_config(
+        tmp_path / "cfg.json",
+        task={"operator": {"kind": "nonlinear", "width": 3, "sigma": 1.0}, "sigma_y": 0.1},
+        algorithm={"name": "DPS"},
+        lle={"n_refs": 4, "ref_steps": 30, "decoupled": True},
+    )
+    with pytest.raises(harness.ConfigError, match=re.escape("lle.decoupled")):
+        harness.load_config(path)
+
+
 def test_load_config_accepts_closed_form_with_zero_omega_plugin(tmp_path):
     path = write_config(tmp_path / "cfg.json", lle={
         "n_refs": 4, "ref_steps": 30, "closed_form": True,
