@@ -24,7 +24,7 @@ import numpy as np
 
 from . import diffusion as dif
 from . import operators as ops
-from .numerics import RngStream
+from .numerics import RngStream, RowStreams
 from .optim import ScheduleFreeAdamW
 
 ALGORITHMS = (
@@ -189,7 +189,7 @@ class StepContext:
     t_prev: int
     prior: object
     schedule: dif.DiffusionSchedule
-    stream: RngStream
+    stream: RngStream | RowStreams
     prev_xhat: np.ndarray | None = None
     x0_sampled: np.ndarray | None = None
     _eps: np.ndarray | None = None
@@ -347,23 +347,38 @@ def corr_reddiff(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> 
     return p + params.xi * step
 
 
-def _momentum_descent(value_and_grad, x_init, lr, momentum, steps):
-    """Plain SGD with momentum and a divergence guard.
+def _row_dot(a: np.ndarray) -> np.ndarray:
+    """a . a over the last axis, one BLAS dot per row, as np.vdot on one row."""
+    return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
 
-    value_and_grad(x) -> (loss, gradient), both from one residual at x.
-    Raises ConvergenceError when an iterate's loss is non-finite or above
-    ten times the starting loss.
+
+def _guard(loss, limit, step: int, lr: float, who: str) -> None:
+    """Raise ConvergenceError naming every row whose inner loss is non-finite
+    or above its limit (ten times its starting loss) at this inner step."""
+    bad = ~np.isfinite(loss) | (loss > limit)
+    if np.any(bad):
+        rows = np.flatnonzero(bad).tolist()
+        raise ConvergenceError(
+            f"{who} diverged in row(s) {rows} at inner step {step}: the loss is non-finite"
+            f" or above ten times its start; lower algorithm.inner_opt.lr (now {lr})"
+        )
+
+
+def _momentum_descent(value_and_grad, x_init, lr, momentum, steps):
+    """Plain SGD with momentum and a per-row divergence guard (`_guard`).
+
+    value_and_grad(x) -> (loss per row, gradient), both from one residual at
+    x; the loss has x's shape without its last axis.
     """
     x = np.array(x_init, copy=True)
     vel = np.zeros_like(x)
     loss0, grad = value_and_grad(x)
-    limit = 10.0 * max(loss0, 1e-30)
-    for _ in range(steps):
+    limit = 10.0 * np.maximum(loss0, 1e-30)
+    for step in range(1, steps + 1):
         vel = momentum * vel - lr * grad
         x = x + vel
         cur, grad = value_and_grad(x)
-        if not math.isfinite(cur) or cur > limit:
-            raise ConvergenceError("inner optimizer diverged")
+        _guard(cur, limit, step, lr, "inner optimizer")
     return x
 
 
@@ -383,20 +398,19 @@ def corr_diffpir(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> 
             corrected = (op.s * ybar + rho * xbar) / (op.s**2 + rho)
         return x0 + (corrected - xbar) @ op.V.T
     # nonlinear: inner schedule-free AdamW on the proximal objective
-    def loss(x):
+    def loss(x):  # per row
         r = ops.nl_apply(obs.op, x) - obs.y
-        return float(np.sum(r * r) + rho * np.sum((x - x0) ** 2))
+        return np.sum(r * r, axis=-1) + rho * np.sum((x - x0) ** 2, axis=-1)
 
     def grad(x):
         return _residual_grad_x0(obs, x) + 2.0 * rho * (x - x0)
 
-    opt = ScheduleFreeAdamW(np.array(x0, copy=True), lr=params.inner_opt.lr)
-    loss0 = loss(x0)
-    for _ in range(params.inner_opt.steps):
+    lr = params.inner_opt.lr
+    opt = ScheduleFreeAdamW(np.array(x0, copy=True), lr=lr)
+    limit = 10.0 * np.maximum(loss(x0), 1e-30)
+    for step in range(1, params.inner_opt.steps + 1):
         opt.step(grad(opt.eval_point()))
-        cur = loss(opt.params())
-        if not np.isfinite(cur) or cur > 10.0 * max(loss0, 1e-30):
-            raise ConvergenceError("DiffPIR inner optimizer diverged")
+        _guard(loss(opt.params()), limit, step, lr, "DiffPIR inner optimizer")
     return opt.params()
 
 
@@ -438,18 +452,18 @@ def corr_resample(ctx: StepContext, obs: ops.Observation, params: AlgoParams) ->
         def value_and_grad(x):
             fx = ops.nl_apply(nlop, x)
             r = fx - obs.y
-            return float(np.sum(r * r)), 2.0 * ops.nl_vjp(nlop, x, r, fx=fx)
+            return np.sum(r * r, axis=-1), 2.0 * ops.nl_vjp(nlop, x, r, fx=fx)
 
         return _momentum_descent(value_and_grad, x0, opt.lr, opt.momentum, opt.steps)
     op = obs.op
     ybar = obs.y @ op.U
     out_of_range = obs.y - ybar @ op.U.T
-    loss_perp = float(np.vdot(out_of_range, out_of_range))
+    loss_perp = _row_dot(out_of_range)
     two_s = 2.0 * op.s
 
     def value_and_grad_range(c):
         r = op.s * c - ybar
-        return float(np.vdot(r, r)) + loss_perp, two_s * r
+        return _row_dot(r) + loss_perp, two_s * r
 
     c0 = x0 @ op.V
     c = _momentum_descent(value_and_grad_range, c0, opt.lr, opt.momentum, opt.steps)
@@ -678,17 +692,23 @@ def run_with_combiner(
     schedule,
     obs: ops.Observation,
     grid: dif.TimeGrid,
-    stream: RngStream,
+    stream: RngStream | RowStreams,
     combiner=None,
 ) -> np.ndarray:
     """Iterate Phi -> h -> (combiner) -> Psi down the grid from x ~ N(0, I).
 
     The start batch is drawn from stream with one row per row of obs.y, so
-    a (m,) observation gives a (d,) trajectory and (N, m) gives (N, d).
-    combiner(i, history, xhat) may replace the corrected estimate before the
-    noiser; history holds the combiner outputs of earlier steps (oldest
-    first). Returns the final estimate at t_1 (identical to x_{t_0} for the
-    DDIM-family noisers since alphabar_0 = 1).
+    a (m,) observation gives a (d,) trajectory, (B, m) gives (B, d) and
+    (N, 1, m) gives (N, 1, d). combiner(i, history, xhat) may replace the
+    corrected estimate before the noiser; history holds the combiner outputs
+    of earlier steps (oldest first). Returns the final estimate at t_1
+    (identical to x_{t_0} for the DDIM-family noisers since alphabar_0 = 1).
+
+    Determinism: every product and reduction runs over the last two axes
+    (a (B, m) batch is one matrix product), so an (N, 1, m) batch, drawn from
+    a `RowStreams` of one `RngStream` per row, gives row i bit for bit what
+    a one-row run with (m,) y[i, 0] and row i's stream gives. A (B, m)
+    batch, as training uses, does not have that property.
     """
     ts = grid.timesteps
     x = stream.standard_normal(obs.y.shape[:-1] + (prior.d,))

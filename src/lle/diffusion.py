@@ -140,25 +140,33 @@ class GaussianMixturePrior:
     # -- noised-mixture internals ----------------------------------------
 
     def _resp_and_whitened(self, schedule, x: np.ndarray, t: int):
-        """Responsibilities r (B,K), reciprocal eigenvalues w (K,d) of C_k, and
-        y_k = Q_k^T C_k^-1 (x - m_k) (K,B,d), the solves in each component's
-        eigenbasis (so C_k^-1 (x - m_k) = Q_k y_k)."""
+        """Responsibilities r (..., B, K), reciprocal eigenvalues w (K, d) of C_k,
+        and y_k = Q_k^T C_k^-1 (x - m_k) (..., K, B, d) for a batch x (..., B, d),
+        the solves in each component's eigenbasis (so C_k^-1 (x - m_k) = Q_k y_k).
+
+        The component axis goes in front of the row axis B, so every (B, d)
+        block of an (..., B, d) stack is laid out, multiplied and reduced as
+        the same block alone: an (N, 1, d) stack gives each row the bits of
+        its one-row call.
+        """
         ab = schedule.alphabar(t)
         ev = ab * self._lam + (1.0 - ab)
         w = 1.0 / ev
-        z = (x - math.sqrt(ab) * self.means[:, None, :]) @ self._eigvecs
+        z = (x[..., None, :, :] - math.sqrt(ab) * self.means[:, None, :]) @ self._eigvecs
         y = z * w[:, None, :]
         lognorm = np.log(self.weights) - 0.5 * (
             np.log(ev).sum(axis=1) + self.d * math.log(2.0 * math.pi)
         )
-        logp = lognorm - 0.5 * np.einsum("kbd,kbd->bk", z, y)
-        r = np.exp(logp - logp.max(axis=1, keepdims=True))
-        r /= r.sum(axis=1, keepdims=True)
+        logp = lognorm - 0.5 * np.einsum("...kbd,...kbd->...bk", z, y)
+        r = np.exp(logp - logp.max(axis=-1, keepdims=True))
+        r /= r.sum(axis=-1, keepdims=True)
         return r, y, w
 
     def _from_eigenbasis(self, c: np.ndarray) -> np.ndarray:
-        """sum_k Q_k c_k for eigenbasis coordinates c (K,B,d), as one (B,d) matmul."""
-        return c.transpose(1, 0, 2).reshape(c.shape[1], -1) @ self._eigvecs_rows
+        """sum_k Q_k c_k for eigenbasis coordinates c (..., K, B, d), as one
+        (..., B, K*d) @ (K*d, d) matmul."""
+        rows = c.swapaxes(-3, -2)
+        return rows.reshape(rows.shape[:-2] + (-1,)) @ self._eigvecs_rows
 
 
 def _as_batch(x: np.ndarray):
@@ -176,12 +184,12 @@ def whiten(prior, schedule, x, t: int):
 
 
 def gmm_score(prior, schedule, x, t: int, whitened=None) -> np.ndarray:
-    """Exact gradient of log q_t at x (batched over leading axis)."""
+    """Exact gradient of log q_t at x, batched over every leading axis."""
     xb, squeeze = _as_batch(x)
     if whitened is None:
         whitened = prior._resp_and_whitened(schedule, xb, t)
     r, y, _ = whitened
-    score = -prior._from_eigenbasis(r.T[:, :, None] * y)
+    score = -prior._from_eigenbasis(r.swapaxes(-1, -2)[..., None] * y)
     return score[0] if squeeze else score
 
 
@@ -202,18 +210,18 @@ def gmm_eps_jvp(prior, schedule, x, t: int, v, whitened=None) -> np.ndarray:
     """
     xb, squeeze = _as_batch(x)
     vb, _ = _as_batch(np.asarray(v, dtype=float))
-    if vb.shape[0] == 1 and xb.shape[0] > 1:
+    if vb.shape != xb.shape:
         vb = np.broadcast_to(vb, xb.shape)
     if whitened is None:
         whitened = prior._resp_and_whitened(schedule, xb, t)
     r, y, w = whitened
     # H = sum_k r_k (u_k u_k^T - C_k^-1) - s s^T with u_k = Q_k y_k, s = -sum_k r_k u_k;
     # with p_k = Q_k^T v: Hv = sum_k r_k Q_k (y_k (y_k.p_k + s.v) - w_k p_k)
-    p = vb @ prior._eigvecs
-    yp = np.einsum("kbd,kbd->kb", y, p)
-    sv = -np.einsum("bk,kb->b", r, yp)
-    coords = y * (yp + sv)[:, :, None] - w[:, None, :] * p
-    hv = prior._from_eigenbasis(r.T[:, :, None] * coords)
+    p = vb[..., None, :, :] @ prior._eigvecs
+    yp = np.einsum("...kbd,...kbd->...kb", y, p)
+    sv = -np.einsum("...bk,...kb->...b", r, yp)
+    coords = y * (yp + sv[..., None, :])[..., None] - w[:, None, :] * p
+    hv = prior._from_eigenbasis(r.swapaxes(-1, -2)[..., None] * coords)
     out = -schedule.sigma(t) * hv
     return out[0] if squeeze else out
 

@@ -28,7 +28,7 @@ from . import canonical as canon
 from . import diffusion as dif
 from . import operators as ops
 from .canonical import rule
-from .numerics import RngStream
+from .numerics import RngStream, RowStreams
 from .optim import Adam, ScheduleFreeAdamW
 
 
@@ -220,11 +220,17 @@ def stack_bases(bases, op=None, decoupled=False) -> np.ndarray:
     """The fit's basis at one timestep, built once: the (J, N, d) estimates,
     oldest first with xhat last; decoupled, the (2J, N, d) stack of their range
     projections followed by their null projections.
+
+    (N, 1, d) row batches stack to (J, N, 1, d); each row's J estimates are
+    projected as one (J, d) product, as a one-row run's (J, d) stack is.
     """
     stacked = np.asarray(bases, dtype=float)
     if not decoupled:
         return stacked
-    rng = ops.project(op, stacked, "range")
+    if stacked.ndim == 4:  # (J, N, 1, d) -> (1, N, J, d) and back
+        rng = np.swapaxes(ops.project(op, np.swapaxes(stacked, 0, 2), "range"), 0, 2)
+    else:
+        rng = ops.project(op, stacked, "range")
     return np.concatenate([rng, stacked - rng])
 
 
@@ -513,9 +519,14 @@ def infer(
     grid: dif.TimeGrid,
     coeffs: LLECoefficients,
     seed: int,
-    stream: RngStream | None = None,
+    stream: RngStream | RowStreams | None = None,
 ) -> np.ndarray:
-    """Fixed-coefficient inference; identity coefficients reproduce the base run."""
+    """Fixed-coefficient inference; identity coefficients reproduce the base run.
+
+    With (N, 1, m) rows of obs.y and a `RowStreams` stream, row i equals a
+    one-row inference on obs.y[i, 0] with row i's stream, bit for bit (see
+    `canonical.run_with_combiner`).
+    """
     if coeffs.S != grid.S:
         raise canon.ConfigurationError(
             f"coefficients trained for S={coeffs.S}, grid has S={grid.S}"

@@ -20,7 +20,7 @@ from . import diffusion as dif
 from . import extrapolation as lle
 from . import operators as ops
 from .canonical import ConfigBlock, rule
-from .numerics import MetricReport, RngStream, mse, psnr
+from .numerics import MetricReport, RngStream, RowStreams, mse, psnr
 
 SIGMA_FLOOR = 1e-6
 
@@ -336,20 +336,22 @@ def make_test_batch(config: ExperimentConfig):
 
 
 def run_experiment(config: ExperimentConfig, seed: int, coeffs=None):
-    """Reconstruct the held-out batch with the base algorithm or with coefficients."""
+    """Reconstruct the held-out batch with the base algorithm or with coefficients.
+
+    One driver call runs all n_test rows as an (N, 1, d) batch with
+    `RngStream(seed, 1000 + i)` for row i, so row i equals, bit for bit, a
+    one-row `canonical.run` (or `lle.infer`) on ys[i] with that stream.
+    """
     truths, ys, op = make_test_batch(config)
     grid = dif.make_time_grid(config.schedule, config.steps)
     if coeffs is None:
         coeffs = lle.LLECoefficients.identity(grid)
-    recons = np.empty_like(truths)
-    for i in range(config.n_test):
-        obs = ops.Observation(y=ys[i], op=op, sigma_y=config.sigma_y)
-        stream = RngStream(seed, stream_id=1000 + i)
-        recons[i] = lle.infer(
-            config.params, config.prior, config.schedule, obs, grid, coeffs, seed,
-            stream=stream,
-        )
-    return recons, truths
+    obs = ops.Observation(y=ys[:, None, :], op=op, sigma_y=config.sigma_y)
+    streams = RowStreams(RngStream(seed, stream_id=1000 + i) for i in range(config.n_test))
+    recons = lle.infer(
+        config.params, config.prior, config.schedule, obs, grid, coeffs, seed, stream=streams
+    )
+    return recons[:, 0], truths
 
 
 def train_lle(config: ExperimentConfig, steps: int | None = None, refs=None):

@@ -7,7 +7,8 @@ reproducible from (base_seed, stream_id) alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +25,26 @@ class DimensionError(ValueError):
     """Raised on mismatched vector lengths."""
 
 
+# per thread, from its first draw on: (generator, its bit generator, the
+# Philox state dict rewound before every draw); building a Philox costs several
+# draws, rewinding one a fraction of a draw, and NumPy loads numpy.random only
+# when the first one is built
+_THREAD = threading.local()
+
+
+def _new_philox() -> tuple:
+    gen = np.random.Generator(np.random.Philox(key=0))
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen, gen.bit_generator, state
+
+
 @dataclass
 class RngStream:
     """Counter-based random stream, splittable by (base_seed, stream_id).
@@ -37,42 +58,28 @@ class RngStream:
     base_seed: int
     stream_id: int = 0
     counter: int = 0
-    # one generator per stream and the Philox state dict it is rewound to
-    # before every draw; not part of the stream's identity, so equality and
-    # repr ignore them
-    _gen: np.random.Generator | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _state: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def child(self, stream_id: int) -> "RngStream":
         """Fresh stream sharing base_seed, with its own id and zero counter."""
         return RngStream(self.base_seed, stream_id, 0)
 
     def _generator(self) -> np.random.Generator:
-        """A generator that draws what ``Philox(key, counter << 66)`` would,
-        with key = base_seed + 2**64 * stream_id (each taken mod 2**64), for
-        one draw; the counter advances past it.
+        """The thread's generator, set to draw what ``Philox(key, counter << 66)``
+        would, with key = base_seed + 2**64 * stream_id (each taken mod 2**64),
+        for one draw; the counter advances past it.
 
-        The first draw builds the generator and its state dict; every draw
-        writes the key and counter words into that dict in place and sets
-        it (which also empties the output buffer), so a reassigned field
-        takes effect on the next draw.
+        Every draw writes the key and counter words into the thread's state
+        dict in place and sets it (which also empties the output buffer), so
+        a reassigned field takes effect on the next draw.
         """
         c = self.counter
         if not 0 <= c < _COUNTER_LIMIT:
             raise ValueError(f"counter must lie in [0, 2**190), got {c}")
-        if self._gen is None:
-            self._gen = np.random.Generator(np.random.Philox(key=0))
-            self._state = {
-                "bit_generator": "Philox",
-                "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
-                "buffer": [0, 0, 0, 0],
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        words = self._state["state"]
+        parts = getattr(_THREAD, "philox", None)
+        if parts is None:
+            parts = _THREAD.philox = _new_philox()
+        gen, bit_generator, state = parts
+        words = state["state"]
         key = words["key"]
         key[0] = self.base_seed & _MASK64
         key[1] = self.stream_id & _MASK64
@@ -81,9 +88,9 @@ class RngStream:
         ctr[1] = (c << 2) & _MASK64
         ctr[2] = (c >> 62) & _MASK64
         ctr[3] = c >> 126
-        self._gen.bit_generator.state = self._state
+        bit_generator.state = state
         self.counter = c + 1
-        return self._gen
+        return gen
 
     def standard_normal(self, shape) -> np.ndarray:
         """Draw i.i.d. N(0,1) deviates and advance the counter by one block."""
@@ -97,6 +104,28 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._generator().permutation(n)
+
+
+class RowStreams:
+    """One `RngStream` per row of a batch, drawn as one stream.
+
+    A draw of shape (N, ...) stacks each row's own draw of the trailing
+    shape, so row i of a batched run sees exactly the numbers its stream
+    gives a one-row run (a draw fills its shape in C order, so each row
+    draws the trailing size flat, which is quicker to parse).
+    """
+
+    def __init__(self, streams):
+        self.streams = list(streams)
+
+    def standard_normal(self, shape) -> np.ndarray:
+        if shape[0] != len(self.streams):
+            raise DimensionError(f"{len(self.streams)} row streams, draw of shape {shape}")
+        size = math.prod(shape[1:])
+        out = np.empty((shape[0], size))
+        for i, stream in enumerate(self.streams):
+            out[i] = stream.standard_normal(size)
+        return out.reshape(shape)
 
 
 def sample_standard_normal(stream: RngStream, n: int) -> np.ndarray:

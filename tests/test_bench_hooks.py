@@ -57,10 +57,10 @@ def test_tracer_counts_driver_layers(tmp_path):
     finally:
         tracer.uninstall()
     calls = tracer.end_pass()["calls"]
-    # two test samples plus one training batch, two steps each
-    assert calls.get("canonical.corrector.DDNM") == 6
-    assert calls.get("canonical.apply_noiser") == 6
-    assert calls.get("canonical.run_with_combiner") == 3
+    # one test batch (both samples) plus one training batch, two steps each
+    assert calls.get("canonical.corrector.DDNM") == 4
+    assert calls.get("canonical.apply_noiser") == 4
+    assert calls.get("canonical.run_with_combiner") == 2
     assert canon.CORRECTORS["DDNM"] is canon.corr_ddnm
 
 

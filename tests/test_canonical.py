@@ -653,6 +653,37 @@ def test_resample_large_step_still_diverges(schedule, small_prior, kind):
         canon.corr_resample(ctx, obs, params)
 
 
+@pytest.mark.parametrize("algo, kind", [("ReSample", "mask"), ("ReSample", "nonlinear"),
+                                        ("DiffPIR", "nonlinear")])
+def test_divergence_names_the_one_diverging_row(schedule, small_prior, algo, kind):
+    # Only row 1 can diverge at step size 50. Linear: rows 0 and 2 sit on the
+    # data, so their gradient is exactly 0 and they never move. Nonlinear:
+    # rows 0 and 2 start far off, and a tanh loss cannot grow ten-fold from
+    # there, while row 1 starts near the data.
+    op = _inner_loop_operator(kind)
+    x_t = RngStream(370, 1).standard_normal((3, 1, 6))
+    ctx = make_ctx(small_prior, schedule, x_t, 500, 250, stream=RngStream(370, 2))
+    x0 = ctx.x0_sampled
+    y = ops.nl_apply(op, x0) if kind == "nonlinear" else ops.apply(op, x0)
+    offset = [0.0, 0.5, 0.0] if kind == "mask" else [1.0, 0.01, 1.0]
+    y = y + np.reshape(offset, (3, 1, 1)) * RngStream(370, 3).standard_normal(y.shape)
+    obs = ops.Observation(y=y, op=op, sigma_y=0.05)
+    params = canon.default_params(algo)
+    params.inner_opt.lr = 50.0
+    with pytest.raises(canon.ConvergenceError,
+                       match=r"row\(s\) \[1\] at inner step \d+: .*inner_opt\.lr \(now 50\.0\)"):
+        canon.CORRECTORS[algo](ctx, obs, params)
+    # each row alone gets the same verdict
+    for i in range(3):
+        row_obs = ops.Observation(y=y[i, 0], op=op, sigma_y=0.05)
+        row_ctx = make_ctx(small_prior, schedule, x_t[i, 0], 500, 250, x0=x0[i, 0])
+        if i == 1:
+            with pytest.raises(canon.ConvergenceError, match=r"row\(s\) \[0\]"):
+                canon.CORRECTORS[algo](row_ctx, row_obs, params)
+        else:
+            assert np.all(np.isfinite(canon.CORRECTORS[algo](row_ctx, row_obs, params)))
+
+
 def test_resample_guard_counts_out_of_range_residual(schedule, small_prior):
     obs, ctx = _inner_loop_case(small_prior, schedule, "dense", 1, 0.05, 360)
     op, x0 = obs.op, ctx.x0_sampled

@@ -1,12 +1,14 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lle import canonical as canon
 from lle import diffusion as dif
 from lle import extrapolation as lle
 from lle import operators as ops
-from lle.numerics import RngStream
+from lle.numerics import RngStream, RowStreams
 
 from conftest import random_mixture
 
@@ -492,3 +494,79 @@ def test_learning_rate_rules(schedule):
     assert dyn == pytest.approx(0.2 * schedule.alphabar(750) / 4)
     with pytest.raises(ValueError):
         lle._learning_rate(lle.TrainConfig(lr_rule="cosine"), schedule, grid, 0)
+
+
+# ---------------------------------------------------------------------------
+# batched inference against the per-row loop
+# ---------------------------------------------------------------------------
+
+NONLINEAR_CAPABLE = ("DPS", "REDdiff", "DiffPIR", "ReSample", "DAPS")
+
+
+def _batch_operator(kind, d):
+    if kind == "mask":
+        return ops.mask_operator(d, [0, 2, 3])
+    if kind == "blur":
+        return ops.blur_operator(d, [0.25, 0.5, 0.25])
+    if kind == "dense":
+        return ops.dense_operator(RngStream(401).standard_normal((4, d)))
+    return ops.NonlinearOperator(kernel=np.array([0.25, 0.5, 0.25]), scale=1.5)
+
+
+def _random_coeffs(kind, grid, seed):
+    if kind == "identity":
+        return lle.LLECoefficients.identity(grid)
+    s = RngStream(seed, 9)
+
+    def near_identity(J):
+        return np.eye(J)[J - 1] + 0.2 * s.standard_normal(J)
+
+    gamma = [near_identity(J) for J in range(1, grid.S + 1)]
+    perp = [near_identity(J) for J in range(1, grid.S + 1)] if kind == "decoupled" else None
+    return lle.LLECoefficients(S=grid.S, decoupled=kind == "decoupled",
+                               timesteps=grid.timesteps[:grid.S], gamma=gamma, gamma_perp=perp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    algo=st.sampled_from(canon.ALGORITHMS),
+    n=st.sampled_from([1, 3, 7]),
+    op_kind=st.sampled_from(["mask", "blur", "dense", "nonlinear"]),
+    coeff_kind=st.sampled_from(["identity", "coupled", "decoupled"]),
+    sigma_y=st.sampled_from([0.0, 0.05]),
+    seed=st.integers(0, 2**20),
+)
+def test_batched_infer_equals_per_row_infer(schedule, algo, n, op_kind, coeff_kind,
+                                            sigma_y, seed):
+    # An (N, 1, m) batch with one stream per row reproduces each row's own
+    # one-row inference bit for bit, for every algorithm, operator and kind of
+    # coefficients (decoupled ones need a linear operator).
+    assume(op_kind != "nonlinear" or (algo in NONLINEAR_CAPABLE and coeff_kind != "decoupled"))
+    prior = random_mixture(402, 6, 2)
+    op = _batch_operator(op_kind, prior.d)
+    truths = prior.sample(RngStream(seed, 1), n)
+    ys = ops.observe(op, truths, sigma_y, RngStream(seed, 2))
+    grid = dif.make_time_grid(schedule, 3)
+    coeffs = _random_coeffs(coeff_kind, grid, seed)
+    params = canon.default_params(algo)
+    params.daps.n_langevin = 10
+    params.inner_opt.steps = 10
+
+    def infer(y, stream):
+        obs = ops.Observation(y=y, op=op, sigma_y=sigma_y)
+        try:
+            return lle.infer(params, prior, schedule, obs, grid, coeffs, seed, stream=stream)
+        except canon.ConvergenceError as exc:
+            return exc
+
+    rows = [infer(ys[i], RngStream(seed, 1000 + i)) for i in range(n)]
+    batch = infer(ys[:, None, :], RowStreams(RngStream(seed, 1000 + i) for i in range(n)))
+    failed = {i for i, row in enumerate(rows) if isinstance(row, Exception)}
+    if failed:  # the batch raises at the first failure, naming rows that fail alone
+        assert isinstance(batch, canon.ConvergenceError)
+        named = re.search(r"row\(s\) \[([\d, ]+)\]", str(batch)).group(1)
+        assert {int(i) for i in named.split(",")} <= failed
+        return
+    assert batch.shape == (n, 1, prior.d)
+    for i in range(n):
+        assert np.array_equal(batch[i, 0], rows[i]), (i, algo, op_kind, coeff_kind)

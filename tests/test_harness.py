@@ -318,6 +318,22 @@ def test_run_experiment_identity_matches_manual_infer(tmp_path):
     assert np.array_equal(truths, truths2)
 
 
+def test_run_experiment_is_one_driver_call(tmp_path, monkeypatch):
+    # all n_test rows go through one (N, 1, d) driver call, not a per-row loop
+    cfg = harness.load_config(write_config(tmp_path / "c.json"))
+    calls = []
+    orig = canon.run_with_combiner
+
+    def spy(params, prior, schedule, obs, grid, stream, combiner=None):
+        calls.append(obs.y.shape)
+        return orig(params, prior, schedule, obs, grid, stream, combiner)
+
+    monkeypatch.setattr(canon, "run_with_combiner", spy)
+    recons, _ = harness.run_experiment(cfg, seed=11)
+    assert calls == [(cfg.n_test, 1, cfg.op.m)]
+    assert recons.shape == (cfg.n_test, cfg.prior.d)
+
+
 def test_train_lle_runs(tmp_path):
     cfg = harness.load_config(write_config(tmp_path / "c.json"))
     coeffs, traces = harness.train_lle(cfg)

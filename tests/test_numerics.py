@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from lle.numerics import (
     DimensionError,
     FormatError,
     RngStream,
+    RowStreams,
     load_array,
     mse,
     psnr,
@@ -92,6 +95,36 @@ class TestRngStream:
         used.standard_normal(2)
         assert used == RngStream(6, stream_id=1, counter=1)
         assert repr(used) == "RngStream(base_seed=6, stream_id=1, counter=1)"
+
+    def test_interleaved_streams_and_threads_replay(self):
+        # every stream rewinds its thread's one generator before each draw, so
+        # interleaving streams, or drawing from other threads at the same
+        # time, changes nothing
+        alone = [np.stack([RngStream(4, i, c).standard_normal(9) for c in range(300)])
+                 for i in range(4)]
+        a, b = RngStream(4, 0), RngStream(4, 1)
+        mixed = [(a.standard_normal(9), b.standard_normal(9)) for _ in range(300)]
+        assert np.array_equal(np.stack([m[0] for m in mixed]), alone[0])
+        assert np.array_equal(np.stack([m[1] for m in mixed]), alone[1])
+        out = {}
+
+        def draw(i):
+            s = RngStream(4, i)
+            out[i] = np.stack([s.standard_normal(9) for _ in range(300)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(4):
+            assert np.array_equal(out[i], alone[i])
 
     @pytest.mark.parametrize("bad", [-1, 2**190, 2**256 + 3])
     def test_out_of_range_counter_raises_on_every_draw(self, bad):
@@ -190,3 +223,18 @@ class TestMetrics:
     def test_psnr_rejects_bad_peak(self):
         with pytest.raises(ValueError):
             psnr(np.zeros(2), np.ones(2), peak=0.0)
+
+
+class TestRowStreams:
+    def test_row_draws_are_each_streams_own(self):
+        streams = [RngStream(3, 1000 + i) for i in range(4)]
+        rows = RowStreams(RngStream(3, 1000 + i) for i in range(4))
+        for shape in [(4, 1, 5), (4, 6), (4, 2, 3)]:
+            got = rows.standard_normal(shape)
+            assert got.shape == shape
+            for i, s in enumerate(streams):
+                assert np.array_equal(got[i], s.standard_normal(shape[1:]))
+
+    def test_row_count_must_match(self):
+        with pytest.raises(DimensionError):
+            RowStreams([RngStream(1), RngStream(2)]).standard_normal((3, 1, 4))
