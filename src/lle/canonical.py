@@ -1,11 +1,17 @@
 """Canonical Sampler/Corrector/Noiser form of nine diffusion inverse solvers.
 
 One iteration from t_i to t_{i-1} is: denoise (sampler), enforce observation
-consistency (corrector), re-noise to the next level (noiser). The driver
-`run` iterates this down a time grid; `run_with_combiner` additionally lets
-a callback replace the corrected estimate before the noiser, which is how
-the learned extrapolation plugs in, for training and inference alike,
-without duplicating the data flow.
+consistency (corrector), re-noise to the next level (noiser). Each
+algorithm's whole canonical form is one `SOLVERS` entry: its sampler,
+corrector and noiser, its preset hyperparameters, whether it needs a linear
+operator and whether its corrector defines a noisy training target. Every
+noiser but DDRM's and DDNM's spectral one is the DDIM update
+sqrt(ab_prev) xhat + c2 eps + c1 z with its own (c1, c2, eps).
+
+The driver `run` iterates the three steps down a time grid;
+`run_with_combiner` additionally lets a callback replace the corrected
+estimate before the noiser, which is how the learned extrapolation plugs in,
+for training and inference alike, without duplicating the data flow.
 
 Every config block, the parameter dataclasses here included, is a
 `ConfigBlock` whose fields each carry one `rule`; construction checks them
@@ -19,6 +25,7 @@ import numbers
 import operator
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,18 +33,6 @@ from . import diffusion as dif
 from . import operators as ops
 from .numerics import RngStream, RowStreams
 from .optim import ScheduleFreeAdamW
-
-ALGORITHMS = (
-    "DDRM",
-    "DDNM",
-    "DPS",
-    "PiGDM",
-    "REDdiff",
-    "DiffPIR",
-    "DMPS",
-    "ReSample",
-    "DAPS",
-)
 
 
 class UnsupportedOperatorError(TypeError):
@@ -137,6 +132,14 @@ class DAPSParams(ConfigBlock):
     sigma_langevin: float | None = rule(None, minimum=0.0, optional=True)  # None: max(sigma_y, .02)
     noiseless_linear: bool = rule(False)
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.sigma_langevin == 0.0 and not self.noiseless_linear:
+            raise ConfigurationError(
+                f"{self._path('sigma_langevin')} must be > 0 unless"
+                f" {self._path('noiseless_linear')} is true"
+            )
+
 
 @dataclass
 class InnerOptParams(ConfigBlock):
@@ -144,39 +147,6 @@ class InnerOptParams(ConfigBlock):
     lr: float = rule(0.01, minimum=0.0)
     momentum: float = rule(0.9, minimum=0.0, below=1.0)
     steps: int = rule(50, minimum=0)
-
-
-@dataclass
-class AlgoParams(ConfigBlock):
-    """Algorithm tag plus the hyperparameters it consults (others ignored)."""
-
-    block = "algorithm"
-    algorithm: str = rule(choices=ALGORITHMS, key="name")
-    eta: float = rule(0.85, minimum=0.0, maximum=1.0)
-    eta_b: float = rule(1.0, minimum=0.0, maximum=1.0)  # DDRM
-    zeta: float = rule(1.0, minimum=0.0)  # DPS
-    xi: float = rule(1.0, minimum=0.0)  # RED-diff learning rate
-    lam: float = rule(1.0, minimum=0.0)  # RED-diff / DiffPIR / DMPS weight
-    gamma_rs: float = rule(100.0, minimum=0.0)  # ReSample
-    exact_hc: bool = rule(False)  # ReSample closed-form shortcut (linear ops only)
-    daps: DAPSParams = field(default_factory=DAPSParams)
-    inner_opt: InnerOptParams = field(default_factory=InnerOptParams)
-
-
-def default_params(algorithm: str) -> AlgoParams:
-    """Per-algorithm defaults mirroring the standard tuned settings."""
-    presets = {
-        "DDRM": dict(eta=0.85, eta_b=1.0),
-        "DDNM": dict(eta=0.85),
-        "DPS": dict(eta=1.0, zeta=1.0),
-        "PiGDM": dict(eta=1.0),
-        "REDdiff": dict(xi=1.0, lam=0.5),
-        "DiffPIR": dict(eta=1.0, lam=7.0, inner_opt=InnerOptParams(lr=0.1, momentum=0.9, steps=50)),
-        "DMPS": dict(eta=0.85, lam=1.0),
-        "ReSample": dict(eta=1.0, gamma_rs=100.0, inner_opt=InnerOptParams(lr=0.01, momentum=0.9, steps=50)),
-        "DAPS": dict(eta=0.0),
-    }
-    return AlgoParams(algorithm=algorithm, **presets[algorithm])
 
 
 @dataclass
@@ -221,28 +191,20 @@ class StepContext:
 # ---------------------------------------------------------------------------
 
 
-def sample_phi(params: AlgoParams, prior, schedule, ctx: StepContext) -> np.ndarray:
-    """Denoised estimate x_{0,t_i}; single-step DDIM for all but DAPS."""
-    if params.algorithm == "DAPS":
-        x0 = dif.ddim_run(
-            prior, schedule, ctx.x_t, ctx.t_i, params.daps.k_ddim, eta=0.0
-        )
-    else:
-        ab = schedule.alphabar(ctx.t_i)
-        x0 = (ctx.x_t - schedule.sigma(ctx.t_i) * ctx.eps_cached) / math.sqrt(ab)
-    ctx.x0_sampled = x0
-    return x0
+def sampler_tweedie(params: AlgoParams, prior, schedule, ctx: StepContext) -> np.ndarray:
+    """Single-step DDIM (Tweedie) estimate from the step's shared eps."""
+    ab = schedule.alphabar(ctx.t_i)
+    return (ctx.x_t - schedule.sigma(ctx.t_i) * ctx.eps_cached) / math.sqrt(ab)
+
+
+def sampler_ddim_chain(params: AlgoParams, prior, schedule, ctx: StepContext) -> np.ndarray:
+    """Deterministic k_ddim-step DDIM chain from (x_t, t_i) down to 0 (DAPS)."""
+    return dif.ddim_run(prior, schedule, ctx.x_t, ctx.t_i, params.daps.k_ddim, eta=0.0)
 
 
 # ---------------------------------------------------------------------------
 # Correctors
 # ---------------------------------------------------------------------------
-
-
-def _require_linear(obs: ops.Observation, who: str) -> ops.LinearOperator:
-    if not obs.is_linear:
-        raise UnsupportedOperatorError(f"{who} requires a linear operator")
-    return obs.op
 
 
 def _residual_grad_x0(obs: ops.Observation, x0: np.ndarray) -> np.ndarray:
@@ -263,7 +225,7 @@ def _noisy_branch(ctx: StepContext, obs: ops.Observation) -> np.ndarray:
 
 def corr_ddnm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
     """Null-space-preserving projection with noise-aware spectral scaling."""
-    op = _require_linear(obs, "DDNM corrector")
+    op = obs.op
     x0 = ctx.x0_sampled
     ab_prev = ctx.schedule.alphabar(ctx.t_prev)
     sig_prev = ctx.schedule.sigma(ctx.t_prev)
@@ -283,7 +245,7 @@ def corr_ddnm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
 
 def corr_ddrm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
     """Element-wise spectral correction; boundary ties go to the blend branch."""
-    op = _require_linear(obs, "DDRM corrector")
+    op = obs.op
     x0 = ctx.x0_sampled
     ab_prev = ctx.schedule.alphabar(ctx.t_prev)
     sig_prev = ctx.schedule.sigma(ctx.t_prev)
@@ -318,7 +280,7 @@ def corr_dps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.n
 
 def corr_pigdm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
     """Pseudoinverse-guided correction with diagonal solve in the U-basis."""
-    op = _require_linear(obs, "PiGDM corrector")
+    op = obs.op
     x0 = ctx.x0_sampled
     r2 = 1.0 - ctx.schedule.alphabar(ctx.t_i)
     if obs.sigma_y == 0.0 and r2 == 0.0:
@@ -352,33 +314,43 @@ def _row_dot(a: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
 
 
+def _divergence_limit(loss0, loss_zero):
+    """Per-row limit of an inner loss: ten times its start, and at least the
+    zero estimate's loss (||y||^2 plus any proximal term at 0). That floor
+    scales with the row's data, so a row that starts on its data is not
+    flagged when Adam's normalized steps scale up the rounding near it."""
+    return np.maximum(10.0 * np.maximum(loss0, 1e-30), loss_zero)
+
+
 def _guard(loss, limit, step: int, lr: float, who: str) -> None:
     """Raise ConvergenceError naming every row whose inner loss is non-finite
-    or above its limit (ten times its starting loss) at this inner step."""
+    or above its `_divergence_limit` at this inner step."""
     bad = ~np.isfinite(loss) | (loss > limit)
     if np.any(bad):
         rows = np.flatnonzero(bad).tolist()
         raise ConvergenceError(
             f"{who} diverged in row(s) {rows} at inner step {step}: the loss is non-finite"
-            f" or above ten times its start; lower algorithm.inner_opt.lr (now {lr})"
+            f" or above ten times its start and the zero estimate's loss;"
+            f" lower algorithm.inner_opt.lr (now {lr})"
         )
 
 
-def _momentum_descent(value_and_grad, x_init, lr, momentum, steps):
+def _momentum_descent(value_and_grad, x_init, opt: InnerOptParams, loss_zero):
     """Plain SGD with momentum and a per-row divergence guard (`_guard`).
 
     value_and_grad(x) -> (loss per row, gradient), both from one residual at
-    x; the loss has x's shape without its last axis.
+    x; the loss has x's shape without its last axis. loss_zero is the loss of
+    the zero estimate (see `_divergence_limit`).
     """
     x = np.array(x_init, copy=True)
     vel = np.zeros_like(x)
     loss0, grad = value_and_grad(x)
-    limit = 10.0 * np.maximum(loss0, 1e-30)
-    for step in range(1, steps + 1):
-        vel = momentum * vel - lr * grad
+    limit = _divergence_limit(loss0, loss_zero)
+    for step in range(1, opt.steps + 1):
+        vel = opt.momentum * vel - opt.lr * grad
         x = x + vel
         cur, grad = value_and_grad(x)
-        _guard(cur, limit, step, lr, "inner optimizer")
+        _guard(cur, limit, step, opt.lr, "inner optimizer")
     return x
 
 
@@ -407,7 +379,7 @@ def corr_diffpir(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> 
 
     lr = params.inner_opt.lr
     opt = ScheduleFreeAdamW(np.array(x0, copy=True), lr=lr)
-    limit = 10.0 * np.maximum(loss(x0), 1e-30)
+    limit = _divergence_limit(loss(x0), _row_dot(obs.y) + rho * _row_dot(x0))
     for step in range(1, params.inner_opt.steps + 1):
         opt.step(grad(opt.eval_point()))
         _guard(loss(opt.params()), limit, step, lr, "DiffPIR inner optimizer")
@@ -416,7 +388,7 @@ def corr_diffpir(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> 
 
 def corr_dmps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
     """Noise-perturbed-likelihood score step in the SVD basis."""
-    op = _require_linear(obs, "DMPS corrector")
+    op = obs.op
     x0 = ctx.x0_sampled
     ab_i = ctx.schedule.alphabar(ctx.t_i)
     ab_prev = ctx.schedule.alphabar(ctx.t_prev)
@@ -454,7 +426,7 @@ def corr_resample(ctx: StepContext, obs: ops.Observation, params: AlgoParams) ->
             r = fx - obs.y
             return np.sum(r * r, axis=-1), 2.0 * ops.nl_vjp(nlop, x, r, fx=fx)
 
-        return _momentum_descent(value_and_grad, x0, opt.lr, opt.momentum, opt.steps)
+        return _momentum_descent(value_and_grad, x0, opt, _row_dot(obs.y))
     op = obs.op
     ybar = obs.y @ op.U
     out_of_range = obs.y - ybar @ op.U.T
@@ -466,7 +438,7 @@ def corr_resample(ctx: StepContext, obs: ops.Observation, params: AlgoParams) ->
         return _row_dot(r) + loss_perp, two_s * r
 
     c0 = x0 @ op.V
-    c = _momentum_descent(value_and_grad_range, c0, opt.lr, opt.momentum, opt.steps)
+    c = _momentum_descent(value_and_grad_range, c0, opt, _row_dot(obs.y))
     return x0 + (c - c0) @ op.V.T
 
 
@@ -491,15 +463,12 @@ def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
     sigma = daps.sigma_langevin
     if sigma is None:
         sigma = max(obs.sigma_y, 0.02)
-    if sigma == 0.0 and not daps.noiseless_linear:
-        raise ConfigurationError(
-            "DAPS Langevin needs sigma > 0 unless the noiseless-linear variant is on"
-        )
     eta_t = daps_step_size(daps, ctx.t_i, ctx.schedule.T)
     r2 = 1.0 - ctx.schedule.alphabar(ctx.t_i)
     if obs.is_linear or daps.noiseless_linear:
-        # raises only for the noiseless variant on a nonlinear operator
-        op = _require_linear(obs, "DAPS noiseless-linear variant")
+        if not obs.is_linear:
+            raise UnsupportedOperatorError("DAPS noiseless_linear requires a linear operator")
+        op = obs.op
         # the noiseless data term is (1/(2 eta_t)) ||A x - y||^2, so eta_t w = 1
         eta_w = 1.0 if daps.noiseless_linear else eta_t / sigma**2
         M = (1.0 - eta_t / r2) * np.eye(op.n) - (op.V * (eta_w * op.s**2)) @ op.V.T
@@ -522,62 +491,69 @@ def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
     return x
 
 
-CORRECTORS = {
-    "DDRM": corr_ddrm,
-    "DDNM": corr_ddnm,
-    "DPS": corr_dps,
-    "PiGDM": corr_pigdm,
-    "REDdiff": corr_reddiff,
-    "DiffPIR": corr_diffpir,
-    "DMPS": corr_dmps,
-    "ReSample": corr_resample,
-    "DAPS": corr_daps,
-}
-
-
 # ---------------------------------------------------------------------------
-# Noisers
+# Noisers: every one takes (xhat, ctx, obs, params)
 # ---------------------------------------------------------------------------
 
 
-def _ddim_noise(xhat: np.ndarray, ctx: StepContext, c1: float, c2: float) -> np.ndarray:
-    """sqrt(ab_prev) xhat + c1 eps_noise + c2 eps_theta(x_t, t_i)."""
+def _ddim_noise(xhat: np.ndarray, ctx: StepContext, c1: float, c2: float, eps=None) -> np.ndarray:
+    """The DDIM update sqrt(ab_prev) xhat + c2 eps + c1 z, z fresh noise; eps
+    defaults to eps_theta(x_t, t_i)."""
     out = math.sqrt(ctx.schedule.alphabar(ctx.t_prev)) * xhat
     if c2 != 0.0:
-        out = out + c2 * ctx.eps_cached
+        out = out + c2 * (ctx.eps_cached if eps is None else eps)
     if c1 != 0.0:
         out = out + c1 * ctx.stream.standard_normal(xhat.shape)
     return out
 
 
-def noiser_ddim(xhat: np.ndarray, ctx: StepContext, eta: float) -> np.ndarray:
-    """DDIM noiser with the schedule's (c1, c2) for this eta."""
-    return _ddim_noise(xhat, ctx, *dif.ddim_coeffs(ctx.schedule, ctx.t_i, ctx.t_prev, eta))
+def noiser_ddim(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
+    """DDIM noiser with the schedule's (c1, c2) for params.eta."""
+    return _ddim_noise(xhat, ctx, *dif.ddim_coeffs(ctx.schedule, ctx.t_i, ctx.t_prev, params.eta))
 
 
-def noiser_dmps(xhat: np.ndarray, ctx: StepContext, eta: float) -> np.ndarray:
-    """DMPS DDIM variant: c1 = eta*sigma_prev, c2 = sqrt(1-eta^2)*sigma_prev."""
+def noiser_dmps(xhat, ctx: StepContext, obs, params: AlgoParams, eta=None) -> np.ndarray:
+    """DMPS split: c1 = eta sigma_prev, c2 = sqrt(1 - eta^2) sigma_prev (eta: params.eta)."""
+    eta = params.eta if eta is None else eta
     sig_prev = ctx.schedule.sigma(ctx.t_prev)
     return _ddim_noise(xhat, ctx, eta * sig_prev, math.sqrt(1.0 - eta * eta) * sig_prev)
 
 
-def noiser_direct(xhat: np.ndarray, ctx: StepContext) -> np.ndarray:
-    """sqrt(ab_prev) xhat + sqrt(1 - ab_prev) eps."""
-    ab_prev = ctx.schedule.alphabar(ctx.t_prev)
+def noiser_direct(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
+    """sqrt(ab_prev) xhat + sigma_prev z: the DMPS split at eta = 1."""
+    return noiser_dmps(xhat, ctx, obs, params, eta=1.0)
+
+
+def noiser_diffpir(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
+    """DDIM update with the effective eps = x_t - sqrt(ab_i) xhat recomputed
+    from xhat: c1 = eta sigma_prev, c2 = sqrt(1 - eta^2) sigma_prev / sigma_i."""
+    eta = params.eta
     sig_prev = ctx.schedule.sigma(ctx.t_prev)
-    out = math.sqrt(ab_prev) * xhat
-    if sig_prev != 0.0:
-        out = out + sig_prev * ctx.stream.standard_normal(xhat.shape)
-    return out
+    c2 = math.sqrt(1.0 - eta * eta) * (sig_prev / ctx.schedule.sigma(ctx.t_i))
+    eps = ctx.x_t - math.sqrt(ctx.schedule.alphabar(ctx.t_i)) * xhat
+    return _ddim_noise(xhat, ctx, eta * sig_prev, c2, eps)
 
 
-def _spectral_noiser(
-    xhat: np.ndarray,
-    ctx: StepContext,
-    obs: ops.Observation,
-    params: AlgoParams,
-    rad: np.ndarray,
-) -> np.ndarray:
+def noiser_resample(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
+    """Stochastic encode of the sampler output (the DDIM noiser), then
+    posterior blend toward xhat."""
+    ab_prev = ctx.schedule.alphabar(ctx.t_prev)
+    ab_i = ctx.schedule.alphabar(ctx.t_i)
+    x_prime = noiser_ddim(ctx.x0_sampled, ctx, obs, params)
+    # sigma_rs^2 = gamma * sig_prev2 * (1 - ab_i/ab_prev) / ab_i; factoring out
+    # sig_prev2 = 1 - ab_prev keeps the t_prev = 0 endpoint well-defined.
+    g = params.gamma_rs * (1.0 - ab_i / ab_prev) / ab_i
+    if g == 0.0:
+        return x_prime
+    w_hat = g / (g + 1.0)
+    blend = w_hat * math.sqrt(ab_prev) * xhat + (1.0 - w_hat) * x_prime
+    std = math.sqrt((1.0 - ab_prev) * w_hat)
+    if std != 0.0:
+        blend = blend + std * ctx.stream.standard_normal(xhat.shape)
+    return blend
+
+
+def _spectral_noiser(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams, rad):
     """Shared three-branch coordinatewise noiser of DDRM/DDNM in the V-basis.
 
     rad is the per-coordinate range variance outside the noisy branch.
@@ -612,73 +588,96 @@ def _spectral_noiser(
 
 
 def noiser_ddrm(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
-    op = _require_linear(obs, "DDRM noiser")
     ab_prev = ctx.schedule.alphabar(ctx.t_prev)
-    rad = 1.0 - ab_prev - ab_prev * obs.sigma_y**2 * params.eta_b**2 / op.s**2
+    rad = 1.0 - ab_prev - ab_prev * obs.sigma_y**2 * params.eta_b**2 / obs.op.s**2
     return _spectral_noiser(xhat, ctx, obs, params, rad)
 
 
 def noiser_ddnm(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
-    op = _require_linear(obs, "DDNM noiser")
     ab_prev = ctx.schedule.alphabar(ctx.t_prev)
-    rad = ctx.schedule.sigma(ctx.t_prev) ** 2 - obs.sigma_y**2 * ab_prev / op.s**2
+    rad = ctx.schedule.sigma(ctx.t_prev) ** 2 - obs.sigma_y**2 * ab_prev / obs.op.s**2
     return _spectral_noiser(xhat, ctx, obs, params, rad)
 
 
-def noiser_diffpir(xhat: np.ndarray, ctx: StepContext, eta: float) -> np.ndarray:
-    """DDIM-style noiser with the effective eps recomputed from xhat."""
-    ab_prev = ctx.schedule.alphabar(ctx.t_prev)
-    ab_i = ctx.schedule.alphabar(ctx.t_i)
-    sig_prev = ctx.schedule.sigma(ctx.t_prev)
-    sig_i = ctx.schedule.sigma(ctx.t_i)
-    out = math.sqrt(ab_prev) * xhat
-    out = out + math.sqrt(1.0 - eta * eta) * (sig_prev / sig_i) * (
-        ctx.x_t - math.sqrt(ab_i) * xhat
-    )
-    if eta != 0.0 and sig_prev != 0.0:
-        out = out + eta * sig_prev * ctx.stream.standard_normal(xhat.shape)
-    return out
+# ---------------------------------------------------------------------------
+# The solver table
+# ---------------------------------------------------------------------------
 
 
-def noiser_resample(xhat: np.ndarray, ctx: StepContext, params: AlgoParams) -> np.ndarray:
-    """Stochastic encode of the sampler output, then posterior blend toward xhat."""
-    ab_prev = ctx.schedule.alphabar(ctx.t_prev)
-    ab_i = ctx.schedule.alphabar(ctx.t_i)
-    sig_prev2 = 1.0 - ab_prev
-    c1, c2 = dif.ddim_coeffs(ctx.schedule, ctx.t_i, ctx.t_prev, params.eta)
-    x_prime = math.sqrt(ab_prev) * ctx.x0_sampled + c2 * ctx.eps_cached
-    if c1 != 0.0:
-        x_prime = x_prime + c1 * ctx.stream.standard_normal(xhat.shape)
-    # sigma_rs^2 = gamma * sig_prev2 * (1 - ab_i/ab_prev) / ab_i; factoring out
-    # sig_prev2 keeps the t_prev = 0 endpoint well-defined.
-    g = params.gamma_rs * (1.0 - ab_i / ab_prev) / ab_i
-    if g == 0.0:
-        return x_prime
-    w_hat = g / (g + 1.0)
-    blend = w_hat * math.sqrt(ab_prev) * xhat + (1.0 - w_hat) * x_prime
-    std = math.sqrt(sig_prev2 * w_hat)
-    if std != 0.0:
-        blend = blend + std * ctx.stream.standard_normal(xhat.shape)
-    return blend
+class Solver(NamedTuple):
+    """One algorithm's canonical form: x0 = sampler(params, prior, schedule,
+    ctx), xhat = corrector(ctx, obs, params), x_{t_prev} = noiser(xhat, ctx,
+    obs, params). preset holds the config keys its defaults set; linear: it
+    needs a linear operator (checked once per driver call, before any draw);
+    noisy_gt: its corrector defines the noisy training target (lle.noisy_gt)."""
+
+    sampler: Callable
+    corrector: Callable
+    noiser: Callable
+    preset: dict
+    linear: bool = False
+    noisy_gt: bool = False
 
 
-NOISERS = {
-    "DDRM": noiser_ddrm,
-    "DDNM": noiser_ddnm,
-    "DPS": lambda xhat, ctx, obs, params: noiser_ddim(xhat, ctx, params.eta),
-    "PiGDM": lambda xhat, ctx, obs, params: noiser_ddim(xhat, ctx, params.eta),
-    "REDdiff": lambda xhat, ctx, obs, params: noiser_direct(xhat, ctx),
-    "DiffPIR": lambda xhat, ctx, obs, params: noiser_diffpir(xhat, ctx, params.eta),
-    "DMPS": lambda xhat, ctx, obs, params: noiser_dmps(xhat, ctx, params.eta),
-    "ReSample": lambda xhat, ctx, obs, params: noiser_resample(xhat, ctx, params),
-    "DAPS": lambda xhat, ctx, obs, params: noiser_direct(xhat, ctx),
+SOLVERS = {
+    "DDRM": Solver(sampler_tweedie, corr_ddrm, noiser_ddrm, {"eta": 0.85, "eta_b": 1.0},
+                   linear=True, noisy_gt=True),
+    "DDNM": Solver(sampler_tweedie, corr_ddnm, noiser_ddnm, {"eta": 0.85},
+                   linear=True, noisy_gt=True),
+    "DPS": Solver(sampler_tweedie, corr_dps, noiser_ddim, {"eta": 1.0, "zeta": 1.0}),
+    "PiGDM": Solver(sampler_tweedie, corr_pigdm, noiser_ddim, {"eta": 1.0}, linear=True),
+    "REDdiff": Solver(sampler_tweedie, corr_reddiff, noiser_direct, {"xi": 1.0, "lam": 0.5}),
+    "DiffPIR": Solver(sampler_tweedie, corr_diffpir, noiser_diffpir,
+                      {"eta": 1.0, "lam": 7.0,
+                       "inner_opt": {"lr": 0.1, "momentum": 0.9, "steps": 50}}),
+    "DMPS": Solver(sampler_tweedie, corr_dmps, noiser_dmps, {"eta": 0.85, "lam": 1.0},
+                   linear=True),
+    "ReSample": Solver(sampler_tweedie, corr_resample, noiser_resample,
+                       {"eta": 1.0, "gamma_rs": 100.0,
+                        "inner_opt": {"lr": 0.01, "momentum": 0.9, "steps": 50}}),
+    "DAPS": Solver(sampler_ddim_chain, corr_daps, noiser_direct, {"eta": 0.0}),
 }
+ALGORITHMS = tuple(SOLVERS)
+# the driver dispatches correctors through this view of SOLVERS, so that a
+# profiler can wrap one algorithm's corrector by replacing its entry
+CORRECTORS = {name: solver.corrector for name, solver in SOLVERS.items()}
+
+
+@dataclass
+class AlgoParams(ConfigBlock):
+    """Algorithm tag plus every solver's hyperparameters; each solver reads
+    the ones its comment names, and `default_params` sets its preset."""
+
+    block = "algorithm"
+    algorithm: str = rule(choices=ALGORITHMS, key="name")
+    eta: float = rule(0.85, minimum=0.0, maximum=1.0)  # the noisers' stochasticity
+    eta_b: float = rule(1.0, minimum=0.0, maximum=1.0)  # DDRM
+    zeta: float = rule(1.0, minimum=0.0)  # DPS
+    xi: float = rule(1.0, minimum=0.0)  # RED-diff learning rate
+    lam: float = rule(1.0, minimum=0.0)  # RED-diff / DiffPIR / DMPS weight
+    gamma_rs: float = rule(100.0, minimum=0.0)  # ReSample
+    exact_hc: bool = rule(False)  # ReSample closed-form shortcut (linear ops only)
+    daps: DAPSParams = field(default_factory=DAPSParams)
+    inner_opt: InnerOptParams = field(default_factory=InnerOptParams)  # DiffPIR, ReSample
+
+
+def default_params(algorithm: str) -> AlgoParams:
+    """The algorithm's preset, mirroring the standard tuned settings; a fresh
+    object on every call."""
+    return AlgoParams.from_dict({"name": algorithm, **SOLVERS[algorithm].preset})
+
+
+def sample_phi(params: AlgoParams, prior, schedule, ctx: StepContext) -> np.ndarray:
+    """Denoised estimate x_{0,t_i} by the algorithm's sampler, kept on ctx."""
+    ctx.x0_sampled = SOLVERS[params.algorithm].sampler(params, prior, schedule, ctx)
+    return ctx.x0_sampled
 
 
 def apply_noiser(
     params: AlgoParams, ctx: StepContext, obs: ops.Observation, xhat: np.ndarray
 ) -> np.ndarray:
-    return NOISERS[params.algorithm](xhat, ctx, obs, params)
+    """x_{t_prev} from the (combined) estimate by the algorithm's noiser."""
+    return SOLVERS[params.algorithm].noiser(xhat, ctx, obs, params)
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +702,8 @@ def run_with_combiner(
     corrected estimate before the noiser; history holds the combiner outputs
     of earlier steps (oldest first). Returns the final estimate at t_1
     (identical to x_{t_0} for the DDIM-family noisers since alphabar_0 = 1).
+    A solver that needs a linear operator raises UnsupportedOperatorError on
+    a nonlinear one here, before the first draw.
 
     Determinism: every product and reduction runs over the last two axes
     (a (B, m) batch is one matrix product), so an (N, 1, m) batch, drawn from
@@ -710,6 +711,8 @@ def run_with_combiner(
     a one-row run with (m,) y[i, 0] and row i's stream gives. A (B, m)
     batch, as training uses, does not have that property.
     """
+    if SOLVERS[params.algorithm].linear and not obs.is_linear:
+        raise UnsupportedOperatorError(f"{params.algorithm} requires a linear operator")
     ts = grid.timesteps
     x = stream.standard_normal(obs.y.shape[:-1] + (prior.d,))
     history: list[np.ndarray] = []

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import functools
 import sys
 
 import numpy as np
@@ -84,6 +85,7 @@ def _cmd_sweep(args):
     print(f"wrote sweep results for S in {steps} to {args.out}")
 
 
+@functools.cache  # built once per process: each parser holds reference cycles
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lle", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -287,7 +287,7 @@ class TrainConfig(canon.ConfigBlock):
     # constant 0.04/S | dynamic 0.2*ab_{t_{i+1}}/S
     lr_rule: str = rule("constant", choices=("constant", "dynamic"))
     init_mode: str = rule("adaptive-linear", choices=("adaptive-linear", "soft-nonlinear"))
-    noisy_gt: bool = rule(False)  # NOISY_GT_ALGORITHMS only; `load_config` rejects others
+    noisy_gt: bool = rule(False)  # a noisy_gt solver only (canonical.SOLVERS), checked at load
     decoupled: bool = rule(False)  # linear operators only; `load_config` rejects "nonlinear"
     closed_form: bool = rule(False)  # fast path, requires omega = 0
     optimizer: str = rule("schedule-free", choices=("schedule-free", "adam"))
@@ -309,9 +309,6 @@ class TrainConfig(canon.ConfigBlock):
         return 0.1 if self.plugin != "none" else 0.0
 
 
-NOISY_GT_ALGORITHMS = ("DDRM", "DDNM")  # whose corrector defines a noisy target
-
-
 def make_ground_truth(
     params: canon.AlgoParams,
     prior,
@@ -325,9 +322,9 @@ def make_ground_truth(
     """Training target at t_i: x0, or the algorithm's own corrector applied to x0."""
     if not noisy_gt:
         return np.array(x0, copy=True)
-    if params.algorithm not in NOISY_GT_ALGORITHMS:
+    if not canon.SOLVERS[params.algorithm].noisy_gt:
         raise canon.ConfigurationError(
-            f"noisy ground truth is defined only for {' and '.join(NOISY_GT_ALGORITHMS)}"
+            f"noisy ground truth is not defined for {params.algorithm}"
         )
     ctx = canon.StepContext(
         x_t=x0,

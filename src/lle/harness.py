@@ -148,9 +148,6 @@ class ExperimentConfig:
     n_test: int
     peak: float
 
-    def operator(self):
-        return self.op
-
 
 def random_prior(dim: int, components: int, seed: int) -> dif.GaussianMixturePrior:
     """Seeded random mixture: spread means, random SPD covariances."""
@@ -204,8 +201,8 @@ def load_config(path) -> ExperimentConfig:
     if top.lle not in (None, "none"):
         base = lle.TrainConfig(base_seed=top.seeds.train)
         train_config = lle.TrainConfig.from_dict(top.lle, base)
-        if train_config.noisy_gt and params.algorithm not in lle.NOISY_GT_ALGORITHMS:
-            allowed = " and ".join(lle.NOISY_GT_ALGORITHMS)
+        if train_config.noisy_gt and not canon.SOLVERS[params.algorithm].noisy_gt:
+            allowed = " and ".join(n for n, s in canon.SOLVERS.items() if s.noisy_gt)
             raise ConfigError(f"lle.noisy_gt needs {allowed}, not {params.algorithm}")
         if train_config.decoupled and not isinstance(op, ops.LinearOperator):
             raise ConfigError("lle.decoupled needs a linear operator, not 'nonlinear'")
@@ -329,7 +326,7 @@ def make_test_batch(config: ExperimentConfig):
     """Held-out truth/observation pairs from the test seed (fresh prior draws)."""
     stream = RngStream(config.test_seed, stream_id=21)
     truths = config.prior.sample(stream, config.n_test)
-    op = config.operator()
+    op = config.op
     noise_stream = RngStream(config.test_seed, stream_id=22)
     ys = ops.observe(op, truths, config.sigma_y, noise_stream)
     return truths, ys, op
@@ -362,7 +359,7 @@ def train_lle(config: ExperimentConfig, steps: int | None = None, refs=None):
     if config.train_config is None:
         raise ConfigError("configuration has no LLE training block")
     grid = dif.make_time_grid(config.schedule, steps or config.steps)
-    op = config.operator()
+    op = config.op
 
     def obs_builder(x0_batch, stream):
         y = ops.observe(op, x0_batch, config.sigma_y, stream)

@@ -128,13 +128,6 @@ class RowStreams:
         return out.reshape(shape)
 
 
-def sample_standard_normal(stream: RngStream, n: int) -> np.ndarray:
-    """n i.i.d. standard-normal deviates from the stream."""
-    if n == 0:
-        return np.empty(0)
-    return stream.standard_normal(n)
-
-
 def save_array(path, rows: int, cols: int, data: np.ndarray) -> None:
     """Write a rows x cols float64 matrix in the LLEF64 container.
 

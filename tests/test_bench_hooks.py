@@ -34,7 +34,7 @@ def test_tracer_targets_exist():
         cls = getattr(importlib.import_module(f"lle.{mod_name}"), cls_name)
         for name in names:
             assert name in vars(cls), f"lle.{mod_name}.{cls_name}.{name}"
-    assert set(canon.CORRECTORS) == set(canon.NOISERS) == set(canon.ALGORITHMS)
+    assert set(canon.CORRECTORS) == set(canon.SOLVERS) == set(canon.ALGORITHMS)
 
 
 def test_tracer_counts_driver_layers(tmp_path):

@@ -31,6 +31,12 @@ def clone(stream: RngStream) -> RngStream:
     return RngStream(stream.base_seed, stream.stream_id, stream.counter)
 
 
+def with_eta(name: str, eta: float) -> canon.AlgoParams:
+    params = canon.default_params(name)
+    params.eta = eta
+    return params
+
+
 # ---------------------------------------------------------------------------
 # parameters and sampler
 # ---------------------------------------------------------------------------
@@ -43,6 +49,16 @@ def test_params_validation():
         canon.AlgoParams(algorithm="DPS", eta=1.5)
     for name in canon.ALGORITHMS:
         assert canon.default_params(name).algorithm == name
+
+
+def test_default_params_are_fresh_per_call():
+    first = canon.default_params("DiffPIR")
+    first.inner_opt.lr = 5.0
+    first.daps.n_langevin = 3
+    second = canon.default_params("DiffPIR")
+    assert second.inner_opt.lr == 0.1 and second.daps.n_langevin == 100
+    assert second.inner_opt is not first.inner_opt
+    assert canon.SOLVERS["DiffPIR"].preset["inner_opt"]["lr"] == 0.1
 
 
 def test_sampler_is_tweedie(schedule, small_prior):
@@ -444,10 +460,10 @@ def test_daps_requires_noise_or_variant_flag(schedule, small_prior):
     obs = ops.Observation(y=np.array([0.1]), op=op, sigma_y=0.0)
     ctx = make_ctx(small_prior, schedule, RngStream(66).standard_normal(6), 500, 250)
     params = canon.default_params("DAPS")
-    params.daps.sigma_langevin = 0.0
-    with pytest.raises(canon.ConfigurationError):
-        canon.corr_daps(ctx, obs, params)
-    params.daps.noiseless_linear = True
+    # a zero Langevin sigma is rejected when the block is built, not per step
+    with pytest.raises(canon.ConfigurationError, match=r"algorithm\.daps\.sigma_langevin"):
+        canon.DAPSParams(sigma_langevin=0.0)
+    params.daps = canon.DAPSParams(sigma_langevin=0.0, noiseless_linear=True)
     out = canon.corr_daps(ctx, obs, params)
     assert np.all(np.isfinite(out))
 
@@ -510,12 +526,13 @@ def _resample_reference(x0, obs, lr, momentum, steps):
 
     x = np.array(x0, copy=True)
     vel = np.zeros_like(x)
-    loss0 = loss(x)
+    # ten times the start, and at least ||y||^2, the zero estimate's loss
+    limit = max(10.0 * max(loss(x), 1e-30), float(np.sum(obs.y * obs.y)))
     for _ in range(steps):
         vel = momentum * vel - lr * grad(x)
         x = x + vel
         cur = loss(x)
-        if not np.isfinite(cur) or cur > 10.0 * max(loss0, 1e-30):
+        if not np.isfinite(cur) or cur > limit:
             raise canon.ConvergenceError("inner optimizer diverged")
     return x
 
@@ -684,6 +701,20 @@ def test_divergence_names_the_one_diverging_row(schedule, small_prior, algo, kin
             assert np.all(np.isfinite(canon.CORRECTORS[algo](row_ctx, row_obs, params)))
 
 
+def test_rows_that_start_on_their_data_do_not_diverge(schedule, small_prior):
+    # y = A(x0): the start loss is 0, and the preset DiffPIR's Adam steps
+    # scale the rounding at its eval point up to ~lr; the zero estimate's
+    # loss is the floor of the divergence limit, so no row is flagged
+    op = _inner_loop_operator("nonlinear")
+    params = canon.default_params("DiffPIR")
+    for t_i, t_prev in [(900, 800), (500, 250), (100, 50), (20, 10)]:
+        x_t = RngStream(380, t_i).standard_normal((20, 1, 6))
+        ctx = make_ctx(small_prior, schedule, x_t, t_i, t_prev, stream=RngStream(381))
+        obs = ops.Observation(y=ops.nl_apply(op, ctx.x0_sampled), op=op, sigma_y=0.05)
+        out = canon.corr_diffpir(ctx, obs, params)
+        assert out.shape == x_t.shape and np.all(np.isfinite(out))
+
+
 def test_resample_guard_counts_out_of_range_residual(schedule, small_prior):
     obs, ctx = _inner_loop_case(small_prior, schedule, "dense", 1, 0.05, 360)
     op, x0 = obs.op, ctx.x0_sampled
@@ -762,7 +793,7 @@ def test_noiser_ddim_exact_reconstruction(schedule, small_prior):
                    stream=stream)
     xhat = RngStream(72).standard_normal(6)
     predicted_noise = clone(stream).standard_normal((6,))
-    out = canon.noiser_ddim(xhat, ctx, eta=0.85)
+    out = canon.noiser_ddim(xhat, ctx, None, with_eta("DPS", 0.85))
     c1, c2 = dif.ddim_coeffs(schedule, 500, 250, 0.85)
     expected = (
         math.sqrt(schedule.alphabar(250)) * xhat
@@ -775,8 +806,8 @@ def test_noiser_ddim_exact_reconstruction(schedule, small_prior):
 def test_noiser_ddim_deterministic_at_zero_eta(schedule, small_prior):
     ctx = make_ctx(small_prior, schedule, RngStream(73).standard_normal(6), 500, 250)
     xhat = np.ones(6)
-    a = canon.noiser_ddim(xhat, ctx, eta=0.0)
-    b = canon.noiser_ddim(xhat, ctx, eta=0.0)
+    a = canon.noiser_ddim(xhat, ctx, None, with_eta("DPS", 0.0))
+    b = canon.noiser_ddim(xhat, ctx, None, with_eta("DPS", 0.0))
     assert np.array_equal(a, b)
 
 
@@ -786,7 +817,7 @@ def test_noiser_dmps_full_eta_exact(schedule, small_prior):
                    stream=stream)
     xhat = RngStream(76).standard_normal(6)
     predicted = clone(stream).standard_normal((6,))
-    out = canon.noiser_dmps(xhat, ctx, eta=1.0)
+    out = canon.noiser_dmps(xhat, ctx, None, with_eta("DMPS", 1.0))
     sig_prev = schedule.sigma(250)
     expected = math.sqrt(schedule.alphabar(250)) * xhat + sig_prev * predicted
     assert np.array_equal(out, expected)
@@ -795,14 +826,15 @@ def test_noiser_dmps_full_eta_exact(schedule, small_prior):
 def test_noiser_direct_terminal_step_is_identity(schedule, small_prior):
     ctx = make_ctx(small_prior, schedule, RngStream(77).standard_normal(6), 250, 0)
     xhat = RngStream(78).standard_normal(6)
-    assert np.array_equal(canon.noiser_direct(xhat, ctx), math.sqrt(1.0) * xhat)
+    out = canon.noiser_direct(xhat, ctx, None, canon.default_params("REDdiff"))
+    assert np.array_equal(out, math.sqrt(1.0) * xhat)
 
 
 def test_noiser_direct_statistics(schedule, small_prior):
     stream = RngStream(79)
     xhat = np.zeros((4000, 6))
     ctx = make_ctx(small_prior, schedule, np.zeros((4000, 6)), 500, 250, stream=stream)
-    out = canon.noiser_direct(xhat, ctx)
+    out = canon.noiser_direct(xhat, ctx, None, canon.default_params("DAPS"))
     sig = schedule.sigma(250)
     assert abs(out.std() - sig) / sig < 0.05
 
@@ -811,7 +843,7 @@ def test_noiser_diffpir_zero_eta_is_ddim_step(schedule, small_prior):
     x_t = RngStream(80).standard_normal(6)
     ctx = make_ctx(small_prior, schedule, x_t, 500, 250)
     xhat = ctx.x0_sampled
-    out = canon.noiser_diffpir(xhat, ctx, eta=0.0)
+    out = canon.noiser_diffpir(xhat, ctx, None, with_eta("DiffPIR", 0.0))
     expected = dif.ddim_step(small_prior, schedule, x_t, 500, 250, eta=0.0)
     assert np.max(np.abs(out - expected)) < 1e-12
 
@@ -855,7 +887,7 @@ def test_resample_noiser_gamma_zero_is_encode(schedule, small_prior):
     params.eta = 0.0
     params.gamma_rs = 0.0
     xhat = RngStream(87).standard_normal(6)
-    out = canon.noiser_resample(xhat, ctx, params)
+    out = canon.noiser_resample(xhat, ctx, None, params)
     c1, c2 = dif.ddim_coeffs(schedule, 500, 250, 0.0)
     expected = math.sqrt(schedule.alphabar(250)) * ctx.x0_sampled + c2 * ctx.eps_cached
     assert np.max(np.abs(out - expected)) < 1e-14
@@ -866,7 +898,7 @@ def test_resample_noiser_terminal_step_finite(schedule, small_prior):
     ctx = make_ctx(small_prior, schedule, x_t, 250, 0, stream=RngStream(89))
     params = canon.default_params("ReSample")
     xhat = RngStream(90).standard_normal(6)
-    out = canon.noiser_resample(xhat, ctx, params)
+    out = canon.noiser_resample(xhat, ctx, None, params)
     assert np.all(np.isfinite(out))
     # at t_prev = 0 the posterior blend carries no fresh noise
     ab_i = schedule.alphabar(250)
@@ -924,10 +956,31 @@ def test_run_with_combiner_visits_every_step(schedule, small_prior):
 def test_spectral_algorithms_reject_nonlinear_operator(schedule, small_prior):
     nl = ops.NonlinearOperator(kernel=np.array([0.25, 0.5, 0.25]), scale=1.0)
     obs = ops.Observation(y=np.zeros(6), op=nl, sigma_y=0.1)
-    ctx = make_ctx(small_prior, schedule, RngStream(92).standard_normal(6), 500, 250)
-    for name in ("DDRM", "DDNM", "PiGDM", "DMPS"):
+    grid = dif.make_time_grid(schedule, 2)
+    spectral = ("DDRM", "DDNM", "PiGDM", "DMPS")
+    assert {name for name, s in canon.SOLVERS.items() if s.linear} == set(spectral)
+    for name in spectral:
+        with pytest.raises(canon.UnsupportedOperatorError, match=name):
+            canon.run(canon.default_params(name), small_prior, schedule, obs, grid, seed=92)
+
+
+@pytest.mark.parametrize("name", list(canon.SOLVERS))
+def test_solver_linear_flag_decides_nonlinear_operator(schedule, small_prior, name):
+    # a solver marked linear fails once, before any draw; any other runs
+    op = ops.NonlinearOperator(kernel=np.array([0.25, 0.5, 0.25]), scale=1.0)
+    y = ops.nl_apply(op, RngStream(95, 1).standard_normal((3, 6)))
+    obs = ops.Observation(y=y, op=op, sigma_y=0.1)
+    grid = dif.make_time_grid(schedule, 3)
+    params = canon.default_params(name)
+    params.daps.n_langevin = 5
+    stream = RngStream(95, 2)
+    if canon.SOLVERS[name].linear:
         with pytest.raises(canon.UnsupportedOperatorError):
-            canon.CORRECTORS[name](ctx, obs, canon.default_params(name))
+            canon.run(params, small_prior, schedule, obs, grid, seed=0, stream=stream)
+        assert stream.counter == 0
+    else:
+        out = canon.run(params, small_prior, schedule, obs, grid, seed=0, stream=stream)
+        assert out.shape == (3, 6) and np.all(np.isfinite(out))
 
 
 def test_corrector_fuzz_outputs_finite(schedule):

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -96,3 +97,19 @@ def test_sweep_cli(tmp_path, config_path):
 def test_missing_subcommand_errors():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_second_call_leaves_no_garbage_cycles(tmp_path, capsys):
+    # the parser is built once per process; a parser per call left ~270
+    # argparse objects in reference cycles, which an in-process caller's RSS
+    # carried until a full collection
+    argv = ["gen-prior", "--dim", "3", "--components", "2", "--seed", "1",
+            "--out", str(tmp_path / "p.json")]
+    cli.main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        cli.main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

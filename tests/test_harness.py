@@ -219,7 +219,7 @@ def test_operator_spec_nonlinear(tmp_path):
                            "scale": 2.0}, "sigma_y": 0.1},
     )
     cfg = harness.load_config(path)
-    assert isinstance(cfg.operator(), ops.NonlinearOperator)
+    assert isinstance(cfg.op, ops.NonlinearOperator)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +496,8 @@ def _set(cfg, path, value):
     ("schedule.T", 10.5),
     ("prior.dim", "4"),
     ("algorithm", "DDNM"),
+    # loaded, then every row failed at run time with a ConfigurationError
+    ("algorithm.daps.sigma_langevin", 0.0),
 ])
 def test_load_config_names_each_bad_key(tmp_path, path, value):
     raw = _base_config()
@@ -554,9 +556,9 @@ def test_operator_is_built_once_at_load(tmp_path, monkeypatch):
         raise AssertionError("operator rebuilt after load")
 
     monkeypatch.setattr(ops, "build_operator", rebuilt)
-    assert cfg.operator() is cfg.operator()
-    _, _, op = harness.make_test_batch(cfg)
-    assert op is cfg.operator()
+    op = cfg.op
+    _, _, batch_op = harness.make_test_batch(cfg)
+    assert batch_op is op
     harness.train_lle(cfg)
 
 
