@@ -8,12 +8,12 @@ estimates best matches the ground truth, and hands the combined estimate
 back to the driver's noiser. Inference replays the same data flow with the
 coefficients fixed.
 
-Each step's fit runs over one stacked basis (`stack_bases`): the J
-estimates, or, decoupled, their J range and J null projections, so the
-decoupled fit is the coupled fit over 2J projected bases. The fitting loss
-is evaluated batch-wise: one array reduction over the (N, d) batch gives
-every per-sample loss, and the single-sample `loss` is the one-row case of
-the same kernel.
+Each step's coefficient vector theta weights one stacked basis
+(`stack_bases`): the J estimates, or, decoupled, their J range and J null
+projections, so the decoupled fit is the coupled fit over 2J projected
+bases and theta holds gamma, then gamma_perp. The fitting loss is squared
+error plus omega times a gradient-domain term, evaluated batch-wise: one
+array reduction over the (N, d) batch gives every per-sample loss.
 """
 
 from __future__ import annotations
@@ -37,59 +37,33 @@ class TrainingDivergedError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# perceptual-loss plugin interface
+# loss
 # ---------------------------------------------------------------------------
 
 
-class GradientDomainPlugin:
-    """Squared difference of first-order finite differences.
+def _gradient_domain(x: np.ndarray, ref: np.ndarray):
+    """Squared difference of first-order finite differences: per-row value and
+    gradient over the last axis of (..., d) arrays.
 
-    Invariant to constant shifts; the default stand-in for a perceptual term.
+    Invariant to constant shifts; the stand-in for a perceptual term.
     """
-
-    tag = "gradient-domain"
-
-    def value_and_grad(self, x: np.ndarray, ref: np.ndarray):
-        """Per-row value and gradient over the last axis of (..., d) arrays."""
-        r = np.diff(x, axis=-1) - np.diff(ref, axis=-1)
-        val = np.sum(r * r, axis=-1)
-        grad = np.zeros_like(x)
-        grad[..., :-1] -= 2.0 * r
-        grad[..., 1:] += 2.0 * r
-        return val, grad
-
-
-def make_plugin(tag: str):
-    if tag in (None, "none"):
-        return None
-    if tag == "gradient-domain":
-        return GradientDomainPlugin()
-    raise ValueError(f"unknown perceptual plugin {tag!r}")
-
-
-def _row_losses(x: np.ndarray, x_gt: np.ndarray, omega: float, plugin) -> np.ndarray:
-    """||x - x_gt||^2 + omega * plugin(x, x_gt) per row of (..., d) arrays."""
-    if x.shape != x_gt.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {x_gt.shape}")
-    r = x - x_gt
+    r = np.diff(x, axis=-1) - np.diff(ref, axis=-1)
     val = np.sum(r * r, axis=-1)
-    if omega != 0.0 and plugin is not None:
-        val = val + omega * plugin.value_and_grad(x, x_gt)[0]
-    return val
+    grad = np.zeros_like(x)
+    grad[..., :-1] -= 2.0 * r
+    grad[..., 1:] += 2.0 * r
+    return val, grad
 
 
-def loss(x: np.ndarray, x_gt: np.ndarray, omega: float = 0.0, plugin=None) -> float:
-    """||x - x_gt||^2 + omega * plugin(x, x_gt) for a single sample."""
-    x = np.asarray(x, dtype=float)
-    x_gt = np.asarray(x_gt, dtype=float)
-    return float(_row_losses(x, x_gt, omega, plugin))
-
-
-def batch_loss(xs: np.ndarray, gts: np.ndarray, omega: float = 0.0, plugin=None) -> float:
-    """Mean per-sample loss over a (N, d) batch."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    gts = np.atleast_2d(np.asarray(gts, dtype=float))
-    return float(np.mean(_row_losses(xs, gts, omega, plugin)))
+def batch_loss(xs: np.ndarray, gts: np.ndarray, omega: float = 0.0) -> float:
+    """Mean over the rows of a (N, d) batch of ||x - x_gt||^2 + omega * gradient-domain."""
+    if xs.shape != gts.shape:
+        raise ValueError(f"shape mismatch {xs.shape} vs {gts.shape}")
+    r = xs - gts
+    val = np.sum(r * r, axis=-1)
+    if omega != 0.0:
+        val = val + omega * _gradient_domain(xs, gts)[0]
+    return float(np.mean(val))
 
 
 # ---------------------------------------------------------------------------
@@ -98,77 +72,59 @@ def batch_loss(xs: np.ndarray, gts: np.ndarray, omega: float = 0.0, plugin=None)
 
 
 def _is_identity(gamma) -> bool:
-    gamma = np.asarray(gamma)
     return gamma[-1] == 1.0 and (gamma.size == 1 or not np.any(gamma[:-1]))
 
 
 def combine(
-    gamma: np.ndarray,
+    theta: np.ndarray,
     history: list[np.ndarray],
     xhat: np.ndarray,
     op: ops.LinearOperator | None = None,
-    gamma_perp: np.ndarray | None = None,
+    decoupled: bool = False,
 ) -> np.ndarray:
-    """gamma[-1] * xhat + sum_j gamma[j] * history[j] (oldest first).
+    """theta's combination of the `stack_bases` of history (oldest first) and xhat.
 
-    With gamma_perp present the combination is applied separately to range
-    projections (gamma) and null projections (gamma_perp), then summed.
-    Identity coefficients (the last one-hot, in both parts) return xhat.
+    Coupled, theta has one entry per estimate; decoupled, gamma weights the
+    range projections and gamma_perp the null projections. Identity
+    coefficients (the last one-hot, in both parts) return a copy of xhat.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.size != len(history) + 1:
+    theta = np.asarray(theta, dtype=float)
+    J = len(history) + 1
+    if theta.size != (2 * J if decoupled else J):
         raise ValueError(
-            f"coefficient vector has {gamma.size} entries for {len(history)} history terms"
+            f"coefficient vector has {theta.size} entries for {len(history)} history terms"
         )
-    if gamma_perp is not None and op is None:
+    if decoupled and op is None:
         raise ValueError("decoupled combination requires the linear operator")
-    if _is_identity(gamma) and (gamma_perp is None or _is_identity(gamma_perp)):
+    if _is_identity(theta[:J]) and (not decoupled or _is_identity(theta[J:])):
         return np.array(xhat, copy=True)
-    if gamma_perp is not None:
-        theta = np.concatenate([gamma, np.asarray(gamma_perp, dtype=float)])
-        return _combined(stack_bases(list(history) + [xhat], op, True), theta)
-    # xhat first: `train` feeds this sum to the next step; `_combined`'s order moves fits
-    out = gamma[-1] * xhat
-    for g, h in zip(gamma[:-1], history):
-        if g != 0.0:
-            out = out + g * h
-    return out
+    return _combined(stack_bases(list(history) + [xhat], op, decoupled), theta)
 
 
 @dataclass
 class LLECoefficients:
-    """Per-timestep linear-combination coefficients, coupled or decoupled."""
+    """Per-timestep coefficient vectors: theta[idx] has J = idx + 1 entries,
+    or 2J when decoupled (gamma, then gamma_perp)."""
 
     S: int
     decoupled: bool
     timesteps: tuple[int, ...]  # t_S .. t_1
-    gamma: list[np.ndarray]  # coupled, or range-space part when decoupled
-    gamma_perp: list[np.ndarray] | None = None
+    theta: list[np.ndarray]
 
     def __post_init__(self):
-        if len(self.gamma) != self.S:
+        if len(self.theta) != self.S:
             raise ValueError("need one coefficient vector per trained timestep")
-        for idx, g in enumerate(self.gamma):
-            if np.asarray(g).size != idx + 1:
-                raise ValueError(f"vector at position {idx} must have {idx + 1} entries")
-            if not np.all(np.isfinite(g)):
+        for idx, t in enumerate(self.theta):
+            size = (2 if self.decoupled else 1) * (idx + 1)
+            if np.asarray(t).size != size:
+                raise ValueError(f"vector at position {idx} must have {size} entries")
+            if not np.all(np.isfinite(t)):
                 raise ValueError("coefficients must be finite")
 
     @classmethod
     def identity(cls, grid: dif.TimeGrid) -> "LLECoefficients":
-        gammas = [np.eye(idx + 1)[idx] for idx in range(grid.S)]
-        return cls(
-            S=grid.S,
-            decoupled=False,
-            timesteps=grid.timesteps[: grid.S],
-            gamma=gammas,
-        )
-
-    def extrapolate(self, i: int, history, xhat, op=None) -> np.ndarray:
-        """Combined estimate at step i (i = S..1)."""
-        idx = self.S - i
-        gp = self.gamma_perp[idx] if self.decoupled else None
-        return combine(self.gamma[idx], history, xhat, op=op, gamma_perp=gp)
+        thetas = [np.eye(idx + 1)[idx] for idx in range(grid.S)]
+        return cls(S=grid.S, decoupled=False, timesteps=grid.timesteps[: grid.S], theta=thetas)
 
     def to_json(self) -> str:
         obj = {
@@ -177,28 +133,27 @@ class LLECoefficients:
             "timesteps": list(self.timesteps),
         }
         if self.decoupled:
-            obj["gamma_par"] = [g.tolist() for g in self.gamma]
-            obj["gamma_perp"] = [g.tolist() for g in self.gamma_perp]
+            obj["gamma_par"] = [t[: idx + 1].tolist() for idx, t in enumerate(self.theta)]
+            obj["gamma_perp"] = [t[idx + 1 :].tolist() for idx, t in enumerate(self.theta)]
         else:
-            obj["gamma"] = [g.tolist() for g in self.gamma]
+            obj["gamma"] = [t.tolist() for t in self.theta]
         return json.dumps(obj, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "LLECoefficients":
         obj = json.loads(text)
-        decoupled = obj["decoupled"]
-        if decoupled:
-            gamma = [np.asarray(g, dtype=float) for g in obj["gamma_par"]]
-            gperp = [np.asarray(g, dtype=float) for g in obj["gamma_perp"]]
+        if obj["decoupled"]:
+            par, perp = obj["gamma_par"], obj["gamma_perp"]
+            if [len(g) for g in par] != [len(g) for g in perp]:
+                raise ValueError("gamma_par and gamma_perp must have matching vectors")
+            vectors = [g + h for g, h in zip(par, perp)]
         else:
-            gamma = [np.asarray(g, dtype=float) for g in obj["gamma"]]
-            gperp = None
+            vectors = obj["gamma"]
         return cls(
             S=obj["steps"],
-            decoupled=decoupled,
+            decoupled=obj["decoupled"],
             timesteps=tuple(obj["timesteps"]),
-            gamma=gamma,
-            gamma_perp=gperp,
+            theta=[np.asarray(v, dtype=float) for v in vectors],
         )
 
     def save(self, path) -> None:
@@ -212,7 +167,7 @@ class LLECoefficients:
 
 
 # ---------------------------------------------------------------------------
-# objective pieces over gamma
+# objective pieces over theta
 # ---------------------------------------------------------------------------
 
 
@@ -235,24 +190,28 @@ def stack_bases(bases, op=None, decoupled=False) -> np.ndarray:
 
 
 def _combined(stacked, theta):
-    out = theta[0] * stacked[0]
-    for g, b in zip(theta[1:], stacked[1:]):
-        out = out + g * b
+    """theta's combination of the stacked bases: the last (xhat's) first, then the
+    rest oldest first, zero coefficients skipped. Each step's combined estimate
+    feeds the next step's fit, so another order would move every trained output."""
+    out = theta[-1] * stacked[-1]
+    for g, b in zip(theta[:-1], stacked[:-1]):
+        if g != 0.0:
+            out = out + g * b
     return out
 
 
-def gamma_objective(stacked, x_gt, theta, omega, plugin):
+def gamma_objective(stacked, x_gt, theta, omega):
     """Mean training loss at coefficient vector theta (one entry per basis)."""
-    return batch_loss(_combined(stacked, theta), x_gt, omega, plugin)
+    return batch_loss(_combined(stacked, theta), x_gt, omega)
 
 
-def loss_grad_gamma(stacked, x_gt, theta, omega, plugin=None):
+def loss_grad_gamma(stacked, x_gt, theta, omega):
     """Exact gradient of the mean loss over theta; fixed-order summation."""
     stacked = np.asarray(stacked, dtype=float)
     xt = _combined(stacked, theta)
     sens = 2.0 * (xt - x_gt)
-    if omega != 0.0 and plugin is not None:
-        sens = sens + omega * plugin.value_and_grad(xt, x_gt)[1]
+    if omega != 0.0:
+        sens = sens + omega * _gradient_domain(xt, x_gt)[1]
     # each row summed over its N*d entries, as np.sum(sens * basis) is
     return np.sum((stacked * sens).reshape(len(stacked), -1), axis=1) / x_gt.shape[0]
 
@@ -347,7 +306,6 @@ def init_coeffs(
     alphabar_ti: float,
     stream: RngStream,
     omega: float = 0.0,
-    plugin=None,
     decoupled: bool = False,
 ) -> np.ndarray:
     """Adaptive initialization: one-hot on whichever of the two latest
@@ -358,8 +316,8 @@ def init_coeffs(
     if J == 1:
         gamma[0] = 1.0
     else:
-        loss_prev = batch_loss(history[-1], x_gt, omega, plugin)
-        loss_hat = batch_loss(xhat, x_gt, omega, plugin)
+        loss_prev = batch_loss(history[-1], x_gt, omega)
+        loss_hat = batch_loss(xhat, x_gt, omega)
         if loss_prev >= loss_hat:
             gamma[J - 1] = 1.0
         elif mode == "soft-nonlinear":
@@ -382,10 +340,9 @@ def train_timestep(stacked, x_gt, init_theta, config: TrainConfig, lr_t: float, 
     """
     stacked = np.asarray(stacked, dtype=float)
     omega = config.resolved_omega()
-    plugin = make_plugin(config.plugin)
 
     def obj(theta):
-        return gamma_objective(stacked, x_gt, theta, omega, plugin)
+        return gamma_objective(stacked, x_gt, theta, omega)
 
     theta = np.asarray(init_theta, dtype=float)
     best = theta.copy()
@@ -405,7 +362,7 @@ def train_timestep(stacked, x_gt, init_theta, config: TrainConfig, lr_t: float, 
     else:
         opt = ScheduleFreeAdamW(theta, lr=lr_t, warmup=config.warmup)
     for _ in range(config.epochs):
-        g = loss_grad_gamma(stacked, x_gt, opt.eval_point(), omega, plugin)
+        g = loss_grad_gamma(stacked, x_gt, opt.eval_point(), omega)
         cur = obj(opt.step(g))
         if not math.isfinite(cur):
             raise TrainingDivergedError(f"training diverged at timestep {t_i}")
@@ -460,12 +417,9 @@ def train(
     op = observation.op if observation.is_linear else None
     if config.decoupled and op is None:
         raise canon.ConfigurationError("decoupled coefficients require a linear operator")
-    omega = config.resolved_omega()
-    plugin = make_plugin(config.plugin)
     init_stream = base.child(14)
     ts = grid.timesteps
-    gammas: list[np.ndarray] = []
-    gammas_perp: list[np.ndarray] = []
+    thetas: list[np.ndarray] = []
     traces: dict[int, list[float]] = {}
 
     def fit(i, history, xhat):
@@ -474,36 +428,19 @@ def train(
         x_gt = make_ground_truth(
             params, prior, schedule, observation, refs, t_i, ts[idx + 1], config.noisy_gt
         )
-        theta0 = init_coeffs(
-            idx,
-            history,
-            xhat,
-            x_gt,
-            config.init_mode,
-            schedule.alphabar(t_i),
-            init_stream,
-            omega,
-            plugin,
-            config.decoupled,
-        )
+        theta0 = init_coeffs(idx, history, xhat, x_gt, config.init_mode, schedule.alphabar(t_i),
+                             init_stream, config.resolved_omega(), config.decoupled)
         lr_t = _learning_rate(config, schedule, grid, idx)
         stacked = stack_bases(history + [xhat], op, config.decoupled)
         theta, traces[t_i] = train_timestep(stacked, x_gt, theta0, config, lr_t, t_i)
-        J = idx + 1  # theta is gamma, then gamma_perp when decoupled
-        gammas.append(theta[:J])
-        gammas_perp.append(theta[J:])
-        gamma_perp = theta[J:] if config.decoupled else None
-        return combine(theta[:J], history, xhat, op=op, gamma_perp=gamma_perp)
+        thetas.append(theta)
+        return combine(theta, history, xhat, op, config.decoupled)
 
     canon.run_with_combiner(
         params, prior, schedule, observation, grid, base.child(13), combiner=fit
     )
     coeffs = LLECoefficients(
-        S=grid.S,
-        decoupled=config.decoupled,
-        timesteps=ts[: grid.S],
-        gamma=gammas,
-        gamma_perp=gammas_perp if config.decoupled else None,
+        S=grid.S, decoupled=config.decoupled, timesteps=ts[: grid.S], theta=thetas
     )
     return coeffs, traces
 
@@ -535,7 +472,7 @@ def infer(
         stream = RngStream(seed, stream_id=0)
 
     def combiner(i, history, xhat):
-        return coeffs.extrapolate(i, history, xhat, op=op)
+        return combine(coeffs.theta[grid.S - i], history, xhat, op, coeffs.decoupled)
 
     return canon.run_with_combiner(
         params, prior, schedule, obs, grid, stream, combiner=combiner

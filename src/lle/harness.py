@@ -197,6 +197,9 @@ def load_config(path) -> ExperimentConfig:
     name = top.algorithm.get("name")
     preset = canon.default_params(name) if name in canon.ALGORITHMS else None
     params = canon.AlgoParams.from_dict(top.algorithm, preset)
+    linear = isinstance(op, ops.LinearOperator)
+    if params.algorithm == "DAPS" and params.daps.noiseless_linear and not linear:
+        raise ConfigError("algorithm.daps.noiseless_linear needs a linear operator, not 'nonlinear'")
     train_config = None
     if top.lle not in (None, "none"):
         base = lle.TrainConfig(base_seed=top.seeds.train)
@@ -204,7 +207,7 @@ def load_config(path) -> ExperimentConfig:
         if train_config.noisy_gt and not canon.SOLVERS[params.algorithm].noisy_gt:
             allowed = " and ".join(n for n, s in canon.SOLVERS.items() if s.noisy_gt)
             raise ConfigError(f"lle.noisy_gt needs {allowed}, not {params.algorithm}")
-        if train_config.decoupled and not isinstance(op, ops.LinearOperator):
+        if train_config.decoupled and not linear:
             raise ConfigError("lle.decoupled needs a linear operator, not 'nonlinear'")
     return ExperimentConfig(
         prior=prior,

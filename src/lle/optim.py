@@ -19,7 +19,6 @@ class ScheduleFreeAdamW:
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
         warmup: int = 0,
     ):
         self.z = np.array(init_params, dtype=float, copy=True)
@@ -29,7 +28,6 @@ class ScheduleFreeAdamW:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = weight_decay
         self.warmup = warmup
         self.t = 0
         self._lr2_sum = 0.0
@@ -46,8 +44,6 @@ class ScheduleFreeAdamW:
         """Consume a gradient taken at eval_point(); returns updated params."""
         self.t += 1
         g = np.asarray(grad, dtype=float)
-        if self.weight_decay != 0.0:
-            g = g + self.weight_decay * self.eval_point()
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
         vhat = self.v / (1.0 - self.beta2**self.t)
         lr_t = self.lr

@@ -211,10 +211,10 @@ def test_criterion_07_search_space_nesting():
     stream = RngStream(212)
     gamma = [stream.standard_normal(i + 1) for i in range(3)]
     coupled = lle.LLECoefficients(S=3, decoupled=False,
-                                  timesteps=grid.timesteps[:3], gamma=gamma)
+                                  timesteps=grid.timesteps[:3], theta=gamma)
     replicated = lle.LLECoefficients(
         S=3, decoupled=True, timesteps=grid.timesteps[:3],
-        gamma=[g.copy() for g in gamma], gamma_perp=[g.copy() for g in gamma],
+        theta=[np.concatenate([g, g]) for g in gamma],
     )
     truth = prior.sample(RngStream(213), 1)[0]
     y = ops.observe(op, truth, sigma_y, RngStream(214))
@@ -262,10 +262,10 @@ def test_criterion_09_optimizer_vs_closed_form():
         bases = [stream.standard_normal((6, 5)) for _ in range(4)]
         x_gt = stream.standard_normal((6, 5))
         star = lle.solve_ls_closed_form(bases, x_gt)
-        loss_star = lle.gamma_objective(bases, x_gt, star, 0.0, None)
+        loss_star = lle.gamma_objective(bases, x_gt, star, 0.0)
         tc = lle.TrainConfig(epochs=2000, warmup=50)
         theta, _ = lle.train_timestep(bases, x_gt, np.zeros(4), tc, lr_t=0.05, t_i=500)
-        loss_opt = lle.gamma_objective(bases, x_gt, theta, 0.0, None)
+        loss_opt = lle.gamma_objective(bases, x_gt, theta, 0.0)
         assert loss_opt - loss_star <= 1e-6, instance
     report(9, "2000-epoch schedule-free training within 1e-6 of the normal equations")
 

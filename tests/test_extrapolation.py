@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -21,16 +22,16 @@ def mask_obs(prior, seed=100, sigma_y=0.05, keep=(0, 2, 4)):
 
 
 # ---------------------------------------------------------------------------
-# losses and plugin
+# losses and the gradient-domain term
 # ---------------------------------------------------------------------------
 
 
 def test_loss_is_squared_error():
     x = np.array([1.0, 2.0])
     gt = np.array([0.0, 0.0])
-    assert lle.loss(x, gt) == 5.0
+    assert lle.batch_loss(x, gt) == 5.0
     with pytest.raises(ValueError):
-        lle.loss(np.zeros(2), np.zeros(3))
+        lle.batch_loss(np.zeros(2), np.zeros(3))
 
 
 def test_batch_loss_averages():
@@ -76,13 +77,12 @@ def test_batch_loss_and_gradient_equal_per_sample_loop(
     x_gt = scale * stream.standard_normal((n, d))
     theta = stream.standard_normal(2 * n_bases if decoupled else n_bases)
     op = ops.mask_operator(d, list(range(0, d, 2))) if decoupled else None
-    plugin = lle.GradientDomainPlugin() if with_plugin else None
+    omega = omega if with_plugin else 0.0  # the term applies wherever omega != 0
     use_plugin = with_plugin and omega != 0.0
 
     xt = lle._combined(lle.stack_bases(bases, op, decoupled), theta)
     rows = [_row_loss_reference(x, g, omega, use_plugin) for x, g in zip(xt, x_gt)]
-    assert lle.batch_loss(xt, x_gt, omega, plugin) == float(np.mean(rows))
-    assert lle.loss(xt[0], x_gt[0], omega, plugin) == rows[0]
+    assert lle.batch_loss(xt, x_gt, omega) == float(np.mean(rows))
 
     sens = 2.0 * (xt - x_gt)
     if use_plugin:
@@ -94,38 +94,29 @@ def test_batch_loss_and_gradient_equal_per_sample_loop(
         par = [ops.project(op, b, "range") for b in bases]
         directions = par + [b - p for b, p in zip(bases, par)]
     expected = np.array([np.sum(sens * b) for b in directions]) / n
-    got = lle.loss_grad_gamma(lle.stack_bases(bases, op, decoupled), x_gt, theta, omega, plugin)
+    got = lle.loss_grad_gamma(lle.stack_bases(bases, op, decoupled), x_gt, theta, omega)
     assert np.array_equal(got, expected)
 
 
 def test_gradient_domain_plugin_shift_invariant():
-    plugin = lle.GradientDomainPlugin()
     x = RngStream(101).standard_normal(8)
     ref = RngStream(102).standard_normal(8)
-    v0, _ = plugin.value_and_grad(x, ref)
-    v1, _ = plugin.value_and_grad(x + 3.0, ref)
+    v0, _ = lle._gradient_domain(x, ref)
+    v1, _ = lle._gradient_domain(x + 3.0, ref)
     assert abs(v0 - v1) < 1e-12
 
 
 def test_gradient_domain_plugin_grad_fd():
-    plugin = lle.GradientDomainPlugin()
     stream = RngStream(103)
     x = stream.standard_normal(7)
     ref = stream.standard_normal(7)
-    _, grad = plugin.value_and_grad(x, ref)
+    _, grad = lle._gradient_domain(x, ref)
     h = 1e-6
     for i in range(7):
         e = np.zeros(7)
         e[i] = h
-        fd = (plugin.value_and_grad(x + e, ref)[0] - plugin.value_and_grad(x - e, ref)[0]) / (2 * h)
+        fd = (lle._gradient_domain(x + e, ref)[0] - lle._gradient_domain(x - e, ref)[0]) / (2 * h)
         assert abs(grad[i] - fd) < 1e-6
-
-
-def test_make_plugin_dispatch():
-    assert lle.make_plugin("none") is None
-    assert lle.make_plugin("gradient-domain").tag == "gradient-domain"
-    with pytest.raises(ValueError):
-        lle.make_plugin("lpips")
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +140,8 @@ def test_combine_matches_manual_sum():
     out = lle.combine(gamma, hist, xhat)
     expected = 0.9 * xhat + 0.2 * hist[0] - 0.3 * hist[1]
     assert np.max(np.abs(out - expected)) < 1e-14
+    # bit for bit: xhat's term first, then the history oldest first
+    assert np.array_equal(out, expected)
 
 
 def test_combine_length_check():
@@ -158,7 +151,7 @@ def test_combine_length_check():
 
 def test_combine_decoupled_requires_operator():
     with pytest.raises(ValueError):
-        lle.combine(np.array([1.0]), [], np.zeros(4), gamma_perp=np.array([1.0]))
+        lle.combine(np.array([1.0, 1.0]), [], np.zeros(4), decoupled=True)
 
 
 def test_combine_decoupled_replicated_equals_coupled():
@@ -168,7 +161,7 @@ def test_combine_decoupled_replicated_equals_coupled():
     xhat = stream.standard_normal(5)
     gamma = np.array([0.4, 0.7])
     coupled = lle.combine(gamma, hist, xhat)
-    decoupled = lle.combine(gamma, hist, xhat, op=op, gamma_perp=gamma.copy())
+    decoupled = lle.combine(np.concatenate([gamma, gamma]), hist, xhat, op=op, decoupled=True)
     assert np.max(np.abs(coupled - decoupled)) < 1e-12
 
 
@@ -182,7 +175,7 @@ def test_decoupled_identity_reproduces_base_on_dense_operator(schedule):
     grid = dif.make_time_grid(schedule, 4)
     ident = lle.LLECoefficients.identity(grid)
     coeffs = lle.LLECoefficients(S=4, decoupled=True, timesteps=ident.timesteps,
-                                 gamma=ident.gamma, gamma_perp=[g.copy() for g in ident.gamma])
+                                 theta=[np.concatenate([g, g]) for g in ident.theta])
     for name in canon.ALGORITHMS:
         params = canon.default_params(name)
         base = canon.run(params, prior, schedule, obs, grid, seed=17)
@@ -193,13 +186,13 @@ def test_decoupled_identity_reproduces_base_on_dense_operator(schedule):
 def test_coefficients_validation_and_identity(schedule):
     grid = dif.make_time_grid(schedule, 3)
     ident = lle.LLECoefficients.identity(grid)
-    assert [g.tolist() for g in ident.gamma] == [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]]
+    assert [g.tolist() for g in ident.theta] == [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]]
     with pytest.raises(ValueError):
         lle.LLECoefficients(S=2, decoupled=False, timesteps=(1000, 500),
-                            gamma=[np.array([1.0])])
+                            theta=[np.array([1.0])])
     with pytest.raises(ValueError):
         lle.LLECoefficients(S=1, decoupled=False, timesteps=(1000,),
-                            gamma=[np.array([np.nan])])
+                            theta=[np.array([np.nan])])
 
 
 def test_coefficients_json_round_trip(schedule):
@@ -207,11 +200,40 @@ def test_coefficients_json_round_trip(schedule):
     stream = RngStream(106)
     gamma = [stream.standard_normal(i + 1) for i in range(3)]
     gperp = [stream.standard_normal(i + 1) for i in range(3)]
+    theta = [np.concatenate([g, p]) for g, p in zip(gamma, gperp)]
     coeffs = lle.LLECoefficients(S=3, decoupled=True, timesteps=grid.timesteps[:3],
-                                 gamma=gamma, gamma_perp=gperp)
+                                 theta=theta)
     back = lle.LLECoefficients.from_json(coeffs.to_json())
     assert back.S == 3 and back.decoupled
-    for a, b in zip(back.gamma + back.gamma_perp, gamma + gperp):
+    for a, b in zip(back.theta, theta):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("decoupled", [False, True], ids=["coupled", "decoupled"])
+def test_coefficients_file_layout(tmp_path, schedule, decoupled):
+    # the file keeps one list per part, entry j oldest first and xhat last,
+    # whatever the in-memory layout
+    grid = dif.make_time_grid(schedule, 2)
+    par = [[1.0], [0.25, 0.75]]
+    perp = [[0.5], [-0.125, 1.0]]
+    theta = [np.array(g + p) if decoupled else np.array(g) for g, p in zip(par, perp)]
+    coeffs = lle.LLECoefficients(S=2, decoupled=decoupled, timesteps=grid.timesteps[:2],
+                                 theta=theta)
+    expected = {"steps": 2, "decoupled": decoupled, "timesteps": list(grid.timesteps[:2])}
+    if decoupled:
+        expected.update(gamma_par=par, gamma_perp=perp)
+    else:
+        expected["gamma"] = par
+    assert coeffs.to_json() == json.dumps(expected, indent=2)
+    if decoupled:  # parts that add up to 2J but split it elsewhere are refused
+        bad = dict(expected, gamma_par=[[1.0], [0.25, 0.75, 0.5]], gamma_perp=[[0.5], [1.0]])
+        with pytest.raises(ValueError, match="gamma_par"):
+            lle.LLECoefficients.from_json(json.dumps(bad))
+    path = tmp_path / "coeffs.json"
+    coeffs.save(path)
+    back = lle.LLECoefficients.load(path)
+    assert back.decoupled == decoupled and back.timesteps == coeffs.timesteps
+    for a, b in zip(back.theta, theta, strict=True):
         assert np.array_equal(a, b)
 
 
@@ -263,15 +285,14 @@ def test_gamma_gradient_fd():
     bases = [stream.standard_normal((4, 5)) for _ in range(3)]
     x_gt = stream.standard_normal((4, 5))
     theta = stream.standard_normal(3)
-    plugin = lle.GradientDomainPlugin()
-    grad = lle.loss_grad_gamma(bases, x_gt, theta, 0.3, plugin)
+    grad = lle.loss_grad_gamma(bases, x_gt, theta, 0.3)
     h = 1e-6
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
         fd = (
-            lle.gamma_objective(bases, x_gt, theta + e, 0.3, plugin)
-            - lle.gamma_objective(bases, x_gt, theta - e, 0.3, plugin)
+            lle.gamma_objective(bases, x_gt, theta + e, 0.3)
+            - lle.gamma_objective(bases, x_gt, theta - e, 0.3)
         ) / (2 * h)
         assert abs(grad[j] - fd) < 1e-5
 
@@ -282,9 +303,9 @@ def test_train_timestep_monotone():
     x_gt = stream.standard_normal((8, 3))
     theta0 = np.array([0.0, 0.0, 0.0, 1.0])
     config = lle.TrainConfig(epochs=60, warmup=10)
-    init_loss = lle.gamma_objective(bases, x_gt, theta0, 0.0, None)
+    init_loss = lle.gamma_objective(bases, x_gt, theta0, 0.0)
     theta, trace = lle.train_timestep(bases, x_gt, theta0, config, lr_t=0.05, t_i=500)
-    final = lle.gamma_objective(bases, x_gt, theta, 0.0, None)
+    final = lle.gamma_objective(bases, x_gt, theta, 0.0)
     assert final <= init_loss + 1e-9
     assert trace[0] == pytest.approx(init_loss)
     assert min(trace) == pytest.approx(final)
@@ -414,7 +435,7 @@ def test_train_decoupled_produces_two_vectors():
         decoupled=True, closed_form=True
     )
     coeffs, _ = lle.train(params, prior, schedule, obs_builder, grid, tc)
-    assert coeffs.decoupled and len(coeffs.gamma_perp) == 3
+    assert coeffs.decoupled and [t.size for t in coeffs.theta] == [2, 4, 6]
 
 
 def test_decoupled_training_projects_once_per_timestep(monkeypatch):
@@ -521,10 +542,12 @@ def _random_coeffs(kind, grid, seed):
     def near_identity(J):
         return np.eye(J)[J - 1] + 0.2 * s.standard_normal(J)
 
-    gamma = [near_identity(J) for J in range(1, grid.S + 1)]
-    perp = [near_identity(J) for J in range(1, grid.S + 1)] if kind == "decoupled" else None
+    theta = [near_identity(J) for J in range(1, grid.S + 1)]
+    if kind == "decoupled":
+        perp = [near_identity(J) for J in range(1, grid.S + 1)]
+        theta = [np.concatenate([g, p]) for g, p in zip(theta, perp)]
     return lle.LLECoefficients(S=grid.S, decoupled=kind == "decoupled",
-                               timesteps=grid.timesteps[:grid.S], gamma=gamma, gamma_perp=perp)
+                               timesteps=grid.timesteps[:grid.S], theta=theta)
 
 
 @settings(max_examples=60, deadline=None)

@@ -194,6 +194,17 @@ def test_load_config_rejects_decoupled_on_nonlinear_operator(tmp_path):
         harness.load_config(path)
 
 
+def test_load_config_rejects_daps_noiseless_linear_on_nonlinear_operator(tmp_path):
+    daps = {"name": "DAPS", "daps": {"noiseless_linear": True}}
+    harness.load_config(write_config(tmp_path / "ok.json", algorithm=daps))  # a mask
+    nonlinear = {"operator": {"kind": "nonlinear", "width": 3, "sigma": 1.0}, "sigma_y": 0.1}
+    harness.load_config(write_config(tmp_path / "plain.json", task=nonlinear,
+                                     algorithm={"name": "DAPS"}, lle="none"))
+    path = write_config(tmp_path / "cfg.json", task=nonlinear, algorithm=daps, lle="none")
+    with pytest.raises(harness.ConfigError, match=re.escape("algorithm.daps.noiseless_linear")):
+        harness.load_config(path)
+
+
 def test_load_config_accepts_closed_form_with_zero_omega_plugin(tmp_path):
     path = write_config(tmp_path / "cfg.json", lle={
         "n_refs": 4, "ref_steps": 30, "closed_form": True,

@@ -1,0 +1,254 @@
+"""Compare the CLI outputs of two source trees, file by file.
+
+    python3 tools/compare_outputs.py --parent OLD/src --change NEW/src --seeds 3,4
+
+Each side runs in its own subprocess with PYTHONPATH set to its source tree
+(the directory holding the ``lle`` package) and the BLAS pools pinned to one
+thread. For every seed it makes the same ``lle.cli.main`` calls:
+
+- every call of the three benchmark workloads (``bench/configs.workload_plan``,
+  imported read-only);
+- an LLE grid: DDRM, DDNM, DPS and DiffPIR x mask and dense operator x coupled
+  and decoupled x closed-form and first-order fit, each with ``train``,
+  ``run --coeffs`` and ``sweep``, plus one base (identity) ``run`` per
+  algorithm and operator;
+- one first-order fit with the gradient-domain loss term, and one Adam fit
+  with the dynamic lr rule and soft-nonlinear init, each with ``train`` and
+  ``run --coeffs``.
+
+A call that raises writes ``<out>.error`` holding the exception instead. For
+every file the comparison prints ``identical``, or the maximum relative
+deviation max|new - old| / max|old| over its numbers (LLEF64 arrays,
+coefficient JSON, CSV fields), or ``differs`` when the files do not have the
+same shape or non-numeric content.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.join(os.path.dirname(HERE), "bench")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+GRID_ALGORITHMS = ("DDRM", "DDNM", "DPS", "DiffPIR")
+GRID_STEPS = "2,3"
+
+
+# ---------------------------------------------------------------------------
+# the calls, made in the child process of one side
+# ---------------------------------------------------------------------------
+
+
+def _grid_config(seed, algorithm, operator, n_test, lle):
+    return {
+        "prior": {"dim": 8, "components": 3, "seed": seed},
+        "task": {"operator": operator, "sigma_y": 0.05},
+        "algorithm": {"name": algorithm},
+        "steps": 3,
+        "n_test": n_test,
+        "seeds": {"train": seed + 1, "test": seed + 2},
+        "lle": lle,
+    }
+
+
+def grid_plan(seed: int) -> list:
+    """(name, config, calls) for the LLE grid and the two optimizer variants."""
+    rng = random.Random(seed)
+    operators = {
+        "mask": {"kind": "mask", "keep_ratio": 0.5, "seed": rng.randrange(1, 2**31)},
+        "dense": {"kind": "dense",
+                  "matrix": [[rng.gauss(0.0, 0.35) for _ in range(8)] for _ in range(4)]},
+    }
+    base_seed = rng.randrange(1, 2**31)
+    prior_seed = rng.randrange(1, 2**31)
+    fit = {"n_refs": 16, "ref_steps": 100, "epochs": 30, "warmup": 10, "base_seed": base_seed}
+    plan = []
+    for algorithm in GRID_ALGORITHMS:
+        for op_name, operator in operators.items():
+            name = f"{algorithm.lower()}-{op_name}-base"
+            plan.append((name, _grid_config(prior_seed, algorithm, operator, 5, "none"),
+                         ("run",)))
+            for decoupled in (False, True):
+                for closed_form in (True, False):
+                    lle = dict(fit, decoupled=decoupled, closed_form=closed_form)
+                    name = (f"{algorithm.lower()}-{op_name}-"
+                            f"{'decoupled' if decoupled else 'coupled'}-"
+                            f"{'closed' if closed_form else 'first'}")
+                    cfg = _grid_config(prior_seed, algorithm, operator, 5, lle)
+                    plan.append((name, cfg, ("train", "run", "sweep")))
+    variants = {
+        "dps-mask-plugin": ("DPS", dict(fit, plugin="gradient-domain")),
+        "ddnm-mask-adam": ("DDNM", dict(fit, optimizer="adam", lr_rule="dynamic",
+                                        init_mode="soft-nonlinear")),
+    }
+    for name, (algorithm, lle) in variants.items():
+        plan.append((name, _grid_config(prior_seed, algorithm, operators["mask"], 5, lle),
+                     ("train", "run")))
+    return plan
+
+
+def _call(cli, argv, out):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+    except Exception as exc:  # an error row is an output too
+        with open(out + ".error", "w") as f:
+            f.write(f"{type(exc).__name__}: {exc}\n")
+
+
+def emit(outdir: str, seeds: list) -> None:
+    """Make every call for every seed, writing outputs under outdir/<seed>/."""
+    sys.path.append(BENCH)
+    import configs  # noqa: E402  (bench/configs.py: pure Python)
+    from lle import cli
+
+    steps = ",".join(str(s) for s in configs.SWEEP_STEPS)
+    for seed in seeds:
+        for workload in configs.WORKLOADS:
+            d = os.path.join(outdir, str(seed), workload)
+            os.makedirs(d)
+            plan = configs.workload_plan(workload, seed)
+            paths = configs.write_configs(plan, d)
+            for kind, name in plan["calls"]:
+                if kind == "train":
+                    out = os.path.join(d, f"coeffs-{name}.json")
+                    _call(cli, ["train", "--config", paths[name], "--out", out], out)
+                elif kind == "run":
+                    out = os.path.join(d, f"recon-{name}.lle")
+                    _call(cli, ["run", "--config", paths[name], "--seed",
+                                str(plan["run_seed"]), "--out", out], out)
+                else:
+                    out = os.path.join(d, f"sweep-{name}.csv")
+                    _call(cli, ["sweep", "--config", paths[name], "--steps", steps,
+                                "--out", out], out)
+        d = os.path.join(outdir, str(seed), "grid")
+        os.makedirs(d)
+        for name, cfg, calls in grid_plan(seed):
+            path = os.path.join(d, f"{name}.json")
+            with open(path, "w") as f:
+                json.dump(cfg, f)
+            coeffs = os.path.join(d, f"coeffs-{name}.json")
+            run_seed = str(seed + 3)
+            for kind in calls:
+                if kind == "train":
+                    _call(cli, ["train", "--config", path, "--out", coeffs], coeffs)
+                elif kind == "run":
+                    out = os.path.join(d, f"recon-{name}.lle")
+                    extra = ["--coeffs", coeffs] if "train" in calls else []
+                    _call(cli, ["run", "--config", path, "--seed", run_seed, "--out", out]
+                          + extra, out)
+                else:
+                    out = os.path.join(d, f"sweep-{name}.csv")
+                    _call(cli, ["sweep", "--config", path, "--steps", GRID_STEPS,
+                                "--out", out], out)
+
+
+# ---------------------------------------------------------------------------
+# the comparison, in the launching process
+# ---------------------------------------------------------------------------
+
+
+def _numbers(path: str, blob: bytes):
+    """(numbers, the non-numeric skeleton) of one output file."""
+    import numpy as np
+
+    if blob.startswith(b"LLEF64\n"):
+        header, _, payload = blob[7:].partition(b"\n")
+        return np.frombuffer(payload, dtype="<f8"), header
+    if path.endswith(".json"):
+        obj = json.loads(blob)
+        keys = sorted(k for k in obj if k.startswith("gamma"))
+        flat = [v for k in keys for vec in obj[k] for v in vec]
+        skeleton = ({k: obj[k] for k in obj if k not in keys},
+                    [[len(vec) for vec in obj[k]] for k in keys])
+        return np.array(flat, dtype=float), json.dumps(skeleton)
+    values, skeleton = [], []
+    for field in blob.decode().replace("\n", ",").split(","):
+        try:
+            values.append(float(field))
+            skeleton.append("#")
+        except ValueError:
+            skeleton.append(field)
+    return np.array(values), ",".join(skeleton)
+
+
+def deviation(path: str, old: bytes, new: bytes) -> str:
+    import numpy as np
+
+    if old == new:
+        return "identical"
+    if path.endswith(".error"):
+        return "differs"
+    a, skel_a = _numbers(path, old)
+    b, skel_b = _numbers(path, new)
+    if skel_a != skel_b or a.shape != b.shape:
+        return "differs"
+    scale = np.max(np.abs(a)) if a.size else 0.0
+    return f"max rel dev {np.max(np.abs(b - a)) / scale if scale else np.inf:.3g}"
+
+
+def _files(root: str) -> dict:
+    found = {}
+    for directory, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            rel = os.path.relpath(path, root)
+            if not rel.endswith(".json") or "coeffs-" in rel:  # configs are inputs
+                with open(path, "rb") as f:
+                    found[rel] = f.read()
+    return found
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", help="source tree of the old code (holds lle/)")
+    p.add_argument("--change", help="source tree of the new code (holds lle/)")
+    p.add_argument("--seeds", required=True, help="comma-separated workload seeds")
+    p.add_argument("--emit", help=argparse.SUPPRESS)  # child mode: output directory
+    args = p.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    if args.emit:
+        emit(args.emit, seeds)
+        return 0
+    if not (args.parent and args.change):
+        p.error("--parent and --change are required")
+    with tempfile.TemporaryDirectory(prefix="compare-") as work:
+        procs = {}
+        for side in ("parent", "change"):
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(getattr(args, side)))
+            env.update({var: "1" for var in THREAD_VARS})
+            out = os.path.join(work, side)
+            procs[side] = subprocess.Popen(
+                [sys.executable, os.path.abspath(__file__), "--seeds", args.seeds,
+                 "--emit", out], env=env)
+        if any(proc.wait() != 0 for proc in procs.values()):
+            print("a side failed to run", file=sys.stderr)
+            return 1
+        old = _files(os.path.join(work, "parent"))
+        new = _files(os.path.join(work, "change"))
+    counts = {}
+    for rel in sorted(old.keys() | new.keys()):
+        if rel not in old or rel not in new:
+            verdict = f"only in {'change' if rel in new else 'parent'}"
+        else:
+            verdict = deviation(rel, old[rel], new[rel])
+        print(f"{rel}: {verdict}")
+        kind = verdict.split(" ")[0]
+        counts[kind] = counts.get(kind, 0) + 1
+    print(f"{len(old.keys() | new.keys())} files: "
+          + ", ".join(f"{n} {kind}" for kind, n in sorted(counts.items())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
