@@ -12,8 +12,9 @@ Each step's coefficient vector theta weights one stacked basis
 (`stack_bases`): the J estimates, or, decoupled, their J range and J null
 projections, so the decoupled fit is the coupled fit over 2J projected
 bases and theta holds gamma, then gamma_perp. The fitting loss is squared
-error plus omega times a gradient-domain term, evaluated batch-wise: one
-array reduction over the (N, d) batch gives every per-sample loss.
+error plus omega times a gradient-domain term. It is linear least squares in
+theta, so each step reduces it once to J-space (`LeastSquares`): the
+optimizer's epochs and the minimum-norm closed form both work there.
 """
 
 from __future__ import annotations
@@ -200,33 +201,34 @@ def _combined(stacked, theta):
     return out
 
 
-def gamma_objective(stacked, x_gt, theta, omega):
-    """Mean training loss at coefficient vector theta (one entry per basis)."""
-    return batch_loss(_combined(stacked, theta), x_gt, omega)
+class LeastSquares:
+    """One timestep's fit in J-space: the loss over theta is (||R theta - q||^2 + c) / n.
 
-
-def loss_grad_gamma(stacked, x_gt, theta, omega):
-    """Exact gradient of the mean loss over theta; fixed-order summation."""
-    stacked = np.asarray(stacked, dtype=float)
-    xt = _combined(stacked, theta)
-    sens = 2.0 * (xt - x_gt)
-    if omega != 0.0:
-        sens = sens + omega * _gradient_domain(xt, x_gt)[1]
-    # each row summed over its N*d entries, as np.sum(sens * basis) is
-    return np.sum((stacked * sens).reshape(len(stacked), -1), axis=1) / x_gt.shape[0]
-
-
-def solve_ls_closed_form(stacked, x_gt, reg=1e-10):
-    """Normal-equations minimizer of the batch MSE; valid only when omega = 0.
-
-    Gram and right-hand side are per-row sums over the flattened stack, so each
-    entry is np.sum(b_j * b_k) bit for bit (a gemm would reorder the sums); one
-    Gram row at a time keeps the temporary at one stack's size.
+    R, q = Q^T x and c, the squared residual outside F's range, come from one
+    QR of [F, x]: F = [B; sqrt(omega) D B], x = [x_gt; sqrt(omega) D x_gt], B the
+    flattened stack, D `_gradient_domain`'s first difference and n the batch's rows.
     """
-    F = np.asarray(stacked, dtype=float).reshape(len(stacked), -1)
-    G = np.array([np.sum(f * F, axis=-1) for f in F])
-    rhs = np.sum(F * np.ravel(x_gt), axis=-1)
-    return np.linalg.solve(G + reg * np.eye(len(F)), rhs)
+
+    def __init__(self, stacked, x_gt, omega: float = 0.0):
+        cols = np.concatenate([np.asarray(stacked, dtype=float), [x_gt]])
+        J = len(cols) - 1
+        rows = cols.reshape(J + 1, -1)
+        if omega != 0.0:
+            rows = np.hstack([rows, math.sqrt(omega) * np.diff(cols, axis=-1).reshape(J + 1, -1)])
+        r = np.zeros((J + 1, J + 1))  # with fewer rows than J + 1 the rest are zero
+        r[: rows.shape[1]] = np.linalg.qr(rows.T, mode="r")
+        self.R, self.q, self.c, self.n = r[:J, :J], r[:J, J], float(r[J, J] ** 2), cols.shape[1]
+
+    def loss(self, theta) -> float:
+        res = self.R @ theta - self.q
+        return float(res @ res + self.c) / self.n
+
+    def grad(self, theta) -> np.ndarray:
+        return 2.0 * (self.R.T @ (self.R @ theta - self.q)) / self.n
+
+    def solve(self) -> np.ndarray:
+        """The minimum-norm minimizer, so coefficients the loss cannot tell apart split equally."""
+        return np.linalg.lstsq(self.R, self.q, rcond=None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +250,7 @@ class TrainConfig(canon.ConfigBlock):
     init_mode: str = rule("adaptive-linear", choices=("adaptive-linear", "soft-nonlinear"))
     noisy_gt: bool = rule(False)  # a noisy_gt solver only (canonical.SOLVERS), checked at load
     decoupled: bool = rule(False)  # linear operators only; `load_config` rejects "nonlinear"
-    closed_form: bool = rule(False)  # fast path, requires omega = 0
+    closed_form: bool = rule(False)  # minimum-norm solve instead of the optimizer
     optimizer: str = rule("schedule-free", choices=("schedule-free", "adam"))
     base_seed: int = rule(0)
 
@@ -256,11 +258,6 @@ class TrainConfig(canon.ConfigBlock):
         super().__post_init__()
         if self.omega is not None and self.omega != 0.0 and self.plugin == "none":
             raise canon.ConfigurationError("lle.omega is non-zero but lle.plugin is \"none\"")
-        if self.closed_form and self.resolved_omega() != 0.0:
-            raise canon.ConfigurationError(
-                f"lle.closed_form needs omega = 0, got {self.resolved_omega()}"
-                " (a plugin's default omega is 0.1)"
-            )
 
     def resolved_omega(self) -> float:
         if self.omega is not None:
@@ -338,21 +335,16 @@ def train_timestep(stacked, x_gt, init_theta, config: TrainConfig, lr_t: float, 
     Returns (best theta, per-epoch loss trace). The best-by-training-loss
     snapshot guarantees final loss <= initial loss.
     """
-    stacked = np.asarray(stacked, dtype=float)
-    omega = config.resolved_omega()
-
-    def obj(theta):
-        return gamma_objective(stacked, x_gt, theta, omega)
-
+    ls = LeastSquares(stacked, x_gt, config.resolved_omega())
     theta = np.asarray(init_theta, dtype=float)
     best = theta.copy()
-    best_loss = obj(theta)
+    best_loss = ls.loss(theta)
     trace = [best_loss]
     if not math.isfinite(best_loss):
         raise TrainingDivergedError(f"non-finite loss at timestep {t_i}")
-    if config.closed_form and omega == 0.0:
-        cand = solve_ls_closed_form(stacked, x_gt)
-        cand_loss = obj(cand)
+    if config.closed_form:
+        cand = ls.solve()
+        cand_loss = ls.loss(cand)
         if cand_loss <= best_loss:
             best, best_loss = cand, cand_loss
         trace.append(best_loss)
@@ -362,8 +354,7 @@ def train_timestep(stacked, x_gt, init_theta, config: TrainConfig, lr_t: float, 
     else:
         opt = ScheduleFreeAdamW(theta, lr=lr_t, warmup=config.warmup)
     for _ in range(config.epochs):
-        g = loss_grad_gamma(stacked, x_gt, opt.eval_point(), omega)
-        cur = obj(opt.step(g))
+        cur = ls.loss(opt.step(ls.grad(opt.eval_point())))
         if not math.isfinite(cur):
             raise TrainingDivergedError(f"training diverged at timestep {t_i}")
         trace.append(cur)

@@ -261,13 +261,13 @@ def test_criterion_09_optimizer_vs_closed_form():
     for instance in range(10):
         bases = [stream.standard_normal((6, 5)) for _ in range(4)]
         x_gt = stream.standard_normal((6, 5))
-        star = lle.solve_ls_closed_form(bases, x_gt)
-        loss_star = lle.gamma_objective(bases, x_gt, star, 0.0)
+        star = lle.LeastSquares(bases, x_gt).solve()
+        loss_star = lle.batch_loss(lle._combined(np.asarray(bases), star), x_gt)
         tc = lle.TrainConfig(epochs=2000, warmup=50)
         theta, _ = lle.train_timestep(bases, x_gt, np.zeros(4), tc, lr_t=0.05, t_i=500)
-        loss_opt = lle.gamma_objective(bases, x_gt, theta, 0.0)
+        loss_opt = lle.batch_loss(lle._combined(np.asarray(bases), theta), x_gt)
         assert loss_opt - loss_star <= 1e-6, instance
-    report(9, "2000-epoch schedule-free training within 1e-6 of the normal equations")
+    report(9, "2000-epoch schedule-free training within 1e-6 of the least-squares solve")
 
 
 def test_criterion_10_langevin_stationarity():

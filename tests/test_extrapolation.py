@@ -57,7 +57,12 @@ def _plugin_grad_reference(x, g):
     return grad
 
 
-@given(
+def _objective(bases, x_gt, theta, omega=0.0):
+    """The batch loss of theta's combination, computed over the (N, d) batch."""
+    return lle.batch_loss(lle._combined(np.asarray(bases), theta), x_gt, omega)
+
+
+_LOSS_CASES = dict(
     n=st.integers(min_value=1, max_value=12),
     d=st.integers(min_value=1, max_value=70),
     n_bases=st.integers(min_value=1, max_value=4),
@@ -67,10 +72,10 @@ def _plugin_grad_reference(x, g):
     decoupled=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-@settings(max_examples=200, deadline=None)
-def test_batch_loss_and_gradient_equal_per_sample_loop(
-    n, d, n_bases, log_scale, omega, with_plugin, decoupled, seed
-):
+
+
+def _loss_case(n, d, n_bases, log_scale, omega, with_plugin, decoupled, seed):
+    """(stacked bases, x_gt, theta, omega) of one drawn case."""
     stream = RngStream(seed)
     scale = 10.0**log_scale
     bases = [scale * stream.standard_normal((n, d)) for _ in range(n_bases)]
@@ -78,24 +83,33 @@ def test_batch_loss_and_gradient_equal_per_sample_loop(
     theta = stream.standard_normal(2 * n_bases if decoupled else n_bases)
     op = ops.mask_operator(d, list(range(0, d, 2))) if decoupled else None
     omega = omega if with_plugin else 0.0  # the term applies wherever omega != 0
-    use_plugin = with_plugin and omega != 0.0
+    return lle.stack_bases(bases, op, decoupled), x_gt, theta, omega
 
-    xt = lle._combined(lle.stack_bases(bases, op, decoupled), theta)
-    rows = [_row_loss_reference(x, g, omega, use_plugin) for x, g in zip(xt, x_gt)]
+
+@given(**_LOSS_CASES)
+@settings(max_examples=200, deadline=None)
+def test_batch_loss_and_gradient_equal_per_sample_loop(**case):
+    stacked, x_gt, theta, omega = _loss_case(**case)
+    xt = lle._combined(stacked, theta)
+    rows = [_row_loss_reference(x, g, omega, omega != 0.0) for x, g in zip(xt, x_gt)]
     assert lle.batch_loss(xt, x_gt, omega) == float(np.mean(rows))
 
+
+@given(**_LOSS_CASES)
+@settings(max_examples=200, deadline=None)
+def test_least_squares_loss_and_gradient_equal_per_sample_loop(**case):
+    stacked, x_gt, theta, omega = _loss_case(**case)
+    n = len(x_gt)
+    xt = lle._combined(stacked, theta)
+    loss = np.mean([_row_loss_reference(x, g, omega, omega != 0.0) for x, g in zip(xt, x_gt)])
     sens = 2.0 * (xt - x_gt)
-    if use_plugin:
-        sens = sens + omega * np.stack(
-            [_plugin_grad_reference(x, g) for x, g in zip(xt, x_gt)], axis=0
-        )
-    directions = bases
-    if decoupled:
-        par = [ops.project(op, b, "range") for b in bases]
-        directions = par + [b - p for b, p in zip(bases, par)]
-    expected = np.array([np.sum(sens * b) for b in directions]) / n
-    got = lle.loss_grad_gamma(lle.stack_bases(bases, op, decoupled), x_gt, theta, omega)
-    assert np.array_equal(got, expected)
+    if omega != 0.0:
+        sens = sens + omega * np.stack([_plugin_grad_reference(x, g) for x, g in zip(xt, x_gt)])
+    grad = np.array([np.sum(sens * b) for b in stacked]) / n
+    scale = (np.sum(x_gt**2) + np.sum(stacked**2)) / n
+    ls = lle.LeastSquares(stacked, x_gt, omega)
+    assert abs(ls.loss(theta) - loss) <= 1e-12 * scale
+    assert np.max(np.abs(ls.grad(theta) - grad)) <= 1e-12 * scale
 
 
 def test_gradient_domain_plugin_shift_invariant():
@@ -251,14 +265,55 @@ def test_coefficients_file_round_trip(tmp_path, schedule):
 # ---------------------------------------------------------------------------
 
 
+def _flat(stacked):
+    """The stack as the (N*d, J) least-squares matrix."""
+    return np.asarray(stacked).reshape(len(stacked), -1).T
+
+
 def test_closed_form_matches_lstsq():
     stream = RngStream(107)
     bases = [stream.standard_normal((6, 4)) for _ in range(3)]
     x_gt = stream.standard_normal((6, 4))
-    theta = lle.solve_ls_closed_form(bases, x_gt)
-    B = np.stack([b.ravel() for b in bases], axis=1)
-    expected, *_ = np.linalg.lstsq(B, x_gt.ravel(), rcond=None)
-    assert np.max(np.abs(theta - expected)) < 1e-6
+    theta = lle.LeastSquares(bases, x_gt).solve()
+    expected, *_ = np.linalg.lstsq(_flat(bases), x_gt.ravel(), rcond=None)
+    assert np.max(np.abs(theta - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+def test_closed_form_with_gradient_domain_matches_stacked_lstsq():
+    stream = RngStream(136)
+    omega = 0.3
+    bases = np.stack([stream.standard_normal((6, 5)) for _ in range(4)])
+    x_gt = stream.standard_normal((6, 5))
+    rows = np.concatenate([_flat(bases), np.sqrt(omega) * _flat(np.diff(bases, axis=-1))])
+    target = np.concatenate([x_gt.ravel(), np.sqrt(omega) * np.diff(x_gt, axis=-1).ravel()])
+    expected, *_ = np.linalg.lstsq(rows, target, rcond=None)
+    config = lle.TrainConfig(closed_form=True, plugin="gradient-domain", omega=omega)
+    theta, _ = lle.train_timestep(bases, x_gt, np.eye(4)[3], config, 0.05, 500)
+    assert np.max(np.abs(theta - expected)) <= 1e-10 * np.max(np.abs(expected))
+    first_order = lle.TrainConfig(epochs=2000, warmup=50, plugin="gradient-domain", omega=omega)
+    fitted, _ = lle.train_timestep(bases, x_gt, np.eye(4)[3], first_order, 0.05, 500)
+    loss = _objective(bases, x_gt, theta, omega)
+    assert loss <= _objective(bases, x_gt, fitted, omega) * (1.0 + 1e-12)
+
+
+def test_decoupled_closed_form_is_minimum_norm_when_range_parts_coincide():
+    # DDNM on a mask: every estimate's range projection is A^+ y, so only the
+    # sum of the range coefficients is identified; the fit takes the equal split
+    op = ops.mask_operator(8, [0, 3, 4, 6])
+    stream = RngStream(137)
+    J = 3
+    p = ops.pinv_apply(op, stream.standard_normal((6, op.m)))
+    bases = [p + ops.project(op, stream.standard_normal((6, 8)), "null") for _ in range(J)]
+    x_gt = stream.standard_normal((6, 8))
+    stacked = lle.stack_bases(bases, op, decoupled=True)
+    assert all(np.array_equal(stacked[j], p) for j in range(J))
+    theta = lle.LeastSquares(stacked, x_gt).solve()
+    expected = np.linalg.pinv(_flat(stacked)) @ x_gt.ravel()
+    assert np.max(np.abs(theta - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.max(np.abs(theta[:J] - theta[0])) <= 1e-12 * abs(theta[0])
+    apart = np.concatenate([lle.LeastSquares(stacked[:J], x_gt).solve(),
+                            lle.LeastSquares(stacked[J:], x_gt).solve()])
+    assert np.max(np.abs(theta - apart)) <= 1e-12 * np.max(np.abs(apart))
 
 
 @pytest.mark.parametrize("op", [
@@ -274,9 +329,9 @@ def test_joint_decoupled_solve_separates_into_range_and_null(op):
     x_gt = stream.standard_normal((6, 8))
     stacked = lle.stack_bases(bases, op, decoupled=True)
     assert stacked.shape == (2 * J, 6, 8)
-    joint = lle.solve_ls_closed_form(stacked, x_gt)
-    apart = np.concatenate([lle.solve_ls_closed_form(stacked[:J], x_gt),
-                            lle.solve_ls_closed_form(stacked[J:], x_gt)])
+    joint = lle.LeastSquares(stacked, x_gt).solve()
+    apart = np.concatenate([lle.LeastSquares(stacked[:J], x_gt).solve(),
+                            lle.LeastSquares(stacked[J:], x_gt).solve()])
     assert np.max(np.abs(joint - apart)) <= 1e-12 * np.max(np.abs(apart))
 
 
@@ -285,14 +340,14 @@ def test_gamma_gradient_fd():
     bases = [stream.standard_normal((4, 5)) for _ in range(3)]
     x_gt = stream.standard_normal((4, 5))
     theta = stream.standard_normal(3)
-    grad = lle.loss_grad_gamma(bases, x_gt, theta, 0.3)
+    grad = lle.LeastSquares(bases, x_gt, 0.3).grad(theta)
     h = 1e-6
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
         fd = (
-            lle.gamma_objective(bases, x_gt, theta + e, 0.3)
-            - lle.gamma_objective(bases, x_gt, theta - e, 0.3)
+            _objective(bases, x_gt, theta + e, 0.3)
+            - _objective(bases, x_gt, theta - e, 0.3)
         ) / (2 * h)
         assert abs(grad[j] - fd) < 1e-5
 
@@ -303,9 +358,9 @@ def test_train_timestep_monotone():
     x_gt = stream.standard_normal((8, 3))
     theta0 = np.array([0.0, 0.0, 0.0, 1.0])
     config = lle.TrainConfig(epochs=60, warmup=10)
-    init_loss = lle.gamma_objective(bases, x_gt, theta0, 0.0)
+    init_loss = _objective(bases, x_gt, theta0)
     theta, trace = lle.train_timestep(bases, x_gt, theta0, config, lr_t=0.05, t_i=500)
-    final = lle.gamma_objective(bases, x_gt, theta, 0.0)
+    final = _objective(bases, x_gt, theta)
     assert final <= init_loss + 1e-9
     assert trace[0] == pytest.approx(init_loss)
     assert min(trace) == pytest.approx(final)
@@ -317,7 +372,7 @@ def test_train_timestep_closed_form_is_optimal():
     x_gt = stream.standard_normal((5, 4))
     config = lle.TrainConfig(closed_form=True)
     theta, _ = lle.train_timestep(bases, x_gt, np.array([0.0, 1.0]), config, 0.01, 500)
-    star = lle.solve_ls_closed_form(bases, x_gt)
+    star, *_ = np.linalg.lstsq(_flat(bases), x_gt.ravel(), rcond=None)
     assert np.max(np.abs(theta - star)) < 1e-9
 
 

@@ -144,8 +144,8 @@ def test_load_config_rejects_negative_sigma_y(tmp_path):
     ({"decoupled": 1}, "lle.decoupled"),
     ({"omega": 0.5}, "lle.omega"),
     ({"omega": "0.1", "plugin": "gradient-domain"}, "lle.omega"),
-    ({"closed_form": True, "plugin": "gradient-domain"}, "lle.closed_form"),
-    ({"closed_form": True, "plugin": "gradient-domain", "omega": 0.3}, "lle.closed_form"),
+    ({"closed_form": 1}, "lle.closed_form"),
+    ({"closed_form": None}, "lle.closed_form"),
     ({"init_mode": "linear"}, "lle.init_mode"),
     ({"lr_rule": "cosine"}, "lle.lr_rule"),
     ({"plugin": "vgg"}, "lle.plugin"),
@@ -210,6 +210,14 @@ def test_load_config_accepts_closed_form_with_zero_omega_plugin(tmp_path):
         "n_refs": 4, "ref_steps": 30, "closed_form": True,
         "plugin": "gradient-domain", "omega": 0.0})
     assert harness.load_config(path).train_config.resolved_omega() == 0.0
+
+
+def test_load_config_accepts_closed_form_with_plugin_omega(tmp_path):
+    for omega, resolved in ((None, 0.1), (0.3, 0.3)):
+        path = write_config(tmp_path / "cfg.json", lle={
+            "n_refs": 4, "ref_steps": 30, "closed_form": True,
+            "plugin": "gradient-domain", "omega": omega})
+        assert harness.load_config(path).train_config.resolved_omega() == resolved
 
 
 def test_algo_params_nested_overrides(tmp_path):
@@ -684,12 +692,11 @@ def _valid_configs(draw):
     }
     if draw(st.booleans()):
         plugin = draw(st.sampled_from(["none", "gradient-domain"]))
-        closed_form = draw(st.booleans())
         cfg["lle"] = {"n_refs": 4, "ref_steps": 10, "epochs": 3, "warmup": 1,
-                      "omega": 0.0 if closed_form else None, "plugin": plugin,
+                      "omega": None, "plugin": plugin,
                       "lr_rule": draw(st.sampled_from(["constant", "dynamic"])),
                       "init_mode": draw(st.sampled_from(["adaptive-linear", "soft-nonlinear"])),
-                      "noisy_gt": False, "decoupled": False, "closed_form": closed_form,
+                      "noisy_gt": False, "decoupled": False, "closed_form": draw(st.booleans()),
                       "optimizer": draw(st.sampled_from(["schedule-free", "adam"])),
                       "base_seed": seed}
     return cfg

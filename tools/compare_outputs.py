@@ -21,6 +21,11 @@ every file the comparison prints ``identical``, or the maximum relative
 deviation max|new - old| / max|old| over its numbers (LLEF64 arrays,
 coefficient JSON, CSV fields), or ``differs`` when the files do not have the
 same shape or non-numeric content.
+
+A summary table follows, one row per group of files: kind (coeffs, recon,
+sweep, trace) x fit (closed, first-order, or none for a base run) x coupling,
+taken from the LLE block of the config that made the file. Each row counts
+the identical and the differing files and gives their maximum deviation.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -106,10 +112,16 @@ def _call(cli, argv, out):
             f.write(f"{type(exc).__name__}: {exc}\n")
 
 
-def emit(outdir: str, seeds: list) -> None:
-    """Make every call for every seed, writing outputs under outdir/<seed>/."""
+def _bench_configs():
     sys.path.append(BENCH)
     import configs  # noqa: E402  (bench/configs.py: pure Python)
+
+    return configs
+
+
+def emit(outdir: str, seeds: list) -> None:
+    """Make every call for every seed, writing outputs under outdir/<seed>/."""
+    configs = _bench_configs()
     from lle import cli
 
     steps = ",".join(str(s) for s in configs.SWEEP_STEPS)
@@ -182,19 +194,67 @@ def _numbers(path: str, blob: bytes):
     return np.array(values), ",".join(skeleton)
 
 
-def deviation(path: str, old: bytes, new: bytes) -> str:
+def deviation(path: str, old: bytes, new: bytes) -> float | None:
+    """max|new - old| / max|old| over the numbers of two differing files, or
+    None when they do not have the same shape and non-numeric content."""
     import numpy as np
 
-    if old == new:
-        return "identical"
     if path.endswith(".error"):
-        return "differs"
+        return None
     a, skel_a = _numbers(path, old)
     b, skel_b = _numbers(path, new)
     if skel_a != skel_b or a.shape != b.shape:
-        return "differs"
+        return None
     scale = np.max(np.abs(a)) if a.size else 0.0
-    return f"max rel dev {np.max(np.abs(b - a)) / scale if scale else np.inf:.3g}"
+    return float(np.max(np.abs(b - a)) / scale) if scale else math.inf
+
+
+def fit_groups(seeds: list) -> dict:
+    """(seed, directory, config name) -> (fit, coupling) of that config's LLE block."""
+    configs = _bench_configs()
+    groups = {}
+    for seed in seeds:
+        named = [(w, name, cfg) for w in configs.WORKLOADS
+                 for name, cfg in configs.workload_plan(w, seed)["configs"].items()]
+        named += [("grid", name, cfg) for name, cfg, _ in grid_plan(seed)]
+        for directory, name, cfg in named:
+            lle = cfg["lle"]
+            groups[str(seed), directory, name] = ("none", "-") if lle == "none" else (
+                "closed" if lle.get("closed_form") else "first-order",
+                "decoupled" if lle.get("decoupled") else "coupled")
+    return groups
+
+
+def _group(rel: str, groups: dict) -> tuple:
+    """(kind, fit, coupling) of one output file, e.g. 83/grid/recon-dps-mask-base.lle."""
+    seed, directory, filename = rel.split(os.sep)
+    kind, _, rest = filename.partition("-")
+    if ".trace." in filename:
+        kind = "trace"
+    return (kind,) + groups[seed, directory, rest.split(".")[0]]
+
+
+def summary(rows: list) -> str:
+    """The markdown table of (group, identical, deviation or None) rows."""
+    table = {}
+    for group, same, dev in rows:
+        counts = table.setdefault(group, [0, 0, 0.0, 0])  # identical, differing, max, other
+        if same:
+            counts[0] += 1
+        elif dev is None:
+            counts[1] += 1
+            counts[3] += 1
+        else:
+            counts[1] += 1
+            counts[2] = max(counts[2], dev)
+    lines = ["| kind | fit | coupling | identical | differing | max rel dev |",
+             "| --- | --- | --- | --- | --- | --- |"]
+    for group, (same, differing, worst, other) in sorted(table.items()):
+        dev = f"{worst:.2g}" if differing > other else "-"
+        if other:
+            dev += f" ({other} not comparable)"
+        lines.append(f"| {' | '.join(group)} | {same} | {differing} | {dev} |")
+    return "\n".join(lines)
 
 
 def _files(root: str) -> dict:
@@ -236,17 +296,23 @@ def main(argv=None) -> int:
             return 1
         old = _files(os.path.join(work, "parent"))
         new = _files(os.path.join(work, "change"))
-    counts = {}
+    groups = fit_groups(seeds)
+    counts, rows = {}, []
     for rel in sorted(old.keys() | new.keys()):
         if rel not in old or rel not in new:
-            verdict = f"only in {'change' if rel in new else 'parent'}"
+            dev, verdict = None, f"only in {'change' if rel in new else 'parent'}"
+        elif old[rel] == new[rel]:
+            dev, verdict = 0.0, "identical"
         else:
-            verdict = deviation(rel, old[rel], new[rel])
+            dev = deviation(rel, old[rel], new[rel])
+            verdict = "differs" if dev is None else f"max rel dev {dev:.3g}"
         print(f"{rel}: {verdict}")
-        kind = verdict.split(" ")[0]
+        kind = "deviating" if verdict.startswith("max") else verdict.split(" ")[0]
         counts[kind] = counts.get(kind, 0) + 1
+        rows.append((_group(rel, groups), verdict == "identical", dev))
     print(f"{len(old.keys() | new.keys())} files: "
           + ", ".join(f"{n} {kind}" for kind, n in sorted(counts.items())))
+    print(summary(rows))
     return 0
 
 
