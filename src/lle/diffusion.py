@@ -36,6 +36,13 @@ class DiffusionSchedule:
             raise BoundsError(f"timestep {t} outside [0, {self.T}]")
         return float(self.alphabar_table[t])
 
+    def alphabars(self, ts) -> np.ndarray:
+        """alphabar at each timestep of a list, checked like `alphabar`."""
+        for t in (min(ts), max(ts)):
+            if not 0 <= t <= self.T:
+                raise BoundsError(f"timestep {t} outside [0, {self.T}]")
+        return self.alphabar_table[ts]
+
     def sigma(self, t: int) -> float:
         """sqrt(1 - alphabar_t), the noise level at t."""
         return math.sqrt(1.0 - self.alphabar(t))
@@ -139,34 +146,58 @@ class GaussianMixturePrior:
 
     # -- noised-mixture internals ----------------------------------------
 
-    def _resp_and_whitened(self, schedule, x: np.ndarray, t: int):
+    def _constants(self, ab: np.ndarray) -> tuple:
+        """Per-timestep constants of the noised mixture at alphabar values ab (n,),
+        as columns: sqrt(ab) and sigma = sqrt(1 - ab) (n,), the reciprocal
+        eigenvalues w = 1/ev of C_k (n, K, d) and the per-component
+        log-normalizer (n, K).
+
+        Every operation is elementwise or reduces a row's own last axis, so
+        row i holds the bits a one-row table at ab[i] holds.
+        """
+        ab3 = ab[:, None, None]
+        ev = ab3 * self._lam + (1.0 - ab3)
+        lognorm = np.log(self.weights) - 0.5 * (
+            np.log(ev).sum(axis=-1) + self.d * math.log(2.0 * math.pi)
+        )
+        return np.sqrt(ab), np.sqrt(1.0 - ab), 1.0 / ev, lognorm
+
+    def _resp_and_whitened(self, row, x: np.ndarray):
         """Responsibilities r (..., B, K), reciprocal eigenvalues w (K, d) of C_k,
         and y_k = Q_k^T C_k^-1 (x - m_k) (..., K, B, d) for a batch x (..., B, d),
         the solves in each component's eigenbasis (so C_k^-1 (x - m_k) = Q_k y_k).
+        row: one row of a table whose first columns are `_constants`.
 
         The component axis goes in front of the row axis B, so every (B, d)
         block of an (..., B, d) stack is laid out, multiplied and reduced as
         the same block alone: an (N, 1, d) stack gives each row the bits of
         its one-row call.
         """
-        ab = schedule.alphabar(t)
-        ev = ab * self._lam + (1.0 - ab)
-        w = 1.0 / ev
-        z = (x[..., None, :, :] - math.sqrt(ab) * self.means[:, None, :]) @ self._eigvecs
+        sqrt_ab, _, w, lognorm = row[:4]
+        z = (x[..., None, :, :] - sqrt_ab * self.means[:, None, :]) @ self._eigvecs
         y = z * w[:, None, :]
-        lognorm = np.log(self.weights) - 0.5 * (
-            np.log(ev).sum(axis=1) + self.d * math.log(2.0 * math.pi)
-        )
         logp = lognorm - 0.5 * np.einsum("...kbd,...kbd->...bk", z, y)
         r = np.exp(logp - logp.max(axis=-1, keepdims=True))
         r /= r.sum(axis=-1, keepdims=True)
         return r, y, w
 
-    def _from_eigenbasis(self, c: np.ndarray) -> np.ndarray:
-        """sum_k Q_k c_k for eigenbasis coordinates c (..., K, B, d), as one
-        (..., B, K*d) @ (K*d, d) matmul."""
-        rows = c.swapaxes(-3, -2)
+    def _from_eigenbasis(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """sum_k r_k Q_k c_k for responsibilities r (..., B, K) and eigenbasis
+        coordinates c (..., K, B, d), as one (..., B, K*d) @ (K*d, d) matmul."""
+        rows = (r.swapaxes(-1, -2)[..., None] * c).swapaxes(-3, -2)
         return rows.reshape(rows.shape[:-2] + (-1,)) @ self._eigvecs_rows
+
+
+def _rows(columns):
+    """The rows of a table of columns, scalar columns as Python floats."""
+    # a list, not a generator expression, inside zip(*...): with a generator,
+    # 60 in-process `lle sweep` calls (d = 8) left ~0.35 MB more memory resident
+    return zip(*[c.tolist() if c.ndim == 1 else c for c in columns])
+
+
+def _mixture_row(prior, schedule, t: int) -> tuple:
+    """The one-row table of the mixture's constants at timestep t."""
+    return next(_rows(prior._constants(schedule.alphabars([t]))))
 
 
 def _as_batch(x: np.ndarray):
@@ -180,16 +211,16 @@ def whiten(prior, schedule, x, t: int):
     """The mixture's (responsibilities, whitened residuals, reciprocal
     eigenvalues) at (x, t); pass it as `whitened=` to evaluate `gmm_eps` and
     `gmm_eps_jvp` at the same (x, t) without repeating the solves."""
-    return prior._resp_and_whitened(schedule, _as_batch(x)[0], t)
+    return prior._resp_and_whitened(_mixture_row(prior, schedule, t), _as_batch(x)[0])
 
 
 def gmm_score(prior, schedule, x, t: int, whitened=None) -> np.ndarray:
     """Exact gradient of log q_t at x, batched over every leading axis."""
     xb, squeeze = _as_batch(x)
     if whitened is None:
-        whitened = prior._resp_and_whitened(schedule, xb, t)
+        whitened = prior._resp_and_whitened(_mixture_row(prior, schedule, t), xb)
     r, y, _ = whitened
-    score = -prior._from_eigenbasis(r.swapaxes(-1, -2)[..., None] * y)
+    score = -prior._from_eigenbasis(r, y)
     return score[0] if squeeze else score
 
 
@@ -213,7 +244,7 @@ def gmm_eps_jvp(prior, schedule, x, t: int, v, whitened=None) -> np.ndarray:
     if vb.shape != xb.shape:
         vb = np.broadcast_to(vb, xb.shape)
     if whitened is None:
-        whitened = prior._resp_and_whitened(schedule, xb, t)
+        whitened = prior._resp_and_whitened(_mixture_row(prior, schedule, t), xb)
     r, y, w = whitened
     # H = sum_k r_k (u_k u_k^T - C_k^-1) - s s^T with u_k = Q_k y_k, s = -sum_k r_k u_k;
     # with p_k = Q_k^T v: Hv = sum_k r_k Q_k (y_k (y_k.p_k + s.v) - w_k p_k)
@@ -221,7 +252,7 @@ def gmm_eps_jvp(prior, schedule, x, t: int, v, whitened=None) -> np.ndarray:
     yp = np.einsum("...kbd,...kbd->...kb", y, p)
     sv = -np.einsum("...bk,...kb->...b", r, yp)
     coords = y * (yp + sv[..., None, :])[..., None] - w[:, None, :] * p
-    hv = prior._from_eigenbasis(r.swapaxes(-1, -2)[..., None] * coords)
+    hv = prior._from_eigenbasis(r, coords)
     out = -schedule.sigma(t) * hv
     return out[0] if squeeze else out
 
@@ -249,6 +280,53 @@ def ddim_coeffs(schedule, t_from: int, t_to: int, eta: float) -> tuple[float, fl
     return c1, c2
 
 
+def _step_table(prior, schedule, t_from, t_to, eta: float) -> tuple:
+    """Constants of the DDIM steps t_from[i] -> t_to[i] < t_from[i] (two
+    lists), as columns: the mixture's `_constants` at t_from, then
+    sqrt(alphabar) at t_to, c1 and c2, each with the operations of
+    `ddim_coeffs`, elementwise."""
+    ab_f, ab_t = schedule.alphabars(t_from), schedule.alphabars(t_to)
+    c1 = eta * np.sqrt(np.maximum(0.0, 1.0 - ab_f / ab_t)) * np.sqrt((1.0 - ab_t) / (1.0 - ab_f))
+    rad = 1.0 - ab_t - c1 * c1
+    if rad.min() < -1e-12:
+        i = int(np.flatnonzero(rad < -1e-12)[0])
+        raise FloatingPointError(f"negative c2 radicand {rad[i]} at ({t_from[i]},{t_to[i]})")
+    return prior._constants(ab_f) + (np.sqrt(ab_t), c1, np.sqrt(np.maximum(0.0, rad)))
+
+
+def _ddim_step(prior, row, x: np.ndarray, shape, stream) -> np.ndarray:
+    """One DDIM step of a batch x (..., B, d) with one row of `_step_table`;
+    the fresh noise is drawn in `shape`, the caller's shape of x."""
+    sqrt_ab, sigma, _, _, sqrt_ab_to, c1, c2 = row
+    r, y, _ = prior._resp_and_whitened(row, x)
+    # one eps serves both the Tweedie estimate x0 and the c2 term;
+    # sigma * sum_k r_k Q_k y_k is eps = -sigma * score bit for bit
+    eps = sigma * prior._from_eigenbasis(r, y)
+    out = sqrt_ab_to * ((x - sigma * eps) / sqrt_ab)
+    if c2 != 0.0:
+        out = out + c2 * eps
+    if c1 != 0.0:
+        out = out + c1 * stream.standard_normal(shape)
+    return out
+
+
+# steps whose constants `_ddim_steps` builds at once: a long sub-grid holds
+# (16, K, d) blocks, never a (steps, K, d) table, which would raise peak memory
+_TABLE_BLOCK = 16
+
+
+def _ddim_steps(prior, schedule, x: np.ndarray, t_from, t_to, eta: float, stream) -> np.ndarray:
+    """The DDIM steps t_from[i] -> t_to[i] < t_from[i] (two lists) in turn
+    from x; each block of _TABLE_BLOCK steps reads its constants from one
+    `_step_table`."""
+    out, squeeze = _as_batch(x)
+    for i in range(0, len(t_from), _TABLE_BLOCK):
+        block = slice(i, i + _TABLE_BLOCK)
+        for row in _rows(_step_table(prior, schedule, t_from[block], t_to[block], eta)):
+            out = _ddim_step(prior, row, out, x.shape, stream)
+    return out[0] if squeeze else out
+
+
 def ddim_step(
     prior,
     schedule,
@@ -264,17 +342,7 @@ def ddim_step(
         return x.copy()
     if t_from < t_to:
         raise InvalidGridError(f"t_from={t_from} must exceed t_to={t_to}")
-    # one eps serves both the Tweedie estimate x0 and the c2 term
-    eps = gmm_eps(prior, schedule, x, t_from)
-    x0 = (x - schedule.sigma(t_from) * eps) / math.sqrt(schedule.alphabar(t_from))
-    ab_t = schedule.alphabar(t_to)
-    c1, c2 = ddim_coeffs(schedule, t_from, t_to, eta)
-    out = math.sqrt(ab_t) * x0
-    if c2 != 0.0:
-        out = out + c2 * eps
-    if c1 != 0.0:
-        out = out + c1 * stream.standard_normal(x.shape)
-    return out
+    return _ddim_steps(prior, schedule, x, [t_from], [t_to], eta, stream)
 
 
 def ddim_run(
@@ -286,14 +354,20 @@ def ddim_run(
     eta: float = 0.0,
     stream: RngStream | None = None,
 ) -> np.ndarray:
-    """k_steps DDIM steps along an even sub-grid from t_start to 0."""
+    """k_steps DDIM steps along an even sub-grid from t_start to 0.
+
+    Equal to the chain of `ddim_step` calls bit for bit, with the constants
+    of the whole sub-grid built in blocks; the identity steps where rounded
+    grid points collide are skipped.
+    """
     if k_steps < 1:
         raise InvalidGridError("k_steps must be >= 1")
     x = np.asarray(x, dtype=float)
     if t_start == 0:
         return x.copy()
+    if t_start < 0:
+        raise InvalidGridError(f"t_start={t_start} must not be negative")
     ts = [round(i * t_start / k_steps) for i in range(k_steps, -1, -1)]
-    out = x
-    for t_from, t_to in zip(ts[:-1], ts[1:]):
-        out = ddim_step(prior, schedule, out, t_from, t_to, eta=eta, stream=stream)
-    return out
+    t_from = [a for a, b in zip(ts, ts[1:]) if a != b]
+    t_to = [b for a, b in zip(ts, ts[1:]) if a != b]
+    return _ddim_steps(prior, schedule, x, t_from, t_to, eta, stream)

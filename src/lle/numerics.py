@@ -26,9 +26,9 @@ class DimensionError(ValueError):
 
 
 # per thread, from its first draw on: (generator, its bit generator, the
-# Philox state dict rewound before every draw); building a Philox costs several
-# draws, rewinding one a fraction of a draw, and NumPy loads numpy.random only
-# when the first one is built
+# Philox state dict rewound before every draw, that dict's key and counter
+# lists); building a Philox costs several draws, rewinding one a fraction of a
+# draw, and NumPy loads numpy.random only when the first one is built
 _THREAD = threading.local()
 
 
@@ -42,7 +42,41 @@ def _new_philox() -> tuple:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return gen, gen.bit_generator, state
+    words = state["state"]
+    return gen, gen.bit_generator, state, words["key"], words["counter"]
+
+
+def _philox() -> tuple:
+    parts = getattr(_THREAD, "philox", None)
+    if parts is None:
+        parts = _THREAD.philox = _new_philox()
+    return parts
+
+
+def _check_counter(c: int) -> None:
+    if not 0 <= c < _COUNTER_LIMIT:
+        raise ValueError(f"counter must lie in [0, 2**190), got {c}")
+
+
+def _rewind(parts: tuple, stream: "RngStream") -> np.random.Generator:
+    """The thread's generator (from `_philox`), set to draw what
+    ``Philox(key, counter << 66)`` would, with key = base_seed + 2**64 *
+    stream_id (each taken mod 2**64) and the stream's current counter.
+
+    It writes the key and counter words into the thread's state dict in place
+    and sets it (which also empties the output buffer), so a reassigned field
+    takes effect on the next draw. The caller checks and advances the counter.
+    """
+    gen, bit_generator, state, key, ctr = parts
+    key[0] = stream.base_seed & _MASK64
+    key[1] = stream.stream_id & _MASK64
+    # counter << 66 as four little-endian 64-bit words; the lowest is 0
+    c = stream.counter
+    ctr[1] = (c << 2) & _MASK64
+    ctr[2] = (c >> 62) & _MASK64
+    ctr[3] = c >> 126
+    bit_generator.state = state
+    return gen
 
 
 @dataclass
@@ -64,32 +98,11 @@ class RngStream:
         return RngStream(self.base_seed, stream_id, 0)
 
     def _generator(self) -> np.random.Generator:
-        """The thread's generator, set to draw what ``Philox(key, counter << 66)``
-        would, with key = base_seed + 2**64 * stream_id (each taken mod 2**64),
-        for one draw; the counter advances past it.
-
-        Every draw writes the key and counter words into the thread's state
-        dict in place and sets it (which also empties the output buffer), so
-        a reassigned field takes effect on the next draw.
-        """
-        c = self.counter
-        if not 0 <= c < _COUNTER_LIMIT:
-            raise ValueError(f"counter must lie in [0, 2**190), got {c}")
-        parts = getattr(_THREAD, "philox", None)
-        if parts is None:
-            parts = _THREAD.philox = _new_philox()
-        gen, bit_generator, state = parts
-        words = state["state"]
-        key = words["key"]
-        key[0] = self.base_seed & _MASK64
-        key[1] = self.stream_id & _MASK64
-        # counter << 66 as four little-endian 64-bit words; the lowest is 0
-        ctr = words["counter"]
-        ctr[1] = (c << 2) & _MASK64
-        ctr[2] = (c >> 62) & _MASK64
-        ctr[3] = c >> 126
-        bit_generator.state = state
-        self.counter = c + 1
+        """The thread's generator, rewound to this stream's next draw; the
+        counter advances past it."""
+        _check_counter(self.counter)
+        gen = _rewind(_philox(), self)
+        self.counter += 1
         return gen
 
     def standard_normal(self, shape) -> np.ndarray:
@@ -111,20 +124,26 @@ class RowStreams:
 
     A draw of shape (N, ...) stacks each row's own draw of the trailing
     shape, so row i of a batched run sees exactly the numbers its stream
-    gives a one-row run (a draw fills its shape in C order, so each row
-    draws the trailing size flat, which is quicker to parse).
+    gives a one-row run. A draw fills its shape in C order, so each row is
+    one rewind of the thread's generator and one draw straight into its
+    slice of the batch.
     """
 
     def __init__(self, streams):
         self.streams = list(streams)
 
     def standard_normal(self, shape) -> np.ndarray:
-        if shape[0] != len(self.streams):
-            raise DimensionError(f"{len(self.streams)} row streams, draw of shape {shape}")
-        size = math.prod(shape[1:])
-        out = np.empty((shape[0], size))
-        for i, stream in enumerate(self.streams):
-            out[i] = stream.standard_normal(size)
+        streams = self.streams
+        if shape[0] != len(streams):
+            raise DimensionError(f"{len(streams)} row streams, draw of shape {shape}")
+        # every counter is checked before any advances, so a failed draw moves none
+        for stream in streams:
+            _check_counter(stream.counter)
+        parts = _philox()
+        out = np.empty((shape[0], math.prod(shape[1:])))
+        for row, stream in zip(out, streams):
+            _rewind(parts, stream).standard_normal(out=row)
+            stream.counter += 1
         return out.reshape(shape)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lle import diffusion as dif
-from lle.numerics import RngStream
+from lle.numerics import RngStream, RowStreams
 
 from conftest import random_mixture, random_spd
 
@@ -324,19 +324,41 @@ def test_ddim_step_to_zero_is_tweedie(schedule, small_prior):
 
 
 def test_ddim_step_evaluates_eps_once(schedule, small_prior, monkeypatch):
+    # eps is one whitening per DDIM step, at t_from; the row it gets tells t_from apart
     calls = []
-    original = dif.gmm_eps
+    original = small_prior._resp_and_whitened
 
-    def counting(*args):
-        calls.append(args[3])
-        return original(*args)
+    def counting(row, x):
+        calls.append(row[0])
+        return original(row, x)
 
-    monkeypatch.setattr(dif, "gmm_eps", counting)
+    monkeypatch.setattr(small_prior, "_resp_and_whitened", counting)
+
+    def sqrt_ab(ts):
+        return [math.sqrt(schedule.alphabar(t)) for t in ts]
+
     x = RngStream(31).standard_normal((4, 6))
     dif.ddim_step(small_prior, schedule, x, 600, 300, eta=0.5, stream=RngStream(2))
-    assert calls == [600]
+    assert calls == sqrt_ab([600])
     dif.ddim_run(small_prior, schedule, x, 900, 6, eta=0.0)
-    assert calls == [600, 900, 750, 600, 450, 300, 150]
+    assert calls == sqrt_ab([600, 900, 750, 600, 450, 300, 150])
+    # colliding grid points (k_steps > t_start) are identity steps and whiten nothing
+    calls.clear()
+    dif.ddim_run(small_prior, schedule, x, 3, 6, eta=0.0)
+    assert calls == sqrt_ab([3, 2, 1])
+
+
+@pytest.mark.parametrize("shape", [(6,), (4, 6), (3, 1, 6)])
+def test_ddim_step_is_the_ddim_update_bit_for_bit(schedule, small_prior, shape):
+    # sqrt(ab_to) x0 + c2 eps + c1 z with x0 the Tweedie estimate from eps
+    x = RngStream(32).standard_normal(shape)
+    eps = dif.gmm_eps(small_prior, schedule, x, 600)
+    x0 = (x - schedule.sigma(600) * eps) / math.sqrt(schedule.alphabar(600))
+    c1, c2 = dif.ddim_coeffs(schedule, 600, 300, 0.5)
+    z = RngStream(2).standard_normal(shape)
+    expected = math.sqrt(schedule.alphabar(300)) * x0 + c2 * eps + c1 * z
+    got = dif.ddim_step(small_prior, schedule, x, 600, 300, eta=0.5, stream=RngStream(2))
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_ddim_step_stochastic_determinism(schedule, small_prior):
@@ -372,6 +394,80 @@ def test_ddim_run_single_step_equals_step(schedule, small_prior):
 def test_ddim_run_from_zero_is_identity(schedule, small_prior):
     x = RngStream(30).standard_normal(6)
     assert np.array_equal(dif.ddim_run(small_prior, schedule, x, 0, 5), x)
+
+
+def _scalar_ddim_coeffs(schedule, t_from, t_to, eta):
+    """The DDIM (c1, c2) in Python scalar arithmetic, step by step."""
+    ab_f, ab_t = schedule.alphabar(t_from), schedule.alphabar(t_to)
+    c1 = eta * math.sqrt(max(0.0, 1.0 - ab_f / ab_t)) * math.sqrt((1.0 - ab_t) / (1.0 - ab_f))
+    return c1, math.sqrt(max(0.0, 1.0 - ab_t - c1 * c1))
+
+
+@pytest.mark.parametrize("d", [1, 3, 9, 33, 130])
+def test_step_table_rows_equal_per_step_scalars(schedule, d):
+    # every table row holds the bits of the per-step scalars and (K, d)
+    # arrays it replaces, whatever the table's length
+    prior = random_mixture(40 + d, d, 3)
+    t_from = [1000, 999, 731, 500, 17, 2, 1]
+    t_to = [999, 731, 500, 17, 2, 1, 0]
+    for eta in (0.0, 0.5, 1.0):
+        table = dif._step_table(prior, schedule, t_from, t_to, eta)
+        assert table[2].shape == (len(t_from), 3, d)
+        for row, tf, tt in zip(dif._rows(table), t_from, t_to):
+            sqrt_ab, sigma, w, lognorm, sqrt_ab_to, c1, c2 = row
+            ab = schedule.alphabar(tf)
+            ev = ab * prior._lam + (1.0 - ab)
+            expected_lognorm = np.log(prior.weights) - 0.5 * (
+                np.log(ev).sum(axis=1) + d * math.log(2.0 * math.pi)
+            )
+            assert sqrt_ab == math.sqrt(ab)
+            assert sigma == schedule.sigma(tf)
+            assert w.tobytes() == (1.0 / ev).tobytes()
+            assert lognorm.tobytes() == expected_lognorm.tobytes()
+            assert sqrt_ab_to == math.sqrt(schedule.alphabar(tt))
+            assert (c1, c2) == _scalar_ddim_coeffs(schedule, tf, tt, eta)
+            assert (c1, c2) == dif.ddim_coeffs(schedule, tf, tt, eta)
+            assert dif._mixture_row(prior, schedule, tf)[2].tobytes() == w.tobytes()
+
+
+def test_ddim_run_rejects_bad_grids(schedule, small_prior):
+    with pytest.raises(dif.BoundsError):
+        dif.ddim_run(small_prior, schedule, np.zeros(6), 1001, 2)
+    with pytest.raises(dif.InvalidGridError):
+        dif.ddim_run(small_prior, schedule, np.zeros(6), -5, 2)
+
+
+@given(
+    shape=st.sampled_from(["d", "Bd", "N1d"]),
+    d=st.integers(1, 5),
+    rows=st.integers(1, 3),
+    t_start=st.integers(1, 1000),
+    k_steps=st.integers(1, 150),
+    eta=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_ddim_run_equals_chain_of_steps(schedule, shape, d, rows, t_start, k_steps, eta, seed):
+    # the tabled run replays one `ddim_step` per grid pair bit for bit, across
+    # table blocks and through the identity steps of colliding grid points
+    prior = random_mixture(seed % 97, d, 2)
+    lead = {"d": (), "Bd": (rows,), "N1d": (rows, 1)}[shape]
+    x = RngStream(seed, 1).standard_normal(lead + (d,))
+
+    def stream():
+        if eta == 0.0:
+            return None
+        if shape == "N1d":
+            return RowStreams(RngStream(seed, 100 + i) for i in range(rows))
+        return RngStream(seed, 2)
+
+    got = dif.ddim_run(prior, schedule, x, t_start, k_steps, eta=eta, stream=stream())
+    ts = [round(i * t_start / k_steps) for i in range(k_steps, -1, -1)]
+    chain, s = x, stream()
+    for t_from, t_to in zip(ts[:-1], ts[1:]):
+        chain = dif.ddim_step(prior, schedule, chain, t_from, t_to, eta=eta, stream=s)
+    assert got.shape == x.shape
+    assert got.tobytes() == chain.tobytes()
 
 
 # ---------------------------------------------------------------------------

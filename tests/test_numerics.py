@@ -238,3 +238,18 @@ class TestRowStreams:
     def test_row_count_must_match(self):
         with pytest.raises(DimensionError):
             RowStreams([RngStream(1), RngStream(2)]).standard_normal((3, 1, 4))
+
+    def test_failed_draw_advances_no_row(self):
+        streams = [RngStream(5, 1000), RngStream(5, 1001), RngStream(5, 1002, counter=2**190)]
+        rows = RowStreams(streams)
+        with pytest.raises(ValueError):
+            rows.standard_normal((3, 1, 4))
+        assert [s.counter for s in streams] == [0, 0, 2**190]
+
+    def test_zero_size_draw_advances_every_row(self):
+        streams = [RngStream(5, 1000 + i, counter=i) for i in range(3)]
+        got = RowStreams(streams).standard_normal((3, 0, 4))
+        assert got.shape == (3, 0, 4)
+        assert [s.counter for s in streams] == [1, 2, 3]
+        expected = RngStream(5, 1000, counter=1).standard_normal(4)
+        assert np.array_equal(RowStreams(streams[:1]).standard_normal((1, 4))[0], expected)

@@ -1,0 +1,55 @@
+"""`tools/compare_outputs.py`: the per-file deviation it reports."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+TOOLS_DIR = Path(__file__).resolve().parents[1] / "tools"
+
+
+@pytest.fixture(scope="module")
+def compare():
+    spec = importlib.util.spec_from_file_location("compare_outputs",
+                                                  TOOLS_DIR / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sweep_csv(mse_s3):
+    return ("algorithm,S,strategy,mean_mse,mean_psnr\n"
+            f"DDNM,3,LLE,{mse_s3:.12g},10.1234567891\n"
+            "DDNM,5,LLE,0.512345678901,11.4567890123\n").encode()
+
+
+def test_csv_deviation_is_scaled_per_column(compare):
+    # a mean_mse of ~0.7 moved by 1.6e-7 of itself is not measured against
+    # the mean_psnr column's ~10
+    old, new = 0.692360893746, 0.692360893746 * (1.0 + 1.6e-7)
+    dev = compare.deviation("sweep-x.csv", _sweep_csv(old), _sweep_csv(new))
+    assert dev == pytest.approx(abs(new - old) / old, rel=1e-6)
+    assert dev == pytest.approx(1.6e-7, rel=1e-3)
+
+
+def test_coefficient_vectors_are_scaled_each_by_its_own(compare):
+    def coeffs(last):
+        return json.dumps({"J": 2, "gamma": [[1000.0, 1.0], [0.5, last]]}).encode()
+
+    dev = compare.deviation("coeffs-x.json", coeffs(0.5), coeffs(0.5 + 1e-9))
+    assert dev == pytest.approx(2e-9, rel=1e-6)
+
+
+def test_deviation_of_arrays_and_mismatches(compare):
+    def lle(data):
+        return b"LLEF64\n1 3\n" + np.asarray(data, dtype="<f8").tobytes()
+
+    assert compare.deviation("recon-x.lle", lle([4.0, 1.0, 0.0]), lle([4.0, 1.0, 2e-12])) \
+        == pytest.approx(5e-13)
+    assert compare.deviation("sweep-x.csv", _sweep_csv(0.5), b"algorithm\nerror\n") is None
+    assert compare.deviation("recon-x.lle.error", b"a", b"b") is None
+    zero_col = b"a,b\n0,1\n"
+    assert compare.deviation("x.csv", zero_col, b"a,b\n0,2\n") == 1.0
+    assert compare.deviation("x.csv", zero_col, b"a,b\n1e-9,1\n") == float("inf")

@@ -18,9 +18,11 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
 
 A call that raises writes ``<out>.error`` holding the exception instead. For
 every file the comparison prints ``identical``, or the maximum relative
-deviation max|new - old| / max|old| over its numbers (LLEF64 arrays,
-coefficient JSON, CSV fields), or ``differs`` when the files do not have the
-same shape or non-numeric content.
+deviation max|new - old| / max|old|, taken over each group of its numbers
+with that group's own max|old| (the array of an LLEF64 file, each
+coefficient vector of a JSON file, each CSV column) and maximized over the
+groups, or ``differs`` when the files do not have the same shape or
+non-numeric content.
 
 A summary table follows, one row per group of files: kind (coeffs, recon,
 sweep, trace) x fit (closed, first-order, or none for a base run) x coupling,
@@ -171,42 +173,55 @@ def emit(outdir: str, seeds: list) -> None:
 
 
 def _numbers(path: str, blob: bytes):
-    """(numbers, the non-numeric skeleton) of one output file."""
+    """(number groups, the non-numeric skeleton) of one output file: the one
+    array of an LLEF64 file, each coefficient vector of a JSON file, each
+    column of a CSV file."""
     import numpy as np
 
     if blob.startswith(b"LLEF64\n"):
         header, _, payload = blob[7:].partition(b"\n")
-        return np.frombuffer(payload, dtype="<f8"), header
+        return [np.frombuffer(payload, dtype="<f8")], header
     if path.endswith(".json"):
         obj = json.loads(blob)
         keys = sorted(k for k in obj if k.startswith("gamma"))
-        flat = [v for k in keys for vec in obj[k] for v in vec]
         skeleton = ({k: obj[k] for k in obj if k not in keys},
                     [[len(vec) for vec in obj[k]] for k in keys])
-        return np.array(flat, dtype=float), json.dumps(skeleton)
-    values, skeleton = [], []
-    for field in blob.decode().replace("\n", ",").split(","):
-        try:
-            values.append(float(field))
-            skeleton.append("#")
-        except ValueError:
-            skeleton.append(field)
-    return np.array(values), ",".join(skeleton)
+        return [np.array(vec, dtype=float) for k in keys for vec in obj[k]], json.dumps(skeleton)
+    columns, skeleton = {}, []
+    for line in blob.decode().splitlines():
+        for j, field in enumerate(line.split(",")):
+            try:
+                columns.setdefault(j, []).append(float(field))
+                skeleton.append("#")
+            except ValueError:
+                skeleton.append(field)
+        skeleton.append("\n")
+    return [np.array(columns[j]) for j in sorted(columns)], ",".join(skeleton)
+
+
+def _relative(a, b) -> float:
+    """max|b - a| / max|a| over one group of numbers; 0 when the two are equal
+    (nan matching nan), inf when a is all zero and b is not."""
+    import numpy as np
+
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    if same.all():
+        return 0.0
+    scale = np.max(np.abs(a))
+    return float(np.max(np.abs(b - a)[~same]) / scale) if scale else math.inf
 
 
 def deviation(path: str, old: bytes, new: bytes) -> float | None:
-    """max|new - old| / max|old| over the numbers of two differing files, or
-    None when they do not have the same shape and non-numeric content."""
-    import numpy as np
-
+    """The largest `_relative` deviation over the number groups of two differing
+    files, each group scaled by its own max|old|, or None when they do not
+    have the same shape and non-numeric content."""
     if path.endswith(".error"):
         return None
     a, skel_a = _numbers(path, old)
     b, skel_b = _numbers(path, new)
-    if skel_a != skel_b or a.shape != b.shape:
+    if skel_a != skel_b or [g.shape for g in a] != [g.shape for g in b]:
         return None
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    return float(np.max(np.abs(b - a)) / scale) if scale else math.inf
+    return max((_relative(ga, gb) for ga, gb in zip(a, b)), default=0.0)
 
 
 def fit_groups(seeds: list) -> dict:
