@@ -447,6 +447,10 @@ def daps_step_size(daps: DAPSParams, t: int, T: int) -> float:
     return daps.eta0 * (daps.delta + (t / T) * (1.0 - daps.delta))
 
 
+# Langevin iterations per noise draw of DAPS: part of its determinism contract
+_LANGEVIN_BLOCK = 10
+
+
 def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
     """Langevin chain targeting the anchored posterior around x_{0,t_i}.
 
@@ -455,6 +459,16 @@ def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
     for the noiseless-linear variant). For a linear A = U diag(s) V^T that
     drift is affine, x M + g with M = (1 - eta_t/r^2) I - eta_t w V diag(s^2) V^T
     and g = (eta_t/r^2) anchor + eta_t w A^T y, built once per call.
+
+    Determinism contract: the noise of iterations 10b .. 10b + 9 is one
+    ``standard_normal_block`` draw of `_LANGEVIN_BLOCK` = 10 iterations (the
+    last block holds n_langevin mod 10 when that is not 0), and iteration j
+    adds entry j mod 10. So a call advances each row's counter
+    ceil(n_langevin / 10) times, and its noise takes memory of the order of
+    one N * 10 * d block, whatever n_langevin is. The block size is part of
+    the contract: changing it changes DAPS outputs. Row i of a `RowStreams`
+    batch reads its numbers in the order a one-row run with its own
+    `RngStream` does, so the two stay bit-identical.
     """
     daps = params.daps
     anchor = ctx.x0_sampled
@@ -486,8 +500,12 @@ def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
 
     noise_scale = math.sqrt(2.0 * eta_t)
     x = np.array(anchor, copy=True)
-    for _ in range(daps.n_langevin):
-        x = drift(x) + noise_scale * ctx.stream.standard_normal(x.shape)
+    for start in range(0, daps.n_langevin, _LANGEVIN_BLOCK):
+        count = min(_LANGEVIN_BLOCK, daps.n_langevin - start)
+        block = ctx.stream.standard_normal_block(count, x.shape)
+        block *= noise_scale
+        for noise in block:
+            x = drift(x) + noise
     return x
 
 

@@ -354,13 +354,14 @@ def train_timestep(stacked, x_gt, init_theta, config: TrainConfig, lr_t: float, 
     else:
         opt = ScheduleFreeAdamW(theta, lr=lr_t, warmup=config.warmup)
     for _ in range(config.epochs):
-        cur = ls.loss(opt.step(ls.grad(opt.eval_point())))
+        theta = opt.step(ls.grad(opt.eval_point()))  # a fresh copy of the parameters
+        cur = ls.loss(theta)
         if not math.isfinite(cur):
             raise TrainingDivergedError(f"training diverged at timestep {t_i}")
         trace.append(cur)
         if cur < best_loss:
             best_loss = cur
-            best = opt.params()
+            best = theta
     return best, trace
 
 

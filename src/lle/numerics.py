@@ -109,6 +109,11 @@ class RngStream:
         """Draw i.i.d. N(0,1) deviates and advance the counter by one block."""
         return self._generator().standard_normal(shape)
 
+    def standard_normal_block(self, count: int, shape) -> np.ndarray:
+        """`count` draws shaped like `shape`, stacked on a new leading axis,
+        from one advance of the counter: ``standard_normal((count,) + shape)``."""
+        return self.standard_normal((count,) + tuple(shape))
+
     def uniform(self, shape) -> np.ndarray:
         return self._generator().random(shape)
 
@@ -145,6 +150,14 @@ class RowStreams:
             _rewind(parts, stream).standard_normal(out=row)
             stream.counter += 1
         return out.reshape(shape)
+
+    def standard_normal_block(self, count: int, shape) -> np.ndarray:
+        """`count` draws shaped like `shape` (N, ...), stacked on a new leading
+        axis, from one advance of each row's counter. Row i reads its own one
+        draw of (count, ...) in C order, as `RngStream.standard_normal_block`
+        does for a one-row run."""
+        shape = tuple(shape)
+        return np.moveaxis(self.standard_normal((shape[0], count) + shape[1:]), 1, 0)
 
 
 def save_array(path, rows: int, cols: int, data: np.ndarray) -> None:

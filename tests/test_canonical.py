@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from lle import canonical as canon
 from lle import diffusion as dif
 from lle import operators as ops
-from lle.numerics import RngStream
+from lle.numerics import RngStream, RowStreams
 
 from conftest import random_mixture, random_spd
 
@@ -487,7 +488,8 @@ def test_daps_chain_is_seeded(schedule, small_prior):
 
 
 def _daps_reference(ctx, obs, params):
-    """The per-iteration DAPS loop with an operator call per gradient."""
+    """The per-iteration DAPS loop with an operator call per gradient, its
+    noise drawn as one (m,) + x.shape draw per block of m <= 10 iterations."""
     daps = params.daps
     anchor = ctx.x0_sampled
     sigma = daps.sigma_langevin
@@ -496,7 +498,10 @@ def _daps_reference(ctx, obs, params):
     eta_t = canon.daps_step_size(daps, ctx.t_i, ctx.schedule.T)
     r2 = 1.0 - ctx.schedule.alphabar(ctx.t_i)
     x = np.array(anchor, copy=True)
-    for _ in range(daps.n_langevin):
+    for k in range(daps.n_langevin):
+        if k % 10 == 0:
+            m = min(10, daps.n_langevin - k)
+            block = ctx.stream.standard_normal((m,) + x.shape)
         grad = (x - anchor) / r2
         if daps.noiseless_linear:
             data_grad = ops.apply_adjoint(obs.op, ops.apply(obs.op, x) - obs.y) / eta_t
@@ -504,7 +509,7 @@ def _daps_reference(ctx, obs, params):
             data_grad = 0.5 * 2.0 * ops.apply_adjoint(obs.op, ops.apply(obs.op, x) - obs.y) / sigma**2
         else:
             data_grad = 0.5 * 2.0 * ops.nl_vjp(obs.op, x, ops.nl_apply(obs.op, x) - obs.y) / sigma**2
-        x = x - eta_t * (grad + data_grad) + math.sqrt(2.0 * eta_t) * ctx.stream.standard_normal(x.shape)
+        x = x - eta_t * (grad + data_grad) + math.sqrt(2.0 * eta_t) * block[k % 10]
     return x
 
 
@@ -581,7 +586,7 @@ def test_daps_matches_reference_loop(schedule, small_prior, kind, noiseless, bat
     obs, ctx = _inner_loop_case(small_prior, schedule, kind, batch,
                                 0.0 if noiseless else 0.1, 320)
     params = canon.default_params("DAPS")
-    params.daps.n_langevin = 40
+    params.daps.n_langevin = 23  # two full blocks of 10 and a short one of 3
     params.daps.eta0 = 1e-3
     params.daps.noiseless_linear = noiseless
     ref_ctx = copy_ctx(ctx, clone(ctx.stream))
@@ -593,6 +598,62 @@ def test_daps_matches_reference_loop(schedule, small_prior, kind, noiseless, bat
     else:
         assert _rel_dev(got, ref) <= 1e-12
     assert ctx.stream.counter == ref_ctx.stream.counter
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 100])
+def test_daps_advances_counter_once_per_block_of_ten(schedule, small_prior, n):
+    obs, ctx = _inner_loop_case(small_prior, schedule, "mask", 4, 0.1, 322)
+    params = canon.default_params("DAPS")
+    params.daps.n_langevin = n
+    start = ctx.stream.counter
+    canon.corr_daps(ctx, obs, params)
+    assert ctx.stream.counter - start == math.ceil(n / 10)
+
+
+@pytest.mark.parametrize("n", [1, 10, 23])
+@pytest.mark.parametrize("kind", ["mask", "nonlinear"])
+def test_daps_batched_rows_equal_one_row_calls(schedule, small_prior, kind, n):
+    # an (N, 1, d) batch drawing from RowStreams against N one-row calls, each
+    # with its own RngStream: the same numbers in the same order, bit for bit
+    N, d = 5, 6
+    op = _inner_loop_operator(kind, d)
+    m = d if kind == "nonlinear" else op.m
+    y = RngStream(323, 1).standard_normal((N, 1, m))
+    x_t = RngStream(323, 2).standard_normal((N, 1, d))
+    x0 = RngStream(323, 4).standard_normal((N, 1, d))
+    params = canon.default_params("DAPS")
+    params.daps.n_langevin = n
+    params.daps.eta0 = 1e-3
+    rows = RowStreams(RngStream(323, 1000 + i) for i in range(N))
+    ctx = make_ctx(small_prior, schedule, x_t, 500, 250, stream=rows, x0=x0)
+    got = canon.corr_daps(ctx, ops.Observation(y=y, op=op, sigma_y=0.1), params)
+    assert got.shape == (N, 1, d)
+    for i in range(N):
+        one = make_ctx(small_prior, schedule, x_t[i], 500, 250,
+                       stream=RngStream(323, 1000 + i), x0=x0[i])
+        ref = canon.corr_daps(one, ops.Observation(y=y[i], op=op, sigma_y=0.1), params)
+        assert np.array_equal(got[i], ref), i
+        assert rows.streams[i].counter == one.stream.counter == math.ceil(n / 10)
+
+
+def test_daps_memory_is_one_block_whatever_n_langevin(schedule):
+    # 1024 rows, d = 4, 2000 iterations: one whole-call draw would hold
+    # 2000 * 1024 * 4 floats (~65 MB); a block of 10 holds ~0.33 MB
+    prior = dif.GaussianMixturePrior([1.0], np.zeros((1, 4)), np.eye(4)[None])
+    anchor = np.tile([0.5, -1.0, 2.0, 0.0], (1024, 1))
+    obs = ops.Observation(y=anchor.copy(), op=ops.dense_operator(np.eye(4)), sigma_y=0.1)
+    params = canon.default_params("DAPS")
+    params.daps.n_langevin = 1
+    ctx = make_ctx(prior, schedule, anchor, 1000, 750, stream=RngStream(324), x0=anchor)
+    canon.corr_daps(ctx, obs, params)  # the first draw loads numpy.random
+    params.daps.n_langevin = 2000
+    tracemalloc.start()
+    try:
+        canon.corr_daps(ctx, obs, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_daps_noiseless_variant_rejects_nonlinear(schedule, small_prior):

@@ -246,6 +246,35 @@ class TestRowStreams:
             rows.standard_normal((3, 1, 4))
         assert [s.counter for s in streams] == [0, 0, 2**190]
 
+    def test_block_draw_is_the_plain_draw_it_is_defined_by(self):
+        # RngStream: one (count,) + shape draw; RowStreams: each row's one
+        # (count,) + trailing draw, moved to axis 1
+        for count, shape in [(10, (4, 1, 5)), (3, (2, 6)), (1, (3, 2, 2))]:
+            single, ref = RngStream(7, 2, counter=5), RngStream(7, 2, counter=5)
+            got = single.standard_normal_block(count, shape)
+            assert got.shape == (count,) + shape
+            assert np.array_equal(got, ref.standard_normal((count,) + shape))
+            assert single.counter == 6
+            streams = [RngStream(7, 1000 + i, counter=i) for i in range(shape[0])]
+            refs = [RngStream(7, 1000 + i, counter=i) for i in range(shape[0])]
+            got = RowStreams(streams).standard_normal_block(count, shape)
+            assert got.shape == (count,) + shape
+            plain = RowStreams(refs).standard_normal((shape[0], count) + shape[1:])
+            assert np.array_equal(got, np.moveaxis(plain, 1, 0))
+            for i in range(shape[0]):
+                row = RngStream(7, 1000 + i, counter=i).standard_normal((count,) + shape[1:])
+                assert np.array_equal(got[:, i], row)
+            assert [s.counter for s in streams] == [i + 1 for i in range(shape[0])]
+
+    def test_failed_block_draw_advances_no_row(self):
+        streams = [RngStream(5, 1000), RngStream(5, 1001, counter=2**190), RngStream(5, 1002)]
+        with pytest.raises(ValueError):
+            RowStreams(streams).standard_normal_block(10, (3, 1, 4))
+        assert [s.counter for s in streams] == [0, 2**190, 0]
+        with pytest.raises(DimensionError):
+            RowStreams(streams[:2]).standard_normal_block(10, (3, 1, 4))
+        assert [s.counter for s in streams] == [0, 2**190, 0]
+
     def test_zero_size_draw_advances_every_row(self):
         streams = [RngStream(5, 1000 + i, counter=i) for i in range(3)]
         got = RowStreams(streams).standard_normal((3, 0, 4))

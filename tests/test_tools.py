@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -53,3 +54,19 @@ def test_deviation_of_arrays_and_mismatches(compare):
     zero_col = b"a,b\n0,1\n"
     assert compare.deviation("x.csv", zero_col, b"a,b\n0,2\n") == 1.0
     assert compare.deviation("x.csv", zero_col, b"a,b\n1e-9,1\n") == float("inf")
+
+
+def test_summary_groups_by_algorithm(compare):
+    # on the run-nine outputs a change to one solver reads as one differing row
+    groups = compare.fit_groups([5])
+    rows = []
+    for name in ("ddrm", "ddnm", "dps", "daps"):
+        group = compare._group(os.path.join("5", "run-nine", f"recon-{name}.lle"), groups)
+        assert group == ("recon", name.upper(), "none", "-")
+        same = name != "daps"
+        rows.append((group, same, 0.0 if same else 0.3))
+    lines = compare.summary(rows).splitlines()
+    assert lines[0].split("|")[2].strip() == "algorithm"
+    differing = [line for line in lines[2:] if line.split("|")[6].strip() != "0"]
+    assert differing == ["| recon | DAPS | none | - | 0 | 1 | 0.3 |"]
+    assert len(lines) == 2 + 4

@@ -25,9 +25,10 @@ groups, or ``differs`` when the files do not have the same shape or
 non-numeric content.
 
 A summary table follows, one row per group of files: kind (coeffs, recon,
-sweep, trace) x fit (closed, first-order, or none for a base run) x coupling,
-taken from the LLE block of the config that made the file. Each row counts
-the identical and the differing files and gives their maximum deviation.
+sweep, trace) x algorithm x fit (closed, first-order, or none for a base run)
+x coupling, taken from the config that made the file, so a change to one
+solver reads as that solver's rows. Each row counts the identical and the
+differing files and gives their maximum deviation.
 """
 
 from __future__ import annotations
@@ -225,7 +226,8 @@ def deviation(path: str, old: bytes, new: bytes) -> float | None:
 
 
 def fit_groups(seeds: list) -> dict:
-    """(seed, directory, config name) -> (fit, coupling) of that config's LLE block."""
+    """(seed, directory, config name) -> (algorithm, fit, coupling) of that
+    config: its algorithm name and its LLE block."""
     configs = _bench_configs()
     groups = {}
     for seed in seeds:
@@ -234,14 +236,15 @@ def fit_groups(seeds: list) -> dict:
         named += [("grid", name, cfg) for name, cfg, _ in grid_plan(seed)]
         for directory, name, cfg in named:
             lle = cfg["lle"]
-            groups[str(seed), directory, name] = ("none", "-") if lle == "none" else (
-                "closed" if lle.get("closed_form") else "first-order",
-                "decoupled" if lle.get("decoupled") else "coupled")
+            groups[str(seed), directory, name] = (cfg["algorithm"]["name"],) + (
+                ("none", "-") if lle == "none" else (
+                    "closed" if lle.get("closed_form") else "first-order",
+                    "decoupled" if lle.get("decoupled") else "coupled"))
     return groups
 
 
 def _group(rel: str, groups: dict) -> tuple:
-    """(kind, fit, coupling) of one output file, e.g. 83/grid/recon-dps-mask-base.lle."""
+    """(kind, algorithm, fit, coupling) of one output file, e.g. 83/grid/recon-dps-mask-base.lle."""
     seed, directory, filename = rel.split(os.sep)
     kind, _, rest = filename.partition("-")
     if ".trace." in filename:
@@ -262,8 +265,8 @@ def summary(rows: list) -> str:
         else:
             counts[1] += 1
             counts[2] = max(counts[2], dev)
-    lines = ["| kind | fit | coupling | identical | differing | max rel dev |",
-             "| --- | --- | --- | --- | --- | --- |"]
+    lines = ["| kind | algorithm | fit | coupling | identical | differing | max rel dev |",
+             "| --- | --- | --- | --- | --- | --- | --- |"]
     for group, (same, differing, worst, other) in sorted(table.items()):
         dev = f"{worst:.2g}" if differing > other else "-"
         if other:
