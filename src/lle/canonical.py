@@ -506,6 +506,7 @@ def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
         block *= noise_scale
         for noise in block:
             x = drift(x) + noise
+        del block, noise  # the next block is drawn with no earlier one held
     return x
 
 

@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: gen-prior, gen-refs, train, run, eval, sweep. Configurations
+Subcommands: gen-prior, train, run, eval, sweep. Configurations
 are JSON files; arrays travel in the LLEF64 container (see numerics).
 """
 
@@ -22,14 +22,6 @@ def _cmd_gen_prior(args):
     prior = harness.random_prior(args.dim, args.components, args.seed)
     prior.save(args.out)
     print(f"wrote {args.components}-component dim-{args.dim} prior to {args.out}")
-
-
-def _cmd_gen_refs(args):
-    cfg = harness.load_config(args.config)
-    tc = cfg.train_config or lle.TrainConfig(base_seed=cfg.train_seed)
-    refs = lle.generate_references(cfg.prior, cfg.schedule, tc)
-    save_array(args.out, refs.shape[0], refs.shape[1], refs)
-    print(f"wrote {refs.shape[0]}x{refs.shape[1]} reference samples to {args.out}")
 
 
 def _cmd_train(args):
@@ -63,11 +55,8 @@ def _cmd_eval(args):
     _, _, truth = load_array(args.truth)
     oracle_means = None
     if args.oracle:
-        truths, ys, op = harness.make_test_batch(cfg)
-        oracle_means = np.stack(
-            [harness.oracle_posterior(cfg.prior, op, ys[i], cfg.sigma_y)[0]
-             for i in range(ys.shape[0])]
-        )
+        _, ys, op = harness.make_test_batch(cfg)
+        oracle_means = harness.oracle_posterior(cfg.prior, op, ys, cfg.sigma_y)[0]
     reports = harness.evaluate(recon, truth, cfg, oracle_means)
     text = harness.metrics_csv(reports)
     with open(args.out, "w") as f:
@@ -96,11 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_gen_prior)
-
-    g = sub.add_parser("gen-refs", help="generate DDIM reference samples")
-    g.add_argument("--config", required=True)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=_cmd_gen_refs)
 
     g = sub.add_parser("train", help="train extrapolation coefficients")
     g.add_argument("--config", required=True)

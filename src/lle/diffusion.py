@@ -266,32 +266,32 @@ def tweedie(prior, schedule, x, t: int) -> np.ndarray:
     return (x - schedule.sigma(t) * gmm_eps(prior, schedule, x, t)) / math.sqrt(ab)
 
 
+def _ddim_c(ab_f, ab_t, eta: float, t_from, t_to) -> tuple:
+    """DDIM noiser coefficients (c1, c2) of the steps t_from -> t_to from
+    alphabar at each end, ab_f and ab_t: floats, or arrays taken elementwise
+    (t_from and t_to then lists); c1^2 + c2^2 = 1 - ab_t."""
+    c1 = eta * np.sqrt(np.maximum(0.0, 1.0 - ab_f / ab_t)) * np.sqrt((1.0 - ab_t) / (1.0 - ab_f))
+    rad = 1.0 - ab_t - c1 * c1
+    if rad.min() < -1e-12:
+        i = int(np.flatnonzero(np.ravel(rad) < -1e-12)[0])
+        raise FloatingPointError(f"negative c2 radicand {np.ravel(rad)[i]} at "
+                                 f"({np.ravel(t_from)[i]},{np.ravel(t_to)[i]})")
+    return c1, np.sqrt(np.maximum(0.0, rad))
+
+
 def ddim_coeffs(schedule, t_from: int, t_to: int, eta: float) -> tuple[float, float]:
     """DDIM noiser coefficients (c1, c2); c1^2 + c2^2 = 1 - alphabar_to."""
-    ab_f = schedule.alphabar(t_from)
-    ab_t = schedule.alphabar(t_to)
-    c1 = eta * math.sqrt(max(0.0, 1.0 - ab_f / ab_t)) * math.sqrt(
-        (1.0 - ab_t) / (1.0 - ab_f)
-    )
-    rad = 1.0 - ab_t - c1 * c1
-    if rad < -1e-12:
-        raise FloatingPointError(f"negative c2 radicand {rad} at ({t_from},{t_to})")
-    c2 = math.sqrt(max(0.0, rad))
-    return c1, c2
+    c1, c2 = _ddim_c(schedule.alphabar(t_from), schedule.alphabar(t_to), eta, t_from, t_to)
+    return float(c1), float(c2)
 
 
 def _step_table(prior, schedule, t_from, t_to, eta: float) -> tuple:
     """Constants of the DDIM steps t_from[i] -> t_to[i] < t_from[i] (two
     lists), as columns: the mixture's `_constants` at t_from, then
-    sqrt(alphabar) at t_to, c1 and c2, each with the operations of
-    `ddim_coeffs`, elementwise."""
+    sqrt(alphabar) at t_to, c1 and c2, each with the operations of a one-step
+    call, elementwise."""
     ab_f, ab_t = schedule.alphabars(t_from), schedule.alphabars(t_to)
-    c1 = eta * np.sqrt(np.maximum(0.0, 1.0 - ab_f / ab_t)) * np.sqrt((1.0 - ab_t) / (1.0 - ab_f))
-    rad = 1.0 - ab_t - c1 * c1
-    if rad.min() < -1e-12:
-        i = int(np.flatnonzero(rad < -1e-12)[0])
-        raise FloatingPointError(f"negative c2 radicand {rad[i]} at ({t_from[i]},{t_to[i]})")
-    return prior._constants(ab_f) + (np.sqrt(ab_t), c1, np.sqrt(np.maximum(0.0, rad)))
+    return prior._constants(ab_f) + (np.sqrt(ab_t),) + _ddim_c(ab_f, ab_t, eta, t_from, t_to)
 
 
 def _ddim_step(prior, row, x: np.ndarray, shape, stream) -> np.ndarray:

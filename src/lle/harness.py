@@ -3,6 +3,9 @@
 Each block of a JSON config is a `canonical.ConfigBlock`, and `load_config`
 builds them all, with the prior and the operator, before anything runs: a
 bad key or value is a `ConfigError` naming its dotted path (`schedule.T`).
+
+`oracle_posterior` solves every observation of a batch at once, so
+`lle eval --oracle` is one batched solve over the held-out set.
 """
 
 from __future__ import annotations
@@ -229,65 +232,40 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PosteriorOracle:
-    weights: np.ndarray
-    means: np.ndarray
-    covariances: np.ndarray
+def oracle_posterior(prior: dif.GaussianMixturePrior, op: ops.LinearOperator, y, sigma_y: float):
+    """Exact conjugate posterior of a GMM prior under y = A x + sigma_y n, for
+    every row of y (..., m) in one solve.
 
-    @property
-    def mmse_mean(self) -> np.ndarray:
-        return np.einsum("k,kd->d", self.weights, self.means)
-
-    def variance_trace(self) -> float:
-        """Trace of the posterior covariance (spread + within-component)."""
-        mm = self.mmse_mean
-        tr = 0.0
-        for k in range(self.weights.size):
-            diff = self.means[k] - mm
-            tr += self.weights[k] * (np.trace(self.covariances[k]) + diff @ diff)
-        return float(tr)
-
-
-def oracle_posterior(
-    prior: dif.GaussianMixturePrior,
-    op: ops.LinearOperator,
-    y: np.ndarray,
-    sigma_y: float,
-    allow_floor: bool = True,
-):
-    """Exact conjugate posterior of a GMM prior under y = A x + sigma n.
-
-    Noiseless requests are approximated with sigma = 1e-6 when allow_floor.
-    Returns (mmse_mean, PosteriorOracle).
+    Per component, S = A Sigma_k A^T + sigma_y^2 I, its Cholesky factor, log
+    determinant and the gain Sigma_k A^T S^-1 do not depend on y, so they are
+    computed once and shared by every row. A noiseless request (sigma_y below
+    `SIGMA_FLOOR`) is solved at sigma_y = SIGMA_FLOOR.
+    Returns (posterior means (..., d), component weights (..., K)).
     """
-    if sigma_y < SIGMA_FLOOR:
-        if not allow_floor:
-            raise ConfigError(f"sigma_y below the oracle floor {SIGMA_FLOOR}")
-        sigma_y = SIGMA_FLOOR
+    sigma_y = max(sigma_y, SIGMA_FLOOR)
     A = op.dense()
     m = op.m
-    logw = np.empty(prior.K)
-    means = np.empty((prior.K, prior.d))
-    covs = np.empty((prior.K, prior.d, prior.d))
+    y = np.asarray(y, dtype=float)
+    rows = y.reshape(-1, m)
+    logw = np.empty((rows.shape[0], prior.K))
+    means = np.empty((rows.shape[0], prior.K, prior.d))
     for k in range(prior.K):
         mu, Sig = prior.means[k], prior.covariances[k]
         S = A @ Sig @ A.T + sigma_y**2 * np.eye(m)
         L = np.linalg.cholesky(S)
-        innov = y - A @ mu
-        z = np.linalg.solve(L, innov)
         logdet = 2.0 * np.sum(np.log(np.diag(L)))
-        logw[k] = (
+        gain = Sig @ A.T @ np.linalg.solve(S, np.eye(m))
+        innov = rows - A @ mu
+        z = np.linalg.solve(L, innov.T)
+        logw[:, k] = (
             math.log(prior.weights[k])
-            - 0.5 * (z @ z + logdet + m * math.log(2.0 * math.pi))
+            - 0.5 * (np.einsum("mn,mn->n", z, z) + logdet + m * math.log(2.0 * math.pi))
         )
-        K_gain = Sig @ A.T @ np.linalg.solve(S, np.eye(m))
-        means[k] = mu + K_gain @ innov
-        covs[k] = Sig - K_gain @ A @ Sig
-    w = np.exp(logw - logw.max())
-    w /= w.sum()
-    oracle = PosteriorOracle(weights=w, means=means, covariances=covs)
-    return oracle.mmse_mean, oracle
+        means[:, k] = mu + innov @ gain.T
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    mean = np.einsum("nk,nkd->nd", w, means)
+    return mean.reshape(y.shape[:-1] + (prior.d,)), w.reshape(y.shape[:-1] + (prior.K,))
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +286,9 @@ def evaluate(
         raise ConfigError(f"batch shapes differ: {recon.shape} vs {truth.shape}")
     reports = []
     for i in range(recon.shape[0]):
-        err = float(np.mean((recon[i] - truth[i]) ** 2))
-        o = None
-        if oracle_means is not None:
-            o = float(np.mean((recon[i] - oracle_means[i]) ** 2))
-        reports.append(MetricReport(mse=err, psnr_db=psnr(recon[i], truth[i], config.peak), oracle_mse=o))
+        o = None if oracle_means is None else mse(recon[i], oracle_means[i])
+        reports.append(MetricReport(mse=mse(recon[i], truth[i]),
+                                    psnr_db=psnr(recon[i], truth[i], config.peak), oracle_mse=o))
     return reports
 
 

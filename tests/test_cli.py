@@ -1,7 +1,6 @@
 import gc
 import json
 
-import numpy as np
 import pytest
 
 from lle import cli
@@ -37,12 +36,11 @@ def test_gen_prior(tmp_path, capsys):
     assert "prior" in capsys.readouterr().out
 
 
-def test_gen_refs(tmp_path, config_path):
-    out = str(tmp_path / "refs.bin")
-    cli.main(["gen-refs", "--config", config_path, "--out", out])
-    rows, cols, data = load_array(out)
-    assert (rows, cols) == (4, 4)
-    assert np.all(np.isfinite(data))
+def test_gen_refs_is_not_a_subcommand(tmp_path, config_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["gen-refs", "--config", config_path, "--out", str(tmp_path / "refs.bin")])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'gen-refs'" in capsys.readouterr().err
 
 
 def test_train_run_eval_pipeline(tmp_path, config_path):

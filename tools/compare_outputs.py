@@ -11,7 +11,8 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
 - an LLE grid: DDRM, DDNM, DPS and DiffPIR x mask and dense operator x coupled
   and decoupled x closed-form and first-order fit, each with ``train``,
   ``run --coeffs`` and ``sweep``, plus one base (identity) ``run`` per
-  algorithm and operator;
+  algorithm and operator, each followed by ``eval --oracle`` on its output,
+  so the posterior oracle's numerics are compared too;
 - one first-order fit with the gradient-domain loss term, and one Adam fit
   with the dynamic lr rule and soft-nonlinear init, each with ``train`` and
   ``run --coeffs``.
@@ -25,10 +26,10 @@ groups, or ``differs`` when the files do not have the same shape or
 non-numeric content.
 
 A summary table follows, one row per group of files: kind (coeffs, recon,
-sweep, trace) x algorithm x fit (closed, first-order, or none for a base run)
-x coupling, taken from the config that made the file, so a change to one
-solver reads as that solver's rows. Each row counts the identical and the
-differing files and gives their maximum deviation.
+sweep, trace, metrics) x algorithm x fit (closed, first-order, or none for a
+base run) x coupling, taken from the config that made the file, so a change
+to one solver reads as that solver's rows. Each row counts the identical and
+the differing files and gives their maximum deviation.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def grid_plan(seed: int) -> list:
         for op_name, operator in operators.items():
             name = f"{algorithm.lower()}-{op_name}-base"
             plan.append((name, _grid_config(prior_seed, algorithm, operator, 5, "none"),
-                         ("run",)))
+                         ("run", "eval")))
             for decoupled in (False, True):
                 for closed_form in (True, False):
                     lle = dict(fit, decoupled=decoupled, closed_form=closed_form)
@@ -162,6 +163,11 @@ def emit(outdir: str, seeds: list) -> None:
                     extra = ["--coeffs", coeffs] if "train" in calls else []
                     _call(cli, ["run", "--config", path, "--seed", run_seed, "--out", out]
                           + extra, out)
+                elif kind == "eval":
+                    recon = os.path.join(d, f"recon-{name}.lle")
+                    out = os.path.join(d, f"metrics-{name}.csv")
+                    _call(cli, ["eval", "--recon", recon, "--truth", recon + ".truth",
+                                "--config", path, "--oracle", "--out", out], out)
                 else:
                     out = os.path.join(d, f"sweep-{name}.csv")
                     _call(cli, ["sweep", "--config", path, "--steps", GRID_STEPS,
