@@ -151,7 +151,9 @@ class InnerOptParams(ConfigBlock):
 
 @dataclass
 class StepContext:
-    """Per-step bundle; eps and the mixture whitening at (x_t, t_i) are
+    """Per-step bundle, the one source of the step's schedule quantities: ab
+    and sigma = sqrt(1 - ab) at t_i, ab_prev and sigma_prev at t_prev, read
+    once when it is built. eps and the mixture whitening at (x_t, t_i) are
     evaluated once and shared by sampler, corrector and noiser."""
 
     x_t: np.ndarray
@@ -164,6 +166,16 @@ class StepContext:
     x0_sampled: np.ndarray | None = None
     _eps: np.ndarray | None = None
     _whitened: tuple | None = None
+    ab: float = field(init=False)
+    ab_prev: float = field(init=False)
+    sigma: float = field(init=False)
+    sigma_prev: float = field(init=False)
+
+    def __post_init__(self):
+        self.ab = self.schedule.alphabar(self.t_i)
+        self.ab_prev = self.schedule.alphabar(self.t_prev)
+        self.sigma = self.schedule.sigma(self.t_i)
+        self.sigma_prev = self.schedule.sigma(self.t_prev)
 
     @property
     def whitened(self) -> tuple:
@@ -185,21 +197,26 @@ class StepContext:
             self.prior, self.schedule, self.x_t, self.t_i, v, whitened=self.whitened
         )
 
+    def x0_vjp(self, v: np.ndarray) -> np.ndarray:
+        """v^T (d x0/d x_t) for the Tweedie x0 = (x_t - sigma eps) / sqrt(ab);
+        the Jacobian (I - sigma d eps/dx) / sqrt(ab) is symmetric, so this is
+        also its product with v."""
+        return (v - self.sigma * self.eps_jvp(v)) / math.sqrt(self.ab)
+
 
 # ---------------------------------------------------------------------------
 # Sampler
 # ---------------------------------------------------------------------------
 
 
-def sampler_tweedie(params: AlgoParams, prior, schedule, ctx: StepContext) -> np.ndarray:
+def sampler_tweedie(params: AlgoParams, ctx: StepContext) -> np.ndarray:
     """Single-step DDIM (Tweedie) estimate from the step's shared eps."""
-    ab = schedule.alphabar(ctx.t_i)
-    return (ctx.x_t - schedule.sigma(ctx.t_i) * ctx.eps_cached) / math.sqrt(ab)
+    return (ctx.x_t - ctx.sigma * ctx.eps_cached) / math.sqrt(ctx.ab)
 
 
-def sampler_ddim_chain(params: AlgoParams, prior, schedule, ctx: StepContext) -> np.ndarray:
+def sampler_ddim_chain(params: AlgoParams, ctx: StepContext) -> np.ndarray:
     """Deterministic k_ddim-step DDIM chain from (x_t, t_i) down to 0 (DAPS)."""
-    return dif.ddim_run(prior, schedule, ctx.x_t, ctx.t_i, params.daps.k_ddim, eta=0.0)
+    return dif.ddim_run(ctx.prior, ctx.schedule, ctx.x_t, ctx.t_i, params.daps.k_ddim, eta=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,23 +236,20 @@ def _noisy_branch(ctx: StepContext, obs: ops.Observation) -> np.ndarray:
     """DDRM/DDNM spectral coordinates where sigma_{t_prev} < sqrt(ab_prev) sigma_y / s_k."""
     if obs.sigma_y == 0.0:
         return np.zeros(obs.op.r, dtype=bool)
-    ab_prev = ctx.schedule.alphabar(ctx.t_prev)
-    return ctx.schedule.sigma(ctx.t_prev) < math.sqrt(ab_prev) * obs.sigma_y / obs.op.s
+    return ctx.sigma_prev < math.sqrt(ctx.ab_prev) * obs.sigma_y / obs.op.s
 
 
 def corr_ddnm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
     """Null-space-preserving projection with noise-aware spectral scaling."""
     op = obs.op
     x0 = ctx.x0_sampled
-    ab_prev = ctx.schedule.alphabar(ctx.t_prev)
-    sig_prev = ctx.schedule.sigma(ctx.t_prev)
     middle = _noisy_branch(ctx, obs)
     lam = np.ones(op.r)
     if np.any(middle):
         lam = np.where(
             middle,
-            op.s * sig_prev * math.sqrt(max(0.0, 1.0 - params.eta**2))
-            / (math.sqrt(ab_prev) * obs.sigma_y),
+            op.s * ctx.sigma_prev * math.sqrt(max(0.0, 1.0 - params.eta**2))
+            / (math.sqrt(ctx.ab_prev) * obs.sigma_y),
             1.0,
         )
     spectral_y = (obs.y @ op.U) / op.s
@@ -247,14 +261,13 @@ def corr_ddrm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
     """Element-wise spectral correction; boundary ties go to the blend branch."""
     op = obs.op
     x0 = ctx.x0_sampled
-    ab_prev = ctx.schedule.alphabar(ctx.t_prev)
-    sig_prev = ctx.schedule.sigma(ctx.t_prev)
     xbar = x0 @ op.V
     ybar = (obs.y @ op.U) / op.s
     middle = _noisy_branch(ctx, obs)
     blend = (1.0 - params.eta_b) * xbar + params.eta_b * ybar
     if np.any(middle):
-        snr_step = math.sqrt(max(0.0, 1.0 - params.eta**2)) * sig_prev / math.sqrt(ab_prev)
+        snr_step = (math.sqrt(max(0.0, 1.0 - params.eta**2)) * ctx.sigma_prev
+                    / math.sqrt(ctx.ab_prev))
         noisy = xbar + snr_step * (ybar - xbar) / (obs.sigma_y / op.s)
         corrected = np.where(middle, noisy, blend)
     else:
@@ -267,22 +280,16 @@ def corr_dps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.n
     x0 = ctx.x0_sampled
     if params.zeta == 0.0:
         return x0.copy()
-    g_x0 = _residual_grad_x0(obs, x0)
-    # d x0/d x_t = (I - sqrt(1-ab) d eps/dx) / sqrt(ab); symmetric, so the
-    # transpose-vector product is the same JVP.
-    ab = ctx.schedule.alphabar(ctx.t_i)
-    jvp = ctx.eps_jvp(g_x0)
-    grad_xt = (g_x0 - ctx.schedule.sigma(ctx.t_i) * jvp) / math.sqrt(ab)
-    zeta_t = params.zeta * math.sqrt(ab)
-    ab_prev = ctx.schedule.alphabar(ctx.t_prev)
-    return x0 - (zeta_t / math.sqrt(ab_prev)) * grad_xt
+    grad_xt = ctx.x0_vjp(_residual_grad_x0(obs, x0))
+    zeta_t = params.zeta * math.sqrt(ctx.ab)
+    return x0 - (zeta_t / math.sqrt(ctx.ab_prev)) * grad_xt
 
 
 def corr_pigdm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
     """Pseudoinverse-guided correction with diagonal solve in the U-basis."""
     op = obs.op
     x0 = ctx.x0_sampled
-    r2 = 1.0 - ctx.schedule.alphabar(ctx.t_i)
+    r2 = 1.0 - ctx.ab
     if obs.sigma_y == 0.0 and r2 == 0.0:
         raise ConvergenceError("singular solve: sigma_y = 0 and r_t = 0")
     ratio = obs.sigma_y**2 / r2
@@ -290,11 +297,7 @@ def corr_pigdm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np
     # A^T (A A^T + ratio I)^-1 resid, diagonal on the range of U; the
     # U-complement part is annihilated by diag(s) V^T.
     w = (resid @ op.U) * (op.s / (op.s**2 + ratio)) @ op.V.T
-    jw = ctx.eps_jvp(w)
-    ab = ctx.schedule.alphabar(ctx.t_i)
-    jtw = (w - ctx.schedule.sigma(ctx.t_i) * jw) / math.sqrt(ab)
-    scale = math.sqrt(ab / ctx.schedule.alphabar(ctx.t_prev))
-    return x0 + scale * jtw
+    return x0 + math.sqrt(ctx.ab / ctx.ab_prev) * ctx.x0_vjp(w)
 
 
 def corr_reddiff(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
@@ -357,8 +360,7 @@ def _momentum_descent(value_and_grad, x_init, opt: InnerOptParams, loss_zero):
 def corr_diffpir(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
     """Proximal corrector argmin ||y - A(x)||^2 + rho ||x - x0||^2."""
     x0 = ctx.x0_sampled
-    ab = ctx.schedule.alphabar(ctx.t_i)
-    rho = params.lam * obs.sigma_y**2 * ab / (1.0 - ab)
+    rho = params.lam * obs.sigma_y**2 * ctx.ab / (1.0 - ctx.ab)
     if obs.is_linear:
         op = obs.op
         xbar = x0 @ op.V
@@ -390,8 +392,7 @@ def corr_dmps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
     """Noise-perturbed-likelihood score step in the SVD basis."""
     op = obs.op
     x0 = ctx.x0_sampled
-    ab_i = ctx.schedule.alphabar(ctx.t_i)
-    ab_prev = ctx.schedule.alphabar(ctx.t_prev)
+    ab_i, ab_prev = ctx.ab, ctx.ab_prev
     if params.lam == 0.0:
         return x0.copy()
     denom = obs.sigma_y**2 + (1.0 - ab_i) / ab_i * op.s**2
@@ -478,7 +479,7 @@ def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
     if sigma is None:
         sigma = max(obs.sigma_y, 0.02)
     eta_t = daps_step_size(daps, ctx.t_i, ctx.schedule.T)
-    r2 = 1.0 - ctx.schedule.alphabar(ctx.t_i)
+    r2 = 1.0 - ctx.ab
     if obs.is_linear or daps.noiseless_linear:
         if not obs.is_linear:
             raise UnsupportedOperatorError("DAPS noiseless_linear requires a linear operator")
@@ -518,7 +519,7 @@ def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
 def _ddim_noise(xhat: np.ndarray, ctx: StepContext, c1: float, c2: float, eps=None) -> np.ndarray:
     """The DDIM update sqrt(ab_prev) xhat + c2 eps + c1 z, z fresh noise; eps
     defaults to eps_theta(x_t, t_i)."""
-    out = math.sqrt(ctx.schedule.alphabar(ctx.t_prev)) * xhat
+    out = math.sqrt(ctx.ab_prev) * xhat
     if c2 != 0.0:
         out = out + c2 * (ctx.eps_cached if eps is None else eps)
     if c1 != 0.0:
@@ -531,33 +532,30 @@ def noiser_ddim(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
     return _ddim_noise(xhat, ctx, *dif.ddim_coeffs(ctx.schedule, ctx.t_i, ctx.t_prev, params.eta))
 
 
-def noiser_dmps(xhat, ctx: StepContext, obs, params: AlgoParams, eta=None) -> np.ndarray:
-    """DMPS split: c1 = eta sigma_prev, c2 = sqrt(1 - eta^2) sigma_prev (eta: params.eta)."""
-    eta = params.eta if eta is None else eta
-    sig_prev = ctx.schedule.sigma(ctx.t_prev)
+def noiser_dmps(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
+    """DMPS split: c1 = eta sigma_prev, c2 = sqrt(1 - eta^2) sigma_prev."""
+    eta, sig_prev = params.eta, ctx.sigma_prev
     return _ddim_noise(xhat, ctx, eta * sig_prev, math.sqrt(1.0 - eta * eta) * sig_prev)
 
 
 def noiser_direct(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
     """sqrt(ab_prev) xhat + sigma_prev z: the DMPS split at eta = 1."""
-    return noiser_dmps(xhat, ctx, obs, params, eta=1.0)
+    return _ddim_noise(xhat, ctx, ctx.sigma_prev, 0.0)
 
 
 def noiser_diffpir(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
     """DDIM update with the effective eps = x_t - sqrt(ab_i) xhat recomputed
     from xhat: c1 = eta sigma_prev, c2 = sqrt(1 - eta^2) sigma_prev / sigma_i."""
-    eta = params.eta
-    sig_prev = ctx.schedule.sigma(ctx.t_prev)
-    c2 = math.sqrt(1.0 - eta * eta) * (sig_prev / ctx.schedule.sigma(ctx.t_i))
-    eps = ctx.x_t - math.sqrt(ctx.schedule.alphabar(ctx.t_i)) * xhat
+    eta, sig_prev = params.eta, ctx.sigma_prev
+    c2 = math.sqrt(1.0 - eta * eta) * (sig_prev / ctx.sigma)
+    eps = ctx.x_t - math.sqrt(ctx.ab) * xhat
     return _ddim_noise(xhat, ctx, eta * sig_prev, c2, eps)
 
 
 def noiser_resample(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
     """Stochastic encode of the sampler output (the DDIM noiser), then
     posterior blend toward xhat."""
-    ab_prev = ctx.schedule.alphabar(ctx.t_prev)
-    ab_i = ctx.schedule.alphabar(ctx.t_i)
+    ab_prev, ab_i = ctx.ab_prev, ctx.ab
     x_prime = noiser_ddim(ctx.x0_sampled, ctx, obs, params)
     # sigma_rs^2 = gamma * sig_prev2 * (1 - ab_i/ab_prev) / ab_i; factoring out
     # sig_prev2 = 1 - ab_prev keeps the t_prev = 0 endpoint well-defined.
@@ -578,8 +576,7 @@ def _spectral_noiser(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoP
     rad is the per-coordinate range variance outside the noisy branch.
     """
     op = obs.op
-    ab_prev = ctx.schedule.alphabar(ctx.t_prev)
-    sig_prev = ctx.schedule.sigma(ctx.t_prev)
+    sig_prev = ctx.sigma_prev
     eta = params.eta
     middle = _noisy_branch(ctx, obs)
     rad = np.where(middle, 0.0, rad)
@@ -588,7 +585,7 @@ def _spectral_noiser(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoP
             f"{params.algorithm} noiser radicand is negative; check sigma_y (and DDRM's eta_b)"
         )
     eps = ctx.stream.standard_normal(xhat.shape)
-    sqrt_ab = math.sqrt(ab_prev)
+    sqrt_ab = math.sqrt(ctx.ab_prev)
     # null-space branch (s_k = 0): deterministic eps_theta share plus fresh noise
     null_xhat = ops.project(op, xhat, "null")
     null_eps_theta = ops.project(op, ctx.eps_cached, "null")
@@ -607,14 +604,12 @@ def _spectral_noiser(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoP
 
 
 def noiser_ddrm(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
-    ab_prev = ctx.schedule.alphabar(ctx.t_prev)
-    rad = 1.0 - ab_prev - ab_prev * obs.sigma_y**2 * params.eta_b**2 / obs.op.s**2
+    rad = 1.0 - ctx.ab_prev - ctx.ab_prev * obs.sigma_y**2 * params.eta_b**2 / obs.op.s**2
     return _spectral_noiser(xhat, ctx, obs, params, rad)
 
 
 def noiser_ddnm(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
-    ab_prev = ctx.schedule.alphabar(ctx.t_prev)
-    rad = ctx.schedule.sigma(ctx.t_prev) ** 2 - obs.sigma_y**2 * ab_prev / obs.op.s**2
+    rad = ctx.sigma_prev**2 - obs.sigma_y**2 * ctx.ab_prev / obs.op.s**2
     return _spectral_noiser(xhat, ctx, obs, params, rad)
 
 
@@ -624,11 +619,11 @@ def noiser_ddnm(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams
 
 
 class Solver(NamedTuple):
-    """One algorithm's canonical form: x0 = sampler(params, prior, schedule,
-    ctx), xhat = corrector(ctx, obs, params), x_{t_prev} = noiser(xhat, ctx,
-    obs, params). preset holds the config keys its defaults set; linear: it
-    needs a linear operator (checked once per driver call, before any draw);
-    noisy_gt: its corrector defines the noisy training target (lle.noisy_gt)."""
+    """One algorithm's canonical form: x0 = sampler(params, ctx), xhat =
+    corrector(ctx, obs, params), x_{t_prev} = noiser(xhat, ctx, obs, params).
+    preset holds the config keys its defaults set; linear: it needs a linear
+    operator (checked once per driver call, before any draw); noisy_gt: its
+    corrector defines the noisy training target (lle.noisy_gt)."""
 
     sampler: Callable
     corrector: Callable
@@ -686,9 +681,9 @@ def default_params(algorithm: str) -> AlgoParams:
     return AlgoParams.from_dict({"name": algorithm, **SOLVERS[algorithm].preset})
 
 
-def sample_phi(params: AlgoParams, prior, schedule, ctx: StepContext) -> np.ndarray:
+def sample_phi(params: AlgoParams, ctx: StepContext) -> np.ndarray:
     """Denoised estimate x_{0,t_i} by the algorithm's sampler, kept on ctx."""
-    ctx.x0_sampled = SOLVERS[params.algorithm].sampler(params, prior, schedule, ctx)
+    ctx.x0_sampled = SOLVERS[params.algorithm].sampler(params, ctx)
     return ctx.x0_sampled
 
 
@@ -746,7 +741,7 @@ def run_with_combiner(
             stream=stream,
             prev_xhat=history[-1] if history else None,
         )
-        sample_phi(params, prior, schedule, ctx)
+        sample_phi(params, ctx)
         xhat = CORRECTORS[params.algorithm](ctx, obs, params)
         est = combiner(i, history, xhat) if combiner is not None else xhat
         history.append(est)

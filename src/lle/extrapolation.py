@@ -42,18 +42,14 @@ class TrainingDivergedError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _gradient_domain(x: np.ndarray, ref: np.ndarray):
-    """Squared difference of first-order finite differences: per-row value and
-    gradient over the last axis of (..., d) arrays.
+def _gradient_domain(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Squared difference of first-order finite differences, per row over the
+    last axis of (..., d) arrays.
 
     Invariant to constant shifts; the stand-in for a perceptual term.
     """
     r = np.diff(x, axis=-1) - np.diff(ref, axis=-1)
-    val = np.sum(r * r, axis=-1)
-    grad = np.zeros_like(x)
-    grad[..., :-1] -= 2.0 * r
-    grad[..., 1:] += 2.0 * r
-    return val, grad
+    return np.sum(r * r, axis=-1)
 
 
 def batch_loss(xs: np.ndarray, gts: np.ndarray, omega: float = 0.0) -> float:
@@ -63,7 +59,7 @@ def batch_loss(xs: np.ndarray, gts: np.ndarray, omega: float = 0.0) -> float:
     r = xs - gts
     val = np.sum(r * r, axis=-1)
     if omega != 0.0:
-        val = val + omega * _gradient_domain(xs, gts)[0]
+        val = val + omega * _gradient_domain(xs, gts)
     return float(np.mean(val))
 
 
@@ -115,6 +111,9 @@ class LLECoefficients:
     def __post_init__(self):
         if len(self.theta) != self.S:
             raise ValueError("need one coefficient vector per trained timestep")
+        if len(self.timesteps) != self.S:
+            raise ValueError(f"need one timestep per coefficient vector: {len(self.timesteps)}"
+                             f" timesteps for S={self.S}")
         for idx, t in enumerate(self.theta):
             size = (2 if self.decoupled else 1) * (idx + 1)
             if np.asarray(t).size != size:
@@ -365,15 +364,12 @@ def train_timestep(stacked, x_gt, init_theta, config: TrainConfig, lr_t: float, 
     return best, trace
 
 
-def generate_references(prior, schedule, config: TrainConfig, stream: RngStream | None = None):
-    """N reference samples via a ref_steps-step deterministic DDIM run.
-
-    The stream defaults to the one `train` uses for config.base_seed. The
-    result does not depend on the step count, so one set serves a sweep.
+def generate_references(prior, schedule, config: TrainConfig):
+    """N reference samples via a ref_steps-step deterministic DDIM run, from
+    child stream 11 of config.base_seed. The result does not depend on the
+    step count, so one set serves a sweep.
     """
-    if stream is None:
-        stream = RngStream(config.base_seed).child(11)
-    x = stream.standard_normal((config.n_refs, prior.d))
+    x = RngStream(config.base_seed).child(11).standard_normal((config.n_refs, prior.d))
     return dif.ddim_run(prior, schedule, x, schedule.T, config.ref_steps, eta=0.0)
 
 
@@ -390,14 +386,16 @@ def train(
     params: canon.AlgoParams,
     prior,
     schedule,
-    obs_builder,
+    op,
+    sigma_y: float,
     grid: dif.TimeGrid,
     config: TrainConfig,
     refs: np.ndarray | None = None,
 ):
     """Walk the grid once, optimizing coefficients per timestep.
 
-    obs_builder(x0_batch, stream) -> Observation with per-sample rows of y.
+    The references are observed through op (linear or nonlinear) with noise
+    sigma_y from child stream 12 of config.base_seed, one row of y each.
     refs, when given, must be what `generate_references(prior, schedule,
     config)` returns; it is read, never written.
     Returns (LLECoefficients, loss traces keyed by timestep).
@@ -405,8 +403,9 @@ def train(
     base = RngStream(config.base_seed)
     if refs is None:
         refs = generate_references(prior, schedule, config)
-    observation = obs_builder(refs, base.child(12))
-    op = observation.op if observation.is_linear else None
+    y = ops.observe(op, refs, sigma_y, base.child(12))
+    observation = ops.Observation(y=y, op=op, sigma_y=sigma_y)
+    op = op if observation.is_linear else None  # the projections' operator
     if config.decoupled and op is None:
         raise canon.ConfigurationError("decoupled coefficients require a linear operator")
     init_stream = base.child(14)
@@ -453,9 +452,10 @@ def infer(
     one-row inference on obs.y[i, 0] with row i's stream, bit for bit (see
     `canonical.run_with_combiner`).
     """
-    if coeffs.S != grid.S:
+    if tuple(coeffs.timesteps) != grid.timesteps[: grid.S]:
         raise canon.ConfigurationError(
-            f"coefficients trained for S={coeffs.S}, grid has S={grid.S}"
+            f"coefficients trained on timesteps {list(coeffs.timesteps)}, the config's"
+            f" grid has {list(grid.timesteps[: grid.S])}"
         )
     op = obs.op if obs.is_linear else None
     if coeffs.decoupled and op is None:

@@ -145,8 +145,7 @@ class ExperimentConfig:
     sigma_y: float
     params: canon.AlgoParams
     steps: int
-    train_config: lle.TrainConfig | None
-    train_seed: int
+    train_config: lle.TrainConfig | None  # its base_seed: seeds.train unless lle sets it
     test_seed: int
     n_test: int
     peak: float
@@ -220,7 +219,6 @@ def load_config(path) -> ExperimentConfig:
         params=params,
         steps=top.steps,
         train_config=train_config,
-        train_seed=top.seeds.train,
         test_seed=top.seeds.test,
         n_test=top.n_test,
         peak=top.peak,
@@ -241,7 +239,11 @@ def oracle_posterior(prior: dif.GaussianMixturePrior, op: ops.LinearOperator, y,
     computed once and shared by every row. A noiseless request (sigma_y below
     `SIGMA_FLOOR`) is solved at sigma_y = SIGMA_FLOOR.
     Returns (posterior means (..., d), component weights (..., K)).
+    A nonlinear operator has no conjugate posterior: that is a ConfigError.
     """
+    if not isinstance(op, ops.LinearOperator):
+        raise ConfigError("the posterior oracle needs a linear operator,"
+                          " not task.operator.kind 'nonlinear'")
     sigma_y = max(sigma_y, SIGMA_FLOOR)
     A = op.dense()
     m = op.m
@@ -330,24 +332,16 @@ def run_experiment(config: ExperimentConfig, seed: int, coeffs=None):
     return recons[:, 0], truths
 
 
-def train_lle(config: ExperimentConfig, steps: int | None = None, refs=None):
+def train_lle(config: ExperimentConfig, refs=None):
     """Train coefficients for this configuration; returns (coeffs, traces).
 
     refs: the reference batch, if already generated (see `sweep`).
     """
     if config.train_config is None:
         raise ConfigError("configuration has no LLE training block")
-    grid = dif.make_time_grid(config.schedule, steps or config.steps)
-    op = config.op
-
-    def obs_builder(x0_batch, stream):
-        y = ops.observe(op, x0_batch, config.sigma_y, stream)
-        return ops.Observation(y=y, op=op, sigma_y=config.sigma_y)
-
-    return lle.train(
-        config.params, config.prior, config.schedule, obs_builder, grid, config.train_config,
-        refs=refs,
-    )
+    grid = dif.make_time_grid(config.schedule, config.steps)
+    return lle.train(config.params, config.prior, config.schedule, config.op, config.sigma_y,
+                     grid, config.train_config, refs=refs)
 
 
 # ---------------------------------------------------------------------------

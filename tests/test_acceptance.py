@@ -25,15 +25,16 @@ def report(n, text):
     print(f"criterion {n:2d} PASS: {text}")
 
 
-def base_training_final(params, prior, schedule, obs_builder, grid, tc):
+def base_training_final(params, prior, schedule, op, sigma_y, grid, tc):
     """Replay the training data flow without extrapolation (identity path).
 
     Uses the same stream layout as lle.train, so the noise draws coincide and
     the result is the base algorithm's trajectory on the training batch.
     """
     base = RngStream(tc.base_seed)
-    refs = lle.generate_references(prior, schedule, tc, base.child(11))
-    observation = obs_builder(refs, base.child(12))
+    refs = lle.generate_references(prior, schedule, tc)
+    y = ops.observe(op, refs, sigma_y, base.child(12))
+    observation = ops.Observation(y=y, op=op, sigma_y=sigma_y)
     traj = base.child(13)
     x = traj.standard_normal((tc.n_refs, prior.d))
     ts = grid.timesteps
@@ -44,19 +45,11 @@ def base_training_final(params, prior, schedule, obs_builder, grid, tc):
             x_t=x, t_i=ts[idx], t_prev=ts[idx + 1], prior=prior,
             schedule=schedule, stream=traj, prev_xhat=prev,
         )
-        canon.sample_phi(params, prior, schedule, ctx)
+        canon.sample_phi(params, ctx)
         xhat = canon.CORRECTORS[params.algorithm](ctx, observation, params)
         x = canon.apply_noiser(params, ctx, observation, xhat)
         prev = xhat
     return refs, xhat
-
-
-def mask_obs_builder(op, sigma_y):
-    def build(x0_batch, stream):
-        y = ops.observe(op, x0_batch, sigma_y, stream)
-        return ops.Observation(y=y, op=op, sigma_y=sigma_y)
-
-    return build
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +105,7 @@ def test_criterion_02_score_and_dps_gradients():
         obs = ops.Observation(y=y, op=op, sigma_y=0.1)
         ctx = canon.StepContext(x_t=x, t_i=t, t_prev=t_prev, prior=prior,
                                 schedule=schedule, stream=stream)
-        canon.sample_phi(params, prior, schedule, ctx)
+        canon.sample_phi(params, ctx)
         out = canon.corr_dps(ctx, obs, params)
         ab, ab_prev = schedule.alphabar(t), schedule.alphabar(t_prev)
         grad = (ctx.x0_sampled - out) * math.sqrt(ab_prev) / (params.zeta * math.sqrt(ab))
@@ -177,7 +170,7 @@ def test_criterion_05_noiseless_consistency():
     ctx = canon.StepContext(x_t=RngStream(207).standard_normal(8), t_i=500,
                             t_prev=250, prior=prior, schedule=schedule,
                             stream=RngStream(0))
-    canon.sample_phi(canon.default_params("DiffPIR"), prior, schedule, ctx)
+    canon.sample_phi(canon.default_params("DiffPIR"), ctx)
     out = canon.corr_diffpir(ctx, obs, canon.default_params("DiffPIR"))
     assert np.linalg.norm(ops.apply(op, out) - obs.y) <= 1e-8
     report(5, "DDNM runs and the DiffPIR zero-noise corrector hit ||Ax-y|| <= 1e-8")
@@ -225,12 +218,11 @@ def test_criterion_07_search_space_nesting():
     assert np.max(np.abs(a - b)) <= 1e-12
 
     # closed-form training: the larger decoupled space is never worse
-    builder = mask_obs_builder(op, sigma_y)
     losses = {}
     for decoupled in (False, True):
         tc = lle.TrainConfig(n_refs=16, ref_steps=200, closed_form=True,
                              decoupled=decoupled, base_seed=9)
-        _, traces = lle.train(params, prior, schedule, builder, grid, tc)
+        _, traces = lle.train(params, prior, schedule, op, sigma_y, grid, tc)
         losses[decoupled] = {t: min(tr) for t, tr in traces.items()}
     for t in losses[False]:
         assert losses[True][t] <= losses[False][t] + 1e-9, t
@@ -243,12 +235,11 @@ def test_criterion_08_training_monotonicity_and_improvement():
     op = ops.mask_operator(8, [0, 2, 5, 7])
     params = canon.default_params("DDNM")
     grid = dif.make_time_grid(schedule, 4)
-    builder = mask_obs_builder(op, 0.05)
     tc = lle.TrainConfig(n_refs=16, ref_steps=200, epochs=80, warmup=20, base_seed=5)
-    coeffs, traces = lle.train(params, prior, schedule, builder, grid, tc)
+    coeffs, traces = lle.train(params, prior, schedule, op, 0.05, grid, tc)
     for t, trace in traces.items():
         assert min(trace) <= trace[0] + 1e-9, t
-    refs, base_final = base_training_final(params, prior, schedule, builder, grid, tc)
+    refs, base_final = base_training_final(params, prior, schedule, op, 0.05, grid, tc)
     base_mse = float(np.mean((base_final - refs) ** 2))
     lle_loss = min(traces[grid.timesteps[grid.S - 1]])
     lle_mse = lle_loss / prior.d
@@ -332,15 +323,14 @@ def test_criterion_12_end_to_end_sweep(tmp_path):
     op = ops.random_mask_operator(32, 0.5, seed=3)
     sigma_y = 0.05
     params = canon.default_params("DPS")
-    builder = mask_obs_builder(op, sigma_y)
 
     held_out = {}
     for S in (3, 5, 10):
         grid = dif.make_time_grid(schedule, S)
         tc = lle.TrainConfig(n_refs=50, ref_steps=999, closed_form=True,
                              base_seed=13)
-        coeffs, traces = lle.train(params, prior, schedule, builder, grid, tc)
-        refs, base_final = base_training_final(params, prior, schedule, builder,
+        coeffs, traces = lle.train(params, prior, schedule, op, sigma_y, grid, tc)
+        refs, base_final = base_training_final(params, prior, schedule, op, sigma_y,
                                                grid, tc)
         base_mse = float(np.mean((base_final - refs) ** 2))
         lle_mse = min(traces[grid.timesteps[grid.S - 1]]) / prior.d
@@ -393,8 +383,7 @@ def test_criterion_13_noisy_ground_truth_variant():
     grid = dif.make_time_grid(schedule, 3)
     tc = lle.TrainConfig(n_refs=12, ref_steps=150, epochs=40, warmup=10,
                          noisy_gt=True, base_seed=6)
-    _, traces = lle.train(params, prior, schedule, mask_obs_builder(op, sigma_y),
-                          grid, tc)
+    _, traces = lle.train(params, prior, schedule, op, sigma_y, grid, tc)
     for t, trace in traces.items():
         assert min(trace) <= trace[0] + 1e-9, t
     report(13, "noisy-target training matches the corrector and stays monotone")

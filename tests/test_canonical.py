@@ -22,7 +22,7 @@ def make_ctx(prior, schedule, x_t, t_i, t_prev, stream=None, x0=None):
         stream=stream if stream is not None else RngStream(99),
     )
     if x0 is None:
-        canon.sample_phi(canon.default_params("DDNM"), prior, schedule, ctx)
+        canon.sample_phi(canon.default_params("DDNM"), ctx)
     else:
         ctx.x0_sampled = np.asarray(x0, dtype=float)
     return ctx
@@ -77,7 +77,7 @@ def test_sampler_daps_uses_ddim_chain(schedule, small_prior):
         x_t=x, t_i=600, t_prev=300, prior=small_prior, schedule=schedule,
         stream=RngStream(0),
     )
-    out = canon.sample_phi(params, small_prior, schedule, ctx)
+    out = canon.sample_phi(params, ctx)
     expected = dif.ddim_run(small_prior, schedule, x, 600, 3, eta=0.0)
     assert np.array_equal(out, expected)
 
@@ -814,7 +814,7 @@ def test_guided_step_whitens_once_and_matches_separate_calls(
     def step(stream):
         ctx = canon.StepContext(x_t=x_t, t_i=600, t_prev=300, prior=small_prior,
                                 schedule=schedule, stream=stream)
-        canon.sample_phi(params, small_prior, schedule, ctx)
+        canon.sample_phi(params, ctx)
         xhat = canon.CORRECTORS[name](ctx, obs, params)
         return xhat, canon.apply_noiser(params, ctx, obs, xhat)
 
@@ -1066,7 +1066,7 @@ def test_corrector_fuzz_outputs_finite(schedule):
                 x_t=x_t, t_i=t_i, t_prev=t_prev, prior=prior,
                 schedule=schedule, stream=stream,
             )
-            canon.sample_phi(params, prior, schedule, ctx)
+            canon.sample_phi(params, ctx)
             try:
                 xhat = canon.CORRECTORS[name](ctx, obs, params)
                 x_next = canon.apply_noiser(params, ctx, obs, xhat)

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from lle import cli
+from lle.canonical import ConfigurationError
 from lle import diffusion as dif
 from lle.extrapolation import LLECoefficients
 from lle.numerics import load_array
@@ -74,6 +75,38 @@ def test_eval_with_oracle_column(tmp_path, config_path):
               "--config", config_path, "--out", out, "--oracle"])
     body = (tmp_path / "m.csv").read_text().strip().split("\n")[1:]
     assert all(row.split(",")[3] != "" for row in body)
+
+
+def _variant(tmp_path, config_path, name, **overrides):
+    with open(config_path) as f:
+        cfg = json.load(f)
+    cfg.update(overrides)
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_run_rejects_coefficients_of_another_time_grid(tmp_path, config_path):
+    # the same S over schedule.T 1000 and 400: grids [1000, 500] and [400, 200]
+    coeffs_path = str(tmp_path / "coeffs.json")
+    cli.main(["train", "--config", config_path, "--out", coeffs_path])
+    other = _variant(tmp_path, config_path, "t400.json", schedule={"T": 400})
+    with pytest.raises(ConfigurationError) as info:
+        cli.main(["run", "--config", other, "--coeffs", coeffs_path,
+                  "--seed", "21", "--out", str(tmp_path / "recon.bin")])
+    assert "[1000, 500]" in str(info.value) and "[400, 200]" in str(info.value)
+    assert not (tmp_path / "recon.bin").exists()
+
+
+def test_eval_oracle_needs_a_linear_operator(tmp_path, config_path):
+    nonlinear = _variant(tmp_path, config_path, "nl.json", algorithm={"name": "DPS"},
+                         task={"operator": {"kind": "nonlinear"}, "sigma_y": 0.05})
+    recon_path = str(tmp_path / "r.bin")
+    cli.main(["run", "--config", nonlinear, "--seed", "2", "--out", recon_path])
+    with pytest.raises(ConfigurationError) as info:
+        cli.main(["eval", "--recon", recon_path, "--truth", recon_path + ".truth",
+                  "--config", nonlinear, "--out", str(tmp_path / "m.csv"), "--oracle"])
+    assert "task.operator.kind" in str(info.value) and "linear operator" in str(info.value)
 
 
 def test_run_repeatable_bytes(tmp_path, config_path):

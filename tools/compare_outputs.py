@@ -15,7 +15,10 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   so the posterior oracle's numerics are compared too;
 - one first-order fit with the gradient-domain loss term, and one Adam fit
   with the dynamic lr rule and soft-nonlinear init, each with ``train`` and
-  ``run --coeffs``.
+  ``run --coeffs``;
+- on the ``nonlinear`` operator, one base ``run`` for each of DPS, REDdiff,
+  DiffPIR, ReSample and DAPS (no ``eval --oracle``: the oracle needs a linear
+  operator), and one DPS first-order fit with ``train`` and ``run --coeffs``.
 
 A call that raises writes ``<out>.error`` holding the exception instead. For
 every file the comparison prints ``identical``, or the maximum relative
@@ -51,6 +54,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 GRID_ALGORITHMS = ("DDRM", "DDNM", "DPS", "DiffPIR")
+NONLINEAR_ALGORITHMS = ("DPS", "REDdiff", "DiffPIR", "ReSample", "DAPS")
 GRID_STEPS = "2,3"
 
 
@@ -72,7 +76,8 @@ def _grid_config(seed, algorithm, operator, n_test, lle):
 
 
 def grid_plan(seed: int) -> list:
-    """(name, config, calls) for the LLE grid and the two optimizer variants."""
+    """(name, config, calls) for the LLE grid, the two optimizer variants and
+    the nonlinear-operator runs."""
     rng = random.Random(seed)
     operators = {
         "mask": {"kind": "mask", "keep_ratio": 0.5, "seed": rng.randrange(1, 2**31)},
@@ -104,6 +109,12 @@ def grid_plan(seed: int) -> list:
     for name, (algorithm, lle) in variants.items():
         plan.append((name, _grid_config(prior_seed, algorithm, operators["mask"], 5, lle),
                      ("train", "run")))
+    nonlinear = {"kind": "nonlinear"}
+    for algorithm in NONLINEAR_ALGORITHMS:
+        plan.append((f"{algorithm.lower()}-nonlinear-base",
+                     _grid_config(prior_seed, algorithm, nonlinear, 5, "none"), ("run",)))
+    plan.append(("dps-nonlinear-coupled-first",
+                 _grid_config(prior_seed, "DPS", nonlinear, 5, fit), ("train", "run")))
     return plan
 
 
