@@ -4,9 +4,9 @@ One iteration from t_i to t_{i-1} is: denoise (sampler), enforce observation
 consistency (corrector), re-noise to the next level (noiser). Each
 algorithm's whole canonical form is one `SOLVERS` entry: its sampler,
 corrector and noiser, its preset hyperparameters, whether it needs a linear
-operator and whether its corrector defines a noisy training target. Every
-noiser but DDRM's and DDNM's spectral one is the DDIM update
-sqrt(ab_prev) xhat + c2 eps + c1 z with its own (c1, c2, eps).
+operator and whether its corrector defines a noisy training target. DDNM is
+DDRM at eta_b = 1 and shares its spectral corrector and noiser; every other
+noiser is the DDIM update sqrt(ab_prev) xhat + c2 eps + c1 z with its own (c1, c2, eps).
 
 The driver `run` iterates the three steps down a time grid;
 `run_with_combiner` additionally lets a callback replace the corrected
@@ -191,17 +191,13 @@ class StepContext:
             )
         return self._eps
 
-    def eps_jvp(self, v: np.ndarray) -> np.ndarray:
-        """(d eps/dx) v at (x_t, t_i), reusing the step's whitening."""
-        return dif.gmm_eps_jvp(
-            self.prior, self.schedule, self.x_t, self.t_i, v, whitened=self.whitened
-        )
-
     def x0_vjp(self, v: np.ndarray) -> np.ndarray:
         """v^T (d x0/d x_t) for the Tweedie x0 = (x_t - sigma eps) / sqrt(ab);
         the Jacobian (I - sigma d eps/dx) / sqrt(ab) is symmetric, so this is
-        also its product with v."""
-        return (v - self.sigma * self.eps_jvp(v)) / math.sqrt(self.ab)
+        also its product with v. The eps JVP reuses the step's whitening."""
+        jvp = dif.gmm_eps_jvp(self.prior, self.schedule, self.x_t, self.t_i, v,
+                              whitened=self.whitened)
+        return (v - self.sigma * jvp) / math.sqrt(self.ab)
 
 
 # ---------------------------------------------------------------------------
@@ -239,40 +235,24 @@ def _noisy_branch(ctx: StepContext, obs: ops.Observation) -> np.ndarray:
     return ctx.sigma_prev < math.sqrt(ctx.ab_prev) * obs.sigma_y / obs.op.s
 
 
-def corr_ddnm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
-    """Null-space-preserving projection with noise-aware spectral scaling."""
+def corr_ddrm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
+    """Spectral correction x0 + (lam (U^T y / s - V^T x0)) V^T of DDRM and
+    DDNM: lam = eta_b, whose preset 1 is DDNM's null-space projection, and
+    the noise-aware scaling in the noisy branch; boundary ties take eta_b."""
     op = obs.op
     x0 = ctx.x0_sampled
     middle = _noisy_branch(ctx, obs)
-    lam = np.ones(op.r)
+    lam = np.full(op.r, params.eta_b)
     if np.any(middle):
         lam = np.where(
             middle,
             op.s * ctx.sigma_prev * math.sqrt(max(0.0, 1.0 - params.eta**2))
             / (math.sqrt(ctx.ab_prev) * obs.sigma_y),
-            1.0,
+            params.eta_b,
         )
     spectral_y = (obs.y @ op.U) / op.s
     innovation = spectral_y - x0 @ op.V
     return x0 + (lam * innovation) @ op.V.T
-
-
-def corr_ddrm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
-    """Element-wise spectral correction; boundary ties go to the blend branch."""
-    op = obs.op
-    x0 = ctx.x0_sampled
-    xbar = x0 @ op.V
-    ybar = (obs.y @ op.U) / op.s
-    middle = _noisy_branch(ctx, obs)
-    blend = (1.0 - params.eta_b) * xbar + params.eta_b * ybar
-    if np.any(middle):
-        snr_step = (math.sqrt(max(0.0, 1.0 - params.eta**2)) * ctx.sigma_prev
-                    / math.sqrt(ctx.ab_prev))
-        noisy = xbar + snr_step * (ybar - xbar) / (obs.sigma_y / op.s)
-        corrected = np.where(middle, noisy, blend)
-    else:
-        corrected = blend
-    return x0 + (corrected - xbar) @ op.V.T
 
 
 def corr_dps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
@@ -529,7 +509,8 @@ def _ddim_noise(xhat: np.ndarray, ctx: StepContext, c1: float, c2: float, eps=No
 
 def noiser_ddim(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
     """DDIM noiser with the schedule's (c1, c2) for params.eta."""
-    return _ddim_noise(xhat, ctx, *dif.ddim_coeffs(ctx.schedule, ctx.t_i, ctx.t_prev, params.eta))
+    c1, c2 = dif._ddim_c(ctx.ab, ctx.ab_prev, params.eta, ctx.t_i, ctx.t_prev)
+    return _ddim_noise(xhat, ctx, c1, c2)
 
 
 def noiser_dmps(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
@@ -570,19 +551,19 @@ def noiser_resample(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarr
     return blend
 
 
-def _spectral_noiser(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams, rad):
-    """Shared three-branch coordinatewise noiser of DDRM/DDNM in the V-basis.
-
-    rad is the per-coordinate range variance outside the noisy branch.
-    """
+def noiser_ddrm(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
+    """Three-branch coordinatewise noiser of DDRM and DDNM in the V-basis:
+    DDIM on the null space, eta sigma_prev fresh noise in the noisy branch,
+    and elsewhere the range variance sigma_prev^2 - sigma_y^2 eta_b^2 ab_prev / s^2."""
     op = obs.op
     sig_prev = ctx.sigma_prev
     eta = params.eta
     middle = _noisy_branch(ctx, obs)
+    rad = sig_prev**2 - obs.sigma_y**2 * params.eta_b**2 * ctx.ab_prev / op.s**2
     rad = np.where(middle, 0.0, rad)
     if np.any(rad < -1e-12):
         raise ConfigurationError(
-            f"{params.algorithm} noiser radicand is negative; check sigma_y (and DDRM's eta_b)"
+            f"{params.algorithm} noiser radicand is negative; check sigma_y and eta_b"
         )
     eps = ctx.stream.standard_normal(xhat.shape)
     sqrt_ab = math.sqrt(ctx.ab_prev)
@@ -601,16 +582,6 @@ def _spectral_noiser(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoP
     std = np.where(middle, np.full(op.r, eta * sig_prev), np.sqrt(np.clip(rad, 0.0, None)))
     out_range = (sqrt_ab * xbar + std * ebar) @ op.V.T
     return out_null + out_range
-
-
-def noiser_ddrm(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
-    rad = 1.0 - ctx.ab_prev - ctx.ab_prev * obs.sigma_y**2 * params.eta_b**2 / obs.op.s**2
-    return _spectral_noiser(xhat, ctx, obs, params, rad)
-
-
-def noiser_ddnm(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
-    rad = ctx.sigma_prev**2 - obs.sigma_y**2 * ctx.ab_prev / obs.op.s**2
-    return _spectral_noiser(xhat, ctx, obs, params, rad)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +607,8 @@ class Solver(NamedTuple):
 SOLVERS = {
     "DDRM": Solver(sampler_tweedie, corr_ddrm, noiser_ddrm, {"eta": 0.85, "eta_b": 1.0},
                    linear=True, noisy_gt=True),
-    "DDNM": Solver(sampler_tweedie, corr_ddnm, noiser_ddnm, {"eta": 0.85},
+    # DDNM's null-space projection is DDRM's spectral solver at eta_b = 1
+    "DDNM": Solver(sampler_tweedie, corr_ddrm, noiser_ddrm, {"eta": 0.85, "eta_b": 1.0},
                    linear=True, noisy_gt=True),
     "DPS": Solver(sampler_tweedie, corr_dps, noiser_ddim, {"eta": 1.0, "zeta": 1.0}),
     "PiGDM": Solver(sampler_tweedie, corr_pigdm, noiser_ddim, {"eta": 1.0}, linear=True),
@@ -665,7 +637,7 @@ class AlgoParams(ConfigBlock):
     block = "algorithm"
     algorithm: str = rule(choices=ALGORITHMS, key="name")
     eta: float = rule(0.85, minimum=0.0, maximum=1.0)  # the noisers' stochasticity
-    eta_b: float = rule(1.0, minimum=0.0, maximum=1.0)  # DDRM
+    eta_b: float = rule(1.0, minimum=0.0, maximum=1.0)  # DDRM, DDNM
     zeta: float = rule(1.0, minimum=0.0)  # DPS
     xi: float = rule(1.0, minimum=0.0)  # RED-diff learning rate
     lam: float = rule(1.0, minimum=0.0)  # RED-diff / DiffPIR / DMPS weight

@@ -214,23 +214,17 @@ def whiten(prior, schedule, x, t: int):
     return prior._resp_and_whitened(_mixture_row(prior, schedule, t), _as_batch(x)[0])
 
 
-def gmm_score(prior, schedule, x, t: int, whitened=None) -> np.ndarray:
-    """Exact gradient of log q_t at x, batched over every leading axis."""
+def gmm_eps(prior, schedule, x, t: int, whitened=None) -> np.ndarray:
+    """Noise-prediction surrogate: eps = -sqrt(1-ab_t) * grad log q_t, batched.
+
+    whitened: `whiten(prior, schedule, x, t)`, when the caller already has it.
+    """
     xb, squeeze = _as_batch(x)
     if whitened is None:
         whitened = prior._resp_and_whitened(_mixture_row(prior, schedule, t), xb)
     r, y, _ = whitened
-    score = -prior._from_eigenbasis(r, y)
-    return score[0] if squeeze else score
-
-
-def gmm_eps(prior, schedule, x, t: int, whitened=None) -> np.ndarray:
-    """Noise-prediction surrogate: eps = -sqrt(1-ab_t) * grad log q_t.
-
-    whitened: `whiten(prior, schedule, x, t)`, when the caller already has it.
-    """
-    sig = schedule.sigma(t)
-    return -sig * gmm_score(prior, schedule, x, t, whitened)
+    eps = schedule.sigma(t) * prior._from_eigenbasis(r, y)
+    return eps[0] if squeeze else eps
 
 
 def gmm_eps_jvp(prior, schedule, x, t: int, v, whitened=None) -> np.ndarray:
@@ -277,12 +271,6 @@ def _ddim_c(ab_f, ab_t, eta: float, t_from, t_to) -> tuple:
         raise FloatingPointError(f"negative c2 radicand {np.ravel(rad)[i]} at "
                                  f"({np.ravel(t_from)[i]},{np.ravel(t_to)[i]})")
     return c1, np.sqrt(np.maximum(0.0, rad))
-
-
-def ddim_coeffs(schedule, t_from: int, t_to: int, eta: float) -> tuple[float, float]:
-    """DDIM noiser coefficients (c1, c2); c1^2 + c2^2 = 1 - alphabar_to."""
-    c1, c2 = _ddim_c(schedule.alphabar(t_from), schedule.alphabar(t_to), eta, t_from, t_to)
-    return float(c1), float(c2)
 
 
 def _step_table(prior, schedule, t_from, t_to, eta: float) -> tuple:

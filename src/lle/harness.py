@@ -185,7 +185,12 @@ def _load_prior(spec: dict, config_dir: str) -> dif.GaussianMixturePrior:
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as f:
-        top = ConfigFile.from_dict(json.load(f))
+        try:
+            raw = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc.msg} at line {exc.lineno}"
+                              f" column {exc.colno}") from exc
+    top = ConfigFile.from_dict(raw)
     prior = _load_prior(top.prior, os.path.dirname(os.path.abspath(path)))
     op_keys = {key: val for key, val in vars(top.task.operator).items() if val is not None}
     op = _built("task.operator", ops.build_operator, {"n": prior.d, **op_keys})

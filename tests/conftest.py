@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,13 @@ def schedule():
 def random_spd(stream: RngStream, d: int, scale: float = 0.3) -> np.ndarray:
     W = stream.standard_normal((d, d))
     return scale * (W @ W.T) / d + 0.1 * np.eye(d)
+
+
+def scalar_ddim_coeffs(schedule, t_from, t_to, eta):
+    """The DDIM (c1, c2) in Python scalar arithmetic, step by step."""
+    ab_f, ab_t = schedule.alphabar(t_from), schedule.alphabar(t_to)
+    c1 = eta * math.sqrt(max(0.0, 1.0 - ab_f / ab_t)) * math.sqrt((1.0 - ab_t) / (1.0 - ab_f))
+    return c1, math.sqrt(max(0.0, 1.0 - ab_t - c1 * c1))
 
 
 def random_mixture(seed: int, d: int, K: int) -> dif.GaussianMixturePrior:

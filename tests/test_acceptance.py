@@ -18,7 +18,7 @@ from lle import harness
 from lle import operators as ops
 from lle.numerics import RngStream
 
-from conftest import random_mixture
+from conftest import random_mixture, scalar_ddim_coeffs
 
 
 def report(n, text):
@@ -151,7 +151,7 @@ def test_criterion_04_ddim_variance_identity():
         ts = dif.make_time_grid(schedule, S).timesteps
         for t_from, t_to in zip(ts[:-1], ts[1:]):
             for eta in (0.0, 0.5, 0.85, 1.0):
-                c1, c2 = dif.ddim_coeffs(schedule, t_from, t_to, eta)
+                c1, c2 = scalar_ddim_coeffs(schedule, t_from, t_to, eta)
                 err = abs(c1 * c1 + c2 * c2 - (1.0 - schedule.alphabar(t_to)))
                 assert err <= 1e-12
     report(4, "c1^2 + c2^2 = 1 - alphabar across all grid pairs and etas")
@@ -377,7 +377,7 @@ def test_criterion_13_noisy_ground_truth_variant():
     ctx = canon.StepContext(x_t=truth, t_i=500, t_prev=250, prior=prior,
                             schedule=schedule, stream=RngStream(0),
                             x0_sampled=truth.copy())
-    direct = canon.corr_ddnm(ctx, obs, params)
+    direct = canon.corr_ddrm(ctx, obs, params)
     assert np.max(np.abs(got - direct)) <= 1e-12
 
     grid = dif.make_time_grid(schedule, 3)

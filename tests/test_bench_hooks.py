@@ -61,7 +61,7 @@ def test_tracer_counts_driver_layers(tmp_path):
     assert calls.get("canonical.corrector.DDNM") == 4
     assert calls.get("canonical.apply_noiser") == 4
     assert calls.get("canonical.run_with_combiner") == 2
-    assert canon.CORRECTORS["DDNM"] is canon.corr_ddnm
+    assert canon.CORRECTORS["DDNM"] is canon.corr_ddrm
 
 
 def test_benchmark_configs_load_and_sweep_runs(tmp_path):

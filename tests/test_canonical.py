@@ -9,7 +9,7 @@ from lle import diffusion as dif
 from lle import operators as ops
 from lle.numerics import RngStream, RowStreams
 
-from conftest import random_mixture, random_spd
+from conftest import random_mixture, random_spd, scalar_ddim_coeffs
 
 
 def make_ctx(prior, schedule, x_t, t_i, t_prev, stream=None, x0=None):
@@ -122,7 +122,7 @@ def test_zero_strength_correctors_return_x0(schedule, small_prior):
 
 
 # ---------------------------------------------------------------------------
-# DDNM corrector
+# DDNM corrector: DDRM's spectral corrector at eta_b = 1
 # ---------------------------------------------------------------------------
 
 
@@ -131,7 +131,7 @@ def test_ddnm_noiseless_is_exact_projection(schedule, small_prior):
     truth = RngStream(44).standard_normal(6)
     obs = ops.Observation(y=ops.apply(op, truth), op=op, sigma_y=0.0)
     ctx = make_ctx(small_prior, schedule, RngStream(45).standard_normal(6), 500, 250)
-    out = canon.corr_ddnm(ctx, obs, canon.default_params("DDNM"))
+    out = canon.corr_ddrm(ctx, obs, canon.default_params("DDNM"))
     assert np.max(np.abs(ops.apply(op, out) - obs.y)) < 1e-12
     # null space untouched
     assert np.max(np.abs(ops.project(op, out - ctx.x0_sampled, "null"))) < 1e-12
@@ -147,7 +147,7 @@ def test_ddnm_noisy_scaling_scalar_oracle(schedule):
     x0 = np.array([0.3])
     ctx = make_ctx(prior, schedule, np.array([0.5]), t_i, t_prev, x0=x0)
     params = canon.default_params("DDNM")  # eta = 0.85
-    out = canon.corr_ddnm(ctx, obs, params)
+    out = canon.corr_ddrm(ctx, obs, params)
 
     ab_prev = schedule.alphabar(t_prev)
     sig_prev = schedule.sigma(t_prev)
@@ -856,7 +856,7 @@ def test_noiser_ddim_exact_reconstruction(schedule, small_prior):
     xhat = RngStream(72).standard_normal(6)
     predicted_noise = clone(stream).standard_normal((6,))
     out = canon.noiser_ddim(xhat, ctx, None, with_eta("DPS", 0.85))
-    c1, c2 = dif.ddim_coeffs(schedule, 500, 250, 0.85)
+    c1, c2 = scalar_ddim_coeffs(schedule, 500, 250, 0.85)
     expected = (
         math.sqrt(schedule.alphabar(250)) * xhat
         + c2 * ctx.eps_cached
@@ -915,7 +915,7 @@ def test_ddnm_noiser_terminal_noiseless_is_identity(schedule, small_prior):
     obs = ops.Observation(y=np.zeros(2), op=op, sigma_y=0.0)
     ctx = make_ctx(small_prior, schedule, RngStream(81).standard_normal(6), 250, 0)
     xhat = RngStream(82).standard_normal(6)
-    out = canon.noiser_ddnm(xhat, ctx, obs, canon.default_params("DDNM"))
+    out = canon.noiser_ddrm(xhat, ctx, obs, canon.default_params("DDNM"))
     assert np.max(np.abs(out - xhat)) < 1e-12
 
 
@@ -924,7 +924,7 @@ def test_ddnm_noiser_range_statistics(schedule, small_prior):
     obs = ops.Observation(y=np.zeros(6), op=op, sigma_y=0.0)
     ctx = make_ctx(small_prior, schedule, np.zeros((3000, 6)), 500, 250,
                    stream=RngStream(83))
-    out = canon.noiser_ddnm(np.zeros((3000, 6)), ctx, obs, canon.default_params("DDNM"))
+    out = canon.noiser_ddrm(np.zeros((3000, 6)), ctx, obs, canon.default_params("DDNM"))
     sig_prev = schedule.sigma(250)
     assert abs(out.std() - sig_prev) / sig_prev < 0.05
 
@@ -950,7 +950,7 @@ def test_resample_noiser_gamma_zero_is_encode(schedule, small_prior):
     params.gamma_rs = 0.0
     xhat = RngStream(87).standard_normal(6)
     out = canon.noiser_resample(xhat, ctx, None, params)
-    c1, c2 = dif.ddim_coeffs(schedule, 500, 250, 0.0)
+    c1, c2 = scalar_ddim_coeffs(schedule, 500, 250, 0.0)
     expected = math.sqrt(schedule.alphabar(250)) * ctx.x0_sampled + c2 * ctx.eps_cached
     assert np.max(np.abs(out - expected)) < 1e-14
 
@@ -966,7 +966,7 @@ def test_resample_noiser_terminal_step_finite(schedule, small_prior):
     ab_i = schedule.alphabar(250)
     g = params.gamma_rs * (1.0 - ab_i) / ab_i
     w = g / (g + 1.0)
-    c1, c2 = dif.ddim_coeffs(schedule, 250, 0, params.eta)
+    c1, c2 = scalar_ddim_coeffs(schedule, 250, 0, params.eta)
     x_prime = ctx.x0_sampled + c2 * ctx.eps_cached  # c1 = 0 at ab_prev = 1
     assert np.max(np.abs(out - (w * xhat + (1.0 - w) * x_prime))) < 1e-12
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lle import diffusion as dif
 from lle.numerics import RngStream, RowStreams
 
-from conftest import random_mixture, random_spd
+from conftest import random_mixture, random_spd, scalar_ddim_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +111,9 @@ def test_score_symmetric_mixture_vanishes_at_origin(schedule):
     prior = dif.GaussianMixturePrior(
         [0.5, 0.5], np.array([[2.0], [-2.0]]), np.stack([np.eye(1) * 0.3] * 2)
     )
-    s = dif.gmm_score(prior, schedule, np.zeros(1), 300)
-    assert abs(s[0]) < 1e-14
+    # the score is -eps / sigma, so it vanishes where eps does
+    eps = dif.gmm_eps(prior, schedule, np.zeros(1), 300)
+    assert abs(eps[0]) < 1e-14
 
 
 def test_tweedie_single_gaussian_conditioning(schedule):
@@ -139,8 +140,8 @@ def test_tweedie_identity_at_zero(schedule, small_prior):
 
 def test_score_far_from_support_stays_finite(schedule, small_prior):
     x = np.full(6, 1e6)
-    s = dif.gmm_score(small_prior, schedule, x, 500)
-    assert np.all(np.isfinite(s))
+    eps = dif.gmm_eps(small_prior, schedule, x, 500)  # -sigma * score
+    assert np.all(np.isfinite(eps))
 
 
 def test_batched_eps_matches_loop(schedule, small_prior):
@@ -303,7 +304,7 @@ def test_ddim_coeff_variance_identity(schedule):
         ts = dif.make_time_grid(schedule, S).timesteps
         for t_from, t_to in zip(ts[:-1], ts[1:]):
             for eta in (0.0, 0.5, 0.85, 1.0):
-                c1, c2 = dif.ddim_coeffs(schedule, t_from, t_to, eta)
+                c1, c2 = scalar_ddim_coeffs(schedule, t_from, t_to, eta)
                 assert abs(c1 * c1 + c2 * c2 - (1.0 - schedule.alphabar(t_to))) < 1e-12
 
 
@@ -354,7 +355,7 @@ def test_ddim_step_is_the_ddim_update_bit_for_bit(schedule, small_prior, shape):
     x = RngStream(32).standard_normal(shape)
     eps = dif.gmm_eps(small_prior, schedule, x, 600)
     x0 = (x - schedule.sigma(600) * eps) / math.sqrt(schedule.alphabar(600))
-    c1, c2 = dif.ddim_coeffs(schedule, 600, 300, 0.5)
+    c1, c2 = scalar_ddim_coeffs(schedule, 600, 300, 0.5)
     z = RngStream(2).standard_normal(shape)
     expected = math.sqrt(schedule.alphabar(300)) * x0 + c2 * eps + c1 * z
     got = dif.ddim_step(small_prior, schedule, x, 600, 300, eta=0.5, stream=RngStream(2))
@@ -378,7 +379,7 @@ def test_ddim_run_telescopes_for_unit_gaussian(schedule):
     coef = 1.0
     for t_f, t_t in zip(ts[:-1], ts[1:]):
         ab_f, ab_t = schedule.alphabar(t_f), schedule.alphabar(t_t)
-        _, c2 = dif.ddim_coeffs(schedule, t_f, t_t, 0.0)
+        _, c2 = scalar_ddim_coeffs(schedule, t_f, t_t, 0.0)
         coef *= math.sqrt(ab_t * ab_f) + c2 * math.sqrt(1.0 - ab_f)
     out = dif.ddim_run(prior, schedule, x, t_start, k, eta=0.0)
     assert np.max(np.abs(out - coef * x)) < 1e-12
@@ -394,13 +395,6 @@ def test_ddim_run_single_step_equals_step(schedule, small_prior):
 def test_ddim_run_from_zero_is_identity(schedule, small_prior):
     x = RngStream(30).standard_normal(6)
     assert np.array_equal(dif.ddim_run(small_prior, schedule, x, 0, 5), x)
-
-
-def _scalar_ddim_coeffs(schedule, t_from, t_to, eta):
-    """The DDIM (c1, c2) in Python scalar arithmetic, step by step."""
-    ab_f, ab_t = schedule.alphabar(t_from), schedule.alphabar(t_to)
-    c1 = eta * math.sqrt(max(0.0, 1.0 - ab_f / ab_t)) * math.sqrt((1.0 - ab_t) / (1.0 - ab_f))
-    return c1, math.sqrt(max(0.0, 1.0 - ab_t - c1 * c1))
 
 
 @pytest.mark.parametrize("d", [1, 3, 9, 33, 130])
@@ -425,8 +419,7 @@ def test_step_table_rows_equal_per_step_scalars(schedule, d):
             assert w.tobytes() == (1.0 / ev).tobytes()
             assert lognorm.tobytes() == expected_lognorm.tobytes()
             assert sqrt_ab_to == math.sqrt(schedule.alphabar(tt))
-            assert (c1, c2) == _scalar_ddim_coeffs(schedule, tf, tt, eta)
-            assert (c1, c2) == dif.ddim_coeffs(schedule, tf, tt, eta)
+            assert (c1, c2) == scalar_ddim_coeffs(schedule, tf, tt, eta)
             assert dif._mixture_row(prior, schedule, tf)[2].tobytes() == w.tobytes()
 
 

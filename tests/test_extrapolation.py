@@ -429,7 +429,7 @@ def test_noisy_gt_is_corrector_of_x0(schedule, small_prior):
     ctx = canon.StepContext(x_t=truth, t_i=500, t_prev=250, prior=small_prior,
                             schedule=schedule, stream=RngStream(0),
                             x0_sampled=truth.copy())
-    expected = canon.corr_ddnm(ctx, obs, params)
+    expected = canon.corr_ddrm(ctx, obs, params)
     assert np.max(np.abs(got - expected)) < 1e-12
 
 

@@ -403,6 +403,27 @@ def test_run_experiment_identity_matches_manual_infer(tmp_path):
     assert np.array_equal(truths, truths2)
 
 
+def test_ddnm_is_ddrm_at_unit_eta_b(tmp_path):
+    # one spectral corrector and noiser serve both: equal bytes on a noisy
+    # mask, where two separate implementations differed by rounding
+    assert canon.SOLVERS["DDNM"][1:3] == canon.SOLVERS["DDRM"][1:3]
+    recons = {}
+    for name in ("DDRM", "DDNM"):
+        path = write_config(tmp_path / f"{name}.json", algorithm={"name": name}, steps=3)
+        recons[name] = harness.run_experiment(harness.load_config(path), seed=11)[0]
+    assert recons["DDNM"].tobytes() == recons["DDRM"].tobytes()
+
+
+def test_ddnm_reads_eta_b(tmp_path):
+    recons = {}
+    for name, eta_b in (("DDRM", 0.5), ("DDNM", 0.5), ("DDNM", 1.0)):
+        path = write_config(tmp_path / f"{name}-{eta_b}.json",
+                            algorithm={"name": name, "eta_b": eta_b}, steps=3)
+        recons[name, eta_b] = harness.run_experiment(harness.load_config(path), seed=11)[0]
+    assert recons["DDNM", 0.5].tobytes() == recons["DDRM", 0.5].tobytes()
+    assert not np.allclose(recons["DDNM", 0.5], recons["DDNM", 1.0])
+
+
 def test_run_experiment_is_one_driver_call(tmp_path, monkeypatch):
     # all n_test rows go through one (N, 1, d) driver call, not a per-row loop
     cfg = harness.load_config(write_config(tmp_path / "c.json"))
@@ -677,6 +698,16 @@ def test_load_config_rejects_malformed_inline_prior(tmp_path):
     raw["prior"]["weights"] = [0.5, 0.5]
     cfg = _load_raw(tmp_path, raw)
     assert cfg.prior.d == 4 and cfg.prior.K == 2
+
+
+@pytest.mark.parametrize("text, where", [("", "line 1 column 1"),
+                                         ('{"prior": {"dim": 4,\n', "line 2 column 1")])
+def test_load_config_rejects_invalid_json_naming_where(tmp_path, text, where):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(harness.ConfigError, match=re.escape(f"{path} is not valid JSON")) as err:
+        harness.load_config(path)
+    assert where in str(err.value)
 
 
 def test_config_error_is_the_configuration_error():

@@ -70,3 +70,13 @@ def test_summary_groups_by_algorithm(compare):
     differing = [line for line in lines[2:] if line.split("|")[6].strip() != "0"]
     assert differing == ["| recon | DAPS | none | - | 0 | 1 | 0.3 |"]
     assert len(lines) == 2 + 4
+
+
+def test_grid_runs_ddrm_partial_blend_on_each_operator(compare):
+    blend = [(name, calls) for name, cfg, calls in compare.grid_plan(3)
+             if cfg["algorithm"].get("eta_b") == 0.5]
+    assert blend == [("ddrm-mask-base-blend", ("run", "eval")),
+                     ("ddrm-dense-base-blend", ("run", "eval"))]
+    groups = compare.fit_groups([3])
+    name = os.path.join("3", "grid", "metrics-ddrm-dense-base-blend.csv")
+    assert compare._group(name, groups) == ("metrics", "DDRM", "none", "-")

@@ -11,8 +11,10 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
 - an LLE grid: DDRM, DDNM, DPS and DiffPIR x mask and dense operator x coupled
   and decoupled x closed-form and first-order fit, each with ``train``,
   ``run --coeffs`` and ``sweep``, plus one base (identity) ``run`` per
-  algorithm and operator, each followed by ``eval --oracle`` on its output,
-  so the posterior oracle's numerics are compared too;
+  algorithm and operator, and one DDRM base ``run`` per operator at
+  ``eta_b`` 0.5 (the spectral corrector's partial blend, which neither
+  preset reaches), each followed by ``eval --oracle`` on its output, so the
+  posterior oracle's numerics are compared too;
 - one first-order fit with the gradient-domain loss term, and one Adam fit
   with the dynamic lr rule and soft-nonlinear init, each with ``train`` and
   ``run --coeffs``;
@@ -101,6 +103,10 @@ def grid_plan(seed: int) -> list:
                             f"{'closed' if closed_form else 'first'}")
                     cfg = _grid_config(prior_seed, algorithm, operator, 5, lle)
                     plan.append((name, cfg, ("train", "run", "sweep")))
+    for op_name, operator in operators.items():
+        cfg = _grid_config(prior_seed, "DDRM", operator, 5, "none")
+        cfg["algorithm"]["eta_b"] = 0.5
+        plan.append((f"ddrm-{op_name}-base-blend", cfg, ("run", "eval")))
     variants = {
         "dps-mask-plugin": ("DPS", dict(fit, plugin="gradient-domain")),
         "ddnm-mask-adam": ("DDNM", dict(fit, optimizer="adam", lr_rule="dynamic",
