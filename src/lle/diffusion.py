@@ -99,9 +99,14 @@ class GaussianMixturePrior:
             raise ValueError("mixture weights must be positive")
         # raises LinAlgError if not positive definite
         self._chol = np.linalg.cholesky(self.covariances)
-        self._lam, self._eigvecs = np.linalg.eigh(self.covariances)
-        # rows (k, j) hold eigenvector j of component k: maps (B, K*d) back to (B, d)
-        self._eigvecs_rows = self._eigvecs.transpose(0, 2, 1).reshape(self.K * self.d, self.d)
+        self._lam, eigvecs = np.linalg.eigh(self.covariances)
+        # column block k is Q_k, so x @ _basis is every Q_k^T x at once, (..., B, K*d)
+        self._basis = np.ascontiguousarray(eigvecs.transpose(1, 0, 2).reshape(self.d, -1))
+        self._basis_t = np.ascontiguousarray(self._basis.T)
+        self._mean_coords = (self.means[:, None, :] @ eigvecs).reshape(-1)  # [Q_k^T m_k]
+        # (K*d, K): sums each component's block of d coordinates
+        self._block_sum = np.kron(np.eye(self.K), np.ones((self.d, 1)))
+        self._neg_half_block_sum = -0.5 * self._block_sum
 
     # -- serialization ----------------------------------------------------
 
@@ -149,43 +154,52 @@ class GaussianMixturePrior:
     def _constants(self, ab: np.ndarray) -> tuple:
         """Per-timestep constants of the noised mixture at alphabar values ab (n,),
         as columns: sqrt(ab) and sigma = sqrt(1 - ab) (n,), the reciprocal
-        eigenvalues w = 1/ev of C_k (n, K, d) and the per-component
-        log-normalizer (n, K).
+        eigenvalues w = 1/ev of each C_k (n, K*d), the per-component
+        log-normalizer (n, K), and the projected means sqrt(ab) Q_k^T m_k
+        (n, K*d).
 
         Every operation is elementwise or reduces a row's own last axis, so
         row i holds the bits a one-row table at ab[i] holds.
         """
-        ab3 = ab[:, None, None]
-        ev = ab3 * self._lam + (1.0 - ab3)
+        sqrt_ab = np.sqrt(ab)
+        ab2 = ab[:, None]
+        ev = ab2 * self._lam.reshape(-1) + (1.0 - ab2)
         lognorm = np.log(self.weights) - 0.5 * (
-            np.log(ev).sum(axis=-1) + self.d * math.log(2.0 * math.pi)
+            np.log(ev).reshape(-1, self.K, self.d).sum(axis=-1) + self.d * math.log(2.0 * math.pi)
         )
-        return np.sqrt(ab), np.sqrt(1.0 - ab), 1.0 / ev, lognorm
+        return sqrt_ab, np.sqrt(1.0 - ab), 1.0 / ev, lognorm, sqrt_ab[:, None] * self._mean_coords
 
     def _resp_and_whitened(self, row, x: np.ndarray):
-        """Responsibilities r (..., B, K), reciprocal eigenvalues w (K, d) of C_k,
-        and y_k = Q_k^T C_k^-1 (x - m_k) (..., K, B, d) for a batch x (..., B, d),
-        the solves in each component's eigenbasis (so C_k^-1 (x - m_k) = Q_k y_k).
-        row: one row of a table whose first columns are `_constants`.
+        """Responsibilities r (..., B, K), reciprocal eigenvalues w (K*d,) of the
+        C_k, and y = [Q_k^T C_k^-1 (x - m_k)] (..., B, K*d) for a batch x
+        (..., B, d), the solves in each component's eigenbasis (so
+        C_k^-1 (x - m_k) = Q_k y_k). row: one row of a table whose first
+        columns are `_constants`.
 
-        The component axis goes in front of the row axis B, so every (B, d)
-        block of an (..., B, d) stack is laid out, multiplied and reduced as
-        the same block alone: an (N, 1, d) stack gives each row the bits of
-        its one-row call.
+        Every product runs over the last two axes, so every (B, d) block of an
+        (..., B, d) stack is multiplied and reduced as the same block alone:
+        an (N, 1, d) stack gives each row the bits of its one-row call.
         """
-        sqrt_ab, _, w, lognorm = row[:4]
-        z = (x[..., None, :, :] - sqrt_ab * self.means[:, None, :]) @ self._eigvecs
-        y = z * w[:, None, :]
-        logp = lognorm - 0.5 * np.einsum("...kbd,...kbd->...bk", z, y)
-        r = np.exp(logp - logp.max(axis=-1, keepdims=True))
+        _, _, w, lognorm, mean_coords = row[:5]
+        z = x @ self._basis
+        z -= mean_coords
+        y = z * w
+        z *= y
+        logp = z @ self._neg_half_block_sum
+        logp += lognorm
+        logp -= logp.max(axis=-1, keepdims=True)
+        r = np.exp(logp, out=logp)
         r /= r.sum(axis=-1, keepdims=True)
         return r, y, w
 
+    def _blocks(self, c: np.ndarray) -> np.ndarray:
+        """The (..., B, K, d) view of eigenbasis coordinates c (..., B, K*d)."""
+        return c.reshape(c.shape[:-1] + (self.K, self.d))
+
     def _from_eigenbasis(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
         """sum_k r_k Q_k c_k for responsibilities r (..., B, K) and eigenbasis
-        coordinates c (..., K, B, d), as one (..., B, K*d) @ (K*d, d) matmul."""
-        rows = (r.swapaxes(-1, -2)[..., None] * c).swapaxes(-3, -2)
-        return rows.reshape(rows.shape[:-2] + (-1,)) @ self._eigvecs_rows
+        coordinates c (..., B, K*d), as one (..., B, K*d) @ (K*d, d) matmul."""
+        return (self._blocks(c) * r[..., None]).reshape(c.shape) @ self._basis_t
 
 
 def _rows(columns):
@@ -242,22 +256,15 @@ def gmm_eps_jvp(prior, schedule, x, t: int, v, whitened=None) -> np.ndarray:
     r, y, w = whitened
     # H = sum_k r_k (u_k u_k^T - C_k^-1) - s s^T with u_k = Q_k y_k, s = -sum_k r_k u_k;
     # with p_k = Q_k^T v: Hv = sum_k r_k Q_k (y_k (y_k.p_k + s.v) - w_k p_k)
-    p = vb[..., None, :, :] @ prior._eigvecs
-    yp = np.einsum("...kbd,...kbd->...kb", y, p)
-    sv = -np.einsum("...bk,...kb->...b", r, yp)
-    coords = y * (yp + sv[..., None, :])[..., None] - w[:, None, :] * p
+    p = vb @ prior._basis
+    yp = (y * p) @ prior._block_sum
+    yp -= (r * yp).sum(axis=-1, keepdims=True)
+    coords = (prior._blocks(y) * yp[..., None]).reshape(y.shape)
+    p *= w
+    coords -= p
     hv = prior._from_eigenbasis(r, coords)
     out = -schedule.sigma(t) * hv
     return out[0] if squeeze else out
-
-
-def tweedie(prior, schedule, x, t: int) -> np.ndarray:
-    """Posterior mean E[x0 | x_t] = (x_t - sqrt(1-ab)*eps) / sqrt(ab)."""
-    x = np.asarray(x, dtype=float)
-    if t == 0:
-        return x.copy()
-    ab = schedule.alphabar(t)
-    return (x - schedule.sigma(t) * gmm_eps(prior, schedule, x, t)) / math.sqrt(ab)
 
 
 def _ddim_c(ab_f, ab_t, eta: float, t_from, t_to) -> tuple:
@@ -285,21 +292,31 @@ def _step_table(prior, schedule, t_from, t_to, eta: float) -> tuple:
 def _ddim_step(prior, row, x: np.ndarray, shape, stream) -> np.ndarray:
     """One DDIM step of a batch x (..., B, d) with one row of `_step_table`;
     the fresh noise is drawn in `shape`, the caller's shape of x."""
-    sqrt_ab, sigma, _, _, sqrt_ab_to, c1, c2 = row
+    sqrt_ab, sigma, _, _, _, sqrt_ab_to, c1, c2 = row
     r, y, _ = prior._resp_and_whitened(row, x)
-    # one eps serves both the Tweedie estimate x0 and the c2 term;
-    # sigma * sum_k r_k Q_k y_k is eps = -sigma * score bit for bit
-    eps = sigma * prior._from_eigenbasis(r, y)
-    out = sqrt_ab_to * ((x - sigma * eps) / sqrt_ab)
+    # one eps serves both the Tweedie estimate x0 and the c2 term; the step
+    # owns y, so it scales y and builds sqrt_ab_to * ((x - sigma*eps) / sqrt_ab)
+    # + c2*eps + c1*z in place, in that order: the bits of `gmm_eps` and the update
+    scaled = prior._blocks(y)
+    scaled *= r[..., None]
+    eps = y @ prior._basis_t
+    eps *= sigma
+    out = sigma * eps
+    np.subtract(x, out, out=out)
+    out /= sqrt_ab
+    out *= sqrt_ab_to
     if c2 != 0.0:
-        out = out + c2 * eps
+        eps *= c2
+        out += eps
     if c1 != 0.0:
-        out = out + c1 * stream.standard_normal(shape)
+        z = stream.standard_normal(shape)
+        z *= c1
+        out += z
     return out
 
 
 # steps whose constants `_ddim_steps` builds at once: a long sub-grid holds
-# (16, K, d) blocks, never a (steps, K, d) table, which would raise peak memory
+# (16, K*d) blocks, never a (steps, K*d) table, which would raise peak memory
 _TABLE_BLOCK = 16
 
 

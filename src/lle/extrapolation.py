@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,40 @@ def combine(
     return _combined(stack_bases(list(history) + [xhat], op, decoupled), theta)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _list_of(holds):
+    return lambda v: isinstance(v, list) and all(map(holds, v))
+
+
+# the keys of a coefficients file: (test of the value, what an error asks for)
+_VECTORS = (_list_of(_list_of(_is_number)), "a list of lists of numbers")
+_FILE_KEYS = {
+    "steps": (_is_int, "an integer"),
+    "decoupled": (lambda v: isinstance(v, bool), "true or false"),
+    "timesteps": (_list_of(_is_int), "a list of integers"),
+    "gamma": _VECTORS,
+    "gamma_par": _VECTORS,
+    "gamma_perp": _VECTORS,
+}
+
+
+def _file_value(obj: dict, key: str):
+    """obj[key] of a parsed coefficients file, checked against `_FILE_KEYS`."""
+    if key not in obj:
+        raise canon.ConfigurationError(f"coefficients file: missing key {key}")
+    holds, what = _FILE_KEYS[key]
+    if not holds(obj[key]):
+        raise canon.ConfigurationError(f"coefficients file: {key} must be {what}, got {obj[key]!r}")
+    return obj[key]
+
+
 @dataclass
 class LLECoefficients:
     """Per-timestep coefficient vectors: theta[idx] has J = idx + 1 entries,
@@ -141,18 +176,23 @@ class LLECoefficients:
 
     @classmethod
     def from_json(cls, text: str) -> "LLECoefficients":
+        """Parse a coefficients file; a missing or wrongly typed key is a
+        ConfigurationError naming it."""
         obj = json.loads(text)
-        if obj["decoupled"]:
-            par, perp = obj["gamma_par"], obj["gamma_perp"]
+        if not isinstance(obj, dict):
+            raise canon.ConfigurationError(f"a coefficients file must be an object, got {obj!r}")
+        decoupled = _file_value(obj, "decoupled")
+        if decoupled:
+            par, perp = _file_value(obj, "gamma_par"), _file_value(obj, "gamma_perp")
             if [len(g) for g in par] != [len(g) for g in perp]:
                 raise ValueError("gamma_par and gamma_perp must have matching vectors")
             vectors = [g + h for g, h in zip(par, perp)]
         else:
-            vectors = obj["gamma"]
+            vectors = _file_value(obj, "gamma")
         return cls(
-            S=obj["steps"],
-            decoupled=obj["decoupled"],
-            timesteps=tuple(obj["timesteps"]),
+            S=_file_value(obj, "steps"),
+            decoupled=decoupled,
+            timesteps=tuple(_file_value(obj, "timesteps")),
             theta=[np.asarray(v, dtype=float) for v in vectors],
         )
 

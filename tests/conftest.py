@@ -24,6 +24,15 @@ def scalar_ddim_coeffs(schedule, t_from, t_to, eta):
     return c1, math.sqrt(max(0.0, 1.0 - ab_t - c1 * c1))
 
 
+def tweedie(prior, schedule, x, t: int) -> np.ndarray:
+    """Reference posterior mean E[x0 | x_t] = (x_t - sqrt(1-ab)*eps) / sqrt(ab)."""
+    x = np.asarray(x, dtype=float)
+    if t == 0:
+        return x.copy()
+    ab = schedule.alphabar(t)
+    return (x - schedule.sigma(t) * dif.gmm_eps(prior, schedule, x, t)) / math.sqrt(ab)
+
+
 def random_mixture(seed: int, d: int, K: int) -> dif.GaussianMixturePrior:
     stream = RngStream(seed, stream_id=5)
     means = 2.0 * stream.standard_normal((K, d))

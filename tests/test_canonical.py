@@ -9,7 +9,7 @@ from lle import diffusion as dif
 from lle import operators as ops
 from lle.numerics import RngStream, RowStreams
 
-from conftest import random_mixture, random_spd, scalar_ddim_coeffs
+from conftest import random_mixture, random_spd, scalar_ddim_coeffs, tweedie
 
 
 def make_ctx(prior, schedule, x_t, t_i, t_prev, stream=None, x0=None):
@@ -65,7 +65,7 @@ def test_default_params_are_fresh_per_call():
 def test_sampler_is_tweedie(schedule, small_prior):
     x = RngStream(40).standard_normal(6)
     ctx = make_ctx(small_prior, schedule, x, 700, 350)
-    expected = dif.tweedie(small_prior, schedule, x, 700)
+    expected = tweedie(small_prior, schedule, x, 700)
     assert np.max(np.abs(ctx.x0_sampled - expected)) < 1e-13
 
 
@@ -231,7 +231,7 @@ def test_dps_gradient_matches_finite_differences(schedule):
     grad = (ctx.x0_sampled - out) * math.sqrt(ab_prev) / (params.zeta * math.sqrt(ab))
 
     def f(x):
-        x0 = dif.tweedie(prior, schedule, x, t_i)
+        x0 = tweedie(prior, schedule, x, t_i)
         r = ops.apply(op, x0) - y
         return float(r @ r)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lle import diffusion as dif
 from lle.numerics import RngStream, RowStreams
 
-from conftest import random_mixture, random_spd, scalar_ddim_coeffs
+from conftest import random_mixture, random_spd, scalar_ddim_coeffs, tweedie
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +129,13 @@ def test_tweedie_single_gaussian_conditioning(schedule):
         for _ in range(10):
             x = 2.0 * stream.standard_normal(d)
             expected = mu + math.sqrt(ab) * Sig @ np.linalg.solve(C, x - math.sqrt(ab) * mu)
-            got = dif.tweedie(prior, schedule, x, t)
+            got = tweedie(prior, schedule, x, t)
             assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_tweedie_identity_at_zero(schedule, small_prior):
     x = RngStream(1).standard_normal(6)
-    assert np.array_equal(dif.tweedie(small_prior, schedule, x, 0), x)
+    assert np.array_equal(tweedie(small_prior, schedule, x, 0), x)
 
 
 def test_score_far_from_support_stays_finite(schedule, small_prior):
@@ -282,6 +282,55 @@ def test_eigenbasis_kernels_match_cholesky_reference(schedule, seed, d, K, log_c
     assert max_rel(jvp, cholesky_eps_jvp(prior, schedule, x, t, v)) <= 1e-10
 
 
+@pytest.mark.parametrize("t", [1, 5, 50, 500])
+def test_kernels_on_support_with_far_means_match_cholesky_reference(schedule, t):
+    # the eigenbasis kernel rotates x before it subtracts the projected mean,
+    # so its cancellation error grows with |m|: means of norm ~500 against
+    # eigenvalues down to 1e-4 of the largest, with x drawn from q_t
+    worst = [0.0, 0.0]
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        base = ill_conditioned_mixture(rng, 8, 2, 1e4)
+        prior = dif.GaussianMixturePrior(base.weights, 100.0 * base.means, base.covariances)
+        x0 = prior.sample(RngStream(seed, 4), 16)
+        x = math.sqrt(schedule.alphabar(t)) * x0 + schedule.sigma(t) * rng.standard_normal((16, 8))
+        v = rng.standard_normal((16, 8))
+        eps = dif.gmm_eps(prior, schedule, x, t)
+        jvp = dif.gmm_eps_jvp(prior, schedule, x, t, v)
+        worst[0] = max(worst[0], max_rel(eps, cholesky_eps(prior, schedule, x, t)))
+        worst[1] = max(worst[1], max_rel(jvp, cholesky_eps_jvp(prior, schedule, x, t, v)))
+    assert worst[0] <= 1e-10 and worst[1] <= 1e-10
+
+
+@given(
+    d=st.integers(1, 40),
+    K=st.integers(1, 4),
+    t=st.integers(1, 1000),
+    N=st.integers(1, 5),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernels_on_row_stacks_equal_one_row_calls(schedule, d, K, t, N, seed):
+    # whiten, gmm_eps and gmm_eps_jvp on an (N, 1, d) stack give row i the
+    # bits of the one-row (d,) call on x[i, 0]
+    prior = random_mixture(seed % 97, d, K)
+    stream = RngStream(seed, 6)
+    x = 2.0 * stream.standard_normal((N, 1, d))
+    v = stream.standard_normal((N, 1, d))
+    r, y, w = dif.whiten(prior, schedule, x, t)
+    eps = dif.gmm_eps(prior, schedule, x, t)
+    jvp = dif.gmm_eps_jvp(prior, schedule, x, t, v)
+    assert r.shape == (N, 1, K) and y.shape == (N, 1, K * d) and eps.shape == x.shape
+    for i in range(N):
+        r1, y1, w1 = dif.whiten(prior, schedule, x[i, 0], t)
+        assert r[i].tobytes() == r1.tobytes()
+        assert y[i].tobytes() == y1.tobytes()
+        assert w.tobytes() == w1.tobytes()
+        assert eps[i, 0].tobytes() == dif.gmm_eps(prior, schedule, x[i, 0], t).tobytes()
+        one_jvp = dif.gmm_eps_jvp(prior, schedule, x[i, 0], t, v[i, 0])
+        assert jvp[i, 0].tobytes() == one_jvp.tobytes()
+
+
 def test_prior_sampling_uses_cholesky_draws():
     prior = random_mixture(31, 5, 3)
     got = prior.sample(RngStream(32), 50)
@@ -321,7 +370,7 @@ def test_ddim_step_rejects_upward(schedule, small_prior):
 def test_ddim_step_to_zero_is_tweedie(schedule, small_prior):
     x = RngStream(26).standard_normal(6)
     out = dif.ddim_step(small_prior, schedule, x, 600, 0, eta=0.0)
-    assert np.max(np.abs(out - dif.tweedie(small_prior, schedule, x, 600))) < 1e-14
+    assert np.max(np.abs(out - tweedie(small_prior, schedule, x, 600))) < 1e-14
 
 
 def test_ddim_step_evaluates_eps_once(schedule, small_prior, monkeypatch):
@@ -399,16 +448,16 @@ def test_ddim_run_from_zero_is_identity(schedule, small_prior):
 
 @pytest.mark.parametrize("d", [1, 3, 9, 33, 130])
 def test_step_table_rows_equal_per_step_scalars(schedule, d):
-    # every table row holds the bits of the per-step scalars and (K, d)
+    # every table row holds the bits of the per-step scalars and (K*d,)
     # arrays it replaces, whatever the table's length
     prior = random_mixture(40 + d, d, 3)
     t_from = [1000, 999, 731, 500, 17, 2, 1]
     t_to = [999, 731, 500, 17, 2, 1, 0]
     for eta in (0.0, 0.5, 1.0):
         table = dif._step_table(prior, schedule, t_from, t_to, eta)
-        assert table[2].shape == (len(t_from), 3, d)
+        assert table[2].shape == table[4].shape == (len(t_from), 3 * d)
         for row, tf, tt in zip(dif._rows(table), t_from, t_to):
-            sqrt_ab, sigma, w, lognorm, sqrt_ab_to, c1, c2 = row
+            sqrt_ab, sigma, w, lognorm, mean_coords, sqrt_ab_to, c1, c2 = row
             ab = schedule.alphabar(tf)
             ev = ab * prior._lam + (1.0 - ab)
             expected_lognorm = np.log(prior.weights) - 0.5 * (
@@ -418,9 +467,12 @@ def test_step_table_rows_equal_per_step_scalars(schedule, d):
             assert sigma == schedule.sigma(tf)
             assert w.tobytes() == (1.0 / ev).tobytes()
             assert lognorm.tobytes() == expected_lognorm.tobytes()
+            assert mean_coords.tobytes() == (math.sqrt(ab) * prior._mean_coords).tobytes()
             assert sqrt_ab_to == math.sqrt(schedule.alphabar(tt))
             assert (c1, c2) == scalar_ddim_coeffs(schedule, tf, tt, eta)
-            assert dif._mixture_row(prior, schedule, tf)[2].tobytes() == w.tobytes()
+            one_row = dif._mixture_row(prior, schedule, tf)
+            assert one_row[2].tobytes() == w.tobytes()
+            assert one_row[4].tobytes() == mean_coords.tobytes()
 
 
 def test_ddim_run_rejects_bad_grids(schedule, small_prior):

@@ -238,6 +238,44 @@ def test_coefficients_file_layout(tmp_path, schedule, decoupled):
         assert np.array_equal(a, b)
 
 
+def _coeffs_file(decoupled):
+    obj = {"steps": 2, "decoupled": decoupled, "timesteps": [1000, 500]}
+    if decoupled:
+        obj.update(gamma_par=[[1.0], [0.25, 0.75]], gamma_perp=[[0.5], [-0.125, 1.0]])
+    else:
+        obj["gamma"] = [[1.0], [0.25, 0.75]]
+    lle.LLECoefficients.from_json(json.dumps(obj))  # the unbroken file loads
+    return obj
+
+
+@pytest.mark.parametrize("decoupled, key", [
+    (False, "steps"), (False, "decoupled"), (False, "timesteps"), (False, "gamma"),
+    (True, "gamma_par"), (True, "gamma_perp"),
+])
+def test_coefficients_file_missing_key_is_config_error_naming_it(decoupled, key):
+    obj = _coeffs_file(decoupled)
+    del obj[key]
+    with pytest.raises(canon.ConfigurationError, match=rf"missing key {key}$"):
+        lle.LLECoefficients.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("decoupled, key, value", [
+    (False, "steps", "2"), (False, "steps", True), (False, "decoupled", "no"),
+    (False, "timesteps", 1000), (False, "timesteps", [1000, "500"]),
+    (False, "gamma", [[1.0], "0 1"]), (False, "gamma", [[1.0], [0.0, "x"]]),
+    (True, "gamma_par", {"0": [1.0]}), (True, "gamma_perp", [[0.5], [None, 1.0]]),
+])
+def test_coefficients_file_wrongly_typed_key_is_config_error_naming_it(decoupled, key, value):
+    obj = dict(_coeffs_file(decoupled), **{key: value})
+    with pytest.raises(canon.ConfigurationError, match=rf"^coefficients file: {key} must be"):
+        lle.LLECoefficients.from_json(json.dumps(obj))
+
+
+def test_coefficients_file_that_is_no_object_is_config_error():
+    with pytest.raises(canon.ConfigurationError, match="must be an object"):
+        lle.LLECoefficients.from_json(json.dumps([_coeffs_file(False)]))
+
+
 def test_coefficients_file_round_trip(tmp_path, schedule):
     grid = dif.make_time_grid(schedule, 2)
     coeffs = lle.LLECoefficients.identity(grid)
