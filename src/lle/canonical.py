@@ -15,11 +15,13 @@ for training and inference alike, without duplicating the data flow.
 
 Every config block, the parameter dataclasses here included, is a
 `ConfigBlock` whose fields each carry one `rule`; construction checks them
-all and `from_dict` builds a block from JSON, naming any bad key's path.
+all, `from_dict` builds a block from parsed JSON, naming any bad key's path,
+and `from_json` / `load` are the package's one JSON reader.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import operator
@@ -47,8 +49,8 @@ class ConfigurationError(ValueError):
     pass
 
 
-# annotation -> (accepted type, what an error asks for); other annotations
-# (a nested block, "object") are not type-checked
+# annotation -> (accepted type, what an error asks for), "list[T]" checking each entry
+# as T; other annotations (a nested block, "object") are not type-checked
 _TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a finite number"),
           "bool": (bool, "true or false"), "str": (str, "a string"),
           "list": (list, "a list"), "dict": (dict, "an object")}
@@ -68,6 +70,11 @@ def _check(name: str, value, kind: str, choices, optional: bool, bounds: dict) -
         return
     if choices is not None and value not in choices:
         raise ConfigurationError(f"{name} must be one of {list(choices)}, got {value!r}")
+    if kind.startswith("list["):  # a list whose every entry obeys the rule, bounds included
+        _check(name, value, "list", None, False, {})
+        for i, item in enumerate(value):
+            _check(f"{name}[{i}]", item, kind[5:-1], None, False, bounds)
+        return
     if kind in _TYPES:
         accepted, what = _TYPES[kind]
         # a bool is no number; finite by comparison, so a huge int cannot overflow
@@ -103,7 +110,7 @@ class ConfigBlock:
         (absent: the defaults) and nested blocks recurse. A non-object, an
         unknown key or a missing required key is an error naming its path."""
         if not isinstance(obj, dict):
-            raise ConfigurationError(f"{cls.block or 'a config'} must be an object, got {obj!r}")
+            raise ConfigurationError(f"{cls.block or cls.__name__} must be an object, got {obj!r}")
         by_key = {f.metadata.get("key") or f.name: f for f in fields(cls)}
         unknown = [cls._path(key) for key in sorted(set(obj) - set(by_key))]
         if unknown:
@@ -120,6 +127,27 @@ class ConfigBlock:
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigurationError(f"missing config key {cls._path(key)}")
         return cls(**values)
+
+    @classmethod
+    def from_json(cls, text: str, where: str):
+        """`from_dict` of JSON text; invalid JSON is an error naming where, line and column."""
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{where} is not valid JSON: {exc.msg} at line {exc.lineno}"
+                                     f" column {exc.colno}") from exc
+        return cls.from_dict(obj)
+
+    @classmethod
+    def load(cls, path):
+        """`from_json` of the file at path; a file that cannot be read is an error naming it."""
+        try:
+            with open(path) as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigurationError(f"{path} cannot be read: {reason}") from exc
+        return cls.from_json(text, str(path))
 
 
 @dataclass

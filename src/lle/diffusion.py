@@ -111,6 +111,7 @@ class GaussianMixturePrior:
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
+        """The inline prior block, as a config's `prior.file` holds it."""
         return json.dumps(
             {
                 "weights": self.weights.tolist(),
@@ -119,19 +120,9 @@ class GaussianMixturePrior:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "GaussianMixturePrior":
-        obj = json.loads(text)
-        return cls(obj["weights"], obj["means"], obj["covariances"])
-
     def save(self, path) -> None:
         with open(path, "w") as f:
             f.write(self.to_json())
-
-    @classmethod
-    def load(cls, path) -> "GaussianMixturePrior":
-        with open(path) as f:
-            return cls.from_json(f.read())
 
     # -- exact sampling ---------------------------------------------------
 

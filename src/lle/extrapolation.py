@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,38 +98,30 @@ def combine(
     return _combined(stack_bases(list(history) + [xhat], op, decoupled), theta)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+@dataclass
+class CoefficientsFile(canon.ConfigBlock):
+    """A coefficients file: one vector per step, t_S first, each entry j
+    oldest first and xhat last; gamma coupled, gamma_par (range part) and
+    gamma_perp (null part) decoupled."""
 
+    steps: int = rule()
+    decoupled: bool = rule()
+    timesteps: list[int] = rule()
+    gamma: list[list[float]] | None = rule(None, optional=True)
+    gamma_par: list[list[float]] | None = rule(None, optional=True)
+    gamma_perp: list[list[float]] | None = rule(None, optional=True)
 
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _list_of(holds):
-    return lambda v: isinstance(v, list) and all(map(holds, v))
-
-
-# the keys of a coefficients file: (test of the value, what an error asks for)
-_VECTORS = (_list_of(_list_of(_is_number)), "a list of lists of numbers")
-_FILE_KEYS = {
-    "steps": (_is_int, "an integer"),
-    "decoupled": (lambda v: isinstance(v, bool), "true or false"),
-    "timesteps": (_list_of(_is_int), "a list of integers"),
-    "gamma": _VECTORS,
-    "gamma_par": _VECTORS,
-    "gamma_perp": _VECTORS,
-}
-
-
-def _file_value(obj: dict, key: str):
-    """obj[key] of a parsed coefficients file, checked against `_FILE_KEYS`."""
-    if key not in obj:
-        raise canon.ConfigurationError(f"coefficients file: missing key {key}")
-    holds, what = _FILE_KEYS[key]
-    if not holds(obj[key]):
-        raise canon.ConfigurationError(f"coefficients file: {key} must be {what}, got {obj[key]!r}")
-    return obj[key]
+    def __post_init__(self):
+        super().__post_init__()
+        parts = ("gamma_par", "gamma_perp") if self.decoupled else ("gamma",)
+        for key in ("gamma", "gamma_par", "gamma_perp"):
+            if key in parts and getattr(self, key) is None:
+                raise canon.ConfigurationError(f"missing config key {key}")
+            if key not in parts and getattr(self, key) is not None:
+                raise canon.ConfigurationError(
+                    f"{key} is not read when decoupled is {str(self.decoupled).lower()}")
+        if self.decoupled and list(map(len, self.gamma_par)) != list(map(len, self.gamma_perp)):
+            raise canon.ConfigurationError("gamma_par and gamma_perp must have matching vectors")
 
 
 @dataclass
@@ -162,39 +153,29 @@ class LLECoefficients:
         return cls(S=grid.S, decoupled=False, timesteps=grid.timesteps[: grid.S], theta=thetas)
 
     def to_json(self) -> str:
-        obj = {
-            "steps": self.S,
-            "decoupled": self.decoupled,
-            "timesteps": list(self.timesteps),
-        }
+        vectors = [t.tolist() for t in self.theta]
         if self.decoupled:
-            obj["gamma_par"] = [t[: idx + 1].tolist() for idx, t in enumerate(self.theta)]
-            obj["gamma_perp"] = [t[idx + 1 :].tolist() for idx, t in enumerate(self.theta)]
+            parts = {"gamma_par": [v[: idx + 1] for idx, v in enumerate(vectors)],
+                     "gamma_perp": [v[idx + 1 :] for idx, v in enumerate(vectors)]}
         else:
-            obj["gamma"] = [t.tolist() for t in self.theta]
-        return json.dumps(obj, indent=2)
+            parts = {"gamma": vectors}
+        layout = CoefficientsFile(self.S, self.decoupled, list(self.timesteps), **parts)
+        return json.dumps({k: v for k, v in vars(layout).items() if v is not None}, indent=2)
+
+    @classmethod
+    def _from_file(cls, layout: CoefficientsFile) -> "LLECoefficients":
+        if layout.decoupled:
+            vectors = [g + h for g, h in zip(layout.gamma_par, layout.gamma_perp)]
+        else:
+            vectors = layout.gamma
+        return cls(S=layout.steps, decoupled=layout.decoupled, timesteps=tuple(layout.timesteps),
+                   theta=[np.asarray(v, dtype=float) for v in vectors])
 
     @classmethod
     def from_json(cls, text: str) -> "LLECoefficients":
-        """Parse a coefficients file; a missing or wrongly typed key is a
+        """Parse a coefficients file; a bad, missing or unknown key is a
         ConfigurationError naming it."""
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise canon.ConfigurationError(f"a coefficients file must be an object, got {obj!r}")
-        decoupled = _file_value(obj, "decoupled")
-        if decoupled:
-            par, perp = _file_value(obj, "gamma_par"), _file_value(obj, "gamma_perp")
-            if [len(g) for g in par] != [len(g) for g in perp]:
-                raise ValueError("gamma_par and gamma_perp must have matching vectors")
-            vectors = [g + h for g, h in zip(par, perp)]
-        else:
-            vectors = _file_value(obj, "gamma")
-        return cls(
-            S=_file_value(obj, "steps"),
-            decoupled=decoupled,
-            timesteps=tuple(_file_value(obj, "timesteps")),
-            theta=[np.asarray(v, dtype=float) for v in vectors],
-        )
+        return cls._from_file(CoefficientsFile.from_json(text, "the coefficients file"))
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -202,8 +183,7 @@ class LLECoefficients:
 
     @classmethod
     def load(cls, path) -> "LLECoefficients":
-        with open(path) as f:
-            return cls.from_json(f.read())
+        return cls._from_file(CoefficientsFile.load(path))
 
 
 # ---------------------------------------------------------------------------

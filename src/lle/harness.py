@@ -11,7 +11,6 @@ bad key or value is a `ConfigError` naming its dotted path (`schedule.T`).
 from __future__ import annotations
 
 import io
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -45,10 +44,10 @@ class SeededPrior(ConfigBlock):
 
 @dataclass
 class InlinePrior(ConfigBlock):
-    block = "prior"
-    weights: list = rule()
-    means: list = rule()
-    covariances: list = rule()
+    block = "prior"  # also the whole of a prior.file, as `gen-prior` writes it
+    weights: list[float] = rule()
+    means: list[list[float]] = rule()
+    covariances: list[list[list[float]]] = rule()
 
 
 @dataclass
@@ -75,14 +74,14 @@ class OperatorSpec(ConfigBlock):
     block = "task.operator"
     kind: str = rule(choices=tuple(OPERATOR_KEYS))
     n: int | None = rule(None, minimum=1, optional=True)  # default prior.dim
-    keep_indices: list | None = rule(None, optional=True)
+    keep_indices: list[int] | None = rule(None, optional=True)
     keep_ratio: float | None = rule(None, above=0.0, maximum=1.0, optional=True)
     seed: int | None = rule(None, optional=True)
     factor: int | None = rule(None, minimum=1, optional=True)
-    kernel: list | None = rule(None, optional=True)
+    kernel: list[float] | None = rule(None, optional=True)
     sigma: float | None = rule(None, above=0.0, optional=True)
     width: int | None = rule(None, minimum=1, optional=True)
-    matrix: list | None = rule(None, optional=True)
+    matrix: list[list[float]] | None = rule(None, optional=True)
     scale: float | None = rule(None, above=0.0, optional=True)
 
     def __post_init__(self):
@@ -173,24 +172,19 @@ def _built(path: str, build, *args):
 
 
 def _load_prior(spec: dict, config_dir: str) -> dif.GaussianMixturePrior:
-    if "file" in spec:
-        path = os.path.join(config_dir, PriorFile.from_dict(spec).file)
-        return _built("prior.file", dif.GaussianMixturePrior.load, path)
-    if "weights" in spec:
-        p = InlinePrior.from_dict(spec)
-        return _built("prior", dif.GaussianMixturePrior, p.weights, p.means, p.covariances)
-    p = SeededPrior.from_dict(spec)
-    return random_prior(p.dim, p.components, p.seed)
+    if "file" in spec:  # an inline prior block in a file of its own
+        where, path = "prior.file", os.path.join(config_dir, PriorFile.from_dict(spec).file)
+        p = _built(where, InlinePrior.load, path)
+    elif "weights" in spec:
+        where, p = "prior", InlinePrior.from_dict(spec)
+    else:
+        p = SeededPrior.from_dict(spec)
+        return random_prior(p.dim, p.components, p.seed)
+    return _built(where, dif.GaussianMixturePrior, p.weights, p.means, p.covariances)
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc.msg} at line {exc.lineno}"
-                              f" column {exc.colno}") from exc
-    top = ConfigFile.from_dict(raw)
+    top = ConfigFile.load(path)
     prior = _load_prior(top.prior, os.path.dirname(os.path.abspath(path)))
     op_keys = {key: val for key, val in vars(top.task.operator).items() if val is not None}
     op = _built("task.operator", ops.build_operator, {"n": prior.d, **op_keys})
@@ -205,6 +199,9 @@ def load_config(path) -> ExperimentConfig:
     preset = canon.default_params(name) if name in canon.ALGORITHMS else None
     params = canon.AlgoParams.from_dict(top.algorithm, preset)
     linear = isinstance(op, ops.LinearOperator)
+    if canon.SOLVERS[params.algorithm].linear and not linear:
+        raise ConfigError(f"algorithm.name {params.algorithm} needs a linear operator,"
+                          " not task.operator.kind 'nonlinear'")
     if params.algorithm == "DAPS" and params.daps.noiseless_linear and not linear:
         raise ConfigError("algorithm.daps.noiseless_linear needs a linear operator, not 'nonlinear'")
     train_config = None

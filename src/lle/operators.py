@@ -148,6 +148,8 @@ def mask_operator(n: int, keep_indices) -> LinearOperator:
         raise OperatorSpecError("mask must keep at least one coordinate")
     if keep.min() < 0 or keep.max() >= n:
         raise OperatorSpecError("mask indices out of range")
+    if np.any(keep[1:] == keep[:-1]):  # a repeat gives V equal, not orthonormal, columns
+        raise OperatorSpecError("mask indices must be distinct")
     r = keep.size
     V = np.zeros((n, r))
     V[keep, np.arange(r)] = 1.0

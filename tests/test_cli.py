@@ -1,11 +1,11 @@
 import gc
 import json
 
+import numpy as np
 import pytest
 
-from lle import cli
+from lle import cli, harness
 from lle.canonical import ConfigurationError
-from lle import diffusion as dif
 from lle.extrapolation import LLECoefficients
 from lle.numerics import load_array
 
@@ -28,13 +28,18 @@ def config_path(tmp_path):
     return str(path)
 
 
-def test_gen_prior(tmp_path, capsys):
+def test_gen_prior(tmp_path, config_path, capsys):
     out = str(tmp_path / "prior.json")
     assert cli.main(["gen-prior", "--dim", "5", "--components", "3",
                      "--seed", "11", "--out", out]) == 0
-    prior = dif.GaussianMixturePrior.load(out)
-    assert prior.d == 5 and prior.K == 3
     assert "prior" in capsys.readouterr().out
+    # the file is what a config reads as prior.file: the seeded mixture, bit for bit
+    path = _variant(tmp_path, config_path, "file.json", prior={"file": "prior.json"})
+    prior = harness.load_config(path).prior
+    expected = harness.random_prior(5, 3, 11)
+    assert prior.d == 5 and prior.K == 3
+    for key in ("weights", "means", "covariances"):
+        assert np.array_equal(getattr(prior, key), getattr(expected, key))
 
 
 def test_gen_refs_is_not_a_subcommand(tmp_path, config_path, capsys):

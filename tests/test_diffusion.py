@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lle import diffusion as dif
+from lle import harness
 from lle.numerics import RngStream, RowStreams
 
 from conftest import random_mixture, random_spd, scalar_ddim_coeffs, tweedie
@@ -68,8 +70,13 @@ def test_prior_validates_weights():
         dif.GaussianMixturePrior([1.0], np.zeros((1, 2)), -np.eye(2)[None])
 
 
-def test_prior_json_round_trip(small_prior):
-    back = dif.GaussianMixturePrior.from_json(small_prior.to_json())
+def test_prior_json_round_trip(small_prior, tmp_path):
+    # save writes the inline prior block that a config reads as prior.file
+    small_prior.save(tmp_path / "prior.json")
+    cfg = {"prior": {"file": "prior.json"}, "algorithm": {"name": "DDNM"},
+           "task": {"operator": {"kind": "mask", "keep_ratio": 0.5}}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    back = harness.load_config(tmp_path / "cfg.json").prior
     assert np.array_equal(back.weights, small_prior.weights)
     assert np.array_equal(back.means, small_prior.means)
     assert np.array_equal(back.covariances, small_prior.covariances)

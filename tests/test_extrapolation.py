@@ -255,7 +255,7 @@ def _coeffs_file(decoupled):
 def test_coefficients_file_missing_key_is_config_error_naming_it(decoupled, key):
     obj = _coeffs_file(decoupled)
     del obj[key]
-    with pytest.raises(canon.ConfigurationError, match=rf"missing key {key}$"):
+    with pytest.raises(canon.ConfigurationError, match=rf"^missing config key {key}$"):
         lle.LLECoefficients.from_json(json.dumps(obj))
 
 
@@ -267,8 +267,39 @@ def test_coefficients_file_missing_key_is_config_error_naming_it(decoupled, key)
 ])
 def test_coefficients_file_wrongly_typed_key_is_config_error_naming_it(decoupled, key, value):
     obj = dict(_coeffs_file(decoupled), **{key: value})
-    with pytest.raises(canon.ConfigurationError, match=rf"^coefficients file: {key} must be"):
+    # the key, or the entry of it (gamma[1][1]), as a config key is named
+    with pytest.raises(canon.ConfigurationError, match=rf"^{key}(\[\d+\])* must be"):
         lle.LLECoefficients.from_json(json.dumps(obj))
+
+
+def test_coefficients_file_rejects_unknown_and_unread_keys():
+    # earlier loaders ignored both
+    obj = dict(_coeffs_file(False), algorithm="DPS")
+    with pytest.raises(canon.ConfigurationError, match=r"unknown config key\(s\) algorithm$"):
+        lle.LLECoefficients.from_json(json.dumps(obj))
+    obj = dict(_coeffs_file(True), gamma=[[1.0], [0.0, 1.0]])
+    with pytest.raises(canon.ConfigurationError, match="^gamma is not read when decoupled is true"):
+        lle.LLECoefficients.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("text, where", [("", "line 1 column 1"),
+                                         ('{"steps": 2,\n', "line 2 column 1")])
+def test_coefficients_file_that_is_no_json_names_file_line_and_column(tmp_path, text, where):
+    # earlier loaders raised a bare JSONDecodeError
+    path = tmp_path / "coeffs.json"
+    path.write_text(text)
+    named = re.escape(f"{path} is not valid JSON")
+    with pytest.raises(canon.ConfigurationError, match=named) as err:
+        lle.LLECoefficients.load(path)
+    assert where in str(err.value)
+    with pytest.raises(canon.ConfigurationError, match="coefficients file is not valid JSON"):
+        lle.LLECoefficients.from_json(text)
+
+
+def test_coefficients_file_that_cannot_be_read_is_config_error(tmp_path):
+    path = tmp_path / "absent.json"
+    with pytest.raises(canon.ConfigurationError, match=re.escape(f"{path} cannot be read")):
+        lle.LLECoefficients.load(path)
 
 
 def test_coefficients_file_that_is_no_object_is_config_error():

@@ -67,6 +67,23 @@ def test_load_config_prior_file(tmp_path):
     assert np.array_equal(cfg.prior.means, prior.means)
 
 
+@pytest.mark.parametrize("content, named", [
+    # earlier loaders: a KeyError, a TypeError and a FileNotFoundError traceback
+    ({"weights": [0.5, 0.5], "means": [[0.0] * 3] * 2}, "prior.covariances"),
+    ([[0.5, 0.5]], "must be an object"),
+    (None, "cannot be read"),
+    ({"weights": [0.5, 0.5], "means": [[0.0] * 3, [1.0, "1", 0.0]],
+      "covariances": [np.eye(3).tolist()] * 2}, "prior.means[1][1]"),
+], ids=["missing-key", "list", "absent", "entry"])
+def test_load_config_prior_file_errors_name_prior_file(tmp_path, content, named):
+    if content is not None:
+        (tmp_path / "prior.json").write_text(json.dumps(content))
+    path = write_config(tmp_path / "cfg.json", prior={"file": "prior.json"})
+    with pytest.raises(harness.ConfigError, match=r"^prior\.file: ") as err:
+        harness.load_config(path)
+    assert named in str(err.value)
+
+
 def test_load_config_rejects_unknown_algorithm(tmp_path):
     path = write_config(tmp_path / "cfg.json", algorithm={"name": "PnP"})
     with pytest.raises(harness.ConfigError):
@@ -205,6 +222,17 @@ def test_load_config_rejects_daps_noiseless_linear_on_nonlinear_operator(tmp_pat
         harness.load_config(path)
 
 
+@pytest.mark.parametrize("name", ["DDRM", "DDNM", "PiGDM", "DMPS"])
+def test_load_config_rejects_linear_only_solver_on_nonlinear_operator(tmp_path, name):
+    # earlier loaders accepted it, and every driver call then failed
+    assert canon.SOLVERS[name].linear
+    nonlinear = {"operator": {"kind": "nonlinear", "width": 3, "sigma": 1.0}, "sigma_y": 0.1}
+    path = write_config(tmp_path / "cfg.json", task=nonlinear, algorithm={"name": name})
+    with pytest.raises(harness.ConfigError, match=re.escape(f"algorithm.name {name}")) as err:
+        harness.load_config(path)
+    assert "task.operator.kind" in str(err.value)
+
+
 def test_load_config_accepts_closed_form_with_zero_omega_plugin(tmp_path):
     path = write_config(tmp_path / "cfg.json", lle={
         "n_refs": 4, "ref_steps": 30, "closed_form": True,
@@ -236,6 +264,7 @@ def test_operator_spec_nonlinear(tmp_path):
         tmp_path / "cfg.json",
         task={"operator": {"kind": "nonlinear", "width": 3, "sigma": 1.0,
                            "scale": 2.0}, "sigma_y": 0.1},
+        algorithm={"name": "DPS"},
     )
     cfg = harness.load_config(path)
     assert isinstance(cfg.op, ops.NonlinearOperator)
@@ -486,14 +515,14 @@ def test_sweep_output_format(tmp_path):
     assert lines[1].startswith("DDNM,2,LLE") or lines[1].startswith("DDNM,2,base")
 
 
-def test_sweep_survives_cell_failures(tmp_path):
-    # spectral solver on a nonlinear operator fails per cell, not globally
-    path = write_config(
-        tmp_path / "c.json",
-        task={"operator": {"kind": "nonlinear", "width": 3, "sigma": 1.0,
-                           "scale": 1.0}, "sigma_y": 0.1},
-    )
-    cfg = harness.load_config(path)
+def test_sweep_survives_cell_failures(tmp_path, monkeypatch):
+    # a corrector that fails in every driver call fails each cell, not the sweep
+    cfg = harness.load_config(write_config(tmp_path / "c.json"))
+
+    def broken(*args, **kwargs):
+        raise canon.UnsupportedOperatorError("no corrector")
+
+    monkeypatch.setitem(canon.CORRECTORS, "DDNM", broken)
     text = harness.sweep(cfg, [2])
     assert "error" in text
     assert text.count("\n") == 3  # header + two rows despite the failures
@@ -634,6 +663,12 @@ def test_mask_keep_is_rejected_at_load(tmp_path):
     ({"kind": "nonlinear", "kernel": [0.25, 0.5, 0.25], "width": 3}, "task.operator.width"),
     ({"kind": "blur", "kernel": [0.25, 0.5, 0.25], "width": 3}, "task.operator.width"),
     ({"kind": "dense", "matrix": [[1.0, 2.0]]}, "task.operator"),
+    # list entries: earlier loaders truncated or cast these, or raised a bare ValueError
+    ({"kind": "mask", "keep_indices": [1.5, 2]}, "task.operator.keep_indices[0]"),
+    ({"kind": "mask", "keep_indices": [True, 2]}, "task.operator.keep_indices[0]"),
+    ({"kind": "blur", "kernel": [0.25, "a", 0.25]}, "task.operator.kernel[1]"),
+    ({"kind": "dense", "matrix": [[1.0, 0.0, 0.0, 0.0], [0.0, "x", 0.0, 0.0]]},
+     "task.operator.matrix[1][1]"),
 ])
 def test_load_config_checks_operator_keys_per_kind(tmp_path, operator, named):
     raw = _base_config()
@@ -652,6 +687,38 @@ def test_operator_builder_errors_name_the_operator_block(tmp_path, operator):
     raw = _base_config()
     raw["task"]["operator"] = operator
     with pytest.raises(harness.ConfigError, match=re.escape("task.operator")):
+        _load_raw(tmp_path, raw)
+
+
+@pytest.mark.parametrize("key, index, value", [
+    ("covariances", (0, 1, 1), "1"),  # earlier loaders read it as 1.0
+    ("means", (1, 2), float("nan")),  # earlier loaders failed every run on it
+])
+def test_load_config_checks_every_inline_prior_entry(tmp_path, key, index, value):
+    prior = harness.random_prior(4, 2, seed=9)
+    raw = _base_config()
+    raw["prior"] = {k: getattr(prior, k).tolist() for k in ("weights", "means", "covariances")}
+    _load_raw(tmp_path, raw)
+    *outer, last = index
+    entries = raw["prior"][key]
+    for i in outer:
+        entries = entries[i]
+    entries[last] = value
+    named = f"prior.{key}" + "".join(f"[{i}]" for i in index)
+    with pytest.raises(harness.ConfigError, match=re.escape(named)):
+        _load_raw(tmp_path, raw)
+
+
+def test_mask_rejects_a_repeated_index(tmp_path):
+    # earlier loaders built V^T V = [[1, 1], [1, 1]] from [1, 1], so the range
+    # projection A+(A x) of x = [0, 1, 2, 3] read [0, 2, 0, 0], not [0, 1, 0, 0]
+    x = np.array([0.0, 1.0, 2.0, 3.0])
+    assert ops.project(ops.mask_operator(4, [1]), x, "range").tolist() == [0.0, 1.0, 0.0, 0.0]
+    with pytest.raises(ops.OperatorSpecError, match="distinct"):
+        ops.mask_operator(4, [1, 1])
+    raw = _base_config()
+    raw["task"]["operator"] = {"kind": "mask", "keep_indices": [1, 3, 1]}
+    with pytest.raises(harness.ConfigError, match=re.escape("task.operator: mask indices")):
         _load_raw(tmp_path, raw)
 
 
@@ -748,8 +815,9 @@ _WRONG_VALUES = ("x", True, [1], None, float("nan"), float("inf"))
 _NULLABLE = {"lle", "lle.omega", "algorithm.daps.sigma_langevin", "task.operator.n",
              "task.operator.seed", "task.operator.width", "task.operator.scale"}
 _REQUIRED = {"prior", "task", "algorithm", "task.operator", "task.operator.kind",
-             "algorithm.name", "prior.dim", "prior.components",
-             "task.operator.keep_ratio", "task.operator.sigma", "task.operator.matrix"}
+             "algorithm.name", "prior.dim", "prior.components", "task.operator.keep_ratio",
+             "task.operator.keep_indices", "task.operator.sigma", "task.operator.kernel",
+             "task.operator.matrix"}
 
 
 @st.composite
@@ -757,9 +825,14 @@ def _valid_configs(draw):
     d = draw(st.sampled_from([4, 8]))
     kind = draw(st.sampled_from(["mask", "blur", "dense"]))
     seed = draw(st.integers(0, 2**31))
-    if kind == "mask":
+    if kind == "mask" and draw(st.booleans()):
+        operator = {"kind": "mask", "n": d,
+                    "keep_indices": sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))}
+    elif kind == "mask":
         operator = {"kind": "mask", "n": d, "keep_ratio": draw(st.sampled_from([0.5, 0.75, 1.0])),
                     "seed": seed}
+    elif kind == "blur" and draw(st.booleans()):
+        operator = {"kind": "blur", "n": d, "kernel": [0.25, 0.5, 0.25]}
     elif kind == "blur":
         operator = {"kind": "blur", "n": d, "sigma": draw(st.floats(0.5, 2.0)), "width": 3}
     else:
@@ -777,8 +850,12 @@ def _valid_configs(draw):
                        "noiseless_linear": False}
     if algorithm in ("DiffPIR", "ReSample"):
         alg["inner_opt"] = {"lr": preset.inner_opt.lr, "momentum": 0.9, "steps": 5}
+    prior = {"dim": d, "components": 2, "seed": seed}
+    if draw(st.booleans()):  # the same mixture, inline
+        mixture = harness.random_prior(d, 2, seed)
+        prior = {k: getattr(mixture, k).tolist() for k in ("weights", "means", "covariances")}
     cfg = {
-        "prior": {"dim": d, "components": 2, "seed": seed},
+        "prior": prior,
         "schedule": {"T": 1000, "beta_start": 1e-4, "beta_end": 0.02},
         "task": {"operator": operator, "sigma_y": draw(st.sampled_from([0.01, 0.1]))},
         "algorithm": alg,
@@ -808,6 +885,13 @@ def _is_wrong(candidate, value, path):
     return type(candidate) is not type(value)
 
 
+def _leaf(value, draw):
+    """(the list of a random innermost entry of a list value, that entry's index)."""
+    while isinstance(value[0], list):
+        value = value[draw(st.integers(0, len(value) - 1))]
+    return value, draw(st.integers(0, len(value) - 1))
+
+
 def _key_paths(block, prefix=""):
     for key, value in block.items():
         path = f"{prefix}{key}"
@@ -819,8 +903,8 @@ def _key_paths(block, prefix=""):
 def _bounds(path):
     """The declared bounds of the field at a dotted path, from the rule tables."""
     parent, _, key = path.rpartition(".")
-    tables = {b.block: b for b in _config_blocks() if b is not harness.InlinePrior
-              and b is not harness.PriorFile}
+    tables = {b.block: b for b in _config_blocks()
+              if b not in (harness.InlinePrior, harness.PriorFile, lle.CoefficientsFile)}
     for f in dataclasses.fields(tables[parent]):
         if (f.metadata.get("key") or f.name) == key and "rule" in f.metadata:
             return f.metadata["rule"][2]
@@ -846,6 +930,8 @@ def _mutations(draw, cfg):
         block = block[p]
     value = block[key]
     options = ["rename", "wrong"]
+    if isinstance(value, list):
+        options.append("entry")
     if path in _REQUIRED:
         options.append("drop")
     bounds = _bounds(path)
@@ -865,6 +951,11 @@ def _mutations(draw, cfg):
     if how == "bound":
         bound = draw(st.sampled_from(sorted(bounds)))
         target[key] = _past(bound, bounds[bound], value)
+        return mutated, path
+    if how == "entry":  # one innermost entry of a list, as a wrong value for it
+        entries, i = _leaf(target[key], draw)
+        wrong = [w for w in _WRONG_VALUES + (1.5,) if _is_wrong(w, entries[i], path)]
+        entries[i] = draw(st.sampled_from(wrong))
         return mutated, path
     wrong = [w for w in _WRONG_VALUES if _is_wrong(w, value, path)]
     target[key] = draw(st.sampled_from(wrong))

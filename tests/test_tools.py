@@ -80,3 +80,12 @@ def test_grid_runs_ddrm_partial_blend_on_each_operator(compare):
     groups = compare.fit_groups([3])
     name = os.path.join("3", "grid", "metrics-ddrm-dense-base-blend.csv")
     assert compare._group(name, groups) == ("metrics", "DDRM", "none", "-")
+
+
+def test_grid_runs_a_gen_prior_file_through_prior_file(compare):
+    # the prior writer and the prior-file reader are compared too
+    entries = [(name, cfg["prior"], calls) for name, cfg, calls in compare.grid_plan(3)
+               if "gen-prior" in calls]
+    assert len(entries) == 1
+    name, spec, calls = entries[0]
+    assert set(spec) == {"dim", "components", "seed"} and calls == ("gen-prior", "run", "eval")

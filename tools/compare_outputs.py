@@ -15,6 +15,9 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   ``eta_b`` 0.5 (the spectral corrector's partial blend, which neither
   preset reaches), each followed by ``eval --oracle`` on its output, so the
   posterior oracle's numerics are compared too;
+- one DDNM base ``run`` and ``eval --oracle`` whose config reads the grid's
+  prior through ``prior.file``, from a file that ``gen-prior`` writes first,
+  so the prior writer and the prior-file reader are compared too;
 - one first-order fit with the gradient-domain loss term, and one Adam fit
   with the dynamic lr rule and soft-nonlinear init, each with ``train`` and
   ``run --coeffs``;
@@ -107,6 +110,8 @@ def grid_plan(seed: int) -> list:
         cfg = _grid_config(prior_seed, "DDRM", operator, 5, "none")
         cfg["algorithm"]["eta_b"] = 0.5
         plan.append((f"ddrm-{op_name}-base-blend", cfg, ("run", "eval")))
+    cfg = _grid_config(prior_seed, "DDNM", operators["mask"], 5, "none")
+    plan.append(("ddnm-mask-base-prior-file", cfg, ("gen-prior", "run", "eval")))
     variants = {
         "dps-mask-plugin": ("DPS", dict(fit, plugin="gradient-domain")),
         "ddnm-mask-adam": ("DDNM", dict(fit, optimizer="adam", lr_rule="dynamic",
@@ -167,6 +172,12 @@ def emit(outdir: str, seeds: list) -> None:
         d = os.path.join(outdir, str(seed), "grid")
         os.makedirs(d)
         for name, cfg, calls in grid_plan(seed):
+            if "gen-prior" in calls:  # the seeded prior, written to a file the config reads
+                spec, cfg = cfg["prior"], dict(cfg, prior={"file": f"prior-{name}.json"})
+                prior = os.path.join(d, cfg["prior"]["file"])
+                _call(cli, ["gen-prior", "--dim", str(spec["dim"]), "--components",
+                            str(spec["components"]), "--seed", str(spec["seed"]),
+                            "--out", prior], prior)
             path = os.path.join(d, f"{name}.json")
             with open(path, "w") as f:
                 json.dump(cfg, f)
@@ -185,7 +196,7 @@ def emit(outdir: str, seeds: list) -> None:
                     out = os.path.join(d, f"metrics-{name}.csv")
                     _call(cli, ["eval", "--recon", recon, "--truth", recon + ".truth",
                                 "--config", path, "--oracle", "--out", out], out)
-                else:
+                elif kind == "sweep":
                     out = os.path.join(d, f"sweep-{name}.csv")
                     _call(cli, ["sweep", "--config", path, "--steps", GRID_STEPS,
                                 "--out", out], out)
