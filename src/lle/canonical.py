@@ -16,7 +16,7 @@ for training and inference alike, without duplicating the data flow.
 Every config block, the parameter dataclasses here included, is a
 `ConfigBlock` whose fields each carry one `rule`; construction checks them
 all, `from_dict` builds a block from parsed JSON, naming any bad key's path,
-and `from_json` / `load` are the package's one JSON reader.
+and `parse_json` / `read_json` are the package's one JSON reader.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class ConfigBlock:
         unknown key or a missing required key is an error naming its path."""
         if not isinstance(obj, dict):
             raise ConfigurationError(f"{cls.block or cls.__name__} must be an object, got {obj!r}")
-        by_key = {f.metadata.get("key") or f.name: f for f in fields(cls)}
+        by_key = {f.metadata.get("key") or f.name: f for f in fields(cls) if f.init}
         unknown = [cls._path(key) for key in sorted(set(obj) - set(by_key))]
         if unknown:
             raise ConfigurationError(f"unknown config key(s) {', '.join(unknown)}")
@@ -129,25 +129,30 @@ class ConfigBlock:
         return cls(**values)
 
     @classmethod
-    def from_json(cls, text: str, where: str):
-        """`from_dict` of JSON text; invalid JSON is an error naming where, line and column."""
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{where} is not valid JSON: {exc.msg} at line {exc.lineno}"
-                                     f" column {exc.colno}") from exc
-        return cls.from_dict(obj)
-
-    @classmethod
     def load(cls, path):
-        """`from_json` of the file at path; a file that cannot be read is an error naming it."""
-        try:
-            with open(path) as f:
-                text = f.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            raise ConfigurationError(f"{path} cannot be read: {reason}") from exc
-        return cls.from_json(text, str(path))
+        """`from_dict` of the file at path (`read_json`)."""
+        return cls.from_dict(read_json(path))
+
+
+def parse_json(text: str, where: str):
+    """The parsed JSON text; invalid JSON is an error naming where, line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{where} is not valid JSON: {exc.msg} at line {exc.lineno}"
+                                 f" column {exc.colno}") from exc
+
+
+def read_json(path):
+    """The parsed JSON of the file at path; a file that cannot be read or parsed is an
+    error naming it."""
+    try:
+        with open(path) as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigurationError(f"{path} cannot be read: {reason}") from exc
+    return parse_json(text, str(path))
 
 
 @dataclass

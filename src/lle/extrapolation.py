@@ -14,14 +14,15 @@ projections, so the decoupled fit is the coupled fit over 2J projected
 bases and theta holds gamma, then gamma_perp. The fitting loss is squared
 error plus omega times a gradient-domain term. It is linear least squares in
 theta, so each step reduces it once to J-space (`LeastSquares`): the
-optimizer's epochs and the minimum-norm closed form both work there.
+initialization, the optimizer's epochs and the minimum-norm closed form all
+work there.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,32 +36,6 @@ from .optim import Adam, ScheduleFreeAdamW
 
 class TrainingDivergedError(RuntimeError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# loss
-# ---------------------------------------------------------------------------
-
-
-def _gradient_domain(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Squared difference of first-order finite differences, per row over the
-    last axis of (..., d) arrays.
-
-    Invariant to constant shifts; the stand-in for a perceptual term.
-    """
-    r = np.diff(x, axis=-1) - np.diff(ref, axis=-1)
-    return np.sum(r * r, axis=-1)
-
-
-def batch_loss(xs: np.ndarray, gts: np.ndarray, omega: float = 0.0) -> float:
-    """Mean over the rows of a (N, d) batch of ||x - x_gt||^2 + omega * gradient-domain."""
-    if xs.shape != gts.shape:
-        raise ValueError(f"shape mismatch {xs.shape} vs {gts.shape}")
-    r = xs - gts
-    val = np.sum(r * r, axis=-1)
-    if omega != 0.0:
-        val = val + omega * _gradient_domain(xs, gts)
-    return float(np.mean(val))
 
 
 # ---------------------------------------------------------------------------
@@ -99,17 +74,20 @@ def combine(
 
 
 @dataclass
-class CoefficientsFile(canon.ConfigBlock):
-    """A coefficients file: one vector per step, t_S first, each entry j
-    oldest first and xhat last; gamma coupled, gamma_par (range part) and
-    gamma_perp (null part) decoupled."""
+class LLECoefficients(canon.ConfigBlock):
+    """Per-timestep coefficient vectors, one block as the coefficients file
+    holds them: one vector per step, t_S first, each entry j oldest first and
+    xhat last; gamma coupled, gamma_par (range part) and gamma_perp (null
+    part) decoupled. theta[idx] joins them into J = idx + 1 entries, or 2J
+    when decoupled (gamma_par, then gamma_perp)."""
 
-    steps: int = rule()
+    S: int = rule(key="steps")
     decoupled: bool = rule()
-    timesteps: list[int] = rule()
+    timesteps: list[int] = rule()  # t_S .. t_1
     gamma: list[list[float]] | None = rule(None, optional=True)
     gamma_par: list[list[float]] | None = rule(None, optional=True)
     gamma_perp: list[list[float]] | None = rule(None, optional=True)
+    theta: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -120,62 +98,44 @@ class CoefficientsFile(canon.ConfigBlock):
             if key not in parts and getattr(self, key) is not None:
                 raise canon.ConfigurationError(
                     f"{key} is not read when decoupled is {str(self.decoupled).lower()}")
-        if self.decoupled and list(map(len, self.gamma_par)) != list(map(len, self.gamma_perp)):
-            raise canon.ConfigurationError("gamma_par and gamma_perp must have matching vectors")
-
-
-@dataclass
-class LLECoefficients:
-    """Per-timestep coefficient vectors: theta[idx] has J = idx + 1 entries,
-    or 2J when decoupled (gamma, then gamma_perp)."""
-
-    S: int
-    decoupled: bool
-    timesteps: tuple[int, ...]  # t_S .. t_1
-    theta: list[np.ndarray]
-
-    def __post_init__(self):
-        if len(self.theta) != self.S:
-            raise ValueError("need one coefficient vector per trained timestep")
-        if len(self.timesteps) != self.S:
-            raise ValueError(f"need one timestep per coefficient vector: {len(self.timesteps)}"
-                             f" timesteps for S={self.S}")
-        for idx, t in enumerate(self.theta):
-            size = (2 if self.decoupled else 1) * (idx + 1)
-            if np.asarray(t).size != size:
-                raise ValueError(f"vector at position {idx} must have {size} entries")
-            if not np.all(np.isfinite(t)):
-                raise ValueError("coefficients must be finite")
+        for key in ("timesteps",) + parts:
+            if len(getattr(self, key)) != self.S:
+                raise canon.ConfigurationError(f"{key} must have {self.S} entries, one per step,"
+                                               f" got {len(getattr(self, key))}")
+        for key in parts:
+            for idx, v in enumerate(getattr(self, key)):
+                if len(v) != idx + 1:
+                    raise canon.ConfigurationError(
+                        f"{key}[{idx}] must have {idx + 1} entries, got {len(v)}")
+        self.theta = [np.array(sum(v, []), dtype=float)
+                      for v in zip(*(getattr(self, key) for key in parts))]
 
     @classmethod
-    def identity(cls, grid: dif.TimeGrid) -> "LLECoefficients":
-        thetas = [np.eye(idx + 1)[idx] for idx in range(grid.S)]
-        return cls(S=grid.S, decoupled=False, timesteps=grid.timesteps[: grid.S], theta=thetas)
-
-    def to_json(self) -> str:
-        vectors = [t.tolist() for t in self.theta]
-        if self.decoupled:
+    def from_theta(cls, timesteps, theta, decoupled: bool) -> "LLECoefficients":
+        """The coefficients whose theta is the given vectors, one per timestep."""
+        vectors = [np.asarray(t, dtype=float).tolist() for t in theta]
+        if decoupled:
             parts = {"gamma_par": [v[: idx + 1] for idx, v in enumerate(vectors)],
                      "gamma_perp": [v[idx + 1 :] for idx, v in enumerate(vectors)]}
         else:
             parts = {"gamma": vectors}
-        layout = CoefficientsFile(self.S, self.decoupled, list(self.timesteps), **parts)
-        return json.dumps({k: v for k, v in vars(layout).items() if v is not None}, indent=2)
+        return cls(len(vectors), decoupled, list(timesteps), **parts)
 
     @classmethod
-    def _from_file(cls, layout: CoefficientsFile) -> "LLECoefficients":
-        if layout.decoupled:
-            vectors = [g + h for g, h in zip(layout.gamma_par, layout.gamma_perp)]
-        else:
-            vectors = layout.gamma
-        return cls(S=layout.steps, decoupled=layout.decoupled, timesteps=tuple(layout.timesteps),
-                   theta=[np.asarray(v, dtype=float) for v in vectors])
+    def identity(cls, grid: dif.TimeGrid) -> "LLECoefficients":
+        return cls.from_theta(grid.timesteps[: grid.S],
+                              [np.eye(idx + 1)[idx] for idx in range(grid.S)], False)
+
+    def to_json(self) -> str:
+        keys = {f.metadata["key"] or f.name: getattr(self, f.name)
+                for f in fields(self) if "rule" in f.metadata}
+        return json.dumps({k: v for k, v in keys.items() if v is not None}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "LLECoefficients":
         """Parse a coefficients file; a bad, missing or unknown key is a
         ConfigurationError naming it."""
-        return cls._from_file(CoefficientsFile.from_json(text, "the coefficients file"))
+        return cls.from_dict(canon.parse_json(text, "the coefficients file"))
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -183,7 +143,13 @@ class LLECoefficients:
 
     @classmethod
     def load(cls, path) -> "LLECoefficients":
-        return cls._from_file(CoefficientsFile.load(path))
+        """Read a coefficients file; every error names the file, a bad key's as
+        `<path>: <error>`."""
+        obj = canon.read_json(path)
+        try:
+            return cls.from_dict(obj)
+        except canon.ConfigurationError as exc:
+            raise canon.ConfigurationError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +187,14 @@ def _combined(stacked, theta):
 
 
 class LeastSquares:
-    """One timestep's fit in J-space: the loss over theta is (||R theta - q||^2 + c) / n.
+    """One timestep's fit in J-space: the loss over theta is (||R theta - q||^2 + c) / n,
+    the mean over the batch's n rows of ||x - x_gt||^2 + omega * ||D x - D x_gt||^2 for
+    theta's combination x, D the first difference along a row (a gradient-domain
+    term, invariant to constant shifts: the stand-in for a perceptual term).
 
     R, q = Q^T x and c, the squared residual outside F's range, come from one
-    QR of [F, x]: F = [B; sqrt(omega) D B], x = [x_gt; sqrt(omega) D x_gt], B the
-    flattened stack, D `_gradient_domain`'s first difference and n the batch's rows.
+    QR of [F, x]: F = [B; sqrt(omega) D B], x = [x_gt; sqrt(omega) D x_gt] and B the
+    flattened stack.
     """
 
     def __init__(self, stacked, x_gt, omega: float = 0.0):
@@ -314,47 +283,39 @@ def make_ground_truth(
 
 
 def init_coeffs(
-    idx: int,
-    history,
-    xhat,
-    x_gt,
+    ls: LeastSquares,
     mode: str,
     alphabar_ti: float,
     stream: RngStream,
-    omega: float = 0.0,
     decoupled: bool = False,
 ) -> np.ndarray:
     """Adaptive initialization: one-hot on whichever of the two latest
-    estimates has the smaller batch loss; other entries ~ N(0, 1e-6).
+    estimates has the smaller `ls.loss` (decoupled, the one-hot doubled, which
+    weights the estimate's range and null parts alike); other entries ~ N(0, 1e-6).
     """
-    J = idx + 1
+    reps = 2 if decoupled else 1  # gamma, then gamma_perp alike
+    J = len(ls.q) // reps
     gamma = 1e-3 * stream.standard_normal(J) if J > 1 else np.zeros(1)
     if J == 1:
         gamma[0] = 1.0
     else:
-        loss_prev = batch_loss(history[-1], x_gt, omega)
-        loss_hat = batch_loss(xhat, x_gt, omega)
-        if loss_prev >= loss_hat:
+        onehot = np.tile(np.eye(J), reps)
+        if ls.loss(onehot[J - 2]) >= ls.loss(onehot[J - 1]):
             gamma[J - 1] = 1.0
         elif mode == "soft-nonlinear":
             gamma[J - 2] = alphabar_ti
             gamma[J - 1] = 1.0 - alphabar_ti
-        elif mode == "adaptive-linear":
+        else:  # adaptive-linear
             gamma[J - 2] = 1.0
-        else:
-            raise ValueError(f"unknown init mode {mode!r}")
-    if decoupled:
-        return np.concatenate([gamma, gamma.copy()])
-    return gamma
+    return np.tile(gamma, reps)
 
 
-def train_timestep(stacked, x_gt, init_theta, config: TrainConfig, lr_t: float, t_i: int):
-    """Optimize the coefficient vector over one timestep's `stack_bases`.
+def train_timestep(ls: LeastSquares, init_theta, config: TrainConfig, lr_t: float, t_i: int):
+    """Optimize the coefficient vector over one timestep's fit `ls`.
 
     Returns (best theta, per-epoch loss trace). The best-by-training-loss
     snapshot guarantees final loss <= initial loss.
     """
-    ls = LeastSquares(stacked, x_gt, config.resolved_omega())
     theta = np.asarray(init_theta, dtype=float)
     best = theta.copy()
     best_loss = ls.loss(theta)
@@ -396,10 +357,8 @@ def generate_references(prior, schedule, config: TrainConfig):
 def _learning_rate(config: TrainConfig, schedule, grid: dif.TimeGrid, idx: int) -> float:
     if config.lr_rule == "constant":
         return 0.04 / grid.S
-    if config.lr_rule == "dynamic":
-        t_next = grid.timesteps[max(idx - 1, 0)]
-        return 0.2 * schedule.alphabar(t_next) / grid.S
-    raise ValueError(f"unknown lr rule {config.lr_rule!r}")
+    t_next = grid.timesteps[max(idx - 1, 0)]  # dynamic
+    return 0.2 * schedule.alphabar(t_next) / grid.S
 
 
 def train(
@@ -439,21 +398,19 @@ def train(
         x_gt = make_ground_truth(
             params, prior, schedule, observation, refs, t_i, ts[idx + 1], config.noisy_gt
         )
-        theta0 = init_coeffs(idx, history, xhat, x_gt, config.init_mode, schedule.alphabar(t_i),
-                             init_stream, config.resolved_omega(), config.decoupled)
+        ls = LeastSquares(stack_bases(history + [xhat], op, config.decoupled), x_gt,
+                          config.resolved_omega())
+        theta0 = init_coeffs(ls, config.init_mode, schedule.alphabar(t_i), init_stream,
+                             config.decoupled)
         lr_t = _learning_rate(config, schedule, grid, idx)
-        stacked = stack_bases(history + [xhat], op, config.decoupled)
-        theta, traces[t_i] = train_timestep(stacked, x_gt, theta0, config, lr_t, t_i)
+        theta, traces[t_i] = train_timestep(ls, theta0, config, lr_t, t_i)
         thetas.append(theta)
         return combine(theta, history, xhat, op, config.decoupled)
 
     canon.run_with_combiner(
         params, prior, schedule, observation, grid, base.child(13), combiner=fit
     )
-    coeffs = LLECoefficients(
-        S=grid.S, decoupled=config.decoupled, timesteps=ts[: grid.S], theta=thetas
-    )
-    return coeffs, traces
+    return LLECoefficients.from_theta(ts[: grid.S], thetas, config.decoupled), traces
 
 
 def infer(

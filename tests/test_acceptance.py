@@ -203,12 +203,9 @@ def test_criterion_07_search_space_nesting():
     grid = dif.make_time_grid(schedule, 3)
     stream = RngStream(212)
     gamma = [stream.standard_normal(i + 1) for i in range(3)]
-    coupled = lle.LLECoefficients(S=3, decoupled=False,
-                                  timesteps=grid.timesteps[:3], theta=gamma)
-    replicated = lle.LLECoefficients(
-        S=3, decoupled=True, timesteps=grid.timesteps[:3],
-        theta=[np.concatenate([g, g]) for g in gamma],
-    )
+    coupled = lle.LLECoefficients.from_theta(grid.timesteps[:3], gamma, False)
+    replicated = lle.LLECoefficients.from_theta(
+        grid.timesteps[:3], [np.concatenate([g, g]) for g in gamma], True)
     truth = prior.sample(RngStream(213), 1)[0]
     y = ops.observe(op, truth, sigma_y, RngStream(214))
     obs = ops.Observation(y=y, op=op, sigma_y=sigma_y)
@@ -252,11 +249,11 @@ def test_criterion_09_optimizer_vs_closed_form():
     for instance in range(10):
         bases = [stream.standard_normal((6, 5)) for _ in range(4)]
         x_gt = stream.standard_normal((6, 5))
-        star = lle.LeastSquares(bases, x_gt).solve()
-        loss_star = lle.batch_loss(lle._combined(np.asarray(bases), star), x_gt)
+        ls = lle.LeastSquares(bases, x_gt)
+        loss_star = ls.loss(ls.solve())
         tc = lle.TrainConfig(epochs=2000, warmup=50)
-        theta, _ = lle.train_timestep(bases, x_gt, np.zeros(4), tc, lr_t=0.05, t_i=500)
-        loss_opt = lle.batch_loss(lle._combined(np.asarray(bases), theta), x_gt)
+        theta, _ = lle.train_timestep(ls, np.zeros(4), tc, lr_t=0.05, t_i=500)
+        loss_opt = ls.loss(theta)
         assert loss_opt - loss_star <= 1e-6, instance
     report(9, "2000-epoch schedule-free training within 1e-6 of the least-squares solve")
 

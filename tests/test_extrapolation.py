@@ -27,17 +27,17 @@ def mask_obs(prior, seed=100, sigma_y=0.05, keep=(0, 2, 4)):
 
 
 def test_loss_is_squared_error():
-    x = np.array([1.0, 2.0])
-    gt = np.array([0.0, 0.0])
-    assert lle.batch_loss(x, gt) == 5.0
+    x = np.array([[1.0, 2.0]])
+    gt = np.array([[0.0, 0.0]])
+    assert lle.LeastSquares([x], gt).loss(np.ones(1)) == pytest.approx(5.0, rel=1e-15)
     with pytest.raises(ValueError):
-        lle.batch_loss(np.zeros(2), np.zeros(3))
+        lle.LeastSquares([np.zeros((1, 2))], np.zeros((1, 3)))
 
 
-def test_batch_loss_averages():
+def test_least_squares_loss_averages_over_rows():
     xs = np.array([[1.0, 0.0], [0.0, 2.0]])
     gts = np.zeros((2, 2))
-    assert lle.batch_loss(xs, gts) == pytest.approx(2.5)
+    assert lle.LeastSquares([xs], gts).loss(np.ones(1)) == pytest.approx(2.5, rel=1e-15)
 
 
 def _row_loss_reference(x, g, omega, with_plugin):
@@ -58,8 +58,10 @@ def _plugin_grad_reference(x, g):
 
 
 def _objective(bases, x_gt, theta, omega=0.0):
-    """The batch loss of theta's combination, computed over the (N, d) batch."""
-    return lle.batch_loss(lle._combined(np.asarray(bases), theta), x_gt, omega)
+    """The mean loss of theta's combination, written row by row."""
+    xt = lle._combined(np.asarray(bases), theta)
+    return float(np.mean([_row_loss_reference(x, g, omega, omega != 0.0)
+                          for x, g in zip(xt, x_gt)]))
 
 
 _LOSS_CASES = dict(
@@ -88,15 +90,6 @@ def _loss_case(n, d, n_bases, log_scale, omega, with_plugin, decoupled, seed):
 
 @given(**_LOSS_CASES)
 @settings(max_examples=200, deadline=None)
-def test_batch_loss_and_gradient_equal_per_sample_loop(**case):
-    stacked, x_gt, theta, omega = _loss_case(**case)
-    xt = lle._combined(stacked, theta)
-    rows = [_row_loss_reference(x, g, omega, omega != 0.0) for x, g in zip(xt, x_gt)]
-    assert lle.batch_loss(xt, x_gt, omega) == float(np.mean(rows))
-
-
-@given(**_LOSS_CASES)
-@settings(max_examples=200, deadline=None)
 def test_least_squares_loss_and_gradient_equal_per_sample_loop(**case):
     stacked, x_gt, theta, omega = _loss_case(**case)
     n = len(x_gt)
@@ -113,11 +106,16 @@ def test_least_squares_loss_and_gradient_equal_per_sample_loop(**case):
 
 
 def test_gradient_domain_plugin_shift_invariant():
-    x = RngStream(101).standard_normal(8)
-    ref = RngStream(102).standard_normal(8)
-    v0 = lle._gradient_domain(x, ref)
-    v1 = lle._gradient_domain(x + 3.0, ref)
-    assert abs(v0 - v1) < 1e-12
+    # the omega term, the loss with omega less the loss without, ignores a constant shift
+    x = RngStream(101).standard_normal((2, 8))
+    ref = RngStream(102).standard_normal((2, 8))
+
+    def term(est):
+        one = np.ones(1)
+        return lle.LeastSquares([est], ref, 0.3).loss(one) - lle.LeastSquares([est], ref).loss(one)
+
+    assert term(x) > 0.1
+    assert abs(term(x) - term(x + 3.0)) < 1e-12 * lle.LeastSquares([x + 3.0], ref).loss(np.ones(1))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +173,8 @@ def test_decoupled_identity_reproduces_base_on_dense_operator(schedule):
     obs = ops.Observation(y=ops.observe(op, truth, 0.05, RngStream(133)), op=op, sigma_y=0.05)
     grid = dif.make_time_grid(schedule, 4)
     ident = lle.LLECoefficients.identity(grid)
-    coeffs = lle.LLECoefficients(S=4, decoupled=True, timesteps=ident.timesteps,
-                                 theta=[np.concatenate([g, g]) for g in ident.theta])
+    coeffs = lle.LLECoefficients.from_theta(ident.timesteps,
+                                            [np.concatenate([g, g]) for g in ident.theta], True)
     for name in canon.ALGORITHMS:
         params = canon.default_params(name)
         base = canon.run(params, prior, schedule, obs, grid, seed=17)
@@ -188,12 +186,12 @@ def test_coefficients_validation_and_identity(schedule):
     grid = dif.make_time_grid(schedule, 3)
     ident = lle.LLECoefficients.identity(grid)
     assert [g.tolist() for g in ident.theta] == [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]]
-    with pytest.raises(ValueError):
-        lle.LLECoefficients(S=2, decoupled=False, timesteps=(1000, 500),
-                            theta=[np.array([1.0])])
-    with pytest.raises(ValueError):
-        lle.LLECoefficients(S=1, decoupled=False, timesteps=(1000,),
-                            theta=[np.array([np.nan])])
+    with pytest.raises(ValueError, match=r"gamma\[1\] must have 2 entries"):
+        lle.LLECoefficients.from_theta((1000, 500), [np.ones(1), np.ones(3)], False)
+    with pytest.raises(ValueError, match="^gamma must have 2 entries, one per step, got 1$"):
+        lle.LLECoefficients(S=2, decoupled=False, timesteps=[1000, 500], gamma=[[1.0]])
+    with pytest.raises(ValueError, match=r"gamma\[0\]\[0\] must be a finite number"):
+        lle.LLECoefficients.from_theta((1000,), [np.array([np.nan])], False)
 
 
 def test_coefficients_json_round_trip(schedule):
@@ -202,8 +200,7 @@ def test_coefficients_json_round_trip(schedule):
     gamma = [stream.standard_normal(i + 1) for i in range(3)]
     gperp = [stream.standard_normal(i + 1) for i in range(3)]
     theta = [np.concatenate([g, p]) for g, p in zip(gamma, gperp)]
-    coeffs = lle.LLECoefficients(S=3, decoupled=True, timesteps=grid.timesteps[:3],
-                                 theta=theta)
+    coeffs = lle.LLECoefficients.from_theta(grid.timesteps[:3], theta, True)
     back = lle.LLECoefficients.from_json(coeffs.to_json())
     assert back.S == 3 and back.decoupled
     for a, b in zip(back.theta, theta):
@@ -218,8 +215,7 @@ def test_coefficients_file_layout(tmp_path, schedule, decoupled):
     par = [[1.0], [0.25, 0.75]]
     perp = [[0.5], [-0.125, 1.0]]
     theta = [np.array(g + p) if decoupled else np.array(g) for g, p in zip(par, perp)]
-    coeffs = lle.LLECoefficients(S=2, decoupled=decoupled, timesteps=grid.timesteps[:2],
-                                 theta=theta)
+    coeffs = lle.LLECoefficients.from_theta(grid.timesteps[:2], theta, decoupled)
     expected = {"steps": 2, "decoupled": decoupled, "timesteps": list(grid.timesteps[:2])}
     if decoupled:
         expected.update(gamma_par=par, gamma_perp=perp)
@@ -288,18 +284,32 @@ def test_coefficients_file_that_is_no_json_names_file_line_and_column(tmp_path, 
     # earlier loaders raised a bare JSONDecodeError
     path = tmp_path / "coeffs.json"
     path.write_text(text)
-    named = re.escape(f"{path} is not valid JSON")
+    named = "^" + re.escape(f"{path} is not valid JSON")
     with pytest.raises(canon.ConfigurationError, match=named) as err:
         lle.LLECoefficients.load(path)
-    assert where in str(err.value)
+    assert where in str(err.value) and str(err.value).count(str(path)) == 1
     with pytest.raises(canon.ConfigurationError, match="coefficients file is not valid JSON"):
         lle.LLECoefficients.from_json(text)
 
 
+@pytest.mark.parametrize("decoupled, key, value, error", [
+    (False, "steps", "2", "steps must be an integer, got '2'"),
+    (False, "gamma", [[1.0], [0.0, "x"]], "gamma[1][1] must be a finite number, got 'x'"),
+    (True, "gamma_perp", [[0.5]], "gamma_perp must have 2 entries, one per step, got 1"),
+])
+def test_coefficients_file_with_a_bad_key_names_the_file(tmp_path, decoupled, key, value, error):
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(dict(_coeffs_file(decoupled), **{key: value})))
+    with pytest.raises(canon.ConfigurationError, match="^" + re.escape(f"{path}: {error}")):
+        lle.LLECoefficients.load(path)
+
+
 def test_coefficients_file_that_cannot_be_read_is_config_error(tmp_path):
     path = tmp_path / "absent.json"
-    with pytest.raises(canon.ConfigurationError, match=re.escape(f"{path} cannot be read")):
+    with pytest.raises(canon.ConfigurationError, match="^" + re.escape(f"{path} cannot be read")) \
+            as err:
         lle.LLECoefficients.load(path)
+    assert str(err.value).count(str(path)) == 1
 
 
 def test_coefficients_file_that_is_no_object_is_config_error():
@@ -343,11 +353,12 @@ def test_closed_form_with_gradient_domain_matches_stacked_lstsq():
     rows = np.concatenate([_flat(bases), np.sqrt(omega) * _flat(np.diff(bases, axis=-1))])
     target = np.concatenate([x_gt.ravel(), np.sqrt(omega) * np.diff(x_gt, axis=-1).ravel()])
     expected, *_ = np.linalg.lstsq(rows, target, rcond=None)
+    ls = lle.LeastSquares(bases, x_gt, omega)
     config = lle.TrainConfig(closed_form=True, plugin="gradient-domain", omega=omega)
-    theta, _ = lle.train_timestep(bases, x_gt, np.eye(4)[3], config, 0.05, 500)
+    theta, _ = lle.train_timestep(ls, np.eye(4)[3], config, 0.05, 500)
     assert np.max(np.abs(theta - expected)) <= 1e-10 * np.max(np.abs(expected))
     first_order = lle.TrainConfig(epochs=2000, warmup=50, plugin="gradient-domain", omega=omega)
-    fitted, _ = lle.train_timestep(bases, x_gt, np.eye(4)[3], first_order, 0.05, 500)
+    fitted, _ = lle.train_timestep(ls, np.eye(4)[3], first_order, 0.05, 500)
     loss = _objective(bases, x_gt, theta, omega)
     assert loss <= _objective(bases, x_gt, fitted, omega) * (1.0 + 1e-12)
 
@@ -415,7 +426,8 @@ def test_train_timestep_monotone():
     theta0 = np.array([0.0, 0.0, 0.0, 1.0])
     config = lle.TrainConfig(epochs=60, warmup=10)
     init_loss = _objective(bases, x_gt, theta0)
-    theta, trace = lle.train_timestep(bases, x_gt, theta0, config, lr_t=0.05, t_i=500)
+    theta, trace = lle.train_timestep(lle.LeastSquares(bases, x_gt), theta0, config,
+                                      lr_t=0.05, t_i=500)
     final = _objective(bases, x_gt, theta)
     assert final <= init_loss + 1e-9
     assert trace[0] == pytest.approx(init_loss)
@@ -427,16 +439,16 @@ def test_train_timestep_closed_form_is_optimal():
     bases = [stream.standard_normal((5, 4)) for _ in range(2)]
     x_gt = stream.standard_normal((5, 4))
     config = lle.TrainConfig(closed_form=True)
-    theta, _ = lle.train_timestep(bases, x_gt, np.array([0.0, 1.0]), config, 0.01, 500)
+    theta, _ = lle.train_timestep(lle.LeastSquares(bases, x_gt), np.array([0.0, 1.0]), config,
+                                  0.01, 500)
     star, *_ = np.linalg.lstsq(_flat(bases), x_gt.ravel(), rcond=None)
     assert np.max(np.abs(theta - star)) < 1e-9
 
 
 def test_train_timestep_detects_divergence():
-    bases = [np.full((2, 2), np.nan)]
+    ls = lle.LeastSquares([np.full((2, 2), np.nan)], np.zeros((2, 2)))
     with pytest.raises(lle.TrainingDivergedError):
-        lle.train_timestep(bases, np.zeros((2, 2)), np.array([1.0]),
-                           lle.TrainConfig(), 0.01, 250)
+        lle.train_timestep(ls, np.array([1.0]), lle.TrainConfig(), 0.01, 250)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +457,8 @@ def test_train_timestep_detects_divergence():
 
 
 def test_init_first_timestep_is_identity():
-    g = lle.init_coeffs(0, [], np.zeros((2, 3)), np.zeros((2, 3)),
-                        "adaptive-linear", 0.5, RngStream(0))
+    ls = lle.LeastSquares([np.zeros((2, 3))], np.zeros((2, 3)))
+    g = lle.init_coeffs(ls, "adaptive-linear", 0.5, RngStream(0))
     assert np.array_equal(g, [1.0])
 
 
@@ -456,10 +468,10 @@ def test_init_prefers_better_estimate():
     bad = np.ones((4, 3))
     stream = RngStream(111)
     # latest estimate better -> one-hot on it
-    g = lle.init_coeffs(1, [bad], good, gt, "adaptive-linear", 0.5, stream)
+    g = lle.init_coeffs(lle.LeastSquares([bad, good], gt), "adaptive-linear", 0.5, stream)
     assert g[1] == 1.0 and abs(g[0]) < 0.01
     # previous better -> adaptive-linear puts the mass there
-    g = lle.init_coeffs(1, [good], bad, gt, "adaptive-linear", 0.5, stream)
+    g = lle.init_coeffs(lle.LeastSquares([good, bad], gt), "adaptive-linear", 0.5, stream)
     assert g[0] == 1.0 and abs(g[1]) < 0.01
 
 
@@ -467,15 +479,36 @@ def test_init_soft_nonlinear_split():
     gt = np.zeros((4, 3))
     good = 0.01 * np.ones((4, 3))
     bad = np.ones((4, 3))
-    g = lle.init_coeffs(1, [good], bad, gt, "soft-nonlinear", 0.8, RngStream(112))
+    ls = lle.LeastSquares([good, bad], gt)
+    g = lle.init_coeffs(ls, "soft-nonlinear", 0.8, RngStream(112))
     assert g[0] == pytest.approx(0.8)
     assert g[1] == pytest.approx(0.2)
 
 
 def test_init_decoupled_duplicates():
-    g = lle.init_coeffs(0, [], np.zeros((2, 2)), np.zeros((2, 2)),
-                        "adaptive-linear", 0.5, RngStream(113), decoupled=True)
+    op = ops.mask_operator(2, [0])
+    ls = lle.LeastSquares(lle.stack_bases([np.zeros((2, 2))], op, True), np.zeros((2, 2)))
+    g = lle.init_coeffs(ls, "adaptive-linear", 0.5, RngStream(113), decoupled=True)
     assert np.array_equal(g, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("op", [
+    ops.mask_operator(8, [0, 3, 4, 6]),
+    ops.blur_operator(8, [0.25, 0.5, 0.25]),
+    ops.dense_operator(RngStream(138).standard_normal((5, 8))),
+], ids=["mask", "blur", "dense"])
+def test_init_doubled_one_hot_loss_is_the_estimates_row_loss(op):
+    # the decoupled init compares two estimates by ls.loss of their doubled one-hots:
+    # range plus null part of one estimate, so that estimate's own loss, omega term included
+    stream = RngStream(139)
+    J, omega = 3, 0.4
+    bases = [stream.standard_normal((5, 8)) for _ in range(J)]
+    x_gt = stream.standard_normal((5, 8))
+    ls = lle.LeastSquares(lle.stack_bases(bases, op, decoupled=True), x_gt, omega)
+    for j, x in enumerate(bases):
+        onehot = np.tile(np.eye(J)[j], 2)
+        rows = np.mean([_row_loss_reference(r, g, omega, True) for r, g in zip(x, x_gt)])
+        assert abs(ls.loss(onehot) - rows) <= 1e-12 * rows, j
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +645,7 @@ def test_infer_rejects_coefficients_of_another_time_grid(small_prior):
 def test_coefficients_need_one_timestep_per_vector():
     theta = [np.ones(1), np.array([0.0, 1.0])]
     with pytest.raises(ValueError, match="timestep"):
-        lle.LLECoefficients(S=2, decoupled=False, timesteps=(1000, 500, 0), theta=theta)
+        lle.LLECoefficients.from_theta((1000, 500, 0), theta, False)
 
 
 def test_train_config_omega_resolution():
@@ -635,8 +668,8 @@ def test_learning_rate_rules(schedule):
     assert const == pytest.approx(0.04 / 4)
     dyn = lle._learning_rate(lle.TrainConfig(lr_rule="dynamic"), schedule, grid, 2)
     assert dyn == pytest.approx(0.2 * schedule.alphabar(750) / 4)
-    with pytest.raises(ValueError):
-        lle._learning_rate(lle.TrainConfig(lr_rule="cosine"), schedule, grid, 0)
+    with pytest.raises(canon.ConfigurationError, match="lr_rule"):
+        lle.TrainConfig(lr_rule="cosine")
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +701,7 @@ def _random_coeffs(kind, grid, seed):
     if kind == "decoupled":
         perp = [near_identity(J) for J in range(1, grid.S + 1)]
         theta = [np.concatenate([g, p]) for g, p in zip(theta, perp)]
-    return lle.LLECoefficients(S=grid.S, decoupled=kind == "decoupled",
-                               timesteps=grid.timesteps[:grid.S], theta=theta)
+    return lle.LLECoefficients.from_theta(grid.timesteps[:grid.S], theta, kind == "decoupled")
 
 
 @settings(max_examples=60, deadline=None)

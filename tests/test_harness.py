@@ -904,7 +904,7 @@ def _bounds(path):
     """The declared bounds of the field at a dotted path, from the rule tables."""
     parent, _, key = path.rpartition(".")
     tables = {b.block: b for b in _config_blocks()
-              if b not in (harness.InlinePrior, harness.PriorFile, lle.CoefficientsFile)}
+              if b not in (harness.InlinePrior, harness.PriorFile, lle.LLECoefficients)}
     for f in dataclasses.fields(tables[parent]):
         if (f.metadata.get("key") or f.name) == key and "rule" in f.metadata:
             return f.metadata["rule"][2]
@@ -920,15 +920,24 @@ def _past(bound, limit, value):
     return float(np.nextafter(limit, step * math.inf))
 
 
+def _at(cfg, path):
+    for key in path.split("."):
+        cfg = cfg[key]
+    return cfg
+
+
 @st.composite
 def _mutations(draw, cfg):
-    """(mutated config, the dotted path its error must name)."""
-    path = draw(st.sampled_from(sorted(_key_paths(cfg))))
+    """(mutated config, the dotted path its error must name). A list-valued key
+    is drawn in a fixed share of the draws, whenever the config has one: few
+    keys hold lists, so a uniform draw would rarely reach their entries."""
+    paths = sorted(_key_paths(cfg))
+    lists = [path for path in paths if isinstance(_at(cfg, path), list)]
+    if lists and draw(st.sampled_from([True, False, False])):
+        paths = lists
+    path = draw(st.sampled_from(paths))
     *parents, key = path.split(".")
-    block = cfg
-    for p in parents:
-        block = block[p]
-    value = block[key]
+    value = _at(cfg, path)
     options = ["rename", "wrong"]
     if isinstance(value, list):
         options.append("entry")

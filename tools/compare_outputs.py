@@ -18,9 +18,11 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
 - one DDNM base ``run`` and ``eval --oracle`` whose config reads the grid's
   prior through ``prior.file``, from a file that ``gen-prior`` writes first,
   so the prior writer and the prior-file reader are compared too;
-- one first-order fit with the gradient-domain loss term, and one Adam fit
-  with the dynamic lr rule and soft-nonlinear init, each with ``train`` and
-  ``run --coeffs``;
+- one first-order fit with the gradient-domain loss term, one Adam fit
+  with the dynamic lr rule and soft-nonlinear init, and one decoupled
+  first-order fit with the gradient-domain term and soft-nonlinear init on
+  the dense operator (the decoupled init's loss with omega > 0), each with
+  ``train`` and ``run --coeffs``;
 - on the ``nonlinear`` operator, one base ``run`` for each of DPS, REDdiff,
   DiffPIR, ReSample and DAPS (no ``eval --oracle``: the oracle needs a linear
   operator), and one DPS first-order fit with ``train`` and ``run --coeffs``.
@@ -113,12 +115,14 @@ def grid_plan(seed: int) -> list:
     cfg = _grid_config(prior_seed, "DDNM", operators["mask"], 5, "none")
     plan.append(("ddnm-mask-base-prior-file", cfg, ("gen-prior", "run", "eval")))
     variants = {
-        "dps-mask-plugin": ("DPS", dict(fit, plugin="gradient-domain")),
-        "ddnm-mask-adam": ("DDNM", dict(fit, optimizer="adam", lr_rule="dynamic",
-                                        init_mode="soft-nonlinear")),
+        "dps-mask-plugin": ("DPS", "mask", dict(fit, plugin="gradient-domain")),
+        "ddnm-mask-adam": ("DDNM", "mask", dict(fit, optimizer="adam", lr_rule="dynamic",
+                                                init_mode="soft-nonlinear")),
+        "dps-dense-decoupled-plugin": ("DPS", "dense", dict(
+            fit, decoupled=True, plugin="gradient-domain", init_mode="soft-nonlinear")),
     }
-    for name, (algorithm, lle) in variants.items():
-        plan.append((name, _grid_config(prior_seed, algorithm, operators["mask"], 5, lle),
+    for name, (algorithm, op_name, lle) in variants.items():
+        plan.append((name, _grid_config(prior_seed, algorithm, operators[op_name], 5, lle),
                      ("train", "run")))
     nonlinear = {"kind": "nonlinear"}
     for algorithm in NONLINEAR_ALGORITHMS:
