@@ -77,9 +77,10 @@ def _check(name: str, value, kind: str, choices, optional: bool, bounds: dict) -
         return
     if kind in _TYPES:
         accepted, what = _TYPES[kind]
-        # a bool is no number; finite by comparison, so a huge int cannot overflow
+        # a bool is no number; a float's magnitude is compared exactly with the
+        # largest float, so NaN, inf and an int too large to convert all fail
         if (isinstance(value, bool) != (kind == "bool") or not isinstance(value, accepted)
-                or kind == "float" and not abs(value) < math.inf):
+                or kind == "float" and not abs(value) <= sys.float_info.max):
             raise ConfigurationError(f"{name} must be {what}, got {value!r}")
     for bound, limit in bounds.items():
         holds, sign = _BOUNDS[bound]
@@ -245,7 +246,7 @@ def sampler_tweedie(params: AlgoParams, ctx: StepContext) -> np.ndarray:
 
 def sampler_ddim_chain(params: AlgoParams, ctx: StepContext) -> np.ndarray:
     """Deterministic k_ddim-step DDIM chain from (x_t, t_i) down to 0 (DAPS)."""
-    return dif.ddim_run(ctx.prior, ctx.schedule, ctx.x_t, ctx.t_i, params.daps.k_ddim, eta=0.0)
+    return dif.ddim_run(ctx.prior, ctx.schedule, ctx.x_t, ctx.t_i, params.daps.k_ddim)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +542,16 @@ def _ddim_noise(xhat: np.ndarray, ctx: StepContext, c1: float, c2: float, eps=No
 
 
 def noiser_ddim(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
-    """DDIM noiser with the schedule's (c1, c2) for params.eta."""
-    c1, c2 = dif._ddim_c(ctx.ab, ctx.ab_prev, params.eta, ctx.t_i, ctx.t_prev)
-    return _ddim_noise(xhat, ctx, c1, c2)
+    """DDIM noiser with the schedule's (c1, c2) for params.eta:
+    c1 = eta sqrt(1 - ab_i/ab_prev) sqrt((1 - ab_prev)/(1 - ab_i)) and
+    c2 = sqrt(1 - ab_prev - c1^2), so c1^2 + c2^2 = 1 - ab_prev."""
+    ab_i, ab_prev = ctx.ab, ctx.ab_prev
+    c1 = (params.eta * math.sqrt(max(0.0, 1.0 - ab_i / ab_prev))
+          * math.sqrt((1.0 - ab_prev) / (1.0 - ab_i)))
+    rad = 1.0 - ab_prev - c1 * c1
+    if rad < -1e-12:
+        raise FloatingPointError(f"negative c2 radicand {rad} at ({ctx.t_i},{ctx.t_prev})")
+    return _ddim_noise(xhat, ctx, c1, math.sqrt(max(0.0, rad)))
 
 
 def noiser_dmps(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
@@ -654,7 +662,7 @@ SOLVERS = {
     "ReSample": Solver(sampler_tweedie, corr_resample, noiser_resample,
                        {"eta": 1.0, "gamma_rs": 100.0,
                         "inner_opt": {"lr": 0.01, "momentum": 0.9, "steps": 50}}),
-    "DAPS": Solver(sampler_ddim_chain, corr_daps, noiser_direct, {"eta": 0.0}),
+    "DAPS": Solver(sampler_ddim_chain, corr_daps, noiser_direct, {}),
 }
 ALGORITHMS = tuple(SOLVERS)
 # the driver dispatches correctors through this view of SOLVERS, so that a

@@ -1,4 +1,6 @@
-"""VP diffusion schedule, analytic Gaussian-mixture score model, and DDIM stepping.
+"""VP diffusion schedule, analytic Gaussian-mixture score model, and
+deterministic DDIM stepping (the solvers' stochastic DDIM noiser is
+`canonical.noiser_ddim`).
 
 The mixture replaces a neural noise predictor: its score, Jacobian-vector
 products, and posterior mean are exact, so the solvers built on top can be
@@ -258,36 +260,24 @@ def gmm_eps_jvp(prior, schedule, x, t: int, v, whitened=None) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def _ddim_c(ab_f, ab_t, eta: float, t_from, t_to) -> tuple:
-    """DDIM noiser coefficients (c1, c2) of the steps t_from -> t_to from
-    alphabar at each end, ab_f and ab_t: floats, or arrays taken elementwise
-    (t_from and t_to then lists); c1^2 + c2^2 = 1 - ab_t."""
-    c1 = eta * np.sqrt(np.maximum(0.0, 1.0 - ab_f / ab_t)) * np.sqrt((1.0 - ab_t) / (1.0 - ab_f))
-    rad = 1.0 - ab_t - c1 * c1
-    if rad.min() < -1e-12:
-        i = int(np.flatnonzero(np.ravel(rad) < -1e-12)[0])
-        raise FloatingPointError(f"negative c2 radicand {np.ravel(rad)[i]} at "
-                                 f"({np.ravel(t_from)[i]},{np.ravel(t_to)[i]})")
-    return c1, np.sqrt(np.maximum(0.0, rad))
-
-
-def _step_table(prior, schedule, t_from, t_to, eta: float) -> tuple:
+def _step_table(prior, schedule, t_from, t_to) -> tuple:
     """Constants of the DDIM steps t_from[i] -> t_to[i] < t_from[i] (two
     lists), as columns: the mixture's `_constants` at t_from, then
-    sqrt(alphabar) at t_to, c1 and c2, each with the operations of a one-step
-    call, elementwise."""
+    sqrt(alphabar) and sigma = sqrt(1 - alphabar) at t_to, each with the
+    operations of a one-step call, elementwise."""
     ab_f, ab_t = schedule.alphabars(t_from), schedule.alphabars(t_to)
-    return prior._constants(ab_f) + (np.sqrt(ab_t),) + _ddim_c(ab_f, ab_t, eta, t_from, t_to)
+    return prior._constants(ab_f) + (np.sqrt(ab_t), np.sqrt(1.0 - ab_t))
 
 
-def _ddim_step(prior, row, x: np.ndarray, shape, stream) -> np.ndarray:
-    """One DDIM step of a batch x (..., B, d) with one row of `_step_table`;
-    the fresh noise is drawn in `shape`, the caller's shape of x."""
-    sqrt_ab, sigma, _, _, _, sqrt_ab_to, c1, c2 = row
+def _ddim_step(prior, row, x: np.ndarray) -> np.ndarray:
+    """One deterministic DDIM step of a batch x (..., B, d) with one row of
+    `_step_table`."""
+    sqrt_ab, sigma, _, _, _, sqrt_ab_to, sigma_to = row
     r, y, _ = prior._resp_and_whitened(row, x)
-    # one eps serves both the Tweedie estimate x0 and the c2 term; the step
-    # owns y, so it scales y and builds sqrt_ab_to * ((x - sigma*eps) / sqrt_ab)
-    # + c2*eps + c1*z in place, in that order: the bits of `gmm_eps` and the update
+    # one eps serves both the Tweedie estimate x0 and the sigma_to term; the
+    # step owns y, so it scales y and builds
+    # sqrt_ab_to * ((x - sigma*eps) / sqrt_ab) + sigma_to*eps in place, in
+    # that order: the bits of `gmm_eps` and the update
     scaled = prior._blocks(y)
     scaled *= r[..., None]
     eps = y @ prior._basis_t
@@ -296,13 +286,9 @@ def _ddim_step(prior, row, x: np.ndarray, shape, stream) -> np.ndarray:
     np.subtract(x, out, out=out)
     out /= sqrt_ab
     out *= sqrt_ab_to
-    if c2 != 0.0:
-        eps *= c2
+    if sigma_to != 0.0:
+        eps *= sigma_to
         out += eps
-    if c1 != 0.0:
-        z = stream.standard_normal(shape)
-        z *= c1
-        out += z
     return out
 
 
@@ -311,46 +297,31 @@ def _ddim_step(prior, row, x: np.ndarray, shape, stream) -> np.ndarray:
 _TABLE_BLOCK = 16
 
 
-def _ddim_steps(prior, schedule, x: np.ndarray, t_from, t_to, eta: float, stream) -> np.ndarray:
+def _ddim_steps(prior, schedule, x: np.ndarray, t_from, t_to) -> np.ndarray:
     """The DDIM steps t_from[i] -> t_to[i] < t_from[i] (two lists) in turn
     from x; each block of _TABLE_BLOCK steps reads its constants from one
     `_step_table`."""
     out, squeeze = _as_batch(x)
     for i in range(0, len(t_from), _TABLE_BLOCK):
         block = slice(i, i + _TABLE_BLOCK)
-        for row in _rows(_step_table(prior, schedule, t_from[block], t_to[block], eta)):
-            out = _ddim_step(prior, row, out, x.shape, stream)
+        for row in _rows(_step_table(prior, schedule, t_from[block], t_to[block])):
+            out = _ddim_step(prior, row, out)
     return out[0] if squeeze else out
 
 
-def ddim_step(
-    prior,
-    schedule,
-    x,
-    t_from: int,
-    t_to: int,
-    eta: float = 0.0,
-    stream: RngStream | None = None,
-) -> np.ndarray:
-    """One DDIM step from t_from down to t_to; t_from == t_to is identity."""
+def ddim_step(prior, schedule, x, t_from: int, t_to: int) -> np.ndarray:
+    """One deterministic DDIM step from t_from down to t_to; t_from == t_to
+    is identity."""
     x = np.asarray(x, dtype=float)
     if t_from == t_to:
         return x.copy()
     if t_from < t_to:
         raise InvalidGridError(f"t_from={t_from} must exceed t_to={t_to}")
-    return _ddim_steps(prior, schedule, x, [t_from], [t_to], eta, stream)
+    return _ddim_steps(prior, schedule, x, [t_from], [t_to])
 
 
-def ddim_run(
-    prior,
-    schedule,
-    x,
-    t_start: int,
-    k_steps: int,
-    eta: float = 0.0,
-    stream: RngStream | None = None,
-) -> np.ndarray:
-    """k_steps DDIM steps along an even sub-grid from t_start to 0.
+def ddim_run(prior, schedule, x, t_start: int, k_steps: int) -> np.ndarray:
+    """k_steps deterministic DDIM steps along an even sub-grid from t_start to 0.
 
     Equal to the chain of `ddim_step` calls bit for bit, with the constants
     of the whole sub-grid built in blocks; the identity steps where rounded
@@ -366,4 +337,4 @@ def ddim_run(
     ts = [round(i * t_start / k_steps) for i in range(k_steps, -1, -1)]
     t_from = [a for a, b in zip(ts, ts[1:]) if a != b]
     t_to = [b for a, b in zip(ts, ts[1:]) if a != b]
-    return _ddim_steps(prior, schedule, x, t_from, t_to, eta, stream)
+    return _ddim_steps(prior, schedule, x, t_from, t_to)

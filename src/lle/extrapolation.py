@@ -351,7 +351,7 @@ def generate_references(prior, schedule, config: TrainConfig):
     step count, so one set serves a sweep.
     """
     x = RngStream(config.base_seed).child(11).standard_normal((config.n_refs, prior.d))
-    return dif.ddim_run(prior, schedule, x, schedule.T, config.ref_steps, eta=0.0)
+    return dif.ddim_run(prior, schedule, x, schedule.T, config.ref_steps)
 
 
 def _learning_rate(config: TrainConfig, schedule, grid: dif.TimeGrid, idx: int) -> float:

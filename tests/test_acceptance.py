@@ -300,7 +300,7 @@ def test_criterion_11_ddim_sampling_fidelity():
     prior = dif.GaussianMixturePrior(weights, means, covs)
     n = 4000
     x = RngStream(218).standard_normal((n, 4))
-    samples = dif.ddim_run(prior, schedule, x, schedule.T, 500, eta=0.0)
+    samples = dif.ddim_run(prior, schedule, x, schedule.T, 500)
     d0 = np.linalg.norm(samples - means[0], axis=1)
     d1 = np.linalg.norm(samples - means[1], axis=1)
     assign = (d1 < d0).astype(int)  # 1 -> second component

@@ -78,7 +78,7 @@ def test_sampler_daps_uses_ddim_chain(schedule, small_prior):
         stream=RngStream(0),
     )
     out = canon.sample_phi(params, ctx)
-    expected = dif.ddim_run(small_prior, schedule, x, 600, 3, eta=0.0)
+    expected = dif.ddim_run(small_prior, schedule, x, 600, 3)
     assert np.array_equal(out, expected)
 
 
@@ -849,20 +849,29 @@ def test_guided_step_whitens_once_and_matches_separate_calls(
 # ---------------------------------------------------------------------------
 
 
-def test_noiser_ddim_exact_reconstruction(schedule, small_prior):
+@pytest.mark.parametrize("t_i, t_prev", [(500, 250), (250, 0)])
+@pytest.mark.parametrize("eta", [0.5, 0.85, 1.0])
+def test_noiser_ddim_exact_reconstruction(schedule, small_prior, eta, t_i, t_prev):
     stream = RngStream(70)
-    ctx = make_ctx(small_prior, schedule, RngStream(71).standard_normal(6), 500, 250,
+    ctx = make_ctx(small_prior, schedule, RngStream(71).standard_normal(6), t_i, t_prev,
                    stream=stream)
     xhat = RngStream(72).standard_normal(6)
     predicted_noise = clone(stream).standard_normal((6,))
-    out = canon.noiser_ddim(xhat, ctx, None, with_eta("DPS", 0.85))
-    c1, c2 = scalar_ddim_coeffs(schedule, 500, 250, 0.85)
+    out = canon.noiser_ddim(xhat, ctx, None, with_eta("DPS", eta))
+    c1, c2 = scalar_ddim_coeffs(schedule, t_i, t_prev, eta)
     expected = (
-        math.sqrt(schedule.alphabar(250)) * xhat
+        math.sqrt(schedule.alphabar(t_prev)) * xhat
         + c2 * ctx.eps_cached
         + c1 * predicted_noise
     )
     assert np.array_equal(out, expected)
+
+
+def test_noiser_ddim_rejects_negative_radicand(schedule, small_prior):
+    # eta <= 1 keeps c1^2 <= 1 - ab_prev, so only an oversized eta drives it negative
+    ctx = make_ctx(small_prior, schedule, RngStream(91).standard_normal(6), 500, 250)
+    with pytest.raises(FloatingPointError, match=r"at \(500,250\)"):
+        canon.noiser_ddim(np.zeros(6), ctx, None, with_eta("DPS", 5.0))
 
 
 def test_noiser_ddim_deterministic_at_zero_eta(schedule, small_prior):
@@ -906,7 +915,7 @@ def test_noiser_diffpir_zero_eta_is_ddim_step(schedule, small_prior):
     ctx = make_ctx(small_prior, schedule, x_t, 500, 250)
     xhat = ctx.x0_sampled
     out = canon.noiser_diffpir(xhat, ctx, None, with_eta("DiffPIR", 0.0))
-    expected = dif.ddim_step(small_prior, schedule, x_t, 500, 250, eta=0.0)
+    expected = dif.ddim_step(small_prior, schedule, x_t, 500, 250)
     assert np.max(np.abs(out - expected)) < 1e-12
 
 

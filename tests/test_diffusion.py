@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lle import canonical as canon
 from lle import diffusion as dif
 from lle import harness
-from lle.numerics import RngStream, RowStreams
+from lle.numerics import RngStream
 
 from conftest import random_mixture, random_spd, scalar_ddim_coeffs, tweedie
 
@@ -355,12 +356,21 @@ def test_prior_sampling_uses_cholesky_draws():
 # ---------------------------------------------------------------------------
 
 
-def test_ddim_coeff_variance_identity(schedule):
+def test_ddim_coeff_variance_identity(schedule, small_prior, monkeypatch):
+    # the stochastic DDIM noiser's (c1, c2) split the variance 1 - alphabar(t_prev)
+    seen = []
+    monkeypatch.setattr(canon, "_ddim_noise", lambda xhat, ctx, c1, c2: seen.append((c1, c2)))
     for S in (2, 5, 10):
         ts = dif.make_time_grid(schedule, S).timesteps
         for t_from, t_to in zip(ts[:-1], ts[1:]):
+            ctx = canon.StepContext(x_t=np.zeros(6), t_i=t_from, t_prev=t_to,
+                                    prior=small_prior, schedule=schedule, stream=RngStream(0))
             for eta in (0.0, 0.5, 0.85, 1.0):
-                c1, c2 = scalar_ddim_coeffs(schedule, t_from, t_to, eta)
+                params = canon.default_params("DPS")
+                params.eta = eta
+                canon.noiser_ddim(np.zeros(6), ctx, None, params)
+                c1, c2 = seen.pop()
+                assert (c1, c2) == scalar_ddim_coeffs(schedule, t_from, t_to, eta)
                 assert abs(c1 * c1 + c2 * c2 - (1.0 - schedule.alphabar(t_to))) < 1e-12
 
 
@@ -376,7 +386,7 @@ def test_ddim_step_rejects_upward(schedule, small_prior):
 
 def test_ddim_step_to_zero_is_tweedie(schedule, small_prior):
     x = RngStream(26).standard_normal(6)
-    out = dif.ddim_step(small_prior, schedule, x, 600, 0, eta=0.0)
+    out = dif.ddim_step(small_prior, schedule, x, 600, 0)
     assert np.max(np.abs(out - tweedie(small_prior, schedule, x, 600))) < 1e-14
 
 
@@ -395,34 +405,25 @@ def test_ddim_step_evaluates_eps_once(schedule, small_prior, monkeypatch):
         return [math.sqrt(schedule.alphabar(t)) for t in ts]
 
     x = RngStream(31).standard_normal((4, 6))
-    dif.ddim_step(small_prior, schedule, x, 600, 300, eta=0.5, stream=RngStream(2))
+    dif.ddim_step(small_prior, schedule, x, 600, 300)
     assert calls == sqrt_ab([600])
-    dif.ddim_run(small_prior, schedule, x, 900, 6, eta=0.0)
+    dif.ddim_run(small_prior, schedule, x, 900, 6)
     assert calls == sqrt_ab([600, 900, 750, 600, 450, 300, 150])
     # colliding grid points (k_steps > t_start) are identity steps and whiten nothing
     calls.clear()
-    dif.ddim_run(small_prior, schedule, x, 3, 6, eta=0.0)
+    dif.ddim_run(small_prior, schedule, x, 3, 6)
     assert calls == sqrt_ab([3, 2, 1])
 
 
 @pytest.mark.parametrize("shape", [(6,), (4, 6), (3, 1, 6)])
 def test_ddim_step_is_the_ddim_update_bit_for_bit(schedule, small_prior, shape):
-    # sqrt(ab_to) x0 + c2 eps + c1 z with x0 the Tweedie estimate from eps
+    # sqrt(ab_to) x0 + sigma_to eps with x0 the Tweedie estimate from eps
     x = RngStream(32).standard_normal(shape)
     eps = dif.gmm_eps(small_prior, schedule, x, 600)
     x0 = (x - schedule.sigma(600) * eps) / math.sqrt(schedule.alphabar(600))
-    c1, c2 = scalar_ddim_coeffs(schedule, 600, 300, 0.5)
-    z = RngStream(2).standard_normal(shape)
-    expected = math.sqrt(schedule.alphabar(300)) * x0 + c2 * eps + c1 * z
-    got = dif.ddim_step(small_prior, schedule, x, 600, 300, eta=0.5, stream=RngStream(2))
+    expected = math.sqrt(schedule.alphabar(300)) * x0 + schedule.sigma(300) * eps
+    got = dif.ddim_step(small_prior, schedule, x, 600, 300)
     assert got.tobytes() == expected.tobytes()
-
-
-def test_ddim_step_stochastic_determinism(schedule, small_prior):
-    x = RngStream(27).standard_normal(6)
-    a = dif.ddim_step(small_prior, schedule, x, 600, 300, eta=1.0, stream=RngStream(1))
-    b = dif.ddim_step(small_prior, schedule, x, 600, 300, eta=1.0, stream=RngStream(1))
-    assert np.array_equal(a, b)
 
 
 def test_ddim_run_telescopes_for_unit_gaussian(schedule):
@@ -437,14 +438,14 @@ def test_ddim_run_telescopes_for_unit_gaussian(schedule):
         ab_f, ab_t = schedule.alphabar(t_f), schedule.alphabar(t_t)
         _, c2 = scalar_ddim_coeffs(schedule, t_f, t_t, 0.0)
         coef *= math.sqrt(ab_t * ab_f) + c2 * math.sqrt(1.0 - ab_f)
-    out = dif.ddim_run(prior, schedule, x, t_start, k, eta=0.0)
+    out = dif.ddim_run(prior, schedule, x, t_start, k)
     assert np.max(np.abs(out - coef * x)) < 1e-12
 
 
 def test_ddim_run_single_step_equals_step(schedule, small_prior):
     x = RngStream(29).standard_normal(6)
-    a = dif.ddim_run(small_prior, schedule, x, 500, 1, eta=0.0)
-    b = dif.ddim_step(small_prior, schedule, x, 500, 0, eta=0.0)
+    a = dif.ddim_run(small_prior, schedule, x, 500, 1)
+    b = dif.ddim_step(small_prior, schedule, x, 500, 0)
     assert np.array_equal(a, b)
 
 
@@ -460,26 +461,26 @@ def test_step_table_rows_equal_per_step_scalars(schedule, d):
     prior = random_mixture(40 + d, d, 3)
     t_from = [1000, 999, 731, 500, 17, 2, 1]
     t_to = [999, 731, 500, 17, 2, 1, 0]
-    for eta in (0.0, 0.5, 1.0):
-        table = dif._step_table(prior, schedule, t_from, t_to, eta)
-        assert table[2].shape == table[4].shape == (len(t_from), 3 * d)
-        for row, tf, tt in zip(dif._rows(table), t_from, t_to):
-            sqrt_ab, sigma, w, lognorm, mean_coords, sqrt_ab_to, c1, c2 = row
-            ab = schedule.alphabar(tf)
-            ev = ab * prior._lam + (1.0 - ab)
-            expected_lognorm = np.log(prior.weights) - 0.5 * (
-                np.log(ev).sum(axis=1) + d * math.log(2.0 * math.pi)
-            )
-            assert sqrt_ab == math.sqrt(ab)
-            assert sigma == schedule.sigma(tf)
-            assert w.tobytes() == (1.0 / ev).tobytes()
-            assert lognorm.tobytes() == expected_lognorm.tobytes()
-            assert mean_coords.tobytes() == (math.sqrt(ab) * prior._mean_coords).tobytes()
-            assert sqrt_ab_to == math.sqrt(schedule.alphabar(tt))
-            assert (c1, c2) == scalar_ddim_coeffs(schedule, tf, tt, eta)
-            one_row = dif._mixture_row(prior, schedule, tf)
-            assert one_row[2].tobytes() == w.tobytes()
-            assert one_row[4].tobytes() == mean_coords.tobytes()
+    table = dif._step_table(prior, schedule, t_from, t_to)
+    assert table[2].shape == table[4].shape == (len(t_from), 3 * d)
+    for row, tf, tt in zip(dif._rows(table), t_from, t_to):
+        sqrt_ab, sigma, w, lognorm, mean_coords, sqrt_ab_to, sigma_to = row
+        ab = schedule.alphabar(tf)
+        ev = ab * prior._lam + (1.0 - ab)
+        expected_lognorm = np.log(prior.weights) - 0.5 * (
+            np.log(ev).sum(axis=1) + d * math.log(2.0 * math.pi)
+        )
+        assert sqrt_ab == math.sqrt(ab)
+        assert sigma == schedule.sigma(tf)
+        assert w.tobytes() == (1.0 / ev).tobytes()
+        assert lognorm.tobytes() == expected_lognorm.tobytes()
+        assert mean_coords.tobytes() == (math.sqrt(ab) * prior._mean_coords).tobytes()
+        assert sqrt_ab_to == math.sqrt(schedule.alphabar(tt))
+        # the eta = 0 noiser's c2, the coefficient the step replaces
+        assert sigma_to == scalar_ddim_coeffs(schedule, tf, tt, 0.0)[1]
+        one_row = dif._mixture_row(prior, schedule, tf)
+        assert one_row[2].tobytes() == w.tobytes()
+        assert one_row[4].tobytes() == mean_coords.tobytes()
 
 
 def test_ddim_run_rejects_bad_grids(schedule, small_prior):
@@ -495,29 +496,20 @@ def test_ddim_run_rejects_bad_grids(schedule, small_prior):
     rows=st.integers(1, 3),
     t_start=st.integers(1, 1000),
     k_steps=st.integers(1, 150),
-    eta=st.sampled_from([0.0, 0.5]),
     seed=st.integers(0, 2**31 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_ddim_run_equals_chain_of_steps(schedule, shape, d, rows, t_start, k_steps, eta, seed):
+def test_ddim_run_equals_chain_of_steps(schedule, shape, d, rows, t_start, k_steps, seed):
     # the tabled run replays one `ddim_step` per grid pair bit for bit, across
     # table blocks and through the identity steps of colliding grid points
     prior = random_mixture(seed % 97, d, 2)
     lead = {"d": (), "Bd": (rows,), "N1d": (rows, 1)}[shape]
     x = RngStream(seed, 1).standard_normal(lead + (d,))
-
-    def stream():
-        if eta == 0.0:
-            return None
-        if shape == "N1d":
-            return RowStreams(RngStream(seed, 100 + i) for i in range(rows))
-        return RngStream(seed, 2)
-
-    got = dif.ddim_run(prior, schedule, x, t_start, k_steps, eta=eta, stream=stream())
+    got = dif.ddim_run(prior, schedule, x, t_start, k_steps)
     ts = [round(i * t_start / k_steps) for i in range(k_steps, -1, -1)]
-    chain, s = x, stream()
+    chain = x
     for t_from, t_to in zip(ts[:-1], ts[1:]):
-        chain = dif.ddim_step(prior, schedule, chain, t_from, t_to, eta=eta, stream=s)
+        chain = dif.ddim_step(prior, schedule, chain, t_from, t_to)
     assert got.shape == x.shape
     assert got.tobytes() == chain.tobytes()
 

@@ -296,6 +296,9 @@ def test_coefficients_file_that_is_no_json_names_file_line_and_column(tmp_path, 
     (False, "steps", "2", "steps must be an integer, got '2'"),
     (False, "gamma", [[1.0], [0.0, "x"]], "gamma[1][1] must be a finite number, got 'x'"),
     (True, "gamma_perp", [[0.5]], "gamma_perp must have 2 entries, one per step, got 1"),
+    # an int past the largest float, which float() cannot convert
+    pytest.param(False, "gamma", [[10**400], [0.0, 1.0]],
+                 f"gamma[0][0] must be a finite number, got {10**400}", id="gamma-huge-int"),
 ])
 def test_coefficients_file_with_a_bad_key_names_the_file(tmp_path, decoupled, key, value, error):
     path = tmp_path / "coeffs.json"

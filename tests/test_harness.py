@@ -185,6 +185,9 @@ def test_load_config_rejects_bad_lle_value(tmp_path, bad, key):
     ({"peak": -2.0}, "peak"),
     ({"seeds": {"train": "5", "test": 6}}, "seeds.train"),
     ({"lle": [4]}, "lle"),
+    # JSON reads 10**400 as an exact int, past the largest float
+    ({"task": {"operator": {"kind": "mask", "keep_ratio": 0.5, "seed": 1}, "sigma_y": 10**400}},
+     "task.sigma_y must be a finite number"),
 ])
 def test_load_config_rejects_bad_top_level_value(tmp_path, bad, key):
     path = write_config(tmp_path / "cfg.json", **bad)

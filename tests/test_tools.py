@@ -82,6 +82,17 @@ def test_grid_runs_ddrm_partial_blend_on_each_operator(compare):
     assert compare._group(name, groups) == ("metrics", "DDRM", "none", "-")
 
 
+def test_grid_runs_dps_partial_eta_on_each_operator(compare):
+    # the DDIM noiser with both c1 and c2 non-zero, which no preset reaches
+    partial = [(name, calls) for name, cfg, calls in compare.grid_plan(3)
+               if cfg["algorithm"].get("eta") == 0.5]
+    assert partial == [("dps-mask-base-eta", ("run", "eval")),
+                       ("dps-dense-base-eta", ("run", "eval"))]
+    groups = compare.fit_groups([3])
+    name = os.path.join("3", "grid", "metrics-dps-dense-base-eta.csv")
+    assert compare._group(name, groups) == ("metrics", "DPS", "none", "-")
+
+
 def test_grid_runs_a_gen_prior_file_through_prior_file(compare):
     # the prior writer and the prior-file reader are compared too
     entries = [(name, cfg["prior"], calls) for name, cfg, calls in compare.grid_plan(3)

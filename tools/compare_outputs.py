@@ -11,10 +11,12 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
 - an LLE grid: DDRM, DDNM, DPS and DiffPIR x mask and dense operator x coupled
   and decoupled x closed-form and first-order fit, each with ``train``,
   ``run --coeffs`` and ``sweep``, plus one base (identity) ``run`` per
-  algorithm and operator, and one DDRM base ``run`` per operator at
-  ``eta_b`` 0.5 (the spectral corrector's partial blend, which neither
-  preset reaches), each followed by ``eval --oracle`` on its output, so the
-  posterior oracle's numerics are compared too;
+  algorithm and operator, one DDRM base ``run`` per operator at ``eta_b``
+  0.5 (the spectral corrector's partial blend, which neither preset
+  reaches), and one DPS base ``run`` per operator at ``eta`` 0.5 (the DDIM
+  noiser with both c1 and c2 non-zero, which no preset reaches), each
+  followed by ``eval --oracle`` on its output, so the posterior oracle's
+  numerics are compared too;
 - one DDNM base ``run`` and ``eval --oracle`` whose config reads the grid's
   prior through ``prior.file``, from a file that ``gen-prior`` writes first,
   so the prior writer and the prior-file reader are compared too;
@@ -112,6 +114,10 @@ def grid_plan(seed: int) -> list:
         cfg = _grid_config(prior_seed, "DDRM", operator, 5, "none")
         cfg["algorithm"]["eta_b"] = 0.5
         plan.append((f"ddrm-{op_name}-base-blend", cfg, ("run", "eval")))
+    for op_name, operator in operators.items():
+        cfg = _grid_config(prior_seed, "DPS", operator, 5, "none")
+        cfg["algorithm"]["eta"] = 0.5
+        plan.append((f"dps-{op_name}-base-eta", cfg, ("run", "eval")))
     cfg = _grid_config(prior_seed, "DDNM", operators["mask"], 5, "none")
     plan.append(("ddnm-mask-base-prior-file", cfg, ("gen-prior", "run", "eval")))
     variants = {
