@@ -33,20 +33,9 @@ import numpy as np
 
 from . import diffusion as dif
 from . import operators as ops
+from .errors import ConfigError, ConvergenceError
 from .numerics import RngStream, RowStreams
 from .optim import ScheduleFreeAdamW
-
-
-class UnsupportedOperatorError(TypeError):
-    pass
-
-
-class ConvergenceError(RuntimeError):
-    pass
-
-
-class ConfigurationError(ValueError):
-    pass
 
 
 # annotation -> (accepted type, what an error asks for), "list[T]" checking each entry
@@ -69,7 +58,7 @@ def _check(name: str, value, kind: str, choices, optional: bool, bounds: dict) -
     if value is None and optional:
         return
     if choices is not None and value not in choices:
-        raise ConfigurationError(f"{name} must be one of {list(choices)}, got {value!r}")
+        raise ConfigError(f"{name} must be one of {list(choices)}, got {value!r}")
     if kind.startswith("list["):  # a list whose every entry obeys the rule, bounds included
         _check(name, value, "list", None, False, {})
         for i, item in enumerate(value):
@@ -81,11 +70,11 @@ def _check(name: str, value, kind: str, choices, optional: bool, bounds: dict) -
         # largest float, so NaN, inf and an int too large to convert all fail
         if (isinstance(value, bool) != (kind == "bool") or not isinstance(value, accepted)
                 or kind == "float" and not abs(value) <= sys.float_info.max):
-            raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
     for bound, limit in bounds.items():
         holds, sign = _BOUNDS[bound]
         if not holds(value, limit):
-            raise ConfigurationError(f"{name} must be {sign} {limit}, got {value!r}")
+            raise ConfigError(f"{name} must be {sign} {limit}, got {value!r}")
 
 
 class ConfigBlock:
@@ -111,11 +100,11 @@ class ConfigBlock:
         (absent: the defaults) and nested blocks recurse. A non-object, an
         unknown key or a missing required key is an error naming its path."""
         if not isinstance(obj, dict):
-            raise ConfigurationError(f"{cls.block or cls.__name__} must be an object, got {obj!r}")
+            raise ConfigError(f"{cls.block or cls.__name__} must be an object, got {obj!r}")
         by_key = {f.metadata.get("key") or f.name: f for f in fields(cls) if f.init}
         unknown = [cls._path(key) for key in sorted(set(obj) - set(by_key))]
         if unknown:
-            raise ConfigurationError(f"unknown config key(s) {', '.join(unknown)}")
+            raise ConfigError(f"unknown config key(s) {', '.join(unknown)}")
         values = {}
         for key, f in by_key.items():
             nested = vars(sys.modules[cls.__module__]).get(f.type)
@@ -126,7 +115,7 @@ class ConfigBlock:
             elif base is not None:
                 values[f.name] = getattr(base, f.name)
             elif f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigurationError(f"missing config key {cls._path(key)}")
+                raise ConfigError(f"missing config key {cls._path(key)}")
         return cls(**values)
 
     @classmethod
@@ -140,7 +129,7 @@ def parse_json(text: str, where: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{where} is not valid JSON: {exc.msg} at line {exc.lineno}"
+        raise ConfigError(f"{where} is not valid JSON: {exc.msg} at line {exc.lineno}"
                                  f" column {exc.colno}") from exc
 
 
@@ -152,7 +141,7 @@ def read_json(path):
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
-        raise ConfigurationError(f"{path} cannot be read: {reason}") from exc
+        raise ConfigError(f"{path} cannot be read: {reason}") from exc
     return parse_json(text, str(path))
 
 
@@ -169,7 +158,7 @@ class DAPSParams(ConfigBlock):
     def __post_init__(self):
         super().__post_init__()
         if self.sigma_langevin == 0.0 and not self.noiseless_linear:
-            raise ConfigurationError(
+            raise ConfigError(
                 f"{self._path('sigma_langevin')} must be > 0 unless"
                 f" {self._path('noiseless_linear')} is true"
             )
@@ -496,7 +485,7 @@ def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
     r2 = 1.0 - ctx.ab
     if obs.is_linear or daps.noiseless_linear:
         if not obs.is_linear:
-            raise UnsupportedOperatorError("DAPS noiseless_linear requires a linear operator")
+            raise ConfigError("DAPS noiseless_linear requires a linear operator")
         op = obs.op
         # the noiseless data term is (1/(2 eta_t)) ||A x - y||^2, so eta_t w = 1
         eta_w = 1.0 if daps.noiseless_linear else eta_t / sigma**2
@@ -603,7 +592,7 @@ def noiser_ddrm(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams
     rad = sig_prev**2 - obs.sigma_y**2 * params.eta_b**2 * ctx.ab_prev / op.s**2
     rad = np.where(middle, 0.0, rad)
     if np.any(rad < -1e-12):
-        raise ConfigurationError(
+        raise ConfigError(
             f"{params.algorithm} noiser radicand is negative; check sigma_y and eta_b"
         )
     eps = ctx.stream.standard_normal(xhat.shape)
@@ -729,7 +718,7 @@ def run_with_combiner(
     corrected estimate before the noiser; history holds the combiner outputs
     of earlier steps (oldest first). Returns the final estimate at t_1
     (identical to x_{t_0} for the DDIM-family noisers since alphabar_0 = 1).
-    A solver that needs a linear operator raises UnsupportedOperatorError on
+    A solver that needs a linear operator raises ConfigError on
     a nonlinear one here, before the first draw.
 
     Determinism: every product and reduction runs over the last two axes
@@ -739,7 +728,7 @@ def run_with_combiner(
     batch, as training uses, does not have that property.
     """
     if SOLVERS[params.algorithm].linear and not obs.is_linear:
-        raise UnsupportedOperatorError(f"{params.algorithm} requires a linear operator")
+        raise ConfigError(f"{params.algorithm} requires a linear operator")
     ts = grid.timesteps
     x = stream.standard_normal(obs.y.shape[:-1] + (prior.d,))
     history: list[np.ndarray] = []

@@ -2,6 +2,8 @@
 
 Subcommands: gen-prior, train, run, eval, sweep. Configurations
 are JSON files; arrays travel in the LLEF64 container (see numerics).
+An `LLEError` is printed as one line, `lle: <message>`, and the exit code
+is its kind's: 3 config, 4 divergence, 5 file format (see errors).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from . import extrapolation as lle
 from . import harness
+from .errors import LLEError
 from .numerics import load_array, save_array
 
 
@@ -67,11 +70,15 @@ def _cmd_eval(args):
 
 def _cmd_sweep(args):
     cfg = harness.load_config(args.config)
-    steps = [int(s) for s in args.steps.split(",")]
-    text = harness.sweep(cfg, steps)
+    text = harness.sweep(cfg, args.steps)
     with open(args.out, "w") as f:
         f.write(text)
-    print(f"wrote sweep results for S in {steps} to {args.out}")
+    print(f"wrote sweep results for S in {args.steps} to {args.out}")
+
+
+def int_list(text: str) -> list:
+    """The --steps value "3,5,10" as [3, 5, 10]; argparse reports a bad one as a usage error."""
+    return [int(s) for s in text.split(",")]
 
 
 @functools.cache  # built once per process: each parser holds reference cycles
@@ -109,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("sweep", help="train + evaluate across step counts")
     g.add_argument("--config", required=True)
-    g.add_argument("--steps", required=True, help="comma-separated, e.g. 3,4,5,7,10,15")
+    g.add_argument("--steps", required=True, type=int_list,
+                   help="comma-separated, e.g. 3,4,5,7,10,15")
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_sweep)
     return p
@@ -117,7 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except LLEError as exc:
+        print(f"lle: {exc}", file=sys.stderr)
+        return exc.exit_code
     return 0
 
 

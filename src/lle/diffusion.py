@@ -15,15 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .numerics import RngStream
-
-
-class BoundsError(IndexError):
-    pass
-
-
-class InvalidGridError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -35,14 +28,14 @@ class DiffusionSchedule:
 
     def alphabar(self, t: int) -> float:
         if not 0 <= t <= self.T:
-            raise BoundsError(f"timestep {t} outside [0, {self.T}]")
+            raise IndexError(f"timestep {t} outside [0, {self.T}]")
         return float(self.alphabar_table[t])
 
     def alphabars(self, ts) -> np.ndarray:
         """alphabar at each timestep of a list, checked like `alphabar`."""
         for t in (min(ts), max(ts)):
             if not 0 <= t <= self.T:
-                raise BoundsError(f"timestep {t} outside [0, {self.T}]")
+                raise IndexError(f"timestep {t} outside [0, {self.T}]")
         return self.alphabar_table[ts]
 
     def sigma(self, t: int) -> float:
@@ -70,10 +63,10 @@ class TimeGrid:
 def make_time_grid(schedule: DiffusionSchedule, S: int) -> TimeGrid:
     """Evenly spaced grid t_i = round(i*T/S), i = S..0."""
     if not 1 <= S <= schedule.T:
-        raise InvalidGridError(f"S={S} outside [1, {schedule.T}]")
+        raise ConfigError(f"S={S} outside [1, {schedule.T}]")
     ts = [round(i * schedule.T / S) for i in range(S, -1, -1)]
     if len(set(ts)) != len(ts):
-        raise InvalidGridError(f"rounded grid for S={S} collides: {ts}")
+        raise ConfigError(f"rounded grid for S={S} collides: {ts}")
     return TimeGrid(S=S, timesteps=tuple(ts))
 
 
@@ -316,7 +309,7 @@ def ddim_step(prior, schedule, x, t_from: int, t_to: int) -> np.ndarray:
     if t_from == t_to:
         return x.copy()
     if t_from < t_to:
-        raise InvalidGridError(f"t_from={t_from} must exceed t_to={t_to}")
+        raise ConfigError(f"t_from={t_from} must exceed t_to={t_to}")
     return _ddim_steps(prior, schedule, x, [t_from], [t_to])
 
 
@@ -328,12 +321,12 @@ def ddim_run(prior, schedule, x, t_start: int, k_steps: int) -> np.ndarray:
     grid points collide are skipped.
     """
     if k_steps < 1:
-        raise InvalidGridError("k_steps must be >= 1")
+        raise ConfigError("k_steps must be >= 1")
     x = np.asarray(x, dtype=float)
     if t_start == 0:
         return x.copy()
     if t_start < 0:
-        raise InvalidGridError(f"t_start={t_start} must not be negative")
+        raise ConfigError(f"t_start={t_start} must not be negative")
     ts = [round(i * t_start / k_steps) for i in range(k_steps, -1, -1)]
     t_from = [a for a, b in zip(ts, ts[1:]) if a != b]
     t_to = [b for a, b in zip(ts, ts[1:]) if a != b]

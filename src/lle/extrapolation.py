@@ -29,13 +29,10 @@ import numpy as np
 from . import canonical as canon
 from . import diffusion as dif
 from . import operators as ops
+from .errors import ConfigError, ConvergenceError
 from .canonical import rule
 from .numerics import RngStream, RowStreams
 from .optim import Adam, ScheduleFreeAdamW
-
-
-class TrainingDivergedError(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -94,19 +91,18 @@ class LLECoefficients(canon.ConfigBlock):
         parts = ("gamma_par", "gamma_perp") if self.decoupled else ("gamma",)
         for key in ("gamma", "gamma_par", "gamma_perp"):
             if key in parts and getattr(self, key) is None:
-                raise canon.ConfigurationError(f"missing config key {key}")
+                raise ConfigError(f"missing config key {key}")
             if key not in parts and getattr(self, key) is not None:
-                raise canon.ConfigurationError(
+                raise ConfigError(
                     f"{key} is not read when decoupled is {str(self.decoupled).lower()}")
         for key in ("timesteps",) + parts:
             if len(getattr(self, key)) != self.S:
-                raise canon.ConfigurationError(f"{key} must have {self.S} entries, one per step,"
+                raise ConfigError(f"{key} must have {self.S} entries, one per step,"
                                                f" got {len(getattr(self, key))}")
         for key in parts:
             for idx, v in enumerate(getattr(self, key)):
                 if len(v) != idx + 1:
-                    raise canon.ConfigurationError(
-                        f"{key}[{idx}] must have {idx + 1} entries, got {len(v)}")
+                    raise ConfigError(f"{key}[{idx}] must have {idx + 1} entries, got {len(v)}")
         self.theta = [np.array(sum(v, []), dtype=float)
                       for v in zip(*(getattr(self, key) for key in parts))]
 
@@ -134,7 +130,7 @@ class LLECoefficients(canon.ConfigBlock):
     @classmethod
     def from_json(cls, text: str) -> "LLECoefficients":
         """Parse a coefficients file; a bad, missing or unknown key is a
-        ConfigurationError naming it."""
+        ConfigError naming it."""
         return cls.from_dict(canon.parse_json(text, "the coefficients file"))
 
     def save(self, path) -> None:
@@ -148,8 +144,8 @@ class LLECoefficients(canon.ConfigBlock):
         obj = canon.read_json(path)
         try:
             return cls.from_dict(obj)
-        except canon.ConfigurationError as exc:
-            raise canon.ConfigurationError(f"{path}: {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +241,7 @@ class TrainConfig(canon.ConfigBlock):
     def __post_init__(self):
         super().__post_init__()
         if self.omega is not None and self.omega != 0.0 and self.plugin == "none":
-            raise canon.ConfigurationError("lle.omega is non-zero but lle.plugin is \"none\"")
+            raise ConfigError("lle.omega is non-zero but lle.plugin is \"none\"")
 
     def resolved_omega(self) -> float:
         if self.omega is not None:
@@ -267,9 +263,7 @@ def make_ground_truth(
     if not noisy_gt:
         return np.array(x0, copy=True)
     if not canon.SOLVERS[params.algorithm].noisy_gt:
-        raise canon.ConfigurationError(
-            f"noisy ground truth is not defined for {params.algorithm}"
-        )
+        raise ConfigError(f"noisy ground truth is not defined for {params.algorithm}")
     ctx = canon.StepContext(
         x_t=x0,
         t_i=t_i,
@@ -321,7 +315,7 @@ def train_timestep(ls: LeastSquares, init_theta, config: TrainConfig, lr_t: floa
     best_loss = ls.loss(theta)
     trace = [best_loss]
     if not math.isfinite(best_loss):
-        raise TrainingDivergedError(f"non-finite loss at timestep {t_i}")
+        raise ConvergenceError(f"non-finite loss at timestep {t_i}")
     if config.closed_form:
         cand = ls.solve()
         cand_loss = ls.loss(cand)
@@ -337,7 +331,7 @@ def train_timestep(ls: LeastSquares, init_theta, config: TrainConfig, lr_t: floa
         theta = opt.step(ls.grad(opt.eval_point()))  # a fresh copy of the parameters
         cur = ls.loss(theta)
         if not math.isfinite(cur):
-            raise TrainingDivergedError(f"training diverged at timestep {t_i}")
+            raise ConvergenceError(f"training diverged at timestep {t_i}")
         trace.append(cur)
         if cur < best_loss:
             best_loss = cur
@@ -386,7 +380,7 @@ def train(
     observation = ops.Observation(y=y, op=op, sigma_y=sigma_y)
     op = op if observation.is_linear else None  # the projections' operator
     if config.decoupled and op is None:
-        raise canon.ConfigurationError("decoupled coefficients require a linear operator")
+        raise ConfigError("decoupled coefficients require a linear operator")
     init_stream = base.child(14)
     ts = grid.timesteps
     thetas: list[np.ndarray] = []
@@ -430,13 +424,13 @@ def infer(
     `canonical.run_with_combiner`).
     """
     if tuple(coeffs.timesteps) != grid.timesteps[: grid.S]:
-        raise canon.ConfigurationError(
+        raise ConfigError(
             f"coefficients trained on timesteps {list(coeffs.timesteps)}, the config's"
             f" grid has {list(grid.timesteps[: grid.S])}"
         )
     op = obs.op if obs.is_linear else None
     if coeffs.decoupled and op is None:
-        raise canon.ConfigurationError("decoupled coefficients require a linear operator")
+        raise ConfigError("decoupled coefficients require a linear operator")
     if stream is None:
         stream = RngStream(seed, stream_id=0)
 

@@ -22,11 +22,10 @@ from . import diffusion as dif
 from . import extrapolation as lle
 from . import operators as ops
 from .canonical import ConfigBlock, rule
+from .errors import ConfigError
 from .numerics import MetricReport, RngStream, RowStreams, mse, psnr
 
 SIGMA_FLOOR = 1e-6
-
-ConfigError = canon.ConfigurationError
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +108,7 @@ class TaskSpec(ConfigBlock):
 @dataclass
 class ScheduleSpec(ConfigBlock):
     block = "schedule"
-    T: int = rule(1000, minimum=1)
+    T: int = rule(1000, minimum=1, maximum=100_000)  # the alphabar table: 8 (T + 1) bytes
     beta_start: float = rule(1e-4, above=0.0, below=1.0)
     beta_end: float = rule(0.02, above=0.0, below=1.0)
 
@@ -194,6 +193,8 @@ def load_config(path) -> ExperimentConfig:
     schedule = dif.linear_beta_schedule(sched.T, sched.beta_start, sched.beta_end)
     if not schedule.alphabar(sched.T) > 0.0:  # the sampler divides by sqrt(alphabar_t)
         raise ConfigError("schedule.beta_end is too large: alphabar_T underflows to 0")
+    if not schedule.alphabar(1) < 1.0:  # noiser_ddim divides by 1 - alphabar_t
+        raise ConfigError("schedule.beta_start is too small: alphabar_1 rounds to 1")
     _built("steps", dif.make_time_grid, schedule, top.steps)
     name = top.algorithm.get("name")
     preset = canon.default_params(name) if name in canon.ALGORITHMS else None
@@ -288,9 +289,13 @@ def evaluate(
     truth = np.atleast_2d(truth_batch)
     if recon.shape != truth.shape:
         raise ConfigError(f"batch shapes differ: {recon.shape} vs {truth.shape}")
+    oracle = None if oracle_means is None else np.atleast_2d(oracle_means)
+    if oracle is not None and oracle.shape != recon.shape:
+        raise ConfigError(f"the oracle means of the config's held-out batch have shape"
+                          f" {oracle.shape}, the reconstructions {recon.shape}")
     reports = []
     for i in range(recon.shape[0]):
-        o = None if oracle_means is None else mse(recon[i], oracle_means[i])
+        o = None if oracle is None else mse(recon[i], oracle[i])
         reports.append(MetricReport(mse=mse(recon[i], truth[i]),
                                     psnr_db=psnr(recon[i], truth[i], config.peak), oracle_mse=o))
     return reports

@@ -12,17 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FormatError
+
 ARRAY_MAGIC = b"LLEF64\n"
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _COUNTER_LIMIT = 2**190  # counter << 66 must fit Philox's 256-bit counter
-
-
-class FormatError(ValueError):
-    """Raised when an array file is malformed; message names the byte offset."""
-
-
-class DimensionError(ValueError):
-    """Raised on mismatched vector lengths."""
 
 
 # per thread, from its first draw on: (generator, its bit generator, the
@@ -140,7 +134,7 @@ class RowStreams:
     def standard_normal(self, shape) -> np.ndarray:
         streams = self.streams
         if shape[0] != len(streams):
-            raise DimensionError(f"{len(streams)} row streams, draw of shape {shape}")
+            raise ValueError(f"{len(streams)} row streams, draw of shape {shape}")
         # every counter is checked before any advances, so a failed draw moves none
         for stream in streams:
             _check_counter(stream.counter)
@@ -168,9 +162,7 @@ def save_array(path, rows: int, cols: int, data: np.ndarray) -> None:
     """
     flat = np.ascontiguousarray(data, dtype="<f8").reshape(-1)
     if flat.size != rows * cols:
-        raise DimensionError(
-            f"data has {flat.size} entries, expected {rows}x{cols}={rows * cols}"
-        )
+        raise ValueError(f"data has {flat.size} entries, expected {rows}x{cols}={rows * cols}")
     with open(path, "wb") as f:
         f.write(ARRAY_MAGIC)
         f.write(f"{rows} {cols}\n".encode("ascii"))
@@ -178,9 +170,13 @@ def save_array(path, rows: int, cols: int, data: np.ndarray) -> None:
 
 
 def load_array(path):
-    """Read an LLEF64 file; returns (rows, cols, data) with data shaped (rows, cols)."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    """Read an LLEF64 file; returns (rows, cols, data) with data shaped (rows, cols).
+    A file that cannot be read is a FormatError naming it."""
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as exc:
+        raise FormatError(f"{path} cannot be read: {exc.strerror or exc}") from exc
     if blob[: len(ARRAY_MAGIC)] != ARRAY_MAGIC:
         raise FormatError(f"bad magic at byte offset 0: {blob[:7]!r}")
     offset = len(ARRAY_MAGIC)
@@ -207,7 +203,7 @@ def mse(x: np.ndarray, ref: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if x.shape != ref.shape:
-        raise DimensionError(f"shape mismatch: {x.shape} vs {ref.shape}")
+        raise ValueError(f"shape mismatch: {x.shape} vs {ref.shape}")
     return float(np.mean((x - ref) ** 2))
 
 

@@ -14,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionError, RngStream
+from .errors import ConfigError
+from .numerics import RngStream
 
 _SVD_TOL = 1e-12
-
-
-class OperatorSpecError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -45,14 +42,14 @@ def apply(op: LinearOperator, x: np.ndarray) -> np.ndarray:
     """A x = U diag(s) V^T x, batched over the leading axis."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != op.n:
-        raise DimensionError(f"expected last dim {op.n}, got {x.shape[-1]}")
+        raise ValueError(f"expected last dim {op.n}, got {x.shape[-1]}")
     return ((x @ op.V) * op.s) @ op.U.T
 
 
 def apply_adjoint(op: LinearOperator, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != op.m:
-        raise DimensionError(f"expected last dim {op.m}, got {y.shape[-1]}")
+        raise ValueError(f"expected last dim {op.m}, got {y.shape[-1]}")
     return ((y @ op.U) * op.s) @ op.V.T
 
 
@@ -60,7 +57,7 @@ def pinv_apply(op: LinearOperator, y: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse: A^+ y = V diag(1/s) U^T y."""
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != op.m:
-        raise DimensionError(f"expected last dim {op.m}, got {y.shape[-1]}")
+        raise ValueError(f"expected last dim {op.m}, got {y.shape[-1]}")
     return ((y @ op.U) / op.s) @ op.V.T
 
 
@@ -68,7 +65,7 @@ def project(op: LinearOperator, x: np.ndarray, which: str) -> np.ndarray:
     """Range (V V^T x) or null (x - V V^T x) component of x."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != op.n:
-        raise DimensionError(f"expected last dim {op.n}, got {x.shape[-1]}")
+        raise ValueError(f"expected last dim {op.n}, got {x.shape[-1]}")
     rng = (x @ op.V) @ op.V.T
     if which == "range":
         return rng
@@ -113,7 +110,7 @@ class Observation:
 def _hadamard(n: int) -> np.ndarray:
     """Sylvester Walsh-Hadamard matrix; H^T H = n I exactly in integers."""
     if n & (n - 1) != 0 or n < 1:
-        raise OperatorSpecError(f"hadamard size {n} is not a power of two")
+        raise ConfigError(f"hadamard size {n} is not a power of two")
     H = np.array([[1]], dtype=np.int64)
     while H.shape[0] < n:
         H = np.block([[H, H], [H, -H]])
@@ -145,11 +142,11 @@ def _circulant_eigensystem(kernel_full: np.ndarray):
 def mask_operator(n: int, keep_indices) -> LinearOperator:
     keep = np.asarray(sorted(keep_indices), dtype=int)
     if keep.size == 0:
-        raise OperatorSpecError("mask must keep at least one coordinate")
+        raise ConfigError("mask must keep at least one coordinate")
     if keep.min() < 0 or keep.max() >= n:
-        raise OperatorSpecError("mask indices out of range")
+        raise ConfigError("mask indices out of range")
     if np.any(keep[1:] == keep[:-1]):  # a repeat gives V equal, not orthonormal, columns
-        raise OperatorSpecError("mask indices must be distinct")
+        raise ConfigError("mask indices must be distinct")
     r = keep.size
     V = np.zeros((n, r))
     V[keep, np.arange(r)] = 1.0
@@ -165,7 +162,7 @@ def random_mask_operator(n: int, keep_ratio: float, seed: int) -> LinearOperator
 
 def avgpool_operator(n: int, factor: int) -> LinearOperator:
     if n % factor != 0:
-        raise OperatorSpecError(f"n={n} not divisible by pooling factor {factor}")
+        raise ConfigError(f"n={n} not divisible by pooling factor {factor}")
     m = n // factor
     V = np.zeros((n, m))
     for k in range(m):
@@ -178,11 +175,11 @@ def blur_operator(n: int, kernel) -> LinearOperator:
     """Symmetric circular blur; diagonalized in the real cosine/sine basis."""
     kernel = np.asarray(kernel, dtype=float)
     if kernel.size % 2 != 1:
-        raise OperatorSpecError("blur kernel length must be odd")
+        raise ConfigError("blur kernel length must be odd")
     if not np.allclose(kernel, kernel[::-1]):
-        raise OperatorSpecError("blur kernel must be symmetric about its center")
+        raise ConfigError("blur kernel must be symmetric about its center")
     if kernel.size > n:
-        raise OperatorSpecError("kernel longer than signal")
+        raise ConfigError("kernel longer than signal")
     half = kernel.size // 2
     col = np.zeros(n)
     for offset in range(-half, half + 1):
@@ -198,7 +195,7 @@ def blur_operator(n: int, kernel) -> LinearOperator:
 def gaussian_kernel(width: int, sigma: float) -> np.ndarray:
     """Odd-length normalized Gaussian kernel for the blur operator."""
     if width % 2 != 1:
-        raise OperatorSpecError("kernel width must be odd")
+        raise ConfigError("kernel width must be odd")
     x = np.arange(width) - width // 2
     k = np.exp(-0.5 * (x / sigma) ** 2)
     return k / k.sum()
@@ -247,7 +244,7 @@ def build_operator(spec: dict):
         else:
             kernel = gaussian_kernel(spec.get("width", 5), spec.get("sigma", 1.0))
         return NonlinearOperator(kernel=np.asarray(kernel, dtype=float), scale=spec.get("scale", 1.0))
-    raise OperatorSpecError(f"unknown operator kind {kind!r}")
+    raise ConfigError(f"unknown operator kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +260,13 @@ class NonlinearOperator:
     def __post_init__(self):
         k = np.asarray(self.kernel, dtype=float)
         if k.size % 2 != 1:
-            raise OperatorSpecError("kernel length must be odd")
+            raise ConfigError("kernel length must be odd")
         if not np.allclose(k, k[::-1]):
-            raise OperatorSpecError("kernel must be symmetric")
+            raise ConfigError("kernel must be symmetric")
         if abs(k.sum() - 1.0) > 1e-12:
-            raise OperatorSpecError("kernel must be normalized to sum 1")
+            raise ConfigError("kernel must be normalized to sum 1")
         if self.scale <= 0:
-            raise OperatorSpecError("scale must be positive")
+            raise ConfigError("scale must be positive")
 
 
 def _circ_conv(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:

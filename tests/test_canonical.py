@@ -7,6 +7,7 @@ import pytest
 from lle import canonical as canon
 from lle import diffusion as dif
 from lle import operators as ops
+from lle.errors import ConfigError, ConvergenceError
 from lle.numerics import RngStream, RowStreams
 
 from conftest import random_mixture, random_spd, scalar_ddim_coeffs, tweedie
@@ -44,9 +45,9 @@ def with_eta(name: str, eta: float) -> canon.AlgoParams:
 
 
 def test_params_validation():
-    with pytest.raises(canon.ConfigurationError):
+    with pytest.raises(ConfigError):
         canon.AlgoParams(algorithm="SGLD")
-    with pytest.raises(canon.ConfigurationError):
+    with pytest.raises(ConfigError):
         canon.AlgoParams(algorithm="DPS", eta=1.5)
     for name in canon.ALGORITHMS:
         assert canon.default_params(name).algorithm == name
@@ -462,7 +463,7 @@ def test_daps_requires_noise_or_variant_flag(schedule, small_prior):
     ctx = make_ctx(small_prior, schedule, RngStream(66).standard_normal(6), 500, 250)
     params = canon.default_params("DAPS")
     # a zero Langevin sigma is rejected when the block is built, not per step
-    with pytest.raises(canon.ConfigurationError, match=r"algorithm\.daps\.sigma_langevin"):
+    with pytest.raises(ConfigError, match=r"algorithm\.daps\.sigma_langevin"):
         canon.DAPSParams(sigma_langevin=0.0)
     params.daps = canon.DAPSParams(sigma_langevin=0.0, noiseless_linear=True)
     out = canon.corr_daps(ctx, obs, params)
@@ -538,7 +539,7 @@ def _resample_reference(x0, obs, lr, momentum, steps):
         x = x + vel
         cur = loss(x)
         if not np.isfinite(cur) or cur > limit:
-            raise canon.ConvergenceError("inner optimizer diverged")
+            raise ConvergenceError("inner optimizer diverged")
     return x
 
 
@@ -661,7 +662,7 @@ def test_daps_noiseless_variant_rejects_nonlinear(schedule, small_prior):
     obs, ctx = _inner_loop_case(small_prior, schedule, "nonlinear", 1, 0.1, 321)
     params = canon.default_params("DAPS")
     params.daps.noiseless_linear = True
-    with pytest.raises(canon.UnsupportedOperatorError):
+    with pytest.raises(ConfigError):
         canon.corr_daps(ctx, obs, params)
 
 
@@ -726,9 +727,9 @@ def test_resample_large_step_still_diverges(schedule, small_prior, kind):
     params = canon.default_params("ReSample")
     params.inner_opt.lr = 50.0
     opt = params.inner_opt
-    with pytest.raises(canon.ConvergenceError):
+    with pytest.raises(ConvergenceError):
         _resample_reference(ctx.x0_sampled, obs, opt.lr, opt.momentum, opt.steps)
-    with pytest.raises(canon.ConvergenceError):
+    with pytest.raises(ConvergenceError):
         canon.corr_resample(ctx, obs, params)
 
 
@@ -749,7 +750,7 @@ def test_divergence_names_the_one_diverging_row(schedule, small_prior, algo, kin
     obs = ops.Observation(y=y, op=op, sigma_y=0.05)
     params = canon.default_params(algo)
     params.inner_opt.lr = 50.0
-    with pytest.raises(canon.ConvergenceError,
+    with pytest.raises(ConvergenceError,
                        match=r"row\(s\) \[1\] at inner step \d+: .*inner_opt\.lr \(now 50\.0\)"):
         canon.CORRECTORS[algo](ctx, obs, params)
     # each row alone gets the same verdict
@@ -757,7 +758,7 @@ def test_divergence_names_the_one_diverging_row(schedule, small_prior, algo, kin
         row_obs = ops.Observation(y=y[i, 0], op=op, sigma_y=0.05)
         row_ctx = make_ctx(small_prior, schedule, x_t[i, 0], 500, 250, x0=x0[i, 0])
         if i == 1:
-            with pytest.raises(canon.ConvergenceError, match=r"row\(s\) \[0\]"):
+            with pytest.raises(ConvergenceError, match=r"row\(s\) \[0\]"):
                 canon.CORRECTORS[algo](row_ctx, row_obs, params)
         else:
             assert np.all(np.isfinite(canon.CORRECTORS[algo](row_ctx, row_obs, params)))
@@ -946,7 +947,7 @@ def test_ddrm_noiser_rejects_negative_radicand(schedule, small_prior):
     ctx = make_ctx(small_prior, schedule, RngStream(84).standard_normal(6), 200, 100)
     params = canon.default_params("DDRM")
     params.eta_b = 5.0
-    with pytest.raises(canon.ConfigurationError):
+    with pytest.raises(ConfigError):
         canon.noiser_ddrm(np.zeros(6), ctx, obs, params)
 
 
@@ -1031,7 +1032,7 @@ def test_spectral_algorithms_reject_nonlinear_operator(schedule, small_prior):
     spectral = ("DDRM", "DDNM", "PiGDM", "DMPS")
     assert {name for name, s in canon.SOLVERS.items() if s.linear} == set(spectral)
     for name in spectral:
-        with pytest.raises(canon.UnsupportedOperatorError, match=name):
+        with pytest.raises(ConfigError, match=name):
             canon.run(canon.default_params(name), small_prior, schedule, obs, grid, seed=92)
 
 
@@ -1046,7 +1047,7 @@ def test_solver_linear_flag_decides_nonlinear_operator(schedule, small_prior, na
     params.daps.n_langevin = 5
     stream = RngStream(95, 2)
     if canon.SOLVERS[name].linear:
-        with pytest.raises(canon.UnsupportedOperatorError):
+        with pytest.raises(ConfigError):
             canon.run(params, small_prior, schedule, obs, grid, seed=0, stream=stream)
         assert stream.counter == 0
     else:
@@ -1079,7 +1080,7 @@ def test_corrector_fuzz_outputs_finite(schedule):
             try:
                 xhat = canon.CORRECTORS[name](ctx, obs, params)
                 x_next = canon.apply_noiser(params, ctx, obs, xhat)
-            except canon.ConvergenceError:
+            except ConvergenceError:
                 continue
             assert np.all(np.isfinite(xhat)), (name, j)
             assert np.all(np.isfinite(x_next)), (name, j)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lle import cli, harness
-from lle.canonical import ConfigurationError
+from lle.errors import ConfigError, ConvergenceError, FormatError
 from lle.extrapolation import LLECoefficients
 from lle.numerics import load_array
 
@@ -91,27 +91,36 @@ def _variant(tmp_path, config_path, name, **overrides):
     return str(path)
 
 
-def test_run_rejects_coefficients_of_another_time_grid(tmp_path, config_path):
+def _error_line(capsys) -> str:
+    """The one line `lle` wrote on stderr, without its "lle: " prefix."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lle: "), lines
+    return lines[0][len("lle: "):]
+
+
+def test_run_rejects_coefficients_of_another_time_grid(tmp_path, config_path, capsys):
     # the same S over schedule.T 1000 and 400: grids [1000, 500] and [400, 200]
     coeffs_path = str(tmp_path / "coeffs.json")
     cli.main(["train", "--config", config_path, "--out", coeffs_path])
     other = _variant(tmp_path, config_path, "t400.json", schedule={"T": 400})
-    with pytest.raises(ConfigurationError) as info:
-        cli.main(["run", "--config", other, "--coeffs", coeffs_path,
-                  "--seed", "21", "--out", str(tmp_path / "recon.bin")])
-    assert "[1000, 500]" in str(info.value) and "[400, 200]" in str(info.value)
+    capsys.readouterr()
+    assert cli.main(["run", "--config", other, "--coeffs", coeffs_path,
+                     "--seed", "21", "--out", str(tmp_path / "recon.bin")]) == 3
+    message = _error_line(capsys)
+    assert "[1000, 500]" in message and "[400, 200]" in message
     assert not (tmp_path / "recon.bin").exists()
 
 
-def test_eval_oracle_needs_a_linear_operator(tmp_path, config_path):
+def test_eval_oracle_needs_a_linear_operator(tmp_path, config_path, capsys):
     nonlinear = _variant(tmp_path, config_path, "nl.json", algorithm={"name": "DPS"},
                          task={"operator": {"kind": "nonlinear"}, "sigma_y": 0.05})
     recon_path = str(tmp_path / "r.bin")
     cli.main(["run", "--config", nonlinear, "--seed", "2", "--out", recon_path])
-    with pytest.raises(ConfigurationError) as info:
-        cli.main(["eval", "--recon", recon_path, "--truth", recon_path + ".truth",
-                  "--config", nonlinear, "--out", str(tmp_path / "m.csv"), "--oracle"])
-    assert "task.operator.kind" in str(info.value) and "linear operator" in str(info.value)
+    capsys.readouterr()
+    assert cli.main(["eval", "--recon", recon_path, "--truth", recon_path + ".truth",
+                     "--config", nonlinear, "--out", str(tmp_path / "m.csv"), "--oracle"]) == 3
+    message = _error_line(capsys)
+    assert "task.operator.kind" in message and "linear operator" in message
 
 
 def test_run_repeatable_bytes(tmp_path, config_path):
@@ -149,3 +158,78 @@ def test_second_call_leaves_no_garbage_cycles(tmp_path, capsys):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"prior": 3}', "missing config key task"),
+    ("", "{path} is not valid JSON: Expecting value at line 1 column 1"),
+])
+def test_config_error_is_one_line_and_exit_3(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main(["run", "--config", str(path), "--seed", "1",
+                     "--out", str(tmp_path / "r.bin")]) == ConfigError.exit_code == 3
+    assert _error_line(capsys) == message.format(path=path)
+
+
+def test_divergence_is_one_line_and_exit_4(tmp_path, config_path, capsys):
+    # ReSample's inner step past its stable range; earlier this was a 28-line traceback
+    path = _variant(tmp_path, config_path, "rs.json",
+                    algorithm={"name": "ReSample", "inner_opt": {"lr": 1.95}})
+    assert cli.main(["run", "--config", path, "--seed", "1",
+                     "--out", str(tmp_path / "r.bin")]) == ConvergenceError.exit_code == 4
+    message = _error_line(capsys)
+    assert message.startswith("inner optimizer diverged") and "algorithm.inner_opt.lr" in message
+    assert not (tmp_path / "r.bin").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"junk", "bad magic at byte offset 0: b'junk'"),
+    (None, "{recon} cannot be read: No such file or directory"),  # a missing --recon file
+])
+def test_array_file_error_is_one_line_and_exit_5(tmp_path, config_path, capsys, content,
+                                                   message):
+    recon = tmp_path / "recon.bin"
+    if content is not None:
+        recon.write_bytes(content)
+    assert cli.main(["eval", "--recon", str(recon), "--truth", str(recon), "--config",
+                     config_path, "--out", str(tmp_path / "m.csv")]) == FormatError.exit_code == 5
+    assert _error_line(capsys) == message.format(recon=recon)
+
+
+@pytest.mark.parametrize("run_with, eval_with, shapes", [
+    ({"n_test": 5}, {}, "shape (3, 4), the reconstructions (5, 4)"),  # more rows than n_test
+    ({}, {"prior": {"dim": 8, "components": 2, "seed": 3}},
+     "shape (3, 8), the reconstructions (3, 4)"),
+])
+def test_eval_oracle_rejects_a_batch_that_is_not_the_configs(tmp_path, config_path, capsys,
+                                                             run_with, eval_with, shapes):
+    # earlier: an IndexError traceback, or a shape-mismatch error from mse
+    recon_path = str(tmp_path / "r.bin")
+    cli.main(["run", "--config", _variant(tmp_path, config_path, "run.json", **run_with),
+              "--seed", "2", "--out", recon_path])
+    capsys.readouterr()
+    assert cli.main(["eval", "--recon", recon_path, "--truth", recon_path + ".truth",
+                     "--config", _variant(tmp_path, config_path, "eval.json", **eval_with),
+                     "--out", str(tmp_path / "m.csv"), "--oracle"]) == 3
+    assert shapes in _error_line(capsys)
+
+
+def test_sweep_steps_must_be_integers(tmp_path, config_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["sweep", "--config", config_path, "--steps", "3,x",
+                  "--out", str(tmp_path / "s.csv")])
+    assert exit_info.value.code == 2
+    assert "argument --steps: invalid int_list value: '3,x'" in capsys.readouterr().err
+
+
+def test_an_error_that_is_not_an_lle_error_stays_a_traceback(tmp_path, config_path,
+                                                            monkeypatch):
+    # only LLEError is reported as a line: anything else is a bug and propagates
+    def broken(config, steps):
+        raise ZeroDivisionError("a bug")
+
+    monkeypatch.setattr(harness, "sweep", broken)
+    with pytest.raises(ZeroDivisionError, match="a bug"):
+        cli.main(["sweep", "--config", config_path, "--steps", "2",
+                  "--out", str(tmp_path / "s.csv")])

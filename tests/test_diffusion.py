@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lle import canonical as canon
 from lle import diffusion as dif
 from lle import harness
+from lle.errors import ConfigError
 from lle.numerics import RngStream
 
 from conftest import random_mixture, random_spd, scalar_ddim_coeffs, tweedie
@@ -38,9 +39,9 @@ def test_sigma_matches_alphabar(schedule):
 
 
 def test_alphabar_bounds(schedule):
-    with pytest.raises(dif.BoundsError):
+    with pytest.raises(IndexError):
         schedule.alphabar(1001)
-    with pytest.raises(dif.BoundsError):
+    with pytest.raises(IndexError):
         schedule.alphabar(-1)
 
 
@@ -53,9 +54,9 @@ def test_time_grid_even_spacing(schedule):
 
 
 def test_time_grid_rejects_bad_s(schedule):
-    with pytest.raises(dif.InvalidGridError):
+    with pytest.raises(ConfigError):
         dif.make_time_grid(schedule, 0)
-    with pytest.raises(dif.InvalidGridError):
+    with pytest.raises(ConfigError):
         dif.make_time_grid(schedule, 1001)
 
 
@@ -380,7 +381,7 @@ def test_ddim_step_same_timestep_is_identity(schedule, small_prior):
 
 
 def test_ddim_step_rejects_upward(schedule, small_prior):
-    with pytest.raises(dif.InvalidGridError):
+    with pytest.raises(ConfigError):
         dif.ddim_step(small_prior, schedule, np.zeros(6), 100, 200)
 
 
@@ -484,9 +485,9 @@ def test_step_table_rows_equal_per_step_scalars(schedule, d):
 
 
 def test_ddim_run_rejects_bad_grids(schedule, small_prior):
-    with pytest.raises(dif.BoundsError):
+    with pytest.raises(IndexError):
         dif.ddim_run(small_prior, schedule, np.zeros(6), 1001, 2)
-    with pytest.raises(dif.InvalidGridError):
+    with pytest.raises(ConfigError):
         dif.ddim_run(small_prior, schedule, np.zeros(6), -5, 2)
 
 

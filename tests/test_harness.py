@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from lle import canonical as canon
 from lle import diffusion as dif
+from lle import errors
 from lle import extrapolation as lle
 from lle import harness
 from lle import operators as ops
@@ -523,7 +524,7 @@ def test_sweep_survives_cell_failures(tmp_path, monkeypatch):
     cfg = harness.load_config(write_config(tmp_path / "c.json"))
 
     def broken(*args, **kwargs):
-        raise canon.UnsupportedOperatorError("no corrector")
+        raise harness.ConfigError("no corrector")
 
     monkeypatch.setitem(canon.CORRECTORS, "DDNM", broken)
     text = harness.sweep(cfg, [2])
@@ -634,7 +635,7 @@ def _set(cfg, path, value):
     ("schedule.T", 10.5),
     ("prior.dim", "4"),
     ("algorithm", "DDNM"),
-    # loaded, then every row failed at run time with a ConfigurationError
+    # loaded, then every row failed at run time with a ConfigError
     ("algorithm.daps.sigma_langevin", 0.0),
 ])
 def test_load_config_names_each_bad_key(tmp_path, path, value):
@@ -717,7 +718,7 @@ def test_mask_rejects_a_repeated_index(tmp_path):
     # projection A+(A x) of x = [0, 1, 2, 3] read [0, 2, 0, 0], not [0, 1, 0, 0]
     x = np.array([0.0, 1.0, 2.0, 3.0])
     assert ops.project(ops.mask_operator(4, [1]), x, "range").tolist() == [0.0, 1.0, 0.0, 0.0]
-    with pytest.raises(ops.OperatorSpecError, match="distinct"):
+    with pytest.raises(harness.ConfigError, match="distinct"):
         ops.mask_operator(4, [1, 1])
     raw = _base_config()
     raw["task"]["operator"] = {"kind": "mask", "keep_indices": [1, 3, 1]}
@@ -755,6 +756,21 @@ def test_load_config_rejects_schedule_without_signal(tmp_path):
         _load_raw(tmp_path, raw)
 
 
+@pytest.mark.parametrize("schedule, named", [
+    # earlier loaders ended in np.linspace's bare "Maximum allowed size exceeded"
+    ({"T": 10**400}, "schedule.T must be <= 100000"),
+    # alphabar_1 rounds to 1, and noiser_ddim divided by 1 - alphabar_1 = 0 at run time
+    ({"T": 100, "beta_start": 1e-20}, "schedule.beta_start is too small"),
+])
+def test_load_config_rejects_schedule_past_its_range(tmp_path, schedule, named):
+    raw = _base_config()
+    raw["schedule"] = schedule
+    with pytest.raises(harness.ConfigError, match=re.escape(named)):
+        _load_raw(tmp_path, raw)
+    raw["schedule"] = {"T": 100_000, "beta_start": 1e-15, "beta_end": 1e-4}  # the edges load
+    assert _load_raw(tmp_path, raw).schedule.alphabar(1) < 1.0
+
+
 def test_load_config_rejects_malformed_inline_prior(tmp_path):
     raw = _base_config()
     raw["prior"] = {"weights": [0.5, 0.5], "means": [[0.0] * 4] * 2,
@@ -781,8 +797,9 @@ def test_load_config_rejects_invalid_json_naming_where(tmp_path, text, where):
 
 
 def test_config_error_is_the_configuration_error():
-    # one exception type, so a sweep's error rows keep the name ConfigurationError
-    assert harness.ConfigError is canon.ConfigurationError
+    # one exception type, so a sweep's error rows name ConfigError whichever
+    # module raised it
+    assert harness.ConfigError is canon.ConfigError is ops.ConfigError is errors.ConfigError
     with pytest.raises(harness.ConfigError, match=re.escape("algorithm.eta")):
         canon.AlgoParams(algorithm="DPS", eta=1.5)
 

@@ -6,9 +6,8 @@ import threading
 import numpy as np
 import pytest
 
+from lle.errors import FormatError
 from lle.numerics import (
-    DimensionError,
-    FormatError,
     RngStream,
     RowStreams,
     load_array,
@@ -193,7 +192,7 @@ class TestArrayFile:
             load_array(path)
 
     def test_size_mismatch_on_save(self, tmp_path):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError):
             save_array(tmp_path / "x.bin", 2, 3, np.zeros(5))
 
 
@@ -203,7 +202,7 @@ class TestMetrics:
         assert mse(x, x) == 0.0
 
     def test_mse_shape_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError):
             mse(np.zeros(3), np.zeros(4))
 
     def test_psnr_infinite_at_zero_error(self):
@@ -236,7 +235,7 @@ class TestRowStreams:
                 assert np.array_equal(got[i], s.standard_normal(shape[1:]))
 
     def test_row_count_must_match(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError):
             RowStreams([RngStream(1), RngStream(2)]).standard_normal((3, 1, 4))
 
     def test_failed_draw_advances_no_row(self):
@@ -271,7 +270,7 @@ class TestRowStreams:
         with pytest.raises(ValueError):
             RowStreams(streams).standard_normal_block(10, (3, 1, 4))
         assert [s.counter for s in streams] == [0, 2**190, 0]
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError):
             RowStreams(streams[:2]).standard_normal_block(10, (3, 1, 4))
         assert [s.counter for s in streams] == [0, 2**190, 0]
 

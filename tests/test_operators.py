@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lle import operators as ops
-from lle.numerics import DimensionError, RngStream
+from lle.errors import ConfigError
+from lle.numerics import RngStream
 
 
 def all_test_operators():
@@ -67,7 +68,7 @@ def test_project_rejects_bad_tag():
 
 def test_apply_dimension_check():
     op = ops.mask_operator(4, [0, 1])
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError):
         ops.apply(op, np.zeros(5))
 
 
@@ -83,9 +84,9 @@ def test_mask_selects_coordinates():
 
 
 def test_mask_validation():
-    with pytest.raises(ops.OperatorSpecError):
+    with pytest.raises(ConfigError):
         ops.mask_operator(4, [])
-    with pytest.raises(ops.OperatorSpecError):
+    with pytest.raises(ConfigError):
         ops.mask_operator(4, [4])
 
 
@@ -104,7 +105,7 @@ def test_avgpool_averages():
 
 
 def test_avgpool_divisibility():
-    with pytest.raises(ops.OperatorSpecError):
+    with pytest.raises(ConfigError):
         ops.avgpool_operator(10, 3)
 
 
@@ -121,9 +122,9 @@ def test_blur_matches_explicit_circulant():
 
 
 def test_blur_kernel_validation():
-    with pytest.raises(ops.OperatorSpecError):
+    with pytest.raises(ConfigError):
         ops.blur_operator(8, [0.5, 0.5])  # even length
-    with pytest.raises(ops.OperatorSpecError):
+    with pytest.raises(ConfigError):
         ops.blur_operator(8, [0.2, 0.5, 0.3])  # asymmetric
 
 
@@ -146,7 +147,7 @@ def test_hadamard_two_point():
 
 
 def test_hadamard_rejects_non_power_of_two():
-    with pytest.raises(ops.OperatorSpecError):
+    with pytest.raises(ConfigError):
         ops.hadamard_operator(12, 0.5, seed=0)
 
 
@@ -159,7 +160,7 @@ def test_dense_drops_zero_singular_values():
 def test_build_operator_dispatch():
     spec = {"kind": "avgpool", "n": 8, "factor": 2}
     assert ops.build_operator(spec).kind == "avgpool"
-    with pytest.raises(ops.OperatorSpecError):
+    with pytest.raises(ConfigError):
         ops.build_operator({"kind": "fft", "n": 8})
 
 
@@ -201,13 +202,13 @@ def nl_op(scale=2.0):
 
 
 def test_nonlinear_validation():
-    with pytest.raises(ops.OperatorSpecError):
+    with pytest.raises(ConfigError):
         ops.NonlinearOperator(kernel=np.array([0.5, 0.5]), scale=1.0)
-    with pytest.raises(ops.OperatorSpecError):
+    with pytest.raises(ConfigError):
         ops.NonlinearOperator(kernel=np.array([0.2, 0.5, 0.3]), scale=1.0)
-    with pytest.raises(ops.OperatorSpecError):
+    with pytest.raises(ConfigError):
         ops.NonlinearOperator(kernel=np.array([0.3, 0.5, 0.3]), scale=1.0)
-    with pytest.raises(ops.OperatorSpecError):
+    with pytest.raises(ConfigError):
         ops.NonlinearOperator(kernel=np.array([0.25, 0.5, 0.25]), scale=0.0)
 
 

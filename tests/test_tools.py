@@ -100,3 +100,14 @@ def test_grid_runs_a_gen_prior_file_through_prior_file(compare):
     assert len(entries) == 1
     name, spec, calls = entries[0]
     assert set(spec) == {"dim", "components", "seed"} and calls == ("gen-prior", "run", "eval")
+
+
+def test_a_call_that_fails_writes_its_error(compare, tmp_path):
+    # `lle` reports an LLEError as an exit code and one stderr line, not an exception
+    from lle import cli
+
+    config = tmp_path / "bad.json"
+    config.write_text('{"prior": 3}')
+    out = str(tmp_path / "recon.lle")
+    compare._call(cli, ["run", "--config", str(config), "--seed", "1", "--out", out], out)
+    assert Path(out + ".error").read_text() == "exit 3: lle: missing config key task\n"

@@ -29,7 +29,8 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   DiffPIR, ReSample and DAPS (no ``eval --oracle``: the oracle needs a linear
   operator), and one DPS first-order fit with ``train`` and ``run --coeffs``.
 
-A call that raises writes ``<out>.error`` holding the exception instead. For
+A call that fails writes ``<out>.error`` instead: the exception it raised, or
+the exit code and stderr line of an error ``lle`` reports itself. For
 every file the comparison prints ``identical``, or the maximum relative
 deviation max|new - old| / max|old|, taken over each group of its numbers
 with that group's own max|old| (the array of an LLEF64 file, each
@@ -140,12 +141,16 @@ def grid_plan(seed: int) -> list:
 
 
 def _call(cli, argv, out):
+    err = io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(argv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        error = f"exit {code}: {err.getvalue()}" if code else None
     except Exception as exc:  # an error row is an output too
+        error = f"{type(exc).__name__}: {exc}\n"
+    if error:
         with open(out + ".error", "w") as f:
-            f.write(f"{type(exc).__name__}: {exc}\n")
+            f.write(error)
 
 
 def _bench_configs():
