@@ -3,10 +3,10 @@
 One iteration from t_i to t_{i-1} is: denoise (sampler), enforce observation
 consistency (corrector), re-noise to the next level (noiser). Each
 algorithm's whole canonical form is one `SOLVERS` entry: its sampler,
-corrector and noiser, its preset hyperparameters, whether it needs a linear
-operator and whether its corrector defines a noisy training target. DDNM is
-DDRM at eta_b = 1 and shares its spectral corrector and noiser; every other
-noiser is the DDIM update sqrt(ab_prev) xhat + c2 eps + c1 z with its own (c1, c2, eps).
+corrector and noiser, the preset of every key they read, whether it needs a
+linear operator and whether its corrector defines a noisy training target.
+DDNM is DDRM at eta_b = 1 and shares its spectral corrector and noiser; every
+other noiser is the DDIM update sqrt(ab_prev) xhat + c2 eps + c1 z with its own (c1, c2, eps).
 
 The driver `run` iterates the three steps down a time grid;
 `run_with_combiner` additionally lets a callback replace the corrected
@@ -131,6 +131,8 @@ def parse_json(text: str, where: str):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{where} is not valid JSON: {exc.msg} at line {exc.lineno}"
                                  f" column {exc.colno}") from exc
+    except ValueError as exc:  # an integer of more digits than Python converts
+        raise ConfigError(f"{where} cannot be parsed: {str(exc).split(';')[0]}") from exc
 
 
 def read_json(path):
@@ -622,9 +624,10 @@ def noiser_ddrm(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams
 class Solver(NamedTuple):
     """One algorithm's canonical form: x0 = sampler(params, ctx), xhat =
     corrector(ctx, obs, params), x_{t_prev} = noiser(xhat, ctx, obs, params).
-    preset holds the config keys its defaults set; linear: it needs a linear
-    operator (checked once per driver call, before any draw); noisy_gt: its
-    corrector defines the noisy training target (lle.noisy_gt)."""
+    preset lists every `algorithm` key the three read at its preset value ({}: a
+    whole block at its defaults); linear: it needs a linear operator (see
+    `AlgoParams.linear_need`); noisy_gt: its corrector defines the noisy
+    training target (lle.noisy_gt)."""
 
     sampler: Callable
     corrector: Callable
@@ -644,14 +647,12 @@ SOLVERS = {
     "PiGDM": Solver(sampler_tweedie, corr_pigdm, noiser_ddim, {"eta": 1.0}, linear=True),
     "REDdiff": Solver(sampler_tweedie, corr_reddiff, noiser_direct, {"xi": 1.0, "lam": 0.5}),
     "DiffPIR": Solver(sampler_tweedie, corr_diffpir, noiser_diffpir,
-                      {"eta": 1.0, "lam": 7.0,
-                       "inner_opt": {"lr": 0.1, "momentum": 0.9, "steps": 50}}),
+                      {"eta": 1.0, "lam": 7.0, "inner_opt": {"lr": 0.1, "steps": 50}}),
     "DMPS": Solver(sampler_tweedie, corr_dmps, noiser_dmps, {"eta": 0.85, "lam": 1.0},
                    linear=True),
     "ReSample": Solver(sampler_tweedie, corr_resample, noiser_resample,
-                       {"eta": 1.0, "gamma_rs": 100.0,
-                        "inner_opt": {"lr": 0.01, "momentum": 0.9, "steps": 50}}),
-    "DAPS": Solver(sampler_ddim_chain, corr_daps, noiser_direct, {}),
+                       {"eta": 1.0, "gamma_rs": 100.0, "exact_hc": False, "inner_opt": {}}),
+    "DAPS": Solver(sampler_ddim_chain, corr_daps, noiser_direct, {"daps": {}}),
 }
 ALGORITHMS = tuple(SOLVERS)
 # the driver dispatches correctors through this view of SOLVERS, so that a
@@ -659,22 +660,46 @@ ALGORITHMS = tuple(SOLVERS)
 CORRECTORS = {name: solver.corrector for name, solver in SOLVERS.items()}
 
 
+def _unread(given: dict, preset: dict, path: str = "algorithm."):
+    """The key paths of given that preset does not list; {} lists a whole block."""
+    for key, value in given.items():
+        if key not in preset:
+            yield path + key
+        elif preset[key] and isinstance(value, dict):
+            yield from _unread(value, preset[key], f"{path}{key}.")
+
+
 @dataclass
 class AlgoParams(ConfigBlock):
-    """Algorithm tag plus every solver's hyperparameters; each solver reads
-    the ones its comment names, and `default_params` sets its preset."""
+    """Algorithm tag plus every solver's hyperparameters; `default_params` sets
+    the solver's preset, and `from_dict` takes only keys the solver reads."""
 
     block = "algorithm"
     algorithm: str = rule(choices=ALGORITHMS, key="name")
     eta: float = rule(0.85, minimum=0.0, maximum=1.0)  # the noisers' stochasticity
-    eta_b: float = rule(1.0, minimum=0.0, maximum=1.0)  # DDRM, DDNM
-    zeta: float = rule(1.0, minimum=0.0)  # DPS
-    xi: float = rule(1.0, minimum=0.0)  # RED-diff learning rate
-    lam: float = rule(1.0, minimum=0.0)  # RED-diff / DiffPIR / DMPS weight
-    gamma_rs: float = rule(100.0, minimum=0.0)  # ReSample
-    exact_hc: bool = rule(False)  # ReSample closed-form shortcut (linear ops only)
+    eta_b: float = rule(1.0, minimum=0.0, maximum=1.0)
+    zeta: float = rule(1.0, minimum=0.0)
+    xi: float = rule(1.0, minimum=0.0)
+    lam: float = rule(1.0, minimum=0.0)
+    gamma_rs: float = rule(100.0, minimum=0.0)
+    exact_hc: bool = rule(False)  # the closed-form shortcut (linear operators only)
     daps: DAPSParams = field(default_factory=DAPSParams)
-    inner_opt: InnerOptParams = field(default_factory=InnerOptParams)  # DiffPIR, ReSample
+    inner_opt: InnerOptParams = field(default_factory=InnerOptParams)
+
+    @classmethod
+    def from_dict(cls, obj, base=None):
+        """`ConfigBlock.from_dict`; a key the named solver does not read is an error."""
+        params = super().from_dict(obj, base)
+        for path in _unread(obj, {"name": None, **SOLVERS[params.algorithm].preset}):
+            raise ConfigError(f"{path} is not read by {params.algorithm}")
+        return params
+
+    def linear_need(self) -> str | None:
+        """What makes these params need a linear operator, named by its key path, or None."""
+        if SOLVERS[self.algorithm].linear:
+            return f"algorithm.name {self.algorithm}"
+        daps = "daps" in SOLVERS[self.algorithm].preset and self.daps.noiseless_linear
+        return "algorithm.daps.noiseless_linear" if daps else None
 
 
 def default_params(algorithm: str) -> AlgoParams:
@@ -718,8 +743,9 @@ def run_with_combiner(
     corrected estimate before the noiser; history holds the combiner outputs
     of earlier steps (oldest first). Returns the final estimate at t_1
     (identical to x_{t_0} for the DDIM-family noisers since alphabar_0 = 1).
-    A solver that needs a linear operator raises ConfigError on
-    a nonlinear one here, before the first draw.
+    Params that need a linear operator (`AlgoParams.linear_need`) raise
+    ConfigError on a nonlinear one here, before the first draw; an estimate
+    that is not finite raises ConvergenceError naming its step and rows.
 
     Determinism: every product and reduction runs over the last two axes
     (a (B, m) batch is one matrix product), so an (N, 1, m) batch, drawn from
@@ -727,8 +753,8 @@ def run_with_combiner(
     a one-row run with (m,) y[i, 0] and row i's stream gives. A (B, m)
     batch, as training uses, does not have that property.
     """
-    if SOLVERS[params.algorithm].linear and not obs.is_linear:
-        raise ConfigError(f"{params.algorithm} requires a linear operator")
+    if (need := params.linear_need()) and not obs.is_linear:
+        raise ConfigError(f"{need} needs a linear operator")
     ts = grid.timesteps
     x = stream.standard_normal(obs.y.shape[:-1] + (prior.d,))
     history: list[np.ndarray] = []
@@ -746,6 +772,10 @@ def run_with_combiner(
         sample_phi(params, ctx)
         xhat = CORRECTORS[params.algorithm](ctx, obs, params)
         est = combiner(i, history, xhat) if combiner is not None else xhat
+        if not np.isfinite(est).all():
+            rows = np.flatnonzero(~np.isfinite(est).all(axis=-1)).tolist()
+            raise ConvergenceError(f"{params.algorithm}'s estimate at t_i = {ctx.t_i} is not"
+                                   f" finite in row(s) {rows}")
         history.append(est)
         x = apply_noiser(params, ctx, obs, est)
     return history[-1]

@@ -3,7 +3,8 @@
 Subcommands: gen-prior, train, run, eval, sweep. Configurations
 are JSON files; arrays travel in the LLEF64 container (see numerics).
 An `LLEError` is printed as one line, `lle: <message>`, and the exit code
-is its kind's: 3 config, 4 divergence, 5 file format (see errors).
+is its kind's: 3 config, 4 divergence, 5 file format (see errors). An output
+file that cannot be written is one line too, with exit code 5.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import numpy as np
 
 from . import extrapolation as lle
 from . import harness
-from .errors import LLEError
+from .errors import FormatError, LLEError
 from .numerics import load_array, save_array
 
 
 def _cmd_gen_prior(args):
-    prior = harness.random_prior(args.dim, args.components, args.seed)
+    spec = harness.SeededPrior(dim=args.dim, components=args.components, seed=args.seed)
+    prior = harness.random_prior(spec.dim, spec.components, spec.seed)
     prior.save(args.out)
     print(f"wrote {args.components}-component dim-{args.dim} prior to {args.out}")
 
@@ -126,10 +128,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        # a non-finite estimate is reported as one line by the driver's check,
+        # so NumPy's floating-point warnings on the way to it would only add lines
+        with np.errstate(all="ignore"):
+            args.func(args)
     except LLEError as exc:
         print(f"lle: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # every input is read through an LLEError: this is an output
+        print(f"lle: {exc.filename or args.out} cannot be written: {exc.strerror or exc}",
+              file=sys.stderr)
+        return FormatError.exit_code
     return 0
 
 

@@ -200,15 +200,15 @@ def load_config(path) -> ExperimentConfig:
     preset = canon.default_params(name) if name in canon.ALGORITHMS else None
     params = canon.AlgoParams.from_dict(top.algorithm, preset)
     linear = isinstance(op, ops.LinearOperator)
-    if canon.SOLVERS[params.algorithm].linear and not linear:
-        raise ConfigError(f"algorithm.name {params.algorithm} needs a linear operator,"
-                          " not task.operator.kind 'nonlinear'")
-    if params.algorithm == "DAPS" and params.daps.noiseless_linear and not linear:
-        raise ConfigError("algorithm.daps.noiseless_linear needs a linear operator, not 'nonlinear'")
+    if (need := params.linear_need()) and not linear:
+        raise ConfigError(f"{need} needs a linear operator, not task.operator.kind 'nonlinear'")
     train_config = None
     if top.lle not in (None, "none"):
         base = lle.TrainConfig(base_seed=top.seeds.train)
         train_config = lle.TrainConfig.from_dict(top.lle, base)
+        if train_config.ref_steps > sched.T:  # the reference chain has at most T steps
+            raise ConfigError(f"lle.ref_steps must be <= schedule.T ({sched.T}),"
+                              f" got {train_config.ref_steps}")
         if train_config.noisy_gt and not canon.SOLVERS[params.algorithm].noisy_gt:
             allowed = " and ".join(n for n, s in canon.SOLVERS.items() if s.noisy_gt)
             raise ConfigError(f"lle.noisy_gt needs {allowed}, not {params.algorithm}")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lle import canonical as canon
 from lle import diffusion as dif
 from lle.numerics import RngStream
 
@@ -44,3 +45,16 @@ def random_mixture(seed: int, d: int, K: int) -> dif.GaussianMixturePrior:
 @pytest.fixture
 def small_prior():
     return random_mixture(3, 6, 2)
+
+
+def preset_lists(algorithm: str, path: str) -> bool:
+    """Whether the algorithm's `SOLVERS` preset lists the `algorithm` key at a
+    dotted path such as daps.eta0: the key itself, or its block as {}."""
+    preset = canon.SOLVERS[algorithm].preset
+    for key in path.split("."):
+        if key not in preset:
+            return False
+        preset = preset[key]
+        if preset == {}:
+            return True
+    return True

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ from lle import operators as ops
 from lle.errors import ConfigError, ConvergenceError
 from lle.numerics import RngStream, RowStreams
 
-from conftest import random_mixture, random_spd, scalar_ddim_coeffs, tweedie
+from conftest import preset_lists, random_mixture, random_spd, scalar_ddim_coeffs, tweedie
 
 
 def make_ctx(prior, schedule, x_t, t_i, t_prev, stream=None, x0=None):
@@ -1053,6 +1055,66 @@ def test_solver_linear_flag_decides_nonlinear_operator(schedule, small_prior, na
     else:
         out = canon.run(params, small_prior, schedule, obs, grid, seed=0, stream=stream)
         assert out.shape == (3, 6) and np.all(np.isfinite(out))
+
+
+def test_daps_noiseless_linear_on_a_nonlinear_operator_fails_before_any_draw(schedule,
+                                                                              small_prior):
+    # earlier x_T and the first DDIM chain were drawn before corr_daps raised
+    op = ops.NonlinearOperator(kernel=np.array([0.25, 0.5, 0.25]), scale=1.0)
+    obs = ops.Observation(y=np.zeros((3, 1, 6)), op=op, sigma_y=0.1)
+    params = canon.default_params("DAPS")
+    params.daps.noiseless_linear = True
+    streams = RowStreams(RngStream(95, i) for i in range(3))
+    with pytest.raises(ConfigError, match=re.escape("algorithm.daps.noiseless_linear")):
+        canon.run_with_combiner(params, small_prior, schedule, obs,
+                                dif.make_time_grid(schedule, 3), streams)
+    assert [s.counter for s in streams.streams] == [0, 0, 0]
+
+
+def test_a_non_finite_estimate_stops_the_run_naming_its_step_and_rows(schedule, small_prior):
+    op = ops.mask_operator(6, [0, 2, 4])
+    obs = ops.Observation(y=np.zeros((3, 3)), op=op, sigma_y=0.1)
+    grid = dif.make_time_grid(schedule, 4)
+
+    def combiner(i, history, xhat):
+        if i == 2:
+            xhat = xhat.copy()
+            xhat[1, 3] = np.inf
+            xhat[2, 0] = np.nan
+        return xhat
+
+    message = f"DDNM's estimate at t_i = {grid.timesteps[2]} is not finite in row(s) [1, 2]"
+    with pytest.raises(ConvergenceError, match=re.escape(message)):
+        canon.run_with_combiner(canon.default_params("DDNM"), small_prior, schedule, obs, grid,
+                                RngStream(1), combiner=combiner)
+
+
+def _unread_fields_set_to_nan(params):
+    """params with every field its algorithm's preset does not list set to NaN."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if dataclasses.is_dataclass(value):
+            for g in dataclasses.fields(value):
+                if not preset_lists(params.algorithm, f"{f.name}.{g.name}"):
+                    setattr(value, g.name, math.nan)
+        elif f.name != "algorithm" and not preset_lists(params.algorithm, f.name):
+            setattr(params, f.name, math.nan)
+    return params
+
+
+@pytest.mark.parametrize("name, kind", [(name, kind) for name, solver in canon.SOLVERS.items()
+                                        for kind in ("mask", "nonlinear")
+                                        if kind == "mask" or not solver.linear])
+def test_the_preset_lists_every_key_its_solver_reads(schedule, small_prior, name, kind):
+    # NaN in every field the preset does not list leaves the run's bytes as they were
+    op = _inner_loop_operator(kind)
+    y = RngStream(96, 1).standard_normal((2, 6 if kind == "nonlinear" else op.m))
+    obs = ops.Observation(y=y, op=op, sigma_y=0.05)
+    grid = dif.make_time_grid(schedule, 3)
+    base = canon.run(canon.default_params(name), small_prior, schedule, obs, grid, seed=96)
+    nan = canon.run(_unread_fields_set_to_nan(canon.default_params(name)), small_prior,
+                    schedule, obs, grid, seed=96)
+    assert nan.tobytes() == base.tobytes()
 
 
 def test_corrector_fuzz_outputs_finite(schedule):

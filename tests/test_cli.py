@@ -1,5 +1,6 @@
 import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,10 @@ def test_second_call_leaves_no_garbage_cycles(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ('{"prior": 3}', "missing config key task"),
     ("", "{path} is not valid JSON: Expecting value at line 1 column 1"),
+    # earlier Python's bare ValueError from json.loads
+    ('{"prior": {"dim": 4, "components": 2, "seed": ' + "1" * 5000 + "}}",
+     "{path} cannot be parsed: Exceeds the limit (4300 digits) for integer string conversion:"
+     " value has 5000 digits"),
 ])
 def test_config_error_is_one_line_and_exit_3(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
@@ -233,3 +238,53 @@ def test_an_error_that_is_not_an_lle_error_stays_a_traceback(tmp_path, config_pa
     with pytest.raises(ZeroDivisionError, match="a bug"):
         cli.main(["sweep", "--config", config_path, "--steps", "2",
                   "--out", str(tmp_path / "s.csv")])
+
+
+def _run(config, tmp_path, out="r.bin"):
+    return cli.main(["run", "--config", config, "--seed", "1", "--out", str(tmp_path / out)])
+
+
+def test_unread_algorithm_key_is_one_line_and_exit_3(tmp_path, config_path, capsys):
+    # earlier DDRM ran with these keys ignored, and exited 0
+    path = _variant(tmp_path, config_path, "ddrm.json",
+                    algorithm={"name": "DDRM", "zeta": 7, "xi": 3, "daps": {"eta0": 5}})
+    assert _run(path, tmp_path) == 3
+    assert _error_line(capsys) == "algorithm.zeta is not read by DDRM"
+    assert not (tmp_path / "r.bin").exists()
+
+
+def test_non_finite_estimate_is_one_line_and_exit_4(tmp_path, config_path, capsys):
+    # DAPS past its stable Langevin step size; earlier an all-NaN file and exit 0
+    path = _variant(tmp_path, config_path, "daps.json",
+                    algorithm={"name": "DAPS", "daps": {"eta0": 0.5}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NumPy overflow warning would be another line
+        assert _run(path, tmp_path) == 4
+    assert _error_line(capsys) == "DAPS's estimate at t_i = 500 is not finite in row(s) [0, 1, 2]"
+    assert not (tmp_path / "r.bin").exists()
+
+
+def test_ref_steps_above_schedule_T_is_one_line_and_exit_3(tmp_path, config_path, capsys):
+    # earlier training ran on a silently shortened 100-step reference chain
+    path = _variant(tmp_path, config_path, "t100.json", schedule={"T": 100},
+                    lle={"n_refs": 4, "ref_steps": 999, "epochs": 4})
+    assert cli.main(["train", "--config", path, "--out", str(tmp_path / "c.json")]) == 3
+    assert _error_line(capsys) == "lle.ref_steps must be <= schedule.T (100), got 999"
+
+
+@pytest.mark.parametrize("flag, value", [("--dim", "0"), ("--components", "-1")])
+def test_gen_prior_bad_size_is_one_line_and_exit_3(tmp_path, capsys, flag, value):
+    # earlier a NumPy ValueError traceback
+    argv = {"--dim": "3", "--components": "2", flag: value}
+    out = tmp_path / "p.json"
+    assert cli.main(["gen-prior", *(a for kv in argv.items() for a in kv), "--seed", "1",
+                     "--out", str(out)]) == 3
+    assert _error_line(capsys) == f"prior.{flag[2:]} must be >= 1, got {value}"
+    assert not out.exists()
+
+
+def test_unwritable_output_is_one_line_and_exit_5(tmp_path, config_path, capsys):
+    # earlier a FileNotFoundError traceback
+    assert _run(config_path, tmp_path, "nodir/r.bin") == 5
+    assert _error_line(capsys) == (f"{tmp_path / 'nodir/r.bin'} cannot be written:"
+                                   " No such file or directory")

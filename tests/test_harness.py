@@ -18,6 +18,8 @@ from lle import harness
 from lle import operators as ops
 from lle.numerics import RngStream, psnr
 
+from conftest import preset_lists
+
 
 def write_config(path, **overrides):
     cfg = {
@@ -253,14 +255,52 @@ def test_load_config_accepts_closed_form_with_plugin_omega(tmp_path):
 
 
 def test_algo_params_nested_overrides(tmp_path):
-    path = write_config(
-        tmp_path / "cfg.json",
-        algorithm={"name": "DAPS", "daps": {"n_langevin": 7},
-                   "inner_opt": {"lr": 0.5}},
-    )
-    cfg = harness.load_config(path)
-    assert cfg.params.daps.n_langevin == 7
-    assert cfg.params.inner_opt.lr == 0.5
+    for name, block, key, value in (("DAPS", "daps", "n_langevin", 7),
+                                    ("ReSample", "inner_opt", "lr", 0.5),
+                                    ("ReSample", "inner_opt", "momentum", 0.5),
+                                    ("DiffPIR", "inner_opt", "steps", 7)):
+        path = write_config(tmp_path / "cfg.json", algorithm={"name": name, block: {key: value}})
+        params = harness.load_config(path).params
+        assert getattr(getattr(params, block), key) == value
+
+
+@pytest.mark.parametrize("algorithm, path", [
+    ({"name": "DDRM", "zeta": 7, "xi": 3, "daps": {"eta0": 5}}, "algorithm.zeta"),
+    ({"name": "DDRM", "daps": {"eta0": 5}}, "algorithm.daps"),
+    ({"name": "DDRM", "daps": {}}, "algorithm.daps"),
+    ({"name": "DiffPIR", "inner_opt": {"momentum": 0.5}}, "algorithm.inner_opt.momentum"),
+    ({"name": "DAPS", "eta": 0.5}, "algorithm.eta"),
+    ({"name": "PiGDM", "exact_hc": True}, "algorithm.exact_hc"),
+])
+def test_load_config_rejects_a_key_the_algorithm_does_not_read(tmp_path, algorithm, path):
+    # earlier every key was accepted for every algorithm, and the unread ones ignored
+    with pytest.raises(harness.ConfigError) as err:
+        harness.load_config(write_config(tmp_path / "cfg.json", algorithm=algorithm))
+    assert str(err.value) == f"{path} is not read by {algorithm['name']}"
+
+
+def _settable(preset, params):
+    """How many values a preset lets a config set; a {} block, every field of params' block."""
+    return sum(len(dataclasses.fields(getattr(params, key))) if value == {}
+               else _settable(value, getattr(params, key)) if isinstance(value, dict) else 1
+               for key, value in preset.items())
+
+
+def test_settable_algorithm_values_are_the_presets_keys():
+    # before the presets listed every key read, each algorithm took all 16 (144 in all)
+    counts = {name: _settable(solver.preset, canon.default_params(name))
+              for name, solver in canon.SOLVERS.items()}
+    assert counts == {"DDRM": 2, "DDNM": 2, "DPS": 2, "PiGDM": 1, "REDdiff": 2, "DiffPIR": 4,
+                      "DMPS": 2, "ReSample": 6, "DAPS": 6}
+    assert sum(counts.values()) == 27
+
+
+def test_load_config_rejects_ref_steps_above_schedule_T(tmp_path):
+    lle_block = {"n_refs": 4, "ref_steps": 101}
+    with pytest.raises(harness.ConfigError, match=r"^lle\.ref_steps must be <= schedule\.T"):
+        harness.load_config(write_config(tmp_path / "a.json", lle=lle_block, schedule={"T": 100}))
+    harness.load_config(write_config(tmp_path / "b.json", lle=dict(lle_block, ref_steps=100),
+                                     schedule={"T": 100}))
 
 
 def test_operator_spec_nonlinear(tmp_path):
@@ -828,6 +868,26 @@ def test_readme_config_schema_lists_every_key():
         assert f"{kind}:" in section, kind
 
 
+def keys_read_table() -> str:
+    """The README's table of the `algorithm` keys each solver reads, from `SOLVERS`."""
+    rows = ["| `name` | Keys read, at their preset values | Linear operator |",
+            "| --- | --- | --- |"]
+    for name, solver in canon.SOLVERS.items():
+        values = dataclasses.asdict(canon.default_params(name))
+        keys = [f"`{path}` {json.dumps(_at(values, path))}" for path in _key_paths(values)
+                if not isinstance(_at(values, path), dict) and preset_lists(name, path)]
+        linear = ("always" if solver.linear else "with `daps.noiseless_linear` true"
+                  if preset_lists(name, "daps.noiseless_linear") else "no")
+        rows.append(f"| {name} | {', '.join(keys)} | {linear} |")
+    return "\n".join(rows)
+
+
+def test_readme_keys_read_table_is_generated_from_solvers():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("<!-- keys-read table: begin -->\n", 1)[1].split("\n<!--", 1)[0]
+    assert table == keys_read_table(), keys_read_table()
+
+
 # ---- property: a mutated config names its key; a valid one runs -----------
 
 _WRONG_VALUES = ("x", True, [1], None, float("nan"), float("inf"))
@@ -860,16 +920,13 @@ def _valid_configs(draw):
         A = RngStream(seed, 3).standard_normal((m, d)) / math.sqrt(d)
         operator = {"kind": "dense", "matrix": A.tolist()}
     algorithm = draw(st.sampled_from(canon.ALGORITHMS))
-    preset = canon.default_params(algorithm)
-    alg = {"name": algorithm}
-    for key in ("eta", "eta_b", "zeta", "xi", "lam", "gamma_rs", "exact_hc"):
-        alg[key] = getattr(preset, key)
-    if algorithm == "DAPS":
+    alg = {"name": algorithm, **copy.deepcopy(canon.SOLVERS[algorithm].preset)}  # keys it reads
+    if "daps" in alg:
         alg["daps"] = {"k_ddim": 2, "n_langevin": 5, "eta0": 1e-4, "delta": 0.01,
                        "sigma_langevin": draw(st.sampled_from([None, 0.05])),
                        "noiseless_linear": False}
-    if algorithm in ("DiffPIR", "ReSample"):
-        alg["inner_opt"] = {"lr": preset.inner_opt.lr, "momentum": 0.9, "steps": 5}
+    if "inner_opt" in alg:
+        alg["inner_opt"]["steps"] = 5
     prior = {"dim": d, "components": 2, "seed": seed}
     if draw(st.booleans()):  # the same mixture, inline
         mixture = harness.random_prior(d, 2, seed)
@@ -946,11 +1003,31 @@ def _at(cfg, path):
     return cfg
 
 
+def _unread_key(draw, cfg):
+    """(cfg with a valid value for an algorithm key its algorithm does not read, the
+    path its error must name)."""
+    name = cfg["algorithm"]["name"]
+    values = dataclasses.asdict(canon.default_params(name))
+    del values["algorithm"]  # the "name" key
+    unread = [path for path in _key_paths(values)
+              if not isinstance(_at(values, path), dict) and not preset_lists(name, path)]
+    path = draw(st.sampled_from(unread))
+    mutated = copy.deepcopy(cfg)
+    block, _, key = path.rpartition(".")
+    target = mutated["algorithm"].setdefault(block, {}) if block else mutated["algorithm"]
+    target[key] = _at(values, path)
+    # a block the preset does not list at all is named as the block
+    return mutated, f"algorithm.{block if block and not preset_lists(name, block) else path}"
+
+
 @st.composite
 def _mutations(draw, cfg):
-    """(mutated config, the dotted path its error must name). A list-valued key
-    is drawn in a fixed share of the draws, whenever the config has one: few
-    keys hold lists, so a uniform draw would rarely reach their entries."""
+    """(mutated config, the dotted path its error must name). A key the
+    algorithm does not read and a list-valued key are each drawn in a fixed
+    share of the draws: few keys are either, so a uniform draw would rarely
+    reach them."""
+    if draw(st.sampled_from([False] * 5 + [True])):
+        return _unread_key(draw, cfg)
     paths = sorted(_key_paths(cfg))
     lists = [path for path in paths if isinstance(_at(cfg, path), list)]
     if lists and draw(st.sampled_from([True, False, False])):
