@@ -128,8 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # a non-finite estimate is reported as one line by the driver's check,
-        # so NumPy's floating-point warnings on the way to it would only add lines
+        # a non-finite loss is reported as one ConvergenceError line by the
+        # divergence guard, so NumPy's floating-point warnings on the way to it
+        # would only add lines
         with np.errstate(all="ignore"):
             args.func(args)
     except LLEError as exc:
