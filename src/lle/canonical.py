@@ -133,6 +133,8 @@ def parse_json(text: str, where: str):
                                  f" column {exc.colno}") from exc
     except ValueError as exc:  # an integer of more digits than Python converts
         raise ConfigError(f"{where} cannot be parsed: {str(exc).split(';')[0]}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the parser's depth
+        raise ConfigError(f"{where} cannot be parsed: it is nested too deeply") from exc
 
 
 def read_json(path):
@@ -453,8 +455,29 @@ def daps_step_size(daps: DAPSParams, t: int, T: int) -> float:
     return daps.eta0 * (daps.delta + (t / T) * (1.0 - daps.delta))
 
 
-# Langevin iterations per noise draw of DAPS: part of its determinism contract
+# Langevin iterations per noise draw of DAPS on a nonlinear operator: part of
+# its determinism contract
 _LANGEVIN_BLOCK = 10
+
+
+def _geometric_sums(f: np.ndarray, n: int):
+    """(f^n, sum_{j<n} f^j, sqrt(sum_{j<n} f^(2j))) elementwise, by binary
+    doubling in O(log n) vector operations. The root sum is accumulated with
+    hypot, so no intermediate exceeds |f|^n where a sum of squares would
+    reach f^(2n)."""
+    power, total, root = np.ones_like(f), np.zeros_like(f), np.zeros_like(f)  # n = 0
+    step_power, step_total, step_root = f, np.ones_like(f), np.ones_like(f)  # 1 step
+    while True:
+        if n & 1:  # append the 2^k-step block to the steps taken so far
+            total = total + power * step_total
+            root = np.hypot(root, power * step_root)
+            power = power * step_power
+        n >>= 1
+        if not n:
+            return power, total, root
+        step_total = step_total * (1.0 + step_power)
+        step_root = step_root * np.hypot(1.0, step_power)
+        step_power = step_power * step_power
 
 
 def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
@@ -463,18 +486,24 @@ def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
     Each step is x <- drift(x) + sqrt(2 eta_t) xi with the gradient drift
     x - eta_t ((x - anchor) / r^2 + w A^T (A x - y)), w = 1/sigma^2 (1/eta_t
     for the noiseless-linear variant). For a linear A = U diag(s) V^T that
-    drift is affine, x M + g with M = (1 - eta_t/r^2) I - eta_t w V diag(s^2) V^T
-    and g = (eta_t/r^2) anchor + eta_t w A^T y, built once per call.
+    drift is affine, x M + g with M = a I - eta_t w V diag(s^2) V^T,
+    a = 1 - eta_t/r^2, and g = (eta_t/r^2) anchor + eta_t w A^T y. M is
+    diagonal in V coordinates (factor a - eta_t w s_k^2 on range coordinate
+    k, a on the null space), so the n = n_langevin step chain is one AR(1)
+    recursion per coordinate and its result is drawn exactly:
+    anchor M^n + g sum_{j<n} M^j + sqrt(2 eta_t) xi (sum_{j<n} M^(2j))^(1/2).
 
-    Determinism contract: the noise of iterations 10b .. 10b + 9 is one
-    ``standard_normal_block`` draw of `_LANGEVIN_BLOCK` = 10 iterations (the
-    last block holds n_langevin mod 10 when that is not 0), and iteration j
-    adds entry j mod 10. So a call advances each row's counter
-    ceil(n_langevin / 10) times, and its noise takes memory of the order of
-    one N * 10 * d block, whatever n_langevin is. The block size is part of
-    the contract: changing it changes DAPS outputs. Row i of a `RowStreams`
-    batch reads its numbers in the order a one-row run with its own
-    `RngStream` does, so the two stay bit-identical.
+    Determinism contract: on a linear operator xi is one ``standard_normal``
+    draw shaped like the anchor, so a call advances each row's counter once
+    (not at all when n_langevin is 0). On a nonlinear operator the noise of
+    iterations 10b .. 10b + 9 is one ``standard_normal_block`` draw of
+    `_LANGEVIN_BLOCK` = 10 iterations (the last block holds n_langevin mod 10
+    when that is not 0), and iteration j adds entry j mod 10; a call advances
+    each row's counter ceil(n_langevin / 10) times, and its noise takes memory
+    of the order of one N * 10 * d block, whatever n_langevin is. Changing
+    either rule changes DAPS outputs. Row i of a `RowStreams` batch reads its
+    numbers in the order a one-row run with its own `RngStream` does, so the
+    two stay bit-identical.
     """
     daps = params.daps
     anchor = ctx.x0_sampled
@@ -485,26 +514,31 @@ def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
         sigma = max(obs.sigma_y, 0.02)
     eta_t = daps_step_size(daps, ctx.t_i, ctx.schedule.T)
     r2 = 1.0 - ctx.ab
+    noise_scale = math.sqrt(2.0 * eta_t)
     if obs.is_linear or daps.noiseless_linear:
         if not obs.is_linear:
             raise ConfigError("DAPS noiseless_linear requires a linear operator")
         op = obs.op
         # the noiseless data term is (1/(2 eta_t)) ||A x - y||^2, so eta_t w = 1
         eta_w = 1.0 if daps.noiseless_linear else eta_t / sigma**2
-        M = (1.0 - eta_t / r2) * np.eye(op.n) - (op.V * (eta_w * op.s**2)) @ op.V.T
-        g = (eta_t / r2) * anchor + eta_w * ops.apply_adjoint(op, obs.y)
+        pull = eta_t / r2
+        a = 1.0 - pull
+        # one factor per range coordinate, then the null space's a
+        power, total, root = _geometric_sums(np.append(a - eta_w * op.s**2, a), daps.n_langevin)
+        # anchor's factor M^n + pull sum M^j; A^T y lies in the range, so the
+        # null space's large sum_{j<n} a^j never multiplies it
+        keep = power + pull * total
+        xi = noise_scale * ctx.stream.standard_normal(anchor.shape)
+        coords = ((anchor @ op.V) * (keep[:-1] - keep[-1])
+                  + (obs.y @ op.U) * (eta_w * op.s * total[:-1])
+                  + (xi @ op.V) * (root[:-1] - root[-1]))
+        return keep[-1] * anchor + root[-1] * xi + coords @ op.V.T
 
-        def drift(x):
-            return x @ M + g
+    def drift(x):
+        grad = (x - anchor) / r2
+        data_grad = 0.5 * _residual_grad_x0(obs, x) / sigma**2
+        return x - eta_t * (grad + data_grad)
 
-    else:
-
-        def drift(x):
-            grad = (x - anchor) / r2
-            data_grad = 0.5 * _residual_grad_x0(obs, x) / sigma**2
-            return x - eta_t * (grad + data_grad)
-
-    noise_scale = math.sqrt(2.0 * eta_t)
     x = np.array(anchor, copy=True)
     for start in range(0, daps.n_langevin, _LANGEVIN_BLOCK):
         count = min(_LANGEVIN_BLOCK, daps.n_langevin - start)

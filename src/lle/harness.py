@@ -391,10 +391,14 @@ def sweep(config: ExperimentConfig, steps_list) -> str:
     """Train + evaluate per step count; returns deterministic CSV text.
 
     The training references do not depend on the step count, so they are
-    generated once and shared by every cell.
+    generated once and shared by every cell. Every step count's time grid is
+    built before any cell runs, so an invalid one is a ConfigError naming it,
+    not a row of error cells.
     """
     if not steps_list:
         raise ConfigError("steps_list is empty")
+    for S in steps_list:
+        dif.make_time_grid(config.schedule, S)
     refs = None
     if config.train_config is not None:
         try:

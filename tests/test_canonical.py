@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -580,36 +581,88 @@ def _rel_dev(got, ref):
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
+class ScriptedStream:
+    """A stream whose normal draws are scripted: `standard_normal(shape)` is
+    `values` broadcast to shape, zeros by default."""
+
+    def __init__(self, values=0.0):
+        self.values = values
+
+    def standard_normal(self, shape):
+        return np.array(np.broadcast_to(self.values, shape), dtype=float)
+
+
+def _daps_params(n, noiseless=False, eta0=1e-3):
+    params = canon.default_params("DAPS")
+    params.daps.n_langevin = n
+    params.daps.eta0 = eta0
+    params.daps.noiseless_linear = noiseless
+    return params
+
+
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("kind, noiseless", [
     ("mask", False), ("blur", False), ("dense", False), ("nonlinear", False),
     ("mask", True), ("blur", True), ("dense", True),
 ])
 def test_daps_matches_reference_loop(schedule, small_prior, kind, noiseless, batch):
-    obs, ctx = _inner_loop_case(small_prior, schedule, kind, batch,
-                                0.0 if noiseless else 0.1, 320)
-    params = canon.default_params("DAPS")
-    params.daps.n_langevin = 23  # two full blocks of 10 and a short one of 3
-    params.daps.eta0 = 1e-3
-    params.daps.noiseless_linear = noiseless
-    ref_ctx = copy_ctx(ctx, clone(ctx.stream))
-    got = canon.corr_daps(ctx, obs, params)
-    ref = _daps_reference(ref_ctx, obs, params)
-    assert got.shape == ref.shape
-    if kind == "nonlinear":
-        assert np.array_equal(got, ref)  # the nonlinear drift is unchanged
-    else:
-        assert _rel_dev(got, ref) <= 1e-12
-    assert ctx.stream.counter == ref_ctx.stream.counter
+    # 23 is two full blocks of 10 and a short one of 3
+    for n in (1, 23, 100):
+        obs, ctx = _inner_loop_case(small_prior, schedule, kind, batch,
+                                    0.0 if noiseless else 0.1, 320)
+        params = _daps_params(n, noiseless)
+        if kind == "nonlinear":  # the block loop, bit for bit on real streams
+            ref_ctx = copy_ctx(ctx, clone(ctx.stream))
+            got = canon.corr_daps(ctx, obs, params)
+            assert np.array_equal(got, _daps_reference(ref_ctx, obs, params))
+            assert ctx.stream.counter == ref_ctx.stream.counter
+        else:  # the closed form's mean against the loop's noise-free chain
+            got = canon.corr_daps(copy_ctx(ctx, ScriptedStream()), obs, params)
+            ref = _daps_reference(copy_ctx(ctx, ScriptedStream()), obs, params)
+            assert got.shape == ref.shape
+            assert _rel_dev(got, ref) <= 1e-12, n
+
+
+@pytest.mark.parametrize("n", [1, 23, 100])
+@pytest.mark.parametrize("kind, noiseless", [
+    ("mask", False), ("blur", False), ("dense", False),
+    ("mask", True), ("blur", True), ("dense", True),
+])
+def test_daps_linear_noise_has_the_chains_covariance(schedule, small_prior, kind, noiseless,
+                                                      n):
+    # out(xi) - out(0) = xi S; row i draws xi = e_i, so the rows are S, and S S^T
+    # must be the n-step chain's covariance 2 eta_t sum_{j<n} M^(2j), M built densely
+    d = 6
+    obs, ctx = _inner_loop_case(small_prior, schedule, kind, d, 0.0 if noiseless else 0.1, 325)
+    params = _daps_params(n, noiseless, eta0=1e-2)
+    S = (canon.corr_daps(copy_ctx(ctx, ScriptedStream(np.eye(d))), obs, params)
+         - canon.corr_daps(copy_ctx(ctx, ScriptedStream()), obs, params))
+    op, daps = obs.op, params.daps
+    eta_t = canon.daps_step_size(daps, ctx.t_i, ctx.schedule.T)
+    r2 = 1.0 - ctx.schedule.alphabar(ctx.t_i)
+    eta_w = 1.0 if noiseless else eta_t / max(obs.sigma_y, 0.02) ** 2
+    M = (1.0 - eta_t / r2) * np.eye(d) - (op.V * (eta_w * op.s**2)) @ op.V.T
+    cov, power = np.zeros((d, d)), np.eye(d)
+    for _ in range(n):
+        cov += power
+        power = power @ M @ M
+    assert _rel_dev(S @ S.T, 2.0 * eta_t * cov) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 100])
+def test_daps_linear_call_advances_counter_once(schedule, small_prior, n):
+    obs, ctx = _inner_loop_case(small_prior, schedule, "mask", 4, 0.1, 322)
+    start = ctx.stream.counter
+    canon.corr_daps(ctx, obs, _daps_params(n))
+    assert ctx.stream.counter - start == min(n, 1)
 
 
 @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 100])
 def test_daps_advances_counter_once_per_block_of_ten(schedule, small_prior, n):
-    obs, ctx = _inner_loop_case(small_prior, schedule, "mask", 4, 0.1, 322)
-    params = canon.default_params("DAPS")
-    params.daps.n_langevin = n
+    # on the nonlinear operator, where the Langevin loop runs
+    obs, ctx = _inner_loop_case(small_prior, schedule, "nonlinear", 4, 0.1, 322)
     start = ctx.stream.counter
-    canon.corr_daps(ctx, obs, params)
+    canon.corr_daps(ctx, obs, _daps_params(n))
     assert ctx.stream.counter - start == math.ceil(n / 10)
 
 
@@ -624,40 +677,55 @@ def test_daps_batched_rows_equal_one_row_calls(schedule, small_prior, kind, n):
     y = RngStream(323, 1).standard_normal((N, 1, m))
     x_t = RngStream(323, 2).standard_normal((N, 1, d))
     x0 = RngStream(323, 4).standard_normal((N, 1, d))
-    params = canon.default_params("DAPS")
-    params.daps.n_langevin = n
-    params.daps.eta0 = 1e-3
+    params = _daps_params(n)
     rows = RowStreams(RngStream(323, 1000 + i) for i in range(N))
     ctx = make_ctx(small_prior, schedule, x_t, 500, 250, stream=rows, x0=x0)
     got = canon.corr_daps(ctx, ops.Observation(y=y, op=op, sigma_y=0.1), params)
     assert got.shape == (N, 1, d)
+    draws = math.ceil(n / 10) if kind == "nonlinear" else 1
     for i in range(N):
         one = make_ctx(small_prior, schedule, x_t[i], 500, 250,
                        stream=RngStream(323, 1000 + i), x0=x0[i])
         ref = canon.corr_daps(one, ops.Observation(y=y[i], op=op, sigma_y=0.1), params)
         assert np.array_equal(got[i], ref), i
-        assert rows.streams[i].counter == one.stream.counter == math.ceil(n / 10)
+        assert rows.streams[i].counter == one.stream.counter == draws
 
 
-def test_daps_memory_is_one_block_whatever_n_langevin(schedule):
-    # 1024 rows, d = 4, 2000 iterations: one whole-call draw would hold
-    # 2000 * 1024 * 4 floats (~65 MB); a block of 10 holds ~0.33 MB, and the
-    # last block is released before the next is drawn
+def _daps_memory_case(schedule, n, op):
+    """DAPS at n_langevin n on 1024 rows of d = 4: the call's tracemalloc peak
+    and its wall time, after a first call that loads numpy.random."""
     prior = dif.GaussianMixturePrior([1.0], np.zeros((1, 4)), np.eye(4)[None])
     anchor = np.tile([0.5, -1.0, 2.0, 0.0], (1024, 1))
-    obs = ops.Observation(y=anchor.copy(), op=ops.dense_operator(np.eye(4)), sigma_y=0.1)
-    params = canon.default_params("DAPS")
-    params.daps.n_langevin = 1
+    obs = ops.Observation(y=anchor.copy(), op=op, sigma_y=0.1)
     ctx = make_ctx(prior, schedule, anchor, 1000, 750, stream=RngStream(324), x0=anchor)
-    canon.corr_daps(ctx, obs, params)  # the first draw loads numpy.random
-    params.daps.n_langevin = 2000
+    canon.corr_daps(ctx, obs, _daps_params(1, eta0=1e-4))
     tracemalloc.start()
     try:
-        canon.corr_daps(ctx, obs, params)
+        start = time.perf_counter()
+        out = canon.corr_daps(ctx, obs, _daps_params(n, eta0=1e-4))
+        seconds = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert np.all(np.isfinite(out))
+    return peak, seconds
+
+
+def test_daps_memory_is_one_block_whatever_n_langevin(schedule):
+    # 200 iterations on the nonlinear operator, where the block loop runs: one
+    # whole-call draw would hold 200 * 1024 * 4 floats (~6.5 MB); a block of 10
+    # holds ~0.33 MB and the nonlinear drift's temporaries ~0.27 MB more (the
+    # peak varies by ~0.08 MB from run to run)
+    op = ops.NonlinearOperator(kernel=np.array([0.25, 0.5, 0.25]), scale=0.8)
+    peak, _ = _daps_memory_case(schedule, 200, op)
+    assert peak < 800_000, peak
+
+
+def test_daps_linear_call_takes_a_billion_steps_in_one_draw(schedule):
+    # the n-step law by doubling: O(log n) vector operations, no table growing with n
+    peak, seconds = _daps_memory_case(schedule, 10**9, ops.dense_operator(np.eye(4)))
     assert peak < 550_000, peak
+    assert seconds < 0.5, seconds
 
 
 def test_daps_noiseless_variant_rejects_nonlinear(schedule, small_prior):

@@ -177,6 +177,15 @@ def test_config_error_is_one_line_and_exit_3(tmp_path, capsys, text, message):
     assert _error_line(capsys) == message.format(path=path)
 
 
+def test_config_nested_past_the_recursion_limit_is_one_line_and_exit_3(tmp_path, capsys):
+    # earlier a RecursionError traceback from json.loads
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert cli.main(["run", "--config", str(path), "--seed", "1",
+                     "--out", str(tmp_path / "r.bin")]) == 3
+    assert _error_line(capsys) == f"{path} cannot be parsed: it is nested too deeply"
+
+
 def test_divergence_is_one_line_and_exit_4(tmp_path, config_path, capsys):
     # ReSample's inner step past its stable range; earlier this was a 28-line traceback
     path = _variant(tmp_path, config_path, "rs.json",
@@ -226,6 +235,15 @@ def test_sweep_steps_must_be_integers(tmp_path, config_path, capsys):
                   "--out", str(tmp_path / "s.csv")])
     assert exit_info.value.code == 2
     assert "argument --steps: invalid int_list value: '3,x'" in capsys.readouterr().err
+
+
+def test_sweep_invalid_step_count_is_one_line_and_exit_3(tmp_path, config_path, capsys):
+    # earlier exit 0 and a CSV of error,error:ConfigError rows
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--config", config_path, "--steps", "0,2000",
+                     "--out", str(out)]) == 3
+    assert _error_line(capsys) == "S=0 outside [1, 1000]"
+    assert not out.exists()
 
 
 def test_an_error_that_is_not_an_lle_error_stays_a_traceback(tmp_path, config_path,

@@ -579,6 +579,24 @@ def test_sweep_repeats_identically(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("steps, message", [
+    ([2, 0], "S=0 outside [1, 1000]"),
+    ([2, 2000], "S=2000 outside [1, 1000]"),
+])
+def test_sweep_rejects_an_invalid_step_count_before_any_cell_runs(tmp_path, monkeypatch,
+                                                                  steps, message):
+    # earlier each invalid S became a pair of error:ConfigError rows, message lost
+    cfg = harness.load_config(write_config(tmp_path / "c.json"))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before every step count was checked")
+
+    monkeypatch.setattr(lle, "generate_references", no_work)
+    monkeypatch.setattr(harness, "_sweep_cell", no_work)
+    with pytest.raises(harness.ConfigError, match=re.escape(message)):
+        harness.sweep(cfg, steps)
+
+
 def _csv_rows(text):
     return [tuple(line.split(",")) for line in text.strip().split("\n")[1:]]
 

@@ -111,3 +111,17 @@ def test_a_call_that_fails_writes_its_error(compare, tmp_path):
     out = str(tmp_path / "recon.lle")
     compare._call(cli, ["run", "--config", str(config), "--seed", "1", "--out", out], out)
     assert Path(out + ".error").read_text() == "exit 3: lle: missing config key task\n"
+
+
+def test_grid_runs_daps_on_linear_operators(compare):
+    # DAPS's closed-form Langevin draw: both variants, each with the oracle, and a fit
+    daps = [(name, cfg["task"]["operator"]["kind"], cfg["algorithm"].get("daps"), calls)
+            for name, cfg, calls in compare.grid_plan(3) if cfg["algorithm"]["name"] == "DAPS"]
+    assert daps == [("daps-dense-base", "dense", None, ("run", "eval")),
+                    ("daps-mask-base-noiseless", "mask", {"noiseless_linear": True},
+                     ("run", "eval")),
+                    ("daps-mask-coupled-closed", "mask", None, ("train", "run")),
+                    ("daps-nonlinear-base", "nonlinear", None, ("run",))]
+    groups = compare.fit_groups([3])
+    name = os.path.join("3", "grid", "recon-daps-mask-coupled-closed.lle")
+    assert compare._group(name, groups) == ("recon", "DAPS", "closed", "coupled")

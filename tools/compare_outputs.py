@@ -25,6 +25,10 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   first-order fit with the gradient-domain term and soft-nonlinear init on
   the dense operator (the decoupled init's loss with omega > 0), each with
   ``train`` and ``run --coeffs``;
+- DAPS on a linear operator, where its Langevin chain is drawn from its
+  closed-form n-step law: one base ``run`` and ``eval --oracle`` on the dense
+  operator, the same on the mask with ``daps.noiseless_linear`` true, and one
+  coupled closed-form fit on the mask with ``train`` and ``run --coeffs``;
 - on the ``nonlinear`` operator, one base ``run`` for each of DPS, REDdiff,
   DiffPIR, ReSample and DAPS (no ``eval --oracle``: the oracle needs a linear
   operator), and one DPS first-order fit with ``train`` and ``run --coeffs``.
@@ -86,8 +90,8 @@ def _grid_config(seed, algorithm, operator, n_test, lle):
 
 
 def grid_plan(seed: int) -> list:
-    """(name, config, calls) for the LLE grid, the two optimizer variants and
-    the nonlinear-operator runs."""
+    """(name, config, calls) for the LLE grid, the optimizer variants, the
+    DAPS linear-operator runs and the nonlinear-operator runs."""
     rng = random.Random(seed)
     operators = {
         "mask": {"kind": "mask", "keep_ratio": 0.5, "seed": rng.randrange(1, 2**31)},
@@ -131,6 +135,17 @@ def grid_plan(seed: int) -> list:
     for name, (algorithm, op_name, lle) in variants.items():
         plan.append((name, _grid_config(prior_seed, algorithm, operators[op_name], 5, lle),
                      ("train", "run")))
+    daps = {
+        "daps-dense-base": ("dense", {}, "none", ("run", "eval")),
+        "daps-mask-base-noiseless": ("mask", {"noiseless_linear": True}, "none",
+                                     ("run", "eval")),
+        "daps-mask-coupled-closed": ("mask", {}, dict(fit, closed_form=True), ("train", "run")),
+    }
+    for name, (op_name, block, lle, calls) in daps.items():
+        cfg = _grid_config(prior_seed, "DAPS", operators[op_name], 5, lle)
+        if block:
+            cfg["algorithm"]["daps"] = block
+        plan.append((name, cfg, calls))
     nonlinear = {"kind": "nonlinear"}
     for algorithm in NONLINEAR_ALGORITHMS:
         plan.append((f"{algorithm.lower()}-nonlinear-base",
