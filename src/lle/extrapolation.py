@@ -156,7 +156,7 @@ class LLECoefficients(canon.ConfigBlock):
 def stack_bases(bases, op=None, decoupled=False) -> np.ndarray:
     """The fit's basis at one timestep, built once: the (J, N, d) estimates,
     oldest first with xhat last; decoupled, the (2J, N, d) stack of their range
-    projections followed by their null projections.
+    projections followed by their null projections, zero when op has full rank.
 
     (N, 1, d) row batches stack to (J, N, 1, d); each row's J estimates are
     projected as one (J, d) product, as a one-row run's (J, d) stack is.
@@ -168,7 +168,9 @@ def stack_bases(bases, op=None, decoupled=False) -> np.ndarray:
         rng = np.swapaxes(ops.project(op, np.swapaxes(stacked, 0, 2), "range"), 0, 2)
     else:
         rng = ops.project(op, stacked, "range")
-    return np.concatenate([rng, stacked - rng])
+    # at full rank x - x V V^T is rounding alone, which a fit would weight
+    null = np.zeros_like(rng) if op.r == op.n else stacked - rng
+    return np.concatenate([rng, null])
 
 
 def _combined(stacked, theta):

@@ -392,12 +392,14 @@ def sweep(config: ExperimentConfig, steps_list) -> str:
 
     The training references do not depend on the step count, so they are
     generated once and shared by every cell. Every step count's time grid is
-    built before any cell runs, so an invalid one is a ConfigError naming it,
-    not a row of error cells.
+    built before any cell runs, so an invalid or repeated one is a ConfigError
+    naming it, not a row of error cells.
     """
     if not steps_list:
         raise ConfigError("steps_list is empty")
-    for S in steps_list:
+    for i, S in enumerate(steps_list):
+        if S in steps_list[:i]:
+            raise ConfigError(f"S={S} is repeated")
         dif.make_time_grid(config.schedule, S)
     refs = None
     if config.train_config is not None:

@@ -4,7 +4,9 @@ Every linear operator is stored as A = U diag(s) V^T with orthonormal U, V
 and strictly positive s; zero singular values are represented by omission,
 so the null space is the orthogonal complement of the columns of V. This
 makes pseudoinverse, range/null projections, and the coordinatewise
-corrector algebra exact.
+corrector algebra exact. The mask's factors are built exactly (V selects
+coordinates, U = I, s = 1); every other linear operator is its matrix,
+factored by the one SVD in `dense_operator`, exact to rounding.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ class LinearOperator:
     V: np.ndarray  # (n, r) right singular vectors
     U: np.ndarray  # (m, r) left singular vectors
     s: np.ndarray  # (r,) positive singular values
-    kind: str = "dense"
 
     @property
     def r(self) -> int:
@@ -117,28 +118,6 @@ def _hadamard(n: int) -> np.ndarray:
     return H
 
 
-def _circulant_eigensystem(kernel_full: np.ndarray):
-    """Real orthonormal eigenbasis of a symmetric circulant.
-
-    kernel_full is the length-n first column c of the circulant. Symmetry
-    (c[j] == c[n-j]) makes all eigenvalues real and the cosine/sine basis an
-    eigenbasis.
-    """
-    n = kernel_full.size
-    j = np.arange(n)
-    lams, columns = [], []
-    for freq in range(n // 2 + 1):
-        ang = 2.0 * math.pi * freq * j / n
-        lam = float(np.sum(kernel_full * np.cos(2.0 * math.pi * freq * np.arange(n) / n)))
-        if freq == 0 or 2 * freq == n:  # the constant and the alternating +-1/sqrt(n)
-            columns.append(np.cos(ang) / math.sqrt(n))
-            lams.append(lam)
-        else:
-            columns += [np.cos(ang) * math.sqrt(2.0 / n), np.sin(ang) * math.sqrt(2.0 / n)]
-            lams += [lam, lam]
-    return np.array(lams), np.stack(columns, axis=1)
-
-
 def mask_operator(n: int, keep_indices) -> LinearOperator:
     keep = np.asarray(sorted(keep_indices), dtype=int)
     if keep.size == 0:
@@ -150,7 +129,7 @@ def mask_operator(n: int, keep_indices) -> LinearOperator:
     r = keep.size
     V = np.zeros((n, r))
     V[keep, np.arange(r)] = 1.0
-    return LinearOperator(n=n, m=r, V=V, U=np.eye(r), s=np.ones(r), kind="mask")
+    return LinearOperator(n=n, m=r, V=V, U=np.eye(r), s=np.ones(r))
 
 
 def random_mask_operator(n: int, keep_ratio: float, seed: int) -> LinearOperator:
@@ -163,16 +142,11 @@ def random_mask_operator(n: int, keep_ratio: float, seed: int) -> LinearOperator
 def avgpool_operator(n: int, factor: int) -> LinearOperator:
     if n % factor != 0:
         raise ConfigError(f"n={n} not divisible by pooling factor {factor}")
-    m = n // factor
-    V = np.zeros((n, m))
-    for k in range(m):
-        V[k * factor : (k + 1) * factor, k] = 1.0 / math.sqrt(factor)
-    s = np.full(m, 1.0 / math.sqrt(factor))
-    return LinearOperator(n=n, m=m, V=V, U=np.eye(m), s=s, kind="avgpool")
+    return dense_operator(np.kron(np.eye(n // factor), np.full(factor, 1.0 / factor)))
 
 
 def blur_operator(n: int, kernel) -> LinearOperator:
-    """Symmetric circular blur; diagonalized in the real cosine/sine basis."""
+    """Symmetric circular blur: the matrix of x -> _circ_conv(kernel, x)."""
     kernel = np.asarray(kernel, dtype=float)
     if kernel.size % 2 != 1:
         raise ConfigError("blur kernel length must be odd")
@@ -180,16 +154,7 @@ def blur_operator(n: int, kernel) -> LinearOperator:
         raise ConfigError("blur kernel must be symmetric about its center")
     if kernel.size > n:
         raise ConfigError("kernel longer than signal")
-    half = kernel.size // 2
-    col = np.zeros(n)
-    for offset in range(-half, half + 1):
-        col[offset % n] += kernel[half + offset]
-    lams, basis = _circulant_eigensystem(col)
-    keep = np.abs(lams) > _SVD_TOL
-    V = basis[:, keep]
-    s = np.abs(lams[keep])
-    U = basis[:, keep] * np.sign(lams[keep])
-    return LinearOperator(n=n, m=n, V=V, U=U, s=s, kind="blur")
+    return dense_operator(_circ_conv(kernel, np.eye(n)).T)  # row j of the blurred I is A e_j
 
 
 def gaussian_kernel(width: int, sigma: float) -> np.ndarray:
@@ -206,8 +171,7 @@ def hadamard_operator(n: int, keep_ratio: float, seed: int) -> LinearOperator:
     H = _hadamard(n)
     k = max(1, round(keep_ratio * n))
     rows = np.sort(RngStream(seed, stream_id=702).permutation(n)[:k])
-    V = (H[rows].T / math.sqrt(n)).astype(float)
-    return LinearOperator(n=n, m=k, V=V, U=np.eye(k), s=np.ones(k), kind="hadamard")
+    return dense_operator(H[rows] / math.sqrt(n))
 
 
 def dense_operator(matrix) -> LinearOperator:
@@ -215,7 +179,7 @@ def dense_operator(matrix) -> LinearOperator:
     m, n = A.shape
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     keep = s > _SVD_TOL
-    return LinearOperator(n=n, m=m, V=Vt[keep].T, U=U[:, keep], s=s[keep], kind="dense")
+    return LinearOperator(n=n, m=m, V=Vt[keep].T, U=U[:, keep], s=s[keep])
 
 
 def build_operator(spec: dict):

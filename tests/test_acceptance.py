@@ -68,8 +68,8 @@ def test_criterion_01_operator_algebra():
     for op in operators:
         A = op.dense()
         Ap = np.stack([ops.pinv_apply(op, e) for e in np.eye(op.m)]).T
-        assert np.linalg.norm(A @ Ap @ A - A) <= 1e-10, op.kind
-        assert np.linalg.norm(Ap @ A @ Ap - Ap) <= 1e-10 * max(1.0, np.linalg.norm(Ap)), op.kind
+        assert np.linalg.norm(A @ Ap @ A - A) <= 1e-10
+        assert np.linalg.norm(Ap @ A @ Ap - Ap) <= 1e-10 * max(1.0, np.linalg.norm(Ap))
         x = RngStream(202).standard_normal(op.n)
         rng = ops.project(op, x, "range")
         null = ops.project(op, x, "null")

@@ -246,6 +246,15 @@ def test_sweep_invalid_step_count_is_one_line_and_exit_3(tmp_path, config_path, 
     assert not out.exists()
 
 
+def test_sweep_repeated_step_count_is_one_line_and_exit_3(tmp_path, config_path, capsys):
+    # earlier exit 0 and a CSV holding the S=2 rows twice
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--config", config_path, "--steps", "2,3,2",
+                     "--out", str(out)]) == 3
+    assert _error_line(capsys) == "S=2 is repeated"
+    assert not out.exists()
+
+
 def test_an_error_that_is_not_an_lle_error_stays_a_traceback(tmp_path, config_path,
                                                             monkeypatch):
     # only LLEError is reported as a line: anything else is a bug and propagates

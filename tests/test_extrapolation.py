@@ -581,6 +581,21 @@ def test_train_decoupled_produces_two_vectors():
     assert coeffs.decoupled and [t.size for t in coeffs.theta] == [2, 4, 6]
 
 
+def test_decoupled_fit_on_a_full_rank_operator_is_the_coupled_fit():
+    # at full rank x - x V V^T is rounding alone; fitting it gave |gamma_perp| ~ 1e14
+    fits = []
+    for decoupled in (False, True):
+        params, prior, schedule, _, sigma_y, grid, tc = small_training_setup(
+            "DDRM", decoupled=decoupled, closed_form=True)
+        op = ops.blur_operator(6, ops.gaussian_kernel(5, 1.2))
+        assert op.r == op.n
+        fits.append(lle.train(params, prior, schedule, op, sigma_y, grid, tc)[0].theta)
+    for coupled, theta in zip(*fits):
+        J = coupled.size
+        assert np.array_equal(theta[J:], np.zeros(J))
+        assert np.max(np.abs(theta[:J] - coupled)) <= 1e-12 * np.max(np.abs(coupled))
+
+
 def test_decoupled_training_projects_once_per_timestep(monkeypatch):
     calls = []
     real = ops.project

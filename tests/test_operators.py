@@ -109,16 +109,21 @@ def test_avgpool_divisibility():
         ops.avgpool_operator(10, 3)
 
 
-def test_blur_matches_explicit_circulant():
-    n = 12
-    kernel = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
-    op = ops.blur_operator(n, kernel)
+def _circulant(n, kernel):
+    """The circular blur's matrix, entry by entry: (A x)_i = sum_off kernel[half + off] x_{i+off}."""
     C = np.zeros((n, n))
     half = kernel.size // 2
     for i in range(n):
         for off in range(-half, half + 1):
             C[i, (i + off) % n] += kernel[half + off]
-    assert np.max(np.abs(op.dense() - C)) < 1e-12
+    return C
+
+
+def test_blur_matches_explicit_circulant():
+    n = 12
+    kernel = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
+    op = ops.blur_operator(n, kernel)
+    assert np.max(np.abs(op.dense() - _circulant(n, kernel))) < 1e-12
 
 
 def test_blur_kernel_validation():
@@ -157,9 +162,32 @@ def test_dense_drops_zero_singular_values():
     assert np.max(np.abs(op.dense() - np.diag([2.0, 0.0]))) < 1e-12
 
 
+def _explicit_matrices():
+    """(operator, its matrix written out entry by entry) for each structured builder."""
+    pool = np.zeros((4, 12))
+    for i in range(4):
+        pool[i, 3 * i : 3 * i + 3] = 1.0 / 3.0
+    cases = {"avgpool": (ops.avgpool_operator(12, 3), pool)}
+    for name, n, kernel in (("blur-gaussian", 16, ops.gaussian_kernel(5, 1.2)),
+                            ("blur-rank-deficient", 8, np.array([0.25, 0.5, 0.25]))):
+        cases[name] = (ops.blur_operator(n, kernel), _circulant(n, kernel))
+    rows = np.sort(RngStream(4, stream_id=702).permutation(16)[:4])
+    cases["hadamard"] = (ops.hadamard_operator(16, 0.25, seed=4), ops._hadamard(16)[rows] / 4.0)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_explicit_matrices()))
+def test_structured_operator_is_its_matrix_with_orthonormal_factors(name):
+    op, A = _explicit_matrices()[name]
+    assert np.max(np.abs(op.dense() - A)) < 1e-12
+    assert np.max(np.abs(op.V.T @ op.V - np.eye(op.r))) < 1e-13
+    assert np.max(np.abs(op.U.T @ op.U - np.eye(op.r))) < 1e-13
+
+
 def test_build_operator_dispatch():
     spec = {"kind": "avgpool", "n": 8, "factor": 2}
-    assert ops.build_operator(spec).kind == "avgpool"
+    pooled = np.kron(np.eye(4), [0.5, 0.5])
+    assert np.max(np.abs(ops.build_operator(spec).dense() - pooled)) < 1e-12
     with pytest.raises(ConfigError):
         ops.build_operator({"kind": "fft", "n": 8})
 

@@ -121,7 +121,28 @@ def test_grid_runs_daps_on_linear_operators(compare):
                     ("daps-mask-base-noiseless", "mask", {"noiseless_linear": True},
                      ("run", "eval")),
                     ("daps-mask-coupled-closed", "mask", None, ("train", "run")),
+                    ("daps-blur-gauss-base", "blur", None, ("run", "eval")),
+                    ("daps-blur-binomial-base", "blur", None, ("run", "eval")),
+                    ("daps-avgpool-base", "avgpool", None, ("run", "eval")),
+                    ("daps-hadamard-base", "hadamard", None, ("run", "eval")),
                     ("daps-nonlinear-base", "nonlinear", None, ("run",))]
     groups = compare.fit_groups([3])
     name = os.path.join("3", "grid", "recon-daps-mask-coupled-closed.lle")
     assert compare._group(name, groups) == ("recon", "DAPS", "closed", "coupled")
+
+
+def test_grid_runs_each_structured_operator(compare):
+    # each of them is its matrix factored by one SVD, so the grid must reach it
+    structured = {}
+    for name, cfg, calls in compare.grid_plan(3):
+        kind = cfg["task"]["operator"]["kind"]
+        if kind in ("blur", "avgpool", "hadamard"):
+            structured.setdefault(name.split("-", 1)[1], []).append(
+                (cfg["algorithm"]["name"], calls))
+    runs = [(algorithm, ("run", "eval")) for algorithm in ("DDRM", "DPS", "ReSample", "DAPS")]
+    assert structured == {"blur-gauss-base": runs, "blur-binomial-base": runs,
+                          "avgpool-base": runs, "hadamard-base": runs,
+                          "blur-gauss-decoupled-closed": [("DDRM", ("train", "run"))]}
+    groups = compare.fit_groups([3])
+    name = os.path.join("3", "grid", "coeffs-ddrm-blur-gauss-decoupled-closed.json")
+    assert compare._group(name, groups) == ("coeffs", "DDRM", "closed", "decoupled")

@@ -29,6 +29,12 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   closed-form n-step law: one base ``run`` and ``eval --oracle`` on the dense
   operator, the same on the mask with ``daps.noiseless_linear`` true, and one
   coupled closed-form fit on the mask with ``train`` and ``run --coeffs``;
+- the structured linear operators, each its matrix factored by one SVD: a
+  base ``run`` and ``eval --oracle`` for each of DDRM, DPS, ReSample and DAPS
+  on a full-rank Gaussian blur, on the rank-deficient ``[0.25, 0.5, 0.25]``
+  blur, on 2x average pooling and on half the Hadamard rows, and one
+  decoupled closed-form DDRM fit on the full-rank blur (whose null
+  projections are zero) with ``train`` and ``run --coeffs``;
 - on the ``nonlinear`` operator, one base ``run`` for each of DPS, REDdiff,
   DiffPIR, ReSample and DAPS (no ``eval --oracle``: the oracle needs a linear
   operator), and one DPS first-order fit with ``train`` and ``run --coeffs``.
@@ -68,6 +74,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 GRID_ALGORITHMS = ("DDRM", "DDNM", "DPS", "DiffPIR")
+STRUCTURED_ALGORITHMS = ("DDRM", "DPS", "ReSample", "DAPS")
 NONLINEAR_ALGORITHMS = ("DPS", "REDdiff", "DiffPIR", "ReSample", "DAPS")
 GRID_STEPS = "2,3"
 
@@ -91,7 +98,8 @@ def _grid_config(seed, algorithm, operator, n_test, lle):
 
 def grid_plan(seed: int) -> list:
     """(name, config, calls) for the LLE grid, the optimizer variants, the
-    DAPS linear-operator runs and the nonlinear-operator runs."""
+    DAPS linear-operator runs, the structured-operator runs and the
+    nonlinear-operator runs."""
     rng = random.Random(seed)
     operators = {
         "mask": {"kind": "mask", "keep_ratio": 0.5, "seed": rng.randrange(1, 2**31)},
@@ -146,6 +154,20 @@ def grid_plan(seed: int) -> list:
         if block:
             cfg["algorithm"]["daps"] = block
         plan.append((name, cfg, calls))
+    structured = {
+        "blur-gauss": {"kind": "blur", "sigma": 1.2, "width": 5},
+        "blur-binomial": {"kind": "blur", "kernel": [0.25, 0.5, 0.25]},
+        "avgpool": {"kind": "avgpool", "factor": 2},
+        "hadamard": {"kind": "hadamard", "keep_ratio": 0.5, "seed": rng.randrange(1, 2**31)},
+    }
+    for op_name, operator in structured.items():
+        for algorithm in STRUCTURED_ALGORITHMS:
+            plan.append((f"{algorithm.lower()}-{op_name}-base",
+                         _grid_config(prior_seed, algorithm, operator, 5, "none"),
+                         ("run", "eval")))
+    plan.append(("ddrm-blur-gauss-decoupled-closed",
+                 _grid_config(prior_seed, "DDRM", structured["blur-gauss"], 5,
+                              dict(fit, decoupled=True, closed_form=True)), ("train", "run")))
     nonlinear = {"kind": "nonlinear"}
     for algorithm in NONLINEAR_ALGORITHMS:
         plan.append((f"{algorithm.lower()}-nonlinear-base",
