@@ -79,9 +79,12 @@ def _check(name: str, value, kind: str, choices, optional: bool, bounds: dict) -
 
 class ConfigBlock:
     """Base of the config dataclasses: construction checks each field's rule.
-    `block` is the block's dotted path, which errors name keys from."""
+    `block` is the block's dotted path, which errors name keys from;
+    `unread_when` maps a (switch key, value) pair to the keys nothing reads
+    while the switch has that value, which `from_dict` rejects when given."""
 
     block = ""
+    unread_when = {}
 
     @classmethod
     def _path(cls, key: str) -> str:
@@ -116,7 +119,17 @@ class ConfigBlock:
                 values[f.name] = getattr(base, f.name)
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigError(f"missing config key {cls._path(key)}")
-        return cls(**values)
+        built = cls(**values)
+        built._reject_unread(obj)
+        return built
+
+    def _reject_unread(self, given: dict) -> None:
+        """Reject a given key that a switch leaves unread (`unread_when`)."""
+        for (switch, value), keys in self.unread_when.items():
+            for key in keys:
+                if key in given and getattr(self, switch) == value:
+                    raise ConfigError(f"{self._path(key)} is not read when"
+                                      f" {self._path(switch)} is {json.dumps(value)}")
 
     @classmethod
     def load(cls, path):
@@ -156,16 +169,9 @@ class DAPSParams(ConfigBlock):
     n_langevin: int = rule(100, minimum=0)
     eta0: float = rule(1e-4, minimum=0.0)
     delta: float = rule(0.01, minimum=0.0)
-    sigma_langevin: float | None = rule(None, minimum=0.0, optional=True)  # None: max(sigma_y, .02)
+    sigma_langevin: float | None = rule(None, above=0.0, optional=True)  # None: max(sigma_y, .02)
     noiseless_linear: bool = rule(False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.sigma_langevin == 0.0 and not self.noiseless_linear:
-            raise ConfigError(
-                f"{self._path('sigma_langevin')} must be > 0 unless"
-                f" {self._path('noiseless_linear')} is true"
-            )
+    unread_when = {("noiseless_linear", True): ("sigma_langevin",)}
 
 
 @dataclass
@@ -413,7 +419,8 @@ def corr_dmps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
 
 
 def corr_resample(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
-    """Hard data consistency: argmin ||y - A(x)||^2 from x0 by momentum descent.
+    """Hard data consistency: argmin ||y - A(x)||^2 from x0 by momentum descent,
+    or, with exact_hc (a linear A only), its closed form x0 + A^+ (y - A x0).
 
     For a linear A = U diag(s) V^T the gradient 2 A^T (A x - y) lies in the
     span of V, so the descent runs on the range coordinates c = V^T x alone,
@@ -421,9 +428,9 @@ def corr_resample(ctx: StepContext, obs: ops.Observation, params: AlgoParams) ->
     """
     x0 = ctx.x0_sampled
     opt = params.inner_opt
-    if params.exact_hc and obs.is_linear:
-        op = obs.op
-        return x0 + ops.pinv_apply(op, obs.y - ops.apply(op, x0))
+    if params.exact_hc:
+        _need_linear(params, obs)
+        return x0 + ops.pinv_apply(obs.op, obs.y - ops.apply(obs.op, x0))
     if opt.steps == 0:
         return x0.copy()
     if not obs.is_linear:
@@ -515,9 +522,8 @@ def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
     eta_t = daps_step_size(daps, ctx.t_i, ctx.schedule.T)
     r2 = 1.0 - ctx.ab
     noise_scale = math.sqrt(2.0 * eta_t)
-    if obs.is_linear or daps.noiseless_linear:
-        if not obs.is_linear:
-            raise ConfigError("DAPS noiseless_linear requires a linear operator")
+    _need_linear(params, obs)
+    if obs.is_linear:
         op = obs.op
         # the noiseless data term is (1/(2 eta_t)) ||A x - y||^2, so eta_t w = 1
         eta_w = 1.0 if daps.noiseless_linear else eta_t / sigma**2
@@ -659,7 +665,8 @@ class Solver(NamedTuple):
     """One algorithm's canonical form: x0 = sampler(params, ctx), xhat =
     corrector(ctx, obs, params), x_{t_prev} = noiser(xhat, ctx, obs, params).
     preset lists every `algorithm` key the three read at its preset value ({}: a
-    whole block at its defaults); linear: it needs a linear operator (see
+    whole block at its defaults); linear: True when it always needs a linear
+    operator, or the key path of the bool that makes it need one (see
     `AlgoParams.linear_need`); noisy_gt: its corrector defines the noisy
     training target (lle.noisy_gt)."""
 
@@ -667,7 +674,7 @@ class Solver(NamedTuple):
     corrector: Callable
     noiser: Callable
     preset: dict
-    linear: bool = False
+    linear: bool | str = False
     noisy_gt: bool = False
 
 
@@ -685,8 +692,10 @@ SOLVERS = {
     "DMPS": Solver(sampler_tweedie, corr_dmps, noiser_dmps, {"eta": 0.85, "lam": 1.0},
                    linear=True),
     "ReSample": Solver(sampler_tweedie, corr_resample, noiser_resample,
-                       {"eta": 1.0, "gamma_rs": 100.0, "exact_hc": False, "inner_opt": {}}),
-    "DAPS": Solver(sampler_ddim_chain, corr_daps, noiser_direct, {"daps": {}}),
+                       {"eta": 1.0, "gamma_rs": 100.0, "exact_hc": False, "inner_opt": {}},
+                       linear="exact_hc"),
+    "DAPS": Solver(sampler_ddim_chain, corr_daps, noiser_direct, {"daps": {}},
+                   linear="daps.noiseless_linear"),
 }
 ALGORITHMS = tuple(SOLVERS)
 # the driver dispatches correctors through this view of SOLVERS, so that a
@@ -719,21 +728,26 @@ class AlgoParams(ConfigBlock):
     exact_hc: bool = rule(False)  # the closed-form shortcut (linear operators only)
     daps: DAPSParams = field(default_factory=DAPSParams)
     inner_opt: InnerOptParams = field(default_factory=InnerOptParams)
+    unread_when = {("exact_hc", True): ("inner_opt",)}
 
-    @classmethod
-    def from_dict(cls, obj, base=None):
-        """`ConfigBlock.from_dict`; a key the named solver does not read is an error."""
-        params = super().from_dict(obj, base)
-        for path in _unread(obj, {"name": None, **SOLVERS[params.algorithm].preset}):
-            raise ConfigError(f"{path} is not read by {params.algorithm}")
-        return params
+    def _reject_unread(self, given: dict) -> None:
+        """A key the named solver does not read is an error, before any switch's rule."""
+        for path in _unread(given, {"name": None, **SOLVERS[self.algorithm].preset}):
+            raise ConfigError(f"{path} is not read by {self.algorithm}")
+        super()._reject_unread(given)
 
     def linear_need(self) -> str | None:
-        """What makes these params need a linear operator, named by its key path, or None."""
-        if SOLVERS[self.algorithm].linear:
-            return f"algorithm.name {self.algorithm}"
-        daps = "daps" in SOLVERS[self.algorithm].preset and self.daps.noiseless_linear
-        return "algorithm.daps.noiseless_linear" if daps else None
+        """What makes these params need a linear operator (the solver's `linear`), or None."""
+        linear = SOLVERS[self.algorithm].linear
+        if linear is True:
+            return f"{self._path('name')} {self.algorithm}"
+        return self._path(linear) if linear and operator.attrgetter(linear)(self) else None
+
+
+def _need_linear(params: AlgoParams, obs: ops.Observation) -> None:
+    """Raise ConfigError when params need a linear operator and obs has another."""
+    if (need := params.linear_need()) and not obs.is_linear:
+        raise ConfigError(f"{need} needs a linear operator")
 
 
 def default_params(algorithm: str) -> AlgoParams:
@@ -787,8 +801,7 @@ def run_with_combiner(
     a one-row run with (m,) y[i, 0] and row i's stream gives. A (B, m)
     batch, as training uses, does not have that property.
     """
-    if (need := params.linear_need()) and not obs.is_linear:
-        raise ConfigError(f"{need} needs a linear operator")
+    _need_linear(params, obs)
     ts = grid.timesteps
     x = stream.standard_normal(obs.y.shape[:-1] + (prior.d,))
     history: list[np.ndarray] = []

@@ -85,16 +85,15 @@ class LLECoefficients(canon.ConfigBlock):
     gamma_par: list[list[float]] | None = rule(None, optional=True)
     gamma_perp: list[list[float]] | None = rule(None, optional=True)
     theta: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    unread_when = {("decoupled", True): ("gamma",),
+                   ("decoupled", False): ("gamma_par", "gamma_perp")}
 
     def __post_init__(self):
         super().__post_init__()
         parts = ("gamma_par", "gamma_perp") if self.decoupled else ("gamma",)
-        for key in ("gamma", "gamma_par", "gamma_perp"):
-            if key in parts and getattr(self, key) is None:
+        for key in parts:
+            if getattr(self, key) is None:
                 raise ConfigError(f"missing config key {key}")
-            if key not in parts and getattr(self, key) is not None:
-                raise ConfigError(
-                    f"{key} is not read when decoupled is {str(self.decoupled).lower()}")
         for key in ("timesteps",) + parts:
             if len(getattr(self, key)) != self.S:
                 raise ConfigError(f"{key} must have {self.S} entries, one per step,"
@@ -227,7 +226,7 @@ class TrainConfig(canon.ConfigBlock):
     block = "lle"
     n_refs: int = rule(50, minimum=1)
     ref_steps: int = rule(999, minimum=1)
-    omega: float | None = rule(None, minimum=0.0, optional=True)  # 0.1 with a plugin, else 0
+    omega: float | None = rule(None, minimum=0.0, optional=True)  # with a plugin; None: 0.1
     plugin: str = rule("none", choices=("none", "gradient-domain"))
     epochs: int = rule(100, minimum=0)
     warmup: int = rule(50, minimum=0)
@@ -239,16 +238,14 @@ class TrainConfig(canon.ConfigBlock):
     closed_form: bool = rule(False)  # minimum-norm solve instead of the optimizer
     optimizer: str = rule("schedule-free", choices=("schedule-free", "adam"))
     base_seed: int = rule(0)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.omega is not None and self.omega != 0.0 and self.plugin == "none":
-            raise ConfigError("lle.omega is non-zero but lle.plugin is \"none\"")
+    unread_when = {("plugin", "none"): ("omega",),
+                   ("closed_form", True): ("epochs", "warmup", "lr_rule", "optimizer"),
+                   ("optimizer", "adam"): ("warmup",)}
 
     def resolved_omega(self) -> float:
-        if self.omega is not None:
-            return self.omega
-        return 0.1 if self.plugin != "none" else 0.0
+        if self.plugin == "none":
+            return 0.0
+        return 0.1 if self.omega is None else self.omega
 
 
 def make_ground_truth(

@@ -199,6 +199,9 @@ def load_config(path) -> ExperimentConfig:
     name = top.algorithm.get("name")
     preset = canon.default_params(name) if name in canon.ALGORITHMS else None
     params = canon.AlgoParams.from_dict(top.algorithm, preset)
+    k_ddim = params.daps.k_ddim  # DAPS's DDIM chain, like the reference chain, has <= T steps
+    if "daps" in canon.SOLVERS[params.algorithm].preset and k_ddim > sched.T:
+        raise ConfigError(f"algorithm.daps.k_ddim must be <= schedule.T ({sched.T}), got {k_ddim}")
     linear = isinstance(op, ops.LinearOperator)
     if (need := params.linear_need()) and not linear:
         raise ConfigError(f"{need} needs a linear operator, not task.operator.kind 'nonlinear'")

@@ -132,9 +132,17 @@ def mask_operator(n: int, keep_indices) -> LinearOperator:
     return LinearOperator(n=n, m=r, V=V, U=np.eye(r), s=np.ones(r))
 
 
+def _kept(n: int, keep_ratio: float) -> int:
+    """round(keep_ratio * n), the coordinates or rows a keep_ratio keeps; none is an error."""
+    k = round(keep_ratio * n)
+    if k == 0:
+        raise ConfigError(f"keep_ratio {keep_ratio} keeps none of the {n} coordinates")
+    return k
+
+
 def random_mask_operator(n: int, keep_ratio: float, seed: int) -> LinearOperator:
     """Random mask keeping round(keep_ratio * n) coordinates, seeded."""
-    k = max(1, round(keep_ratio * n))
+    k = _kept(n, keep_ratio)
     perm = RngStream(seed, stream_id=701).permutation(n)
     return mask_operator(n, perm[:k])
 
@@ -169,7 +177,7 @@ def gaussian_kernel(width: int, sigma: float) -> np.ndarray:
 def hadamard_operator(n: int, keep_ratio: float, seed: int) -> LinearOperator:
     """Selected rows of the normalized Walsh-Hadamard matrix H_n / sqrt(n)."""
     H = _hadamard(n)
-    k = max(1, round(keep_ratio * n))
+    k = _kept(n, keep_ratio)
     rows = np.sort(RngStream(seed, stream_id=702).permutation(n)[:k])
     return dense_operator(H[rows] / math.sqrt(n))
 

@@ -466,9 +466,11 @@ def test_daps_requires_noise_or_variant_flag(schedule, small_prior):
     ctx = make_ctx(small_prior, schedule, RngStream(66).standard_normal(6), 500, 250)
     params = canon.default_params("DAPS")
     # a zero Langevin sigma is rejected when the block is built, not per step
-    with pytest.raises(ConfigError, match=r"algorithm\.daps\.sigma_langevin"):
+    with pytest.raises(ConfigError, match=r"algorithm\.daps\.sigma_langevin must be > 0"):
         canon.DAPSParams(sigma_langevin=0.0)
-    params.daps = canon.DAPSParams(sigma_langevin=0.0, noiseless_linear=True)
+    # the noiseless-linear variant does not read sigma_langevin, so even a zero runs
+    params.daps.noiseless_linear = True
+    params.daps.sigma_langevin = 0.0
     out = canon.corr_daps(ctx, obs, params)
     assert np.all(np.isfinite(out))
 
@@ -1100,7 +1102,7 @@ def test_spectral_algorithms_reject_nonlinear_operator(schedule, small_prior):
     obs = ops.Observation(y=np.zeros(6), op=nl, sigma_y=0.1)
     grid = dif.make_time_grid(schedule, 2)
     spectral = ("DDRM", "DDNM", "PiGDM", "DMPS")
-    assert {name for name, s in canon.SOLVERS.items() if s.linear} == set(spectral)
+    assert {name for name, s in canon.SOLVERS.items() if s.linear is True} == set(spectral)
     for name in spectral:
         with pytest.raises(ConfigError, match=name):
             canon.run(canon.default_params(name), small_prior, schedule, obs, grid, seed=92)
@@ -1108,7 +1110,8 @@ def test_spectral_algorithms_reject_nonlinear_operator(schedule, small_prior):
 
 @pytest.mark.parametrize("name", list(canon.SOLVERS))
 def test_solver_linear_flag_decides_nonlinear_operator(schedule, small_prior, name):
-    # a solver marked linear fails once, before any draw; any other runs
+    # a solver that always needs a linear operator fails once, before any draw; any other
+    # runs at its preset
     op = ops.NonlinearOperator(kernel=np.array([0.25, 0.5, 0.25]), scale=1.0)
     y = ops.nl_apply(op, RngStream(95, 1).standard_normal((3, 6)))
     obs = ops.Observation(y=y, op=op, sigma_y=0.1)
@@ -1116,7 +1119,7 @@ def test_solver_linear_flag_decides_nonlinear_operator(schedule, small_prior, na
     params = canon.default_params(name)
     params.daps.n_langevin = 5
     stream = RngStream(95, 2)
-    if canon.SOLVERS[name].linear:
+    if canon.SOLVERS[name].linear is True:
         with pytest.raises(ConfigError):
             canon.run(params, small_prior, schedule, obs, grid, seed=0, stream=stream)
         assert stream.counter == 0
@@ -1137,6 +1140,55 @@ def test_daps_noiseless_linear_on_a_nonlinear_operator_fails_before_any_draw(sch
         canon.run_with_combiner(params, small_prior, schedule, obs,
                                 dif.make_time_grid(schedule, 3), streams)
     assert [s.counter for s in streams.streams] == [0, 0, 0]
+
+
+def test_resample_exact_hc_on_a_nonlinear_operator_fails_before_any_draw(schedule,
+                                                                         small_prior):
+    # earlier corr_resample fell back to the descent, and the run exited 0
+    op = ops.NonlinearOperator(kernel=np.array([0.25, 0.5, 0.25]), scale=1.0)
+    obs = ops.Observation(y=np.zeros((3, 1, 6)), op=op, sigma_y=0.1)
+    params = canon.default_params("ReSample")
+    params.exact_hc = True
+    streams = RowStreams(RngStream(97, i) for i in range(3))
+    with pytest.raises(ConfigError, match="^algorithm.exact_hc needs a linear operator$"):
+        canon.run_with_combiner(params, small_prior, schedule, obs,
+                                dif.make_time_grid(schedule, 3), streams)
+    assert [s.counter for s in streams.streams] == [0, 0, 0]
+    ctx = make_ctx(small_prior, schedule, np.zeros(6), 400, 200)
+    with pytest.raises(ConfigError, match="^algorithm.exact_hc needs a linear operator$"):
+        canon.corr_resample(ctx, ops.Observation(y=np.zeros(6), op=op, sigma_y=0.1), params)
+
+
+# (solver, its block holding the switch, switch, unread key, another valid value of it)
+_UNREAD_WHEN_CASES = [
+    ("ReSample", None, "exact_hc", "inner_opt",
+     canon.InnerOptParams(lr=1.99, momentum=0.5, steps=7)),
+    ("DAPS", "daps", "noiseless_linear", "sigma_langevin", 0.3),
+]
+
+
+def test_the_unread_when_cases_cover_every_algorithm_entry():
+    covered = {(block, switch, key) for _, block, switch, key, _ in _UNREAD_WHEN_CASES}
+    tables = {None: canon.AlgoParams, "daps": canon.DAPSParams, "inner_opt": canon.InnerOptParams}
+    assert covered == {(block, switch, key) for block, cls in tables.items()
+                       for (switch, value), keys in cls.unread_when.items() for key in keys}
+    assert all(value is True for cls in tables.values() for _, value in cls.unread_when)
+
+
+@pytest.mark.parametrize("kind", ["mask", "dense"])
+@pytest.mark.parametrize("name, block, switch, key, value", _UNREAD_WHEN_CASES)
+def test_a_key_its_switch_leaves_unread_leaves_the_run_as_it_was(schedule, small_prior, kind,
+                                                                 name, block, switch, key,
+                                                                 value):
+    op = _inner_loop_operator(kind)
+    obs = ops.Observation(y=RngStream(98, 1).standard_normal((2, op.m)), op=op, sigma_y=0.05)
+    grid = dif.make_time_grid(schedule, 3)
+    params = canon.default_params(name)
+    holder = getattr(params, block) if block else params
+    setattr(holder, switch, True)
+    base = canon.run(params, small_prior, schedule, obs, grid, seed=98)
+    setattr(holder, key, value)
+    assert canon.run(params, small_prior, schedule, obs, grid, seed=98).tobytes() == base.tobytes()
 
 
 def test_a_non_finite_estimate_stops_the_run_naming_its_step_and_rows(schedule, small_prior):
@@ -1172,7 +1224,7 @@ def _unread_fields_set_to_nan(params):
 
 @pytest.mark.parametrize("name, kind", [(name, kind) for name, solver in canon.SOLVERS.items()
                                         for kind in ("mask", "nonlinear")
-                                        if kind == "mask" or not solver.linear])
+                                        if kind == "mask" or solver.linear is not True])
 def test_the_preset_lists_every_key_its_solver_reads(schedule, small_prior, name, kind):
     # NaN in every field the preset does not list leaves the run's bytes as they were
     op = _inner_loop_operator(kind)

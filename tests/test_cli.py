@@ -299,6 +299,49 @@ def test_ref_steps_above_schedule_T_is_one_line_and_exit_3(tmp_path, config_path
     assert _error_line(capsys) == "lle.ref_steps must be <= schedule.T (100), got 999"
 
 
+_FIT = {"n_refs": 4, "ref_steps": 25, "base_seed": 5}
+_NONLINEAR = {"operator": {"kind": "nonlinear"}, "sigma_y": 0.05}
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    # earlier each ran to exit 0, with output byte-identical to the config without the key
+    ("train", {"lle": dict(_FIT, closed_form=True, epochs=7)},
+     "lle.epochs is not read when lle.closed_form is true"),
+    ("train", {"lle": dict(_FIT, closed_form=True, warmup=7)},
+     "lle.warmup is not read when lle.closed_form is true"),
+    ("train", {"lle": dict(_FIT, closed_form=True, lr_rule="dynamic")},
+     "lle.lr_rule is not read when lle.closed_form is true"),
+    ("train", {"lle": dict(_FIT, closed_form=True, optimizer="adam")},
+     "lle.optimizer is not read when lle.closed_form is true"),
+    ("train", {"lle": dict(_FIT, epochs=4, optimizer="adam", warmup=3)},
+     'lle.warmup is not read when lle.optimizer is "adam"'),
+    ("run", {"algorithm": {"name": "ReSample", "exact_hc": True, "inner_opt": {"lr": 1.99}}},
+     "algorithm.inner_opt is not read when algorithm.exact_hc is true"),
+    ("run", {"algorithm": {"name": "ReSample", "exact_hc": True}, "task": _NONLINEAR},
+     "algorithm.exact_hc needs a linear operator, not task.operator.kind 'nonlinear'"),
+    ("run", {"algorithm": {"name": "DAPS", "daps": {"noiseless_linear": True,
+                                                     "sigma_langevin": 0.3}}},
+     "algorithm.daps.sigma_langevin is not read when algorithm.daps.noiseless_linear is true"),
+    # earlier the same bytes as k_ddim 1000, at a cost growing with the value
+    ("run", {"algorithm": {"name": "DAPS", "daps": {"k_ddim": 5000}}},
+     "algorithm.daps.k_ddim must be <= schedule.T (1000), got 5000"),
+    # earlier clamped to one kept coordinate
+    ("run", {"task": {"operator": {"kind": "mask", "keep_ratio": 0.01, "seed": 2},
+                      "sigma_y": 0.05}},
+     "task.operator: keep_ratio 0.01 keeps none of the 4 coordinates"),
+], ids=["closed-form-epochs", "closed-form-warmup", "closed-form-lr_rule",
+        "closed-form-optimizer", "adam-warmup", "exact_hc-inner_opt", "exact_hc-nonlinear",
+        "noiseless-sigma_langevin", "k_ddim-above-T", "keep_ratio-keeps-none"])
+def test_a_key_that_would_be_ignored_is_one_line_and_exit_3(tmp_path, config_path, capsys,
+                                                           command, overrides, message):
+    path = _variant(tmp_path, config_path, "unread.json", **overrides)
+    out = tmp_path / ("c.json" if command == "train" else "r.bin")
+    argv = [command, "--config", path, "--out", str(out)]
+    assert cli.main(argv + (["--seed", "1"] if command == "run" else [])) == 3
+    assert _error_line(capsys) == message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--dim", "0"), ("--components", "-1")])
 def test_gen_prior_bad_size_is_one_line_and_exit_3(tmp_path, capsys, flag, value):
     # earlier a NumPy ValueError traceback

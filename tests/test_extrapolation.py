@@ -673,6 +673,48 @@ def test_train_config_omega_resolution():
     assert lle.TrainConfig(plugin="gradient-domain", omega=0.7).resolved_omega() == 0.7
 
 
+# (switch, its value, a key it leaves unread, another valid value of that key)
+_TRAIN_UNREAD_CASES = [
+    ("plugin", "none", "omega", 0.5),
+    ("closed_form", True, "epochs", 7),
+    ("closed_form", True, "warmup", 3),
+    ("closed_form", True, "lr_rule", "dynamic"),
+    ("closed_form", True, "optimizer", "adam"),
+    ("optimizer", "adam", "warmup", 3),
+]
+
+
+def test_the_train_unread_cases_cover_every_entry():
+    assert {case[:3] for case in _TRAIN_UNREAD_CASES} == {
+        (switch, value, key) for (switch, value), keys in lle.TrainConfig.unread_when.items()
+        for key in keys}
+
+
+@pytest.mark.parametrize("switch, on, key, value", _TRAIN_UNREAD_CASES)
+def test_a_key_its_switch_leaves_unread_leaves_the_fit_as_it_was(switch, on, key, value):
+    # earlier omega was read under plugin "none" when set past the load-time rule
+    params, prior, schedule, op, sigma_y, grid, tc = small_training_setup("DPS", **{switch: on})
+    coeffs, traces = lle.train(params, prior, schedule, op, sigma_y, grid, tc)
+    setattr(tc, key, value)
+    again, traces_again = lle.train(params, prior, schedule, op, sigma_y, grid, tc)
+    assert [t.tobytes() for t in again.theta] == [t.tobytes() for t in coeffs.theta]
+    assert traces_again == traces
+
+
+@pytest.mark.parametrize("decoupled", [False, True])
+def test_a_coefficient_part_decoupled_leaves_unread_is_rejected_and_unused(decoupled):
+    obj = _coeffs_file(decoupled)
+    unread = lle.LLECoefficients.unread_when["decoupled", decoupled]
+    junk = {key: [[9.0], [9.0, 9.0]] for key in unread}
+    message = f"^{unread[0]} is not read when decoupled is {json.dumps(decoupled)}$"
+    with pytest.raises(ConfigError, match=message):
+        lle.LLECoefficients.from_json(json.dumps(dict(obj, **junk)))
+    read = lle.LLECoefficients.from_dict(obj)
+    built = lle.LLECoefficients(read.S, decoupled, read.timesteps,
+                                **{k: v for k, v in obj.items() if k.startswith("gamma")}, **junk)
+    assert [t.tobytes() for t in built.theta] == [t.tobytes() for t in read.theta]
+
+
 def test_generate_references_shape_and_determinism(schedule, small_prior):
     tc = lle.TrainConfig(n_refs=4, ref_steps=40, base_seed=2)
     a = lle.generate_references(small_prior, schedule, tc)

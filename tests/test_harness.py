@@ -295,12 +295,56 @@ def test_settable_algorithm_values_are_the_presets_keys():
     assert sum(counts.values()) == 27
 
 
+def test_settable_values_fall_under_each_switch():
+    # the keys a switch leaves unread are no longer settable beside it
+    fit = len(dataclasses.fields(lle.TrainConfig))
+    unread = lle.TrainConfig.unread_when
+    closed, adam, none = (len(unread[switch]) for switch in (
+        ("closed_form", True), ("optimizer", "adam"), ("plugin", "none")))
+    assert (fit, fit - closed, fit - closed - none, fit - adam, fit - adam - none) \
+        == (13, 9, 8, 12, 11)
+    resample = {k: v for k, v in canon.SOLVERS["ReSample"].preset.items()
+                if k not in canon.AlgoParams.unread_when["exact_hc", True]}
+    assert _settable(resample, canon.default_params("ReSample")) == 3
+    daps = canon.DAPSParams
+    assert len(dataclasses.fields(daps)) - len(daps.unread_when["noiseless_linear", True]) == 5
+
+
 def test_load_config_rejects_ref_steps_above_schedule_T(tmp_path):
     lle_block = {"n_refs": 4, "ref_steps": 101}
     with pytest.raises(harness.ConfigError, match=r"^lle\.ref_steps must be <= schedule\.T"):
         harness.load_config(write_config(tmp_path / "a.json", lle=lle_block, schedule={"T": 100}))
     harness.load_config(write_config(tmp_path / "b.json", lle=dict(lle_block, ref_steps=100),
                                      schedule={"T": 100}))
+
+
+def test_load_config_rejects_daps_k_ddim_above_schedule_T(tmp_path):
+    # earlier k_ddim 1000, 5000 and 200000 gave the same bytes at T 1000
+    daps = {"name": "DAPS", "daps": {"k_ddim": 101}}
+    short = {"schedule": {"T": 100}, "lle": "none"}
+    with pytest.raises(harness.ConfigError,
+                       match=r"^algorithm\.daps\.k_ddim must be <= schedule\.T \(100\), got 101$"):
+        harness.load_config(write_config(tmp_path / "a.json", algorithm=daps, **short))
+    harness.load_config(write_config(tmp_path / "b.json", algorithm={
+        "name": "DAPS", "daps": {"k_ddim": 100}}, **short))
+    # a solver that does not read k_ddim loads at a T below its default of 5
+    harness.load_config(write_config(tmp_path / "c.json", schedule={"T": 4}, steps=2,
+                                     lle="none"))
+
+
+@pytest.mark.parametrize("kind", ["mask", "hadamard"])
+def test_load_config_rejects_a_keep_ratio_that_keeps_nothing(tmp_path, kind):
+    # earlier clamped to one kept coordinate: keep_ratio 0.01 and 0.1 ran the same bytes
+    for ratio, kept in ((0.01, 0), (0.0625, 0), (0.07, 1)):  # round(0.0625 * 8) is 0
+        operator = {"kind": kind, "keep_ratio": ratio, "seed": 1}
+        path = write_config(tmp_path / "cfg.json", prior={"dim": 8, "components": 2},
+                            task={"operator": operator, "sigma_y": 0.05})
+        if kept:
+            assert harness.load_config(path).op.m == kept
+            continue
+        with pytest.raises(harness.ConfigError, match=re.escape(
+                f"task.operator: keep_ratio {ratio} keeps none of the 8 coordinates")):
+            harness.load_config(path)
 
 
 def test_operator_spec_nonlinear(tmp_path):
@@ -886,6 +930,12 @@ def test_readme_config_schema_lists_every_key():
         assert f"{kind}:" in section, kind
 
 
+def test_every_unread_when_table_has_its_exactness_test():
+    # tests/test_canonical.py and tests/test_extrapolation.py run each entry of these
+    assert {cls for cls in _config_blocks() if cls.unread_when} == {
+        canon.AlgoParams, canon.DAPSParams, lle.TrainConfig, lle.LLECoefficients}
+
+
 def keys_read_table() -> str:
     """The README's table of the `algorithm` keys each solver reads, from `SOLVERS`."""
     rows = ["| `name` | Keys read, at their preset values | Linear operator |",
@@ -894,8 +944,8 @@ def keys_read_table() -> str:
         values = dataclasses.asdict(canon.default_params(name))
         keys = [f"`{path}` {json.dumps(_at(values, path))}" for path in _key_paths(values)
                 if not isinstance(_at(values, path), dict) and preset_lists(name, path)]
-        linear = ("always" if solver.linear else "with `daps.noiseless_linear` true"
-                  if preset_lists(name, "daps.noiseless_linear") else "no")
+        linear = ("always" if solver.linear is True
+                  else f"with `{solver.linear}` true" if solver.linear else "no")
         rows.append(f"| {name} | {', '.join(keys)} | {linear} |")
     return "\n".join(rows)
 
@@ -939,11 +989,18 @@ def _valid_configs(draw):
         operator = {"kind": "dense", "matrix": A.tolist()}
     algorithm = draw(st.sampled_from(canon.ALGORITHMS))
     alg = {"name": algorithm, **copy.deepcopy(canon.SOLVERS[algorithm].preset)}  # keys it reads
+    # every operator drawn is linear, so the switches that need one may be on; a key a
+    # switch leaves unread is not drawn
     if "daps" in alg:
         alg["daps"] = {"k_ddim": 2, "n_langevin": 5, "eta0": 1e-4, "delta": 0.01,
-                       "sigma_langevin": draw(st.sampled_from([None, 0.05])),
-                       "noiseless_linear": False}
-    if "inner_opt" in alg:
+                       "noiseless_linear": draw(st.booleans())}
+        if not alg["daps"]["noiseless_linear"]:
+            alg["daps"]["sigma_langevin"] = draw(st.sampled_from([None, 0.05]))
+    if "exact_hc" in alg:
+        alg["exact_hc"] = draw(st.booleans())
+    if "inner_opt" in alg and alg.get("exact_hc"):
+        del alg["inner_opt"]
+    elif "inner_opt" in alg:
         alg["inner_opt"]["steps"] = 5
     prior = {"dim": d, "components": 2, "seed": seed}
     if draw(st.booleans()):  # the same mixture, inline
@@ -960,14 +1017,19 @@ def _valid_configs(draw):
         "seeds": {"train": seed, "test": seed + 1},
     }
     if draw(st.booleans()):
-        plugin = draw(st.sampled_from(["none", "gradient-domain"]))
-        cfg["lle"] = {"n_refs": 4, "ref_steps": 10, "epochs": 3, "warmup": 1,
-                      "omega": None, "plugin": plugin,
-                      "lr_rule": draw(st.sampled_from(["constant", "dynamic"])),
-                      "init_mode": draw(st.sampled_from(["adaptive-linear", "soft-nonlinear"])),
-                      "noisy_gt": False, "decoupled": False, "closed_form": draw(st.booleans()),
-                      "optimizer": draw(st.sampled_from(["schedule-free", "adam"])),
-                      "base_seed": seed}
+        fit = {"n_refs": 4, "ref_steps": 10,
+               "plugin": draw(st.sampled_from(["none", "gradient-domain"])),
+               "init_mode": draw(st.sampled_from(["adaptive-linear", "soft-nonlinear"])),
+               "noisy_gt": False, "decoupled": False, "closed_form": draw(st.booleans()),
+               "base_seed": seed}
+        if fit["plugin"] != "none":
+            fit["omega"] = draw(st.sampled_from([None, 0.05]))
+        if not fit["closed_form"]:
+            fit.update(epochs=3, optimizer=draw(st.sampled_from(["schedule-free", "adam"])),
+                       lr_rule=draw(st.sampled_from(["constant", "dynamic"])))
+        if fit.get("optimizer") == "schedule-free":
+            fit["warmup"] = 1
+        cfg["lle"] = fit
     return cfg
 
 
@@ -1038,14 +1100,39 @@ def _unread_key(draw, cfg):
     return mutated, f"algorithm.{block if block and not preset_lists(name, block) else path}"
 
 
+def _switched_off_keys(cfg):
+    """[(dotted path, a valid value)] of the keys cfg does not give and one of its
+    switches leaves unread (`ConfigBlock.unread_when`)."""
+    found = []
+    for cls in (canon.AlgoParams, canon.DAPSParams, lle.TrainConfig):
+        block = cfg
+        for key in cls.block.split("."):
+            block = block.get(key) if isinstance(block, dict) else None
+        if not isinstance(block, dict):
+            continue
+        defaults = {f.name: {} if f.default is dataclasses.MISSING else f.default
+                    for f in dataclasses.fields(cls)}
+        for (switch, value), keys in cls.unread_when.items():
+            if block.get(switch, defaults[switch]) == value:
+                found += [(f"{cls.block}.{key}", defaults[key]) for key in keys
+                          if key not in block]
+    return found
+
+
 @st.composite
 def _mutations(draw, cfg):
     """(mutated config, the dotted path its error must name). A key the
-    algorithm does not read and a list-valued key are each drawn in a fixed
-    share of the draws: few keys are either, so a uniform draw would rarely
-    reach them."""
-    if draw(st.sampled_from([False] * 5 + [True])):
+    algorithm does not read, a key a switch leaves unread and a list-valued
+    key are each drawn in a fixed share of the draws: few keys are any of
+    these, so a uniform draw would rarely reach them."""
+    how = draw(st.sampled_from(["value"] * 5 + ["unread", "switched"]))
+    if how == "unread":
         return _unread_key(draw, cfg)
+    if how == "switched" and _switched_off_keys(cfg):
+        path, value = draw(st.sampled_from(_switched_off_keys(cfg)))
+        mutated = copy.deepcopy(cfg)
+        _set(mutated, path, value)
+        return mutated, path
     paths = sorted(_key_paths(cfg))
     lists = [path for path in paths if isinstance(_at(cfg, path), list)]
     if lists and draw(st.sampled_from([True, False, False])):

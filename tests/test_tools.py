@@ -146,3 +146,24 @@ def test_grid_runs_each_structured_operator(compare):
     groups = compare.fit_groups([3])
     name = os.path.join("3", "grid", "coeffs-ddrm-blur-gauss-decoupled-closed.json")
     assert compare._group(name, groups) == ("coeffs", "DDRM", "closed", "decoupled")
+
+
+def test_grid_runs_resample_exact_hc_on_each_linear_operator(compare):
+    # the closed-form hard data consistency, which no preset reaches
+    exact = [(name, cfg["task"]["operator"]["kind"], calls)
+             for name, cfg, calls in compare.grid_plan(3) if cfg["algorithm"].get("exact_hc")]
+    assert exact == [("resample-mask-base-exact", "mask", ("run", "eval")),
+                     ("resample-dense-base-exact", "dense", ("run", "eval"))]
+    groups = compare.fit_groups([3])
+    name = os.path.join("3", "grid", "metrics-resample-dense-base-exact.csv")
+    assert compare._group(name, groups) == ("metrics", "ReSample", "none", "-")
+
+
+def test_every_grid_config_loads(compare, tmp_path):
+    # a key its fit or solver leaves unread would turn its calls into .error files
+    from lle import harness
+
+    for name, cfg, _ in compare.grid_plan(3):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        harness.load_config(path)

@@ -14,9 +14,10 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   algorithm and operator, one DDRM base ``run`` per operator at ``eta_b``
   0.5 (the spectral corrector's partial blend, which neither preset
   reaches), and one DPS base ``run`` per operator at ``eta`` 0.5 (the DDIM
-  noiser with both c1 and c2 non-zero, which no preset reaches), each
-  followed by ``eval --oracle`` on its output, so the posterior oracle's
-  numerics are compared too;
+  noiser with both c1 and c2 non-zero, which no preset reaches), and one
+  ReSample base ``run`` per operator with ``exact_hc`` true (its closed-form
+  hard data consistency), each followed by ``eval --oracle`` on its output,
+  so the posterior oracle's numerics are compared too;
 - one DDNM base ``run`` and ``eval --oracle`` whose config reads the grid's
   prior through ``prior.file``, from a file that ``gen-prior`` writes first,
   so the prior writer and the prior-file reader are compared too;
@@ -38,6 +39,10 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
 - on the ``nonlinear`` operator, one base ``run`` for each of DPS, REDdiff,
   DiffPIR, ReSample and DAPS (no ``eval --oracle``: the oracle needs a linear
   operator), and one DPS first-order fit with ``train`` and ``run --coeffs``.
+
+Every LLE block sets only keys its fit reads: a closed-form fit takes no
+``epochs``, ``warmup``, ``lr_rule`` or ``optimizer``, and the Adam fit no
+``warmup``, since ``lle`` rejects a key its switch leaves unread.
 
 A call that fails writes ``<out>.error`` instead: the exception it raised, or
 the exit code and stderr line of an error ``lle`` reports itself. For
@@ -108,7 +113,9 @@ def grid_plan(seed: int) -> list:
     }
     base_seed = rng.randrange(1, 2**31)
     prior_seed = rng.randrange(1, 2**31)
-    fit = {"n_refs": 16, "ref_steps": 100, "epochs": 30, "warmup": 10, "base_seed": base_seed}
+    # a closed-form fit reads no optimizer key, and a first-order one reads them
+    fit = {"n_refs": 16, "ref_steps": 100, "base_seed": base_seed}
+    first = dict(fit, epochs=30, warmup=10)
     plan = []
     for algorithm in GRID_ALGORITHMS:
         for op_name, operator in operators.items():
@@ -117,7 +124,8 @@ def grid_plan(seed: int) -> list:
                          ("run", "eval")))
             for decoupled in (False, True):
                 for closed_form in (True, False):
-                    lle = dict(fit, decoupled=decoupled, closed_form=closed_form)
+                    lle = dict(fit if closed_form else first, decoupled=decoupled,
+                               closed_form=closed_form)
                     name = (f"{algorithm.lower()}-{op_name}-"
                             f"{'decoupled' if decoupled else 'coupled'}-"
                             f"{'closed' if closed_form else 'first'}")
@@ -131,14 +139,19 @@ def grid_plan(seed: int) -> list:
         cfg = _grid_config(prior_seed, "DPS", operator, 5, "none")
         cfg["algorithm"]["eta"] = 0.5
         plan.append((f"dps-{op_name}-base-eta", cfg, ("run", "eval")))
+    for op_name, operator in operators.items():
+        cfg = _grid_config(prior_seed, "ReSample", operator, 5, "none")
+        cfg["algorithm"]["exact_hc"] = True
+        plan.append((f"resample-{op_name}-base-exact", cfg, ("run", "eval")))
     cfg = _grid_config(prior_seed, "DDNM", operators["mask"], 5, "none")
     plan.append(("ddnm-mask-base-prior-file", cfg, ("gen-prior", "run", "eval")))
     variants = {
-        "dps-mask-plugin": ("DPS", "mask", dict(fit, plugin="gradient-domain")),
-        "ddnm-mask-adam": ("DDNM", "mask", dict(fit, optimizer="adam", lr_rule="dynamic",
-                                                init_mode="soft-nonlinear")),
+        "dps-mask-plugin": ("DPS", "mask", dict(first, plugin="gradient-domain")),
+        # Adam reads no warmup
+        "ddnm-mask-adam": ("DDNM", "mask", dict(fit, epochs=30, optimizer="adam",
+                                                lr_rule="dynamic", init_mode="soft-nonlinear")),
         "dps-dense-decoupled-plugin": ("DPS", "dense", dict(
-            fit, decoupled=True, plugin="gradient-domain", init_mode="soft-nonlinear")),
+            first, decoupled=True, plugin="gradient-domain", init_mode="soft-nonlinear")),
     }
     for name, (algorithm, op_name, lle) in variants.items():
         plan.append((name, _grid_config(prior_seed, algorithm, operators[op_name], 5, lle),
@@ -173,7 +186,7 @@ def grid_plan(seed: int) -> list:
         plan.append((f"{algorithm.lower()}-nonlinear-base",
                      _grid_config(prior_seed, algorithm, nonlinear, 5, "none"), ("run",)))
     plan.append(("dps-nonlinear-coupled-first",
-                 _grid_config(prior_seed, "DPS", nonlinear, 5, fit), ("train", "run")))
+                 _grid_config(prior_seed, "DPS", nonlinear, 5, first), ("train", "run")))
     return plan
 
 
