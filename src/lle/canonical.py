@@ -77,11 +77,25 @@ def _check(name: str, value, kind: str, choices, optional: bool, bounds: dict) -
             raise ConfigError(f"{name} must be {sign} {limit}, got {value!r}")
 
 
+GIVEN = object()  # an `unread_when` value: the switch key is given, not null
+
+
+def reject_unread(table: dict, given: dict, value_of, path, by: str = "") -> None:
+    """Raise ConfigError naming the first key of given that an `unread_when` table
+    leaves unread; value_of(switch) is a switch's value, path(key) a key's dotted path."""
+    for (switch, value), keys in table.items():
+        now = value_of(switch)
+        for key in keys:
+            if key in given and ((now is not None) if value is GIVEN else now == value):
+                state = "given" if value is GIVEN else json.dumps(value)
+                raise ConfigError(f"{path(key)} is not read{by} when {path(switch)} is {state}")
+
+
 class ConfigBlock:
     """Base of the config dataclasses: construction checks each field's rule.
     `block` is the block's dotted path, which errors name keys from;
-    `unread_when` maps a (switch key, value) pair to the keys nothing reads
-    while the switch has that value, which `from_dict` rejects when given."""
+    `unread_when` maps a (switch key or dotted path, value or `GIVEN`) pair to the
+    keys nothing reads while the switch has that value, which `from_dict` rejects."""
 
     block = ""
     unread_when = {}
@@ -125,11 +139,7 @@ class ConfigBlock:
 
     def _reject_unread(self, given: dict) -> None:
         """Reject a given key that a switch leaves unread (`unread_when`)."""
-        for (switch, value), keys in self.unread_when.items():
-            for key in keys:
-                if key in given and getattr(self, switch) == value:
-                    raise ConfigError(f"{self._path(key)} is not read when"
-                                      f" {self._path(switch)} is {json.dumps(value)}")
+        reject_unread(self.unread_when, given, lambda k: operator.attrgetter(k)(self), self._path)
 
     @classmethod
     def load(cls, path):
@@ -171,7 +181,9 @@ class DAPSParams(ConfigBlock):
     delta: float = rule(0.01, minimum=0.0)
     sigma_langevin: float | None = rule(None, above=0.0, optional=True)  # None: max(sigma_y, .02)
     noiseless_linear: bool = rule(False)
-    unread_when = {("noiseless_linear", True): ("sigma_langevin",)}
+    unread_when = {("noiseless_linear", True): ("sigma_langevin",),
+                   ("n_langevin", 0): ("eta0", "delta", "sigma_langevin", "noiseless_linear"),
+                   ("eta0", 0): ("delta", "sigma_langevin")}
 
 
 @dataclass
@@ -180,6 +192,7 @@ class InnerOptParams(ConfigBlock):
     lr: float = rule(0.01, minimum=0.0)
     momentum: float = rule(0.9, minimum=0.0, below=1.0)
     steps: int = rule(50, minimum=0)
+    unread_when = {("steps", 0): ("lr", "momentum")}
 
 
 @dataclass
@@ -668,7 +681,8 @@ class Solver(NamedTuple):
     whole block at its defaults); linear: True when it always needs a linear
     operator, or the key path of the bool that makes it need one (see
     `AlgoParams.linear_need`); noisy_gt: its corrector defines the noisy
-    training target (lle.noisy_gt)."""
+    training target (lle.noisy_gt); unread_when: its `unread_when` table, whose switches are
+    `algorithm` keys or the task's "task.operator" ("linear"/"nonlinear") and "task.sigma_y"."""
 
     sampler: Callable
     corrector: Callable
@@ -676,6 +690,7 @@ class Solver(NamedTuple):
     preset: dict
     linear: bool | str = False
     noisy_gt: bool = False
+    unread_when: dict = {}
 
 
 SOLVERS = {
@@ -688,7 +703,10 @@ SOLVERS = {
     "PiGDM": Solver(sampler_tweedie, corr_pigdm, noiser_ddim, {"eta": 1.0}, linear=True),
     "REDdiff": Solver(sampler_tweedie, corr_reddiff, noiser_direct, {"xi": 1.0, "lam": 0.5}),
     "DiffPIR": Solver(sampler_tweedie, corr_diffpir, noiser_diffpir,
-                      {"eta": 1.0, "lam": 7.0, "inner_opt": {"lr": 0.1, "steps": 50}}),
+                      {"eta": 1.0, "lam": 7.0, "inner_opt": {"lr": 0.1, "steps": 50}},
+                      unread_when={("task.operator", "linear"): ("inner_opt",),
+                                   ("inner_opt.steps", 0): ("lam",),
+                                   ("task.sigma_y", 0): ("lam",)}),
     "DMPS": Solver(sampler_tweedie, corr_dmps, noiser_dmps, {"eta": 0.85, "lam": 1.0},
                    linear=True),
     "ReSample": Solver(sampler_tweedie, corr_resample, noiser_resample,
@@ -728,7 +746,7 @@ class AlgoParams(ConfigBlock):
     exact_hc: bool = rule(False)  # the closed-form shortcut (linear operators only)
     daps: DAPSParams = field(default_factory=DAPSParams)
     inner_opt: InnerOptParams = field(default_factory=InnerOptParams)
-    unread_when = {("exact_hc", True): ("inner_opt",)}
+    unread_when = {("exact_hc", True): ("inner_opt",), ("xi", 0): ("lam",)}
 
     def _reject_unread(self, given: dict) -> None:
         """A key the named solver does not read is an error, before any switch's rule."""

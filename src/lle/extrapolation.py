@@ -226,7 +226,7 @@ class TrainConfig(canon.ConfigBlock):
     block = "lle"
     n_refs: int = rule(50, minimum=1)
     ref_steps: int = rule(999, minimum=1)
-    omega: float | None = rule(None, minimum=0.0, optional=True)  # with a plugin; None: 0.1
+    omega: float = rule(0.1, minimum=0.0)  # read with a plugin only
     plugin: str = rule("none", choices=("none", "gradient-domain"))
     epochs: int = rule(100, minimum=0)
     warmup: int = rule(50, minimum=0)
@@ -240,12 +240,11 @@ class TrainConfig(canon.ConfigBlock):
     base_seed: int = rule(0)
     unread_when = {("plugin", "none"): ("omega",),
                    ("closed_form", True): ("epochs", "warmup", "lr_rule", "optimizer"),
-                   ("optimizer", "adam"): ("warmup",)}
+                   ("optimizer", "adam"): ("warmup",),
+                   ("epochs", 0): ("warmup", "lr_rule", "optimizer")}
 
     def resolved_omega(self) -> float:
-        if self.plugin == "none":
-            return 0.0
-        return 0.1 if self.omega is None else self.omega
+        return 0.0 if self.plugin == "none" else self.omega
 
 
 def make_ground_truth(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import os
 from dataclasses import dataclass, field, replace
 
@@ -21,7 +22,7 @@ from . import canonical as canon
 from . import diffusion as dif
 from . import extrapolation as lle
 from . import operators as ops
-from .canonical import ConfigBlock, rule
+from .canonical import GIVEN, ConfigBlock, rule
 from .errors import ConfigError
 from .numerics import MetricReport, RngStream, RowStreams, mse, psnr
 
@@ -82,6 +83,7 @@ class OperatorSpec(ConfigBlock):
     width: int | None = rule(None, minimum=1, optional=True)
     matrix: list[list[float]] | None = rule(None, optional=True)
     scale: float | None = rule(None, above=0.0, optional=True)
+    unread_when = {("keep_indices", GIVEN): ("seed",), ("kernel", GIVEN): ("width", "sigma")}
 
     def __post_init__(self):
         super().__post_init__()
@@ -93,9 +95,6 @@ class OperatorSpec(ConfigBlock):
             if len(given.intersection(names)) != 1:
                 paths = ", ".join(map(self._path, names))
                 raise ConfigError(f"operator kind {self.kind!r} needs exactly one of {paths}")
-        for key, other in (("seed", "keep_indices"), ("width", "kernel"), ("sigma", "kernel")):
-            if {key, other} <= given:
-                raise ConfigError(f"{self._path(key)} is not read when {other} is given")
 
 
 @dataclass
@@ -189,6 +188,9 @@ def load_config(path) -> ExperimentConfig:
     op = _built("task.operator", ops.build_operator, {"n": prior.d, **op_keys})
     if getattr(op, "n", prior.d) != prior.d:
         raise ConfigError(f"task.operator acts on size {op.n}, the prior on size {prior.d}")
+    if top.task.operator.seed is not None and op.m == op.n:  # the draw keeps all, whatever seed
+        raise ConfigError(f"task.operator.seed is not read when task.operator.keep_ratio"
+                          f" {top.task.operator.keep_ratio} keeps all {op.n} coordinates")
     sched = top.schedule
     schedule = dif.linear_beta_schedule(sched.T, sched.beta_start, sched.beta_end)
     if not schedule.alphabar(sched.T) > 0.0:  # the sampler divides by sqrt(alphabar_t)
@@ -199,10 +201,14 @@ def load_config(path) -> ExperimentConfig:
     name = top.algorithm.get("name")
     preset = canon.default_params(name) if name in canon.ALGORITHMS else None
     params = canon.AlgoParams.from_dict(top.algorithm, preset)
+    linear = isinstance(op, ops.LinearOperator)
+    task = {"task.operator": "linear" if linear else "nonlinear", "task.sigma_y": top.task.sigma_y}
+    canon.reject_unread(canon.SOLVERS[params.algorithm].unread_when, top.algorithm,
+                        lambda k: task[k] if k in task else operator.attrgetter(k)(params),
+                        lambda k: k if k in task else f"algorithm.{k}", f" by {params.algorithm}")
     k_ddim = params.daps.k_ddim  # DAPS's DDIM chain, like the reference chain, has <= T steps
     if "daps" in canon.SOLVERS[params.algorithm].preset and k_ddim > sched.T:
         raise ConfigError(f"algorithm.daps.k_ddim must be <= schedule.T ({sched.T}), got {k_ddim}")
-    linear = isinstance(op, ops.LinearOperator)
     if (need := params.linear_need()) and not linear:
         raise ConfigError(f"{need} needs a linear operator, not task.operator.kind 'nonlinear'")
     train_config = None
@@ -217,18 +223,9 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"lle.noisy_gt needs {allowed}, not {params.algorithm}")
         if train_config.decoupled and not linear:
             raise ConfigError("lle.decoupled needs a linear operator, not 'nonlinear'")
-    return ExperimentConfig(
-        prior=prior,
-        schedule=schedule,
-        op=op,
-        sigma_y=top.task.sigma_y,
-        params=params,
-        steps=top.steps,
-        train_config=train_config,
-        test_seed=top.seeds.test,
-        n_test=top.n_test,
-        peak=top.peak,
-    )
+    return ExperimentConfig(prior=prior, schedule=schedule, op=op, sigma_y=top.task.sigma_y,
+                            params=params, steps=top.steps, train_config=train_config,
+                            test_seed=top.seeds.test, n_test=top.n_test, peak=top.peak)
 
 
 # ---------------------------------------------------------------------------

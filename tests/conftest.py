@@ -1,10 +1,15 @@
+import copy
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
 from lle import canonical as canon
 from lle import diffusion as dif
+from lle import harness
 from lle.numerics import RngStream
 
 
@@ -58,3 +63,32 @@ def preset_lists(algorithm: str, path: str) -> bool:
         if preset == {}:
             return True
     return True
+
+
+# ---- the read probe: a key a config may set is read, one it may not is rejected ----
+
+
+def loaded(cfg: dict) -> harness.ExperimentConfig:
+    """`harness.load_config` of a config dict, written to a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        return harness.load_config(path)
+
+
+def with_value(cfg: dict, path: str, value) -> dict:
+    """A copy of cfg with the dotted path set to value, blocks made on the way."""
+    cfg = copy.deepcopy(cfg)
+    *parents, key = path.split(".")
+    block = cfg
+    for p in parents:
+        block = block.setdefault(p, {})
+    block[key] = value
+    return cfg
+
+
+def says_unread(exc: Exception, path: str) -> bool:
+    """Whether a load error says that the key at path, or its block, is not read."""
+    named, sep, _ = str(exc).partition(" is not read")
+    return bool(sep) and (path == named or path.startswith(named + "."))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 import re
 import time
 import tracemalloc
@@ -8,12 +9,14 @@ import numpy as np
 import pytest
 
 from lle import canonical as canon
+from lle import harness
 from lle import diffusion as dif
 from lle import operators as ops
 from lle.errors import ConfigError, ConvergenceError
 from lle.numerics import RngStream, RowStreams
 
-from conftest import preset_lists, random_mixture, random_spd, scalar_ddim_coeffs, tweedie
+from conftest import (loaded, preset_lists, random_mixture, random_spd, says_unread,
+                      scalar_ddim_coeffs, tweedie, with_value)
 
 
 def make_ctx(prior, schedule, x_t, t_i, t_prev, stream=None, x0=None):
@@ -1159,36 +1162,148 @@ def test_resample_exact_hc_on_a_nonlinear_operator_fails_before_any_draw(schedul
         canon.corr_resample(ctx, ops.Observation(y=np.zeros(6), op=op, sigma_y=0.1), params)
 
 
-# (solver, its block holding the switch, switch, unread key, another valid value of it)
-_UNREAD_WHEN_CASES = [
-    ("ReSample", None, "exact_hc", "inner_opt",
-     canon.InnerOptParams(lr=1.99, momentum=0.5, steps=7)),
-    ("DAPS", "daps", "noiseless_linear", "sigma_langevin", 0.3),
-]
+# ---- the read probe over the `algorithm` keys ------------------------------
+
+# the tables of the `algorithm` block by the block they sit in (None: the top)
+_ALGORITHM_TABLES = {None: canon.AlgoParams, "daps": canon.DAPSParams,
+                     "inner_opt": canon.InnerOptParams}
+# another valid value of each `algorithm` key; a bool is flipped
+_OTHER = {"eta": 0.5, "eta_b": 0.5, "zeta": 0.5, "xi": 0.5, "lam": 2.0, "gamma_rs": 10.0,
+          "daps.k_ddim": 3, "daps.n_langevin": 7, "daps.eta0": 3e-4, "daps.delta": 0.1,
+          "daps.sigma_langevin": 0.3, "inner_opt.lr": 0.005, "inner_opt.momentum": 0.5,
+          "inner_opt.steps": 7}
+_PROBE_OPERATORS = {"mask": {"kind": "mask", "keep_indices": [0, 2, 3]},
+                    "nonlinear": {"kind": "nonlinear", "scale": 0.8}}
+# keys a config may set that still leave the run's bytes as they were (see CHANGES.md):
+# at eta0 0 the linear chain is the anchor, and n_langevin only decides whether its one
+# zero-scaled noise draw is made, which no value but 0 changes and 0 is rejected here
+_UNMOVED = {("DAPS", "daps", "eta0", 0, "mask"): {"daps.n_langevin"}}
+
+
+def _context(name, block, switch, value, kind):
+    """The config of a solver at its preset with one switch at value (switch None: the
+    preset); block "task" holds a switch of the task, as `Solver.unread_when` does."""
+    cfg = {"prior": {"dim": 6, "components": 2, "seed": 3},
+           "task": {"operator": _PROBE_OPERATORS[kind], "sigma_y": 0.05},
+           "algorithm": {"name": name}, "steps": 2, "n_test": 1, "lle": "none",
+           "seeds": {"train": 4, "test": 5}}
+    if block == "task" and switch == "operator":  # the kind is the switch's value
+        return cfg if value == ("nonlinear" if kind == "nonlinear" else "linear") else None
+    if switch is not None:
+        where = "task" if block == "task" else f"algorithm.{block}" if block else "algorithm"
+        cfg = with_value(cfg, f"{where}.{switch}", value)
+    return cfg
+
+
+def _entries(name):
+    """{(block, switch, value): the `algorithm` paths it leaves unread} of the preset and
+    of each `unread_when` entry whose switch the solver reads."""
+    entries = {(None, None, None): []}
+    for block, cls in _ALGORITHM_TABLES.items():
+        prefix = f"{block}." if block else ""
+        for (switch, value), keys in cls.unread_when.items():
+            if preset_lists(name, prefix + switch):
+                entries.setdefault((block, switch, value), []).extend(prefix + k for k in keys)
+    for (path, value), keys in canon.SOLVERS[name].unread_when.items():
+        block, _, switch = path.rpartition(".")
+        entries.setdefault((block or None, switch, value), []).extend(keys)
+    return entries
+
+
+def _loads(cfg) -> bool:
+    try:
+        return bool(cfg and loaded(cfg))
+    except ConfigError:  # a linear switch on "nonlinear", a key the task leaves unread
+        return False
+
+
+# (solver, block, switch, value, operator kind) of each solver at its preset and at each
+# switch value it reads, on a mask and on the nonlinear operator, wherever that loads
+_PROBE_CASES = [(name, *entry, kind) for name in canon.SOLVERS for entry in _entries(name)
+                for kind in _PROBE_OPERATORS if _loads(_context(name, *entry, kind))]
+
+
+def _algorithm_paths(name):
+    """The dotted `algorithm` path of every value the solver's preset lists."""
+    values = dataclasses.asdict(canon.default_params(name))
+    paths = [f"{key}.{sub}" if isinstance(value, dict) else key
+             for key, value in values.items() if key != "algorithm"
+             for sub in (value if isinstance(value, dict) else [None])]
+    return [path for path in paths if preset_lists(name, path)]
+
+
+def _moved(params, path):
+    """Another valid value of the `algorithm` key at path than params holds."""
+    now = operator.attrgetter(path)(params)
+    return (not now) if isinstance(now, bool) else _OTHER[path]
+
+
+def _set_past_the_loader(params, path, value):
+    block, _, key = path.rpartition(".")
+    setattr(operator.attrgetter(block)(params) if block else params, key, value)
+
+
+def _recon(config) -> bytes:
+    return harness.run_experiment(config, seed=7)[0].tobytes()
+
+
+def _moves(cfg, name):
+    """(path, another valid value, the load error or None) of each key the preset lists."""
+    params = loaded(cfg).params
+    for path in _algorithm_paths(name):
+        other = _moved(params, path)
+        try:
+            loaded(with_value(cfg, f"algorithm.{path}", other))
+            yield path, other, None
+        except ConfigError as exc:
+            yield path, other, exc
 
 
 def test_the_unread_when_cases_cover_every_algorithm_entry():
-    covered = {(block, switch, key) for _, block, switch, key, _ in _UNREAD_WHEN_CASES}
-    tables = {None: canon.AlgoParams, "daps": canon.DAPSParams, "inner_opt": canon.InnerOptParams}
-    assert covered == {(block, switch, key) for block, cls in tables.items()
-                       for (switch, value), keys in cls.unread_when.items() for key in keys}
-    assert all(value is True for cls in tables.values() for _, value in cls.unread_when)
+    # the probe reaches every entry of every table, for some solver on some operator
+    entries = {(block, switch, value) for block, cls in _ALGORITHM_TABLES.items()
+               for switch, value in cls.unread_when}
+    entries |= {(path.rpartition(".")[0] or None, path.rpartition(".")[2], value)
+                for solver in canon.SOLVERS.values() for path, value in solver.unread_when}
+    assert entries <= {case[1:4] for case in _PROBE_CASES}
+    assert {case[0] for case in _PROBE_CASES} == set(canon.SOLVERS)
 
 
-@pytest.mark.parametrize("kind", ["mask", "dense"])
-@pytest.mark.parametrize("name, block, switch, key, value", _UNREAD_WHEN_CASES)
-def test_a_key_its_switch_leaves_unread_leaves_the_run_as_it_was(schedule, small_prior, kind,
-                                                                 name, block, switch, key,
-                                                                 value):
-    op = _inner_loop_operator(kind)
-    obs = ops.Observation(y=RngStream(98, 1).standard_normal((2, op.m)), op=op, sigma_y=0.05)
-    grid = dif.make_time_grid(schedule, 3)
-    params = canon.default_params(name)
-    holder = getattr(params, block) if block else params
-    setattr(holder, switch, True)
-    base = canon.run(params, small_prior, schedule, obs, grid, seed=98)
-    setattr(holder, key, value)
-    assert canon.run(params, small_prior, schedule, obs, grid, seed=98).tobytes() == base.tobytes()
+@pytest.mark.parametrize("name, block, switch, value, kind", _PROBE_CASES)
+def test_a_key_its_switch_leaves_unread_leaves_the_run_as_it_was(name, block, switch, value,
+                                                                 kind):
+    # earlier daps.eta0 at n_langevin 0, inner_opt.lr at steps 0 and DiffPIR's inner_opt
+    # on a mask, among others, loaded and ran to the same bytes
+    cfg = _context(name, block, switch, value, kind)
+    base = _recon(loaded(cfg))
+    rejected = set()
+    for path, other, exc in _moves(cfg, name):
+        if exc is None or not says_unread(exc, f"algorithm.{path}"):
+            continue  # read, or another key's rule, or a move that needs a linear operator
+        assert " when " in str(exc), str(exc)  # names the condition
+        rejected.add(path)
+        past = loaded(cfg)
+        _set_past_the_loader(past.params, path, other)
+        try:
+            again = _recon(past)
+        except ConfigError as err:  # a linear switch set on the nonlinear operator
+            assert "needs a linear operator" in str(err)
+            continue
+        assert again == base, path
+    listed = _entries(name)[block, switch, value]
+    assert {path for path in _algorithm_paths(name)
+            if any(path == key or path.startswith(f"{key}.") for key in listed)} <= rejected
+
+
+@pytest.mark.parametrize("name, block, switch, value, kind", _PROBE_CASES)
+def test_every_key_a_config_may_set_moves_the_run(name, block, switch, value, kind):
+    cfg = _context(name, block, switch, value, kind)
+    base = _recon(loaded(cfg))
+    unmoved = _UNMOVED.get((name, block, switch, value, kind), set())
+    for path, other, exc in _moves(cfg, name):
+        if exc is None:
+            moved = _recon(loaded(with_value(cfg, f"algorithm.{path}", other))) != base
+            assert moved != (path in unmoved), path
 
 
 def test_a_non_finite_estimate_stops_the_run_naming_its_step_and_rows(schedule, small_prior):

@@ -329,9 +329,43 @@ _NONLINEAR = {"operator": {"kind": "nonlinear"}, "sigma_y": 0.05}
     ("run", {"task": {"operator": {"kind": "mask", "keep_ratio": 0.01, "seed": 2},
                       "sigma_y": 0.05}},
      "task.operator: keep_ratio 0.01 keeps none of the 4 coordinates"),
+    # a zero count or weight that switches a stage off, a seed of a draw that keeps all,
+    # and a key DiffPIR's task leaves unread: each earlier exit 0, byte-identical output
+    ("run", {"algorithm": {"name": "DAPS", "daps": {"n_langevin": 0, "eta0": 0.5}}},
+     "algorithm.daps.eta0 is not read when algorithm.daps.n_langevin is 0"),
+    ("run", {"algorithm": {"name": "DAPS", "daps": {"eta0": 0, "delta": 0.5}}},
+     "algorithm.daps.delta is not read when algorithm.daps.eta0 is 0"),
+    ("run", {"algorithm": {"name": "ReSample", "inner_opt": {"steps": 0, "lr": 1.99}}},
+     "algorithm.inner_opt.lr is not read when algorithm.inner_opt.steps is 0"),
+    ("run", {"algorithm": {"name": "DiffPIR", "inner_opt": {"steps": 0, "lr": 0.5}},
+             "task": _NONLINEAR},
+     "algorithm.inner_opt.lr is not read when algorithm.inner_opt.steps is 0"),
+    ("run", {"algorithm": {"name": "REDdiff", "xi": 0, "lam": 3.0}},
+     "algorithm.lam is not read when algorithm.xi is 0"),
+    ("train", {"lle": dict(_FIT, epochs=0, warmup=3)},
+     "lle.warmup is not read when lle.epochs is 0"),
+    ("run", {"task": {"operator": {"kind": "mask", "keep_ratio": 1.0, "seed": 2},
+                      "sigma_y": 0.05}},
+     "task.operator.seed is not read when task.operator.keep_ratio 1.0 keeps all 4 coordinates"),
+    ("run", {"task": {"operator": {"kind": "hadamard", "keep_ratio": 0.95, "seed": 2},
+                      "sigma_y": 0.05}},
+     "task.operator.seed is not read when task.operator.keep_ratio 0.95 keeps all 4"
+     " coordinates"),
+    ("run", {"algorithm": {"name": "DiffPIR", "inner_opt": {"lr": 0.5}}},
+     'algorithm.inner_opt is not read by DiffPIR when task.operator is "linear"'),
+    ("run", {"algorithm": {"name": "DiffPIR", "lam": 3.0},
+             "task": {"operator": {"kind": "mask", "keep_ratio": 0.5, "seed": 2},
+                      "sigma_y": 0}},
+     "algorithm.lam is not read by DiffPIR when task.sigma_y is 0"),
+    ("run", {"algorithm": {"name": "DiffPIR", "lam": 3.0, "inner_opt": {"steps": 0}},
+             "task": _NONLINEAR},
+     "algorithm.lam is not read by DiffPIR when algorithm.inner_opt.steps is 0"),
 ], ids=["closed-form-epochs", "closed-form-warmup", "closed-form-lr_rule",
         "closed-form-optimizer", "adam-warmup", "exact_hc-inner_opt", "exact_hc-nonlinear",
-        "noiseless-sigma_langevin", "k_ddim-above-T", "keep_ratio-keeps-none"])
+        "noiseless-sigma_langevin", "k_ddim-above-T", "keep_ratio-keeps-none",
+        "n_langevin-0-eta0", "eta0-0-delta", "resample-steps-0-lr", "diffpir-steps-0-lr",
+        "xi-0-lam", "epochs-0-warmup", "mask-keeps-all-seed", "hadamard-keeps-all-seed",
+        "diffpir-linear-inner_opt", "diffpir-sigma_y-0-lam", "diffpir-steps-0-lam"])
 def test_a_key_that_would_be_ignored_is_one_line_and_exit_3(tmp_path, config_path, capsys,
                                                            command, overrides, message):
     path = _variant(tmp_path, config_path, "unread.json", **overrides)

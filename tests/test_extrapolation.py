@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -671,34 +672,80 @@ def test_train_config_omega_resolution():
     assert lle.TrainConfig().resolved_omega() == 0.0
     assert lle.TrainConfig(plugin="gradient-domain").resolved_omega() == 0.1
     assert lle.TrainConfig(plugin="gradient-domain", omega=0.7).resolved_omega() == 0.7
+    # earlier null meant the default 0.1: two values that fit alike
+    with pytest.raises(ConfigError, match="^lle.omega must be a finite number, got None$"):
+        lle.TrainConfig.from_dict({"plugin": "gradient-domain", "omega": None})
 
 
-# (switch, its value, a key it leaves unread, another valid value of that key)
-_TRAIN_UNREAD_CASES = [
-    ("plugin", "none", "omega", 0.5),
-    ("closed_form", True, "epochs", 7),
-    ("closed_form", True, "warmup", 3),
-    ("closed_form", True, "lr_rule", "dynamic"),
-    ("closed_form", True, "optimizer", "adam"),
-    ("optimizer", "adam", "warmup", 3),
-]
+# ---- the read probe over the `lle` keys ------------------------------------
+
+# another valid value of each `lle` key; a bool is flipped, a choice is the other one
+_FIT_OTHER = {"n_refs": 6, "ref_steps": 40, "omega": 0.5, "epochs": 7, "warmup": 3,
+              "base_seed": 8}
+# every entry's switch value, alone and with the gradient-domain term
+_FIT_CONTEXTS = [dict(ctx, **plugin) for ctx in (dict([entry]) for entry in
+                                                 lle.TrainConfig.unread_when)
+                 for plugin in ({}, {"plugin": "gradient-domain"}) if not (plugin and
+                                                                            "plugin" in ctx)]
+
+
+def _fit(given: dict) -> tuple:
+    """(coefficients file, traces) of a DDNM fit on a mask, the lle block given as JSON."""
+    params, prior, schedule, op, sigma_y, grid, _ = small_training_setup("DDNM")
+    tc = lle.TrainConfig.from_dict({"n_refs": 8, "ref_steps": 60, "base_seed": 7, **given})
+    coeffs, traces = lle.train(params, prior, schedule, op, sigma_y, grid, tc)
+    return coeffs.to_json(), traces
+
+
+def _fit_other(key, now):
+    f = next(f for f in fields(lle.TrainConfig) if f.name == key)
+    choices = f.metadata["rule"][0]
+    if choices:
+        return next(c for c in choices if c != now)
+    return (not now) if isinstance(now, bool) else _FIT_OTHER[key]
 
 
 def test_the_train_unread_cases_cover_every_entry():
-    assert {case[:3] for case in _TRAIN_UNREAD_CASES} == {
-        (switch, value, key) for (switch, value), keys in lle.TrainConfig.unread_when.items()
-        for key in keys}
+    # every key is settable, so probed, in some context, and every entry has its context
+    settable = set()
+    for ctx in _FIT_CONTEXTS:
+        tc = lle.TrainConfig.from_dict(ctx)
+        settable |= {f.name for f in fields(tc) if not any(
+            getattr(tc, switch) == value and f.name in keys
+            for (switch, value), keys in tc.unread_when.items())}
+    assert settable == {f.name for f in fields(lle.TrainConfig)}
+    assert {next(iter(ctx.items())) for ctx in _FIT_CONTEXTS} == set(lle.TrainConfig.unread_when)
 
 
-@pytest.mark.parametrize("switch, on, key, value", _TRAIN_UNREAD_CASES)
-def test_a_key_its_switch_leaves_unread_leaves_the_fit_as_it_was(switch, on, key, value):
-    # earlier omega was read under plugin "none" when set past the load-time rule
-    params, prior, schedule, op, sigma_y, grid, tc = small_training_setup("DPS", **{switch: on})
+@pytest.mark.parametrize("switch, on, key", [(switch, on, key) for (switch, on), keys
+                                             in lle.TrainConfig.unread_when.items()
+                                             for key in keys])
+def test_a_key_its_switch_leaves_unread_leaves_the_fit_as_it_was(switch, on, key):
+    # earlier omega was read under plugin "none" when set past the load-time rule, and
+    # epochs 0 took warmup, lr_rule and optimizer
+    other = _fit_other(key, getattr(lle.TrainConfig(), key))
+    with pytest.raises(ConfigError, match=f"^lle.{key} is not read when lle.{switch} is "):
+        lle.TrainConfig.from_dict({switch: on, key: other})
+    params, prior, schedule, op, sigma_y, grid, _ = small_training_setup("DDNM")
+    tc = lle.TrainConfig.from_dict({"n_refs": 8, "ref_steps": 60, "base_seed": 7, switch: on})
     coeffs, traces = lle.train(params, prior, schedule, op, sigma_y, grid, tc)
-    setattr(tc, key, value)
+    setattr(tc, key, other)
     again, traces_again = lle.train(params, prior, schedule, op, sigma_y, grid, tc)
-    assert [t.tobytes() for t in again.theta] == [t.tobytes() for t in coeffs.theta]
+    assert again.to_json() == coeffs.to_json()
     assert traces_again == traces
+
+
+@pytest.mark.parametrize("context", _FIT_CONTEXTS, ids=lambda ctx: json.dumps(ctx))
+def test_every_lle_key_a_config_may_set_moves_the_fit(context):
+    base = _fit(context)
+    now = lle.TrainConfig.from_dict(context)
+    for f in fields(lle.TrainConfig):
+        moved = dict(context, **{f.name: _fit_other(f.name, getattr(now, f.name))})
+        try:
+            lle.TrainConfig.from_dict(moved)
+        except ConfigError:  # unread here, or it leaves another given key unread
+            continue
+        assert _fit(moved) != base, f.name
 
 
 @pytest.mark.parametrize("decoupled", [False, True])

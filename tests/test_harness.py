@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import operator
 import re
 import tempfile
 from pathlib import Path
@@ -18,7 +19,7 @@ from lle import harness
 from lle import operators as ops
 from lle.numerics import RngStream, psnr
 
-from conftest import preset_lists
+from conftest import loaded, preset_lists, says_unread, with_value
 
 
 def write_config(path, **overrides):
@@ -247,19 +248,23 @@ def test_load_config_accepts_closed_form_with_zero_omega_plugin(tmp_path):
 
 
 def test_load_config_accepts_closed_form_with_plugin_omega(tmp_path):
-    for omega, resolved in ((None, 0.1), (0.3, 0.3)):
+    for omega, resolved in (({}, 0.1), ({"omega": 0.3}, 0.3)):
         path = write_config(tmp_path / "cfg.json", lle={
             "n_refs": 4, "ref_steps": 30, "closed_form": True,
-            "plugin": "gradient-domain", "omega": omega})
+            "plugin": "gradient-domain", **omega})
         assert harness.load_config(path).train_config.resolved_omega() == resolved
 
 
 def test_algo_params_nested_overrides(tmp_path):
+    nonlinear = {"operator": {"kind": "nonlinear"}, "sigma_y": 0.05}
     for name, block, key, value in (("DAPS", "daps", "n_langevin", 7),
                                     ("ReSample", "inner_opt", "lr", 0.5),
                                     ("ReSample", "inner_opt", "momentum", 0.5),
                                     ("DiffPIR", "inner_opt", "steps", 7)):
-        path = write_config(tmp_path / "cfg.json", algorithm={"name": name, block: {key: value}})
+        # DiffPIR reads inner_opt on the nonlinear operator only
+        task = {"task": nonlinear} if name == "DiffPIR" else {}
+        path = write_config(tmp_path / "cfg.json", algorithm={"name": name, block: {key: value}},
+                            **task)
         params = harness.load_config(path).params
         assert getattr(getattr(params, block), key) == value
 
@@ -306,8 +311,16 @@ def test_settable_values_fall_under_each_switch():
     resample = {k: v for k, v in canon.SOLVERS["ReSample"].preset.items()
                 if k not in canon.AlgoParams.unread_when["exact_hc", True]}
     assert _settable(resample, canon.default_params("ReSample")) == 3
+    assert fit - len(unread["epochs", 0]) == 10
     daps = canon.DAPSParams
-    assert len(dataclasses.fields(daps)) - len(daps.unread_when["noiseless_linear", True]) == 5
+    assert [len(dataclasses.fields(daps)) - len(keys) for keys in daps.unread_when.values()] \
+        == [5, 2, 4]  # noiseless_linear true, n_langevin 0, eta0 0
+    assert 6 - len(canon.InnerOptParams.unread_when["steps", 0]) == 4  # ReSample at steps 0
+    assert 2 - len(canon.AlgoParams.unread_when["xi", 0]) == 1  # REDdiff at xi 0
+    diffpir = canon.SOLVERS["DiffPIR"]
+    linear = {k: v for k, v in diffpir.preset.items()
+              if k not in diffpir.unread_when["task.operator", "linear"]}
+    assert _settable(linear, canon.default_params("DiffPIR")) == 2  # 4 on "nonlinear"
 
 
 def test_load_config_rejects_ref_steps_above_schedule_T(tmp_path):
@@ -783,6 +796,61 @@ def test_load_config_checks_operator_keys_per_kind(tmp_path, operator, named):
         _load_raw(tmp_path, raw)
 
 
+# ---- the read probe over the `task.operator` keys ---------------------------
+
+_OPERATOR_FORMS = {
+    "mask-indices": {"kind": "mask", "keep_indices": [0, 2, 3, 9]},
+    "mask-ratio": {"kind": "mask", "keep_ratio": 0.5, "seed": 4},
+    "mask-all": {"kind": "mask", "keep_ratio": 1.0},
+    "mask-all-rounded": {"kind": "mask", "keep_ratio": 0.97},  # round(15.52) = 16
+    "avgpool": {"kind": "avgpool", "factor": 2},
+    "blur-kernel": {"kind": "blur", "kernel": [0.25, 0.5, 0.25]},
+    "blur-sigma": {"kind": "blur", "sigma": 1.2},
+    "hadamard": {"kind": "hadamard", "keep_ratio": 0.5, "seed": 4},
+    "hadamard-all": {"kind": "hadamard", "keep_ratio": 1.0},
+    "dense": {"kind": "dense", "matrix": RngStream(6, 1).standard_normal((5, 16)).tolist()},
+    "nonlinear": {"kind": "nonlinear"},
+    "nonlinear-kernel": {"kind": "nonlinear", "kernel": [0.25, 0.5, 0.25]},
+}
+# another valid value of each operator key (n has none: it must equal prior.dim)
+_OPERATOR_OTHER = {"n": 8, "keep_indices": [1, 2, 3, 9], "keep_ratio": 0.75, "seed": 5,
+                   "factor": 4, "kernel": [0.2, 0.6, 0.2], "sigma": 0.8, "width": 7,
+                   "matrix": RngStream(7, 1).standard_normal((5, 16)).tolist(), "scale": 0.5}
+
+
+def _operator_bytes(op) -> bytes:
+    return b"".join(np.asarray(value).tobytes() for value in vars(op).values())
+
+
+@pytest.mark.parametrize("form", _OPERATOR_FORMS)
+def test_every_operator_key_is_read_or_rejected(form):
+    # earlier seed at a keep_ratio that keeps every coordinate built the same operator
+    spec = _OPERATOR_FORMS[form]
+    cfg = dict(_base_config(), prior={"dim": 16, "components": 2, "seed": 9},
+               algorithm={"name": "DPS"})
+    cfg["task"]["operator"] = spec
+    base = _operator_bytes(loaded(cfg).op)
+    required, optional = harness.OPERATOR_KEYS[spec["kind"]]
+    read, unread = set(), set()
+    for key in required.replace("|", " ").split() + optional.split():
+        path = f"task.operator.{key}"
+        try:
+            moved = _operator_bytes(loaded(with_value(cfg, path, _OPERATOR_OTHER[key])).op)
+        except harness.ConfigError as exc:
+            if says_unread(exc, path):  # and built past the loader, it changes nothing
+                unread.add(key)
+                past = ops.build_operator({"n": 16, **spec, key: _OPERATOR_OTHER[key]})
+                assert _operator_bytes(past) == base, key
+            continue  # n, or the other of two alternatives
+        assert moved != base, key
+        read.add(key)
+    given = {k for k in spec if k != "kind"}
+    assert read >= given and unread == {
+        "mask-indices": {"seed"}, "mask-all": {"seed"}, "mask-all-rounded": {"seed"},
+        "hadamard-all": {"seed"}, "blur-kernel": {"width"},
+        "nonlinear-kernel": {"width", "sigma"}}.get(form, set())
+
+
 @pytest.mark.parametrize("operator", [
     {"kind": "avgpool", "factor": 3},  # 3 does not divide prior.dim 4
     {"kind": "mask", "keep_indices": [7]},  # out of range for prior.dim 4
@@ -931,22 +999,29 @@ def test_readme_config_schema_lists_every_key():
 
 
 def test_every_unread_when_table_has_its_exactness_test():
-    # tests/test_canonical.py and tests/test_extrapolation.py run each entry of these
+    # the read probes run each entry of these: the `algorithm` tables and the solvers'
+    # in tests/test_canonical.py, TrainConfig's and LLECoefficients' in
+    # tests/test_extrapolation.py, OperatorSpec's in test_every_operator_key_is_read_or_rejected
     assert {cls for cls in _config_blocks() if cls.unread_when} == {
-        canon.AlgoParams, canon.DAPSParams, lle.TrainConfig, lle.LLECoefficients}
+        canon.AlgoParams, canon.DAPSParams, canon.InnerOptParams, lle.TrainConfig,
+        lle.LLECoefficients, harness.OperatorSpec}
+    assert [name for name, solver in canon.SOLVERS.items() if solver.unread_when] == ["DiffPIR"]
 
 
 def keys_read_table() -> str:
     """The README's table of the `algorithm` keys each solver reads, from `SOLVERS`."""
-    rows = ["| `name` | Keys read, at their preset values | Linear operator |",
-            "| --- | --- | --- |"]
+    rows = ["| `name` | Keys read, at their preset values | Linear operator | Not read |",
+            "| --- | --- | --- | --- |"]
     for name, solver in canon.SOLVERS.items():
         values = dataclasses.asdict(canon.default_params(name))
         keys = [f"`{path}` {json.dumps(_at(values, path))}" for path in _key_paths(values)
                 if not isinstance(_at(values, path), dict) and preset_lists(name, path)]
         linear = ("always" if solver.linear is True
                   else f"with `{solver.linear}` true" if solver.linear else "no")
-        rows.append(f"| {name} | {', '.join(keys)} | {linear} |")
+        unread = "; ".join(f"{', '.join(f'`{key}`' for key in keys)} when `{switch}` is"
+                           f" {json.dumps(value)}" for (switch, value), keys
+                           in solver.unread_when.items()) or "-"
+        rows.append(f"| {name} | {', '.join(keys)} | {linear} | {unread} |")
     return "\n".join(rows)
 
 
@@ -960,48 +1035,82 @@ def test_readme_keys_read_table_is_generated_from_solvers():
 
 _WRONG_VALUES = ("x", True, [1], None, float("nan"), float("inf"))
 # keys whose null means "use the default"
-_NULLABLE = {"lle", "lle.omega", "algorithm.daps.sigma_langevin", "task.operator.n",
-             "task.operator.seed", "task.operator.width", "task.operator.scale"}
-_REQUIRED = {"prior", "task", "algorithm", "task.operator", "task.operator.kind",
-             "algorithm.name", "prior.dim", "prior.components", "task.operator.keep_ratio",
-             "task.operator.keep_indices", "task.operator.sigma", "task.operator.kernel",
-             "task.operator.matrix"}
+_NULLABLE = {"lle", "algorithm.daps.sigma_langevin", "task.operator.n",
+             "task.operator.seed", "task.operator.width", "task.operator.scale",
+             "task.operator.kernel", "task.operator.sigma"}  # the last two: nonlinear's
+_REQUIRED = {"prior", "task", "algorithm", "task.operator", "algorithm.name", "prior.dim",
+             "prior.components"}
+
+
+def _required(cfg, path):
+    """Whether cfg without the key at path is an error: an operator key by its kind."""
+    block, _, key = path.rpartition(".")
+    if block == "task.operator":
+        required = harness.OPERATOR_KEYS[cfg["task"]["operator"]["kind"]][0]
+        return key == "kind" or key in required.replace("|", " ").split()
+    return path in _REQUIRED
 
 
 @st.composite
 def _valid_configs(draw):
     d = draw(st.sampled_from([4, 8]))
-    kind = draw(st.sampled_from(["mask", "blur", "dense"]))
+    algorithm = draw(st.sampled_from(canon.ALGORITHMS))
+    solver = canon.SOLVERS[algorithm]
+    kind = draw(st.sampled_from(["mask", "blur", "dense"]
+                                + ([] if solver.linear is True else ["nonlinear"])))
     seed = draw(st.integers(0, 2**31))
     if kind == "mask" and draw(st.booleans()):
         operator = {"kind": "mask", "n": d,
                     "keep_indices": sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))}
     elif kind == "mask":
-        operator = {"kind": "mask", "n": d, "keep_ratio": draw(st.sampled_from([0.5, 0.75, 1.0])),
-                    "seed": seed}
+        operator = {"kind": "mask", "n": d, "keep_ratio": draw(st.sampled_from([0.5, 0.75, 1.0]))}
+        if operator["keep_ratio"] < 1.0:  # keeping every coordinate reads no seed
+            operator["seed"] = seed
     elif kind == "blur" and draw(st.booleans()):
         operator = {"kind": "blur", "n": d, "kernel": [0.25, 0.5, 0.25]}
     elif kind == "blur":
         operator = {"kind": "blur", "n": d, "sigma": draw(st.floats(0.5, 2.0)), "width": 3}
+    elif kind == "nonlinear" and draw(st.booleans()):
+        operator = {"kind": "nonlinear", "kernel": [0.25, 0.5, 0.25],
+                    "scale": draw(st.sampled_from([0.5, 1.0]))}
+    elif kind == "nonlinear":
+        operator = {"kind": "nonlinear", "width": 3, "sigma": draw(st.floats(0.5, 2.0))}
     else:
         m = draw(st.integers(1, d))
         A = RngStream(seed, 3).standard_normal((m, d)) / math.sqrt(d)
         operator = {"kind": "dense", "matrix": A.tolist()}
-    algorithm = draw(st.sampled_from(canon.ALGORITHMS))
-    alg = {"name": algorithm, **copy.deepcopy(canon.SOLVERS[algorithm].preset)}  # keys it reads
-    # every operator drawn is linear, so the switches that need one may be on; a key a
-    # switch leaves unread is not drawn
+    linear = kind != "nonlinear"
+    sigma_y = draw(st.sampled_from([0.0, 0.01, 0.1]))
+    alg = {"name": algorithm, **copy.deepcopy(solver.preset)}  # keys it reads
+    # the switches that need a linear operator are on only on one; a key a switch or the
+    # task leaves unread is not drawn
     if "daps" in alg:
-        alg["daps"] = {"k_ddim": 2, "n_langevin": 5, "eta0": 1e-4, "delta": 0.01,
-                       "noiseless_linear": draw(st.booleans())}
-        if not alg["daps"]["noiseless_linear"]:
-            alg["daps"]["sigma_langevin"] = draw(st.sampled_from([None, 0.05]))
+        daps = alg["daps"] = {"k_ddim": 2, "n_langevin": draw(st.sampled_from([0, 5]))}
+        if daps["n_langevin"]:
+            daps.update(eta0=draw(st.sampled_from([0.0, 1e-4])),
+                        noiseless_linear=linear and draw(st.booleans()))
+        if daps.get("eta0"):
+            daps["delta"] = 0.01
+            if not daps["noiseless_linear"]:
+                daps["sigma_langevin"] = draw(st.sampled_from([None, 0.05]))
     if "exact_hc" in alg:
-        alg["exact_hc"] = draw(st.booleans())
-    if "inner_opt" in alg and alg.get("exact_hc"):
-        del alg["inner_opt"]
-    elif "inner_opt" in alg:
-        alg["inner_opt"]["steps"] = 5
+        alg["exact_hc"] = linear and draw(st.booleans())
+    if "inner_opt" in alg:
+        alg["inner_opt"]["steps"] = draw(st.sampled_from([0, 5]))
+        if alg["inner_opt"]["steps"] == 0:
+            alg["inner_opt"] = {"steps": 0}
+        if alg.get("exact_hc"):
+            del alg["inner_opt"]
+    if "xi" in alg:
+        alg["xi"] = draw(st.sampled_from([0.0, 1.0]))
+        if alg["xi"] == 0.0:
+            del alg["lam"]
+    task = {"task.operator": "linear" if linear else "nonlinear", "task.sigma_y": sigma_y}
+    for (switch, value), keys in solver.unread_when.items():
+        block, _, key = switch.rpartition(".")
+        if (task[switch] if switch in task else alg.get(block, {}).get(key)) == value:
+            for key in keys:
+                alg.pop(key, None)
     prior = {"dim": d, "components": 2, "seed": seed}
     if draw(st.booleans()):  # the same mixture, inline
         mixture = harness.random_prior(d, 2, seed)
@@ -1009,7 +1118,7 @@ def _valid_configs(draw):
     cfg = {
         "prior": prior,
         "schedule": {"T": 1000, "beta_start": 1e-4, "beta_end": 0.02},
-        "task": {"operator": operator, "sigma_y": draw(st.sampled_from([0.01, 0.1]))},
+        "task": {"operator": operator, "sigma_y": sigma_y},
         "algorithm": alg,
         "steps": 2,
         "n_test": 1,
@@ -1023,9 +1132,11 @@ def _valid_configs(draw):
                "noisy_gt": False, "decoupled": False, "closed_form": draw(st.booleans()),
                "base_seed": seed}
         if fit["plugin"] != "none":
-            fit["omega"] = draw(st.sampled_from([None, 0.05]))
+            fit["omega"] = draw(st.sampled_from([0.05, 0.1]))
         if not fit["closed_form"]:
-            fit.update(epochs=3, optimizer=draw(st.sampled_from(["schedule-free", "adam"])),
+            fit["epochs"] = draw(st.sampled_from([0, 3]))
+        if fit.get("epochs"):
+            fit.update(optimizer=draw(st.sampled_from(["schedule-free", "adam"])),
                        lr_rule=draw(st.sampled_from(["constant", "dynamic"])))
         if fit.get("optimizer") == "schedule-free":
             fit["warmup"] = 1
@@ -1100,23 +1211,52 @@ def _unread_key(draw, cfg):
     return mutated, f"algorithm.{block if block and not preset_lists(name, block) else path}"
 
 
+# a valid value, not null, for each operator key a switch may leave unread
+_OPERATOR_VALUES = {"seed": 3, "width": 3, "sigma": 1.0}
+
+
 def _switched_off_keys(cfg):
     """[(dotted path, a valid value)] of the keys cfg does not give and one of its
-    switches leaves unread (`ConfigBlock.unread_when`)."""
+    switches leaves unread: the `unread_when` tables, its solver's on the task, and a
+    keep_ratio that keeps every coordinate."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = _load_raw(Path(tmp), cfg)
+    spec = harness.OperatorSpec.from_dict(cfg["task"]["operator"])
+    blocks = [config.params, config.params.daps, config.params.inner_opt, spec]
+    blocks += [config.train_config] if config.train_config else []
     found = []
-    for cls in (canon.AlgoParams, canon.DAPSParams, lle.TrainConfig):
-        block = cfg
-        for key in cls.block.split("."):
-            block = block.get(key) if isinstance(block, dict) else None
-        if not isinstance(block, dict):
-            continue
-        defaults = {f.name: {} if f.default is dataclasses.MISSING else f.default
-                    for f in dataclasses.fields(cls)}
-        for (switch, value), keys in cls.unread_when.items():
-            if block.get(switch, defaults[switch]) == value:
-                found += [(f"{cls.block}.{key}", defaults[key]) for key in keys
-                          if key not in block]
+    for block in blocks:
+        given = _given(cfg, block.block)
+        for (switch, value), keys in block.unread_when.items():
+            now = operator.attrgetter(switch)(block)
+            if (now is not None) if value is canon.GIVEN else now == value:
+                found += [(block._path(key), _json_value(block, key)) for key in keys
+                          if key not in given]
+    task = {"task.operator": "linear" if isinstance(config.op, ops.LinearOperator)
+            else "nonlinear", "task.sigma_y": config.sigma_y}
+    for (switch, value), keys in canon.SOLVERS[config.params.algorithm].unread_when.items():
+        now = task[switch] if switch in task else operator.attrgetter(switch)(config.params)
+        if now == value:
+            found += [(f"algorithm.{key}", _json_value(config.params, key)) for key in keys
+                      if key not in cfg["algorithm"]]
+    if spec.seed is None and spec.keep_ratio is not None and config.op.m == config.op.n:
+        found.append(("task.operator.seed", 3))
     return found
+
+
+def _given(cfg, path):
+    """The block of cfg at a dotted path, {} where cfg does not give it."""
+    for key in path.split("."):
+        cfg = cfg.get(key, {}) if isinstance(cfg, dict) else {}
+    return cfg
+
+
+def _json_value(block, key):
+    """The block's value of key as JSON gives it: a nested block as {}."""
+    value = getattr(block, key)
+    if dataclasses.is_dataclass(value):
+        return {}
+    return _OPERATOR_VALUES[key] if value is None and block.block == "task.operator" else value
 
 
 @st.composite
@@ -1143,7 +1283,7 @@ def _mutations(draw, cfg):
     options = ["rename", "wrong"]
     if isinstance(value, list):
         options.append("entry")
-    if path in _REQUIRED:
+    if _required(cfg, path):
         options.append("drop")
     bounds = _bounds(path)
     if bounds:

@@ -125,7 +125,9 @@ def test_grid_runs_daps_on_linear_operators(compare):
                     ("daps-blur-binomial-base", "blur", None, ("run", "eval")),
                     ("daps-avgpool-base", "avgpool", None, ("run", "eval")),
                     ("daps-hadamard-base", "hadamard", None, ("run", "eval")),
-                    ("daps-nonlinear-base", "nonlinear", None, ("run",))]
+                    ("daps-nonlinear-base", "nonlinear", None, ("run",)),
+                    ("daps-mask-base-langevin-off", "mask", {"n_langevin": 0}, ("run", "eval")),
+                    ("daps-mask-base-eta0-off", "mask", {"eta0": 0}, ("run", "eval"))]
     groups = compare.fit_groups([3])
     name = os.path.join("3", "grid", "recon-daps-mask-coupled-closed.lle")
     assert compare._group(name, groups) == ("recon", "DAPS", "closed", "coupled")
@@ -157,6 +159,32 @@ def test_grid_runs_resample_exact_hc_on_each_linear_operator(compare):
     groups = compare.fit_groups([3])
     name = os.path.join("3", "grid", "metrics-resample-dense-base-exact.csv")
     assert compare._group(name, groups) == ("metrics", "ReSample", "none", "-")
+
+
+def test_grid_runs_each_stage_switched_off(compare):
+    # a zero count or weight, or a draw that keeps everything, with no key it leaves unread
+    off = [(name, cfg["algorithm"], cfg["task"]["operator"], cfg["lle"], calls)
+           for name, cfg, calls in compare.grid_plan(3) if "off" in name or "keep-all" in name]
+    mask = compare.grid_plan(3)[0][1]["task"]["operator"]
+    assert off == [
+        ("daps-mask-base-langevin-off", {"name": "DAPS", "daps": {"n_langevin": 0}}, mask,
+         "none", ("run", "eval")),
+        ("daps-mask-base-eta0-off", {"name": "DAPS", "daps": {"eta0": 0}}, mask, "none",
+         ("run", "eval")),
+        ("resample-mask-base-steps-off", {"name": "ReSample", "inner_opt": {"steps": 0}}, mask,
+         "none", ("run", "eval")),
+        ("diffpir-nonlinear-base-steps-off", {"name": "DiffPIR", "inner_opt": {"steps": 0}},
+         {"kind": "nonlinear"}, "none", ("run",)),
+        ("reddiff-mask-base-xi-off", {"name": "REDdiff", "xi": 0}, mask, "none",
+         ("run", "eval")),
+        ("ddnm-keep-all-base", {"name": "DDNM"}, {"kind": "mask", "keep_ratio": 1.0}, "none",
+         ("run", "eval")),
+        ("ddnm-mask-coupled-first-epochs-off", {"name": "DDNM"}, mask,
+         {"n_refs": 16, "ref_steps": 100, "base_seed": off[-1][3]["base_seed"], "epochs": 0},
+         ("train", "run"))]
+    groups = compare.fit_groups([3])
+    name = os.path.join("3", "grid", "coeffs-ddnm-mask-coupled-first-epochs-off.json")
+    assert compare._group(name, groups) == ("coeffs", "DDNM", "first-order", "coupled")
 
 
 def test_every_grid_config_loads(compare, tmp_path):

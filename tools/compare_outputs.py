@@ -38,11 +38,18 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   projections are zero) with ``train`` and ``run --coeffs``;
 - on the ``nonlinear`` operator, one base ``run`` for each of DPS, REDdiff,
   DiffPIR, ReSample and DAPS (no ``eval --oracle``: the oracle needs a linear
-  operator), and one DPS first-order fit with ``train`` and ``run --coeffs``.
+  operator), and one DPS first-order fit with ``train`` and ``run --coeffs``;
+- each stage switched off by a zero count or weight, or a draw that keeps
+  everything: one base ``run`` (and ``eval --oracle`` on the mask) of DAPS at
+  ``daps.n_langevin`` 0 and at ``daps.eta0`` 0, ReSample at ``inner_opt.steps``
+  0, DiffPIR on the nonlinear operator at ``inner_opt.steps`` 0, REDdiff at
+  ``xi`` 0 and DDNM on a mask at ``keep_ratio`` 1.0, and one DDNM first-order
+  fit at ``epochs`` 0 with ``train`` and ``run --coeffs``.
 
-Every LLE block sets only keys its fit reads: a closed-form fit takes no
-``epochs``, ``warmup``, ``lr_rule`` or ``optimizer``, and the Adam fit no
-``warmup``, since ``lle`` rejects a key its switch leaves unread.
+Every config sets only keys it reads: a closed-form fit takes no ``epochs``,
+``warmup``, ``lr_rule`` or ``optimizer``, the Adam fit no ``warmup``, the fit at
+``epochs`` 0 none of the three, and a switched-off stage none of the keys it
+leaves unread, since ``lle`` rejects a key its switch leaves unread.
 
 A call that fails writes ``<out>.error`` instead: the exception it raised, or
 the exit code and stderr line of an error ``lle`` reports itself. For
@@ -187,6 +194,22 @@ def grid_plan(seed: int) -> list:
                      _grid_config(prior_seed, algorithm, nonlinear, 5, "none"), ("run",)))
     plan.append(("dps-nonlinear-coupled-first",
                  _grid_config(prior_seed, "DPS", nonlinear, 5, first), ("train", "run")))
+    keep_all = {"kind": "mask", "keep_ratio": 1.0}  # every coordinate: no seed is read
+    switched_off = {
+        "daps-mask-base-langevin-off": ("DAPS", "mask", {"daps": {"n_langevin": 0}}),
+        "daps-mask-base-eta0-off": ("DAPS", "mask", {"daps": {"eta0": 0}}),
+        "resample-mask-base-steps-off": ("ReSample", "mask", {"inner_opt": {"steps": 0}}),
+        "diffpir-nonlinear-base-steps-off": ("DiffPIR", "nonlinear", {"inner_opt": {"steps": 0}}),
+        "reddiff-mask-base-xi-off": ("REDdiff", "mask", {"xi": 0}),
+        "ddnm-keep-all-base": ("DDNM", "keep-all", {}),
+    }
+    by_name = dict(operators, nonlinear=nonlinear, **{"keep-all": keep_all})
+    for name, (algorithm, op_name, keys) in switched_off.items():
+        cfg = _grid_config(prior_seed, algorithm, by_name[op_name], 5, "none")
+        cfg["algorithm"].update(keys)
+        plan.append((name, cfg, ("run",) if op_name == "nonlinear" else ("run", "eval")))
+    plan.append(("ddnm-mask-coupled-first-epochs-off", _grid_config(
+        prior_seed, "DDNM", operators["mask"], 5, dict(fit, epochs=0)), ("train", "run")))
     return plan
 
 
