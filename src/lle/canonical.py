@@ -431,13 +431,34 @@ def corr_dmps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
     return x0 + coef * score_y
 
 
+def _descent_table(s: np.ndarray, opt: InnerOptParams) -> np.ndarray:
+    """P, (steps, r): P[j - 1, k] = e_kj / e_k0 after inner step j of the
+    heavy-ball descent on ||s c - ybar||^2, whose error e = s c - ybar and
+    scaled velocity u = s vel move per coordinate by u' = momentum u - 2 lr s^2 e,
+    e' = e + u', from (e_0, 0). Entries may overflow to inf or NaN."""
+    P = np.empty((opt.steps, s.size))
+    rate = 2.0 * opt.lr * s * s
+    e, u = np.ones_like(s), np.zeros_like(s)
+    for j in range(opt.steps):
+        u = opt.momentum * u - rate * e
+        e = P[j] = e + u
+    return P
+
+
 def corr_resample(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
     """Hard data consistency: argmin ||y - A(x)||^2 from x0 by momentum descent,
     or, with exact_hc (a linear A only), its closed form x0 + A^+ (y - A x0).
 
     For a linear A = U diag(s) V^T the gradient 2 A^T (A x - y) lies in the
-    span of V, so the descent runs on the range coordinates c = V^T x alone,
-    with ||A x - y||^2 = ||s c - U^T y||^2 + ||y - U U^T y||^2.
+    span of V, so the descent moves only the range coordinates c = V^T x, with
+    ||A x - y||^2 = ||s c - U^T y||^2 + ||y - U U^T y||^2. There each
+    coordinate's error e = s c - U^T y follows one linear recursion
+    (`_descent_table`), so e_kj = P_kj e_k0 with one (steps, r) table P for
+    every row: the loss at every inner step is (e_0^2)(P^2)^T + ||y - U U^T y||^2,
+    the guard reads it at the first step where any row is bad, and the result
+    is x0 + (e_0 (P_n - 1) / s) V. A coordinate whose e_0 is exactly 0 stays
+    put, as it does in the loop: it adds 0 to the loss and the result even
+    where P overflows.
     """
     x0 = ctx.x0_sampled
     opt = params.inner_opt
@@ -457,17 +478,25 @@ def corr_resample(ctx: StepContext, obs: ops.Observation, params: AlgoParams) ->
         return _momentum_descent(value_and_grad, x0, opt, _row_dot(obs.y))
     op = obs.op
     ybar = obs.y @ op.U
-    out_of_range = obs.y - ybar @ op.U.T
-    loss_perp = _row_dot(out_of_range)
-    two_s = 2.0 * op.s
-
-    def value_and_grad_range(c):
-        r = op.s * c - ybar
-        return _row_dot(r) + loss_perp, two_s * r
-
-    c0 = x0 @ op.V
-    c = _momentum_descent(value_and_grad_range, c0, opt, _row_dot(obs.y))
-    return x0 + (c - c0) @ op.V.T
+    loss_perp = _row_dot(obs.y - ybar @ op.U.T)
+    e0 = op.s * (x0 @ op.V) - ybar
+    limit = _divergence_limit(_row_dot(e0) + loss_perp, _row_dot(obs.y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = _descent_table(op.s, opt)
+        P2 = P * P
+        if np.isfinite(P2).all():
+            loss = e0 * e0 @ P2.T
+        else:  # 0 * inf is NaN, where the loop keeps a coordinate at exactly 0
+            e = np.where(e0[..., None, :] == 0.0, 0.0, e0[..., None, :] * P)
+            loss = np.sum(e * e, axis=-1)
+        loss += loss_perp[..., None]
+        bad = ~np.isfinite(loss) | (loss > limit[..., None])
+        if bad.any():
+            step = int(np.argmax(bad.reshape(-1, opt.steps).any(axis=0)))
+            _guard(loss[..., step], limit, step + 1, opt.lr, "inner optimizer")
+        # past the guard, P_n overflows only where every row's e_0 is 0
+        shift = np.where(np.isfinite(P[-1]), (P[-1] - 1.0) / op.s, 0.0)
+    return x0 + (e0 * shift) @ op.V.T
 
 
 def daps_step_size(daps: DAPSParams, t: int, T: int) -> float:

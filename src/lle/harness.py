@@ -182,15 +182,17 @@ def _load_prior(spec: dict, config_dir: str) -> dif.GaussianMixturePrior:
 
 
 def load_config(path) -> ExperimentConfig:
-    top = ConfigFile.load(path)
+    raw = canon.read_json(path)
+    top = ConfigFile.from_dict(raw)
     prior = _load_prior(top.prior, os.path.dirname(os.path.abspath(path)))
     op_keys = {key: val for key, val in vars(top.task.operator).items() if val is not None}
     op = _built("task.operator", ops.build_operator, {"n": prior.d, **op_keys})
     if getattr(op, "n", prior.d) != prior.d:
         raise ConfigError(f"task.operator acts on size {op.n}, the prior on size {prior.d}")
-    if top.task.operator.seed is not None and op.m == op.n:  # the draw keeps all, whatever seed
+    spec, given = top.task.operator, raw["task"]["operator"]  # a given null is given
+    if "seed" in given and spec.keep_ratio is not None and op.m == op.n:  # keeps all, any seed
         raise ConfigError(f"task.operator.seed is not read when task.operator.keep_ratio"
-                          f" {top.task.operator.keep_ratio} keeps all {op.n} coordinates")
+                          f" {spec.keep_ratio} keeps all {op.n} coordinates")
     sched = top.schedule
     schedule = dif.linear_beta_schedule(sched.T, sched.beta_start, sched.beta_end)
     if not schedule.alphabar(sched.T) > 0.0:  # the sampler divides by sqrt(alphabar_t)

@@ -4,6 +4,7 @@ import operator
 import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -871,6 +872,80 @@ def test_resample_guard_counts_out_of_range_residual(schedule, small_prior):
     assert in_range_loss(ref) > 10.0 * in_range_loss(x0)
     got = canon.corr_resample(ctx, obs, params)
     assert _rel_dev(got, ref) <= 1e-12
+
+
+def _resample_range_loop(descent, x0, obs, opt):
+    """The linear branch as a loop: `descent` (`_momentum_descent`) on the
+    range coordinates, one loss and gradient per inner step."""
+    op = obs.op
+    ybar = obs.y @ op.U
+    loss_perp = canon._row_dot(obs.y - ybar @ op.U.T)
+
+    def value_and_grad(c):
+        r = op.s * c - ybar
+        return canon._row_dot(r) + loss_perp, 2.0 * op.s * r
+
+    c0 = x0 @ op.V
+    return x0 + (descent(value_and_grad, c0, opt, canon._row_dot(obs.y)) - c0) @ op.V.T
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("kind", ["mask", "blur", "dense"])
+def test_resample_table_matches_the_loop_or_trips_its_guard(schedule, small_prior,
+                                                           monkeypatch, kind, batch):
+    obs, ctx = _inner_loop_case(small_prior, schedule, kind, batch, 0.05, 390)
+    descent = canon._momentum_descent
+
+    def spy(*args):
+        raise AssertionError("the linear branch ran the descent loop")
+
+    monkeypatch.setattr(canon, "_momentum_descent", spy)
+    x0 = ctx.x0_sampled
+    tripped = 0
+    for lr in [0.01, 0.5, 1.5, 1.95, 50.0, 1e3]:
+        for momentum in [0.0, 0.9]:
+            for steps in [1, 7, 50]:
+                params = canon.default_params("ReSample")
+                params.inner_opt = canon.InnerOptParams(lr=lr, momentum=momentum, steps=steps)
+                try:
+                    want = _resample_range_loop(descent, x0, obs, params.inner_opt)
+                except ConvergenceError as exc:  # the same step and rows
+                    with pytest.raises(ConvergenceError, match=f"^{re.escape(str(exc))}$"):
+                        canon.corr_resample(ctx, obs, params)
+                    tripped += 1
+                    continue
+                got = canon.corr_resample(ctx, obs, params)
+                assert _rel_dev(got, want) <= 1e-13, (lr, momentum, steps)
+                # and each row against the full-space loop
+                rows = [_resample_reference(x0_i, ops.Observation(y_i, obs.op, 0.05),
+                                            lr, momentum, steps)
+                        for x0_i, y_i in zip(x0.reshape(-1, x0.shape[-1]),
+                                             obs.y.reshape(-1, obs.op.m))]
+                assert _rel_dev(got, np.reshape(rows, got.shape)) <= 1e-13, (lr, momentum, steps)
+    assert 0 < tripped < 6 * 2 * 3
+
+
+@pytest.mark.parametrize("lr", [1e3, 1e6])
+def test_resample_rows_on_their_data_stay_put_when_the_table_overflows(schedule, small_prior,
+                                                                      lr):
+    # y = A x0 gives e_0 = 0 in every coordinate, so the loop never moves such a
+    # row; P overflows within the 50 steps at these step sizes, and 0 * inf must
+    # not make the row's loss or result NaN, nor warn
+    op = ops.mask_operator(8, [0, 3, 4, 6])
+    x0 = RngStream(395, 1).standard_normal((3, 8))
+    params = canon.default_params("ReSample")
+    params.inner_opt.lr = lr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in (x0[0], x0):  # batch 1 and batch 3
+            ctx = make_ctx(small_prior, schedule, rows, 500, 250, x0=rows)
+            obs = ops.Observation(y=ops.apply(op, rows), op=op, sigma_y=0.05)
+            assert np.array_equal(canon.corr_resample(ctx, obs, params), rows)
+        # rows 0 and 2 on their data, row 1 off it: only row 1 diverges
+        y = ops.apply(op, x0)
+        y[1] += 0.5
+        with pytest.raises(ConvergenceError, match=r"row\(s\) \[1\] at inner step 1:"):
+            canon.corr_resample(ctx, ops.Observation(y=y, op=op, sigma_y=0.05), params)
 
 
 # ---------------------------------------------------------------------------

@@ -796,6 +796,20 @@ def test_load_config_checks_operator_keys_per_kind(tmp_path, operator, named):
         _load_raw(tmp_path, raw)
 
 
+@pytest.mark.parametrize("kind", ["mask", "hadamard"])
+def test_a_null_seed_beside_a_keep_all_ratio_is_rejected(tmp_path, kind):
+    # earlier only a non-null seed was rejected here, while keep_indices
+    # rejected a null one: a given null counts as given in both
+    raw = _base_config()
+    raw["task"]["operator"] = {"kind": kind, "keep_ratio": 1.0, "seed": None}
+    with pytest.raises(harness.ConfigError, match=re.escape(
+            "task.operator.seed is not read when task.operator.keep_ratio 1.0"
+            " keeps all 4 coordinates")):
+        _load_raw(tmp_path, raw)
+    raw["task"]["operator"]["keep_ratio"] = 0.5  # the seed is read: null is its default
+    assert _load_raw(tmp_path, raw).op.m == 2
+
+
 # ---- the read probe over the `task.operator` keys ---------------------------
 
 _OPERATOR_FORMS = {

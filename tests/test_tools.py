@@ -161,6 +161,19 @@ def test_grid_runs_resample_exact_hc_on_each_linear_operator(compare):
     assert compare._group(name, groups) == ("metrics", "ReSample", "none", "-")
 
 
+def test_grid_runs_resample_linear_descent_off_its_preset(compare):
+    # the recursion table at a step size, momentum and count no preset uses
+    plan = compare.grid_plan(3)
+    inner = [(name, cfg["task"]["operator"]["kind"], cfg["algorithm"]["inner_opt"], calls)
+             for name, cfg, calls in plan
+             if cfg["algorithm"]["name"] == "ReSample" and "inner_opt" in cfg["algorithm"]]
+    assert inner == [
+        ("resample-mask-base-steps-off", "mask", {"steps": 0}, ("run", "eval")),
+        ("resample-mask-base-inner", "mask", {"lr": 0.5, "momentum": 0.5, "steps": 7},
+         ("run", "eval"))]
+    assert plan[-1][0] == "resample-mask-base-inner"  # added after every draw
+
+
 def test_grid_runs_each_stage_switched_off(compare):
     # a zero count or weight, or a draw that keeps everything, with no key it leaves unread
     off = [(name, cfg["algorithm"], cfg["task"]["operator"], cfg["lle"], calls)

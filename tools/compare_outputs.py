@@ -44,7 +44,10 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   ``daps.n_langevin`` 0 and at ``daps.eta0`` 0, ReSample at ``inner_opt.steps``
   0, DiffPIR on the nonlinear operator at ``inner_opt.steps`` 0, REDdiff at
   ``xi`` 0 and DDNM on a mask at ``keep_ratio`` 1.0, and one DDNM first-order
-  fit at ``epochs`` 0 with ``train`` and ``run --coeffs``.
+  fit at ``epochs`` 0 with ``train`` and ``run --coeffs``;
+- ReSample's range-coordinate descent table off its preset: one base ``run``
+  and ``eval --oracle`` on the mask at ``inner_opt`` lr 0.5, momentum 0.5 and
+  7 steps, last in the plan so that no earlier config changes.
 
 Every config sets only keys it reads: a closed-form fit takes no ``epochs``,
 ``warmup``, ``lr_rule`` or ``optimizer``, the Adam fit no ``warmup``, the fit at
@@ -210,6 +213,9 @@ def grid_plan(seed: int) -> list:
         plan.append((name, cfg, ("run",) if op_name == "nonlinear" else ("run", "eval")))
     plan.append(("ddnm-mask-coupled-first-epochs-off", _grid_config(
         prior_seed, "DDNM", operators["mask"], 5, dict(fit, epochs=0)), ("train", "run")))
+    cfg = _grid_config(prior_seed, "ReSample", operators["mask"], 5, "none")
+    cfg["algorithm"]["inner_opt"] = {"lr": 0.5, "momentum": 0.5, "steps": 7}
+    plan.append(("resample-mask-base-inner", cfg, ("run", "eval")))
     return plan
 
 
