@@ -77,24 +77,21 @@ def _check(name: str, value, kind: str, choices, optional: bool, bounds: dict) -
             raise ConfigError(f"{name} must be {sign} {limit}, got {value!r}")
 
 
-GIVEN = object()  # an `unread_when` value: the switch key is given, not null
-
-
 def reject_unread(table: dict, given: dict, value_of, path, by: str = "") -> None:
     """Raise ConfigError naming the first key of given that an `unread_when` table
     leaves unread; value_of(switch) is a switch's value, path(key) a key's dotted path."""
     for (switch, value), keys in table.items():
         now = value_of(switch)
         for key in keys:
-            if key in given and ((now is not None) if value is GIVEN else now == value):
-                state = "given" if value is GIVEN else json.dumps(value)
-                raise ConfigError(f"{path(key)} is not read{by} when {path(switch)} is {state}")
+            if key in given and now == value:
+                raise ConfigError(f"{path(key)} is not read{by} when {path(switch)}"
+                                  f" is {json.dumps(value)}")
 
 
 class ConfigBlock:
     """Base of the config dataclasses: construction checks each field's rule.
     `block` is the block's dotted path, which errors name keys from;
-    `unread_when` maps a (switch key or dotted path, value or `GIVEN`) pair to the
+    `unread_when` maps a (switch key or dotted path, value) pair to the
     keys nothing reads while the switch has that value, which `from_dict` rejects."""
 
     block = ""

@@ -22,7 +22,7 @@ from . import canonical as canon
 from . import diffusion as dif
 from . import extrapolation as lle
 from . import operators as ops
-from .canonical import GIVEN, ConfigBlock, rule
+from .canonical import ConfigBlock, rule
 from .errors import ConfigError
 from .numerics import MetricReport, RngStream, RowStreams, mse, psnr
 
@@ -56,24 +56,13 @@ class PriorFile(ConfigBlock):
     file: str = rule()  # relative to the config file
 
 
-# operator kind -> (required keys, optional keys); "a|b" is exactly one of a, b
-OPERATOR_KEYS = {
-    "mask": ("keep_indices|keep_ratio", "n seed"),
-    "avgpool": ("factor", "n"),
-    "blur": ("kernel|sigma", "n width"),
-    "hadamard": ("keep_ratio", "n seed"),
-    "dense": ("matrix", ""),
-    "nonlinear": ("", "kernel width sigma scale"),
-}
-
-
 @dataclass
 class OperatorSpec(ConfigBlock):
-    """Every operator key; None is not given (defaults: `ops.build_operator`)."""
+    """Every operator key; None is not given. Its kind's `ops.OPERATORS` entry
+    decides which keys it reads, and their defaults."""
 
     block = "task.operator"
-    kind: str = rule(choices=tuple(OPERATOR_KEYS))
-    n: int | None = rule(None, minimum=1, optional=True)  # default prior.dim
+    kind: str = rule(choices=tuple(ops.OPERATORS))
     keep_indices: list[int] | None = rule(None, optional=True)
     keep_ratio: float | None = rule(None, above=0.0, maximum=1.0, optional=True)
     seed: int | None = rule(None, optional=True)
@@ -83,18 +72,22 @@ class OperatorSpec(ConfigBlock):
     width: int | None = rule(None, minimum=1, optional=True)
     matrix: list[list[float]] | None = rule(None, optional=True)
     scale: float | None = rule(None, above=0.0, optional=True)
-    unread_when = {("keep_indices", GIVEN): ("seed",), ("kernel", GIVEN): ("width", "sigma")}
 
-    def __post_init__(self):
-        super().__post_init__()
-        required, optional = OPERATOR_KEYS[self.kind]
-        given = {key for key, val in vars(self).items() if val is not None} - {"kind"}
-        for key in sorted(given - set(required.replace("|", " ").split() + optional.split())):
+    def _reject_unread(self, given: dict) -> None:
+        """A given key, a given null too, must be read by the form of the kind that the given
+        keys select; a null means the default only for a key the form reads with one."""
+        forms = ops.OPERATORS[self.kind]
+        for key in sorted(set(given) - {"kind"} - {k for s in forms for k in (s, *forms[s][0])}):
             raise ConfigError(f"operator kind {self.kind!r} takes no key {self._path(key)}")
-        for names in (alt.split("|") for alt in required.split()):
-            if len(given.intersection(names)) != 1:
-                paths = ", ".join(map(self._path, names))
-                raise ConfigError(f"operator kind {self.kind!r} needs exactly one of {paths}")
+        picked = [key for key in forms if key in given] or [key for key in forms if key is None]
+        if len(picked) != 1:
+            paths = ", ".join(map(self._path, forms))
+            raise ConfigError(f"operator kind {self.kind!r} needs exactly one of {paths}")
+        select = picked[0]
+        for key in sorted(set(given) - {"kind", select, *forms[select][0]}):
+            raise ConfigError(f"{self._path(key)} is not read when {self._path(select)} is given")
+        if select and given[select] is None:
+            raise ConfigError(f"{self._path(select)} has no default, so it may not be null")
 
 
 @dataclass
@@ -162,11 +155,11 @@ def random_prior(dim: int, components: int, seed: int) -> dif.GaussianMixturePri
 
 
 def _built(path: str, build, *args):
-    """build(*args), with a ValueError from the builder raised as a ConfigError naming path."""
+    """build(*args); a ValueError it raises is a ConfigError naming path, or a key under it."""
     try:
         return build(*args)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(exc if str(exc).startswith(path + ".") else f"{path}: {exc}") from exc
 
 
 def _load_prior(spec: dict, config_dir: str) -> dif.GaussianMixturePrior:
@@ -185,8 +178,7 @@ def load_config(path) -> ExperimentConfig:
     raw = canon.read_json(path)
     top = ConfigFile.from_dict(raw)
     prior = _load_prior(top.prior, os.path.dirname(os.path.abspath(path)))
-    op_keys = {key: val for key, val in vars(top.task.operator).items() if val is not None}
-    op = _built("task.operator", ops.build_operator, {"n": prior.d, **op_keys})
+    op = _built("task.operator", ops.build_operator, prior.d, vars(top.task.operator))
     if getattr(op, "n", prior.d) != prior.d:
         raise ConfigError(f"task.operator acts on size {op.n}, the prior on size {prior.d}")
     spec, given = top.task.operator, raw["task"]["operator"]  # a given null is given

@@ -6,7 +6,8 @@ so the null space is the orthogonal complement of the columns of V. This
 makes pseudoinverse, range/null projections, and the coordinatewise
 corrector algebra exact. The mask's factors are built exactly (V selects
 coordinates, U = I, s = 1); every other linear operator is its matrix,
-factored by the one SVD in `dense_operator`, exact to rounding.
+factored by the one SVD in `dense_operator`, exact to rounding. `OPERATORS` maps
+each `task.operator` kind of a config to its forms, and `build_operator` builds one.
 """
 
 from __future__ import annotations
@@ -174,6 +175,15 @@ def gaussian_kernel(width: int, sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+def gaussian_blur_operator(n: int, sigma: float, width: int) -> LinearOperator:
+    """The blur by gaussian_kernel(width, sigma); the kernel is width long, so a width
+    past the signal is named as the config key that sets it."""
+    kernel = gaussian_kernel(width, sigma)
+    if width > n:
+        raise ConfigError(f"task.operator.width {width} is longer than the signal ({n})")
+    return blur_operator(n, kernel)
+
+
 def hadamard_operator(n: int, keep_ratio: float, seed: int) -> LinearOperator:
     """Selected rows of the normalized Walsh-Hadamard matrix H_n / sqrt(n)."""
     H = _hadamard(n)
@@ -190,33 +200,33 @@ def dense_operator(matrix) -> LinearOperator:
     return LinearOperator(n=n, m=m, V=Vt[keep].T, U=U[:, keep], s=s[keep])
 
 
-def build_operator(spec: dict):
-    """Construct an operator from a config-style spec dict (see `harness.OperatorSpec`)."""
-    kind = spec.get("kind")
-    n = spec.get("n")
-    if kind == "mask":
-        if "keep_indices" in spec:
-            return mask_operator(n, spec["keep_indices"])
-        return random_mask_operator(n, spec["keep_ratio"], spec.get("seed", 0))
-    if kind == "avgpool":
-        return avgpool_operator(n, spec["factor"])
-    if kind == "blur":
-        if "kernel" in spec:
-            kernel = spec["kernel"]
-        else:
-            kernel = gaussian_kernel(spec.get("width", 9), spec["sigma"])
-        return blur_operator(n, kernel)
-    if kind == "hadamard":
-        return hadamard_operator(n, spec["keep_ratio"], spec.get("seed", 0))
-    if kind == "dense":
-        return dense_operator(spec["matrix"])
-    if kind == "nonlinear":
-        if "kernel" in spec:
-            kernel = spec["kernel"]
-        else:
-            kernel = gaussian_kernel(spec.get("width", 5), spec.get("sigma", 1.0))
-        return NonlinearOperator(kernel=np.asarray(kernel, dtype=float), scale=spec.get("scale", 1.0))
-    raise ConfigError(f"unknown operator kind {kind!r}")
+# kind -> its forms, each the key whose being given selects it (None: the form when no
+# key selects another) -> (every other key it reads, at its default, build(n, **keys))
+OPERATORS = {
+    "mask": {"keep_indices": ({}, mask_operator),
+             "keep_ratio": ({"seed": 0}, random_mask_operator)},
+    "avgpool": {"factor": ({}, avgpool_operator)},
+    "blur": {"kernel": ({}, blur_operator), "sigma": ({"width": 9}, gaussian_blur_operator)},
+    "hadamard": {"keep_ratio": ({"seed": 0}, hadamard_operator)},
+    "dense": {"matrix": ({}, lambda n, matrix: dense_operator(matrix))},
+    "nonlinear": {"kernel": ({"scale": 1.0}, lambda n, kernel, scale:
+                             NonlinearOperator(np.asarray(kernel, dtype=float), scale)),
+                  None: ({"width": 5, "sigma": 1.0, "scale": 1.0}, lambda n, width, sigma, scale:
+                         NonlinearOperator(gaussian_kernel(width, sigma), scale))},
+}
+
+
+def build_operator(n: int, spec: dict):
+    """The operator on size-n signals of a config-style spec (see `harness.OperatorSpec`):
+    its kind's form whose key spec gives, else the one under None, reading each key at
+    spec's value, or at its default where spec has none or None."""
+    forms = OPERATORS.get(spec.get("kind"))
+    if forms is None:
+        raise ConfigError(f"unknown operator kind {spec.get('kind')!r}")
+    given = {key: value for key, value in spec.items() if value is not None}
+    select = next(key for key in forms if key in given or key is None)
+    reads, build = forms[select]
+    return build(n, **{**reads, **{key: given[key] for key in (select, *reads) if key in given}})
 
 
 # ---------------------------------------------------------------------------

@@ -455,7 +455,7 @@ def _oracle_case(prior_seed, kind, n_rows, sigma_y, d=8, K=3):
         matrix = RngStream(prior_seed, stream_id=9).standard_normal((d // 2, d)) / math.sqrt(d)
         op = ops.dense_operator(matrix)
     else:
-        op = ops.build_operator({"n": d, **_ORACLE_OPERATORS[kind]})
+        op = ops.build_operator(d, _ORACLE_OPERATORS[kind])
     stream = RngStream(prior_seed, stream_id=10)
     ys = ops.observe(op, prior.sample(stream, n_rows), sigma_y, stream)
     return prior, op, ys
@@ -788,6 +788,21 @@ def test_mask_keep_is_rejected_at_load(tmp_path):
     ({"kind": "blur", "kernel": [0.25, "a", 0.25]}, "task.operator.kernel[1]"),
     ({"kind": "dense", "matrix": [[1.0, 0.0, 0.0, 0.0], [0.0, "x", 0.0, 0.0]]},
      "task.operator.matrix[1][1]"),
+    # earlier loaders took task.operator.n at its one allowed value, prior.dim, and
+    # accepted these nulls, a key no form of the kind reads or a second selecting key
+    ({"kind": "mask", "keep_ratio": 0.5, "n": 4}, "unknown config key(s) task.operator.n"),
+    ({"kind": "dense", "matrix": [[1.0] * 4], "keep_ratio": None},
+     "operator kind 'dense' takes no key task.operator.keep_ratio"),
+    ({"kind": "avgpool", "factor": 2, "kernel": None},
+     "operator kind 'avgpool' takes no key task.operator.kernel"),
+    ({"kind": "blur", "sigma": 1.0, "width": 3, "seed": None},
+     "operator kind 'blur' takes no key task.operator.seed"),
+    ({"kind": "mask", "keep_indices": [0, 1], "keep_ratio": None},
+     "needs exactly one of task.operator.keep_indices, task.operator.keep_ratio"),
+    ({"kind": "blur", "sigma": 1.0, "width": 3, "kernel": None},
+     "needs exactly one of task.operator.kernel, task.operator.sigma"),
+    ({"kind": "nonlinear", "kernel": None},
+     "task.operator.kernel has no default, so it may not be null"),
 ])
 def test_load_config_checks_operator_keys_per_kind(tmp_path, operator, named):
     raw = _base_config()
@@ -826,10 +841,24 @@ _OPERATOR_FORMS = {
     "nonlinear": {"kind": "nonlinear"},
     "nonlinear-kernel": {"kind": "nonlinear", "kernel": [0.25, 0.5, 0.25]},
 }
-# another valid value of each operator key (n has none: it must equal prior.dim)
-_OPERATOR_OTHER = {"n": 8, "keep_indices": [1, 2, 3, 9], "keep_ratio": 0.75, "seed": 5,
+# another valid value of each operator key
+_OPERATOR_OTHER = {"keep_indices": [1, 2, 3, 9], "keep_ratio": 0.75, "seed": 5,
                    "factor": 4, "kernel": [0.2, 0.6, 0.2], "sigma": 0.8, "width": 7,
                    "matrix": RngStream(7, 1).standard_normal((5, 16)).tolist(), "scale": 0.5}
+
+
+def _keys_of_kind(kind):
+    """Every key some form of the operator kind reads (`ops.OPERATORS`)."""
+    return {key for select, (reads, _) in ops.OPERATORS[kind].items()
+            for key in (select, *reads)} - {None}
+
+
+def _form_of(spec):
+    """The (select key, {read key: default}) of the `ops.OPERATORS` form that the
+    keys of spec select."""
+    forms = ops.OPERATORS[spec["kind"]]
+    select = next(key for key in forms if key in spec or key is None)
+    return select, forms[select][0]
 
 
 def _operator_bytes(op) -> bytes:
@@ -844,18 +873,17 @@ def test_every_operator_key_is_read_or_rejected(form):
                algorithm={"name": "DPS"})
     cfg["task"]["operator"] = spec
     base = _operator_bytes(loaded(cfg).op)
-    required, optional = harness.OPERATOR_KEYS[spec["kind"]]
     read, unread = set(), set()
-    for key in required.replace("|", " ").split() + optional.split():
+    for key in sorted(_keys_of_kind(spec["kind"])):
         path = f"task.operator.{key}"
         try:
             moved = _operator_bytes(loaded(with_value(cfg, path, _OPERATOR_OTHER[key])).op)
         except harness.ConfigError as exc:
             if says_unread(exc, path):  # and built past the loader, it changes nothing
                 unread.add(key)
-                past = ops.build_operator({"n": 16, **spec, key: _OPERATOR_OTHER[key]})
+                past = ops.build_operator(16, {**spec, key: _OPERATOR_OTHER[key]})
                 assert _operator_bytes(past) == base, key
-            continue  # n, or the other of two alternatives
+            continue  # a second selecting key
         assert moved != base, key
         read.add(key)
     given = {k for k in spec if k != "kind"}
@@ -863,6 +891,21 @@ def test_every_operator_key_is_read_or_rejected(form):
         "mask-indices": {"seed"}, "mask-all": {"seed"}, "mask-all-rounded": {"seed"},
         "hadamard-all": {"seed"}, "blur-kernel": {"width"},
         "nonlinear-kernel": {"width", "sigma"}}.get(form, set())
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_blur_past_the_signal_names_the_key_that_sets_its_length(tmp_path, dim):
+    # earlier loaders said "kernel longer than signal" here, naming a kernel no config gave
+    raw = dict(_base_config(), prior={"dim": dim, "components": 2, "seed": 9})
+    raw["task"]["operator"] = {"kind": "blur", "sigma": 1.0}  # at the default width 9
+    with pytest.raises(harness.ConfigError, match=re.escape(
+            f"task.operator.width 9 is longer than the signal ({dim})")):
+        _load_raw(tmp_path, raw)
+    raw["task"]["operator"] = {"kind": "blur", "kernel": [1.0 / (dim + 1)] * (dim + 1)}
+    with pytest.raises(harness.ConfigError, match="task.operator: kernel longer than signal"):
+        _load_raw(tmp_path, raw)
+    raw["task"]["operator"] = {"kind": "blur", "sigma": 1.0, "width": dim - 1}
+    assert _load_raw(tmp_path, raw).op.n == dim
 
 
 @pytest.mark.parametrize("operator", [
@@ -1008,18 +1051,21 @@ def test_readme_config_schema_lists_every_key():
                for cls in blocks for f in dataclasses.fields(cls)
                if not re.search(rf"\b{re.escape(f.metadata.get('key') or f.name)}\b", section)]
     assert not missing
-    for kind in harness.OPERATOR_KEYS:
-        assert f"{kind}:" in section, kind
+    for kind in ops.OPERATORS:
+        assert f"| {kind} |" in section, kind
 
 
 def test_every_unread_when_table_has_its_exactness_test():
     # the read probes run each entry of these: the `algorithm` tables and the solvers'
     # in tests/test_canonical.py, TrainConfig's and LLECoefficients' in
-    # tests/test_extrapolation.py, OperatorSpec's in test_every_operator_key_is_read_or_rejected
+    # tests/test_extrapolation.py, and each form of `ops.OPERATORS`, which decides the
+    # operator keys, in test_every_operator_key_is_read_or_rejected
     assert {cls for cls in _config_blocks() if cls.unread_when} == {
         canon.AlgoParams, canon.DAPSParams, canon.InnerOptParams, lle.TrainConfig,
-        lle.LLECoefficients, harness.OperatorSpec}
+        lle.LLECoefficients}
     assert [name for name, solver in canon.SOLVERS.items() if solver.unread_when] == ["DiffPIR"]
+    probed = {(spec["kind"], _form_of(spec)[0]) for spec in _OPERATOR_FORMS.values()}
+    assert probed == {(kind, select) for kind, forms in ops.OPERATORS.items() for select in forms}
 
 
 def keys_read_table() -> str:
@@ -1045,24 +1091,49 @@ def test_readme_keys_read_table_is_generated_from_solvers():
     assert table == keys_read_table(), keys_read_table()
 
 
+def operator_table() -> str:
+    """The README's table of the `task.operator` forms, from `ops.OPERATORS`."""
+    rows = ["| `kind` | Selected by | Other keys read, at their defaults |", "| --- | --- | --- |"]
+    for kind, forms in ops.OPERATORS.items():
+        for select, (reads, _) in forms.items():
+            picks = f"`{select}`" if select else "no " + ", ".join(f"`{k}`" for k in forms if k)
+            keys = ", ".join(f"`{key}` {json.dumps(value)}" for key, value in reads.items())
+            rows.append(f"| {kind} | {picks} | {keys or '-'} |")
+    return "\n".join(rows)
+
+
+def test_readme_operator_table_is_generated_from_operators():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("<!-- operator table: begin -->\n", 1)[1].split("\n<!--", 1)[0]
+    assert table == operator_table(), operator_table()
+
+
 # ---- property: a mutated config names its key; a valid one runs -----------
 
 _WRONG_VALUES = ("x", True, [1], None, float("nan"), float("inf"))
-# keys whose null means "use the default"
-_NULLABLE = {"lle", "algorithm.daps.sigma_langevin", "task.operator.n",
-             "task.operator.seed", "task.operator.width", "task.operator.scale",
-             "task.operator.kernel", "task.operator.sigma"}  # the last two: nonlinear's
+# keys whose null means "use the default", besides the operator keys of `_nullable`
+_NULLABLE = {"lle", "algorithm.daps.sigma_langevin"}
 _REQUIRED = {"prior", "task", "algorithm", "task.operator", "algorithm.name", "prior.dim",
              "prior.components"}
 
 
 def _required(cfg, path):
-    """Whether cfg without the key at path is an error: an operator key by its kind."""
+    """Whether cfg without the key at path is an error: of the operator keys, the kind
+    and the key that selects the form, where the kind has no form without one."""
     block, _, key = path.rpartition(".")
     if block == "task.operator":
-        required = harness.OPERATOR_KEYS[cfg["task"]["operator"]["kind"]][0]
-        return key == "kind" or key in required.replace("|", " ").split()
+        forms = ops.OPERATORS[cfg["task"]["operator"]["kind"]]
+        return key == "kind" or key in forms and None not in forms
     return path in _REQUIRED
+
+
+def _nullable(cfg, path):
+    """Whether a null at path means its default: of the operator keys, one that the
+    form cfg selects reads with a default."""
+    block, _, key = path.rpartition(".")
+    if block == "task.operator":
+        return key in _form_of(cfg["task"]["operator"])[1]
+    return path in _NULLABLE
 
 
 @st.composite
@@ -1070,29 +1141,24 @@ def _valid_configs(draw):
     d = draw(st.sampled_from([4, 8]))
     algorithm = draw(st.sampled_from(canon.ALGORITHMS))
     solver = canon.SOLVERS[algorithm]
-    kind = draw(st.sampled_from(["mask", "blur", "dense"]
-                                + ([] if solver.linear is True else ["nonlinear"])))
+    kind = draw(st.sampled_from([kind for kind in ops.OPERATORS
+                                 if kind != "nonlinear" or solver.linear is not True]))
     seed = draw(st.integers(0, 2**31))
-    if kind == "mask" and draw(st.booleans()):
-        operator = {"kind": "mask", "n": d,
-                    "keep_indices": sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))}
-    elif kind == "mask":
-        operator = {"kind": "mask", "n": d, "keep_ratio": draw(st.sampled_from([0.5, 0.75, 1.0]))}
-        if operator["keep_ratio"] < 1.0:  # keeping every coordinate reads no seed
-            operator["seed"] = seed
-    elif kind == "blur" and draw(st.booleans()):
-        operator = {"kind": "blur", "n": d, "kernel": [0.25, 0.5, 0.25]}
-    elif kind == "blur":
-        operator = {"kind": "blur", "n": d, "sigma": draw(st.floats(0.5, 2.0)), "width": 3}
-    elif kind == "nonlinear" and draw(st.booleans()):
-        operator = {"kind": "nonlinear", "kernel": [0.25, 0.5, 0.25],
-                    "scale": draw(st.sampled_from([0.5, 1.0]))}
-    elif kind == "nonlinear":
-        operator = {"kind": "nonlinear", "width": 3, "sigma": draw(st.floats(0.5, 2.0))}
-    else:
-        m = draw(st.integers(1, d))
-        A = RngStream(seed, 3).standard_normal((m, d)) / math.sqrt(d)
-        operator = {"kind": "dense", "matrix": A.tolist()}
+    select = draw(st.sampled_from(list(ops.OPERATORS[kind])))
+    value = {  # a valid value of each operator key at prior.dim d
+        "keep_indices": lambda: sorted(draw(st.sets(st.integers(0, d - 1), min_size=1))),
+        "keep_ratio": lambda: draw(st.sampled_from([0.5, 0.75, 1.0])), "seed": lambda: seed,
+        "factor": lambda: 2, "kernel": lambda: [0.25, 0.5, 0.25], "width": lambda: 3,
+        "sigma": lambda: draw(st.floats(0.5, 2.0)),
+        "scale": lambda: draw(st.sampled_from([0.5, 1.0])),
+        "matrix": lambda: (RngStream(seed, 3).standard_normal((draw(st.integers(1, d)), d))
+                           / math.sqrt(d)).tolist()}
+    operator = {"kind": kind}
+    for key in (select, *ops.OPERATORS[kind][select][0]):  # every key the form reads
+        if key:
+            operator[key] = value[key]()
+    if operator.get("keep_ratio") == 1.0:  # keeping every coordinate reads no seed
+        del operator["seed"]
     linear = kind != "nonlinear"
     sigma_y = draw(st.sampled_from([0.0, 0.01, 0.1]))
     alg = {"name": algorithm, **copy.deepcopy(solver.preset)}  # keys it reads
@@ -1158,10 +1224,11 @@ def _valid_configs(draw):
     return cfg
 
 
-def _is_wrong(candidate, value, path):
-    """Whether candidate is a wrong value where the valid config has value."""
+def _is_wrong(candidate, value, nullable):
+    """Whether candidate is a wrong value where the valid config has value; nullable:
+    whether a null there means the default."""
     if candidate is None:
-        return path not in _NULLABLE
+        return not nullable
     if isinstance(candidate, float) and not math.isfinite(candidate):
         return True  # wrong even where a float is right
     return type(candidate) is not type(value)
@@ -1225,25 +1292,25 @@ def _unread_key(draw, cfg):
     return mutated, f"algorithm.{block if block and not preset_lists(name, block) else path}"
 
 
-# a valid value, not null, for each operator key a switch may leave unread
-_OPERATOR_VALUES = {"seed": 3, "width": 3, "sigma": 1.0}
+# a valid value, not null, for each operator key another form may read
+_OPERATOR_VALUES = {"keep_indices": [0], "keep_ratio": 0.5, "seed": 3,
+                    "kernel": [0.25, 0.5, 0.25], "sigma": 1.0, "width": 3}
 
 
 def _switched_off_keys(cfg):
     """[(dotted path, a valid value)] of the keys cfg does not give and one of its
-    switches leaves unread: the `unread_when` tables, its solver's on the task, and a
-    keep_ratio that keeps every coordinate."""
+    switches leaves unread: the `unread_when` tables, its solver's on the task, the
+    keys of the operator's other forms beside the key that selects its form, and a
+    seed beside a keep_ratio that keeps every coordinate."""
     with tempfile.TemporaryDirectory() as tmp:
         config = _load_raw(Path(tmp), cfg)
-    spec = harness.OperatorSpec.from_dict(cfg["task"]["operator"])
-    blocks = [config.params, config.params.daps, config.params.inner_opt, spec]
+    blocks = [config.params, config.params.daps, config.params.inner_opt]
     blocks += [config.train_config] if config.train_config else []
     found = []
     for block in blocks:
         given = _given(cfg, block.block)
         for (switch, value), keys in block.unread_when.items():
-            now = operator.attrgetter(switch)(block)
-            if (now is not None) if value is canon.GIVEN else now == value:
+            if operator.attrgetter(switch)(block) == value:
                 found += [(block._path(key), _json_value(block, key)) for key in keys
                           if key not in given]
     task = {"task.operator": "linear" if isinstance(config.op, ops.LinearOperator)
@@ -1253,8 +1320,13 @@ def _switched_off_keys(cfg):
         if now == value:
             found += [(f"algorithm.{key}", _json_value(config.params, key)) for key in keys
                       if key not in cfg["algorithm"]]
-    if spec.seed is None and spec.keep_ratio is not None and config.op.m == config.op.n:
-        found.append(("task.operator.seed", 3))
+    spec = cfg["task"]["operator"]
+    select, reads = _form_of(spec)
+    if select:
+        found += [(f"task.operator.{key}", _OPERATOR_VALUES[key])
+                  for key in sorted(_keys_of_kind(spec["kind"]) - {select, *reads, *spec})]
+    if "seed" not in spec and "keep_ratio" in spec and config.op.m == config.op.n:
+        found.append(("task.operator.seed", _OPERATOR_VALUES["seed"]))
     return found
 
 
@@ -1268,9 +1340,7 @@ def _given(cfg, path):
 def _json_value(block, key):
     """The block's value of key as JSON gives it: a nested block as {}."""
     value = getattr(block, key)
-    if dataclasses.is_dataclass(value):
-        return {}
-    return _OPERATOR_VALUES[key] if value is None and block.block == "task.operator" else value
+    return {} if dataclasses.is_dataclass(value) else value
 
 
 @st.composite
@@ -1294,6 +1364,7 @@ def _mutations(draw, cfg):
     path = draw(st.sampled_from(paths))
     *parents, key = path.split(".")
     value = _at(cfg, path)
+    nullable = _nullable(cfg, path)
     options = ["rename", "wrong"]
     if isinstance(value, list):
         options.append("entry")
@@ -1319,10 +1390,10 @@ def _mutations(draw, cfg):
         return mutated, path
     if how == "entry":  # one innermost entry of a list, as a wrong value for it
         entries, i = _leaf(target[key], draw)
-        wrong = [w for w in _WRONG_VALUES + (1.5,) if _is_wrong(w, entries[i], path)]
+        wrong = [w for w in _WRONG_VALUES + (1.5,) if _is_wrong(w, entries[i], nullable)]
         entries[i] = draw(st.sampled_from(wrong))
         return mutated, path
-    wrong = [w for w in _WRONG_VALUES if _is_wrong(w, value, path)]
+    wrong = [w for w in _WRONG_VALUES if _is_wrong(w, value, nullable)]
     target[key] = draw(st.sampled_from(wrong))
     return mutated, path
 

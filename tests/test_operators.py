@@ -184,12 +184,26 @@ def test_structured_operator_is_its_matrix_with_orthonormal_factors(name):
     assert np.max(np.abs(op.U.T @ op.U - np.eye(op.r))) < 1e-13
 
 
+# a value of the key that selects each `ops.OPERATORS` form, on signals of size 16
+_SELECTS = {"keep_indices": [1, 4], "keep_ratio": 0.5, "factor": 2, "kernel": [0.25, 0.5, 0.25],
+            "sigma": 1.5, "matrix": np.eye(3, 16).tolist()}
+
+
 def test_build_operator_dispatch():
-    spec = {"kind": "avgpool", "n": 8, "factor": 2}
+    spec = {"kind": "avgpool", "factor": 2}
     pooled = np.kron(np.eye(4), [0.5, 0.5])
-    assert np.max(np.abs(ops.build_operator(spec).dense() - pooled)) < 1e-12
+    assert np.max(np.abs(ops.build_operator(8, spec).dense() - pooled)) < 1e-12
     with pytest.raises(ConfigError):
-        ops.build_operator({"kind": "fft", "n": 8})
+        ops.build_operator(8, {"kind": "fft"})
+    for kind, forms in ops.OPERATORS.items():
+        for select, (reads, build) in forms.items():
+            # the form's key picks it, and an absent or None key is read at its default
+            keys = {select: _SELECTS[select]} if select else {}
+            expected = vars(build(16, **keys, **reads))
+            for spec in ({"kind": kind, **keys}, {"kind": kind, **keys, **dict.fromkeys(reads)}):
+                built = vars(ops.build_operator(16, spec))
+                assert built.keys() == expected.keys(), (kind, select)
+                assert all(np.array_equal(built[k], expected[k]) for k in built), (kind, select)
 
 
 def test_observe_noiseless_and_seeded():

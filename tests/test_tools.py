@@ -171,7 +171,26 @@ def test_grid_runs_resample_linear_descent_off_its_preset(compare):
         ("resample-mask-base-steps-off", "mask", {"steps": 0}, ("run", "eval")),
         ("resample-mask-base-inner", "mask", {"lr": 0.5, "momentum": 0.5, "steps": 7},
          ("run", "eval"))]
-    assert plan[-1][0] == "resample-mask-base-inner"  # added after every draw
+    assert plan[-3][0] == "resample-mask-base-inner"  # added after every draw
+
+
+def test_grid_builds_every_operator_form(compare):
+    # each `OPERATORS` form, so that none escapes the comparison; the last two were added
+    # after every draw
+    from lle import operators as ops
+
+    plan = compare.grid_plan(3)
+    built = set()
+    for name, cfg, calls in plan:
+        spec = cfg["task"]["operator"]
+        forms = ops.OPERATORS[spec["kind"]]
+        built.add((spec["kind"], next(key for key in forms if key in spec or key is None)))
+    assert built == {(kind, key) for kind, forms in ops.OPERATORS.items() for key in forms}
+    assert [(name, cfg["task"]["operator"], calls) for name, cfg, calls in plan[-2:]] == [
+        ("ddrm-mask-indices-base", {"kind": "mask", "keep_indices": [0, 2, 3, 5, 6]},
+         ("run", "eval")),
+        ("dps-nonlinear-kernel-base",
+         {"kind": "nonlinear", "kernel": [0.25, 0.5, 0.25], "scale": 0.5}, ("run",))]
 
 
 def test_grid_runs_each_stage_switched_off(compare):

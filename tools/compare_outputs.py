@@ -47,7 +47,11 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   fit at ``epochs`` 0 with ``train`` and ``run --coeffs``;
 - ReSample's range-coordinate descent table off its preset: one base ``run``
   and ``eval --oracle`` on the mask at ``inner_opt`` lr 0.5, momentum 0.5 and
-  7 steps, last in the plan so that no earlier config changes.
+  7 steps, after every draw so that no earlier config changes;
+- the two ``operators.OPERATORS`` forms no entry above builds, last in the
+  plan: one DDRM base ``run`` and ``eval --oracle`` on a mask given by
+  ``keep_indices``, and one DPS base ``run`` on the ``nonlinear`` operator
+  given by its ``kernel`` (at ``scale`` 0.5), so every form is compared.
 
 Every config sets only keys it reads: a closed-form fit takes no ``epochs``,
 ``warmup``, ``lr_rule`` or ``optimizer``, the Adam fit no ``warmup``, the fit at
@@ -216,6 +220,13 @@ def grid_plan(seed: int) -> list:
     cfg = _grid_config(prior_seed, "ReSample", operators["mask"], 5, "none")
     cfg["algorithm"]["inner_opt"] = {"lr": 0.5, "momentum": 0.5, "steps": 7}
     plan.append(("resample-mask-base-inner", cfg, ("run", "eval")))
+    # the two operator forms no entry above builds
+    indices = {"kind": "mask", "keep_indices": [0, 2, 3, 5, 6]}
+    plan.append(("ddrm-mask-indices-base", _grid_config(prior_seed, "DDRM", indices, 5, "none"),
+                 ("run", "eval")))
+    kernel = {"kind": "nonlinear", "kernel": [0.25, 0.5, 0.25], "scale": 0.5}
+    plan.append(("dps-nonlinear-kernel-base", _grid_config(prior_seed, "DPS", kernel, 5, "none"),
+                 ("run",)))
     return plan
 
 
