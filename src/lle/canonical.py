@@ -35,7 +35,7 @@ from . import diffusion as dif
 from . import operators as ops
 from .errors import ConfigError, ConvergenceError
 from .numerics import RngStream, RowStreams
-from .optim import ScheduleFreeAdamW
+from .optim import BatchScheduleFreeAdamW
 
 
 # annotation -> (accepted type, what an error asks for), "list[T]" checking each entry
@@ -403,7 +403,7 @@ def corr_diffpir(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> 
         return _residual_grad_x0(obs, x) + 2.0 * rho * (x - x0)
 
     lr = params.inner_opt.lr
-    opt = ScheduleFreeAdamW(np.array(x0, copy=True), lr=lr)
+    opt = BatchScheduleFreeAdamW(x0, lr=lr)
     limit = _divergence_limit(loss(x0), _row_dot(obs.y) + rho * _row_dot(x0))
     for step in range(1, params.inner_opt.steps + 1):
         opt.step(grad(opt.eval_point()))

@@ -208,8 +208,16 @@ class LeastSquares:
         res = self.R @ theta - self.q
         return float(res @ res + self.c) / self.n
 
-    def grad(self, theta) -> np.ndarray:
-        return 2.0 * (self.R.T @ (self.R @ theta - self.q)) / self.n
+    def losses(self, thetas) -> np.ndarray:
+        """`loss` of each row of the (E, J) thetas, bit for bit: one stacked product
+        makes each row's R theta as `loss` does, and one stacked dot its square."""
+        res = np.asarray(thetas, dtype=float)[:, None, :] @ self.R.T - self.q
+        return ((res @ res.transpose(0, 2, 1))[:, 0, 0] + self.c) / self.n
+
+    def grad(self, theta) -> list:
+        """The gradient at theta as Python floats, for the float optimizers."""
+        n = self.n
+        return [2.0 * g / n for g in (self.R.T @ (self.R @ theta - self.q)).tolist()]
 
     def solve(self) -> np.ndarray:
         """The minimum-norm minimizer, so coefficients the loss cannot tell apart split equally."""
@@ -302,11 +310,17 @@ def init_coeffs(
     return np.tile(gamma, reps)
 
 
+# epochs per `LeastSquares.losses` call: the fit holds one block's parameters at most
+_EPOCH_BLOCK = 64
+
+
 def train_timestep(ls: LeastSquares, init_theta, config: TrainConfig, lr_t: float, t_i: int):
     """Optimize the coefficient vector over one timestep's fit `ls`.
 
     Returns (best theta, per-epoch loss trace). The best-by-training-loss
-    snapshot guarantees final loss <= initial loss.
+    snapshot guarantees final loss <= initial loss. Each block of epochs is
+    scored by one `ls.losses` call, then read in epoch order: the first
+    non-finite loss raises, and a later epoch replaces the best only when lower.
     """
     theta = np.asarray(init_theta, dtype=float)
     best = theta.copy()
@@ -321,20 +335,18 @@ def train_timestep(ls: LeastSquares, init_theta, config: TrainConfig, lr_t: floa
             best, best_loss = cand, cand_loss
         trace.append(best_loss)
         return best, trace
-    if config.optimizer == "adam":
-        opt = Adam(theta, lr=lr_t)
-    else:
-        opt = ScheduleFreeAdamW(theta, lr=lr_t, warmup=config.warmup)
-    for _ in range(config.epochs):
-        theta = opt.step(ls.grad(opt.eval_point()))  # a fresh copy of the parameters
-        cur = ls.loss(theta)
-        if not math.isfinite(cur):
-            raise ConvergenceError(f"training diverged at timestep {t_i}")
-        trace.append(cur)
-        if cur < best_loss:
-            best_loss = cur
-            best = theta
-    return best, trace
+    opt = (Adam(theta, lr=lr_t) if config.optimizer == "adam"
+           else ScheduleFreeAdamW(theta, lr=lr_t, warmup=config.warmup))
+    for start in range(0, config.epochs, _EPOCH_BLOCK):
+        block = [opt.step(ls.grad(opt.eval_point()))
+                 for _ in range(min(_EPOCH_BLOCK, config.epochs - start))]
+        for theta, cur in zip(block, ls.losses(block).tolist()):
+            if not math.isfinite(cur):
+                raise ConvergenceError(f"training diverged at timestep {t_i}")
+            trace.append(cur)
+            if cur < best_loss:
+                best_loss, best = cur, theta
+    return np.asarray(best, dtype=float), trace
 
 
 def generate_references(prior, schedule, config: TrainConfig):

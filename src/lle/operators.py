@@ -154,6 +154,13 @@ def avgpool_operator(n: int, factor: int) -> LinearOperator:
     return dense_operator(np.kron(np.eye(n // factor), np.full(factor, 1.0 / factor)))
 
 
+def _fits(n: int, key: str, length: int) -> None:
+    """Reject a kernel that `_circ_conv` would wrap onto itself, naming its config key."""
+    if length > n:
+        said = f"{length} is" if key == "width" else f"has length {length},"
+        raise ConfigError(f"task.operator.{key} {said} longer than the signal ({n})")
+
+
 def blur_operator(n: int, kernel) -> LinearOperator:
     """Symmetric circular blur: the matrix of x -> _circ_conv(kernel, x)."""
     kernel = np.asarray(kernel, dtype=float)
@@ -161,8 +168,7 @@ def blur_operator(n: int, kernel) -> LinearOperator:
         raise ConfigError("blur kernel length must be odd")
     if not np.allclose(kernel, kernel[::-1]):
         raise ConfigError("blur kernel must be symmetric about its center")
-    if kernel.size > n:
-        raise ConfigError("kernel longer than signal")
+    _fits(n, "kernel", kernel.size)
     return dense_operator(_circ_conv(kernel, np.eye(n)).T)  # row j of the blurred I is A e_j
 
 
@@ -179,8 +185,7 @@ def gaussian_blur_operator(n: int, sigma: float, width: int) -> LinearOperator:
     """The blur by gaussian_kernel(width, sigma); the kernel is width long, so a width
     past the signal is named as the config key that sets it."""
     kernel = gaussian_kernel(width, sigma)
-    if width > n:
-        raise ConfigError(f"task.operator.width {width} is longer than the signal ({n})")
+    _fits(n, "width", width)
     return blur_operator(n, kernel)
 
 
@@ -200,6 +205,13 @@ def dense_operator(matrix) -> LinearOperator:
     return LinearOperator(n=n, m=m, V=Vt[keep].T, U=U[:, keep], s=s[keep])
 
 
+def nonlinear_operator(n: int, kernel, scale: float, key: str = "kernel") -> "NonlinearOperator":
+    """The nonlinear operator on size-n signals; key names what set the kernel's length."""
+    op = NonlinearOperator(np.asarray(kernel, dtype=float), scale)
+    _fits(n, key, op.kernel.size)
+    return op
+
+
 # kind -> its forms, each the key whose being given selects it (None: the form when no
 # key selects another) -> (every other key it reads, at its default, build(n, **keys))
 OPERATORS = {
@@ -209,10 +221,9 @@ OPERATORS = {
     "blur": {"kernel": ({}, blur_operator), "sigma": ({"width": 9}, gaussian_blur_operator)},
     "hadamard": {"keep_ratio": ({"seed": 0}, hadamard_operator)},
     "dense": {"matrix": ({}, lambda n, matrix: dense_operator(matrix))},
-    "nonlinear": {"kernel": ({"scale": 1.0}, lambda n, kernel, scale:
-                             NonlinearOperator(np.asarray(kernel, dtype=float), scale)),
+    "nonlinear": {"kernel": ({"scale": 1.0}, nonlinear_operator),
                   None: ({"width": 5, "sigma": 1.0, "scale": 1.0}, lambda n, width, sigma, scale:
-                         NonlinearOperator(gaussian_kernel(width, sigma), scale))},
+                         nonlinear_operator(n, gaussian_kernel(width, sigma), scale, "width"))},
 }
 
 

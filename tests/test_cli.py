@@ -114,7 +114,7 @@ def test_run_rejects_coefficients_of_another_time_grid(tmp_path, config_path, ca
 
 def test_eval_oracle_needs_a_linear_operator(tmp_path, config_path, capsys):
     nonlinear = _variant(tmp_path, config_path, "nl.json", algorithm={"name": "DPS"},
-                         task={"operator": {"kind": "nonlinear"}, "sigma_y": 0.05})
+                         task={"operator": {"kind": "nonlinear", "width": 3}, "sigma_y": 0.05})
     recon_path = str(tmp_path / "r.bin")
     cli.main(["run", "--config", nonlinear, "--seed", "2", "--out", recon_path])
     capsys.readouterr()
@@ -300,7 +300,7 @@ def test_ref_steps_above_schedule_T_is_one_line_and_exit_3(tmp_path, config_path
 
 
 _FIT = {"n_refs": 4, "ref_steps": 25, "base_seed": 5}
-_NONLINEAR = {"operator": {"kind": "nonlinear"}, "sigma_y": 0.05}
+_NONLINEAR = {"operator": {"kind": "nonlinear", "width": 3}, "sigma_y": 0.05}
 
 
 @pytest.mark.parametrize("command, overrides, message", [

@@ -12,6 +12,7 @@ from lle import extrapolation as lle
 from lle import operators as ops
 from lle.errors import ConfigError, ConvergenceError
 from lle.numerics import RngStream, RowStreams
+from lle.optim import Adam, ScheduleFreeAdamW
 
 from conftest import random_mixture
 
@@ -454,6 +455,63 @@ def test_train_timestep_detects_divergence():
     ls = lle.LeastSquares([np.full((2, 2), np.nan)], np.zeros((2, 2)))
     with pytest.raises(ConvergenceError):
         lle.train_timestep(ls, np.array([1.0]), lle.TrainConfig(), 0.01, 250)
+
+
+@pytest.mark.parametrize("optimizer", ["schedule-free", "adam"])
+def test_train_timestep_detects_divergence_after_a_finite_start(optimizer):
+    # the first loss is finite; the optimizer's steps at lr_t 1e300 overflow it
+    stream = RngStream(111)
+    ls = lle.LeastSquares([stream.standard_normal((4, 3)) for _ in range(3)],
+                          stream.standard_normal((4, 3)))
+    theta0 = np.array([0.0, 0.0, 1.0])
+    assert np.isfinite(ls.loss(theta0))
+    config = lle.TrainConfig(epochs=lle._EPOCH_BLOCK + 5, optimizer=optimizer)
+    with np.errstate(all="ignore"), pytest.raises(
+            ConvergenceError, match="^training diverged at timestep 250$"):
+        lle.train_timestep(ls, theta0, config, 1e300, 250)
+
+
+@settings(max_examples=60, deadline=None)
+@given(J=st.integers(min_value=1, max_value=30), n=st.integers(min_value=1, max_value=12),
+       E=st.integers(min_value=1, max_value=2 * lle._EPOCH_BLOCK + 1),
+       omega=st.sampled_from([0.0, 0.3]), seed=st.integers(min_value=0, max_value=2**31))
+def test_losses_equal_each_rows_loss_bit_for_bit(J, n, E, omega, seed):
+    stream = RngStream(seed)
+    ls = lle.LeastSquares(stream.standard_normal((J, n, 5)), stream.standard_normal((n, 5)),
+                          omega)
+    thetas = stream.standard_normal((E, J))
+    assert ls.losses(thetas).tolist() == [ls.loss(theta) for theta in thetas]
+
+
+def _train_timestep_by_epoch(ls, theta0, config, lr_t):
+    """train_timestep as one loss call per epoch."""
+    if config.optimizer == "adam":
+        opt = Adam(theta0, lr=lr_t)
+    else:
+        opt = ScheduleFreeAdamW(theta0, lr=lr_t, warmup=config.warmup)
+    best, best_loss = theta0, ls.loss(theta0)
+    trace = [best_loss]
+    for _ in range(config.epochs):
+        theta = opt.step(ls.grad(opt.eval_point()))
+        trace.append(ls.loss(theta))
+        if trace[-1] < best_loss:
+            best, best_loss = theta, trace[-1]
+    return np.asarray(best, dtype=float), trace
+
+
+@pytest.mark.parametrize("epochs", [1, lle._EPOCH_BLOCK, 2 * lle._EPOCH_BLOCK + 7])
+@pytest.mark.parametrize("keys", [{"warmup": 0}, {"warmup": 10}, {"optimizer": "adam"}])
+def test_train_timestep_scores_blocks_as_each_epoch(epochs, keys):
+    # a last block that is not full when epochs is not a multiple of the block length
+    stream = RngStream(112)
+    ls = lle.LeastSquares([stream.standard_normal((6, 4)) for _ in range(5)],
+                          stream.standard_normal((6, 4)), 0.2)
+    theta0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+    config = lle.TrainConfig(epochs=epochs, **keys)
+    theta, trace = lle.train_timestep(ls, theta0, config, 0.05, 500)
+    want_theta, want_trace = _train_timestep_by_epoch(ls, theta0, config, 0.05)
+    assert len(trace) == epochs + 1 and trace == want_trace
+    assert theta.tobytes() == want_theta.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def test_load_config_accepts_closed_form_with_plugin_omega(tmp_path):
 
 
 def test_algo_params_nested_overrides(tmp_path):
-    nonlinear = {"operator": {"kind": "nonlinear"}, "sigma_y": 0.05}
+    nonlinear = {"operator": {"kind": "nonlinear", "width": 3}, "sigma_y": 0.05}
     for name, block, key, value in (("DAPS", "daps", "n_langevin", 7),
                                     ("ReSample", "inner_opt", "lr", 0.5),
                                     ("ReSample", "inner_opt", "momentum", 0.5),
@@ -902,10 +902,34 @@ def test_blur_past_the_signal_names_the_key_that_sets_its_length(tmp_path, dim):
             f"task.operator.width 9 is longer than the signal ({dim})")):
         _load_raw(tmp_path, raw)
     raw["task"]["operator"] = {"kind": "blur", "kernel": [1.0 / (dim + 1)] * (dim + 1)}
-    with pytest.raises(harness.ConfigError, match="task.operator: kernel longer than signal"):
+    with pytest.raises(harness.ConfigError, match=re.escape(
+            f"task.operator.kernel has length {dim + 1}, longer than the signal ({dim})")):
         _load_raw(tmp_path, raw)
     raw["task"]["operator"] = {"kind": "blur", "sigma": 1.0, "width": dim - 1}
     assert _load_raw(tmp_path, raw).op.n == dim
+
+
+@pytest.mark.parametrize("dim, operator, width", [
+    (4, {"kind": "nonlinear"}, 5),  # at the default width
+    (8, {"kind": "nonlinear", "width": 9}, 9)])
+def test_nonlinear_past_the_signal_names_the_key_that_sets_its_length(tmp_path, dim, operator,
+                                                                       width):
+    # earlier loaders accepted both, and the circular convolution wrapped the end taps
+    # onto shared offsets
+    raw = dict(_base_config(), prior={"dim": dim, "components": 2, "seed": 9},
+               algorithm={"name": "DPS"})
+    raw["task"]["operator"] = operator
+    with pytest.raises(harness.ConfigError, match=re.escape(
+            f"task.operator.width {width} is longer than the signal ({dim})")):
+        _load_raw(tmp_path, raw)
+    raw["task"]["operator"] = {"kind": "nonlinear", "kernel": [1.0 / (dim + 1)] * (dim + 1)}
+    with pytest.raises(harness.ConfigError, match=re.escape(
+            f"task.operator.kernel has length {dim + 1}, longer than the signal ({dim})")):
+        _load_raw(tmp_path, raw)
+    for operator in ({"kind": "nonlinear", "width": dim - 1},
+                     {"kind": "nonlinear", "kernel": [1.0 / (dim - 1)] * (dim - 1)}):
+        raw["task"]["operator"] = operator
+        assert _load_raw(tmp_path, raw).op.kernel.size == dim - 1
 
 
 @pytest.mark.parametrize("operator", [

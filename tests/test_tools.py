@@ -171,12 +171,12 @@ def test_grid_runs_resample_linear_descent_off_its_preset(compare):
         ("resample-mask-base-steps-off", "mask", {"steps": 0}, ("run", "eval")),
         ("resample-mask-base-inner", "mask", {"lr": 0.5, "momentum": 0.5, "steps": 7},
          ("run", "eval"))]
-    assert plan[-3][0] == "resample-mask-base-inner"  # added after every draw
+    assert plan[-4][0] == "resample-mask-base-inner"  # added after every draw
 
 
 def test_grid_builds_every_operator_form(compare):
-    # each `OPERATORS` form, so that none escapes the comparison; the last two were added
-    # after every draw
+    # each `OPERATORS` form, so that none escapes the comparison; the two before the
+    # last entry were added after every draw
     from lle import operators as ops
 
     plan = compare.grid_plan(3)
@@ -186,11 +186,28 @@ def test_grid_builds_every_operator_form(compare):
         forms = ops.OPERATORS[spec["kind"]]
         built.add((spec["kind"], next(key for key in forms if key in spec or key is None)))
     assert built == {(kind, key) for kind, forms in ops.OPERATORS.items() for key in forms}
-    assert [(name, cfg["task"]["operator"], calls) for name, cfg, calls in plan[-2:]] == [
+    assert [(name, cfg["task"]["operator"], calls) for name, cfg, calls in plan[-3:-1]] == [
         ("ddrm-mask-indices-base", {"kind": "mask", "keep_indices": [0, 2, 3, 5, 6]},
          ("run", "eval")),
         ("dps-nonlinear-kernel-base",
          {"kind": "nonlinear", "kernel": [0.25, 0.5, 0.25], "scale": 0.5}, ("run",))]
+
+
+def test_grid_runs_a_first_order_fit_at_warmup_0_last(compare):
+    # every other first-order fit uses warmup 10, so the rule's warmup branch was always taken
+    plan = compare.grid_plan(3)
+    warmups = [(name, cfg["lle"]["warmup"]) for name, cfg, _ in plan
+               if isinstance(cfg["lle"], dict) and "warmup" in cfg["lle"]]
+    assert {w for _, w in warmups[:-1]} == {10}
+    name, cfg, calls = plan[-1]
+    assert (name, cfg["algorithm"], cfg["task"]["operator"], calls) == (
+        "ddnm-mask-coupled-first-no-warmup", {"name": "DDNM"}, plan[0][1]["task"]["operator"],
+        ("train", "run"))
+    grid = {entry: config for entry, config, _ in plan}["ddnm-mask-coupled-first"]["lle"]
+    assert dict(cfg["lle"], decoupled=False, closed_form=False) == dict(grid, warmup=0)
+    groups = compare.fit_groups([3])
+    name = os.path.join("3", "grid", "coeffs-ddnm-mask-coupled-first-no-warmup.json")
+    assert compare._group(name, groups) == ("coeffs", "DDNM", "first-order", "coupled")
 
 
 def test_grid_runs_each_stage_switched_off(compare):

@@ -48,10 +48,13 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
 - ReSample's range-coordinate descent table off its preset: one base ``run``
   and ``eval --oracle`` on the mask at ``inner_opt`` lr 0.5, momentum 0.5 and
   7 steps, after every draw so that no earlier config changes;
-- the two ``operators.OPERATORS`` forms no entry above builds, last in the
-  plan: one DDRM base ``run`` and ``eval --oracle`` on a mask given by
+- the two ``operators.OPERATORS`` forms no entry above builds, after every
+  draw: one DDRM base ``run`` and ``eval --oracle`` on a mask given by
   ``keep_indices``, and one DPS base ``run`` on the ``nonlinear`` operator
-  given by its ``kernel`` (at ``scale`` 0.5), so every form is compared.
+  given by its ``kernel`` (at ``scale`` 0.5), so every form is compared;
+- one schedule-free DDNM first-order fit at ``warmup`` 0 with ``train`` and
+  ``run --coeffs``, last in the plan: every other first-order fit uses
+  ``warmup`` 10, so the rule's unscaled first steps are compared too.
 
 Every config sets only keys it reads: a closed-form fit takes no ``epochs``,
 ``warmup``, ``lr_rule`` or ``optimizer``, the Adam fit no ``warmup``, the fit at
@@ -227,6 +230,8 @@ def grid_plan(seed: int) -> list:
     kernel = {"kind": "nonlinear", "kernel": [0.25, 0.5, 0.25], "scale": 0.5}
     plan.append(("dps-nonlinear-kernel-base", _grid_config(prior_seed, "DPS", kernel, 5, "none"),
                  ("run",)))
+    plan.append(("ddnm-mask-coupled-first-no-warmup", _grid_config(
+        prior_seed, "DDNM", operators["mask"], 5, dict(first, warmup=0)), ("train", "run")))
     return plan
 
 
