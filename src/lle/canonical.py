@@ -11,7 +11,8 @@ other noiser is the DDIM update sqrt(ab_prev) xhat + c2 eps + c1 z with its own 
 The driver `run` iterates the three steps down a time grid;
 `run_with_combiner` additionally lets a callback replace the corrected
 estimate before the noiser, which is how the learned extrapolation plugs in,
-for training and inference alike, without duplicating the data flow.
+for training and inference alike, without duplicating the data flow. Each
+step's one `StepContext` goes to every stage, the combiner(ctx, xhat) too.
 
 Every config block, the parameter dataclasses here included, is a
 `ConfigBlock` whose fields each carry one `rule`; construction checks them
@@ -194,10 +195,12 @@ class InnerOptParams(ConfigBlock):
 
 @dataclass
 class StepContext:
-    """Per-step bundle, the one source of the step's schedule quantities: ab
-    and sigma = sqrt(1 - ab) at t_i, ab_prev and sigma_prev at t_prev, read
-    once when it is built. eps and the mixture whitening at (x_t, t_i) are
-    evaluated once and shared by sampler, corrector and noiser."""
+    """The step state every stage reads, the one source of the step's schedule
+    quantities: ab and sigma = sqrt(1 - ab) at t_i, ab_prev and sigma_prev at
+    t_prev, read once when it is built. eps and the mixture whitening at
+    (x_t, t_i) are evaluated once and shared by sampler, corrector and noiser.
+    history is the driver's list of the earlier steps' combined estimates,
+    oldest first, so len(history) is the step's index (0 at t_S)."""
 
     x_t: np.ndarray
     t_i: int
@@ -205,7 +208,7 @@ class StepContext:
     prior: object
     schedule: dif.DiffusionSchedule
     stream: RngStream | RowStreams
-    prev_xhat: np.ndarray | None = None
+    history: list = field(default_factory=list)
     x0_sampled: np.ndarray | None = None
     _eps: np.ndarray | None = None
     _whitened: tuple | None = None
@@ -324,9 +327,9 @@ def corr_pigdm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np
 
 
 def corr_reddiff(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
-    """Gradient-descent corrector anchored at the previous corrected estimate."""
+    """Gradient-descent corrector anchored at the previous combined estimate."""
     x0 = ctx.x0_sampled
-    p = ctx.prev_xhat if ctx.prev_xhat is not None else x0
+    p = ctx.history[-1] if ctx.history else x0
     if params.xi == 0.0:
         return np.array(p, copy=True)
     step = x0 - p
@@ -831,10 +834,11 @@ def run_with_combiner(
 
     The start batch is drawn from stream with one row per row of obs.y, so
     a (m,) observation gives a (d,) trajectory, (B, m) gives (B, d) and
-    (N, 1, m) gives (N, 1, d). combiner(i, history, xhat) may replace the
-    corrected estimate before the noiser; history holds the combiner outputs
-    of earlier steps (oldest first). Returns the final estimate at t_1
-    (identical to x_{t_0} for the DDIM-family noisers since alphabar_0 = 1).
+    (N, 1, m) gives (N, 1, d). combiner(ctx, xhat) may replace the corrected
+    estimate before the noiser; ctx is the step's `StepContext`, and
+    ctx.history holds the combiner outputs of earlier steps (oldest first).
+    Returns the final estimate at t_1 (identical to x_{t_0} for the
+    DDIM-family noisers since alphabar_0 = 1).
     Params that need a linear operator (`AlgoParams.linear_need`) raise
     ConfigError on a nonlinear one here, before the first draw; an estimate
     that is not finite raises ConvergenceError naming its step and rows.
@@ -849,23 +853,15 @@ def run_with_combiner(
     ts = grid.timesteps
     x = stream.standard_normal(obs.y.shape[:-1] + (prior.d,))
     history: list[np.ndarray] = []
-    for i in range(grid.S, 0, -1):
-        idx = grid.S - i
-        ctx = StepContext(
-            x_t=x,
-            t_i=ts[idx],
-            t_prev=ts[idx + 1],
-            prior=prior,
-            schedule=schedule,
-            stream=stream,
-            prev_xhat=history[-1] if history else None,
-        )
+    for t_i, t_prev in zip(ts, ts[1:]):
+        ctx = StepContext(x_t=x, t_i=t_i, t_prev=t_prev, prior=prior, schedule=schedule,
+                          stream=stream, history=history)
         sample_phi(params, ctx)
         xhat = CORRECTORS[params.algorithm](ctx, obs, params)
-        est = combiner(i, history, xhat) if combiner is not None else xhat
+        est = combiner(ctx, xhat) if combiner is not None else xhat
         if not np.isfinite(est).all():
             rows = np.flatnonzero(~np.isfinite(est).all(axis=-1)).tolist()
-            raise ConvergenceError(f"{params.algorithm}'s estimate at t_i = {ctx.t_i} is not"
+            raise ConvergenceError(f"{params.algorithm}'s estimate at t_i = {t_i} is not"
                                    f" finite in row(s) {rows}")
         history.append(est)
         x = apply_noiser(params, ctx, obs, est)

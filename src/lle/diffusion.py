@@ -92,6 +92,10 @@ class GaussianMixturePrior:
             raise ValueError("mixture weights must sum to 1")
         if np.any(self.weights <= 0):
             raise ValueError("mixture weights must be positive")
+        # cholesky and eigh read the lower triangle only, the posterior oracle the whole matrix
+        asym = np.max(np.abs(self.covariances - self.covariances.transpose(0, 2, 1)), axis=(1, 2))
+        for k in np.flatnonzero(asym > 1e-12 * np.max(np.abs(self.covariances), axis=(1, 2))):
+            raise ValueError(f"covariance {k} is not symmetric: max|S - S^T| = {asym[k]:.3g}")
         # raises LinAlgError if not positive definite
         self._chol = np.linalg.cholesky(self.covariances)
         self._lam, eigvecs = np.linalg.eigh(self.covariances)

@@ -1,12 +1,13 @@
 """Learnable linear extrapolation over the corrected estimates of earlier steps.
 
 Training and inference are both combiners on the shared driver
-`canonical.run_with_combiner`. Training walks the time grid once over the
-reference batch: at each step it freezes the corrected batch, optimizes a
-per-timestep coefficient vector so the linear combination of all previous
-estimates best matches the ground truth, and hands the combined estimate
-back to the driver's noiser. Inference replays the same data flow with the
-coefficients fixed.
+`canonical.run_with_combiner`, called as combiner(ctx, xhat): ctx.history holds
+the earlier steps' combined estimates, and its length is the step's index.
+Training walks the time grid once over the reference batch: at each step it
+freezes the corrected batch, optimizes a per-timestep coefficient vector so
+the linear combination of all previous estimates best matches the ground
+truth at ctx.t_i, and hands the combined estimate back to the driver's
+noiser. Inference replays the same data flow with the coefficients fixed.
 
 Each step's coefficient vector theta weights one stacked basis
 (`stack_bases`): the J estimates, or, decoupled, their J range and J null
@@ -270,15 +271,9 @@ def make_ground_truth(
         return np.array(x0, copy=True)
     if not canon.SOLVERS[params.algorithm].noisy_gt:
         raise ConfigError(f"noisy ground truth is not defined for {params.algorithm}")
-    ctx = canon.StepContext(
-        x_t=x0,
-        t_i=t_i,
-        t_prev=t_prev,
-        prior=prior,
-        schedule=schedule,
-        stream=RngStream(0, 0),  # the DDRM/DDNM correctors draw nothing
-        x0_sampled=np.array(x0, copy=True),
-    )
+    # the DDRM/DDNM correctors draw nothing and read no history
+    ctx = canon.StepContext(x_t=x0, t_i=t_i, t_prev=t_prev, prior=prior, schedule=schedule,
+                            stream=RngStream(0, 0), x0_sampled=np.array(x0, copy=True))
     return canon.CORRECTORS[params.algorithm](ctx, obs, params)
 
 
@@ -392,29 +387,23 @@ def train(
     if config.decoupled and op is None:
         raise ConfigError("decoupled coefficients require a linear operator")
     init_stream = base.child(14)
-    ts = grid.timesteps
     thetas: list[np.ndarray] = []
     traces: dict[int, list[float]] = {}
 
-    def fit(i, history, xhat):
-        idx = grid.S - i
-        t_i = ts[idx]
-        x_gt = make_ground_truth(
-            params, prior, schedule, observation, refs, t_i, ts[idx + 1], config.noisy_gt
-        )
-        ls = LeastSquares(stack_bases(history + [xhat], op, config.decoupled), x_gt,
+    def fit(ctx, xhat):
+        x_gt = make_ground_truth(params, prior, schedule, observation, refs, ctx.t_i,
+                                 ctx.t_prev, config.noisy_gt)
+        ls = LeastSquares(stack_bases(ctx.history + [xhat], op, config.decoupled), x_gt,
                           config.resolved_omega())
-        theta0 = init_coeffs(ls, config.init_mode, schedule.alphabar(t_i), init_stream,
-                             config.decoupled)
-        lr_t = _learning_rate(config, schedule, grid, idx)
-        theta, traces[t_i] = train_timestep(ls, theta0, config, lr_t, t_i)
+        theta0 = init_coeffs(ls, config.init_mode, ctx.ab, init_stream, config.decoupled)
+        lr_t = _learning_rate(config, schedule, grid, len(ctx.history))
+        theta, traces[ctx.t_i] = train_timestep(ls, theta0, config, lr_t, ctx.t_i)
         thetas.append(theta)
-        return combine(theta, history, xhat, op, config.decoupled)
+        return combine(theta, ctx.history, xhat, op, config.decoupled)
 
-    canon.run_with_combiner(
-        params, prior, schedule, observation, grid, base.child(13), combiner=fit
-    )
-    return LLECoefficients.from_theta(ts[: grid.S], thetas, config.decoupled), traces
+    canon.run_with_combiner(params, prior, schedule, observation, grid, base.child(13),
+                            combiner=fit)
+    return LLECoefficients.from_theta(grid.timesteps[: grid.S], thetas, config.decoupled), traces
 
 
 def infer(
@@ -444,9 +433,7 @@ def infer(
     if stream is None:
         stream = RngStream(seed, stream_id=0)
 
-    def combiner(i, history, xhat):
-        return combine(coeffs.theta[grid.S - i], history, xhat, op, coeffs.decoupled)
+    def combiner(ctx, xhat):
+        return combine(coeffs.theta[len(ctx.history)], ctx.history, xhat, op, coeffs.decoupled)
 
-    return canon.run_with_combiner(
-        params, prior, schedule, obs, grid, stream, combiner=combiner
-    )
+    return canon.run_with_combiner(params, prior, schedule, obs, grid, stream, combiner=combiner)

@@ -134,11 +134,15 @@ class ExperimentConfig:
     op: object  # ops.LinearOperator or ops.NonlinearOperator, built at load
     sigma_y: float
     params: canon.AlgoParams
-    steps: int
+    grid: dif.TimeGrid  # built once, at load
     train_config: lle.TrainConfig | None  # its base_seed: seeds.train unless lle sets it
     test_seed: int
     n_test: int
     peak: float
+
+    @property
+    def steps(self) -> int:
+        return self.grid.S
 
 
 def random_prior(dim: int, components: int, seed: int) -> dif.GaussianMixturePrior:
@@ -191,7 +195,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("schedule.beta_end is too large: alphabar_T underflows to 0")
     if not schedule.alphabar(1) < 1.0:  # noiser_ddim divides by 1 - alphabar_t
         raise ConfigError("schedule.beta_start is too small: alphabar_1 rounds to 1")
-    _built("steps", dif.make_time_grid, schedule, top.steps)
+    grid = _built("steps", dif.make_time_grid, schedule, top.steps)
     name = top.algorithm.get("name")
     preset = canon.default_params(name) if name in canon.ALGORITHMS else None
     params = canon.AlgoParams.from_dict(top.algorithm, preset)
@@ -218,7 +222,7 @@ def load_config(path) -> ExperimentConfig:
         if train_config.decoupled and not linear:
             raise ConfigError("lle.decoupled needs a linear operator, not 'nonlinear'")
     return ExperimentConfig(prior=prior, schedule=schedule, op=op, sigma_y=top.task.sigma_y,
-                            params=params, steps=top.steps, train_config=train_config,
+                            params=params, grid=grid, train_config=train_config,
                             test_seed=top.seeds.test, n_test=top.n_test, peak=top.peak)
 
 
@@ -322,14 +326,12 @@ def run_experiment(config: ExperimentConfig, seed: int, coeffs=None):
     one-row `canonical.run` (or `lle.infer`) on ys[i] with that stream.
     """
     truths, ys, op = make_test_batch(config)
-    grid = dif.make_time_grid(config.schedule, config.steps)
     if coeffs is None:
-        coeffs = lle.LLECoefficients.identity(grid)
+        coeffs = lle.LLECoefficients.identity(config.grid)
     obs = ops.Observation(y=ys[:, None, :], op=op, sigma_y=config.sigma_y)
     streams = RowStreams(RngStream(seed, stream_id=1000 + i) for i in range(config.n_test))
-    recons = lle.infer(
-        config.params, config.prior, config.schedule, obs, grid, coeffs, seed, stream=streams
-    )
+    recons = lle.infer(config.params, config.prior, config.schedule, obs, config.grid, coeffs,
+                       seed, stream=streams)
     return recons[:, 0], truths
 
 
@@ -340,9 +342,8 @@ def train_lle(config: ExperimentConfig, refs=None):
     """
     if config.train_config is None:
         raise ConfigError("configuration has no LLE training block")
-    grid = dif.make_time_grid(config.schedule, config.steps)
     return lle.train(config.params, config.prior, config.schedule, config.op, config.sigma_y,
-                     grid, config.train_config, refs=refs)
+                     config.grid, config.train_config, refs=refs)
 
 
 # ---------------------------------------------------------------------------
@@ -350,26 +351,26 @@ def train_lle(config: ExperimentConfig, refs=None):
 # ---------------------------------------------------------------------------
 
 
-def _sweep_cell(config: ExperimentConfig, S: int, refs=None):
-    """The base and LLE rows for one step count.
+def _sweep_cell(config: ExperimentConfig, grid: dif.TimeGrid, refs=None):
+    """The base and LLE rows for one step count, run on its grid.
 
     refs is the sweep's shared reference batch, or the exception that
     generating it raised, which turns the LLE row into an error row.
     """
-    algo = config.params.algorithm
-    grid_cfg = replace(config, steps=S)
+    algo, S = config.params.algorithm, grid.S
+    config = replace(config, grid=grid)
 
     def lle_coeffs():
         if config.train_config is None:
-            return lle.LLECoefficients.identity(dif.make_time_grid(config.schedule, S))
+            return lle.LLECoefficients.identity(grid)
         if isinstance(refs, Exception):
             raise refs
-        return train_lle(grid_cfg, refs=refs)[0]
+        return train_lle(config, refs=refs)[0]
 
     rows = []
     for strategy, coeffs in (("base", lambda: None), ("LLE", lle_coeffs)):
         try:
-            recon, truths = run_experiment(grid_cfg, grid_cfg.test_seed, coeffs=coeffs())
+            recon, truths = run_experiment(config, config.test_seed, coeffs=coeffs())
             rows.append((algo, S, strategy, mse(recon, truths),
                          _mean_psnr(recon, truths, config.peak)))
         except Exception as exc:  # cell failure must not abort the sweep
@@ -386,22 +387,23 @@ def sweep(config: ExperimentConfig, steps_list) -> str:
 
     The training references do not depend on the step count, so they are
     generated once and shared by every cell. Every step count's time grid is
-    built before any cell runs, so an invalid or repeated one is a ConfigError
-    naming it, not a row of error cells.
+    built once, before any cell runs, so an invalid or repeated one is a
+    ConfigError naming it, not a row of error cells.
     """
     if not steps_list:
         raise ConfigError("steps_list is empty")
-    for i, S in enumerate(steps_list):
-        if S in steps_list[:i]:
+    grids = {}
+    for S in steps_list:
+        if S in grids:
             raise ConfigError(f"S={S} is repeated")
-        dif.make_time_grid(config.schedule, S)
+        grids[S] = dif.make_time_grid(config.schedule, S)
     refs = None
     if config.train_config is not None:
         try:
             refs = lle.generate_references(config.prior, config.schedule, config.train_config)
         except Exception as exc:  # reported in every cell's LLE row
             refs = exc
-    results = {S: _sweep_cell(config, S, refs) for S in steps_list}
+    results = {S: _sweep_cell(config, grid, refs) for S, grid in grids.items()}
     buf = io.StringIO()
     buf.write("algorithm,S,strategy,mean_mse,mean_psnr\n")
     for S in sorted(steps_list):

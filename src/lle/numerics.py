@@ -188,6 +188,8 @@ def load_array(path):
         rows, cols = int(rows_s), int(cols_s)
     except ValueError as exc:
         raise FormatError(f"bad header at byte offset {offset}") from exc
+    if rows < 0 or cols < 0:
+        raise FormatError(f"bad header at byte offset {offset}: negative size {rows} x {cols}")
     payload = blob[end + 1 :]
     expected = rows * cols * 8
     if len(payload) != expected:

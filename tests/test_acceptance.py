@@ -38,18 +38,17 @@ def base_training_final(params, prior, schedule, op, sigma_y, grid, tc):
     traj = base.child(13)
     x = traj.standard_normal((tc.n_refs, prior.d))
     ts = grid.timesteps
-    prev = None
-    xhat = None
+    history = []
     for idx in range(grid.S):
         ctx = canon.StepContext(
             x_t=x, t_i=ts[idx], t_prev=ts[idx + 1], prior=prior,
-            schedule=schedule, stream=traj, prev_xhat=prev,
+            schedule=schedule, stream=traj, history=list(history),
         )
         canon.sample_phi(params, ctx)
         xhat = canon.CORRECTORS[params.algorithm](ctx, observation, params)
         x = canon.apply_noiser(params, ctx, observation, xhat)
-        prev = xhat
-    return refs, xhat
+        history.append(xhat)
+    return refs, history[-1]
 
 
 # ---------------------------------------------------------------------------

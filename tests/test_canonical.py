@@ -323,7 +323,7 @@ def test_reddiff_anchors_previous_estimate(schedule, small_prior):
     obs = ops.Observation(y=np.array([0.0]), op=op, sigma_y=0.1)
     ctx = make_ctx(small_prior, schedule, RngStream(56).standard_normal(6), 500, 250)
     prev = RngStream(57).standard_normal(6)
-    ctx.prev_xhat = prev
+    ctx.history = [RngStream(58).standard_normal(6), prev]
     params = canon.default_params("REDdiff")
     params.xi = 0.25
     out = canon.corr_reddiff(ctx, obs, params)
@@ -1164,15 +1164,49 @@ def test_run_with_combiner_visits_every_step(schedule, small_prior):
     grid = dif.make_time_grid(schedule, 5)
     seen = []
 
-    def combiner(i, history, xhat):
-        seen.append((i, len(history)))
+    def combiner(ctx, xhat):
+        # the step's state: the sampler has run, and history holds the earlier steps
+        assert np.array_equal(ctx.x0_sampled, canon.sampler_tweedie(params, ctx))
+        assert ctx.ab == schedule.alphabar(ctx.t_i)
+        assert ctx.ab_prev == schedule.alphabar(ctx.t_prev)
+        seen.append((ctx.t_i, ctx.t_prev, len(ctx.history)))
         return xhat
 
-    canon.run_with_combiner(
-        canon.default_params("DDNM"), small_prior, schedule, obs, grid,
-        RngStream(1), combiner=combiner,
-    )
-    assert seen == [(5, 0), (4, 1), (3, 2), (2, 3), (1, 4)]
+    params = canon.default_params("DDNM")
+    canon.run_with_combiner(params, small_prior, schedule, obs, grid, RngStream(1),
+                            combiner=combiner)
+    ts = grid.timesteps
+    assert seen == [(ts[k], ts[k + 1], k) for k in range(5)]
+    assert ts == (1000, 800, 600, 400, 200, 0)
+
+
+def test_reddiff_anchors_at_the_previous_combined_estimate(schedule, small_prior, monkeypatch):
+    # a combiner that moves the estimate, so the combined and corrected estimates differ
+    op = ops.mask_operator(6, [0, 3])
+    obs = ops.Observation(y=np.array([0.3, -0.2]), op=op, sigma_y=0.1)
+    params = canon.default_params("REDdiff")
+    params.xi = 0.25  # at xi 1 the anchor cancels out of p + xi (x0 - p - lam grad)
+    corrector = canon.CORRECTORS["REDdiff"]
+    calls, combined = [], []
+
+    def spy(ctx, obs, params):
+        out = corrector(ctx, obs, params)
+        calls.append((ctx.x0_sampled.copy(), out))
+        return out
+
+    def combiner(ctx, xhat):
+        combined.append(0.5 * xhat)
+        return combined[-1]
+
+    monkeypatch.setitem(canon.CORRECTORS, "REDdiff", spy)
+    canon.run_with_combiner(params, small_prior, schedule, obs, dif.make_time_grid(schedule, 4),
+                            RngStream(8), combiner=combiner)
+    assert len(calls) == 4
+    for k, (x0, out) in enumerate(calls):
+        anchor = combined[k - 1] if k else x0
+        grad = 2.0 * ops.apply_adjoint(op, ops.apply(op, x0) - obs.y)
+        expected = anchor + params.xi * ((x0 - anchor) - params.lam * grad)
+        assert np.max(np.abs(out - expected)) < 1e-13, k
 
 
 def test_spectral_algorithms_reject_nonlinear_operator(schedule, small_prior):
@@ -1386,8 +1420,8 @@ def test_a_non_finite_estimate_stops_the_run_naming_its_step_and_rows(schedule, 
     obs = ops.Observation(y=np.zeros((3, 3)), op=op, sigma_y=0.1)
     grid = dif.make_time_grid(schedule, 4)
 
-    def combiner(i, history, xhat):
-        if i == 2:
+    def combiner(ctx, xhat):
+        if len(ctx.history) == 2:
             xhat = xhat.copy()
             xhat[1, 3] = np.inf
             xhat[2, 0] = np.nan

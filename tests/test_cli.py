@@ -140,6 +140,27 @@ def test_sweep_cli(tmp_path, config_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("command, builds", [
+    (["run", "--seed", "7"], [2]),
+    (["train"], [2]),
+    (["sweep", "--steps", "3,2,5"], [2, 3, 2, 5]),  # load_config's, then one per step count
+])
+def test_the_time_grid_is_built_once_per_grid(tmp_path, config_path, monkeypatch, command,
+                                              builds):
+    from lle import diffusion as dif
+
+    built, make_time_grid = [], dif.make_time_grid
+
+    def counted(schedule, S):
+        built.append(S)
+        return make_time_grid(schedule, S)
+
+    monkeypatch.setattr(dif, "make_time_grid", counted)
+    out = str(tmp_path / "out")
+    assert cli.main(command + ["--config", config_path, "--out", out]) == 0
+    assert built == builds
+
+
 def test_missing_subcommand_errors():
     with pytest.raises(SystemExit):
         cli.main([])
@@ -209,6 +230,15 @@ def test_array_file_error_is_one_line_and_exit_5(tmp_path, config_path, capsys, 
     assert cli.main(["eval", "--recon", str(recon), "--truth", str(recon), "--config",
                      config_path, "--out", str(tmp_path / "m.csv")]) == FormatError.exit_code == 5
     assert _error_line(capsys) == message.format(recon=recon)
+
+
+def test_negative_array_size_is_one_line_and_exit_5(tmp_path, config_path, capsys):
+    # the sizes' product matches the 16-byte payload, so only their sign is wrong
+    recon = tmp_path / "recon.bin"
+    recon.write_bytes(b"LLEF64\n-1 -2\n" + bytes(16))
+    assert cli.main(["eval", "--recon", str(recon), "--truth", str(recon), "--config",
+                     config_path, "--out", str(tmp_path / "m.csv")]) == 5
+    assert _error_line(capsys) == "bad header at byte offset 7: negative size -1 x -2"
 
 
 @pytest.mark.parametrize("run_with, eval_with, shapes", [

@@ -673,7 +673,8 @@ def test_sweep_draws_references_once_and_matches_separate_cells(tmp_path, monkey
     # each cell on its own, training draws its own references
     expected = []
     for S in (2, 3, 4):
-        rows = sorted(harness._sweep_cell(cfg, S), key=lambda r: r[2])
+        rows = sorted(harness._sweep_cell(cfg, dif.make_time_grid(cfg.schedule, S)),
+                      key=lambda r: r[2])
         expected += [(a, str(s), strat, f"{m:.12g}", f"{p:.12g}") for a, s, strat, m, p in rows]
     assert len(calls) == 4
     assert _csv_rows(text) == expected
@@ -1035,6 +1036,29 @@ def test_load_config_rejects_malformed_inline_prior(tmp_path):
     raw["prior"]["weights"] = [0.5, 0.5]
     cfg = _load_raw(tmp_path, raw)
     assert cfg.prior.d == 4 and cfg.prior.K == 2
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "prior-file"])
+def test_load_config_rejects_a_non_symmetric_prior_covariance(tmp_path, inline):
+    # cholesky and eigh read its lower triangle only, the posterior oracle all of it
+    lopsided = np.eye(4)
+    lopsided[0, 1] = 0.9
+    block = {"weights": [0.5, 0.5], "means": [[0.0] * 4] * 2,
+             "covariances": [np.eye(4).tolist(), lopsided.tolist()]}
+    raw = _base_config()
+    raw["prior"] = block if inline else {"file": "prior.json"}
+    (tmp_path / "prior.json").write_text(json.dumps(block))
+    where = "prior" if inline else "prior.file"
+    with pytest.raises(harness.ConfigError,
+                       match=rf"^{re.escape(where)}: covariance 1 is not symmetric"):
+        _load_raw(tmp_path, raw)
+    lopsided[0, 1] = 1.0 + 1e-13  # within 1e-12 of the largest entry: rounding, accepted
+    lopsided[1, 0] = 1.0
+    lopsided[0, 0] = lopsided[1, 1] = 2.0
+    block["covariances"][1] = lopsided.tolist()
+    (tmp_path / "prior.json").write_text(json.dumps(block))
+    raw["prior"] = block if inline else {"file": "prior.json"}
+    assert _load_raw(tmp_path, raw).prior.K == 2
 
 
 @pytest.mark.parametrize("text, where", [("", "line 1 column 1"),

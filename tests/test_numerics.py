@@ -191,6 +191,14 @@ class TestArrayFile:
         with pytest.raises(FormatError):
             load_array(path)
 
+    @pytest.mark.parametrize("rows, cols", [(-1, -2), (-2, -2), (0, -1), (-1, 0)])
+    def test_negative_size_rejected(self, tmp_path, rows, cols):
+        # the payload holds rows * cols values, so only the sign gives the header away
+        path = tmp_path / "neg.bin"
+        path.write_bytes(f"LLEF64\n{rows} {cols}\n".encode() + bytes(8 * rows * cols))
+        with pytest.raises(FormatError, match=f"byte offset 7: negative size {rows} x {cols}"):
+            load_array(path)
+
     def test_size_mismatch_on_save(self, tmp_path):
         with pytest.raises(ValueError):
             save_array(tmp_path / "x.bin", 2, 3, np.zeros(5))

@@ -53,8 +53,12 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   ``keep_indices``, and one DPS base ``run`` on the ``nonlinear`` operator
   given by its ``kernel`` (at ``scale`` 0.5), so every form is compared;
 - one schedule-free DDNM first-order fit at ``warmup`` 0 with ``train`` and
-  ``run --coeffs``, last in the plan: every other first-order fit uses
-  ``warmup`` 10, so the rule's unscaled first steps are compared too.
+  ``run --coeffs``, the last first-order fit in the plan: every other one
+  uses ``warmup`` 10, so the rule's unscaled first steps are compared too;
+- one REDdiff closed-form fit on the mask at ``xi`` 0.5 with ``train`` and
+  ``run --coeffs``, last in the plan: REDdiff anchors at the previous step's
+  combined estimate, which only a fit makes differ from the corrected one,
+  and at its preset ``xi`` 1 the anchor cancels out of its step.
 
 Every config sets only keys it reads: a closed-form fit takes no ``epochs``,
 ``warmup``, ``lr_rule`` or ``optimizer``, the Adam fit no ``warmup``, the fit at
@@ -232,6 +236,9 @@ def grid_plan(seed: int) -> list:
                  ("run",)))
     plan.append(("ddnm-mask-coupled-first-no-warmup", _grid_config(
         prior_seed, "DDNM", operators["mask"], 5, dict(first, warmup=0)), ("train", "run")))
+    cfg = _grid_config(prior_seed, "REDdiff", operators["mask"], 5, dict(fit, closed_form=True))
+    cfg["algorithm"]["xi"] = 0.5  # at the preset's xi 1 the anchor cancels out of the step
+    plan.append(("reddiff-mask-coupled-closed", cfg, ("train", "run")))
     return plan
 
 
