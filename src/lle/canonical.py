@@ -8,11 +8,12 @@ linear operator and whether its corrector defines a noisy training target.
 DDNM is DDRM at eta_b = 1 and shares its spectral corrector and noiser; every
 other noiser is the DDIM update sqrt(ab_prev) xhat + c2 eps + c1 z with its own (c1, c2, eps).
 
-The driver `run` iterates the three steps down a time grid;
-`run_with_combiner` additionally lets a callback replace the corrected
-estimate before the noiser, which is how the learned extrapolation plugs in,
-for training and inference alike, without duplicating the data flow. Each
-step's one `StepContext` goes to every stage, the combiner(ctx, xhat) too.
+The driver `run` iterates the three steps down a time grid; `run_with_combiner`
+additionally lets a callback replace the corrected estimate before the noiser, which
+is how the learned extrapolation plugs in, for training and inference alike, without
+duplicating the data flow. Every stage has one form, sampler(ctx), corrector(ctx) and
+noiser(ctx, xhat), as the combiner(ctx, xhat) has: ctx is the step's one `StepContext`,
+which carries the observation and the params with the step's state.
 
 Every config block, the parameter dataclasses here included, is a
 `ConfigBlock` whose fields each carry one `rule`; construction checks them
@@ -195,12 +196,12 @@ class InnerOptParams(ConfigBlock):
 
 @dataclass
 class StepContext:
-    """The step state every stage reads, the one source of the step's schedule
-    quantities: ab and sigma = sqrt(1 - ab) at t_i, ab_prev and sigma_prev at
-    t_prev, read once when it is built. eps and the mixture whitening at
-    (x_t, t_i) are evaluated once and shared by sampler, corrector and noiser.
-    history is the driver's list of the earlier steps' combined estimates,
-    oldest first, so len(history) is the step's index (0 at t_S)."""
+    """The step state every stage reads, its one argument besides the noiser's xhat:
+    the observation obs, the algorithm params, and the one source of the step's schedule
+    quantities: ab and sigma = sqrt(1 - ab) at t_i, ab_prev and sigma_prev at t_prev,
+    read once when it is built. eps and the mixture whitening at (x_t, t_i) are evaluated
+    once and shared by sampler, corrector and noiser. history is the driver's list of the
+    earlier steps' combined estimates, oldest first, so len(history) is the step's index."""
 
     x_t: np.ndarray
     t_i: int
@@ -208,6 +209,8 @@ class StepContext:
     prior: object
     schedule: dif.DiffusionSchedule
     stream: RngStream | RowStreams
+    obs: ops.Observation
+    params: AlgoParams
     history: list = field(default_factory=list)
     x0_sampled: np.ndarray | None = None
     _eps: np.ndarray | None = None
@@ -251,14 +254,14 @@ class StepContext:
 # ---------------------------------------------------------------------------
 
 
-def sampler_tweedie(params: AlgoParams, ctx: StepContext) -> np.ndarray:
+def sampler_tweedie(ctx: StepContext) -> np.ndarray:
     """Single-step DDIM (Tweedie) estimate from the step's shared eps."""
     return (ctx.x_t - ctx.sigma * ctx.eps_cached) / math.sqrt(ctx.ab)
 
 
-def sampler_ddim_chain(params: AlgoParams, ctx: StepContext) -> np.ndarray:
+def sampler_ddim_chain(ctx: StepContext) -> np.ndarray:
     """Deterministic k_ddim-step DDIM chain from (x_t, t_i) down to 0 (DAPS)."""
-    return dif.ddim_run(ctx.prior, ctx.schedule, ctx.x_t, ctx.t_i, params.daps.k_ddim)
+    return dif.ddim_run(ctx.prior, ctx.schedule, ctx.x_t, ctx.t_i, ctx.params.daps.k_ddim)
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +277,20 @@ def _residual_grad_x0(obs: ops.Observation, x0: np.ndarray) -> np.ndarray:
     return 2.0 * ops.nl_vjp(obs.op, x0, fx - obs.y, fx=fx)
 
 
-def _noisy_branch(ctx: StepContext, obs: ops.Observation) -> np.ndarray:
+def _noisy_branch(ctx: StepContext) -> np.ndarray:
     """DDRM/DDNM spectral coordinates where sigma_{t_prev} < sqrt(ab_prev) sigma_y / s_k."""
-    if obs.sigma_y == 0.0:
-        return np.zeros(obs.op.r, dtype=bool)
-    return ctx.sigma_prev < math.sqrt(ctx.ab_prev) * obs.sigma_y / obs.op.s
+    if ctx.obs.sigma_y == 0.0:
+        return np.zeros(ctx.obs.op.r, dtype=bool)
+    return ctx.sigma_prev < math.sqrt(ctx.ab_prev) * ctx.obs.sigma_y / ctx.obs.op.s
 
 
-def corr_ddrm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
+def corr_ddrm(ctx: StepContext) -> np.ndarray:
     """Spectral correction x0 + (lam (U^T y / s - V^T x0)) V^T of DDRM and
     DDNM: lam = eta_b, whose preset 1 is DDNM's null-space projection, and
     the noise-aware scaling in the noisy branch; boundary ties take eta_b."""
+    obs, params, x0 = ctx.obs, ctx.params, ctx.x0_sampled
     op = obs.op
-    x0 = ctx.x0_sampled
-    middle = _noisy_branch(ctx, obs)
+    middle = _noisy_branch(ctx)
     lam = np.full(op.r, params.eta_b)
     if np.any(middle):
         lam = np.where(
@@ -301,20 +304,20 @@ def corr_ddrm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
     return x0 + (lam * innovation) @ op.V.T
 
 
-def corr_dps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
+def corr_dps(ctx: StepContext) -> np.ndarray:
     """Likelihood-gradient step through the exact denoiser Jacobian."""
     x0 = ctx.x0_sampled
-    if params.zeta == 0.0:
+    if ctx.params.zeta == 0.0:
         return x0.copy()
-    grad_xt = ctx.x0_vjp(_residual_grad_x0(obs, x0))
-    zeta_t = params.zeta * math.sqrt(ctx.ab)
+    grad_xt = ctx.x0_vjp(_residual_grad_x0(ctx.obs, x0))
+    zeta_t = ctx.params.zeta * math.sqrt(ctx.ab)
     return x0 - (zeta_t / math.sqrt(ctx.ab_prev)) * grad_xt
 
 
-def corr_pigdm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
+def corr_pigdm(ctx: StepContext) -> np.ndarray:
     """Pseudoinverse-guided correction with diagonal solve in the U-basis."""
+    obs, x0 = ctx.obs, ctx.x0_sampled
     op = obs.op
-    x0 = ctx.x0_sampled
     r2 = 1.0 - ctx.ab
     if obs.sigma_y == 0.0 and r2 == 0.0:
         raise ConvergenceError("singular solve: sigma_y = 0 and r_t = 0")
@@ -326,15 +329,17 @@ def corr_pigdm(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np
     return x0 + math.sqrt(ctx.ab / ctx.ab_prev) * ctx.x0_vjp(w)
 
 
-def corr_reddiff(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
-    """Gradient-descent corrector anchored at the previous combined estimate."""
-    x0 = ctx.x0_sampled
+def corr_reddiff(ctx: StepContext) -> np.ndarray:
+    """Gradient-descent corrector p + xi (x0 - p - lam grad) anchored at the previous
+    combined estimate p (x0 at t_S). At the preset xi 1 that is x0 - lam grad up to
+    rounding, so the anchor, and with it the LLE history, reaches the output only at xi < 1."""
+    params, x0 = ctx.params, ctx.x0_sampled
     p = ctx.history[-1] if ctx.history else x0
     if params.xi == 0.0:
         return np.array(p, copy=True)
     step = x0 - p
     if params.lam != 0.0:
-        step = step - params.lam * _residual_grad_x0(obs, x0)
+        step = step - params.lam * _residual_grad_x0(ctx.obs, x0)
     return p + params.xi * step
 
 
@@ -383,9 +388,9 @@ def _momentum_descent(value_and_grad, x_init, opt: InnerOptParams, loss_zero):
     return x
 
 
-def corr_diffpir(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
+def corr_diffpir(ctx: StepContext) -> np.ndarray:
     """Proximal corrector argmin ||y - A(x)||^2 + rho ||x - x0||^2."""
-    x0 = ctx.x0_sampled
+    obs, params, x0 = ctx.obs, ctx.params, ctx.x0_sampled
     rho = params.lam * obs.sigma_y**2 * ctx.ab / (1.0 - ctx.ab)
     if obs.is_linear:
         op = obs.op
@@ -414,10 +419,10 @@ def corr_diffpir(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> 
     return opt.params()
 
 
-def corr_dmps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
+def corr_dmps(ctx: StepContext) -> np.ndarray:
     """Noise-perturbed-likelihood score step in the SVD basis."""
+    obs, params, x0 = ctx.obs, ctx.params, ctx.x0_sampled
     op = obs.op
-    x0 = ctx.x0_sampled
     ab_i, ab_prev = ctx.ab, ctx.ab_prev
     if params.lam == 0.0:
         return x0.copy()
@@ -445,7 +450,7 @@ def _descent_table(s: np.ndarray, opt: InnerOptParams) -> np.ndarray:
     return P
 
 
-def corr_resample(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
+def corr_resample(ctx: StepContext) -> np.ndarray:
     """Hard data consistency: argmin ||y - A(x)||^2 from x0 by momentum descent,
     or, with exact_hc (a linear A only), its closed form x0 + A^+ (y - A x0).
 
@@ -460,7 +465,7 @@ def corr_resample(ctx: StepContext, obs: ops.Observation, params: AlgoParams) ->
     put, as it does in the loop: it adds 0 to the loss and the result even
     where P overflows.
     """
-    x0 = ctx.x0_sampled
+    obs, params, x0 = ctx.obs, ctx.params, ctx.x0_sampled
     opt = params.inner_opt
     if params.exact_hc:
         _need_linear(params, obs)
@@ -529,7 +534,7 @@ def _geometric_sums(f: np.ndarray, n: int):
         step_power = step_power * step_power
 
 
-def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
+def corr_daps(ctx: StepContext) -> np.ndarray:
     """Langevin chain targeting the anchored posterior around x_{0,t_i}.
 
     Each step is x <- drift(x) + sqrt(2 eta_t) xi with the gradient drift
@@ -554,8 +559,8 @@ def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
     numbers in the order a one-row run with its own `RngStream` does, so the
     two stay bit-identical.
     """
+    obs, params, anchor = ctx.obs, ctx.params, ctx.x0_sampled
     daps = params.daps
-    anchor = ctx.x0_sampled
     if daps.n_langevin == 0:
         return np.array(anchor, copy=True)
     sigma = daps.sigma_langevin
@@ -599,11 +604,11 @@ def corr_daps(ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.
 
 
 # ---------------------------------------------------------------------------
-# Noisers: every one takes (xhat, ctx, obs, params)
+# Noisers: every one takes (ctx, xhat)
 # ---------------------------------------------------------------------------
 
 
-def _ddim_noise(xhat: np.ndarray, ctx: StepContext, c1: float, c2: float, eps=None) -> np.ndarray:
+def _ddim_noise(ctx: StepContext, xhat: np.ndarray, c1: float, c2: float, eps=None) -> np.ndarray:
     """The DDIM update sqrt(ab_prev) xhat + c2 eps + c1 z, z fresh noise; eps
     defaults to eps_theta(x_t, t_i)."""
     out = math.sqrt(ctx.ab_prev) * xhat
@@ -614,47 +619,47 @@ def _ddim_noise(xhat: np.ndarray, ctx: StepContext, c1: float, c2: float, eps=No
     return out
 
 
-def noiser_ddim(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
+def noiser_ddim(ctx: StepContext, xhat) -> np.ndarray:
     """DDIM noiser with the schedule's (c1, c2) for params.eta:
     c1 = eta sqrt(1 - ab_i/ab_prev) sqrt((1 - ab_prev)/(1 - ab_i)) and
     c2 = sqrt(1 - ab_prev - c1^2), so c1^2 + c2^2 = 1 - ab_prev."""
     ab_i, ab_prev = ctx.ab, ctx.ab_prev
-    c1 = (params.eta * math.sqrt(max(0.0, 1.0 - ab_i / ab_prev))
+    c1 = (ctx.params.eta * math.sqrt(max(0.0, 1.0 - ab_i / ab_prev))
           * math.sqrt((1.0 - ab_prev) / (1.0 - ab_i)))
     rad = 1.0 - ab_prev - c1 * c1
     if rad < -1e-12:
         raise FloatingPointError(f"negative c2 radicand {rad} at ({ctx.t_i},{ctx.t_prev})")
-    return _ddim_noise(xhat, ctx, c1, math.sqrt(max(0.0, rad)))
+    return _ddim_noise(ctx, xhat, c1, math.sqrt(max(0.0, rad)))
 
 
-def noiser_dmps(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
+def noiser_dmps(ctx: StepContext, xhat) -> np.ndarray:
     """DMPS split: c1 = eta sigma_prev, c2 = sqrt(1 - eta^2) sigma_prev."""
-    eta, sig_prev = params.eta, ctx.sigma_prev
-    return _ddim_noise(xhat, ctx, eta * sig_prev, math.sqrt(1.0 - eta * eta) * sig_prev)
+    eta, sig_prev = ctx.params.eta, ctx.sigma_prev
+    return _ddim_noise(ctx, xhat, eta * sig_prev, math.sqrt(1.0 - eta * eta) * sig_prev)
 
 
-def noiser_direct(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
+def noiser_direct(ctx: StepContext, xhat) -> np.ndarray:
     """sqrt(ab_prev) xhat + sigma_prev z: the DMPS split at eta = 1."""
-    return _ddim_noise(xhat, ctx, ctx.sigma_prev, 0.0)
+    return _ddim_noise(ctx, xhat, ctx.sigma_prev, 0.0)
 
 
-def noiser_diffpir(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
+def noiser_diffpir(ctx: StepContext, xhat) -> np.ndarray:
     """DDIM update with the effective eps = x_t - sqrt(ab_i) xhat recomputed
     from xhat: c1 = eta sigma_prev, c2 = sqrt(1 - eta^2) sigma_prev / sigma_i."""
-    eta, sig_prev = params.eta, ctx.sigma_prev
+    eta, sig_prev = ctx.params.eta, ctx.sigma_prev
     c2 = math.sqrt(1.0 - eta * eta) * (sig_prev / ctx.sigma)
     eps = ctx.x_t - math.sqrt(ctx.ab) * xhat
-    return _ddim_noise(xhat, ctx, eta * sig_prev, c2, eps)
+    return _ddim_noise(ctx, xhat, eta * sig_prev, c2, eps)
 
 
-def noiser_resample(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarray:
+def noiser_resample(ctx: StepContext, xhat) -> np.ndarray:
     """Stochastic encode of the sampler output (the DDIM noiser), then
     posterior blend toward xhat."""
     ab_prev, ab_i = ctx.ab_prev, ctx.ab
-    x_prime = noiser_ddim(ctx.x0_sampled, ctx, obs, params)
+    x_prime = noiser_ddim(ctx, ctx.x0_sampled)
     # sigma_rs^2 = gamma * sig_prev2 * (1 - ab_i/ab_prev) / ab_i; factoring out
     # sig_prev2 = 1 - ab_prev keeps the t_prev = 0 endpoint well-defined.
-    g = params.gamma_rs * (1.0 - ab_i / ab_prev) / ab_i
+    g = ctx.params.gamma_rs * (1.0 - ab_i / ab_prev) / ab_i
     if g == 0.0:
         return x_prime
     w_hat = g / (g + 1.0)
@@ -665,14 +670,13 @@ def noiser_resample(xhat, ctx: StepContext, obs, params: AlgoParams) -> np.ndarr
     return blend
 
 
-def noiser_ddrm(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams) -> np.ndarray:
+def noiser_ddrm(ctx: StepContext, xhat) -> np.ndarray:
     """Three-branch coordinatewise noiser of DDRM and DDNM in the V-basis:
     DDIM on the null space, eta sigma_prev fresh noise in the noisy branch,
     and elsewhere the range variance sigma_prev^2 - sigma_y^2 eta_b^2 ab_prev / s^2."""
-    op = obs.op
-    sig_prev = ctx.sigma_prev
-    eta = params.eta
-    middle = _noisy_branch(ctx, obs)
+    obs, params, sig_prev = ctx.obs, ctx.params, ctx.sigma_prev
+    op, eta = obs.op, params.eta
+    middle = _noisy_branch(ctx)
     rad = sig_prev**2 - obs.sigma_y**2 * params.eta_b**2 * ctx.ab_prev / op.s**2
     rad = np.where(middle, 0.0, rad)
     if np.any(rad < -1e-12):
@@ -704,8 +708,8 @@ def noiser_ddrm(xhat, ctx: StepContext, obs: ops.Observation, params: AlgoParams
 
 
 class Solver(NamedTuple):
-    """One algorithm's canonical form: x0 = sampler(params, ctx), xhat =
-    corrector(ctx, obs, params), x_{t_prev} = noiser(xhat, ctx, obs, params).
+    """One algorithm's canonical form, every stage reading the step's `StepContext`:
+    x0 = sampler(ctx), xhat = corrector(ctx), x_{t_prev} = noiser(ctx, xhat).
     preset lists every `algorithm` key the three read at its preset value ({}: a
     whole block at its defaults); linear: True when it always needs a linear
     operator, or the key path of the bool that makes it need one (see
@@ -803,17 +807,15 @@ def default_params(algorithm: str) -> AlgoParams:
     return AlgoParams.from_dict({"name": algorithm, **SOLVERS[algorithm].preset})
 
 
-def sample_phi(params: AlgoParams, ctx: StepContext) -> np.ndarray:
+def sample_phi(ctx: StepContext) -> np.ndarray:
     """Denoised estimate x_{0,t_i} by the algorithm's sampler, kept on ctx."""
-    ctx.x0_sampled = SOLVERS[params.algorithm].sampler(params, ctx)
+    ctx.x0_sampled = SOLVERS[ctx.params.algorithm].sampler(ctx)
     return ctx.x0_sampled
 
 
-def apply_noiser(
-    params: AlgoParams, ctx: StepContext, obs: ops.Observation, xhat: np.ndarray
-) -> np.ndarray:
+def apply_noiser(ctx: StepContext, xhat: np.ndarray) -> np.ndarray:
     """x_{t_prev} from the (combined) estimate by the algorithm's noiser."""
-    return SOLVERS[params.algorithm].noiser(xhat, ctx, obs, params)
+    return SOLVERS[ctx.params.algorithm].noiser(ctx, xhat)
 
 
 # ---------------------------------------------------------------------------
@@ -855,16 +857,16 @@ def run_with_combiner(
     history: list[np.ndarray] = []
     for t_i, t_prev in zip(ts, ts[1:]):
         ctx = StepContext(x_t=x, t_i=t_i, t_prev=t_prev, prior=prior, schedule=schedule,
-                          stream=stream, history=history)
-        sample_phi(params, ctx)
-        xhat = CORRECTORS[params.algorithm](ctx, obs, params)
+                          stream=stream, obs=obs, params=params, history=history)
+        sample_phi(ctx)
+        xhat = CORRECTORS[params.algorithm](ctx)
         est = combiner(ctx, xhat) if combiner is not None else xhat
         if not np.isfinite(est).all():
             rows = np.flatnonzero(~np.isfinite(est).all(axis=-1)).tolist()
             raise ConvergenceError(f"{params.algorithm}'s estimate at t_i = {t_i} is not"
                                    f" finite in row(s) {rows}")
         history.append(est)
-        x = apply_noiser(params, ctx, obs, est)
+        x = apply_noiser(ctx, est)
     return history[-1]
 
 

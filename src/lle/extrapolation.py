@@ -1,8 +1,10 @@
 """Learnable linear extrapolation over the corrected estimates of earlier steps.
 
 Training and inference are both combiners on the shared driver
-`canonical.run_with_combiner`, called as combiner(ctx, xhat): ctx.history holds
-the earlier steps' combined estimates, and its length is the step's index.
+`canonical.run_with_combiner`, called as combiner(ctx, xhat) with the step's
+`StepContext`, as the noiser is: ctx.history holds the earlier steps' combined
+estimates, and its length is the step's index; ctx.obs and ctx.params are the
+run's, and `make_ground_truth` reads its (t_i, t_prev), obs and params there.
 Training walks the time grid once over the reference batch: at each step it
 freezes the corrected batch, optimizes a per-timestep coefficient vector so
 the linear combination of all previous estimates best matches the ground
@@ -256,25 +258,21 @@ class TrainConfig(canon.ConfigBlock):
         return 0.0 if self.plugin == "none" else self.omega
 
 
-def make_ground_truth(
-    params: canon.AlgoParams,
-    prior,
-    schedule,
-    obs: ops.Observation,
-    x0: np.ndarray,
-    t_i: int,
-    t_prev: int,
-    noisy_gt: bool = False,
-) -> np.ndarray:
-    """Training target at t_i: x0, or the algorithm's own corrector applied to x0."""
+def make_ground_truth(ctx: canon.StepContext, x0: np.ndarray,
+                      noisy_gt: bool = False) -> np.ndarray:
+    """Training target at ctx.t_i: x0, or the algorithm's own corrector applied to
+    x0 on a fresh context at ctx's (t_i, t_prev), obs and params."""
+    algorithm = ctx.params.algorithm
     if not noisy_gt:
         return np.array(x0, copy=True)
-    if not canon.SOLVERS[params.algorithm].noisy_gt:
-        raise ConfigError(f"noisy ground truth is not defined for {params.algorithm}")
-    # the DDRM/DDNM correctors draw nothing and read no history
-    ctx = canon.StepContext(x_t=x0, t_i=t_i, t_prev=t_prev, prior=prior, schedule=schedule,
-                            stream=RngStream(0, 0), x0_sampled=np.array(x0, copy=True))
-    return canon.CORRECTORS[params.algorithm](ctx, obs, params)
+    if not canon.SOLVERS[algorithm].noisy_gt:
+        raise ConfigError(f"noisy ground truth is not defined for {algorithm}")
+    # the DDRM/DDNM correctors draw nothing and read no history; a fresh context
+    # shares neither the run's stream nor its eps and whitening, which are at x_t
+    fresh = canon.StepContext(x_t=x0, t_i=ctx.t_i, t_prev=ctx.t_prev, prior=ctx.prior,
+                              schedule=ctx.schedule, stream=RngStream(0, 0), obs=ctx.obs,
+                              params=ctx.params, x0_sampled=np.array(x0, copy=True))
+    return canon.CORRECTORS[algorithm](fresh)
 
 
 def init_coeffs(
@@ -391,8 +389,7 @@ def train(
     traces: dict[int, list[float]] = {}
 
     def fit(ctx, xhat):
-        x_gt = make_ground_truth(params, prior, schedule, observation, refs, ctx.t_i,
-                                 ctx.t_prev, config.noisy_gt)
+        x_gt = make_ground_truth(ctx, refs, config.noisy_gt)
         ls = LeastSquares(stack_bases(ctx.history + [xhat], op, config.decoupled), x_gt,
                           config.resolved_omega())
         theta0 = init_coeffs(ls, config.init_mode, ctx.ab, init_stream, config.decoupled)

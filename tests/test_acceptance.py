@@ -41,12 +41,12 @@ def base_training_final(params, prior, schedule, op, sigma_y, grid, tc):
     history = []
     for idx in range(grid.S):
         ctx = canon.StepContext(
-            x_t=x, t_i=ts[idx], t_prev=ts[idx + 1], prior=prior,
-            schedule=schedule, stream=traj, history=list(history),
+            x_t=x, t_i=ts[idx], t_prev=ts[idx + 1], prior=prior, schedule=schedule,
+            stream=traj, obs=observation, params=params, history=list(history),
         )
-        canon.sample_phi(params, ctx)
-        xhat = canon.CORRECTORS[params.algorithm](ctx, observation, params)
-        x = canon.apply_noiser(params, ctx, observation, xhat)
+        canon.sample_phi(ctx)
+        xhat = canon.CORRECTORS[params.algorithm](ctx)
+        x = canon.apply_noiser(ctx, xhat)
         history.append(xhat)
     return refs, history[-1]
 
@@ -103,9 +103,9 @@ def test_criterion_02_score_and_dps_gradients():
         y = stream.standard_normal(4)
         obs = ops.Observation(y=y, op=op, sigma_y=0.1)
         ctx = canon.StepContext(x_t=x, t_i=t, t_prev=t_prev, prior=prior,
-                                schedule=schedule, stream=stream)
-        canon.sample_phi(params, ctx)
-        out = canon.corr_dps(ctx, obs, params)
+                                schedule=schedule, stream=stream, obs=obs, params=params)
+        canon.sample_phi(ctx)
+        out = canon.corr_dps(ctx)
         ab, ab_prev = schedule.alphabar(t), schedule.alphabar(t_prev)
         grad = (ctx.x0_sampled - out) * math.sqrt(ab_prev) / (params.zeta * math.sqrt(ab))
 
@@ -168,9 +168,10 @@ def test_criterion_05_noiseless_consistency():
         assert np.linalg.norm(ops.apply(op, out) - obs.y) <= 1e-8, S
     ctx = canon.StepContext(x_t=RngStream(207).standard_normal(8), t_i=500,
                             t_prev=250, prior=prior, schedule=schedule,
-                            stream=RngStream(0))
-    canon.sample_phi(canon.default_params("DiffPIR"), ctx)
-    out = canon.corr_diffpir(ctx, obs, canon.default_params("DiffPIR"))
+                            stream=RngStream(0), obs=obs,
+                            params=canon.default_params("DiffPIR"))
+    canon.sample_phi(ctx)
+    out = canon.corr_diffpir(ctx)
     assert np.linalg.norm(ops.apply(op, out) - obs.y) <= 1e-8
     report(5, "DDNM runs and the DiffPIR zero-noise corrector hit ||Ax-y|| <= 1e-8")
 
@@ -273,10 +274,10 @@ def test_criterion_10_langevin_stationarity():
     t_i = 1000
     ctx = canon.StepContext(
         x_t=np.tile(anchor, (n_chains, 1)), t_i=t_i, t_prev=750, prior=prior,
-        schedule=schedule, stream=RngStream(217),
+        schedule=schedule, stream=RngStream(217), obs=obs, params=params,
         x0_sampled=np.tile(anchor, (n_chains, 1)),
     )
-    out = canon.corr_daps(ctx, obs, params)
+    out = canon.corr_daps(ctx)
     eta = canon.daps_step_size(params.daps, t_i, schedule.T)
     r2 = 1.0 - schedule.alphabar(t_i)
     a = 1.0 - eta / r2
@@ -368,12 +369,11 @@ def test_criterion_13_noisy_ground_truth_variant():
     truth = prior.sample(RngStream(220), 4)
     y = ops.observe(op, truth, sigma_y, RngStream(221))
     obs = ops.Observation(y=y, op=op, sigma_y=sigma_y)
-    got = lle.make_ground_truth(params, prior, schedule, obs, truth, 500, 250,
-                                noisy_gt=True)
     ctx = canon.StepContext(x_t=truth, t_i=500, t_prev=250, prior=prior,
-                            schedule=schedule, stream=RngStream(0),
-                            x0_sampled=truth.copy())
-    direct = canon.corr_ddrm(ctx, obs, params)
+                            schedule=schedule, stream=RngStream(0), obs=obs,
+                            params=params, x0_sampled=truth.copy())
+    got = lle.make_ground_truth(ctx, truth, noisy_gt=True)
+    direct = canon.corr_ddrm(ctx)
     assert np.max(np.abs(got - direct)) <= 1e-12
 
     grid = dif.make_time_grid(schedule, 3)

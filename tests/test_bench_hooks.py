@@ -59,6 +59,7 @@ def test_tracer_counts_driver_layers(tmp_path):
     calls = tracer.end_pass()["calls"]
     # one test batch (both samples) plus one training batch, two steps each
     assert calls.get("canonical.corrector.DDNM") == 4
+    assert calls.get("canonical.sample_phi") == 4
     assert calls.get("canonical.apply_noiser") == 4
     assert calls.get("canonical.run_with_combiner") == 2
     assert canon.CORRECTORS["DDNM"] is canon.corr_ddrm

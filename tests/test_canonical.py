@@ -21,6 +21,8 @@ from conftest import (loaded, preset_lists, random_mixture, random_spd, says_unr
 
 
 def make_ctx(prior, schedule, x_t, t_i, t_prev, stream=None, x0=None):
+    """A step context at x_t with no obs or params yet (see `bind`); x0 defaults
+    to the Tweedie estimate."""
     ctx = canon.StepContext(
         x_t=np.asarray(x_t, dtype=float),
         t_i=t_i,
@@ -28,11 +30,19 @@ def make_ctx(prior, schedule, x_t, t_i, t_prev, stream=None, x0=None):
         prior=prior,
         schedule=schedule,
         stream=stream if stream is not None else RngStream(99),
+        obs=None,
+        params=None,
     )
     if x0 is None:
-        canon.sample_phi(canon.default_params("DDNM"), ctx)
+        ctx.x0_sampled = canon.sampler_tweedie(ctx)
     else:
         ctx.x0_sampled = np.asarray(x0, dtype=float)
+    return ctx
+
+
+def bind(ctx, obs, params):
+    """ctx with the observation and params its stages read, set in place."""
+    ctx.obs, ctx.params = obs, params
     return ctx
 
 
@@ -83,9 +93,9 @@ def test_sampler_daps_uses_ddim_chain(schedule, small_prior):
     params.daps.k_ddim = 3
     ctx = canon.StepContext(
         x_t=x, t_i=600, t_prev=300, prior=small_prior, schedule=schedule,
-        stream=RngStream(0),
+        stream=RngStream(0), obs=None, params=params,
     )
-    out = canon.sample_phi(params, ctx)
+    out = canon.sample_phi(ctx)
     expected = dif.ddim_run(small_prior, schedule, x, 600, 3)
     assert np.array_equal(out, expected)
 
@@ -125,7 +135,7 @@ def test_zero_strength_correctors_return_x0(schedule, small_prior):
 
     for corr, o, params in cases:
         ctx = make_ctx(small_prior, schedule, x, 400, 200)
-        out = corr(ctx, o, params)
+        out = corr(bind(ctx, o, params))
         assert np.array_equal(out, ctx.x0_sampled), corr.__name__
 
 
@@ -139,7 +149,7 @@ def test_ddnm_noiseless_is_exact_projection(schedule, small_prior):
     truth = RngStream(44).standard_normal(6)
     obs = ops.Observation(y=ops.apply(op, truth), op=op, sigma_y=0.0)
     ctx = make_ctx(small_prior, schedule, RngStream(45).standard_normal(6), 500, 250)
-    out = canon.corr_ddrm(ctx, obs, canon.default_params("DDNM"))
+    out = canon.corr_ddrm(bind(ctx, obs, canon.default_params("DDNM")))
     assert np.max(np.abs(ops.apply(op, out) - obs.y)) < 1e-12
     # null space untouched
     assert np.max(np.abs(ops.project(op, out - ctx.x0_sampled, "null"))) < 1e-12
@@ -155,7 +165,7 @@ def test_ddnm_noisy_scaling_scalar_oracle(schedule):
     x0 = np.array([0.3])
     ctx = make_ctx(prior, schedule, np.array([0.5]), t_i, t_prev, x0=x0)
     params = canon.default_params("DDNM")  # eta = 0.85
-    out = canon.corr_ddrm(ctx, obs, params)
+    out = canon.corr_ddrm(bind(ctx, obs, params))
 
     ab_prev = schedule.alphabar(t_prev)
     sig_prev = schedule.sigma(t_prev)
@@ -179,7 +189,7 @@ def test_ddrm_noiseless_full_replacement(schedule, small_prior):
     obs = ops.Observation(y=ops.apply(op, truth), op=op, sigma_y=0.0)
     ctx = make_ctx(small_prior, schedule, RngStream(47).standard_normal(6), 600, 300)
     params = canon.default_params("DDRM")  # eta_b = 1
-    out = canon.corr_ddrm(ctx, obs, params)
+    out = canon.corr_ddrm(bind(ctx, obs, params))
     assert np.max(np.abs(ops.apply(op, out) - obs.y)) < 1e-12
 
 
@@ -189,7 +199,7 @@ def test_ddrm_zero_blend_weight_keeps_x0(schedule, small_prior):
     ctx = make_ctx(small_prior, schedule, RngStream(48).standard_normal(6), 600, 300)
     params = canon.default_params("DDRM")
     params.eta_b = 0.0
-    out = canon.corr_ddrm(ctx, obs, params)
+    out = canon.corr_ddrm(bind(ctx, obs, params))
     assert np.max(np.abs(out - ctx.x0_sampled)) < 1e-13
 
 
@@ -202,7 +212,7 @@ def test_ddrm_low_noise_branch_scalar_oracle(schedule):
     x0 = np.array([0.2])
     ctx = make_ctx(prior, schedule, np.array([0.1]), t_i, t_prev, x0=x0)
     params = canon.default_params("DDRM")
-    out = canon.corr_ddrm(ctx, obs, params)
+    out = canon.corr_ddrm(bind(ctx, obs, params))
 
     ab_prev = schedule.alphabar(t_prev)
     sig_prev = schedule.sigma(t_prev)
@@ -233,7 +243,7 @@ def test_dps_gradient_matches_finite_differences(schedule):
     x_t = stream.standard_normal(6)
 
     ctx = make_ctx(prior, schedule, x_t, t_i, t_prev)
-    out = canon.corr_dps(ctx, obs, params)
+    out = canon.corr_dps(bind(ctx, obs, params))
     ab = schedule.alphabar(t_i)
     ab_prev = schedule.alphabar(t_prev)
     grad = (ctx.x0_sampled - out) * math.sqrt(ab_prev) / (params.zeta * math.sqrt(ab))
@@ -255,7 +265,7 @@ def test_dps_zero_residual_keeps_x0(schedule, small_prior):
     op = ops.mask_operator(6, [1, 2])
     ctx = make_ctx(small_prior, schedule, RngStream(52).standard_normal(6), 400, 200)
     obs = ops.Observation(y=ops.apply(op, ctx.x0_sampled), op=op, sigma_y=0.05)
-    out = canon.corr_dps(ctx, obs, canon.default_params("DPS"))
+    out = canon.corr_dps(bind(ctx, obs, canon.default_params("DPS")))
     assert np.max(np.abs(out - ctx.x0_sampled)) < 1e-10
 
 
@@ -280,7 +290,7 @@ def test_pigdm_dense_oracle(schedule):
     t_i, t_prev = 600, 400
     x_t = stream.standard_normal(d)
     ctx = make_ctx(prior, schedule, x_t, t_i, t_prev)
-    out = canon.corr_pigdm(ctx, obs, canon.default_params("PiGDM"))
+    out = canon.corr_pigdm(bind(ctx, obs, canon.default_params("PiGDM")))
 
     ab = schedule.alphabar(t_i)
     ab_prev = schedule.alphabar(t_prev)
@@ -297,7 +307,7 @@ def test_pigdm_zero_residual_keeps_x0(schedule, small_prior):
     op = ops.mask_operator(6, [0, 5])
     ctx = make_ctx(small_prior, schedule, RngStream(54).standard_normal(6), 300, 150)
     obs = ops.Observation(y=ops.apply(op, ctx.x0_sampled), op=op, sigma_y=0.1)
-    out = canon.corr_pigdm(ctx, obs, canon.default_params("PiGDM"))
+    out = canon.corr_pigdm(bind(ctx, obs, canon.default_params("PiGDM")))
     assert np.max(np.abs(out - ctx.x0_sampled)) < 1e-12
 
 
@@ -312,7 +322,7 @@ def test_reddiff_first_step_gradient_form(schedule, small_prior):
     obs = ops.Observation(y=y, op=op, sigma_y=0.1)
     ctx = make_ctx(small_prior, schedule, RngStream(55).standard_normal(6), 500, 250)
     params = canon.default_params("REDdiff")  # xi=1, lam=0.5
-    out = canon.corr_reddiff(ctx, obs, params)
+    out = canon.corr_reddiff(bind(ctx, obs, params))
     x0 = ctx.x0_sampled
     grad = 2.0 * ops.apply_adjoint(op, ops.apply(op, x0) - y)
     assert np.max(np.abs(out - (x0 - 0.5 * grad))) < 1e-13
@@ -326,13 +336,13 @@ def test_reddiff_anchors_previous_estimate(schedule, small_prior):
     ctx.history = [RngStream(58).standard_normal(6), prev]
     params = canon.default_params("REDdiff")
     params.xi = 0.25
-    out = canon.corr_reddiff(ctx, obs, params)
+    out = canon.corr_reddiff(bind(ctx, obs, params))
     x0 = ctx.x0_sampled
     grad = 2.0 * ops.apply_adjoint(op, ops.apply(op, x0) - obs.y)
     expected = prev + 0.25 * ((x0 - prev) - 0.5 * grad)
     assert np.max(np.abs(out - expected)) < 1e-13
     params.xi = 0.0
-    assert np.array_equal(canon.corr_reddiff(ctx, obs, params), prev)
+    assert np.array_equal(canon.corr_reddiff(bind(ctx, obs, params)), prev)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +358,7 @@ def test_diffpir_linear_matches_normal_equations(schedule, small_prior):
     obs = ops.Observation(y=y, op=op, sigma_y=0.3)
     ctx = make_ctx(small_prior, schedule, stream.standard_normal(6), 500, 250)
     params = canon.default_params("DiffPIR")
-    out = canon.corr_diffpir(ctx, obs, params)
+    out = canon.corr_diffpir(bind(ctx, obs, params))
     ab = schedule.alphabar(500)
     rho = params.lam * 0.3**2 * ab / (1.0 - ab)
     x0 = ctx.x0_sampled
@@ -361,7 +371,7 @@ def test_diffpir_noiseless_limit_is_projection(schedule, small_prior):
     truth = RngStream(59).standard_normal(6)
     obs = ops.Observation(y=ops.apply(op, truth), op=op, sigma_y=0.0)
     ctx = make_ctx(small_prior, schedule, RngStream(60).standard_normal(6), 500, 250)
-    out = canon.corr_diffpir(ctx, obs, canon.default_params("DiffPIR"))
+    out = canon.corr_diffpir(bind(ctx, obs, canon.default_params("DiffPIR")))
     assert np.max(np.abs(ops.apply(op, out) - obs.y)) < 1e-12
     x0 = ctx.x0_sampled
     expected = x0 + ops.pinv_apply(op, obs.y - ops.apply(op, x0))
@@ -376,7 +386,7 @@ def test_diffpir_nonlinear_descends_proximal_objective(schedule, small_prior):
     ctx = make_ctx(small_prior, schedule, stream.standard_normal(6), 500, 250)
     params = canon.default_params("DiffPIR")
     params.inner_opt.lr = 0.05
-    out = canon.corr_diffpir(ctx, obs, params)
+    out = canon.corr_diffpir(bind(ctx, obs, params))
     ab = schedule.alphabar(500)
     rho = params.lam * 0.2**2 * ab / (1.0 - ab)
     x0 = ctx.x0_sampled
@@ -404,7 +414,7 @@ def test_dmps_dense_oracle(schedule, small_prior):
     x_t = stream.standard_normal(6)
     ctx = make_ctx(small_prior, schedule, x_t, t_i, t_prev)
     params = canon.default_params("DMPS")
-    out = canon.corr_dmps(ctx, obs, params)
+    out = canon.corr_dmps(bind(ctx, obs, params))
 
     ab_i = schedule.alphabar(t_i)
     ab_prev = schedule.alphabar(t_prev)
@@ -428,7 +438,7 @@ def test_resample_exact_consistency_shortcut(schedule, small_prior):
     ctx = make_ctx(small_prior, schedule, RngStream(63).standard_normal(6), 400, 200)
     params = canon.default_params("ReSample")
     params.exact_hc = True
-    out = canon.corr_resample(ctx, obs, params)
+    out = canon.corr_resample(bind(ctx, obs, params))
     x0 = ctx.x0_sampled
     assert np.max(np.abs(out - (x0 + ops.pinv_apply(op, y - ops.apply(op, x0))))) < 1e-13
 
@@ -439,7 +449,7 @@ def test_resample_descent_reduces_residual(schedule, small_prior):
     obs = ops.Observation(y=y, op=op, sigma_y=0.05)
     ctx = make_ctx(small_prior, schedule, RngStream(64).standard_normal(6), 400, 200)
     params = canon.default_params("ReSample")
-    out = canon.corr_resample(ctx, obs, params)
+    out = canon.corr_resample(bind(ctx, obs, params))
     before = np.linalg.norm(ops.apply(op, ctx.x0_sampled) - y)
     after = np.linalg.norm(ops.apply(op, out) - y)
     assert after < 0.3 * before
@@ -449,7 +459,7 @@ def test_resample_fixed_point_at_consistency(schedule, small_prior):
     op = ops.mask_operator(6, [1, 3])
     ctx = make_ctx(small_prior, schedule, RngStream(65).standard_normal(6), 400, 200)
     obs = ops.Observation(y=ops.apply(op, ctx.x0_sampled), op=op, sigma_y=0.05)
-    out = canon.corr_resample(ctx, obs, canon.default_params("ReSample"))
+    out = canon.corr_resample(bind(ctx, obs, canon.default_params("ReSample")))
     assert np.max(np.abs(out - ctx.x0_sampled)) < 1e-12
 
 
@@ -475,7 +485,7 @@ def test_daps_requires_noise_or_variant_flag(schedule, small_prior):
     # the noiseless-linear variant does not read sigma_langevin, so even a zero runs
     params.daps.noiseless_linear = True
     params.daps.sigma_langevin = 0.0
-    out = canon.corr_daps(ctx, obs, params)
+    out = canon.corr_daps(bind(ctx, obs, params))
     assert np.all(np.isfinite(out))
 
 
@@ -488,7 +498,7 @@ def test_daps_chain_is_seeded(schedule, small_prior):
             small_prior, schedule, RngStream(67).standard_normal(6), 500, 250,
             stream=RngStream(5, 9),
         )
-        outs.append(canon.corr_daps(ctx, obs, canon.default_params("DAPS")))
+        outs.append(canon.corr_daps(bind(ctx, obs, canon.default_params("DAPS"))))
     assert np.array_equal(outs[0], outs[1])
 
 
@@ -578,8 +588,8 @@ def _inner_loop_case(small_prior, schedule, kind, batch, sigma_y, seed):
 
 def copy_ctx(ctx, stream):
     return canon.StepContext(
-        x_t=ctx.x_t, t_i=ctx.t_i, t_prev=ctx.t_prev, prior=ctx.prior,
-        schedule=ctx.schedule, stream=stream, x0_sampled=ctx.x0_sampled,
+        x_t=ctx.x_t, t_i=ctx.t_i, t_prev=ctx.t_prev, prior=ctx.prior, schedule=ctx.schedule,
+        stream=stream, obs=ctx.obs, params=ctx.params, x0_sampled=ctx.x0_sampled,
     )
 
 
@@ -619,11 +629,11 @@ def test_daps_matches_reference_loop(schedule, small_prior, kind, noiseless, bat
         params = _daps_params(n, noiseless)
         if kind == "nonlinear":  # the block loop, bit for bit on real streams
             ref_ctx = copy_ctx(ctx, clone(ctx.stream))
-            got = canon.corr_daps(ctx, obs, params)
+            got = canon.corr_daps(bind(ctx, obs, params))
             assert np.array_equal(got, _daps_reference(ref_ctx, obs, params))
             assert ctx.stream.counter == ref_ctx.stream.counter
         else:  # the closed form's mean against the loop's noise-free chain
-            got = canon.corr_daps(copy_ctx(ctx, ScriptedStream()), obs, params)
+            got = canon.corr_daps(bind(copy_ctx(ctx, ScriptedStream()), obs, params))
             ref = _daps_reference(copy_ctx(ctx, ScriptedStream()), obs, params)
             assert got.shape == ref.shape
             assert _rel_dev(got, ref) <= 1e-12, n
@@ -641,8 +651,8 @@ def test_daps_linear_noise_has_the_chains_covariance(schedule, small_prior, kind
     d = 6
     obs, ctx = _inner_loop_case(small_prior, schedule, kind, d, 0.0 if noiseless else 0.1, 325)
     params = _daps_params(n, noiseless, eta0=1e-2)
-    S = (canon.corr_daps(copy_ctx(ctx, ScriptedStream(np.eye(d))), obs, params)
-         - canon.corr_daps(copy_ctx(ctx, ScriptedStream()), obs, params))
+    S = (canon.corr_daps(bind(copy_ctx(ctx, ScriptedStream(np.eye(d))), obs, params))
+         - canon.corr_daps(bind(copy_ctx(ctx, ScriptedStream()), obs, params)))
     op, daps = obs.op, params.daps
     eta_t = canon.daps_step_size(daps, ctx.t_i, ctx.schedule.T)
     r2 = 1.0 - ctx.schedule.alphabar(ctx.t_i)
@@ -659,7 +669,7 @@ def test_daps_linear_noise_has_the_chains_covariance(schedule, small_prior, kind
 def test_daps_linear_call_advances_counter_once(schedule, small_prior, n):
     obs, ctx = _inner_loop_case(small_prior, schedule, "mask", 4, 0.1, 322)
     start = ctx.stream.counter
-    canon.corr_daps(ctx, obs, _daps_params(n))
+    canon.corr_daps(bind(ctx, obs, _daps_params(n)))
     assert ctx.stream.counter - start == min(n, 1)
 
 
@@ -668,7 +678,7 @@ def test_daps_advances_counter_once_per_block_of_ten(schedule, small_prior, n):
     # on the nonlinear operator, where the Langevin loop runs
     obs, ctx = _inner_loop_case(small_prior, schedule, "nonlinear", 4, 0.1, 322)
     start = ctx.stream.counter
-    canon.corr_daps(ctx, obs, _daps_params(n))
+    canon.corr_daps(bind(ctx, obs, _daps_params(n)))
     assert ctx.stream.counter - start == math.ceil(n / 10)
 
 
@@ -686,13 +696,13 @@ def test_daps_batched_rows_equal_one_row_calls(schedule, small_prior, kind, n):
     params = _daps_params(n)
     rows = RowStreams(RngStream(323, 1000 + i) for i in range(N))
     ctx = make_ctx(small_prior, schedule, x_t, 500, 250, stream=rows, x0=x0)
-    got = canon.corr_daps(ctx, ops.Observation(y=y, op=op, sigma_y=0.1), params)
+    got = canon.corr_daps(bind(ctx, ops.Observation(y=y, op=op, sigma_y=0.1), params))
     assert got.shape == (N, 1, d)
     draws = math.ceil(n / 10) if kind == "nonlinear" else 1
     for i in range(N):
         one = make_ctx(small_prior, schedule, x_t[i], 500, 250,
                        stream=RngStream(323, 1000 + i), x0=x0[i])
-        ref = canon.corr_daps(one, ops.Observation(y=y[i], op=op, sigma_y=0.1), params)
+        ref = canon.corr_daps(bind(one, ops.Observation(y=y[i], op=op, sigma_y=0.1), params))
         assert np.array_equal(got[i], ref), i
         assert rows.streams[i].counter == one.stream.counter == draws
 
@@ -704,11 +714,11 @@ def _daps_memory_case(schedule, n, op):
     anchor = np.tile([0.5, -1.0, 2.0, 0.0], (1024, 1))
     obs = ops.Observation(y=anchor.copy(), op=op, sigma_y=0.1)
     ctx = make_ctx(prior, schedule, anchor, 1000, 750, stream=RngStream(324), x0=anchor)
-    canon.corr_daps(ctx, obs, _daps_params(1, eta0=1e-4))
+    canon.corr_daps(bind(ctx, obs, _daps_params(1, eta0=1e-4)))
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        out = canon.corr_daps(ctx, obs, _daps_params(n, eta0=1e-4))
+        out = canon.corr_daps(bind(ctx, obs, _daps_params(n, eta0=1e-4)))
         seconds = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -739,7 +749,7 @@ def test_daps_noiseless_variant_rejects_nonlinear(schedule, small_prior):
     params = canon.default_params("DAPS")
     params.daps.noiseless_linear = True
     with pytest.raises(ConfigError):
-        canon.corr_daps(ctx, obs, params)
+        canon.corr_daps(bind(ctx, obs, params))
 
 
 @pytest.mark.parametrize("batch", [1, 4])
@@ -748,7 +758,7 @@ def test_resample_matches_full_space_loop(schedule, small_prior, kind, batch):
     obs, ctx = _inner_loop_case(small_prior, schedule, kind, batch, 0.05, 330)
     params = canon.default_params("ReSample")
     opt = params.inner_opt
-    got = canon.corr_resample(ctx, obs, params)
+    got = canon.corr_resample(bind(ctx, obs, params))
     ref = _resample_reference(ctx.x0_sampled, obs, opt.lr, opt.momentum, opt.steps)
     if kind == "nonlinear":
         assert np.array_equal(got, ref)
@@ -787,7 +797,7 @@ def test_diffpir_nonlinear_inner_loop_convolution_count(schedule, small_prior, m
     params.inner_opt.steps = 10
     params.inner_opt.lr = 0.05
     calls = _count_convolutions(monkeypatch)
-    canon.corr_diffpir(ctx, obs, params)
+    canon.corr_diffpir(bind(ctx, obs, params))
     # the starting loss, then per step a forward pass and a VJP for the
     # gradient and a forward pass for the loss
     assert len(calls) == 1 + 3 * 10
@@ -806,7 +816,7 @@ def test_resample_large_step_still_diverges(schedule, small_prior, kind):
     with pytest.raises(ConvergenceError):
         _resample_reference(ctx.x0_sampled, obs, opt.lr, opt.momentum, opt.steps)
     with pytest.raises(ConvergenceError):
-        canon.corr_resample(ctx, obs, params)
+        canon.corr_resample(bind(ctx, obs, params))
 
 
 @pytest.mark.parametrize("algo, kind", [("ReSample", "mask"), ("ReSample", "nonlinear"),
@@ -828,16 +838,16 @@ def test_divergence_names_the_one_diverging_row(schedule, small_prior, algo, kin
     params.inner_opt.lr = 50.0
     with pytest.raises(ConvergenceError,
                        match=r"row\(s\) \[1\] at inner step \d+: .*inner_opt\.lr \(now 50\.0\)"):
-        canon.CORRECTORS[algo](ctx, obs, params)
+        canon.CORRECTORS[algo](bind(ctx, obs, params))
     # each row alone gets the same verdict
     for i in range(3):
         row_obs = ops.Observation(y=y[i, 0], op=op, sigma_y=0.05)
         row_ctx = make_ctx(small_prior, schedule, x_t[i, 0], 500, 250, x0=x0[i, 0])
         if i == 1:
             with pytest.raises(ConvergenceError, match=r"row\(s\) \[0\]"):
-                canon.CORRECTORS[algo](row_ctx, row_obs, params)
+                canon.CORRECTORS[algo](bind(row_ctx, row_obs, params))
         else:
-            assert np.all(np.isfinite(canon.CORRECTORS[algo](row_ctx, row_obs, params)))
+            assert np.all(np.isfinite(canon.CORRECTORS[algo](bind(row_ctx, row_obs, params))))
 
 
 def test_rows_that_start_on_their_data_do_not_diverge(schedule, small_prior):
@@ -850,7 +860,7 @@ def test_rows_that_start_on_their_data_do_not_diverge(schedule, small_prior):
         x_t = RngStream(380, t_i).standard_normal((20, 1, 6))
         ctx = make_ctx(small_prior, schedule, x_t, t_i, t_prev, stream=RngStream(381))
         obs = ops.Observation(y=ops.nl_apply(op, ctx.x0_sampled), op=op, sigma_y=0.05)
-        out = canon.corr_diffpir(ctx, obs, params)
+        out = canon.corr_diffpir(bind(ctx, obs, params))
         assert out.shape == x_t.shape and np.all(np.isfinite(out))
 
 
@@ -870,7 +880,7 @@ def test_resample_guard_counts_out_of_range_residual(schedule, small_prior):
     ref = _resample_reference(x0, obs, 2.0, 0.0, 3)
     # the in-range residual alone grows tenfold; the whole residual does not
     assert in_range_loss(ref) > 10.0 * in_range_loss(x0)
-    got = canon.corr_resample(ctx, obs, params)
+    got = canon.corr_resample(bind(ctx, obs, params))
     assert _rel_dev(got, ref) <= 1e-12
 
 
@@ -911,10 +921,10 @@ def test_resample_table_matches_the_loop_or_trips_its_guard(schedule, small_prio
                     want = _resample_range_loop(descent, x0, obs, params.inner_opt)
                 except ConvergenceError as exc:  # the same step and rows
                     with pytest.raises(ConvergenceError, match=f"^{re.escape(str(exc))}$"):
-                        canon.corr_resample(ctx, obs, params)
+                        canon.corr_resample(bind(ctx, obs, params))
                     tripped += 1
                     continue
-                got = canon.corr_resample(ctx, obs, params)
+                got = canon.corr_resample(bind(ctx, obs, params))
                 assert _rel_dev(got, want) <= 1e-13, (lr, momentum, steps)
                 # and each row against the full-space loop
                 rows = [_resample_reference(x0_i, ops.Observation(y_i, obs.op, 0.05),
@@ -940,12 +950,12 @@ def test_resample_rows_on_their_data_stay_put_when_the_table_overflows(schedule,
         for rows in (x0[0], x0):  # batch 1 and batch 3
             ctx = make_ctx(small_prior, schedule, rows, 500, 250, x0=rows)
             obs = ops.Observation(y=ops.apply(op, rows), op=op, sigma_y=0.05)
-            assert np.array_equal(canon.corr_resample(ctx, obs, params), rows)
+            assert np.array_equal(canon.corr_resample(bind(ctx, obs, params)), rows)
         # rows 0 and 2 on their data, row 1 off it: only row 1 diverges
         y = ops.apply(op, x0)
         y[1] += 0.5
         with pytest.raises(ConvergenceError, match=r"row\(s\) \[1\] at inner step 1:"):
-            canon.corr_resample(ctx, ops.Observation(y=y, op=op, sigma_y=0.05), params)
+            canon.corr_resample(bind(ctx, ops.Observation(y=y, op=op, sigma_y=0.05), params))
 
 
 # ---------------------------------------------------------------------------
@@ -964,10 +974,10 @@ def test_guided_step_whitens_once_and_matches_separate_calls(
 
     def step(stream):
         ctx = canon.StepContext(x_t=x_t, t_i=600, t_prev=300, prior=small_prior,
-                                schedule=schedule, stream=stream)
-        canon.sample_phi(params, ctx)
-        xhat = canon.CORRECTORS[name](ctx, obs, params)
-        return xhat, canon.apply_noiser(params, ctx, obs, xhat)
+                                schedule=schedule, stream=stream, obs=obs, params=params)
+        canon.sample_phi(ctx)
+        xhat = canon.CORRECTORS[name](ctx)
+        return xhat, canon.apply_noiser(ctx, xhat)
 
     # the same step with ε and its JVP each whitening on their own
     calls = {"whiten": 0, "eps": 0, "jvp": 0}
@@ -1008,7 +1018,7 @@ def test_noiser_ddim_exact_reconstruction(schedule, small_prior, eta, t_i, t_pre
                    stream=stream)
     xhat = RngStream(72).standard_normal(6)
     predicted_noise = clone(stream).standard_normal((6,))
-    out = canon.noiser_ddim(xhat, ctx, None, with_eta("DPS", eta))
+    out = canon.noiser_ddim(bind(ctx, None, with_eta("DPS", eta)), xhat)
     c1, c2 = scalar_ddim_coeffs(schedule, t_i, t_prev, eta)
     expected = (
         math.sqrt(schedule.alphabar(t_prev)) * xhat
@@ -1022,14 +1032,14 @@ def test_noiser_ddim_rejects_negative_radicand(schedule, small_prior):
     # eta <= 1 keeps c1^2 <= 1 - ab_prev, so only an oversized eta drives it negative
     ctx = make_ctx(small_prior, schedule, RngStream(91).standard_normal(6), 500, 250)
     with pytest.raises(FloatingPointError, match=r"at \(500,250\)"):
-        canon.noiser_ddim(np.zeros(6), ctx, None, with_eta("DPS", 5.0))
+        canon.noiser_ddim(bind(ctx, None, with_eta("DPS", 5.0)), np.zeros(6))
 
 
 def test_noiser_ddim_deterministic_at_zero_eta(schedule, small_prior):
     ctx = make_ctx(small_prior, schedule, RngStream(73).standard_normal(6), 500, 250)
     xhat = np.ones(6)
-    a = canon.noiser_ddim(xhat, ctx, None, with_eta("DPS", 0.0))
-    b = canon.noiser_ddim(xhat, ctx, None, with_eta("DPS", 0.0))
+    a = canon.noiser_ddim(bind(ctx, None, with_eta("DPS", 0.0)), xhat)
+    b = canon.noiser_ddim(bind(ctx, None, with_eta("DPS", 0.0)), xhat)
     assert np.array_equal(a, b)
 
 
@@ -1039,7 +1049,7 @@ def test_noiser_dmps_full_eta_exact(schedule, small_prior):
                    stream=stream)
     xhat = RngStream(76).standard_normal(6)
     predicted = clone(stream).standard_normal((6,))
-    out = canon.noiser_dmps(xhat, ctx, None, with_eta("DMPS", 1.0))
+    out = canon.noiser_dmps(bind(ctx, None, with_eta("DMPS", 1.0)), xhat)
     sig_prev = schedule.sigma(250)
     expected = math.sqrt(schedule.alphabar(250)) * xhat + sig_prev * predicted
     assert np.array_equal(out, expected)
@@ -1048,7 +1058,7 @@ def test_noiser_dmps_full_eta_exact(schedule, small_prior):
 def test_noiser_direct_terminal_step_is_identity(schedule, small_prior):
     ctx = make_ctx(small_prior, schedule, RngStream(77).standard_normal(6), 250, 0)
     xhat = RngStream(78).standard_normal(6)
-    out = canon.noiser_direct(xhat, ctx, None, canon.default_params("REDdiff"))
+    out = canon.noiser_direct(bind(ctx, None, canon.default_params("REDdiff")), xhat)
     assert np.array_equal(out, math.sqrt(1.0) * xhat)
 
 
@@ -1056,7 +1066,7 @@ def test_noiser_direct_statistics(schedule, small_prior):
     stream = RngStream(79)
     xhat = np.zeros((4000, 6))
     ctx = make_ctx(small_prior, schedule, np.zeros((4000, 6)), 500, 250, stream=stream)
-    out = canon.noiser_direct(xhat, ctx, None, canon.default_params("DAPS"))
+    out = canon.noiser_direct(bind(ctx, None, canon.default_params("DAPS")), xhat)
     sig = schedule.sigma(250)
     assert abs(out.std() - sig) / sig < 0.05
 
@@ -1065,7 +1075,7 @@ def test_noiser_diffpir_zero_eta_is_ddim_step(schedule, small_prior):
     x_t = RngStream(80).standard_normal(6)
     ctx = make_ctx(small_prior, schedule, x_t, 500, 250)
     xhat = ctx.x0_sampled
-    out = canon.noiser_diffpir(xhat, ctx, None, with_eta("DiffPIR", 0.0))
+    out = canon.noiser_diffpir(bind(ctx, None, with_eta("DiffPIR", 0.0)), xhat)
     expected = dif.ddim_step(small_prior, schedule, x_t, 500, 250)
     assert np.max(np.abs(out - expected)) < 1e-12
 
@@ -1075,7 +1085,7 @@ def test_ddnm_noiser_terminal_noiseless_is_identity(schedule, small_prior):
     obs = ops.Observation(y=np.zeros(2), op=op, sigma_y=0.0)
     ctx = make_ctx(small_prior, schedule, RngStream(81).standard_normal(6), 250, 0)
     xhat = RngStream(82).standard_normal(6)
-    out = canon.noiser_ddrm(xhat, ctx, obs, canon.default_params("DDNM"))
+    out = canon.noiser_ddrm(bind(ctx, obs, canon.default_params("DDNM")), xhat)
     assert np.max(np.abs(out - xhat)) < 1e-12
 
 
@@ -1084,7 +1094,7 @@ def test_ddnm_noiser_range_statistics(schedule, small_prior):
     obs = ops.Observation(y=np.zeros(6), op=op, sigma_y=0.0)
     ctx = make_ctx(small_prior, schedule, np.zeros((3000, 6)), 500, 250,
                    stream=RngStream(83))
-    out = canon.noiser_ddrm(np.zeros((3000, 6)), ctx, obs, canon.default_params("DDNM"))
+    out = canon.noiser_ddrm(bind(ctx, obs, canon.default_params("DDNM")), np.zeros((3000, 6)))
     sig_prev = schedule.sigma(250)
     assert abs(out.std() - sig_prev) / sig_prev < 0.05
 
@@ -1098,7 +1108,7 @@ def test_ddrm_noiser_rejects_negative_radicand(schedule, small_prior):
     params = canon.default_params("DDRM")
     params.eta_b = 5.0
     with pytest.raises(ConfigError):
-        canon.noiser_ddrm(np.zeros(6), ctx, obs, params)
+        canon.noiser_ddrm(bind(ctx, obs, params), np.zeros(6))
 
 
 def test_resample_noiser_gamma_zero_is_encode(schedule, small_prior):
@@ -1109,7 +1119,7 @@ def test_resample_noiser_gamma_zero_is_encode(schedule, small_prior):
     params.eta = 0.0
     params.gamma_rs = 0.0
     xhat = RngStream(87).standard_normal(6)
-    out = canon.noiser_resample(xhat, ctx, None, params)
+    out = canon.noiser_resample(bind(ctx, None, params), xhat)
     c1, c2 = scalar_ddim_coeffs(schedule, 500, 250, 0.0)
     expected = math.sqrt(schedule.alphabar(250)) * ctx.x0_sampled + c2 * ctx.eps_cached
     assert np.max(np.abs(out - expected)) < 1e-14
@@ -1120,7 +1130,7 @@ def test_resample_noiser_terminal_step_finite(schedule, small_prior):
     ctx = make_ctx(small_prior, schedule, x_t, 250, 0, stream=RngStream(89))
     params = canon.default_params("ReSample")
     xhat = RngStream(90).standard_normal(6)
-    out = canon.noiser_resample(xhat, ctx, None, params)
+    out = canon.noiser_resample(bind(ctx, None, params), xhat)
     assert np.all(np.isfinite(out))
     # at t_prev = 0 the posterior blend carries no fresh noise
     ab_i = schedule.alphabar(250)
@@ -1166,7 +1176,7 @@ def test_run_with_combiner_visits_every_step(schedule, small_prior):
 
     def combiner(ctx, xhat):
         # the step's state: the sampler has run, and history holds the earlier steps
-        assert np.array_equal(ctx.x0_sampled, canon.sampler_tweedie(params, ctx))
+        assert np.array_equal(ctx.x0_sampled, canon.sampler_tweedie(ctx))
         assert ctx.ab == schedule.alphabar(ctx.t_i)
         assert ctx.ab_prev == schedule.alphabar(ctx.t_prev)
         seen.append((ctx.t_i, ctx.t_prev, len(ctx.history)))
@@ -1189,8 +1199,8 @@ def test_reddiff_anchors_at_the_previous_combined_estimate(schedule, small_prior
     corrector = canon.CORRECTORS["REDdiff"]
     calls, combined = [], []
 
-    def spy(ctx, obs, params):
-        out = corrector(ctx, obs, params)
+    def spy(ctx):
+        out = corrector(ctx)
         calls.append((ctx.x0_sampled.copy(), out))
         return out
 
@@ -1268,7 +1278,7 @@ def test_resample_exact_hc_on_a_nonlinear_operator_fails_before_any_draw(schedul
     assert [s.counter for s in streams.streams] == [0, 0, 0]
     ctx = make_ctx(small_prior, schedule, np.zeros(6), 400, 200)
     with pytest.raises(ConfigError, match="^algorithm.exact_hc needs a linear operator$"):
-        canon.corr_resample(ctx, ops.Observation(y=np.zeros(6), op=op, sigma_y=0.1), params)
+        canon.corr_resample(bind(ctx, ops.Observation(y=np.zeros(6), op=op, sigma_y=0.1), params))
 
 
 # ---- the read probe over the `algorithm` keys ------------------------------
@@ -1480,12 +1490,12 @@ def test_corrector_fuzz_outputs_finite(schedule):
             obs = ops.Observation(y=y, op=op, sigma_y=0.05 + 0.5 * float(stream.uniform(())))
             ctx = canon.StepContext(
                 x_t=x_t, t_i=t_i, t_prev=t_prev, prior=prior,
-                schedule=schedule, stream=stream,
+                schedule=schedule, stream=stream, obs=obs, params=params,
             )
-            canon.sample_phi(params, ctx)
+            canon.sample_phi(ctx)
             try:
-                xhat = canon.CORRECTORS[name](ctx, obs, params)
-                x_next = canon.apply_noiser(params, ctx, obs, xhat)
+                xhat = canon.CORRECTORS[name](ctx)
+                x_next = canon.apply_noiser(ctx, xhat)
             except ConvergenceError:
                 continue
             assert np.all(np.isfinite(xhat)), (name, j)

@@ -360,16 +360,17 @@ def test_prior_sampling_uses_cholesky_draws():
 def test_ddim_coeff_variance_identity(schedule, small_prior, monkeypatch):
     # the stochastic DDIM noiser's (c1, c2) split the variance 1 - alphabar(t_prev)
     seen = []
-    monkeypatch.setattr(canon, "_ddim_noise", lambda xhat, ctx, c1, c2: seen.append((c1, c2)))
+    monkeypatch.setattr(canon, "_ddim_noise", lambda ctx, xhat, c1, c2: seen.append((c1, c2)))
     for S in (2, 5, 10):
         ts = dif.make_time_grid(schedule, S).timesteps
         for t_from, t_to in zip(ts[:-1], ts[1:]):
-            ctx = canon.StepContext(x_t=np.zeros(6), t_i=t_from, t_prev=t_to,
-                                    prior=small_prior, schedule=schedule, stream=RngStream(0))
             for eta in (0.0, 0.5, 0.85, 1.0):
                 params = canon.default_params("DPS")
                 params.eta = eta
-                canon.noiser_ddim(np.zeros(6), ctx, None, params)
+                ctx = canon.StepContext(x_t=np.zeros(6), t_i=t_from, t_prev=t_to,
+                                        prior=small_prior, schedule=schedule,
+                                        stream=RngStream(0), obs=None, params=params)
+                canon.noiser_ddim(ctx, np.zeros(6))
                 c1, c2 = seen.pop()
                 assert (c1, c2) == scalar_ddim_coeffs(schedule, t_from, t_to, eta)
                 assert abs(c1 * c1 + c2 * c2 - (1.0 - schedule.alphabar(t_to))) < 1e-12

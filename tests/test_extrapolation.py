@@ -579,29 +579,59 @@ def test_init_doubled_one_hot_loss_is_the_estimates_row_loss(op):
 # ---------------------------------------------------------------------------
 
 
+def step_ctx(prior, schedule, obs, algorithm, x_t, stream=None, **kw):
+    """A run's step context at (t_i, t_prev) = (500, 250), as the driver builds it."""
+    return canon.StepContext(x_t=x_t, t_i=500, t_prev=250, prior=prior, schedule=schedule,
+                             stream=stream or RngStream(0), obs=obs,
+                             params=canon.default_params(algorithm), **kw)
+
+
 def test_noisy_gt_restricted_to_spectral_algorithms(schedule, small_prior):
     obs, truth = mask_obs(small_prior)
     with pytest.raises(ConfigError):
-        lle.make_ground_truth(canon.default_params("DPS"), small_prior, schedule,
-                              obs, truth, 500, 250, noisy_gt=True)
+        lle.make_ground_truth(step_ctx(small_prior, schedule, obs, "DPS", truth), truth,
+                              noisy_gt=True)
 
 
 def test_noisy_gt_is_corrector_of_x0(schedule, small_prior):
     obs, truth = mask_obs(small_prior)
-    params = canon.default_params("DDNM")
-    got = lle.make_ground_truth(params, small_prior, schedule, obs, truth,
-                                500, 250, noisy_gt=True)
-    ctx = canon.StepContext(x_t=truth, t_i=500, t_prev=250, prior=small_prior,
-                            schedule=schedule, stream=RngStream(0),
-                            x0_sampled=truth.copy())
-    expected = canon.corr_ddrm(ctx, obs, params)
+    ctx = step_ctx(small_prior, schedule, obs, "DDNM", truth, x0_sampled=truth.copy())
+    got = lle.make_ground_truth(ctx, truth, noisy_gt=True)
+    expected = canon.corr_ddrm(ctx)
     assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_noisy_gt_runs_the_corrector_on_a_fresh_context(schedule, small_prior, monkeypatch):
+    # the run's context has drawn, sampled and cached eps and the whitening at its own
+    # x_t; the target shares none of them, and moves none of them
+    obs, truth = mask_obs(small_prior)
+    run = step_ctx(small_prior, schedule, obs, "DDRM", RngStream(101).standard_normal(6),
+                   stream=RngStream(102), history=[truth + 1.0])
+    run.stream.standard_normal(3)
+    canon.sample_phi(run)
+    counter, eps, whitened = run.stream.counter, run._eps.copy(), run._whitened
+    seen = []
+
+    def spy(ctx):
+        seen.append(ctx)
+        return canon.corr_ddrm(ctx)
+
+    monkeypatch.setitem(canon.CORRECTORS, "DDRM", spy)
+    got = lle.make_ground_truth(run, truth, noisy_gt=True)
+    fresh = step_ctx(small_prior, schedule, obs, "DDRM", truth, x0_sampled=truth.copy())
+    assert np.array_equal(got, canon.corr_ddrm(fresh))
+    (used,) = seen
+    assert used.stream is not run.stream and used.history == []
+    assert used._eps is None and used._whitened is None
+    assert np.array_equal(used.x_t, truth) and (used.t_i, used.t_prev) == (500, 250)
+    assert run.stream.counter == counter and run._whitened is whitened
+    assert np.array_equal(run._eps, eps)
 
 
 def test_clean_gt_is_reference(schedule, small_prior):
     obs, truth = mask_obs(small_prior)
-    got = lle.make_ground_truth(canon.default_params("DPS"), small_prior, schedule,
-                                obs, truth, 500, 250, noisy_gt=False)
+    got = lle.make_ground_truth(step_ctx(small_prior, schedule, obs, "DPS", truth), truth,
+                                noisy_gt=False)
     assert np.array_equal(got, truth)
 
 

@@ -171,12 +171,12 @@ def test_grid_runs_resample_linear_descent_off_its_preset(compare):
         ("resample-mask-base-steps-off", "mask", {"steps": 0}, ("run", "eval")),
         ("resample-mask-base-inner", "mask", {"lr": 0.5, "momentum": 0.5, "steps": 7},
          ("run", "eval"))]
-    assert plan[-5][0] == "resample-mask-base-inner"  # added after every draw
+    assert plan[-6][0] == "resample-mask-base-inner"  # added after every draw
 
 
 def test_grid_builds_every_operator_form(compare):
     # each `OPERATORS` form, so that none escapes the comparison; the two before the
-    # last two entries were added after every draw
+    # last three entries were added after every draw
     from lle import operators as ops
 
     plan = compare.grid_plan(3)
@@ -186,7 +186,7 @@ def test_grid_builds_every_operator_form(compare):
         forms = ops.OPERATORS[spec["kind"]]
         built.add((spec["kind"], next(key for key in forms if key in spec or key is None)))
     assert built == {(kind, key) for kind, forms in ops.OPERATORS.items() for key in forms}
-    assert [(name, cfg["task"]["operator"], calls) for name, cfg, calls in plan[-4:-2]] == [
+    assert [(name, cfg["task"]["operator"], calls) for name, cfg, calls in plan[-5:-3]] == [
         ("ddrm-mask-indices-base", {"kind": "mask", "keep_indices": [0, 2, 3, 5, 6]},
          ("run", "eval")),
         ("dps-nonlinear-kernel-base",
@@ -195,12 +195,12 @@ def test_grid_builds_every_operator_form(compare):
 
 def test_grid_runs_a_first_order_fit_at_warmup_0_last(compare):
     # every other first-order fit uses warmup 10, so the rule's warmup branch was always
-    # taken; it is the last first-order fit, one entry before the plan's end
+    # taken; it is the last first-order fit, two entries before the plan's end
     plan = compare.grid_plan(3)
     warmups = [(name, cfg["lle"]["warmup"]) for name, cfg, _ in plan
                if isinstance(cfg["lle"], dict) and "warmup" in cfg["lle"]]
     assert {w for _, w in warmups[:-1]} == {10}
-    name, cfg, calls = plan[-2]
+    name, cfg, calls = plan[-3]
     assert (name, cfg["algorithm"], cfg["task"]["operator"], calls) == (
         "ddnm-mask-coupled-first-no-warmup", {"name": "DDNM"}, plan[0][1]["task"]["operator"],
         ("train", "run"))
@@ -212,12 +212,13 @@ def test_grid_runs_a_first_order_fit_at_warmup_0_last(compare):
 
 
 def test_grid_runs_a_reddiff_fit_last(compare):
-    # REDdiff anchors at the previous combined estimate, which a base run never moves
+    # REDdiff anchors at the previous combined estimate, which a base run never moves;
+    # it is one entry before the plan's end
     plan = compare.grid_plan(3)
     fits = [(name, calls) for name, cfg, calls in plan
             if cfg["algorithm"]["name"] == "REDdiff" and cfg["lle"] != "none"]
     assert fits == [("reddiff-mask-coupled-closed", ("train", "run"))]
-    name, cfg, calls = plan[-1]
+    name, cfg, calls = plan[-2]
     assert (name, cfg["algorithm"], cfg["task"]["operator"]) == (
         "reddiff-mask-coupled-closed", {"name": "REDdiff", "xi": 0.5},
         plan[0][1]["task"]["operator"])
@@ -226,6 +227,22 @@ def test_grid_runs_a_reddiff_fit_last(compare):
     groups = compare.fit_groups([3])
     name = os.path.join("3", "grid", "recon-reddiff-mask-coupled-closed.lle")
     assert compare._group(name, groups) == ("recon", "REDdiff", "closed", "coupled")
+
+
+def test_grid_runs_a_noisy_target_fit_last(compare):
+    # the one fit whose target is the corrector applied to the references
+    plan = compare.grid_plan(3)
+    noisy = [(name, calls) for name, cfg, calls in plan
+             if isinstance(cfg["lle"], dict) and cfg["lle"].get("noisy_gt")]
+    assert noisy == [("ddrm-mask-coupled-closed-noisy-gt", ("train", "run"))]
+    name, cfg, calls = plan[-1]
+    assert (name, cfg["algorithm"], cfg["task"]["operator"]) == (
+        "ddrm-mask-coupled-closed-noisy-gt", {"name": "DDRM"}, plan[0][1]["task"]["operator"])
+    closed = {entry: config for entry, config, _ in plan}["ddrm-mask-coupled-closed"]["lle"]
+    assert dict(cfg["lle"], decoupled=False) == dict(closed, noisy_gt=True)
+    groups = compare.fit_groups([3])
+    name = os.path.join("3", "grid", "coeffs-ddrm-mask-coupled-closed-noisy-gt.json")
+    assert compare._group(name, groups) == ("coeffs", "DDRM", "closed", "coupled")
 
 
 def test_grid_runs_each_stage_switched_off(compare):

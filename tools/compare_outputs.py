@@ -56,9 +56,13 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   ``run --coeffs``, the last first-order fit in the plan: every other one
   uses ``warmup`` 10, so the rule's unscaled first steps are compared too;
 - one REDdiff closed-form fit on the mask at ``xi`` 0.5 with ``train`` and
-  ``run --coeffs``, last in the plan: REDdiff anchors at the previous step's
-  combined estimate, which only a fit makes differ from the corrected one,
-  and at its preset ``xi`` 1 the anchor cancels out of its step.
+  ``run --coeffs``: REDdiff anchors at the previous step's combined
+  estimate, which only a fit makes differ from the corrected one, and at its
+  preset ``xi`` 1 the anchor cancels out of its step;
+- one DDRM closed-form fit on the mask with ``lle.noisy_gt`` true, with
+  ``train`` and ``run --coeffs``, last in the plan: the only fit whose
+  target is the solver's corrector applied to the references
+  (``extrapolation.make_ground_truth``), not the references themselves.
 
 Every config sets only keys it reads: a closed-form fit takes no ``epochs``,
 ``warmup``, ``lr_rule`` or ``optimizer``, the Adam fit no ``warmup``, the fit at
@@ -239,6 +243,9 @@ def grid_plan(seed: int) -> list:
     cfg = _grid_config(prior_seed, "REDdiff", operators["mask"], 5, dict(fit, closed_form=True))
     cfg["algorithm"]["xi"] = 0.5  # at the preset's xi 1 the anchor cancels out of the step
     plan.append(("reddiff-mask-coupled-closed", cfg, ("train", "run")))
+    plan.append(("ddrm-mask-coupled-closed-noisy-gt", _grid_config(
+        prior_seed, "DDRM", operators["mask"], 5, dict(fit, closed_form=True, noisy_gt=True)),
+        ("train", "run")))
     return plan
 
 
