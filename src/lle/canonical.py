@@ -23,6 +23,7 @@ and `parse_json` / `read_json` are the package's one JSON reader.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -90,11 +91,27 @@ def reject_unread(table: dict, given: dict, value_of, path, by: str = "") -> Non
                                   f" is {json.dumps(value)}")
 
 
+class FieldRule(NamedTuple):
+    """One init field of a `ConfigBlock` as its rule table holds it, under its JSON key:
+    the attribute, the dotted path errors name, the kind `_check` reads ("float | None"
+    is "float"), the field's (choices, optional, bounds) or None when it carries no
+    rule, its nested block class or None, and whether the key is required."""
+
+    attr: str
+    path: str
+    kind: str
+    rule: tuple | None
+    nested: type | None
+    required: bool
+
+
 class ConfigBlock:
     """Base of the config dataclasses: construction checks each field's rule.
     `block` is the block's dotted path, which errors name keys from;
     `unread_when` maps a (switch key or dotted path, value) pair to the
-    keys nothing reads while the switch has that value, which `from_dict` rejects."""
+    keys nothing reads while the switch has that value, which `from_dict` rejects.
+    The fields' rules are read from the class's rule table (`rules`), built once per
+    class on first use and stored on that class, so a subclass builds its own."""
 
     block = ""
     unread_when = {}
@@ -103,12 +120,30 @@ class ConfigBlock:
     def _path(cls, key: str) -> str:
         return f"{cls.block}.{key}" if cls.block else key
 
+    @classmethod
+    def rules(cls) -> dict:
+        """The rule table: JSON key -> `FieldRule` for every init field, in field order."""
+        table = cls.__dict__.get("_rule_table")
+        if table is None:
+            table = {}
+            module = vars(sys.modules[cls.__module__])
+            for f in fields(cls):
+                if not f.init:
+                    continue
+                key = f.metadata.get("key") or f.name
+                nested = module.get(f.type)
+                if not (isinstance(nested, type) and issubclass(nested, ConfigBlock)):
+                    nested = None
+                table[key] = FieldRule(f.name, cls._path(key), f.type.split(" |")[0],
+                                       f.metadata.get("rule"), nested,
+                                       f.default is MISSING and f.default_factory is MISSING)
+            cls._rule_table = table
+        return table
+
     def __post_init__(self):
-        for f in fields(self):
-            if "rule" in f.metadata:
-                name = self._path(f.metadata["key"] or f.name)
-                kind = f.type.split(" |")[0]  # "float | None" is checked as "float"
-                _check(name, getattr(self, f.name), kind, *f.metadata["rule"])
+        for r in self.rules().values():
+            if r.rule is not None:
+                _check(r.path, getattr(self, r.attr), r.kind, *r.rule)
 
     @classmethod
     def from_dict(cls, obj, base=None):
@@ -117,21 +152,20 @@ class ConfigBlock:
         unknown key or a missing required key is an error naming its path."""
         if not isinstance(obj, dict):
             raise ConfigError(f"{cls.block or cls.__name__} must be an object, got {obj!r}")
-        by_key = {f.metadata.get("key") or f.name: f for f in fields(cls) if f.init}
-        unknown = [cls._path(key) for key in sorted(set(obj) - set(by_key))]
+        table = cls.rules()
+        unknown = [cls._path(key) for key in sorted(set(obj) - table.keys())]
         if unknown:
             raise ConfigError(f"unknown config key(s) {', '.join(unknown)}")
         values = {}
-        for key, f in by_key.items():
-            nested = vars(sys.modules[cls.__module__]).get(f.type)
-            if key in obj and isinstance(nested, type) and issubclass(nested, ConfigBlock):
-                values[f.name] = nested.from_dict(obj[key], getattr(base, f.name, None))
+        for key, r in table.items():
+            if key in obj and r.nested is not None:
+                values[r.attr] = r.nested.from_dict(obj[key], getattr(base, r.attr, None))
             elif key in obj:
-                values[f.name] = obj[key]
+                values[r.attr] = obj[key]
             elif base is not None:
-                values[f.name] = getattr(base, f.name)
-            elif f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(f"missing config key {cls._path(key)}")
+                values[r.attr] = getattr(base, r.attr)
+            elif r.required:
+                raise ConfigError(f"missing config key {r.path}")
         built = cls(**values)
         built._reject_unread(obj)
         return built
@@ -436,17 +470,26 @@ def corr_dmps(ctx: StepContext) -> np.ndarray:
     return x0 + coef * score_y
 
 
-def _descent_table(s: np.ndarray, opt: InnerOptParams) -> np.ndarray:
+def _descent_table(s: np.ndarray, lr: float, momentum: float, steps: int) -> np.ndarray:
     """P, (steps, r): P[j - 1, k] = e_kj / e_k0 after inner step j of the
     heavy-ball descent on ||s c - ybar||^2, whose error e = s c - ybar and
     scaled velocity u = s vel move per coordinate by u' = momentum u - 2 lr s^2 e,
     e' = e + u', from (e_0, 0). Entries may overflow to inf or NaN."""
-    P = np.empty((opt.steps, s.size))
-    rate = 2.0 * opt.lr * s * s
+    P = np.empty((steps, s.size))
+    rate = 2.0 * lr * s * s
     e, u = np.ones_like(s), np.zeros_like(s)
-    for j in range(opt.steps):
-        u = opt.momentum * u - rate * e
+    for j in range(steps):
+        u = momentum * u - rate * e
         e = P[j] = e + u
+    return P
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_descent_table(s_bytes: bytes, lr: float, momentum: float, steps: int) -> np.ndarray:
+    """`_descent_table` of the s whose bytes are s_bytes, read-only: built once per
+    (s, lr, momentum, steps) and shared by every step and run that reads it."""
+    P = _descent_table(np.frombuffer(s_bytes), lr, momentum, steps)
+    P.flags.writeable = False
     return P
 
 
@@ -463,7 +506,8 @@ def corr_resample(ctx: StepContext) -> np.ndarray:
     the guard reads it at the first step where any row is bad, and the result
     is x0 + (e_0 (P_n - 1) / s) V. A coordinate whose e_0 is exactly 0 stays
     put, as it does in the loop: it adds 0 to the loss and the result even
-    where P overflows.
+    where P overflows. P is built once per (s, lr, momentum, steps), not per
+    step, and shared read-only (`_shared_descent_table`).
     """
     obs, params, x0 = ctx.obs, ctx.params, ctx.x0_sampled
     opt = params.inner_opt
@@ -487,7 +531,7 @@ def corr_resample(ctx: StepContext) -> np.ndarray:
     e0 = op.s * (x0 @ op.V) - ybar
     limit = _divergence_limit(_row_dot(e0) + loss_perp, _row_dot(obs.y))
     with np.errstate(over="ignore", invalid="ignore"):
-        P = _descent_table(op.s, opt)
+        P = _shared_descent_table(op.s.tobytes(), opt.lr, opt.momentum, opt.steps)
         P2 = P * P
         if np.isfinite(P2).all():
             loss = e0 * e0 @ P2.T

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,8 +125,7 @@ class LLECoefficients(canon.ConfigBlock):
                               [np.eye(idx + 1)[idx] for idx in range(grid.S)], False)
 
     def to_json(self) -> str:
-        keys = {f.metadata["key"] or f.name: getattr(self, f.name)
-                for f in fields(self) if "rule" in f.metadata}
+        keys = {key: getattr(self, r.attr) for key, r in self.rules().items()}
         return json.dumps({k: v for k, v in keys.items() if v is not None}, indent=2)
 
     @classmethod
@@ -409,16 +408,21 @@ def infer(
     schedule,
     obs: ops.Observation,
     grid: dif.TimeGrid,
-    coeffs: LLECoefficients,
+    coeffs: LLECoefficients | None,
     seed: int,
     stream: RngStream | RowStreams | None = None,
 ) -> np.ndarray:
-    """Fixed-coefficient inference; identity coefficients reproduce the base run.
+    """Fixed-coefficient inference; identity coefficients reproduce the base run,
+    which coeffs None runs with no combiner at all.
 
     With (N, 1, m) rows of obs.y and a `RowStreams` stream, row i equals a
     one-row inference on obs.y[i, 0] with row i's stream, bit for bit (see
     `canonical.run_with_combiner`).
     """
+    if stream is None:
+        stream = RngStream(seed, stream_id=0)
+    if coeffs is None:
+        return canon.run_with_combiner(params, prior, schedule, obs, grid, stream)
     if tuple(coeffs.timesteps) != grid.timesteps[: grid.S]:
         raise ConfigError(
             f"coefficients trained on timesteps {list(coeffs.timesteps)}, the config's"
@@ -427,8 +431,6 @@ def infer(
     op = obs.op if obs.is_linear else None
     if coeffs.decoupled and op is None:
         raise ConfigError("decoupled coefficients require a linear operator")
-    if stream is None:
-        stream = RngStream(seed, stream_id=0)
 
     def combiner(ctx, xhat):
         return combine(coeffs.theta[len(ctx.history)], ctx.history, xhat, op, coeffs.decoupled)

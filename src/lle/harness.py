@@ -319,15 +319,14 @@ def make_test_batch(config: ExperimentConfig):
 
 
 def run_experiment(config: ExperimentConfig, seed: int, coeffs=None):
-    """Reconstruct the held-out batch with the base algorithm or with coefficients.
+    """Reconstruct the held-out batch with the base algorithm (coeffs None) or with
+    coefficients.
 
     One driver call runs all n_test rows as an (N, 1, d) batch with
     `RngStream(seed, 1000 + i)` for row i, so row i equals, bit for bit, a
     one-row `canonical.run` (or `lle.infer`) on ys[i] with that stream.
     """
     truths, ys, op = make_test_batch(config)
-    if coeffs is None:
-        coeffs = lle.LLECoefficients.identity(config.grid)
     obs = ops.Observation(y=ys[:, None, :], op=op, sigma_y=config.sigma_y)
     streams = RowStreams(RngStream(seed, stream_id=1000 + i) for i in range(config.n_test))
     recons = lle.infer(config.params, config.prior, config.schedule, obs, config.grid, coeffs,
@@ -360,9 +359,9 @@ def _sweep_cell(config: ExperimentConfig, grid: dif.TimeGrid, refs=None):
     algo, S = config.params.algorithm, grid.S
     config = replace(config, grid=grid)
 
-    def lle_coeffs():
+    def lle_coeffs():  # with no training block, identity coefficients: the base solver
         if config.train_config is None:
-            return lle.LLECoefficients.identity(grid)
+            return None
         if isinstance(refs, Exception):
             raise refs
         return train_lle(config, refs=refs)[0]

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import math
 import operator
 import re
+import sys
 import time
 import tracemalloc
 import warnings
@@ -78,6 +80,71 @@ def test_default_params_are_fresh_per_call():
     assert second.inner_opt.lr == 0.1 and second.daps.n_langevin == 100
     assert second.inner_opt is not first.inner_opt
     assert canon.SOLVERS["DiffPIR"].preset["inner_opt"]["lr"] == 0.1
+
+
+def _block_classes(root=canon.ConfigBlock):
+    """Every subclass of root, recursively."""
+    found = []
+    for sub in root.__subclasses__():
+        found += [sub, *_block_classes(sub)]
+    return found
+
+
+def test_every_config_block_has_a_rule_table_of_its_own_fields():
+    blocks = _block_classes()
+    assert {canon.AlgoParams, canon.DAPSParams, canon.InnerOptParams, harness.ConfigFile,
+            harness.TaskSpec, harness.OperatorSpec} <= set(blocks)
+    for cls in blocks:
+        table = cls.rules()
+        assert vars(cls)["_rule_table"] is table is cls.rules(), cls  # built once, on cls
+        ruled = [f for f in dataclasses.fields(cls) if "rule" in f.metadata]
+        module = sys.modules[cls.__module__]
+        want = []
+        for f in ruled:
+            key = f.metadata["key"] or f.name
+            nested = getattr(module, f.type, None)
+            want.append((key, f.name, f"{cls.block}.{key}" if cls.block else key,
+                         f.type.split(" |")[0], f.metadata["rule"],
+                         nested if isinstance(nested, type) else None))
+        got = [(key, r.attr, r.path, r.kind, r.rule, r.nested)
+               for key, r in table.items() if r.rule is not None]
+        assert got == want, cls
+        assert [r.attr for r in table.values()] == [f.name for f in dataclasses.fields(cls)
+                                                    if f.init], cls
+    assert "_rule_table" not in vars(canon.ConfigBlock)
+    # spot checks: a renamed key, a nested block with a rule and one without, a list kind
+    assert canon.AlgoParams.rules()["name"][:4] == ("algorithm", "algorithm.name", "str",
+                                                   (canon.ALGORITHMS, False, {}))
+    assert harness.ConfigFile.rules()["task"].nested is harness.TaskSpec
+    assert canon.AlgoParams.rules()["daps"][3:] == (None, canon.DAPSParams, False)
+    assert harness.InlinePrior.rules()["means"].kind == "list[list[float]]"
+
+
+def test_a_subclass_builds_its_own_rule_table():
+    parent = canon.InnerOptParams.rules()
+
+    @dataclasses.dataclass
+    class Wider(canon.InnerOptParams):
+        block = "wider"
+        extra: "int" = canon.rule(3, minimum=0)
+
+    try:
+        table = Wider.rules()
+        assert table is not parent and canon.InnerOptParams.rules() is parent
+        assert list(table) == ["lr", "momentum", "steps", "extra"]
+        assert [r.path for r in table.values()] == ["wider.lr", "wider.momentum",
+                                                    "wider.steps", "wider.extra"]
+        assert list(parent) == ["lr", "momentum", "steps"]
+        with pytest.raises(ConfigError, match=r"^wider\.extra must be >= 0, got -1$"):
+            Wider(extra=-1)
+        with pytest.raises(ConfigError, match=r"^wider\.lr must be >= 0\.0, got -1\.0$"):
+            Wider.from_dict({"lr": -1.0})
+        with pytest.raises(ConfigError, match=r"^algorithm\.inner_opt\.lr must be >= 0\.0"):
+            canon.InnerOptParams(lr=-1.0)
+    finally:  # other tests walk every ConfigBlock subclass: leave none behind
+        del Wider
+        gc.collect()
+    assert canon.InnerOptParams.__subclasses__() == []
 
 
 def test_sampler_is_tweedie(schedule, small_prior):
@@ -956,6 +1023,61 @@ def test_resample_rows_on_their_data_stay_put_when_the_table_overflows(schedule,
         y[1] += 0.5
         with pytest.raises(ConvergenceError, match=r"row\(s\) \[1\] at inner step 1:"):
             canon.corr_resample(bind(ctx, ops.Observation(y=y, op=op, sigma_y=0.05), params))
+
+
+def _resample_run(small_prior, schedule, op, inner_opt, S=3):
+    params = canon.default_params("ReSample")
+    params.inner_opt = canon.InnerOptParams(**inner_opt)
+    y = RngStream(396, 1).standard_normal((2, op.m))
+    obs = ops.Observation(y=y, op=op, sigma_y=0.05)
+    return canon.run(params, small_prior, schedule, obs, dif.make_time_grid(schedule, S), 7)
+
+
+def test_resample_builds_its_descent_table_once_per_run(schedule, small_prior, monkeypatch):
+    built = []
+    fresh = canon._descent_table
+
+    def spy(*args):
+        built.append(args[1:])
+        return fresh(*args)
+
+    monkeypatch.setattr(canon, "_descent_table", spy)
+    canon._shared_descent_table.cache_clear()
+    _resample_run(small_prior, schedule, _inner_loop_operator("dense"), {}, S=10)
+    assert built == [(0.01, 0.9, 50)]
+
+
+def test_resample_descent_table_is_keyed_on_s_lr_momentum_and_steps(schedule, small_prior):
+    # in one process, each run differs from the one before in one key only; with a
+    # table reused across keys its output would differ from a run on a fresh table
+    dense = _inner_loop_operator("dense")
+    other = ops.dense_operator(RngStream(397).standard_normal((8, 6)) / 4.0)
+    assert dense.s.shape == (3,) and other.s.shape == (6,)
+    rescaled = ops.dense_operator(2.0 * dense.dense())  # same shape, s doubled
+    base = {"lr": 0.1, "momentum": 0.5, "steps": 7}
+    runs = [(dense, base), (dense, dict(base, lr=0.2)), (dense, dict(base, momentum=0.6)),
+            (dense, dict(base, steps=9)), (rescaled, base), (other, base)]
+    warm = [_resample_run(small_prior, schedule, op, opt) for op, opt in runs]
+    for (op, opt), got in zip(runs, warm):
+        canon._shared_descent_table.cache_clear()
+        assert got.tobytes() == _resample_run(small_prior, schedule, op, opt).tobytes(), opt
+        table = canon._shared_descent_table(op.s.tobytes(), opt["lr"], opt["momentum"],
+                                            opt["steps"])
+        assert np.array_equal(table, canon._descent_table(op.s, opt["lr"], opt["momentum"],
+                                                          opt["steps"]))
+    assert len({got.tobytes() for got in warm}) == len(runs)
+
+
+def test_resample_descent_table_is_read_only():
+    s = np.array([0.5, 1.0, 2.0])
+    table = canon._shared_descent_table(s.tobytes(), 0.1, 0.5, 4)
+    assert table.shape == (4, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        table *= 2.0
+    assert np.array_equal(canon._shared_descent_table(s.tobytes(), 0.1, 0.5, 4),
+                          canon._descent_table(s, 0.1, 0.5, 4))
 
 
 # ---------------------------------------------------------------------------

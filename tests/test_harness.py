@@ -17,7 +17,7 @@ from lle import errors
 from lle import extrapolation as lle
 from lle import harness
 from lle import operators as ops
-from lle.numerics import RngStream, psnr
+from lle.numerics import RngStream, RowStreams, psnr
 
 from conftest import loaded, preset_lists, says_unread, with_value
 
@@ -531,6 +531,28 @@ def test_run_experiment_identity_matches_manual_infer(tmp_path):
                        stream=RngStream(11, stream_id=1001))
     assert np.array_equal(recons[1], manual)
     assert np.array_equal(truths, truths2)
+
+
+@pytest.mark.parametrize("name", canon.ALGORITHMS)
+def test_base_run_builds_no_coefficients_and_combines_nothing(tmp_path, monkeypatch, name):
+    # a base run is the plain solver: no identity coefficients, no combine call, and the
+    # same bytes as identity-coefficient inference on the same (N, 1, m) batch and streams
+    cfg = harness.load_config(write_config(tmp_path / "c.json", algorithm={"name": name},
+                                           steps=3, lle="none"))
+    _, ys, op = harness.make_test_batch(cfg)
+    obs = ops.Observation(y=ys[:, None, :], op=op, sigma_y=cfg.sigma_y)
+    streams = RowStreams(RngStream(11, stream_id=1000 + i) for i in range(cfg.n_test))
+    want = lle.infer(cfg.params, cfg.prior, cfg.schedule, obs, cfg.grid,
+                     lle.LLECoefficients.identity(cfg.grid), 11, stream=streams)[:, 0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a base run built or combined coefficients")
+
+    monkeypatch.setattr(lle.LLECoefficients, "identity", refuse)
+    monkeypatch.setattr(lle, "combine", refuse)
+    recons, _ = harness.run_experiment(cfg, seed=11)
+    assert cfg.n_test == 3
+    assert recons.tobytes() == want.tobytes()
 
 
 def test_ddnm_is_ddrm_at_unit_eta_b(tmp_path):

@@ -170,8 +170,12 @@ def test_grid_runs_resample_linear_descent_off_its_preset(compare):
     assert inner == [
         ("resample-mask-base-steps-off", "mask", {"steps": 0}, ("run", "eval")),
         ("resample-mask-base-inner", "mask", {"lr": 0.5, "momentum": 0.5, "steps": 7},
+         ("run", "eval")),
+        ("resample-dense-base-inner", "dense", {"lr": 0.5, "momentum": 0.5, "steps": 7},
          ("run", "eval"))]
-    assert plan[-6][0] == "resample-mask-base-inner"  # added after every draw
+    # added after every draw, the dense run right after the mask run in the same process
+    assert [name for name, _, _ in plan[-7:-5]] == ["resample-mask-base-inner",
+                                                     "resample-dense-base-inner"]
 
 
 def test_grid_builds_every_operator_form(compare):

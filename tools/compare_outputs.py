@@ -47,7 +47,9 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   fit at ``epochs`` 0 with ``train`` and ``run --coeffs``;
 - ReSample's range-coordinate descent table off its preset: one base ``run``
   and ``eval --oracle`` on the mask at ``inner_opt`` lr 0.5, momentum 0.5 and
-  7 steps, after every draw so that no earlier config changes;
+  7 steps, then the same on the dense operator, after every draw so that no
+  earlier config changes; the two differ only in the operator's singular
+  values s, so a descent table reused across a different s shows as a difference;
 - the two ``operators.OPERATORS`` forms no entry above builds, after every
   draw: one DDRM base ``run`` and ``eval --oracle`` on a mask given by
   ``keep_indices``, and one DPS base ``run`` on the ``nonlinear`` operator
@@ -228,9 +230,10 @@ def grid_plan(seed: int) -> list:
         plan.append((name, cfg, ("run",) if op_name == "nonlinear" else ("run", "eval")))
     plan.append(("ddnm-mask-coupled-first-epochs-off", _grid_config(
         prior_seed, "DDNM", operators["mask"], 5, dict(fit, epochs=0)), ("train", "run")))
-    cfg = _grid_config(prior_seed, "ReSample", operators["mask"], 5, "none")
-    cfg["algorithm"]["inner_opt"] = {"lr": 0.5, "momentum": 0.5, "steps": 7}
-    plan.append(("resample-mask-base-inner", cfg, ("run", "eval")))
+    for op_name in ("mask", "dense"):  # one process: a table reused across s shows here
+        cfg = _grid_config(prior_seed, "ReSample", operators[op_name], 5, "none")
+        cfg["algorithm"]["inner_opt"] = {"lr": 0.5, "momentum": 0.5, "steps": 7}
+        plan.append((f"resample-{op_name}-base-inner", cfg, ("run", "eval")))
     # the two operator forms no entry above builds
     indices = {"kind": "mask", "keep_indices": [0, 2, 3, 5, 6]}
     plan.append(("ddrm-mask-indices-base", _grid_config(prior_seed, "DDRM", indices, 5, "none"),
