@@ -228,14 +228,46 @@ class InnerOptParams(ConfigBlock):
     unread_when = {("steps", 0): ("lr", "momentum")}
 
 
+class RunTables:
+    """The x-independent constants of one run's steps t_i -> t_prev down the timesteps
+    ts, built once per driver call, vectorized over the grid. rows[i] is step i's row:
+    the mixture's `_constants` at t_i (one `prior._constants` call for every step), then
+    ab at t_i, ab_prev and sigma_prev = sqrt(1 - ab_prev) at t_prev, scalar columns as
+    Python floats, each entry the bits a one-step table holds. `memo` keeps a solver's
+    own per-step tables (DAPS's n-step factors) for the rest of the run.
+    """
+
+    def __init__(self, prior, schedule, ts):
+        self.t_i = list(ts[:-1])
+        self.index = {t: i for i, t in enumerate(self.t_i)}
+        self.ab = schedule.alphabars(self.t_i)
+        ab_prev = schedule.alphabars(list(ts[1:]))
+        self.rows = list(dif._rows(prior._constants(self.ab)
+                                   + (self.ab, ab_prev, np.sqrt(1.0 - ab_prev))))
+        self._memo = {}
+
+    def memo(self, key: tuple, build):
+        """build(), made on the run's first call with this key and kept for the rest of
+        the run; key holds every value the result depends on."""
+        table = self._memo.get(key)
+        if table is None:
+            table = self._memo[key] = build()
+        return table
+
+
 @dataclass
 class StepContext:
     """The step state every stage reads, its one argument besides the noiser's xhat:
-    the observation obs, the algorithm params, and the one source of the step's schedule
-    quantities: ab and sigma = sqrt(1 - ab) at t_i, ab_prev and sigma_prev at t_prev,
-    read once when it is built. eps and the mixture whitening at (x_t, t_i) are evaluated
-    once and shared by sampler, corrector and noiser. history is the driver's list of the
-    earlier steps' combined estimates, oldest first, so len(history) is the step's index."""
+    the observation obs, the algorithm params, and the step's schedule quantities:
+    ab and sigma = sqrt(1 - ab) at t_i, ab_prev and sigma_prev at t_prev. Those, and
+    the mixture's constants at t_i, are the step's row of run, the run's `RunTables`,
+    which the driver builds once per call; a context built without one (a test, a
+    one-off corrector call) is a one-step run and builds its own. obs keeps U^T y and
+    the norms of y from their first read on, so obs.y must not be mutated in place
+    after that. eps and the mixture whitening at (x_t, t_i) are evaluated once and
+    shared by sampler, corrector and noiser. history is the driver's list of the
+    earlier steps' combined estimates, oldest first, so len(history) is the step's
+    index."""
 
     x_t: np.ndarray
     t_i: int
@@ -247,23 +279,27 @@ class StepContext:
     params: AlgoParams
     history: list = field(default_factory=list)
     x0_sampled: np.ndarray | None = None
+    run: RunTables | None = None
     _eps: np.ndarray | None = None
     _whitened: tuple | None = None
+    step: int = field(init=False)  # the step's row of run
     ab: float = field(init=False)
     ab_prev: float = field(init=False)
     sigma: float = field(init=False)
     sigma_prev: float = field(init=False)
 
     def __post_init__(self):
-        self.ab = self.schedule.alphabar(self.t_i)
-        self.ab_prev = self.schedule.alphabar(self.t_prev)
-        self.sigma = self.schedule.sigma(self.t_i)
-        self.sigma_prev = self.schedule.sigma(self.t_prev)
+        if self.run is None:
+            self.run = RunTables(self.prior, self.schedule, (self.t_i, self.t_prev))
+        self.step = self.run.index[self.t_i]
+        row = self.run.rows[self.step]
+        self.sigma, self.ab, self.ab_prev, self.sigma_prev = row[1], *row[5:]
 
     @property
     def whitened(self) -> tuple:
         if self._whitened is None:
-            self._whitened = dif.whiten(self.prior, self.schedule, self.x_t, self.t_i)
+            self._whitened = self.prior._resp_and_whitened(self.run.rows[self.step],
+                                                           dif._as_batch(self.x_t)[0])
         return self._whitened
 
     @property
@@ -333,7 +369,7 @@ def corr_ddrm(ctx: StepContext) -> np.ndarray:
             / (math.sqrt(ctx.ab_prev) * obs.sigma_y),
             params.eta_b,
         )
-    spectral_y = (obs.y @ op.U) / op.s
+    spectral_y = obs.ybar / op.s
     innovation = spectral_y - x0 @ op.V
     return x0 + (lam * innovation) @ op.V.T
 
@@ -375,11 +411,6 @@ def corr_reddiff(ctx: StepContext) -> np.ndarray:
     if params.lam != 0.0:
         step = step - params.lam * _residual_grad_x0(ctx.obs, x0)
     return p + params.xi * step
-
-
-def _row_dot(a: np.ndarray) -> np.ndarray:
-    """a . a over the last axis, one BLAS dot per row, as np.vdot on one row."""
-    return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
 
 
 def _divergence_limit(loss0, loss_zero):
@@ -429,7 +460,7 @@ def corr_diffpir(ctx: StepContext) -> np.ndarray:
     if obs.is_linear:
         op = obs.op
         xbar = x0 @ op.V
-        ybar = obs.y @ op.U
+        ybar = obs.ybar
         if rho < 1e-12:
             # rho -> 0+ limit: exact projection x0 + A^+(y - A x0)
             corrected = ybar / op.s
@@ -446,7 +477,7 @@ def corr_diffpir(ctx: StepContext) -> np.ndarray:
 
     lr = params.inner_opt.lr
     opt = BatchScheduleFreeAdamW(x0, lr=lr)
-    limit = _divergence_limit(loss(x0), _row_dot(obs.y) + rho * _row_dot(x0))
+    limit = _divergence_limit(loss(x0), obs.y_norm2 + rho * ops.row_dot(x0))
     for step in range(1, params.inner_opt.steps + 1):
         opt.step(grad(opt.eval_point()))
         _guard(loss(opt.params()), limit, step, lr, "DiffPIR inner optimizer")
@@ -463,7 +494,7 @@ def corr_dmps(ctx: StepContext) -> np.ndarray:
     denom = obs.sigma_y**2 + (1.0 - ab_i) / ab_i * op.s**2
     if np.any(denom == 0.0):
         raise ConvergenceError("singular solve: sigma_y = 0 and alphabar = 1")
-    innov = obs.y @ op.U - (ctx.x_t @ op.V) * op.s / math.sqrt(ab_i)
+    innov = obs.ybar - (ctx.x_t @ op.V) * op.s / math.sqrt(ab_i)
     score_y = ((innov / denom) * op.s) @ op.V.T / math.sqrt(ab_i)
     alpha_i = ab_i / ab_prev
     coef = params.lam * (1.0 - alpha_i) / math.sqrt(alpha_i) / math.sqrt(ab_prev)
@@ -484,13 +515,29 @@ def _descent_table(s: np.ndarray, lr: float, momentum: float, steps: int) -> np.
     return P
 
 
+class DescentTable(NamedTuple):
+    """`_descent_table` P of one (s, lr, momentum, steps) with what `corr_resample` reads
+    of it: P^2, whether every entry of P^2 is finite, and the final shift (P_n - 1) / s,
+    0 where P_n overflows."""
+
+    P: np.ndarray
+    P2: np.ndarray
+    finite: bool
+    shift: np.ndarray
+
+
 @functools.lru_cache(maxsize=8)
-def _shared_descent_table(s_bytes: bytes, lr: float, momentum: float, steps: int) -> np.ndarray:
-    """`_descent_table` of the s whose bytes are s_bytes, read-only: built once per
-    (s, lr, momentum, steps) and shared by every step and run that reads it."""
-    P = _descent_table(np.frombuffer(s_bytes), lr, momentum, steps)
-    P.flags.writeable = False
-    return P
+def _shared_descent_table(s_bytes: bytes, lr: float, momentum: float, steps: int) -> DescentTable:
+    """The `DescentTable` of the s whose bytes are s_bytes, its arrays read-only: built
+    once per (s, lr, momentum, steps) and shared by every step and run that reads it."""
+    s = np.frombuffer(s_bytes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = _descent_table(s, lr, momentum, steps)
+        P2 = P * P
+        shift = np.where(np.isfinite(P[-1]), (P[-1] - 1.0) / s, 0.0)
+    for a in (P, P2, shift):
+        a.flags.writeable = False
+    return DescentTable(P, P2, bool(np.isfinite(P2).all()), shift)
 
 
 def corr_resample(ctx: StepContext) -> np.ndarray:
@@ -506,8 +553,9 @@ def corr_resample(ctx: StepContext) -> np.ndarray:
     the guard reads it at the first step where any row is bad, and the result
     is x0 + (e_0 (P_n - 1) / s) V. A coordinate whose e_0 is exactly 0 stays
     put, as it does in the loop: it adds 0 to the loss and the result even
-    where P overflows. P is built once per (s, lr, momentum, steps), not per
-    step, and shared read-only (`_shared_descent_table`).
+    where P overflows. P, P^2 and the shift (P_n - 1) / s are built once per
+    (s, lr, momentum, steps), not per step, and shared read-only
+    (`_shared_descent_table`); U^T y and both norms of y are the observation's.
     """
     obs, params, x0 = ctx.obs, ctx.params, ctx.x0_sampled
     opt = params.inner_opt
@@ -524,28 +572,24 @@ def corr_resample(ctx: StepContext) -> np.ndarray:
             r = fx - obs.y
             return np.sum(r * r, axis=-1), 2.0 * ops.nl_vjp(nlop, x, r, fx=fx)
 
-        return _momentum_descent(value_and_grad, x0, opt, _row_dot(obs.y))
+        return _momentum_descent(value_and_grad, x0, opt, obs.y_norm2)
     op = obs.op
-    ybar = obs.y @ op.U
-    loss_perp = _row_dot(obs.y - ybar @ op.U.T)
-    e0 = op.s * (x0 @ op.V) - ybar
-    limit = _divergence_limit(_row_dot(e0) + loss_perp, _row_dot(obs.y))
+    e0 = op.s * (x0 @ op.V) - obs.ybar
+    limit = _divergence_limit(ops.row_dot(e0) + obs.y_perp_norm2, obs.y_norm2)
+    table = _shared_descent_table(op.s.tobytes(), opt.lr, opt.momentum, opt.steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        P = _shared_descent_table(op.s.tobytes(), opt.lr, opt.momentum, opt.steps)
-        P2 = P * P
-        if np.isfinite(P2).all():
-            loss = e0 * e0 @ P2.T
+        if table.finite:
+            loss = e0 * e0 @ table.P2.T
         else:  # 0 * inf is NaN, where the loop keeps a coordinate at exactly 0
-            e = np.where(e0[..., None, :] == 0.0, 0.0, e0[..., None, :] * P)
+            e = np.where(e0[..., None, :] == 0.0, 0.0, e0[..., None, :] * table.P)
             loss = np.sum(e * e, axis=-1)
-        loss += loss_perp[..., None]
+        loss += obs.y_perp_norm2[..., None]
         bad = ~np.isfinite(loss) | (loss > limit[..., None])
         if bad.any():
             step = int(np.argmax(bad.reshape(-1, opt.steps).any(axis=0)))
             _guard(loss[..., step], limit, step + 1, opt.lr, "inner optimizer")
-        # past the guard, P_n overflows only where every row's e_0 is 0
-        shift = np.where(np.isfinite(P[-1]), (P[-1] - 1.0) / op.s, 0.0)
-    return x0 + (e0 * shift) @ op.V.T
+    # past the guard, P_n overflows only where every row's e_0 is 0
+    return x0 + (e0 * table.shift) @ op.V.T
 
 
 def daps_step_size(daps: DAPSParams, t: int, T: int) -> float:
@@ -578,6 +622,29 @@ def _geometric_sums(f: np.ndarray, n: int):
         step_power = step_power * step_power
 
 
+def _daps_rows(daps: DAPSParams, sigma: float, s: np.ndarray, t: list, ab: np.ndarray,
+               T: int) -> list:
+    """The factors of the linear DAPS chain's n-step law (see `corr_daps`) at each step
+    of a run, at timesteps t with alphabar ab: sqrt(2 eta_t), the null space's anchor
+    and noise factors, and per range coordinate (r,) the anchor's and the noise's
+    factors less the null space's, and U^T y's. `_geometric_sums` runs once, on the
+    (S, r + 1) stack of every step's factors; every operation is elementwise, so row i
+    holds the bits of the one-step form at (t[i], ab[i])."""
+    eta = daps_step_size(daps, np.asarray(t), T)
+    pull = eta / (1.0 - ab)
+    a = (1.0 - pull)[:, None]
+    # the noiseless data term is (1/(2 eta_t)) ||A x - y||^2, so eta_t w = 1
+    eta_w = (np.ones_like(eta) if daps.noiseless_linear else eta / sigma**2)[:, None]
+    # one factor per range coordinate, then the null space's a
+    power, total, root = _geometric_sums(np.hstack([a - eta_w * s**2, a]), daps.n_langevin)
+    # anchor's factor M^n + pull sum M^j; A^T y lies in the range, so the
+    # null space's large sum_{j<n} a^j never multiplies it
+    keep = power + pull[:, None] * total
+    return list(dif._rows((np.sqrt(2.0 * eta), keep[:, -1], root[:, -1],
+                           keep[:, :-1] - keep[:, -1:], eta_w * s * total[:, :-1],
+                           root[:, :-1] - root[:, -1:])))
+
+
 def corr_daps(ctx: StepContext) -> np.ndarray:
     """Langevin chain targeting the anchored posterior around x_{0,t_i}.
 
@@ -590,6 +657,8 @@ def corr_daps(ctx: StepContext) -> np.ndarray:
     k, a on the null space), so the n = n_langevin step chain is one AR(1)
     recursion per coordinate and its result is drawn exactly:
     anchor M^n + g sum_{j<n} M^j + sqrt(2 eta_t) xi (sum_{j<n} M^(2j))^(1/2).
+    Those factors do not depend on x: the step's first call builds them for every
+    step of the run at once (`_daps_rows`) and keeps them in the run's `RunTables`.
 
     Determinism contract: on a linear operator xi is one ``standard_normal``
     draw shaped like the anchor, so a call advances each row's counter once
@@ -610,26 +679,20 @@ def corr_daps(ctx: StepContext) -> np.ndarray:
     sigma = daps.sigma_langevin
     if sigma is None:
         sigma = max(obs.sigma_y, 0.02)
+    _need_linear(params, obs)
+    if obs.is_linear:
+        op, run = obs.op, ctx.run
+        key = ("daps", daps.eta0, daps.delta, daps.n_langevin, daps.noiseless_linear, sigma,
+               op.s.tobytes())
+        rows = run.memo(key, lambda: _daps_rows(daps, sigma, op.s, run.t_i, run.ab,
+                                                ctx.schedule.T))
+        noise_scale, keep_null, root_null, keep, y_gain, root = rows[ctx.step]
+        xi = noise_scale * ctx.stream.standard_normal(anchor.shape)
+        coords = (anchor @ op.V) * keep + obs.ybar * y_gain + (xi @ op.V) * root
+        return keep_null * anchor + root_null * xi + coords @ op.V.T
     eta_t = daps_step_size(daps, ctx.t_i, ctx.schedule.T)
     r2 = 1.0 - ctx.ab
     noise_scale = math.sqrt(2.0 * eta_t)
-    _need_linear(params, obs)
-    if obs.is_linear:
-        op = obs.op
-        # the noiseless data term is (1/(2 eta_t)) ||A x - y||^2, so eta_t w = 1
-        eta_w = 1.0 if daps.noiseless_linear else eta_t / sigma**2
-        pull = eta_t / r2
-        a = 1.0 - pull
-        # one factor per range coordinate, then the null space's a
-        power, total, root = _geometric_sums(np.append(a - eta_w * op.s**2, a), daps.n_langevin)
-        # anchor's factor M^n + pull sum M^j; A^T y lies in the range, so the
-        # null space's large sum_{j<n} a^j never multiplies it
-        keep = power + pull * total
-        xi = noise_scale * ctx.stream.standard_normal(anchor.shape)
-        coords = ((anchor @ op.V) * (keep[:-1] - keep[-1])
-                  + (obs.y @ op.U) * (eta_w * op.s * total[:-1])
-                  + (xi @ op.V) * (root[:-1] - root[-1]))
-        return keep[-1] * anchor + root[-1] * xi + coords @ op.V.T
 
     def drift(x):
         grad = (x - anchor) / r2
@@ -729,18 +792,20 @@ def noiser_ddrm(ctx: StepContext, xhat) -> np.ndarray:
         )
     eps = ctx.stream.standard_normal(xhat.shape)
     sqrt_ab = math.sqrt(ctx.ab_prev)
+    # V^T xhat and V^T eps serve the range coordinates and the null projections
+    # x - (x V) V^T, which `ops.project` computes the same way
+    xbar = xhat @ op.V
+    ebar = eps @ op.V
     # null-space branch (s_k = 0): deterministic eps_theta share plus fresh noise
-    null_xhat = ops.project(op, xhat, "null")
+    null_xhat = xhat - xbar @ op.V.T
     null_eps_theta = ops.project(op, ctx.eps_cached, "null")
-    null_eps = ops.project(op, eps, "null")
+    null_eps = eps - ebar @ op.V.T
     out_null = (
         sqrt_ab * null_xhat
         + math.sqrt(max(0.0, 1.0 - eta * eta)) * sig_prev * null_eps_theta
         + eta * sig_prev * null_eps
     )
     # range coordinates: per-k standard deviation by branch
-    xbar = xhat @ op.V
-    ebar = eps @ op.V
     std = np.where(middle, np.full(op.r, eta * sig_prev), np.sqrt(np.clip(rad, 0.0, None)))
     out_range = (sqrt_ab * xbar + std * ebar) @ op.V.T
     return out_null + out_range
@@ -889,6 +954,13 @@ def run_with_combiner(
     ConfigError on a nonlinear one here, before the first draw; an estimate
     that is not finite raises ConvergenceError naming its step and rows.
 
+    What does not depend on the state x is built once per call, not per step:
+    the run's `RunTables` (the mixture's constants and the schedule quantities of
+    every step, from one vectorized `prior._constants` call) before the first
+    draw, a solver's own per-step tables (DAPS's n-step factors) on the first
+    step that reads them, and U^T y and the norms of y on obs, on first read
+    (`ops.Observation`), so obs.y must not be mutated in place during the run.
+
     Determinism: every product and reduction runs over the last two axes
     (a (B, m) batch is one matrix product), so an (N, 1, m) batch, drawn from
     a `RowStreams` of one `RngStream` per row, gives row i bit for bit what
@@ -897,11 +969,12 @@ def run_with_combiner(
     """
     _need_linear(params, obs)
     ts = grid.timesteps
+    run = RunTables(prior, schedule, ts)
     x = stream.standard_normal(obs.y.shape[:-1] + (prior.d,))
     history: list[np.ndarray] = []
     for t_i, t_prev in zip(ts, ts[1:]):
         ctx = StepContext(x_t=x, t_i=t_i, t_prev=t_prev, prior=prior, schedule=schedule,
-                          stream=stream, obs=obs, params=params, history=history)
+                          stream=stream, obs=obs, params=params, history=history, run=run)
         sample_phi(ctx)
         xhat = CORRECTORS[params.algorithm](ctx)
         est = combiner(ctx, xhat) if combiner is not None else xhat

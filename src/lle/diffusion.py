@@ -104,7 +104,7 @@ class GaussianMixturePrior:
         self._basis_t = np.ascontiguousarray(self._basis.T)
         self._mean_coords = (self.means[:, None, :] @ eigvecs).reshape(-1)  # [Q_k^T m_k]
         # (K*d, K): sums each component's block of d coordinates
-        self._block_sum = np.kron(np.eye(self.K), np.ones((self.d, 1)))
+        self._block_sum = np.repeat(np.eye(self.K), self.d, axis=0)
         self._neg_half_block_sum = -0.5 * self._block_sum
 
     # -- serialization ----------------------------------------------------
@@ -214,7 +214,11 @@ def _as_batch(x: np.ndarray):
 def whiten(prior, schedule, x, t: int):
     """The mixture's (responsibilities, whitened residuals, reciprocal
     eigenvalues) at (x, t); pass it as `whitened=` to evaluate `gmm_eps` and
-    `gmm_eps_jvp` at the same (x, t) without repeating the solves."""
+    `gmm_eps_jvp` at the same (x, t) without repeating the solves.
+
+    No `lle` caller is left: the solver driver whitens from its run's table
+    (`canonical.RunTables`). This one-step form is kept as the reference the
+    tests compare that table, and the row stacks, against."""
     return prior._resp_and_whitened(_mixture_row(prior, schedule, t), _as_batch(x)[0])
 
 

@@ -260,17 +260,19 @@ class TrainConfig(canon.ConfigBlock):
 def make_ground_truth(ctx: canon.StepContext, x0: np.ndarray,
                       noisy_gt: bool = False) -> np.ndarray:
     """Training target at ctx.t_i: x0, or the algorithm's own corrector applied to
-    x0 on a fresh context at ctx's (t_i, t_prev), obs and params."""
+    x0 on a fresh context at ctx's (t_i, t_prev), obs, params and run tables."""
     algorithm = ctx.params.algorithm
     if not noisy_gt:
         return np.array(x0, copy=True)
     if not canon.SOLVERS[algorithm].noisy_gt:
         raise ConfigError(f"noisy ground truth is not defined for {algorithm}")
     # the DDRM/DDNM correctors draw nothing and read no history; a fresh context
-    # shares neither the run's stream nor its eps and whitening, which are at x_t
+    # shares neither the run's stream nor its eps and whitening, which are at x_t,
+    # but reads its step's row of the run's x-independent tables
     fresh = canon.StepContext(x_t=x0, t_i=ctx.t_i, t_prev=ctx.t_prev, prior=ctx.prior,
                               schedule=ctx.schedule, stream=RngStream(0, 0), obs=ctx.obs,
-                              params=ctx.params, x0_sampled=np.array(x0, copy=True))
+                              params=ctx.params, x0_sampled=np.array(x0, copy=True),
+                              run=ctx.run)
     return canon.CORRECTORS[algorithm](fresh)
 
 

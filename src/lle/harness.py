@@ -354,27 +354,29 @@ def _sweep_cell(config: ExperimentConfig, grid: dif.TimeGrid, refs=None):
     """The base and LLE rows for one step count, run on its grid.
 
     refs is the sweep's shared reference batch, or the exception that
-    generating it raised, which turns the LLE row into an error row.
+    generating it raised, which turns the LLE row into an error row. With no
+    training block the LLE row is the base solver's (identity coefficients),
+    so the base run is made once and written as both rows.
     """
     algo, S = config.params.algorithm, grid.S
     config = replace(config, grid=grid)
 
-    def lle_coeffs():  # with no training block, identity coefficients: the base solver
-        if config.train_config is None:
-            return None
+    def row(strategy, coeffs):
+        try:
+            recon, truths = run_experiment(config, config.test_seed, coeffs=coeffs())
+            return algo, S, strategy, mse(recon, truths), _mean_psnr(recon, truths, config.peak)
+        except Exception as exc:  # cell failure must not abort the sweep
+            return algo, S, strategy, "error", f"error:{type(exc).__name__}"
+
+    def lle_coeffs():
         if isinstance(refs, Exception):
             raise refs
         return train_lle(config, refs=refs)[0]
 
-    rows = []
-    for strategy, coeffs in (("base", lambda: None), ("LLE", lle_coeffs)):
-        try:
-            recon, truths = run_experiment(config, config.test_seed, coeffs=coeffs())
-            rows.append((algo, S, strategy, mse(recon, truths),
-                         _mean_psnr(recon, truths, config.peak)))
-        except Exception as exc:  # cell failure must not abort the sweep
-            rows.append((algo, S, strategy, "error", f"error:{type(exc).__name__}"))
-    return rows
+    base = row("base", lambda: None)
+    if config.train_config is None:
+        return [base, (algo, S, "LLE") + base[3:]]
+    return [base, row("LLE", lle_coeffs)]
 
 
 def _mean_psnr(recon, truth, peak) -> float:

@@ -12,6 +12,7 @@ each `task.operator` kind of a config to its forms, and `build_operator` builds 
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,8 +88,23 @@ def observe(op, x, sigma_y: float, stream: RngStream | None = None) -> np.ndarra
     return y
 
 
+def row_dot(a: np.ndarray) -> np.ndarray:
+    """a . a over the last axis, one BLAS dot per row, as np.vdot on one row."""
+    return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Observation:
+    """The data y = A(x) + sigma_y n of a run. The x-independent quantities of y that
+    the correctors read (ybar = U^T y, ||y||^2 and ||y - U U^T y||^2 per row) are
+    computed once, on first read, and kept read-only for the run, so y must not be
+    mutated in place after any of them has been read."""
+
     y: np.ndarray
     op: object  # LinearOperator or NonlinearOperator
     sigma_y: float
@@ -102,6 +118,21 @@ class Observation:
     @property
     def is_linear(self) -> bool:
         return isinstance(self.op, LinearOperator)
+
+    @functools.cached_property
+    def ybar(self) -> np.ndarray:
+        """U^T y, the data in the left singular basis of a linear operator."""
+        return _read_only(self.y @ self.op.U)
+
+    @functools.cached_property
+    def y_norm2(self) -> np.ndarray:
+        """||y||^2 per row: the loss of the zero estimate."""
+        return _read_only(row_dot(self.y))
+
+    @functools.cached_property
+    def y_perp_norm2(self) -> np.ndarray:
+        """||y - U U^T y||^2 per row: the part of the loss no linear estimate moves."""
+        return _read_only(row_dot(self.y - self.ybar @ self.op.U.T))
 
 
 # ---------------------------------------------------------------------------

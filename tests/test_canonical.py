@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lle import canonical as canon
 from lle import harness
@@ -956,14 +957,14 @@ def _resample_range_loop(descent, x0, obs, opt):
     range coordinates, one loss and gradient per inner step."""
     op = obs.op
     ybar = obs.y @ op.U
-    loss_perp = canon._row_dot(obs.y - ybar @ op.U.T)
+    loss_perp = ops.row_dot(obs.y - ybar @ op.U.T)
 
     def value_and_grad(c):
         r = op.s * c - ybar
-        return canon._row_dot(r) + loss_perp, 2.0 * op.s * r
+        return ops.row_dot(r) + loss_perp, 2.0 * op.s * r
 
     c0 = x0 @ op.V
-    return x0 + (descent(value_and_grad, c0, opt, canon._row_dot(obs.y)) - c0) @ op.V.T
+    return x0 + (descent(value_and_grad, c0, opt, ops.row_dot(obs.y)) - c0) @ op.V.T
 
 
 @pytest.mark.parametrize("batch", [1, 4])
@@ -1063,21 +1064,30 @@ def test_resample_descent_table_is_keyed_on_s_lr_momentum_and_steps(schedule, sm
         assert got.tobytes() == _resample_run(small_prior, schedule, op, opt).tobytes(), opt
         table = canon._shared_descent_table(op.s.tobytes(), opt["lr"], opt["momentum"],
                                             opt["steps"])
-        assert np.array_equal(table, canon._descent_table(op.s, opt["lr"], opt["momentum"],
-                                                          opt["steps"]))
+        assert np.array_equal(table.P, canon._descent_table(op.s, opt["lr"], opt["momentum"],
+                                                            opt["steps"]))
     assert len({got.tobytes() for got in warm}) == len(runs)
 
 
-def test_resample_descent_table_is_read_only():
+@pytest.mark.parametrize("lr", [0.1, 1e6])  # 1e6 overflows P within the 60 steps
+def test_resample_descent_table_is_read_only(lr):
+    # the entry holds P and what corr_resample reads of it, each as P alone gives it
     s = np.array([0.5, 1.0, 2.0])
-    table = canon._shared_descent_table(s.tobytes(), 0.1, 0.5, 4)
-    assert table.shape == (4, 3)
-    with pytest.raises(ValueError, match="read-only"):
-        table[0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        table *= 2.0
-    assert np.array_equal(canon._shared_descent_table(s.tobytes(), 0.1, 0.5, 4),
-                          canon._descent_table(s, 0.1, 0.5, 4))
+    table = canon._shared_descent_table(s.tobytes(), lr, 0.5, 60)
+    assert table.P.shape == table.P2.shape == (60, 3) and table.shift.shape == (3,)
+    for array in (table.P, table.P2, table.shift):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = canon._descent_table(s, lr, 0.5, 60)
+        P2 = P * P
+        shift = np.where(np.isfinite(P[-1]), (P[-1] - 1.0) / s, 0.0)
+    assert np.array_equal(table.P, P, equal_nan=True)
+    assert np.array_equal(table.P2, P2, equal_nan=True)
+    assert table.shift.tobytes() == shift.tobytes()
+    assert table.finite == bool(np.isfinite(P2).all()) == (lr == 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -1261,6 +1271,156 @@ def test_resample_noiser_terminal_step_finite(schedule, small_prior):
     c1, c2 = scalar_ddim_coeffs(schedule, 250, 0, params.eta)
     x_prime = ctx.x0_sampled + c2 * ctx.eps_cached  # c1 = 0 at ab_prev = 1
     assert np.max(np.abs(out - (w * xhat + (1.0 - w) * x_prime))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# per-run tables
+# ---------------------------------------------------------------------------
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("S", [1, 4, 10])
+def test_run_table_rows_equal_one_step_rows(schedule, small_prior, S):
+    # a context built outside the driver is a one-step run of the same table code,
+    # and every row holds the bits of the per-step lookups it replaces
+    ts = dif.make_time_grid(schedule, S).timesteps
+    run = canon.RunTables(small_prior, schedule, ts)
+    assert len(run.rows) == S
+    for i, (t_i, t_prev) in enumerate(zip(ts, ts[1:])):
+        row, one = run.rows[i], canon.RunTables(small_prior, schedule, (t_i, t_prev)).rows[0]
+        assert [_bits(v) for v in row] == [_bits(v) for v in one]
+        mixture = dif._mixture_row(small_prior, schedule, t_i)
+        assert [_bits(v) for v in row[:5]] == [_bits(v) for v in mixture]
+        assert row[5:] == (schedule.alphabar(t_i), schedule.alphabar(t_prev),
+                           schedule.sigma(t_prev))
+        ctx = make_ctx(small_prior, schedule, np.zeros(6), t_i, t_prev)
+        assert (ctx.ab, ctx.ab_prev, ctx.sigma, ctx.sigma_prev) == (
+            schedule.alphabar(t_i), schedule.alphabar(t_prev), schedule.sigma(t_i),
+            schedule.sigma(t_prev))
+
+
+@pytest.mark.parametrize("name", [name for name in canon.ALGORITHMS if name != "DAPS"])
+def test_driver_builds_the_mixture_constants_once_per_call(schedule, small_prior, monkeypatch,
+                                                           name):
+    # one prior._constants call over the whole grid, not one per step (DAPS's DDIM
+    # chain sampler builds its own sub-grid's tables in dif.ddim_run)
+    calls = []
+    orig = small_prior._constants
+
+    def spy(ab):
+        calls.append(ab.shape)
+        return orig(ab)
+
+    monkeypatch.setattr(small_prior, "_constants", spy)
+    op = ops.mask_operator(6, [0, 2, 4])
+    obs = ops.Observation(y=RngStream(420).standard_normal((3, 1, 3)), op=op, sigma_y=0.05)
+    grid = dif.make_time_grid(schedule, 6)
+    canon.run(canon.default_params(name), small_prior, schedule, obs, grid, seed=4)
+    assert calls == [(6,)]
+
+
+def test_observation_computes_ybar_and_the_norms_of_y_once(schedule, small_prior):
+    op = ops.dense_operator(RngStream(421).standard_normal((4, 6)) / 3.0)
+    y = RngStream(422).standard_normal((3, 1, 4))
+    obs = ops.Observation(y=y, op=op, sigma_y=0.05)
+    ybar, norm2, perp2 = obs.ybar, obs.y_norm2, obs.y_perp_norm2
+    assert ybar.tobytes() == (y @ op.U).tobytes()
+    for kept in (ybar, norm2, perp2):  # shared by every step that reads them
+        with pytest.raises(ValueError, match="read-only"):
+            kept *= 2.0
+    for i in range(3):
+        assert norm2[i, 0] == np.vdot(y[i, 0], y[i, 0])
+        perp = y[i, 0] - (y[i, 0] @ op.U) @ op.U.T
+        assert perp2[i, 0] == np.vdot(perp, perp)
+    grid = dif.make_time_grid(schedule, 5)
+    for name in ("DDRM", "DiffPIR", "DMPS", "ReSample", "DAPS"):  # every reader of them
+        canon.run(canon.default_params(name), small_prior, schedule, obs, grid, seed=6)
+        assert obs.ybar is ybar and obs.y_norm2 is norm2 and obs.y_perp_norm2 is perp2
+
+
+@given(eta0=st.sampled_from([0.0, 1e-4, 5e-4, 1e-2]) | st.floats(0.0, 0.05),
+       delta=st.floats(0.0, 1.0), sigma=st.none() | st.floats(0.01, 1.0),
+       n=st.sampled_from([1, 2, 3, 7, 100]) | st.integers(1, 10**9),
+       noiseless=st.booleans(), S=st.integers(1, 15))
+@settings(max_examples=60, deadline=None)
+def test_daps_run_factors_equal_the_one_step_form(schedule, eta0, delta, sigma, n, noiseless,
+                                                  S):
+    # the (S, r + 1) stack through one _geometric_sums call gives each step the bits
+    # the per-step form gives, and a run's context corrects as a one-step one does
+    prior = random_mixture(3, 6, 2)
+    op = ops.dense_operator(RngStream(423).standard_normal((4, 6)) / 3.0)
+    obs = ops.Observation(y=RngStream(424).standard_normal((2, 1, 4)), op=op, sigma_y=0.05)
+    params = canon.default_params("DAPS")
+    params.daps = canon.DAPSParams(n_langevin=n, eta0=eta0, delta=delta, sigma_langevin=sigma,
+                                   noiseless_linear=noiseless)
+    resolved = max(obs.sigma_y, 0.02) if sigma is None else sigma
+    ts = dif.make_time_grid(schedule, S).timesteps
+    run = canon.RunTables(prior, schedule, ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = canon._daps_rows(params.daps, resolved, op.s, run.t_i, run.ab, schedule.T)
+        for i, t_i in enumerate(ts[:-1]):
+            eta_t = canon.daps_step_size(params.daps, t_i, schedule.T)
+            pull = eta_t / (1.0 - schedule.alphabar(t_i))
+            a = 1.0 - pull
+            eta_w = 1.0 if noiseless else eta_t / resolved**2
+            power, total, root = canon._geometric_sums(np.append(a - eta_w * op.s**2, a), n)
+            keep = power + pull * total
+            want = (math.sqrt(2.0 * eta_t), keep[-1], root[-1], keep[:-1] - keep[-1],
+                    eta_w * op.s * total[:-1], root[:-1] - root[-1])
+            assert [_bits(v) for v in rows[i]] == [_bits(v) for v in want]
+        i = S // 2
+        x0 = RngStream(425).standard_normal((2, 1, 6))
+        outs = []
+        for table in (run, None):
+            ctx = canon.StepContext(x_t=x0, t_i=ts[i], t_prev=ts[i + 1], prior=prior,
+                                    schedule=schedule, stream=RngStream(426), obs=obs,
+                                    params=params, x0_sampled=x0, run=table)
+            outs.append(canon.corr_daps(ctx))
+    assert outs[0].tobytes() == outs[1].tobytes()
+
+
+def _noiser_ddrm_by_projection(ctx, xhat):
+    """`noiser_ddrm` with each null part taken by its own `ops.project` call."""
+    obs, params, sig_prev = ctx.obs, ctx.params, ctx.sigma_prev
+    op, eta = obs.op, params.eta
+    middle = canon._noisy_branch(ctx)
+    rad = sig_prev**2 - obs.sigma_y**2 * params.eta_b**2 * ctx.ab_prev / op.s**2
+    rad = np.where(middle, 0.0, rad)
+    eps = ctx.stream.standard_normal(xhat.shape)
+    sqrt_ab = math.sqrt(ctx.ab_prev)
+    out_null = (sqrt_ab * ops.project(op, xhat, "null")
+                + math.sqrt(max(0.0, 1.0 - eta * eta)) * sig_prev
+                * ops.project(op, ctx.eps_cached, "null")
+                + eta * sig_prev * ops.project(op, eps, "null"))
+    std = np.where(middle, np.full(op.r, eta * sig_prev), np.sqrt(np.clip(rad, 0.0, None)))
+    return out_null + (sqrt_ab * (xhat @ op.V) + std * (eps @ op.V)) @ op.V.T
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (3, 1)])
+@pytest.mark.parametrize("sigma_y", [0.0, 0.05, 0.5])
+@pytest.mark.parametrize("kind", ["mask", "dense"])
+def test_noiser_ddrm_equals_its_projection_form(schedule, small_prior, monkeypatch, kind,
+                                                sigma_y, shape):
+    # V^T xhat and V^T eps serve the null parts too: one projection call, for eps_theta
+    op = (ops.mask_operator(6, [0, 2, 3]) if kind == "mask"
+          else ops.dense_operator(RngStream(427).standard_normal((4, 6)) / 3.0))
+    x_t = RngStream(428).standard_normal(shape + (6,))
+    xhat = RngStream(429).standard_normal(shape + (6,))
+    obs = ops.Observation(y=RngStream(430).standard_normal(shape + (op.m,)), op=op,
+                          sigma_y=sigma_y)
+    projected, project = [], ops.project
+    for eta in (0.0, 0.85, 1.0):
+        ctxs = [bind(make_ctx(small_prior, schedule, x_t, 500, 250, stream=RngStream(431)),
+                     obs, with_eta("DDRM", eta)) for _ in range(2)]
+        want = _noiser_ddrm_by_projection(ctxs[1], xhat)
+        monkeypatch.setattr(ops, "project", lambda *a: projected.append(a[2]) or project(*a))
+        got = canon.noiser_ddrm(ctxs[0], xhat)
+        monkeypatch.undo()
+        assert got.tobytes() == want.tobytes()
+    assert projected == ["null"] * 3
 
 
 # ---------------------------------------------------------------------------

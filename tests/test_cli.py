@@ -1,5 +1,8 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -422,3 +425,28 @@ def test_unwritable_output_is_one_line_and_exit_5(tmp_path, config_path, capsys)
     assert _run(config_path, tmp_path, "nodir/r.bin") == 5
     assert _error_line(capsys) == (f"{tmp_path / 'nodir/r.bin'} cannot be written:"
                                    " No such file or directory")
+
+
+# what lle's modules import today, besides each other: `import lle.cli` in a fresh
+# interpreter may load these, whatever they load in turn, and lle, nothing more. In
+# particular not numpy.random, which numerics defers to the first draw: a new import
+# fails here instead of growing every call's set-up time unseen
+IMPORTED_TODAY = ("__future__", "argparse", "csv", "dataclasses", "functools", "io", "json",
+                  "math", "numbers", "numpy", "operator", "os", "sys", "threading", "typing")
+
+
+def _modules_after(statement: str) -> set:
+    """The names in sys.modules after statement, in a fresh interpreter on this src tree."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = f"{statement}\nimport sys\nprint(' '.join(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=120)
+    return set(done.stdout.split())
+
+
+def test_importing_the_cli_loads_no_new_module():
+    allowed = _modules_after("import " + ", ".join(IMPORTED_TODAY))
+    loaded = _modules_after("import lle.cli")
+    assert "lle.cli" in loaded
+    assert sorted(m for m in loaded - allowed if m.partition(".")[0] != "lle") == []
+    assert "numpy.random" in allowed or "numpy.random" not in loaded

@@ -623,6 +623,7 @@ def test_noisy_gt_runs_the_corrector_on_a_fresh_context(schedule, small_prior, m
     (used,) = seen
     assert used.stream is not run.stream and used.history == []
     assert used._eps is None and used._whitened is None
+    assert used.run is run.run  # the step's row of the run's x-independent tables
     assert np.array_equal(used.x_t, truth) and (used.t_i, used.t_prev) == (500, 250)
     assert run.stream.counter == counter and run._whitened is whitened
     assert np.array_equal(run._eps, eps)

@@ -17,7 +17,7 @@ from lle import errors
 from lle import extrapolation as lle
 from lle import harness
 from lle import operators as ops
-from lle.numerics import RngStream, RowStreams, psnr
+from lle.numerics import RngStream, RowStreams, mse, psnr
 
 from conftest import loaded, preset_lists, says_unread, with_value
 
@@ -700,6 +700,31 @@ def test_sweep_draws_references_once_and_matches_separate_cells(tmp_path, monkey
         expected += [(a, str(s), strat, f"{m:.12g}", f"{p:.12g}") for a, s, strat, m, p in rows]
     assert len(calls) == 4
     assert _csv_rows(text) == expected
+
+
+def test_sweep_without_training_runs_each_cell_once(tmp_path, monkeypatch):
+    # with no lle block the LLE row is the base solver's: one driver call per step
+    # count, written as both rows with the bytes of a base run_experiment
+    cfg = harness.load_config(write_config(tmp_path / "c.json", lle="none"))
+    calls = []
+    orig = canon.run_with_combiner
+
+    def spy(*args, **kwargs):
+        calls.append(args[4].S)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(canon, "run_with_combiner", spy)
+    text = harness.sweep(cfg, [3, 5])
+    assert calls == [3, 5]
+    monkeypatch.undo()
+    expected = "algorithm,S,strategy,mean_mse,mean_psnr\n"
+    for S in (3, 5):
+        recon, truths = harness.run_experiment(
+            dataclasses.replace(cfg, grid=dif.make_time_grid(cfg.schedule, S)), cfg.test_seed)
+        m, p = mse(recon, truths), np.mean([psnr(r, t, cfg.peak) for r, t in zip(recon, truths)])
+        expected += "".join(f"DDNM,{S},{strategy},{m:.12g},{p:.12g}\n"
+                            for strategy in ("LLE", "base"))
+    assert text == expected
 
 
 def test_sweep_reference_failure_gives_lle_error_rows(tmp_path, monkeypatch):

@@ -121,6 +121,8 @@ def test_grid_runs_daps_on_linear_operators(compare):
                     ("daps-mask-base-noiseless", "mask", {"noiseless_linear": True},
                      ("run", "eval")),
                     ("daps-mask-coupled-closed", "mask", None, ("train", "run")),
+                    ("daps-dense-base-langevin-7", "dense", {"n_langevin": 7, "eta0": 5e-4},
+                     ("run", "eval")),
                     ("daps-blur-gauss-base", "blur", None, ("run", "eval")),
                     ("daps-blur-binomial-base", "blur", None, ("run", "eval")),
                     ("daps-avgpool-base", "avgpool", None, ("run", "eval")),

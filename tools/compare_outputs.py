@@ -30,6 +30,13 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   closed-form n-step law: one base ``run`` and ``eval --oracle`` on the dense
   operator, the same on the mask with ``daps.noiseless_linear`` true, and one
   coupled closed-form fit on the mask with ``train`` and ``run --coeffs``;
+- the solver driver's per-run tables on counts and branches no preset
+  reaches: one DAPS base ``run`` and ``eval --oracle`` on the dense operator
+  at ``daps.n_langevin`` 7 and ``daps.eta0`` 5e-4 over S = 15 steps (the
+  n-step factors of every step from one table, at an odd count), and one
+  DDNM base ``run`` and ``eval --oracle`` on the dense operator at each of
+  ``sigma_y`` 0 (its noisy branch off everywhere) and 0.5 (on at the last
+  step, and earlier where s is small);
 - the structured linear operators, each its matrix factored by one SVD: a
   base ``run`` and ``eval --oracle`` for each of DDRM, DPS, ReSample and DAPS
   on a full-rank Gaussian blur, on the rank-deficient ``[0.25, 0.5, 0.25]``
@@ -194,6 +201,17 @@ def grid_plan(seed: int) -> list:
         if block:
             cfg["algorithm"]["daps"] = block
         plan.append((name, cfg, calls))
+    # the driver's per-run tables on counts and branches no preset reaches: DAPS's
+    # n-step factors at an odd n_langevin over a 15-step grid, and DDNM's noisy
+    # branch off everywhere (sigma_y 0) and on where s is small (sigma_y 0.5)
+    cfg = _grid_config(prior_seed, "DAPS", operators["dense"], 5, "none")
+    cfg["algorithm"]["daps"] = {"n_langevin": 7, "eta0": 5e-4}
+    cfg["steps"] = 15
+    plan.append(("daps-dense-base-langevin-7", cfg, ("run", "eval")))
+    for sigma_y, label in ((0.0, "0"), (0.5, "0p5")):
+        cfg = _grid_config(prior_seed, "DDNM", operators["dense"], 5, "none")
+        cfg["task"]["sigma_y"] = sigma_y
+        plan.append((f"ddnm-dense-base-sigma-{label}", cfg, ("run", "eval")))
     structured = {
         "blur-gauss": {"kind": "blur", "sigma": 1.2, "width": 5},
         "blur-binomial": {"kind": "blur", "kernel": [0.25, 0.5, 0.25]},
