@@ -23,7 +23,6 @@ and `parse_json` / `read_json` are the package's one JSON reader.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -230,20 +229,17 @@ class InnerOptParams(ConfigBlock):
 
 class RunTables:
     """The x-independent constants of one run's steps t_i -> t_prev down the timesteps
-    ts, built once per driver call, vectorized over the grid. rows[i] is step i's row:
-    the mixture's `_constants` at t_i (one `prior._constants` call for every step), then
-    ab at t_i, ab_prev and sigma_prev = sqrt(1 - ab_prev) at t_prev, scalar columns as
-    Python floats, each entry the bits a one-step table holds. `memo` keeps a solver's
-    own per-step tables (DAPS's n-step factors) for the rest of the run.
+    ts, built once per driver call: rows[i] is step i's row of `diffusion.step_rows`
+    (the mixture's constants at t_i, then ab, ab_prev, sqrt(ab_prev) and sigma_prev),
+    from one vectorized call, each entry the bits a one-step table holds. `memo` keeps
+    a solver's own x-independent tables (DAPS's n-step factors, ReSample's descent
+    table) for the rest of the run; nothing is kept across runs.
     """
 
     def __init__(self, prior, schedule, ts):
         self.t_i = list(ts[:-1])
         self.index = {t: i for i, t in enumerate(self.t_i)}
-        self.ab = schedule.alphabars(self.t_i)
-        ab_prev = schedule.alphabars(list(ts[1:]))
-        self.rows = list(dif._rows(prior._constants(self.ab)
-                                   + (self.ab, ab_prev, np.sqrt(1.0 - ab_prev))))
+        self.rows = dif.step_rows(prior, schedule, self.t_i, ts[1:])
         self._memo = {}
 
     def memo(self, key: tuple, build):
@@ -293,7 +289,7 @@ class StepContext:
             self.run = RunTables(self.prior, self.schedule, (self.t_i, self.t_prev))
         self.step = self.run.index[self.t_i]
         row = self.run.rows[self.step]
-        self.sigma, self.ab, self.ab_prev, self.sigma_prev = row[1], *row[5:]
+        _, self.sigma, _, _, _, self.ab, self.ab_prev, _, self.sigma_prev = row
 
     @property
     def whitened(self) -> tuple:
@@ -518,26 +514,23 @@ def _descent_table(s: np.ndarray, lr: float, momentum: float, steps: int) -> np.
 class DescentTable(NamedTuple):
     """`_descent_table` P of one (s, lr, momentum, steps) with what `corr_resample` reads
     of it: P^2, whether every entry of P^2 is finite, and the final shift (P_n - 1) / s,
-    0 where P_n overflows."""
+    0 where P_n overflows. `build` makes its arrays read-only: one entry serves every
+    step of a run."""
 
     P: np.ndarray
     P2: np.ndarray
     finite: bool
     shift: np.ndarray
 
-
-@functools.lru_cache(maxsize=8)
-def _shared_descent_table(s_bytes: bytes, lr: float, momentum: float, steps: int) -> DescentTable:
-    """The `DescentTable` of the s whose bytes are s_bytes, its arrays read-only: built
-    once per (s, lr, momentum, steps) and shared by every step and run that reads it."""
-    s = np.frombuffer(s_bytes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        P = _descent_table(s, lr, momentum, steps)
-        P2 = P * P
-        shift = np.where(np.isfinite(P[-1]), (P[-1] - 1.0) / s, 0.0)
-    for a in (P, P2, shift):
-        a.flags.writeable = False
-    return DescentTable(P, P2, bool(np.isfinite(P2).all()), shift)
+    @classmethod
+    def build(cls, s: np.ndarray, lr: float, momentum: float, steps: int) -> DescentTable:
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = _descent_table(s, lr, momentum, steps)
+            P2 = P * P
+            shift = np.where(np.isfinite(P[-1]), (P[-1] - 1.0) / s, 0.0)
+        for a in (P, P2, shift):
+            a.flags.writeable = False
+        return cls(P, P2, bool(np.isfinite(P2).all()), shift)
 
 
 def corr_resample(ctx: StepContext) -> np.ndarray:
@@ -553,9 +546,10 @@ def corr_resample(ctx: StepContext) -> np.ndarray:
     the guard reads it at the first step where any row is bad, and the result
     is x0 + (e_0 (P_n - 1) / s) V. A coordinate whose e_0 is exactly 0 stays
     put, as it does in the loop: it adds 0 to the loss and the result even
-    where P overflows. P, P^2 and the shift (P_n - 1) / s are built once per
-    (s, lr, momentum, steps), not per step, and shared read-only
-    (`_shared_descent_table`); U^T y and both norms of y are the observation's.
+    where P overflows. P, P^2 and the shift (P_n - 1) / s do not depend on x:
+    the run's first step builds them (`DescentTable`) and keeps them, read-only,
+    in the run's `RunTables` for its other steps; U^T y and both norms of y are
+    the observation's.
     """
     obs, params, x0 = ctx.obs, ctx.params, ctx.x0_sampled
     opt = params.inner_opt
@@ -576,7 +570,8 @@ def corr_resample(ctx: StepContext) -> np.ndarray:
     op = obs.op
     e0 = op.s * (x0 @ op.V) - obs.ybar
     limit = _divergence_limit(ops.row_dot(e0) + obs.y_perp_norm2, obs.y_norm2)
-    table = _shared_descent_table(op.s.tobytes(), opt.lr, opt.momentum, opt.steps)
+    key = ("resample", opt.lr, opt.momentum, opt.steps, op.s.tobytes())
+    table = ctx.run.memo(key, lambda: DescentTable.build(op.s, opt.lr, opt.momentum, opt.steps))
     with np.errstate(over="ignore", invalid="ignore"):
         if table.finite:
             loss = e0 * e0 @ table.P2.T
@@ -622,15 +617,15 @@ def _geometric_sums(f: np.ndarray, n: int):
         step_power = step_power * step_power
 
 
-def _daps_rows(daps: DAPSParams, sigma: float, s: np.ndarray, t: list, ab: np.ndarray,
-               T: int) -> list:
+def _daps_rows(daps: DAPSParams, sigma: float, s: np.ndarray, run: RunTables, T: int) -> list:
     """The factors of the linear DAPS chain's n-step law (see `corr_daps`) at each step
-    of a run, at timesteps t with alphabar ab: sqrt(2 eta_t), the null space's anchor
-    and noise factors, and per range coordinate (r,) the anchor's and the noise's
-    factors less the null space's, and U^T y's. `_geometric_sums` runs once, on the
-    (S, r + 1) stack of every step's factors; every operation is elementwise, so row i
-    holds the bits of the one-step form at (t[i], ab[i])."""
-    eta = daps_step_size(daps, np.asarray(t), T)
+    t_i of a run, its alphabar ab read from the run's rows: sqrt(2 eta_t), the null
+    space's anchor and noise factors, and per range coordinate (r,) the anchor's and the
+    noise's factors less the null space's, and U^T y's. `_geometric_sums` runs once, on
+    the (S, r + 1) stack of every step's factors; every operation is elementwise, so row
+    i holds the bits of the one-step form at (t_i, ab)."""
+    eta = daps_step_size(daps, np.asarray(run.t_i), T)
+    ab = np.array([row[5] for row in run.rows])
     pull = eta / (1.0 - ab)
     a = (1.0 - pull)[:, None]
     # the noiseless data term is (1/(2 eta_t)) ||A x - y||^2, so eta_t w = 1
@@ -684,8 +679,7 @@ def corr_daps(ctx: StepContext) -> np.ndarray:
         op, run = obs.op, ctx.run
         key = ("daps", daps.eta0, daps.delta, daps.n_langevin, daps.noiseless_linear, sigma,
                op.s.tobytes())
-        rows = run.memo(key, lambda: _daps_rows(daps, sigma, op.s, run.t_i, run.ab,
-                                                ctx.schedule.T))
+        rows = run.memo(key, lambda: _daps_rows(daps, sigma, op.s, run, ctx.schedule.T))
         noise_scale, keep_null, root_null, keep, y_gain, root = rows[ctx.step]
         xi = noise_scale * ctx.stream.standard_normal(anchor.shape)
         coords = (anchor @ op.V) * keep + obs.ybar * y_gain + (xi @ op.V) * root

@@ -32,11 +32,11 @@ class DiffusionSchedule:
         return float(self.alphabar_table[t])
 
     def alphabars(self, ts) -> np.ndarray:
-        """alphabar at each timestep of a list, checked like `alphabar`."""
+        """alphabar at each timestep of a list or tuple, checked like `alphabar`."""
         for t in (min(ts), max(ts)):
             if not 0 <= t <= self.T:
                 raise IndexError(f"timestep {t} outside [0, {self.T}]")
-        return self.alphabar_table[ts]
+        return self.alphabar_table[list(ts)]
 
     def sigma(self, t: int) -> float:
         """sqrt(1 - alphabar_t), the noise level at t."""
@@ -163,14 +163,13 @@ class GaussianMixturePrior:
         """Responsibilities r (..., B, K), reciprocal eigenvalues w (K*d,) of the
         C_k, and y = [Q_k^T C_k^-1 (x - m_k)] (..., B, K*d) for a batch x
         (..., B, d), the solves in each component's eigenbasis (so
-        C_k^-1 (x - m_k) = Q_k y_k). row: one row of a table whose first
-        columns are `_constants`.
+        C_k^-1 (x - m_k) = Q_k y_k). row: a row of `step_rows`.
 
         Every product runs over the last two axes, so every (B, d) block of an
         (..., B, d) stack is multiplied and reduced as the same block alone:
         an (N, 1, d) stack gives each row the bits of its one-row call.
         """
-        _, _, w, lognorm, mean_coords = row[:5]
+        _, _, w, lognorm, mean_coords, _, _, _, _ = row
         z = x @ self._basis
         z -= mean_coords
         y = z * w
@@ -199,9 +198,15 @@ def _rows(columns):
     return zip(*[c.tolist() if c.ndim == 1 else c for c in columns])
 
 
-def _mixture_row(prior, schedule, t: int) -> tuple:
-    """The one-row table of the mixture's constants at timestep t."""
-    return next(_rows(prior._constants(schedule.alphabars([t]))))
+def step_rows(prior, schedule, t_from, t_to) -> list:
+    """The x-independent constants of the steps t_from[i] -> t_to[i] (two lists),
+    one row per step, as the solver driver and every DDIM chain read them: the
+    mixture's `_constants` at t_from (sqrt(ab), sigma, w, lognorm, mean_coords),
+    then ab at t_from, ab_to at t_to, sqrt(ab_to) and sigma_to = sqrt(1 - ab_to),
+    scalar columns as Python floats. Every operation is elementwise, so row i
+    holds the bits a one-step call at (t_from[i], t_to[i]) gives."""
+    ab, ab_to = schedule.alphabars(t_from), schedule.alphabars(t_to)
+    return list(_rows(prior._constants(ab) + (ab, ab_to, np.sqrt(ab_to), np.sqrt(1.0 - ab_to))))
 
 
 def _as_batch(x: np.ndarray):
@@ -213,13 +218,11 @@ def _as_batch(x: np.ndarray):
 
 def whiten(prior, schedule, x, t: int):
     """The mixture's (responsibilities, whitened residuals, reciprocal
-    eigenvalues) at (x, t); pass it as `whitened=` to evaluate `gmm_eps` and
-    `gmm_eps_jvp` at the same (x, t) without repeating the solves.
-
-    No `lle` caller is left: the solver driver whitens from its run's table
-    (`canonical.RunTables`). This one-step form is kept as the reference the
-    tests compare that table, and the row stacks, against."""
-    return prior._resp_and_whitened(_mixture_row(prior, schedule, t), _as_batch(x)[0])
+    eigenvalues) at (x, t), from the one `step_rows` row at t; pass it as
+    `whitened=` to evaluate `gmm_eps` and `gmm_eps_jvp` at the same (x, t)
+    without repeating the solves. Both call it when not given `whitened=`; the
+    solver driver whitens from its run's rows (`canonical.RunTables`) instead."""
+    return prior._resp_and_whitened(step_rows(prior, schedule, [t], [t])[0], _as_batch(x)[0])
 
 
 def gmm_eps(prior, schedule, x, t: int, whitened=None) -> np.ndarray:
@@ -229,7 +232,7 @@ def gmm_eps(prior, schedule, x, t: int, whitened=None) -> np.ndarray:
     """
     xb, squeeze = _as_batch(x)
     if whitened is None:
-        whitened = prior._resp_and_whitened(_mixture_row(prior, schedule, t), xb)
+        whitened = whiten(prior, schedule, xb, t)
     r, y, _ = whitened
     eps = schedule.sigma(t) * prior._from_eigenbasis(r, y)
     return eps[0] if squeeze else eps
@@ -246,7 +249,7 @@ def gmm_eps_jvp(prior, schedule, x, t: int, v, whitened=None) -> np.ndarray:
     if vb.shape != xb.shape:
         vb = np.broadcast_to(vb, xb.shape)
     if whitened is None:
-        whitened = prior._resp_and_whitened(_mixture_row(prior, schedule, t), xb)
+        whitened = whiten(prior, schedule, xb, t)
     r, y, w = whitened
     # H = sum_k r_k (u_k u_k^T - C_k^-1) - s s^T with u_k = Q_k y_k, s = -sum_k r_k u_k;
     # with p_k = Q_k^T v: Hv = sum_k r_k Q_k (y_k (y_k.p_k + s.v) - w_k p_k)
@@ -261,19 +264,10 @@ def gmm_eps_jvp(prior, schedule, x, t: int, v, whitened=None) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def _step_table(prior, schedule, t_from, t_to) -> tuple:
-    """Constants of the DDIM steps t_from[i] -> t_to[i] < t_from[i] (two
-    lists), as columns: the mixture's `_constants` at t_from, then
-    sqrt(alphabar) and sigma = sqrt(1 - alphabar) at t_to, each with the
-    operations of a one-step call, elementwise."""
-    ab_f, ab_t = schedule.alphabars(t_from), schedule.alphabars(t_to)
-    return prior._constants(ab_f) + (np.sqrt(ab_t), np.sqrt(1.0 - ab_t))
-
-
 def _ddim_step(prior, row, x: np.ndarray) -> np.ndarray:
-    """One deterministic DDIM step of a batch x (..., B, d) with one row of
-    `_step_table`."""
-    sqrt_ab, sigma, _, _, _, sqrt_ab_to, sigma_to = row
+    """One deterministic DDIM step of a batch x (..., B, d) with its row of
+    `step_rows`."""
+    sqrt_ab, sigma, _, _, _, _, _, sqrt_ab_to, sigma_to = row
     r, y, _ = prior._resp_and_whitened(row, x)
     # one eps serves both the Tweedie estimate x0 and the sigma_to term; the
     # step owns y, so it scales y and builds
@@ -301,11 +295,12 @@ _TABLE_BLOCK = 16
 def _ddim_steps(prior, schedule, x: np.ndarray, t_from, t_to) -> np.ndarray:
     """The DDIM steps t_from[i] -> t_to[i] < t_from[i] (two lists) in turn
     from x; each block of _TABLE_BLOCK steps reads its constants from one
-    `_step_table`."""
+    `step_rows` call. This serves the references (`ddim_run`), DAPS's
+    sampler and `ddim_step`."""
     out, squeeze = _as_batch(x)
     for i in range(0, len(t_from), _TABLE_BLOCK):
         block = slice(i, i + _TABLE_BLOCK)
-        for row in _rows(_step_table(prior, schedule, t_from[block], t_to[block])):
+        for row in step_rows(prior, schedule, t_from[block], t_to[block]):
             out = _ddim_step(prior, row, out)
     return out[0] if squeeze else out
 

@@ -1035,6 +1035,8 @@ def _resample_run(small_prior, schedule, op, inner_opt, S=3):
 
 
 def test_resample_builds_its_descent_table_once_per_run(schedule, small_prior, monkeypatch):
+    # once for all ten steps of a run, and again for the next run in the same process:
+    # no table is kept across runs
     built = []
     fresh = canon._descent_table
 
@@ -1043,9 +1045,22 @@ def test_resample_builds_its_descent_table_once_per_run(schedule, small_prior, m
         return fresh(*args)
 
     monkeypatch.setattr(canon, "_descent_table", spy)
-    canon._shared_descent_table.cache_clear()
     _resample_run(small_prior, schedule, _inner_loop_operator("dense"), {}, S=10)
     assert built == [(0.01, 0.9, 50)]
+    _resample_run(small_prior, schedule, _inner_loop_operator("dense"), {}, S=10)
+    assert built == [(0.01, 0.9, 50)] * 2
+
+
+def _resample_table(small_prior, schedule, op, inner_opt):
+    """The descent table a one-step ReSample corrector call keeps in its run's memo; at
+    x0 = 0 and y = 0 every e_0 is 0, so no lr makes the call diverge."""
+    params = canon.default_params("ReSample")
+    params.inner_opt = canon.InnerOptParams(**inner_opt)
+    ctx = make_ctx(small_prior, schedule, np.zeros(op.n), 500, 400, x0=np.zeros(op.n))
+    bind(ctx, ops.Observation(y=np.zeros(op.m), op=op, sigma_y=0.05), params)
+    canon.corr_resample(ctx)
+    (table,) = ctx.run._memo.values()
+    return table
 
 
 def test_resample_descent_table_is_keyed_on_s_lr_momentum_and_steps(schedule, small_prior):
@@ -1060,20 +1075,21 @@ def test_resample_descent_table_is_keyed_on_s_lr_momentum_and_steps(schedule, sm
             (dense, dict(base, steps=9)), (rescaled, base), (other, base)]
     warm = [_resample_run(small_prior, schedule, op, opt) for op, opt in runs]
     for (op, opt), got in zip(runs, warm):
-        canon._shared_descent_table.cache_clear()
         assert got.tobytes() == _resample_run(small_prior, schedule, op, opt).tobytes(), opt
-        table = canon._shared_descent_table(op.s.tobytes(), opt["lr"], opt["momentum"],
-                                            opt["steps"])
+        table = _resample_table(small_prior, schedule, op, opt)
         assert np.array_equal(table.P, canon._descent_table(op.s, opt["lr"], opt["momentum"],
                                                             opt["steps"]))
     assert len({got.tobytes() for got in warm}) == len(runs)
 
 
 @pytest.mark.parametrize("lr", [0.1, 1e6])  # 1e6 overflows P within the 60 steps
-def test_resample_descent_table_is_read_only(lr):
-    # the entry holds P and what corr_resample reads of it, each as P alone gives it
-    s = np.array([0.5, 1.0, 2.0])
-    table = canon._shared_descent_table(s.tobytes(), lr, 0.5, 60)
+def test_resample_descent_table_is_read_only(schedule, small_prior, lr):
+    # the run memo's entry holds P and what corr_resample reads of it, each as P alone
+    # gives it
+    op = ops.dense_operator(np.hstack([np.diag([0.5, 1.0, 2.0]), np.zeros((3, 3))]))
+    s = op.s
+    assert sorted(s) == [0.5, 1.0, 2.0]
+    table = _resample_table(small_prior, schedule, op, {"lr": lr, "momentum": 0.5, "steps": 60})
     assert table.P.shape == table.P2.shape == (60, 3) and table.shift.shape == (3,)
     for array in (table.P, table.P2, table.shift):
         with pytest.raises(ValueError, match="read-only"):
@@ -1289,13 +1305,15 @@ def test_run_table_rows_equal_one_step_rows(schedule, small_prior, S):
     ts = dif.make_time_grid(schedule, S).timesteps
     run = canon.RunTables(small_prior, schedule, ts)
     assert len(run.rows) == S
+    assert [_bits(v) for row in run.rows for v in row] == [
+        _bits(v) for row in dif.step_rows(small_prior, schedule, ts[:-1], ts[1:]) for v in row]
     for i, (t_i, t_prev) in enumerate(zip(ts, ts[1:])):
         row, one = run.rows[i], canon.RunTables(small_prior, schedule, (t_i, t_prev)).rows[0]
         assert [_bits(v) for v in row] == [_bits(v) for v in one]
-        mixture = dif._mixture_row(small_prior, schedule, t_i)
-        assert [_bits(v) for v in row[:5]] == [_bits(v) for v in mixture]
+        mixture = small_prior._constants(schedule.alphabars([t_i]))
+        assert [_bits(v) for v in row[:5]] == [_bits(c[0]) for c in mixture]
         assert row[5:] == (schedule.alphabar(t_i), schedule.alphabar(t_prev),
-                           schedule.sigma(t_prev))
+                           math.sqrt(schedule.alphabar(t_prev)), schedule.sigma(t_prev))
         ctx = make_ctx(small_prior, schedule, np.zeros(6), t_i, t_prev)
         assert (ctx.ab, ctx.ab_prev, ctx.sigma, ctx.sigma_prev) == (
             schedule.alphabar(t_i), schedule.alphabar(t_prev), schedule.sigma(t_i),
@@ -1360,7 +1378,7 @@ def test_daps_run_factors_equal_the_one_step_form(schedule, eta0, delta, sigma, 
     ts = dif.make_time_grid(schedule, S).timesteps
     run = canon.RunTables(prior, schedule, ts)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = canon._daps_rows(params.daps, resolved, op.s, run.t_i, run.ab, schedule.T)
+        rows = canon._daps_rows(params.daps, resolved, op.s, run, schedule.T)
         for i, t_i in enumerate(ts[:-1]):
             eta_t = canon.daps_step_size(params.daps, t_i, schedule.T)
             pull = eta_t / (1.0 - schedule.alphabar(t_i))

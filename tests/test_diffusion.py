@@ -458,31 +458,38 @@ def test_ddim_run_from_zero_is_identity(schedule, small_prior):
 
 @pytest.mark.parametrize("d", [1, 3, 9, 33, 130])
 def test_step_table_rows_equal_per_step_scalars(schedule, d):
-    # every table row holds the bits of the per-step scalars and (K*d,)
-    # arrays it replaces, whatever the table's length
+    # every `step_rows` row holds the bits of the per-step scalars and (K*d,)
+    # arrays it replaces, whatever the table's length: on an irregular list of
+    # steps, a driver grid and a DAPS sub-grid (k_ddim = 5 from t_i = 900)
     prior = random_mixture(40 + d, d, 3)
-    t_from = [1000, 999, 731, 500, 17, 2, 1]
-    t_to = [999, 731, 500, 17, 2, 1, 0]
-    table = dif._step_table(prior, schedule, t_from, t_to)
-    assert table[2].shape == table[4].shape == (len(t_from), 3 * d)
-    for row, tf, tt in zip(dif._rows(table), t_from, t_to):
-        sqrt_ab, sigma, w, lognorm, mean_coords, sqrt_ab_to, sigma_to = row
-        ab = schedule.alphabar(tf)
-        ev = ab * prior._lam + (1.0 - ab)
-        expected_lognorm = np.log(prior.weights) - 0.5 * (
-            np.log(ev).sum(axis=1) + d * math.log(2.0 * math.pi)
-        )
-        assert sqrt_ab == math.sqrt(ab)
-        assert sigma == schedule.sigma(tf)
-        assert w.tobytes() == (1.0 / ev).tobytes()
-        assert lognorm.tobytes() == expected_lognorm.tobytes()
-        assert mean_coords.tobytes() == (math.sqrt(ab) * prior._mean_coords).tobytes()
-        assert sqrt_ab_to == math.sqrt(schedule.alphabar(tt))
-        # the eta = 0 noiser's c2, the coefficient the step replaces
-        assert sigma_to == scalar_ddim_coeffs(schedule, tf, tt, 0.0)[1]
-        one_row = dif._mixture_row(prior, schedule, tf)
-        assert one_row[2].tobytes() == w.tobytes()
-        assert one_row[4].tobytes() == mean_coords.tobytes()
+    driver = dif.make_time_grid(schedule, 10).timesteps
+    daps = [round(i * 900 / 5) for i in range(5, -1, -1)]
+    grids = [([1000, 999, 731, 500, 17, 2, 1], [999, 731, 500, 17, 2, 1, 0]),
+             (driver[:-1], driver[1:]), (daps[:-1], daps[1:])]
+    for t_from, t_to in grids:
+        rows = dif.step_rows(prior, schedule, t_from, t_to)
+        assert len(rows) == len(t_from)
+        for row, tf, tt in zip(rows, t_from, t_to):
+            sqrt_ab, sigma, w, lognorm, mean_coords, ab, ab_to, sqrt_ab_to, sigma_to = row
+            assert w.shape == mean_coords.shape == (3 * d,)
+            assert ab == schedule.alphabar(tf) and ab_to == schedule.alphabar(tt)
+            ev = ab * prior._lam + (1.0 - ab)
+            expected_lognorm = np.log(prior.weights) - 0.5 * (
+                np.log(ev).sum(axis=1) + d * math.log(2.0 * math.pi)
+            )
+            assert sqrt_ab == math.sqrt(ab)
+            assert sigma == schedule.sigma(tf)
+            assert w.tobytes() == (1.0 / ev).tobytes()
+            assert lognorm.tobytes() == expected_lognorm.tobytes()
+            assert mean_coords.tobytes() == (math.sqrt(ab) * prior._mean_coords).tobytes()
+            assert sqrt_ab_to == math.sqrt(schedule.alphabar(tt))
+            # the eta = 0 noiser's c2, the coefficient the step replaces
+            assert sigma_to == scalar_ddim_coeffs(schedule, tf, tt, 0.0)[1]
+            assert sigma_to == schedule.sigma(tt)
+            # a one-step call gives the row's bits
+            (one_row,) = dif.step_rows(prior, schedule, [tf], [tt])
+            assert [np.asarray(v).tobytes() for v in one_row] == [
+                np.asarray(v).tobytes() for v in row]
 
 
 def test_ddim_run_rejects_bad_grids(schedule, small_prior):

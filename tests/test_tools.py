@@ -1,4 +1,4 @@
-"""`tools/compare_outputs.py`: the per-file deviation it reports."""
+"""`tools/compare_outputs.py`: the per-file deviation and the exit status it reports."""
 
 import importlib.util
 import json
@@ -70,6 +70,40 @@ def test_summary_groups_by_algorithm(compare):
     differing = [line for line in lines[2:] if line.split("|")[6].strip() != "0"]
     assert differing == ["| recon | DAPS | none | - | 0 | 1 | 0.3 |"]
     assert len(lines) == 2 + 4
+
+
+_RECON = os.path.join("5", "run-nine", "recon-ddrm.lle")
+_SIDES = {
+    "identical": ({_RECON: b"a"}, {_RECON: b"a"}),
+    "differing": ({_RECON: b"a"}, {_RECON: b"b"}),
+    "only-parent": ({_RECON: b"a"}, {}),
+    "only-change": ({}, {_RECON: b"a"}),
+    "error-on-both-sides": ({_RECON + ".error": b"exit 3"}, {_RECON + ".error": b"exit 3"}),
+}
+
+
+@pytest.mark.parametrize("case", list(_SIDES))
+def test_exit_status_is_1_unless_every_file_is_identical(compare, monkeypatch, tmp_path,
+                                                         case, capsys):
+    # main's status, with each side's emitting process replaced by one that writes
+    # the side's files at once: no subprocess runs
+    old, new = _SIDES[case]
+
+    class Side:
+        def __init__(self, argv, env):
+            out = argv[argv.index("--emit") + 1]
+            for rel, blob in (old if env["PYTHONPATH"].endswith("parent") else new).items():
+                os.makedirs(os.path.join(out, os.path.dirname(rel)), exist_ok=True)
+                Path(out, rel).write_bytes(blob)
+
+        def wait(self):
+            return 0
+
+    monkeypatch.setattr(compare.subprocess, "Popen", Side)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--seeds", "5"]
+    assert compare.main(argv) == (case != "identical")
+    assert "1 files:" in capsys.readouterr().out
 
 
 def test_grid_runs_ddrm_partial_blend_on_each_operator(compare):

@@ -92,6 +92,11 @@ sweep, trace, metrics) x algorithm x fit (closed, first-order, or none for a
 base run) x coupling, taken from the config that made the file, so a change
 to one solver reads as that solver's rows. Each row counts the identical and
 the differing files and gives their maximum deviation.
+
+The exit status is 0 only when every file is identical on both sides and no
+side wrote an ``.error`` file. It is 1 when any file differs, exists on one
+side only, or is an ``.error`` file, or when a side fails to run, so
+``--parent src --change src`` checks that the same seed gives the same bytes.
 """
 
 from __future__ import annotations
@@ -466,6 +471,32 @@ def _files(root: str) -> dict:
     return found
 
 
+def report(old: dict, new: dict, groups: dict) -> int:
+    """Print each file's verdict, the counts and the summary table for the
+    relative path -> bytes maps of the two sides; return the exit status: 1
+    when any file differs, exists on one side only, or is an ``.error`` file."""
+    counts, rows = {}, []
+    for rel in sorted(old.keys() | new.keys()):
+        if rel not in old or rel not in new:
+            dev, verdict = None, f"only in {'change' if rel in new else 'parent'}"
+        elif old[rel] == new[rel]:
+            dev, verdict = 0.0, "identical"
+        else:
+            dev = deviation(rel, old[rel], new[rel])
+            verdict = "differs" if dev is None else f"max rel dev {dev:.3g}"
+        print(f"{rel}: {verdict}")
+        kind = "deviating" if verdict.startswith("max") else verdict.split(" ")[0]
+        counts[kind] = counts.get(kind, 0) + 1
+        rows.append((_group(rel, groups), verdict == "identical", dev))
+    print(f"{len(old.keys() | new.keys())} files: "
+          + ", ".join(f"{n} {kind}" for kind, n in sorted(counts.items())))
+    print(summary(rows))
+    errors = sorted(rel for rel in old.keys() | new.keys() if rel.endswith(".error"))
+    if errors:
+        print(f"{len(errors)} call(s) failed: {', '.join(errors)}")
+    return int(bool(errors) or any(kind != "identical" for kind in counts))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", help="source tree of the old code (holds lle/)")
@@ -493,24 +524,7 @@ def main(argv=None) -> int:
             return 1
         old = _files(os.path.join(work, "parent"))
         new = _files(os.path.join(work, "change"))
-    groups = fit_groups(seeds)
-    counts, rows = {}, []
-    for rel in sorted(old.keys() | new.keys()):
-        if rel not in old or rel not in new:
-            dev, verdict = None, f"only in {'change' if rel in new else 'parent'}"
-        elif old[rel] == new[rel]:
-            dev, verdict = 0.0, "identical"
-        else:
-            dev = deviation(rel, old[rel], new[rel])
-            verdict = "differs" if dev is None else f"max rel dev {dev:.3g}"
-        print(f"{rel}: {verdict}")
-        kind = "deviating" if verdict.startswith("max") else verdict.split(" ")[0]
-        counts[kind] = counts.get(kind, 0) + 1
-        rows.append((_group(rel, groups), verdict == "identical", dev))
-    print(f"{len(old.keys() | new.keys())} files: "
-          + ", ".join(f"{n} {kind}" for kind, n in sorted(counts.items())))
-    print(summary(rows))
-    return 0
+    return report(old, new, fit_groups(seeds))
 
 
 if __name__ == "__main__":
