@@ -14,211 +14,39 @@ is how the learned extrapolation plugs in, for training and inference alike, wit
 duplicating the data flow. Every stage has one form, sampler(ctx), corrector(ctx) and
 noiser(ctx, xhat), as the combiner(ctx, xhat) has: ctx is the step's one `StepContext`,
 which carries the observation and the params with the step's state.
-
-Every config block, the parameter dataclasses here included, is a
-`ConfigBlock` whose fields each carry one `rule`; construction checks them
-all, `from_dict` builds a block from parsed JSON, naming any bad key's path,
-and `parse_json` / `read_json` are the package's one JSON reader.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
 import operator
-import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import diffusion as dif
 from . import operators as ops
+from .config import SQRT_FLOAT_MAX, ConfigBlock, rule
 from .errors import ConfigError, ConvergenceError
 from .numerics import RngStream, RowStreams
 from .optim import BatchScheduleFreeAdamW
 
 
-# annotation -> (accepted type, what an error asks for), "list[T]" checking each entry
-# as T; other annotations (a nested block, "object") are not type-checked
-_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a finite number"),
-          "bool": (bool, "true or false"), "str": (str, "a string"),
-          "list": (list, "a list"), "dict": (dict, "an object")}
-_BOUNDS = {"minimum": (operator.ge, ">="), "maximum": (operator.le, "<="),
-           "above": (operator.gt, ">"), "below": (operator.lt, "<")}
-
-
-def rule(default=MISSING, *, choices=None, optional=False, key=None, **bounds):
-    """A config field, declared once as `name: type = rule(...)`: no default
-    makes the key required; optional allows None; bounds are minimum, maximum
-    (inclusive), above, below (exclusive); key is the JSON key, if not name."""
-    return field(default=default, metadata={"rule": (choices, optional, bounds), "key": key})
-
-
-def _check(name: str, value, kind: str, choices, optional: bool, bounds: dict) -> None:
-    if value is None and optional:
-        return
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{name} must be one of {list(choices)}, got {value!r}")
-    if kind.startswith("list["):  # a list whose every entry obeys the rule, bounds included
-        _check(name, value, "list", None, False, {})
-        for i, item in enumerate(value):
-            _check(f"{name}[{i}]", item, kind[5:-1], None, False, bounds)
-        return
-    if kind in _TYPES:
-        accepted, what = _TYPES[kind]
-        # a bool is no number; a float's magnitude is compared exactly with the
-        # largest float, so NaN, inf and an int too large to convert all fail
-        if (isinstance(value, bool) != (kind == "bool") or not isinstance(value, accepted)
-                or kind == "float" and not abs(value) <= sys.float_info.max):
-            raise ConfigError(f"{name} must be {what}, got {value!r}")
-    for bound, limit in bounds.items():
-        holds, sign = _BOUNDS[bound]
-        if not holds(value, limit):
-            raise ConfigError(f"{name} must be {sign} {limit}, got {value!r}")
-
-
-def reject_unread(table: dict, given: dict, value_of, path, by: str = "") -> None:
-    """Raise ConfigError naming the first key of given that an `unread_when` table
-    leaves unread; value_of(switch) is a switch's value, path(key) a key's dotted path."""
-    for (switch, value), keys in table.items():
-        now = value_of(switch)
-        for key in keys:
-            if key in given and now == value:
-                raise ConfigError(f"{path(key)} is not read{by} when {path(switch)}"
-                                  f" is {json.dumps(value)}")
-
-
-class FieldRule(NamedTuple):
-    """One init field of a `ConfigBlock` as its rule table holds it, under its JSON key:
-    the attribute, the dotted path errors name, the kind `_check` reads ("float | None"
-    is "float"), the field's (choices, optional, bounds) or None when it carries no
-    rule, its nested block class or None, and whether the key is required."""
-
-    attr: str
-    path: str
-    kind: str
-    rule: tuple | None
-    nested: type | None
-    required: bool
-
-
-class ConfigBlock:
-    """Base of the config dataclasses: construction checks each field's rule.
-    `block` is the block's dotted path, which errors name keys from;
-    `unread_when` maps a (switch key or dotted path, value) pair to the
-    keys nothing reads while the switch has that value, which `from_dict` rejects.
-    The fields' rules are read from the class's rule table (`rules`), built once per
-    class on first use and stored on that class, so a subclass builds its own."""
-
-    block = ""
-    unread_when = {}
-
-    @classmethod
-    def _path(cls, key: str) -> str:
-        return f"{cls.block}.{key}" if cls.block else key
-
-    @classmethod
-    def rules(cls) -> dict:
-        """The rule table: JSON key -> `FieldRule` for every init field, in field order."""
-        table = cls.__dict__.get("_rule_table")
-        if table is None:
-            table = {}
-            module = vars(sys.modules[cls.__module__])
-            for f in fields(cls):
-                if not f.init:
-                    continue
-                key = f.metadata.get("key") or f.name
-                nested = module.get(f.type)
-                if not (isinstance(nested, type) and issubclass(nested, ConfigBlock)):
-                    nested = None
-                table[key] = FieldRule(f.name, cls._path(key), f.type.split(" |")[0],
-                                       f.metadata.get("rule"), nested,
-                                       f.default is MISSING and f.default_factory is MISSING)
-            cls._rule_table = table
-        return table
-
-    def __post_init__(self):
-        for r in self.rules().values():
-            if r.rule is not None:
-                _check(r.path, getattr(self, r.attr), r.kind, *r.rule)
-
-    @classmethod
-    def from_dict(cls, obj, base=None):
-        """Build the block from a parsed JSON object; given keys override base
-        (absent: the defaults) and nested blocks recurse. A non-object, an
-        unknown key or a missing required key is an error naming its path."""
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{cls.block or cls.__name__} must be an object, got {obj!r}")
-        table = cls.rules()
-        unknown = [cls._path(key) for key in sorted(set(obj) - table.keys())]
-        if unknown:
-            raise ConfigError(f"unknown config key(s) {', '.join(unknown)}")
-        values = {}
-        for key, r in table.items():
-            if key in obj and r.nested is not None:
-                values[r.attr] = r.nested.from_dict(obj[key], getattr(base, r.attr, None))
-            elif key in obj:
-                values[r.attr] = obj[key]
-            elif base is not None:
-                values[r.attr] = getattr(base, r.attr)
-            elif r.required:
-                raise ConfigError(f"missing config key {r.path}")
-        built = cls(**values)
-        built._reject_unread(obj)
-        return built
-
-    def _reject_unread(self, given: dict) -> None:
-        """Reject a given key that a switch leaves unread (`unread_when`)."""
-        reject_unread(self.unread_when, given, lambda k: operator.attrgetter(k)(self), self._path)
-
-    @classmethod
-    def load(cls, path):
-        """`from_dict` of the file at path (`read_json`)."""
-        return cls.from_dict(read_json(path))
-
-
-def parse_json(text: str, where: str):
-    """The parsed JSON text; invalid JSON is an error naming where, line and column."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{where} is not valid JSON: {exc.msg} at line {exc.lineno}"
-                                 f" column {exc.colno}") from exc
-    except ValueError as exc:  # an integer of more digits than Python converts
-        raise ConfigError(f"{where} cannot be parsed: {str(exc).split(';')[0]}") from exc
-    except RecursionError as exc:  # arrays or objects nested past the parser's depth
-        raise ConfigError(f"{where} cannot be parsed: it is nested too deeply") from exc
-
-
-def read_json(path):
-    """The parsed JSON of the file at path; a file that cannot be read or parsed is an
-    error naming it."""
-    try:
-        with open(path) as f:
-            text = f.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"{path} cannot be read: {reason}") from exc
-    return parse_json(text, str(path))
-
-
-@dataclass
 class DAPSParams(ConfigBlock):
     block = "algorithm.daps"
     k_ddim: int = rule(5, minimum=1)
     n_langevin: int = rule(100, minimum=0)
     eta0: float = rule(1e-4, minimum=0.0)
     delta: float = rule(0.01, minimum=0.0)
-    sigma_langevin: float | None = rule(None, above=0.0, optional=True)  # None: max(sigma_y, .02)
+    # None: max(sigma_y, .02); squared as a Python float, so at most sqrt(float max)
+    sigma_langevin: float | None = rule(None, above=0.0, maximum=SQRT_FLOAT_MAX, optional=True)
     noiseless_linear: bool = rule(False)
     unread_when = {("noiseless_linear", True): ("sigma_langevin",),
                    ("n_langevin", 0): ("eta0", "delta", "sigma_langevin", "noiseless_linear"),
                    ("eta0", 0): ("delta", "sigma_langevin")}
 
 
-@dataclass
 class InnerOptParams(ConfigBlock):
     block = "algorithm.inner_opt"
     lr: float = rule(0.01, minimum=0.0)
@@ -251,7 +79,7 @@ class RunTables:
         return table
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class StepContext:
     """The step state every stage reads, its one argument besides the noiser's xhat:
     the observation obs, the algorithm params, and the step's schedule quantities:
@@ -866,7 +694,6 @@ def _unread(given: dict, preset: dict, path: str = "algorithm."):
             yield from _unread(value, preset[key], f"{path}{key}.")
 
 
-@dataclass
 class AlgoParams(ConfigBlock):
     """Algorithm tag plus every solver's hyperparameters; `default_params` sets
     the solver's preset, and `from_dict` takes only keys the solver reads."""
@@ -880,8 +707,8 @@ class AlgoParams(ConfigBlock):
     lam: float = rule(1.0, minimum=0.0)
     gamma_rs: float = rule(100.0, minimum=0.0)
     exact_hc: bool = rule(False)  # the closed-form shortcut (linear operators only)
-    daps: DAPSParams = field(default_factory=DAPSParams)
-    inner_opt: InnerOptParams = field(default_factory=InnerOptParams)
+    daps: DAPSParams
+    inner_opt: InnerOptParams
     unread_when = {("exact_hc", True): ("inner_opt",), ("xi", 0): ("lam",)}
 
     def _reject_unread(self, given: dict) -> None:
@@ -889,6 +716,14 @@ class AlgoParams(ConfigBlock):
         for path in _unread(given, {"name": None, **SOLVERS[self.algorithm].preset}):
             raise ConfigError(f"{path} is not read by {self.algorithm}")
         super()._reject_unread(given)
+
+    def to_dict(self) -> dict:
+        """`ConfigBlock.to_dict` without the keys the named solver does not read (`_unread`)."""
+        out = super().to_dict()
+        for path in list(_unread(out, {"name": None, **SOLVERS[self.algorithm].preset}, "")):
+            block, _, key = path.rpartition(".")
+            del (out[block] if block else out)[key]
+        return out
 
     def linear_need(self) -> str | None:
         """What makes these params need a linear operator (the solver's `linear`), or None."""

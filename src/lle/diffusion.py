@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .numerics import RngStream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class DiffusionSchedule:
     """Cumulative signal-retention table alphabar[t], t = 0..T, alphabar[0] = 1."""
 
@@ -52,7 +52,7 @@ def linear_beta_schedule(
     return DiffusionSchedule(T=T, alphabar_table=table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class TimeGrid:
     """Strictly decreasing timesteps t_S > ... > t_1 > t_0 = 0."""
 

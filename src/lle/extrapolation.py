@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from . import canonical as canon
 from . import diffusion as dif
 from . import operators as ops
 from .errors import ConfigError, ConvergenceError
-from .canonical import rule
+from .config import ConfigBlock, parse_json, read_json, rule
 from .numerics import RngStream, RowStreams
 from .optim import Adam, ScheduleFreeAdamW
 
@@ -73,8 +72,7 @@ def combine(
     return _combined(stack_bases(list(history) + [xhat], op, decoupled), theta)
 
 
-@dataclass
-class LLECoefficients(canon.ConfigBlock):
+class LLECoefficients(ConfigBlock):
     """Per-timestep coefficient vectors, one block as the coefficients file
     holds them: one vector per step, t_S first, each entry j oldest first and
     xhat last; gamma coupled, gamma_par (range part) and gamma_perp (null
@@ -87,26 +85,31 @@ class LLECoefficients(canon.ConfigBlock):
     gamma: list[list[float]] | None = rule(None, optional=True)
     gamma_par: list[list[float]] | None = rule(None, optional=True)
     gamma_perp: list[list[float]] | None = rule(None, optional=True)
-    theta: list[np.ndarray] = field(init=False, repr=False, compare=False)
     unread_when = {("decoupled", True): ("gamma",),
                    ("decoupled", False): ("gamma_par", "gamma_perp")}
 
-    def __post_init__(self):
-        super().__post_init__()
-        parts = ("gamma_par", "gamma_perp") if self.decoupled else ("gamma",)
-        for key in parts:
+    def __init__(self, **values):
+        super().__init__(**values)
+        for key in self._parts():
             if getattr(self, key) is None:
                 raise ConfigError(f"missing config key {key}")
-        for key in ("timesteps",) + parts:
+        for key in ("timesteps",) + self._parts():
             if len(getattr(self, key)) != self.S:
                 raise ConfigError(f"{key} must have {self.S} entries, one per step,"
-                                               f" got {len(getattr(self, key))}")
-        for key in parts:
+                                  f" got {len(getattr(self, key))}")
+        for key in self._parts():
             for idx, v in enumerate(getattr(self, key)):
                 if len(v) != idx + 1:
                     raise ConfigError(f"{key}[{idx}] must have {idx + 1} entries, got {len(v)}")
-        self.theta = [np.array(sum(v, []), dtype=float)
-                      for v in zip(*(getattr(self, key) for key in parts))]
+
+    def _parts(self) -> tuple:
+        return ("gamma_par", "gamma_perp") if self.decoupled else ("gamma",)
+
+    @property
+    def theta(self) -> list:
+        """One vector per step, its parts joined: gamma, or gamma_par then gamma_perp."""
+        return [np.array(sum(v, []), dtype=float)
+                for v in zip(*(getattr(self, key) for key in self._parts()))]
 
     @classmethod
     def from_theta(cls, timesteps, theta, decoupled: bool) -> "LLECoefficients":
@@ -117,7 +120,7 @@ class LLECoefficients(canon.ConfigBlock):
                      "gamma_perp": [v[idx + 1 :] for idx, v in enumerate(vectors)]}
         else:
             parts = {"gamma": vectors}
-        return cls(len(vectors), decoupled, list(timesteps), **parts)
+        return cls(S=len(vectors), decoupled=decoupled, timesteps=list(timesteps), **parts)
 
     @classmethod
     def identity(cls, grid: dif.TimeGrid) -> "LLECoefficients":
@@ -125,14 +128,13 @@ class LLECoefficients(canon.ConfigBlock):
                               [np.eye(idx + 1)[idx] for idx in range(grid.S)], False)
 
     def to_json(self) -> str:
-        keys = {key: getattr(self, r.attr) for key, r in self.rules().items()}
-        return json.dumps({k: v for k, v in keys.items() if v is not None}, indent=2)
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "LLECoefficients":
         """Parse a coefficients file; a bad, missing or unknown key is a
         ConfigError naming it."""
-        return cls.from_dict(canon.parse_json(text, "the coefficients file"))
+        return cls.from_dict(parse_json(text, "the coefficients file"))
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -142,7 +144,7 @@ class LLECoefficients(canon.ConfigBlock):
     def load(cls, path) -> "LLECoefficients":
         """Read a coefficients file; every error names the file, a bad key's as
         `<path>: <error>`."""
-        obj = canon.read_json(path)
+        obj = read_json(path)
         try:
             return cls.from_dict(obj)
         except ConfigError as exc:
@@ -231,8 +233,7 @@ class LeastSquares:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrainConfig(canon.ConfigBlock):
+class TrainConfig(ConfigBlock):
     block = "lle"
     n_refs: int = rule(50, minimum=1)
     ref_steps: int = rule(999, minimum=1)
@@ -434,7 +435,9 @@ def infer(
     if coeffs.decoupled and op is None:
         raise ConfigError("decoupled coefficients require a linear operator")
 
+    theta = coeffs.theta
+
     def combiner(ctx, xhat):
-        return combine(coeffs.theta[len(ctx.history)], ctx.history, xhat, op, coeffs.decoupled)
+        return combine(theta[len(ctx.history)], ctx.history, xhat, op, coeffs.decoupled)
 
     return canon.run_with_combiner(params, prior, schedule, obs, grid, stream, combiner=combiner)

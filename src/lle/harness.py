@@ -1,6 +1,6 @@
 """Experiment configuration, closed-form posterior oracle, metrics, and sweeps.
 
-Each block of a JSON config is a `canonical.ConfigBlock`, and `load_config`
+Each block of a JSON config is a `config.ConfigBlock`, and `load_config`
 builds them all, with the prior and the operator, before anything runs: a
 bad key or value is a `ConfigError` naming its dotted path (`schedule.T`).
 
@@ -14,7 +14,7 @@ import io
 import math
 import operator
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import canonical as canon
 from . import diffusion as dif
 from . import extrapolation as lle
 from . import operators as ops
-from .canonical import ConfigBlock, rule
+from .config import SQRT_FLOAT_MAX, ConfigBlock, read_json, reject_unread, rule
 from .errors import ConfigError
 from .numerics import MetricReport, RngStream, RowStreams, mse, psnr
 
@@ -34,7 +34,6 @@ SIGMA_FLOOR = 1e-6
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SeededPrior(ConfigBlock):
     block = "prior"
     dim: int = rule(minimum=1)
@@ -42,7 +41,6 @@ class SeededPrior(ConfigBlock):
     seed: int = rule(0)
 
 
-@dataclass
 class InlinePrior(ConfigBlock):
     block = "prior"  # also the whole of a prior.file, as `gen-prior` writes it
     weights: list[float] = rule()
@@ -50,13 +48,11 @@ class InlinePrior(ConfigBlock):
     covariances: list[list[list[float]]] = rule()
 
 
-@dataclass
 class PriorFile(ConfigBlock):
     block = "prior"
     file: str = rule()  # relative to the config file
 
 
-@dataclass
 class OperatorSpec(ConfigBlock):
     """Every operator key; None is not given. Its kind's `ops.OPERATORS` entry
     decides which keys it reads, and their defaults."""
@@ -90,14 +86,12 @@ class OperatorSpec(ConfigBlock):
             raise ConfigError(f"{self._path(select)} has no default, so it may not be null")
 
 
-@dataclass
 class TaskSpec(ConfigBlock):
     block = "task"
     operator: OperatorSpec = rule()
-    sigma_y: float = rule(0.0, minimum=0.0)
+    sigma_y: float = rule(0.0, minimum=0.0, maximum=SQRT_FLOAT_MAX)  # squared as a Python float
 
 
-@dataclass
 class ScheduleSpec(ConfigBlock):
     block = "schedule"
     T: int = rule(1000, minimum=1, maximum=100_000)  # the alphabar table: 8 (T + 1) bytes
@@ -105,29 +99,27 @@ class ScheduleSpec(ConfigBlock):
     beta_end: float = rule(0.02, above=0.0, below=1.0)
 
 
-@dataclass
 class SeedsSpec(ConfigBlock):
     block = "seeds"
     train: int = rule(1)
     test: int = rule(2)
 
 
-@dataclass
 class ConfigFile(ConfigBlock):
     """The top level; `load_config` builds prior, algorithm and lle."""
 
     prior: dict = rule()  # a SeededPrior, InlinePrior or PriorFile
     task: TaskSpec = rule()
     algorithm: dict = rule()  # a canonical.AlgoParams over default_params(name)
-    schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
-    seeds: SeedsSpec = field(default_factory=SeedsSpec)
+    schedule: ScheduleSpec
+    seeds: SeedsSpec
     steps: int = rule(3, minimum=1)
     n_test: int = rule(10, minimum=1)
     peak: float = rule(2.0, above=0.0)
     lle: object = rule(None)  # an extrapolation.TrainConfig, "none" or null
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class ExperimentConfig:
     prior: dif.GaussianMixturePrior
     schedule: dif.DiffusionSchedule
@@ -169,7 +161,7 @@ def _built(path: str, build, *args):
 def _load_prior(spec: dict, config_dir: str) -> dif.GaussianMixturePrior:
     if "file" in spec:  # an inline prior block in a file of its own
         where, path = "prior.file", os.path.join(config_dir, PriorFile.from_dict(spec).file)
-        p = _built(where, InlinePrior.load, path)
+        p = _built(where, lambda: InlinePrior.from_dict(read_json(path)))
     elif "weights" in spec:
         where, p = "prior", InlinePrior.from_dict(spec)
     else:
@@ -179,7 +171,7 @@ def _load_prior(spec: dict, config_dir: str) -> dif.GaussianMixturePrior:
 
 
 def load_config(path) -> ExperimentConfig:
-    raw = canon.read_json(path)
+    raw = read_json(path)
     top = ConfigFile.from_dict(raw)
     prior = _load_prior(top.prior, os.path.dirname(os.path.abspath(path)))
     op = _built("task.operator", ops.build_operator, prior.d, vars(top.task.operator))
@@ -201,7 +193,7 @@ def load_config(path) -> ExperimentConfig:
     params = canon.AlgoParams.from_dict(top.algorithm, preset)
     linear = isinstance(op, ops.LinearOperator)
     task = {"task.operator": "linear" if linear else "nonlinear", "task.sigma_y": top.task.sigma_y}
-    canon.reject_unread(canon.SOLVERS[params.algorithm].unread_when, top.algorithm,
+    reject_unread(canon.SOLVERS[params.algorithm].unread_when, top.algorithm,
                         lambda k: task[k] if k in task else operator.attrgetter(k)(params),
                         lambda k: k if k in task else f"algorithm.{k}", f" by {params.algorithm}")
     k_ddim = params.daps.k_ddim  # DAPS's DDIM chain, like the reference chain, has <= T steps

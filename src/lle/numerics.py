@@ -222,7 +222,7 @@ def psnr(x: np.ndarray, ref: np.ndarray, peak: float = 2.0) -> float:
     return 10.0 * math.log10(peak * peak / err)
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class MetricReport:
     mse: float
     psnr_db: float

@@ -24,7 +24,7 @@ from .numerics import RngStream
 _SVD_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class LinearOperator:
     n: int
     m: int
@@ -98,7 +98,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class Observation:
     """The data y = A(x) + sigma_y n of a run. The x-independent quantities of y that
     the correctors read (ybar = U^T y, ||y||^2 and ||y - U U^T y||^2 per row) are
@@ -276,7 +276,7 @@ def build_operator(n: int, spec: dict):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class NonlinearOperator:
     kernel: np.ndarray
     scale: float

@@ -52,6 +52,13 @@ def small_prior():
     return random_mixture(3, 6, 2)
 
 
+def field_values(block) -> dict:
+    """Every field of a config block under its JSON key, None values too, a nested block
+    as a dict of its own fields."""
+    return {key: field_values(getattr(block, r.attr)) if r.nested else getattr(block, r.attr)
+            for key, r in block.rules().items()}
+
+
 def preset_lists(algorithm: str, path: str) -> bool:
     """Whether the algorithm's `SOLVERS` preset lists the `algorithm` key at a
     dotted path such as daps.eta0: the key itself, or its block as {}."""

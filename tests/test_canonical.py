@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import operator
@@ -13,13 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lle import canonical as canon
+from lle import config
 from lle import harness
 from lle import diffusion as dif
 from lle import operators as ops
 from lle.errors import ConfigError, ConvergenceError
 from lle.numerics import RngStream, RowStreams
 
-from conftest import (loaded, preset_lists, random_mixture, random_spd, says_unread,
+from conftest import (field_values, loaded, preset_lists, random_mixture, random_spd, says_unread,
                       scalar_ddim_coeffs, tweedie, with_value)
 
 
@@ -83,7 +83,7 @@ def test_default_params_are_fresh_per_call():
     assert canon.SOLVERS["DiffPIR"].preset["inner_opt"]["lr"] == 0.1
 
 
-def _block_classes(root=canon.ConfigBlock):
+def _block_classes(root=config.ConfigBlock):
     """Every subclass of root, recursively."""
     found = []
     for sub in root.__subclasses__():
@@ -98,36 +98,42 @@ def test_every_config_block_has_a_rule_table_of_its_own_fields():
     for cls in blocks:
         table = cls.rules()
         assert vars(cls)["_rule_table"] is table is cls.rules(), cls  # built once, on cls
-        ruled = [f for f in dataclasses.fields(cls) if "rule" in f.metadata]
+        # each annotation of cls and its bases, bases first, is one field: a rule or,
+        # bare, a nested block at its defaults
+        declared = [(attr, kind) for klass in reversed(cls.__mro__)
+                    for attr, kind in vars(klass).get("__annotations__", {}).items()]
         module = sys.modules[cls.__module__]
         want = []
-        for f in ruled:
-            key = f.metadata["key"] or f.name
-            nested = getattr(module, f.type, None)
-            want.append((key, f.name, f"{cls.block}.{key}" if cls.block else key,
-                         f.type.split(" |")[0], f.metadata["rule"],
+        for attr, kind in declared:
+            declared_rule = getattr(cls, attr, None)
+            if declared_rule is None:
+                continue
+            key = declared_rule.key or attr
+            nested = getattr(module, kind, None)
+            want.append((key, attr, f"{cls.block}.{key}" if cls.block else key,
+                         kind.split(" |")[0], declared_rule.rule,
                          nested if isinstance(nested, type) else None))
         got = [(key, r.attr, r.path, r.kind, r.rule, r.nested)
                for key, r in table.items() if r.rule is not None]
         assert got == want, cls
-        assert [r.attr for r in table.values()] == [f.name for f in dataclasses.fields(cls)
-                                                    if f.init], cls
-    assert "_rule_table" not in vars(canon.ConfigBlock)
+        assert [r.attr for r in table.values()] == [attr for attr, _ in declared], cls
+    assert "_rule_table" not in vars(config.ConfigBlock)
     # spot checks: a renamed key, a nested block with a rule and one without, a list kind
-    assert canon.AlgoParams.rules()["name"][:4] == ("algorithm", "algorithm.name", "str",
-                                                   (canon.ALGORITHMS, False, {}))
+    assert canon.AlgoParams.rules()["name"][1:5] == ("algorithm", "algorithm.name", "str",
+                                                    (canon.ALGORITHMS, False, {}))
     assert harness.ConfigFile.rules()["task"].nested is harness.TaskSpec
-    assert canon.AlgoParams.rules()["daps"][3:] == (None, canon.DAPSParams, False)
+    assert canon.AlgoParams.rules()["daps"][4:] == (None, canon.DAPSParams, None)
+    assert canon.AlgoParams.rules()["name"].required
+    assert not canon.AlgoParams.rules()["daps"].required
     assert harness.InlinePrior.rules()["means"].kind == "list[list[float]]"
 
 
 def test_a_subclass_builds_its_own_rule_table():
     parent = canon.InnerOptParams.rules()
 
-    @dataclasses.dataclass
     class Wider(canon.InnerOptParams):
         block = "wider"
-        extra: "int" = canon.rule(3, minimum=0)
+        extra: "int" = config.rule(3, minimum=0)
 
     try:
         table = Wider.rules()
@@ -1644,9 +1650,9 @@ _PROBE_CASES = [(name, *entry, kind) for name in canon.SOLVERS for entry in _ent
 
 def _algorithm_paths(name):
     """The dotted `algorithm` path of every value the solver's preset lists."""
-    values = dataclasses.asdict(canon.default_params(name))
+    values = field_values(canon.default_params(name))
     paths = [f"{key}.{sub}" if isinstance(value, dict) else key
-             for key, value in values.items() if key != "algorithm"
+             for key, value in values.items() if key != "name"
              for sub in (value if isinstance(value, dict) else [None])]
     return [path for path in paths if preset_lists(name, path)]
 
@@ -1745,14 +1751,14 @@ def test_a_non_finite_estimate_stops_the_run_naming_its_step_and_rows(schedule, 
 
 def _unread_fields_set_to_nan(params):
     """params with every field its algorithm's preset does not list set to NaN."""
-    for f in dataclasses.fields(params):
-        value = getattr(params, f.name)
-        if dataclasses.is_dataclass(value):
-            for g in dataclasses.fields(value):
-                if not preset_lists(params.algorithm, f"{f.name}.{g.name}"):
-                    setattr(value, g.name, math.nan)
-        elif f.name != "algorithm" and not preset_lists(params.algorithm, f.name):
-            setattr(params, f.name, math.nan)
+    for key, r in params.rules().items():
+        value = getattr(params, r.attr)
+        if r.nested is not None:
+            for sub in r.nested.rules():
+                if not preset_lists(params.algorithm, f"{key}.{sub}"):
+                    setattr(value, sub, math.nan)
+        elif key != "name" and not preset_lists(params.algorithm, key):
+            setattr(params, r.attr, math.nan)
     return params
 
 

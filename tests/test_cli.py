@@ -304,6 +304,48 @@ def _run(config, tmp_path, out="r.bin"):
     return cli.main(["run", "--config", config, "--seed", "1", "--out", str(tmp_path / out)])
 
 
+SQRT_FLOAT_MAX = 1.3407807929942596e154  # the largest float whose square is finite
+NINE = ("DDRM", "DDNM", "DPS", "PiGDM", "REDdiff", "DiffPIR", "DMPS", "ReSample", "DAPS")
+
+
+def _sigma_run(tmp_path, config_path, algorithm, sigma_y=0.05, daps=None, kind="mask"):
+    """`lle run` exit code at the given sigmas, checking stderr holds one line at most."""
+    operator = ({"kind": "mask", "keep_ratio": 0.5, "seed": 2} if kind == "mask"
+                else {"kind": "nonlinear", "kernel": [0.25, 0.5, 0.25]})
+    block = {"name": algorithm, **({"daps": daps} if daps else {})}
+    path = _variant(tmp_path, config_path, "sigma.json", algorithm=block, n_test=2,
+                    task={"operator": operator, "sigma_y": sigma_y})
+    return _run(path, tmp_path)
+
+
+@pytest.mark.parametrize("algorithm", NINE)
+def test_a_sigma_y_whose_square_overflows_is_rejected_at_load(tmp_path, config_path, capsys,
+                                                               algorithm):
+    # earlier 1.35e154 passed load, then DDRM, DDNM, PiGDM, DiffPIR, DMPS and DAPS raised
+    # OverflowError squaring it, and near 1e308 observing raised a bare ValueError
+    for sigma in (1.35e154, 1e308):
+        assert _sigma_run(tmp_path, config_path, algorithm, sigma_y=sigma) == 3
+        assert _error_line(capsys) == f"task.sigma_y must be <= {SQRT_FLOAT_MAX}, got {sigma!r}"
+    for sigma in (1.34e154, SQRT_FLOAT_MAX):  # loads, then runs or diverges in one line
+        assert _sigma_run(tmp_path, config_path, algorithm, sigma_y=sigma) in (0, 4)
+        assert len(capsys.readouterr().err.splitlines()) <= 1
+
+
+@pytest.mark.parametrize("kind", ["mask", "nonlinear"])
+def test_a_daps_sigma_langevin_whose_square_overflows_is_rejected_at_load(tmp_path, config_path,
+                                                                          capsys, kind):
+    # earlier 1.35e154 passed load and DAPS raised OverflowError squaring it
+    for sigma in (1.35e154, 1e308):
+        daps = {"sigma_langevin": sigma, "n_langevin": 3}
+        assert _sigma_run(tmp_path, config_path, "DAPS", daps=daps, kind=kind) == 3
+        assert _error_line(capsys) == (f"algorithm.daps.sigma_langevin must be <= {SQRT_FLOAT_MAX},"
+                                       f" got {sigma!r}")
+    for sigma in (1.34e154, SQRT_FLOAT_MAX):
+        daps = {"sigma_langevin": sigma, "n_langevin": 3}
+        assert _sigma_run(tmp_path, config_path, "DAPS", daps=daps, kind=kind) in (0, 4)
+        assert len(capsys.readouterr().err.splitlines()) <= 1
+
+
 def test_unread_algorithm_key_is_one_line_and_exit_3(tmp_path, config_path, capsys):
     # earlier DDRM ran with these keys ignored, and exited 0
     path = _variant(tmp_path, config_path, "ddrm.json",

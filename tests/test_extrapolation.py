@@ -1,6 +1,5 @@
 import json
 import re
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -787,8 +786,7 @@ def _fit(given: dict) -> tuple:
 
 
 def _fit_other(key, now):
-    f = next(f for f in fields(lle.TrainConfig) if f.name == key)
-    choices = f.metadata["rule"][0]
+    choices = lle.TrainConfig.rules()[key].rule[0]
     if choices:
         return next(c for c in choices if c != now)
     return (not now) if isinstance(now, bool) else _FIT_OTHER[key]
@@ -799,10 +797,10 @@ def test_the_train_unread_cases_cover_every_entry():
     settable = set()
     for ctx in _FIT_CONTEXTS:
         tc = lle.TrainConfig.from_dict(ctx)
-        settable |= {f.name for f in fields(tc) if not any(
-            getattr(tc, switch) == value and f.name in keys
+        settable |= {key for key in tc.rules() if not any(
+            getattr(tc, switch) == value and key in keys
             for (switch, value), keys in tc.unread_when.items())}
-    assert settable == {f.name for f in fields(lle.TrainConfig)}
+    assert settable == set(lle.TrainConfig.rules())
     assert {next(iter(ctx.items())) for ctx in _FIT_CONTEXTS} == set(lle.TrainConfig.unread_when)
 
 
@@ -828,13 +826,13 @@ def test_a_key_its_switch_leaves_unread_leaves_the_fit_as_it_was(switch, on, key
 def test_every_lle_key_a_config_may_set_moves_the_fit(context):
     base = _fit(context)
     now = lle.TrainConfig.from_dict(context)
-    for f in fields(lle.TrainConfig):
-        moved = dict(context, **{f.name: _fit_other(f.name, getattr(now, f.name))})
+    for key in lle.TrainConfig.rules():
+        moved = dict(context, **{key: _fit_other(key, getattr(now, key))})
         try:
             lle.TrainConfig.from_dict(moved)
         except ConfigError:  # unread here, or it leaves another given key unread
             continue
-        assert _fit(moved) != base, f.name
+        assert _fit(moved) != base, key
 
 
 @pytest.mark.parametrize("decoupled", [False, True])
@@ -846,7 +844,7 @@ def test_a_coefficient_part_decoupled_leaves_unread_is_rejected_and_unused(decou
     with pytest.raises(ConfigError, match=message):
         lle.LLECoefficients.from_json(json.dumps(dict(obj, **junk)))
     read = lle.LLECoefficients.from_dict(obj)
-    built = lle.LLECoefficients(read.S, decoupled, read.timesteps,
+    built = lle.LLECoefficients(S=read.S, decoupled=decoupled, timesteps=read.timesteps,
                                 **{k: v for k, v in obj.items() if k.startswith("gamma")}, **junk)
     assert [t.tobytes() for t in built.theta] == [t.tobytes() for t in read.theta]
 

@@ -17,9 +17,10 @@ from lle import errors
 from lle import extrapolation as lle
 from lle import harness
 from lle import operators as ops
+from lle.config import ConfigBlock
 from lle.numerics import RngStream, RowStreams, mse, psnr
 
-from conftest import loaded, preset_lists, says_unread, with_value
+from conftest import field_values, loaded, preset_lists, says_unread, with_value
 
 
 def write_config(path, **overrides):
@@ -286,7 +287,7 @@ def test_load_config_rejects_a_key_the_algorithm_does_not_read(tmp_path, algorit
 
 def _settable(preset, params):
     """How many values a preset lets a config set; a {} block, every field of params' block."""
-    return sum(len(dataclasses.fields(getattr(params, key))) if value == {}
+    return sum(len(getattr(params, key).rules()) if value == {}
                else _settable(value, getattr(params, key)) if isinstance(value, dict) else 1
                for key, value in preset.items())
 
@@ -302,7 +303,7 @@ def test_settable_algorithm_values_are_the_presets_keys():
 
 def test_settable_values_fall_under_each_switch():
     # the keys a switch leaves unread are no longer settable beside it
-    fit = len(dataclasses.fields(lle.TrainConfig))
+    fit = len(lle.TrainConfig.rules())
     unread = lle.TrainConfig.unread_when
     closed, adam, none = (len(unread[switch]) for switch in (
         ("closed_form", True), ("optimizer", "adam"), ("plugin", "none")))
@@ -313,7 +314,7 @@ def test_settable_values_fall_under_each_switch():
     assert _settable(resample, canon.default_params("ReSample")) == 3
     assert fit - len(unread["epochs", 0]) == 10
     daps = canon.DAPSParams
-    assert [len(dataclasses.fields(daps)) - len(keys) for keys in daps.unread_when.values()] \
+    assert [len(daps.rules()) - len(keys) for keys in daps.unread_when.values()] \
         == [5, 2, 4]  # noiseless_linear true, n_langevin 0, eta0 0
     assert 6 - len(canon.InnerOptParams.unread_when["steps", 0]) == 4  # ReSample at steps 0
     assert 2 - len(canon.AlgoParams.unread_when["xi", 0]) == 1  # REDdiff at xi 0
@@ -1127,7 +1128,7 @@ def test_config_error_is_the_configuration_error():
 
 
 def _config_blocks():
-    seen, todo = [], [canon.ConfigBlock]
+    seen, todo = [], [ConfigBlock]
     while todo:
         cls = todo.pop()
         for sub in cls.__subclasses__():
@@ -1142,9 +1143,8 @@ def test_readme_config_schema_lists_every_key():
     blocks = _config_blocks()
     assert {"seeds", "schedule", "task", "task.operator", "prior", "algorithm",
             "algorithm.daps", "algorithm.inner_opt", "lle"} <= {b.block for b in blocks}
-    missing = [f"{cls.block}.{f.metadata.get('key') or f.name}"
-               for cls in blocks for f in dataclasses.fields(cls)
-               if not re.search(rf"\b{re.escape(f.metadata.get('key') or f.name)}\b", section)]
+    missing = [f"{cls.block}.{key}" for cls in blocks for key in cls.rules()
+               if not re.search(rf"\b{re.escape(key)}\b", section)]
     assert not missing
     for kind in ops.OPERATORS:
         assert f"| {kind} |" in section, kind
@@ -1168,7 +1168,7 @@ def keys_read_table() -> str:
     rows = ["| `name` | Keys read, at their preset values | Linear operator | Not read |",
             "| --- | --- | --- | --- |"]
     for name, solver in canon.SOLVERS.items():
-        values = dataclasses.asdict(canon.default_params(name))
+        values = field_values(canon.default_params(name))
         keys = [f"`{path}` {json.dumps(_at(values, path))}" for path in _key_paths(values)
                 if not isinstance(_at(values, path), dict) and preset_lists(name, path)]
         linear = ("always" if solver.linear is True
@@ -1349,10 +1349,8 @@ def _bounds(path):
     parent, _, key = path.rpartition(".")
     tables = {b.block: b for b in _config_blocks()
               if b not in (harness.InlinePrior, harness.PriorFile, lle.LLECoefficients)}
-    for f in dataclasses.fields(tables[parent]):
-        if (f.metadata.get("key") or f.name) == key and "rule" in f.metadata:
-            return f.metadata["rule"][2]
-    return {}
+    r = tables[parent].rules().get(key)
+    return r.rule[2] if r is not None and r.rule is not None else {}
 
 
 def _past(bound, limit, value):
@@ -1374,8 +1372,8 @@ def _unread_key(draw, cfg):
     """(cfg with a valid value for an algorithm key its algorithm does not read, the
     path its error must name)."""
     name = cfg["algorithm"]["name"]
-    values = dataclasses.asdict(canon.default_params(name))
-    del values["algorithm"]  # the "name" key
+    values = field_values(canon.default_params(name))
+    del values["name"]
     unread = [path for path in _key_paths(values)
               if not isinstance(_at(values, path), dict) and not preset_lists(name, path)]
     path = draw(st.sampled_from(unread))
@@ -1435,7 +1433,7 @@ def _given(cfg, path):
 def _json_value(block, key):
     """The block's value of key as JSON gives it: a nested block as {}."""
     value = getattr(block, key)
-    return {} if dataclasses.is_dataclass(value) else value
+    return {} if isinstance(value, ConfigBlock) else value
 
 
 @st.composite
