@@ -122,11 +122,6 @@ class LLECoefficients(ConfigBlock):
             parts = {"gamma": vectors}
         return cls(S=len(vectors), decoupled=decoupled, timesteps=list(timesteps), **parts)
 
-    @classmethod
-    def identity(cls, grid: dif.TimeGrid) -> "LLECoefficients":
-        return cls.from_theta(grid.timesteps[: grid.S],
-                              [np.eye(idx + 1)[idx] for idx in range(grid.S)], False)
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
@@ -218,10 +213,17 @@ class LeastSquares:
         res = np.asarray(thetas, dtype=float)[:, None, :] @ self.R.T - self.q
         return ((res @ res.transpose(0, 2, 1))[:, 0, 0] + self.c) / self.n
 
+    def normal_residual(self, theta) -> list:
+        """h = R^T (R theta - q) at theta as Python floats; the gradient is 2.0 * h / n."""
+        return (self.R.T @ (self.R @ theta - self.q)).tolist()
+
     def grad(self, theta) -> list:
-        """The gradient at theta as Python floats, for the float optimizers."""
+        """The gradient 2.0 * h / n at theta as Python floats. The fit does not call
+        it: its optimizer's epoch loop (`optim.ScheduleFreeAdamW.run`) takes h from
+        `normal_residual` and forms each entry of this gradient in its one pass over
+        theta, so an epoch's `step(grad(eval_point()))` gives the loop's bits."""
         n = self.n
-        return [2.0 * g / n for g in (self.R.T @ (self.R @ theta - self.q)).tolist()]
+        return [2.0 * g / n for g in self.normal_residual(theta)]
 
     def solve(self) -> np.ndarray:
         """The minimum-norm minimizer, so coefficients the loss cannot tell apart split equally."""
@@ -313,9 +315,10 @@ def train_timestep(ls: LeastSquares, init_theta, config: TrainConfig, lr_t: floa
     """Optimize the coefficient vector over one timestep's fit `ls`.
 
     Returns (best theta, per-epoch loss trace). The best-by-training-loss
-    snapshot guarantees final loss <= initial loss. Each block of epochs is
-    scored by one `ls.losses` call, then read in epoch order: the first
-    non-finite loss raises, and a later epoch replaces the best only when lower.
+    snapshot guarantees final loss <= initial loss. Each block of epochs is one
+    `run` of the optimizer, one pass over theta per epoch, scored by one
+    `ls.losses` call, then read in epoch order: the first non-finite loss
+    raises, and a later epoch replaces the best only when lower.
     """
     theta = np.asarray(init_theta, dtype=float)
     best = theta.copy()
@@ -333,8 +336,7 @@ def train_timestep(ls: LeastSquares, init_theta, config: TrainConfig, lr_t: floa
     opt = (Adam(theta, lr=lr_t) if config.optimizer == "adam"
            else ScheduleFreeAdamW(theta, lr=lr_t, warmup=config.warmup))
     for start in range(0, config.epochs, _EPOCH_BLOCK):
-        block = [opt.step(ls.grad(opt.eval_point()))
-                 for _ in range(min(_EPOCH_BLOCK, config.epochs - start))]
+        block = opt.run(ls.normal_residual, min(_EPOCH_BLOCK, config.epochs - start), 2.0, ls.n)
         for theta, cur in zip(block, ls.losses(block).tolist()):
             if not math.isfinite(cur):
                 raise ConvergenceError(f"training diverged at timestep {t_i}")

@@ -6,10 +6,14 @@ y = (1 - beta1) z + beta1 x; the averaged iterate is the returned parameter
 vector. A plain-Adam fallback exists for ablation.
 
 `ScheduleFreeAdamW` and `Adam` step the coefficient fit's few-entry vector on
-Python floats, where a NumPy call costs more than its arithmetic: each entry
-takes the array expression's operations in its order, and `math.sqrt` is
-correctly rounded, so the bits are the array form's. `BatchScheduleFreeAdamW`
-is that array form, for DiffPIR's inner loop on a (B, d) batch.
+Python floats, where a NumPy call costs more than its arithmetic. Their `run`
+takes a block of epochs from a gradient callback, and each epoch is one pass
+over the entries: it scales the gradient entry, updates the optimizer state
+and forms the entry of the next evaluation point. `step(g)` is one epoch of
+that loop. Each entry takes the array expression's operations in its order,
+and `math.sqrt` is correctly rounded, so the bits are the array form's.
+`BatchScheduleFreeAdamW` is that array form, for DiffPIR's inner loop on a
+(B, d) batch.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ import math
 import numpy as np
 
 
-class ScheduleFreeAdamW:
-    """The rule on one vector of Python floats; `step` takes any sequence of
-    floats and returns the new parameters as a new list."""
+class _ScheduleFree:
+    """The schedule-free rule's state and step schedule, whatever holds the vectors."""
 
     def __init__(self, init_params, lr: float = 0.01, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, warmup: int = 0):
@@ -30,10 +33,6 @@ class ScheduleFreeAdamW:
         self.lr, self.beta1, self.beta2, self.eps, self.warmup = lr, beta1, beta2, eps, warmup
         self.t = 0
         self._lr2_sum = 0.0
-
-    @staticmethod
-    def _vector(a):
-        return np.asarray(a, dtype=float).tolist()
 
     def _advance(self):
         """Count a step; its (lr_t, 1 - beta2^t, averaging weight c)."""
@@ -45,27 +44,57 @@ class ScheduleFreeAdamW:
         c = (lr_t * lr_t / self._lr2_sum) if self._lr2_sum > 0 else 1.0
         return lr_t, 1.0 - self.beta2**self.t, c
 
+    def params(self) -> np.ndarray:
+        """Current parameters (the averaged iterate)."""
+        return np.array(self.x)
+
+
+class ScheduleFreeAdamW(_ScheduleFree):
+    """The rule on one vector of Python floats; `run` and `step` return each
+    epoch's parameters as a new list."""
+
+    @staticmethod
+    def _vector(a):
+        return np.asarray(a, dtype=float).tolist()
+
     def eval_point(self) -> np.ndarray:
         """Interpolation point y at which the next gradient must be evaluated."""
         b1 = self.beta1
         return np.array([(1.0 - b1) * z + b1 * x for z, x in zip(self.z, self.x)])
 
-    def params(self) -> np.ndarray:
-        """Current parameters (the averaged iterate)."""
-        return np.array(self.x)
+    def run(self, grad, epochs: int, mul: float = 1.0, div: float = 1.0) -> list:
+        """Run `epochs` epochs; returns each epoch's parameters.
+
+        An epoch's gradient entry j is mul * h[j] / div for h = grad(y), y the
+        epoch's evaluation point as a list that the next epoch overwrites.
+        """
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        a1, a2 = 1.0 - b1, 1.0 - b2
+        z, v, x = self.z[:], self.v[:], self.x
+        y = [a1 * zj + b1 * xj for zj, xj in zip(z, x)]
+        entries = range(len(x))
+        out = []
+        for _ in range(epochs):
+            lr_t, bc, c = self._advance()
+            keep = 1.0 - c
+            h = grad(y)
+            x = x[:]
+            for j in entries:
+                g = mul * h[j] / div
+                vj = v[j] = b2 * v[j] + a2 * g * g
+                zj = z[j] = z[j] - lr_t * g / (math.sqrt(vj / bc) + eps)
+                xj = x[j] = keep * x[j] + c * zj
+                y[j] = a1 * zj + b1 * xj
+            out.append(x)
+        self.z, self.v, self.x = z, v, x
+        return out
 
     def step(self, grad) -> list:
         """Consume a gradient taken at eval_point(); returns updated params."""
-        lr_t, bc, c = self._advance()
-        b2, a2, eps, keep = self.beta2, 1.0 - self.beta2, self.eps, 1.0 - c
-        self.v = [b2 * v + a2 * g * g for v, g in zip(self.v, grad)]
-        self.z = [z - lr_t * g / (math.sqrt(v / bc) + eps)
-                  for z, g, v in zip(self.z, grad, self.v)]
-        self.x = [keep * x + c * z for x, z in zip(self.x, self.z)]
-        return self.x
+        return self.run(lambda y: grad, 1)[0]
 
 
-class BatchScheduleFreeAdamW(ScheduleFreeAdamW):
+class BatchScheduleFreeAdamW(_ScheduleFree):
     """The same rule on NumPy arrays of any shape, each entry its own
     coordinate: DiffPIR's inner loop steps a (B, d) batch at once."""
 
@@ -87,7 +116,8 @@ class BatchScheduleFreeAdamW(ScheduleFreeAdamW):
 
 class Adam:
     """Plain Adam on Python floats, kept as an ablation fallback for
-    coefficient training; `step` returns the new parameters as a list."""
+    coefficient training; `run` and `step` return each epoch's parameters as
+    a new list."""
 
     def __init__(self, init_params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
         self.x = np.asarray(init_params, dtype=float).tolist()
@@ -100,13 +130,27 @@ class Adam:
 
     eval_point = params  # gradients are taken at the parameters
 
-    def step(self, grad) -> list:
-        self.t += 1
+    def run(self, grad, epochs: int, mul: float = 1.0, div: float = 1.0) -> list:
+        """Run `epochs` epochs as `ScheduleFreeAdamW.run` does; the evaluation
+        point is the parameters, which grad must not change."""
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         a1, a2 = 1.0 - b1, 1.0 - b2
-        self.m = [b1 * m + a1 * g for m, g in zip(self.m, grad)]
-        self.v = [b2 * v + a2 * g * g for v, g in zip(self.v, grad)]
-        bc1, bc2 = 1.0 - b1**self.t, 1.0 - b2**self.t
-        self.x = [x - lr * (m / bc1) / (math.sqrt(v / bc2) + eps)
-                  for x, m, v in zip(self.x, self.m, self.v)]
-        return self.x
+        m, v, x = self.m[:], self.v[:], self.x
+        entries = range(len(x))
+        out = []
+        for _ in range(epochs):
+            self.t += 1
+            bc1, bc2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+            h = grad(x)
+            x = x[:]
+            for j in entries:
+                g = mul * h[j] / div
+                mj = m[j] = b1 * m[j] + a1 * g
+                vj = v[j] = b2 * v[j] + a2 * g * g
+                x[j] = x[j] - lr * (mj / bc1) / (math.sqrt(vj / bc2) + eps)
+            out.append(x)
+        self.m, self.v, self.x = m, v, x
+        return out
+
+    def step(self, grad) -> list:
+        return self.run(lambda x: grad, 1)[0]

@@ -10,6 +10,7 @@ import pytest
 from lle import canonical as canon
 from lle import diffusion as dif
 from lle import harness
+from lle.extrapolation import LLECoefficients
 from lle.numerics import RngStream
 
 
@@ -50,6 +51,13 @@ def random_mixture(seed: int, d: int, K: int) -> dif.GaussianMixturePrior:
 @pytest.fixture
 def small_prior():
     return random_mixture(3, 6, 2)
+
+
+def identity_coeffs(grid: dif.TimeGrid) -> LLECoefficients:
+    """Coupled identity coefficients on grid: each step's vector one-hot on xhat,
+    with which inference must reproduce the base solver bit for bit."""
+    return LLECoefficients.from_theta(grid.timesteps[: grid.S],
+                                      [np.eye(idx + 1)[idx] for idx in range(grid.S)], False)
 
 
 def field_values(block) -> dict:

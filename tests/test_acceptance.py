@@ -18,7 +18,7 @@ from lle import harness
 from lle import operators as ops
 from lle.numerics import RngStream
 
-from conftest import random_mixture, scalar_ddim_coeffs, tweedie
+from conftest import identity_coeffs, random_mixture, scalar_ddim_coeffs, tweedie
 
 
 def report(n, text):
@@ -184,7 +184,7 @@ def test_criterion_06_identity_coefficients_reproduce_base():
     y = ops.observe(op, truth, 0.05, RngStream(210))
     obs = ops.Observation(y=y, op=op, sigma_y=0.05)
     grid = dif.make_time_grid(schedule, 4)
-    ident = lle.LLECoefficients.identity(grid)
+    ident = identity_coeffs(grid)
     for name in canon.ALGORITHMS:
         params = canon.default_params(name)
         base = canon.run(params, prior, schedule, obs, grid, seed=77)

@@ -13,7 +13,7 @@ from lle.errors import ConfigError, ConvergenceError
 from lle.numerics import RngStream, RowStreams
 from lle.optim import Adam, ScheduleFreeAdamW
 
-from conftest import random_mixture
+from conftest import identity_coeffs, random_mixture
 
 
 def mask_obs(prior, seed=100, sigma_y=0.05, keep=(0, 2, 4)):
@@ -174,7 +174,7 @@ def test_decoupled_identity_reproduces_base_on_dense_operator(schedule):
     truth = prior.sample(RngStream(132), 1)[0]
     obs = ops.Observation(y=ops.observe(op, truth, 0.05, RngStream(133)), op=op, sigma_y=0.05)
     grid = dif.make_time_grid(schedule, 4)
-    ident = lle.LLECoefficients.identity(grid)
+    ident = identity_coeffs(grid)
     coeffs = lle.LLECoefficients.from_theta(ident.timesteps,
                                             [np.concatenate([g, g]) for g in ident.theta], True)
     for name in canon.ALGORITHMS:
@@ -186,7 +186,7 @@ def test_decoupled_identity_reproduces_base_on_dense_operator(schedule):
 
 def test_coefficients_validation_and_identity(schedule):
     grid = dif.make_time_grid(schedule, 3)
-    ident = lle.LLECoefficients.identity(grid)
+    ident = identity_coeffs(grid)
     assert [g.tolist() for g in ident.theta] == [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]]
     with pytest.raises(ValueError, match=r"gamma\[1\] must have 2 entries"):
         lle.LLECoefficients.from_theta((1000, 500), [np.ones(1), np.ones(3)], False)
@@ -324,7 +324,7 @@ def test_coefficients_file_that_is_no_object_is_config_error():
 
 def test_coefficients_file_round_trip(tmp_path, schedule):
     grid = dif.make_time_grid(schedule, 2)
-    coeffs = lle.LLECoefficients.identity(grid)
+    coeffs = identity_coeffs(grid)
     path = tmp_path / "coeffs.json"
     coeffs.save(path)
     back = lle.LLECoefficients.load(path)
@@ -498,14 +498,17 @@ def _train_timestep_by_epoch(ls, theta0, config, lr_t):
     return np.asarray(best, dtype=float), trace
 
 
-@pytest.mark.parametrize("epochs", [1, lle._EPOCH_BLOCK, 2 * lle._EPOCH_BLOCK + 7])
-@pytest.mark.parametrize("keys", [{"warmup": 0}, {"warmup": 10}, {"optimizer": "adam"}])
-def test_train_timestep_scores_blocks_as_each_epoch(epochs, keys):
-    # a last block that is not full when epochs is not a multiple of the block length
+@pytest.mark.parametrize("J", [1, 5])
+@pytest.mark.parametrize("epochs", [0, 1, lle._EPOCH_BLOCK, 2 * lle._EPOCH_BLOCK + 7])
+@pytest.mark.parametrize("keys", [{"warmup": 0}, {"warmup": 10},
+                                  {"warmup": 3 * lle._EPOCH_BLOCK}, {"optimizer": "adam"}])
+def test_train_timestep_scores_blocks_as_each_epoch(epochs, keys, J):
+    # a last block that is not full when epochs is not a multiple of the block length,
+    # a warmup longer than the fit, no epochs at all, and a one-entry theta
     stream = RngStream(112)
-    ls = lle.LeastSquares([stream.standard_normal((6, 4)) for _ in range(5)],
+    ls = lle.LeastSquares([stream.standard_normal((6, 4)) for _ in range(J)],
                           stream.standard_normal((6, 4)), 0.2)
-    theta0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+    theta0 = np.eye(J)[J - 2]
     config = lle.TrainConfig(epochs=epochs, **keys)
     theta, trace = lle.train_timestep(ls, theta0, config, 0.05, 500)
     want_theta, want_trace = _train_timestep_by_epoch(ls, theta0, config, 0.05)
@@ -711,7 +714,7 @@ def test_identity_inference_is_bit_identical_to_base():
     y = ops.observe(op, prior.sample(RngStream(5), 1), sigma_y, RngStream(6))
     obs = ops.Observation(y=y[0], op=op, sigma_y=sigma_y)
     base = canon.run(params, prior, schedule, obs, grid, seed=31)
-    ident = lle.LLECoefficients.identity(grid)
+    ident = identity_coeffs(grid)
     via_lle = lle.infer(params, prior, schedule, obs, grid, ident, seed=31)
     assert np.array_equal(base, via_lle)
 
@@ -734,7 +737,7 @@ def test_infer_rejects_grid_mismatch(schedule, small_prior):
     grid3 = dif.make_time_grid(schedule, 3)
     grid4 = dif.make_time_grid(schedule, 4)
     obs, _ = mask_obs(small_prior)
-    coeffs = lle.LLECoefficients.identity(grid3)
+    coeffs = identity_coeffs(grid3)
     with pytest.raises(ConfigError):
         lle.infer(canon.default_params("DDNM"), small_prior, schedule, obs,
                   grid4, coeffs, seed=1)
@@ -742,7 +745,7 @@ def test_infer_rejects_grid_mismatch(schedule, small_prior):
 
 def test_infer_rejects_coefficients_of_another_time_grid(small_prior):
     # S = 2 on both sides, but trained at T = 1000 and applied at T = 400
-    trained = lle.LLECoefficients.identity(dif.make_time_grid(dif.linear_beta_schedule(), 2))
+    trained = identity_coeffs(dif.make_time_grid(dif.linear_beta_schedule(), 2))
     schedule = dif.linear_beta_schedule(T=400)
     obs, _ = mask_obs(small_prior)
     with pytest.raises(ConfigError, match=r"\[1000, 500\].*\[400, 200\]"):
@@ -886,7 +889,7 @@ def _batch_operator(kind, d):
 
 def _random_coeffs(kind, grid, seed):
     if kind == "identity":
-        return lle.LLECoefficients.identity(grid)
+        return identity_coeffs(grid)
     s = RngStream(seed, 9)
 
     def near_identity(J):

@@ -20,7 +20,7 @@ from lle import operators as ops
 from lle.config import ConfigBlock
 from lle.numerics import RngStream, RowStreams, mse, psnr
 
-from conftest import field_values, loaded, preset_lists, says_unread, with_value
+from conftest import field_values, identity_coeffs, loaded, preset_lists, says_unread, with_value
 
 
 def write_config(path, **overrides):
@@ -528,7 +528,7 @@ def test_run_experiment_identity_matches_manual_infer(tmp_path):
     grid = dif.make_time_grid(cfg.schedule, cfg.steps)
     obs = ops.Observation(y=ys[1], op=op, sigma_y=cfg.sigma_y)
     manual = lle.infer(cfg.params, cfg.prior, cfg.schedule, obs, grid,
-                       lle.LLECoefficients.identity(grid), 11,
+                       identity_coeffs(grid), 11,
                        stream=RngStream(11, stream_id=1001))
     assert np.array_equal(recons[1], manual)
     assert np.array_equal(truths, truths2)
@@ -536,7 +536,7 @@ def test_run_experiment_identity_matches_manual_infer(tmp_path):
 
 @pytest.mark.parametrize("name", canon.ALGORITHMS)
 def test_base_run_builds_no_coefficients_and_combines_nothing(tmp_path, monkeypatch, name):
-    # a base run is the plain solver: no identity coefficients, no combine call, and the
+    # a base run is the plain solver: no coefficients built, no combine call, and the
     # same bytes as identity-coefficient inference on the same (N, 1, m) batch and streams
     cfg = harness.load_config(write_config(tmp_path / "c.json", algorithm={"name": name},
                                            steps=3, lle="none"))
@@ -544,12 +544,12 @@ def test_base_run_builds_no_coefficients_and_combines_nothing(tmp_path, monkeypa
     obs = ops.Observation(y=ys[:, None, :], op=op, sigma_y=cfg.sigma_y)
     streams = RowStreams(RngStream(11, stream_id=1000 + i) for i in range(cfg.n_test))
     want = lle.infer(cfg.params, cfg.prior, cfg.schedule, obs, cfg.grid,
-                     lle.LLECoefficients.identity(cfg.grid), 11, stream=streams)[:, 0]
+                     identity_coeffs(cfg.grid), 11, stream=streams)[:, 0]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a base run built or combined coefficients")
 
-    monkeypatch.setattr(lle.LLECoefficients, "identity", refuse)
+    monkeypatch.setattr(lle.LLECoefficients, "__init__", refuse)
     monkeypatch.setattr(lle, "combine", refuse)
     recons, _ = harness.run_experiment(cfg, seed=11)
     assert cfg.n_test == 3
