@@ -13,14 +13,14 @@ additionally lets a callback replace the corrected estimate before the noiser, w
 is how the learned extrapolation plugs in, for training and inference alike, without
 duplicating the data flow. Every stage has one form, sampler(ctx), corrector(ctx) and
 noiser(ctx, xhat), as the combiner(ctx, xhat) has: ctx is the step's one `StepContext`,
-which carries the observation and the params with the step's state.
+built from the run's `RunTables` (what the driver call fixes: prior, schedule, obs,
+params and every step's x-independent constants) and the step's index.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,18 +56,18 @@ class InnerOptParams(ConfigBlock):
 
 
 class RunTables:
-    """The x-independent constants of one run's steps t_i -> t_prev down the timesteps
-    ts, built once per driver call: rows[i] is step i's row of `diffusion.step_rows`
-    (the mixture's constants at t_i, then ab, ab_prev, sqrt(ab_prev) and sigma_prev),
-    from one vectorized call, each entry the bits a one-step table holds. `memo` keeps
-    a solver's own x-independent tables (DAPS's n-step factors, ReSample's descent
-    table) for the rest of the run; nothing is kept across runs.
-    """
+    """What one driver call fixes: its inputs prior, schedule, obs and params, and its
+    steps t_i[i] -> t_prev[i] down the timesteps ts with their x-independent constants:
+    rows[i] is step i's row of `diffusion.step_rows` (the mixture's constants at t_i,
+    then ab, ab_prev, sqrt(ab_prev) and sigma_prev), from one vectorized call, each
+    entry the bits a one-step table holds. `memo` keeps a solver's own x-independent
+    tables (DAPS's n-step factors, ReSample's descent table) for the rest of the run;
+    nothing is kept across runs."""
 
-    def __init__(self, prior, schedule, ts):
-        self.t_i = list(ts[:-1])
-        self.index = {t: i for i, t in enumerate(self.t_i)}
-        self.rows = dif.step_rows(prior, schedule, self.t_i, ts[1:])
+    def __init__(self, prior, schedule, ts, obs: ops.Observation, params: AlgoParams):
+        self.prior, self.schedule, self.obs, self.params = prior, schedule, obs, params
+        self.t_i, self.t_prev = list(ts[:-1]), list(ts[1:])
+        self.rows = dif.step_rows(prior, schedule, self.t_i, self.t_prev)
         self._memo = {}
 
     def memo(self, key: tuple, build):
@@ -79,45 +79,26 @@ class RunTables:
         return table
 
 
-@dataclass(repr=False, eq=False)
 class StepContext:
-    """The step state every stage reads, its one argument besides the noiser's xhat:
-    the observation obs, the algorithm params, and the step's schedule quantities:
-    ab and sigma = sqrt(1 - ab) at t_i, ab_prev and sigma_prev at t_prev. Those, and
-    the mixture's constants at t_i, are the step's row of run, the run's `RunTables`,
-    which the driver builds once per call; a context built without one (a test, a
-    one-off corrector call) is a one-step run and builds its own. obs keeps U^T y and
-    the norms of y from their first read on, so obs.y must not be mutated in place
-    after that. eps and the mixture whitening at (x_t, t_i) are evaluated once and
-    shared by sampler, corrector and noiser. history is the driver's list of the
-    earlier steps' combined estimates, oldest first, so len(history) is the step's
-    index."""
+    """Step `step` of a run, every stage's one argument besides the noiser's xhat: the
+    run's inputs prior, schedule, obs and params; the step's t_i, t_prev and, from its
+    row of the run's `RunTables`, ab and sigma = sqrt(1 - ab) at t_i, ab_prev and
+    sigma_prev at t_prev; the state x_t, the stream and history (the earlier steps'
+    combined estimates, oldest first) the driver hands it; and the sampler's x0_sampled.
+    eps and the mixture whitening at (x_t, t_i) are evaluated once, on first read, and
+    shared by every stage. obs keeps U^T y and the norms of y from their first read on,
+    so obs.y must not be mutated in place after that."""
 
-    x_t: np.ndarray
-    t_i: int
-    t_prev: int
-    prior: object
-    schedule: dif.DiffusionSchedule
-    stream: RngStream | RowStreams
-    obs: ops.Observation
-    params: AlgoParams
-    history: list = field(default_factory=list)
-    x0_sampled: np.ndarray | None = None
-    run: RunTables | None = None
-    _eps: np.ndarray | None = None
-    _whitened: tuple | None = None
-    step: int = field(init=False)  # the step's row of run
-    ab: float = field(init=False)
-    ab_prev: float = field(init=False)
-    sigma: float = field(init=False)
-    sigma_prev: float = field(init=False)
-
-    def __post_init__(self):
-        if self.run is None:
-            self.run = RunTables(self.prior, self.schedule, (self.t_i, self.t_prev))
-        self.step = self.run.index[self.t_i]
-        row = self.run.rows[self.step]
-        _, self.sigma, _, _, _, self.ab, self.ab_prev, _, self.sigma_prev = row
+    def __init__(self, run: RunTables, step: int, x_t: np.ndarray,
+                 stream: RngStream | RowStreams, history: list,
+                 x0_sampled: np.ndarray | None = None):
+        self.run, self.step, self.x_t, self.stream, self.history = run, step, x_t, stream, history
+        self.x0_sampled = x0_sampled
+        self.prior, self.schedule, self.obs, self.params = (run.prior, run.schedule,
+                                                            run.obs, run.params)
+        self.t_i, self.t_prev = run.t_i[step], run.t_prev[step]
+        _, self.sigma, _, _, _, self.ab, self.ab_prev, _, self.sigma_prev = run.rows[step]
+        self._eps = self._whitened = None
 
     @property
     def whitened(self) -> tuple:
@@ -775,8 +756,8 @@ def run_with_combiner(
     The start batch is drawn from stream with one row per row of obs.y, so
     a (m,) observation gives a (d,) trajectory, (B, m) gives (B, d) and
     (N, 1, m) gives (N, 1, d). combiner(ctx, xhat) may replace the corrected
-    estimate before the noiser; ctx is the step's `StepContext`, and
-    ctx.history holds the combiner outputs of earlier steps (oldest first).
+    estimate before the noiser; ctx is the `StepContext` of step ctx.step of
+    the run, and ctx.history holds the combiner outputs of earlier steps (oldest first).
     Returns the final estimate at t_1 (identical to x_{t_0} for the
     DDIM-family noisers since alphabar_0 = 1).
     Params that need a linear operator (`AlgoParams.linear_need`) raise
@@ -784,9 +765,9 @@ def run_with_combiner(
     that is not finite raises ConvergenceError naming its step and rows.
 
     What does not depend on the state x is built once per call, not per step:
-    the run's `RunTables` (the mixture's constants and the schedule quantities of
-    every step, from one vectorized `prior._constants` call) before the first
-    draw, a solver's own per-step tables (DAPS's n-step factors) on the first
+    the run's `RunTables` (its inputs, and the mixture's constants and the schedule
+    quantities of every step, from one vectorized `prior._constants` call) before the
+    first draw, a solver's own per-step tables (DAPS's n-step factors) on the first
     step that reads them, and U^T y and the norms of y on obs, on first read
     (`ops.Observation`), so obs.y must not be mutated in place during the run.
 
@@ -797,19 +778,17 @@ def run_with_combiner(
     batch, as training uses, does not have that property.
     """
     _need_linear(params, obs)
-    ts = grid.timesteps
-    run = RunTables(prior, schedule, ts)
+    run = RunTables(prior, schedule, grid.timesteps, obs, params)
     x = stream.standard_normal(obs.y.shape[:-1] + (prior.d,))
     history: list[np.ndarray] = []
-    for t_i, t_prev in zip(ts, ts[1:]):
-        ctx = StepContext(x_t=x, t_i=t_i, t_prev=t_prev, prior=prior, schedule=schedule,
-                          stream=stream, obs=obs, params=params, history=history, run=run)
+    for step in range(grid.S):
+        ctx = StepContext(run, step, x, stream, history)
         sample_phi(ctx)
         xhat = CORRECTORS[params.algorithm](ctx)
         est = combiner(ctx, xhat) if combiner is not None else xhat
         if not np.isfinite(est).all():
             rows = np.flatnonzero(~np.isfinite(est).all(axis=-1)).tolist()
-            raise ConvergenceError(f"{params.algorithm}'s estimate at t_i = {t_i} is not"
+            raise ConvergenceError(f"{params.algorithm}'s estimate at t_i = {ctx.t_i} is not"
                                    f" finite in row(s) {rows}")
         history.append(est)
         x = apply_noiser(ctx, est)

@@ -2,9 +2,9 @@
 
 Training and inference are both combiners on the shared driver
 `canonical.run_with_combiner`, called as combiner(ctx, xhat) with the step's
-`StepContext`, as the noiser is: ctx.history holds the earlier steps' combined
-estimates, and its length is the step's index; ctx.obs and ctx.params are the
-run's, and `make_ground_truth` reads its (t_i, t_prev), obs and params there.
+`StepContext`, as the noiser is: ctx.step is the step's index, ctx.history holds
+the earlier steps' combined estimates, and `make_ground_truth` builds its fresh
+context from ctx's run and step.
 Training walks the time grid once over the reference batch: at each step it
 freezes the corrected batch, optimizes a per-timestep coefficient vector so
 the linear combination of all previous estimates best matches the ground
@@ -263,7 +263,7 @@ class TrainConfig(ConfigBlock):
 def make_ground_truth(ctx: canon.StepContext, x0: np.ndarray,
                       noisy_gt: bool = False) -> np.ndarray:
     """Training target at ctx.t_i: x0, or the algorithm's own corrector applied to
-    x0 on a fresh context at ctx's (t_i, t_prev), obs, params and run tables."""
+    x0 on a fresh context of ctx's run and step."""
     algorithm = ctx.params.algorithm
     if not noisy_gt:
         return np.array(x0, copy=True)
@@ -272,10 +272,8 @@ def make_ground_truth(ctx: canon.StepContext, x0: np.ndarray,
     # the DDRM/DDNM correctors draw nothing and read no history; a fresh context
     # shares neither the run's stream nor its eps and whitening, which are at x_t,
     # but reads its step's row of the run's x-independent tables
-    fresh = canon.StepContext(x_t=x0, t_i=ctx.t_i, t_prev=ctx.t_prev, prior=ctx.prior,
-                              schedule=ctx.schedule, stream=RngStream(0, 0), obs=ctx.obs,
-                              params=ctx.params, x0_sampled=np.array(x0, copy=True),
-                              run=ctx.run)
+    fresh = canon.StepContext(ctx.run, ctx.step, x0, RngStream(0, 0), [],
+                              x0_sampled=np.array(x0, copy=True))
     return canon.CORRECTORS[algorithm](fresh)
 
 
@@ -397,7 +395,7 @@ def train(
         ls = LeastSquares(stack_bases(ctx.history + [xhat], op, config.decoupled), x_gt,
                           config.resolved_omega())
         theta0 = init_coeffs(ls, config.init_mode, ctx.ab, init_stream, config.decoupled)
-        lr_t = _learning_rate(config, schedule, grid, len(ctx.history))
+        lr_t = _learning_rate(config, schedule, grid, ctx.step)
         theta, traces[ctx.t_i] = train_timestep(ls, theta0, config, lr_t, ctx.t_i)
         thetas.append(theta)
         return combine(theta, ctx.history, xhat, op, config.decoupled)
@@ -440,6 +438,6 @@ def infer(
     theta = coeffs.theta
 
     def combiner(ctx, xhat):
-        return combine(theta[len(ctx.history)], ctx.history, xhat, op, coeffs.decoupled)
+        return combine(theta[ctx.step], ctx.history, xhat, op, coeffs.decoupled)
 
     return canon.run_with_combiner(params, prior, schedule, obs, grid, stream, combiner=combiner)

@@ -53,6 +53,17 @@ def small_prior():
     return random_mixture(3, 6, 2)
 
 
+def step_context(x_t, t_i, t_prev, prior, schedule, stream, obs, params, history=(),
+                 x0_sampled=None, run=None) -> canon.StepContext:
+    """The `StepContext` of step (t_i, t_prev) of run, or, with run None, of a one-step
+    run of (prior, schedule, obs, params) built for it; history is copied."""
+    if run is None:
+        run = canon.RunTables(prior, schedule, (t_i, t_prev), obs, params)
+    step = run.t_i.index(t_i)
+    assert run.t_prev[step] == t_prev
+    return canon.StepContext(run, step, x_t, stream, list(history), x0_sampled=x0_sampled)
+
+
 def identity_coeffs(grid: dif.TimeGrid) -> LLECoefficients:
     """Coupled identity coefficients on grid: each step's vector one-hot on xhat,
     with which inference must reproduce the base solver bit for bit."""

@@ -18,7 +18,7 @@ from lle import harness
 from lle import operators as ops
 from lle.numerics import RngStream
 
-from conftest import identity_coeffs, random_mixture, scalar_ddim_coeffs, tweedie
+from conftest import identity_coeffs, random_mixture, scalar_ddim_coeffs, step_context, tweedie
 
 
 def report(n, text):
@@ -40,10 +40,8 @@ def base_training_final(params, prior, schedule, op, sigma_y, grid, tc):
     ts = grid.timesteps
     history = []
     for idx in range(grid.S):
-        ctx = canon.StepContext(
-            x_t=x, t_i=ts[idx], t_prev=ts[idx + 1], prior=prior, schedule=schedule,
-            stream=traj, obs=observation, params=params, history=list(history),
-        )
+        ctx = step_context(x, ts[idx], ts[idx + 1], prior, schedule, traj, observation, params,
+                           history=history)
         canon.sample_phi(ctx)
         xhat = canon.CORRECTORS[params.algorithm](ctx)
         x = canon.apply_noiser(ctx, xhat)
@@ -102,8 +100,7 @@ def test_criterion_02_score_and_dps_gradients():
 
         y = stream.standard_normal(4)
         obs = ops.Observation(y=y, op=op, sigma_y=0.1)
-        ctx = canon.StepContext(x_t=x, t_i=t, t_prev=t_prev, prior=prior,
-                                schedule=schedule, stream=stream, obs=obs, params=params)
+        ctx = step_context(x, t, t_prev, prior, schedule, stream, obs, params)
         canon.sample_phi(ctx)
         out = canon.corr_dps(ctx)
         ab, ab_prev = schedule.alphabar(t), schedule.alphabar(t_prev)
@@ -166,10 +163,8 @@ def test_criterion_05_noiseless_consistency():
         grid = dif.make_time_grid(schedule, S)
         out = canon.run(canon.default_params("DDNM"), prior, schedule, obs, grid, seed=4)
         assert np.linalg.norm(ops.apply(op, out) - obs.y) <= 1e-8, S
-    ctx = canon.StepContext(x_t=RngStream(207).standard_normal(8), t_i=500,
-                            t_prev=250, prior=prior, schedule=schedule,
-                            stream=RngStream(0), obs=obs,
-                            params=canon.default_params("DiffPIR"))
+    ctx = step_context(RngStream(207).standard_normal(8), 500, 250, prior, schedule,
+                       RngStream(0), obs, canon.default_params("DiffPIR"))
     canon.sample_phi(ctx)
     out = canon.corr_diffpir(ctx)
     assert np.linalg.norm(ops.apply(op, out) - obs.y) <= 1e-8
@@ -272,11 +267,8 @@ def test_criterion_10_langevin_stationarity():
     params.daps.eta0 = 0.05
     params.daps.sigma_langevin = 1e8
     t_i = 1000
-    ctx = canon.StepContext(
-        x_t=np.tile(anchor, (n_chains, 1)), t_i=t_i, t_prev=750, prior=prior,
-        schedule=schedule, stream=RngStream(217), obs=obs, params=params,
-        x0_sampled=np.tile(anchor, (n_chains, 1)),
-    )
+    ctx = step_context(np.tile(anchor, (n_chains, 1)), t_i, 750, prior, schedule,
+                       RngStream(217), obs, params, x0_sampled=np.tile(anchor, (n_chains, 1)))
     out = canon.corr_daps(ctx)
     eta = canon.daps_step_size(params.daps, t_i, schedule.T)
     r2 = 1.0 - schedule.alphabar(t_i)
@@ -369,9 +361,8 @@ def test_criterion_13_noisy_ground_truth_variant():
     truth = prior.sample(RngStream(220), 4)
     y = ops.observe(op, truth, sigma_y, RngStream(221))
     obs = ops.Observation(y=y, op=op, sigma_y=sigma_y)
-    ctx = canon.StepContext(x_t=truth, t_i=500, t_prev=250, prior=prior,
-                            schedule=schedule, stream=RngStream(0), obs=obs,
-                            params=params, x0_sampled=truth.copy())
+    ctx = step_context(truth, 500, 250, prior, schedule, RngStream(0), obs, params,
+                       x0_sampled=truth.copy())
     got = lle.make_ground_truth(ctx, truth, noisy_gt=True)
     direct = canon.corr_ddrm(ctx)
     assert np.max(np.abs(got - direct)) <= 1e-12

@@ -20,22 +20,14 @@ from lle.errors import ConfigError, ConvergenceError
 from lle.numerics import RngStream, RowStreams
 
 from conftest import (field_values, loaded, preset_lists, random_mixture, random_spd, says_unread,
-                      scalar_ddim_coeffs, tweedie, with_value)
+                      scalar_ddim_coeffs, step_context, tweedie, with_value)
 
 
 def make_ctx(prior, schedule, x_t, t_i, t_prev, stream=None, x0=None):
     """A step context at x_t with no obs or params yet (see `bind`); x0 defaults
     to the Tweedie estimate."""
-    ctx = canon.StepContext(
-        x_t=np.asarray(x_t, dtype=float),
-        t_i=t_i,
-        t_prev=t_prev,
-        prior=prior,
-        schedule=schedule,
-        stream=stream if stream is not None else RngStream(99),
-        obs=None,
-        params=None,
-    )
+    ctx = step_context(np.asarray(x_t, dtype=float), t_i, t_prev, prior, schedule,
+                       stream if stream is not None else RngStream(99), None, None)
     if x0 is None:
         ctx.x0_sampled = canon.sampler_tweedie(ctx)
     else:
@@ -165,10 +157,7 @@ def test_sampler_daps_uses_ddim_chain(schedule, small_prior):
     x = RngStream(41).standard_normal(6)
     params = canon.default_params("DAPS")
     params.daps.k_ddim = 3
-    ctx = canon.StepContext(
-        x_t=x, t_i=600, t_prev=300, prior=small_prior, schedule=schedule,
-        stream=RngStream(0), obs=None, params=params,
-    )
+    ctx = step_context(x, 600, 300, small_prior, schedule, RngStream(0), None, params)
     out = canon.sample_phi(ctx)
     expected = dif.ddim_run(small_prior, schedule, x, 600, 3)
     assert np.array_equal(out, expected)
@@ -661,10 +650,8 @@ def _inner_loop_case(small_prior, schedule, kind, batch, sigma_y, seed):
 
 
 def copy_ctx(ctx, stream):
-    return canon.StepContext(
-        x_t=ctx.x_t, t_i=ctx.t_i, t_prev=ctx.t_prev, prior=ctx.prior, schedule=ctx.schedule,
-        stream=stream, obs=ctx.obs, params=ctx.params, x0_sampled=ctx.x0_sampled,
-    )
+    return step_context(ctx.x_t, ctx.t_i, ctx.t_prev, ctx.prior, ctx.schedule, stream, ctx.obs,
+                        ctx.params, x0_sampled=ctx.x0_sampled)
 
 
 def _rel_dev(got, ref):
@@ -1127,8 +1114,7 @@ def test_guided_step_whitens_once_and_matches_separate_calls(
     params = canon.default_params(name)
 
     def step(stream):
-        ctx = canon.StepContext(x_t=x_t, t_i=600, t_prev=300, prior=small_prior,
-                                schedule=schedule, stream=stream, obs=obs, params=params)
+        ctx = step_context(x_t, 600, 300, small_prior, schedule, stream, obs, params)
         canon.sample_phi(ctx)
         xhat = canon.CORRECTORS[name](ctx)
         return xhat, canon.apply_noiser(ctx, xhat)
@@ -1306,15 +1292,16 @@ def _bits(value) -> bytes:
 
 @pytest.mark.parametrize("S", [1, 4, 10])
 def test_run_table_rows_equal_one_step_rows(schedule, small_prior, S):
-    # a context built outside the driver is a one-step run of the same table code,
-    # and every row holds the bits of the per-step lookups it replaces
+    # a one-step run's table is the same table code, and every row holds the bits of
+    # the per-step lookups it replaces
     ts = dif.make_time_grid(schedule, S).timesteps
-    run = canon.RunTables(small_prior, schedule, ts)
+    run = canon.RunTables(small_prior, schedule, ts, None, None)
     assert len(run.rows) == S
     assert [_bits(v) for row in run.rows for v in row] == [
         _bits(v) for row in dif.step_rows(small_prior, schedule, ts[:-1], ts[1:]) for v in row]
     for i, (t_i, t_prev) in enumerate(zip(ts, ts[1:])):
-        row, one = run.rows[i], canon.RunTables(small_prior, schedule, (t_i, t_prev)).rows[0]
+        one = canon.RunTables(small_prior, schedule, (t_i, t_prev), None, None).rows[0]
+        row = run.rows[i]
         assert [_bits(v) for v in row] == [_bits(v) for v in one]
         mixture = small_prior._constants(schedule.alphabars([t_i]))
         assert [_bits(v) for v in row[:5]] == [_bits(c[0]) for c in mixture]
@@ -1382,7 +1369,7 @@ def test_daps_run_factors_equal_the_one_step_form(schedule, eta0, delta, sigma, 
                                    noiseless_linear=noiseless)
     resolved = max(obs.sigma_y, 0.02) if sigma is None else sigma
     ts = dif.make_time_grid(schedule, S).timesteps
-    run = canon.RunTables(prior, schedule, ts)
+    run = canon.RunTables(prior, schedule, ts, obs, params)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = canon._daps_rows(params.daps, resolved, op.s, run, schedule.T)
         for i, t_i in enumerate(ts[:-1]):
@@ -1399,9 +1386,8 @@ def test_daps_run_factors_equal_the_one_step_form(schedule, eta0, delta, sigma, 
         x0 = RngStream(425).standard_normal((2, 1, 6))
         outs = []
         for table in (run, None):
-            ctx = canon.StepContext(x_t=x0, t_i=ts[i], t_prev=ts[i + 1], prior=prior,
-                                    schedule=schedule, stream=RngStream(426), obs=obs,
-                                    params=params, x0_sampled=x0, run=table)
+            ctx = step_context(x0, ts[i], ts[i + 1], prior, schedule, RngStream(426), obs,
+                               params, x0_sampled=x0, run=table)
             outs.append(canon.corr_daps(ctx))
     assert outs[0].tobytes() == outs[1].tobytes()
 
@@ -1485,14 +1471,14 @@ def test_run_with_combiner_visits_every_step(schedule, small_prior):
         assert np.array_equal(ctx.x0_sampled, canon.sampler_tweedie(ctx))
         assert ctx.ab == schedule.alphabar(ctx.t_i)
         assert ctx.ab_prev == schedule.alphabar(ctx.t_prev)
-        seen.append((ctx.t_i, ctx.t_prev, len(ctx.history)))
+        seen.append((ctx.t_i, ctx.t_prev, ctx.step, len(ctx.history)))
         return xhat
 
     params = canon.default_params("DDNM")
     canon.run_with_combiner(params, small_prior, schedule, obs, grid, RngStream(1),
                             combiner=combiner)
     ts = grid.timesteps
-    assert seen == [(ts[k], ts[k + 1], k) for k in range(5)]
+    assert seen == [(ts[k], ts[k + 1], k, k) for k in range(5)]
     assert ts == (1000, 800, 600, 400, 200, 0)
 
 
@@ -1794,10 +1780,7 @@ def test_corrector_fuzz_outputs_finite(schedule):
             x_t = 5.0 * stream.standard_normal(5)
             y = stream.standard_normal(3)
             obs = ops.Observation(y=y, op=op, sigma_y=0.05 + 0.5 * float(stream.uniform(())))
-            ctx = canon.StepContext(
-                x_t=x_t, t_i=t_i, t_prev=t_prev, prior=prior,
-                schedule=schedule, stream=stream, obs=obs, params=params,
-            )
+            ctx = step_context(x_t, t_i, t_prev, prior, schedule, stream, obs, params)
             canon.sample_phi(ctx)
             try:
                 xhat = canon.CORRECTORS[name](ctx)

@@ -11,7 +11,7 @@ from lle import harness
 from lle.errors import ConfigError
 from lle.numerics import RngStream
 
-from conftest import random_mixture, random_spd, scalar_ddim_coeffs, tweedie
+from conftest import random_mixture, random_spd, scalar_ddim_coeffs, step_context, tweedie
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +367,8 @@ def test_ddim_coeff_variance_identity(schedule, small_prior, monkeypatch):
             for eta in (0.0, 0.5, 0.85, 1.0):
                 params = canon.default_params("DPS")
                 params.eta = eta
-                ctx = canon.StepContext(x_t=np.zeros(6), t_i=t_from, t_prev=t_to,
-                                        prior=small_prior, schedule=schedule,
-                                        stream=RngStream(0), obs=None, params=params)
+                ctx = step_context(np.zeros(6), t_from, t_to, small_prior, schedule,
+                                   RngStream(0), None, params)
                 canon.noiser_ddim(ctx, np.zeros(6))
                 c1, c2 = seen.pop()
                 assert (c1, c2) == scalar_ddim_coeffs(schedule, t_from, t_to, eta)

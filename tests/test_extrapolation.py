@@ -13,7 +13,7 @@ from lle.errors import ConfigError, ConvergenceError
 from lle.numerics import RngStream, RowStreams
 from lle.optim import Adam, ScheduleFreeAdamW
 
-from conftest import identity_coeffs, random_mixture
+from conftest import identity_coeffs, random_mixture, step_context
 
 
 def mask_obs(prior, seed=100, sigma_y=0.05, keep=(0, 2, 4)):
@@ -583,9 +583,8 @@ def test_init_doubled_one_hot_loss_is_the_estimates_row_loss(op):
 
 def step_ctx(prior, schedule, obs, algorithm, x_t, stream=None, **kw):
     """A run's step context at (t_i, t_prev) = (500, 250), as the driver builds it."""
-    return canon.StepContext(x_t=x_t, t_i=500, t_prev=250, prior=prior, schedule=schedule,
-                             stream=stream or RngStream(0), obs=obs,
-                             params=canon.default_params(algorithm), **kw)
+    return step_context(x_t, 500, 250, prior, schedule, stream or RngStream(0), obs,
+                        canon.default_params(algorithm), **kw)
 
 
 def test_noisy_gt_restricted_to_spectral_algorithms(schedule, small_prior):

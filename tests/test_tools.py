@@ -148,7 +148,8 @@ def test_a_call_that_fails_writes_its_error(compare, tmp_path):
 
 
 def test_grid_runs_daps_on_linear_operators(compare):
-    # DAPS's closed-form Langevin draw: both variants, each with the oracle, and a fit
+    # DAPS's closed-form Langevin draw: both variants, each with the oracle, and a fit;
+    # on the nonlinear operator its block draws, in a base run and in a fit
     daps = [(name, cfg["task"]["operator"]["kind"], cfg["algorithm"].get("daps"), calls)
             for name, cfg, calls in compare.grid_plan(3) if cfg["algorithm"]["name"] == "DAPS"]
     assert daps == [("daps-dense-base", "dense", None, ("run", "eval")),
@@ -162,11 +163,14 @@ def test_grid_runs_daps_on_linear_operators(compare):
                     ("daps-avgpool-base", "avgpool", None, ("run", "eval")),
                     ("daps-hadamard-base", "hadamard", None, ("run", "eval")),
                     ("daps-nonlinear-base", "nonlinear", None, ("run",)),
+                    ("daps-nonlinear-coupled-closed", "nonlinear", None, ("train", "run")),
                     ("daps-mask-base-langevin-off", "mask", {"n_langevin": 0}, ("run", "eval")),
                     ("daps-mask-base-eta0-off", "mask", {"eta0": 0}, ("run", "eval"))]
     groups = compare.fit_groups([3])
     name = os.path.join("3", "grid", "recon-daps-mask-coupled-closed.lle")
     assert compare._group(name, groups) == ("recon", "DAPS", "closed", "coupled")
+    name = os.path.join("3", "grid", "coeffs-daps-nonlinear-coupled-closed.json")
+    assert compare._group(name, groups) == ("coeffs", "DAPS", "closed", "coupled")
 
 
 def test_grid_runs_each_structured_operator(compare):
@@ -304,7 +308,7 @@ def test_grid_runs_each_stage_switched_off(compare):
         ("ddnm-keep-all-base", {"name": "DDNM"}, {"kind": "mask", "keep_ratio": 1.0}, "none",
          ("run", "eval")),
         ("ddnm-mask-coupled-first-epochs-off", {"name": "DDNM"}, mask,
-         {"n_refs": 16, "ref_steps": 100, "base_seed": off[-1][3]["base_seed"], "epochs": 0},
+         {"n_refs": 12, "ref_steps": 100, "base_seed": off[-1][3]["base_seed"], "epochs": 0},
          ("train", "run"))]
     groups = compare.fit_groups([3])
     name = os.path.join("3", "grid", "coeffs-ddnm-mask-coupled-first-epochs-off.json")

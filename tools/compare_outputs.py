@@ -45,7 +45,9 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   projections are zero) with ``train`` and ``run --coeffs``;
 - on the ``nonlinear`` operator, one base ``run`` for each of DPS, REDdiff,
   DiffPIR, ReSample and DAPS (no ``eval --oracle``: the oracle needs a linear
-  operator), and one DPS first-order fit with ``train`` and ``run --coeffs``;
+  operator), one DPS first-order fit and one DAPS closed-form fit, each with
+  ``train`` and ``run --coeffs`` (DAPS draws its Langevin noise there in
+  blocks, ``standard_normal_block``, from the training stream as from a run's);
 - each stage switched off by a zero count or weight, or a draw that keeps
   everything: one base ``run`` (and ``eval --oracle`` on the mask) of DAPS at
   ``daps.n_langevin`` 0 and at ``daps.eta0`` 0, ReSample at ``inner_opt.steps``
@@ -73,6 +75,8 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   target is the solver's corrector applied to the references
   (``extrapolation.make_ground_truth``), not the references themselves.
 
+Every fit of the grid reads 12 references, not a power of two, so a change
+that only reorders the fit's gradient scaling 2/n moves its coefficient files.
 Every config sets only keys it reads: a closed-form fit takes no ``epochs``,
 ``warmup``, ``lr_rule`` or ``optimizer``, the Adam fit no ``warmup``, the fit at
 ``epochs`` 0 none of the three, and a switched-off stage none of the keys it
@@ -153,7 +157,7 @@ def grid_plan(seed: int) -> list:
     base_seed = rng.randrange(1, 2**31)
     prior_seed = rng.randrange(1, 2**31)
     # a closed-form fit reads no optimizer key, and a first-order one reads them
-    fit = {"n_refs": 16, "ref_steps": 100, "base_seed": base_seed}
+    fit = {"n_refs": 12, "ref_steps": 100, "base_seed": base_seed}
     first = dict(fit, epochs=30, warmup=10)
     plan = []
     for algorithm in GRID_ALGORITHMS:
@@ -237,6 +241,8 @@ def grid_plan(seed: int) -> list:
                      _grid_config(prior_seed, algorithm, nonlinear, 5, "none"), ("run",)))
     plan.append(("dps-nonlinear-coupled-first",
                  _grid_config(prior_seed, "DPS", nonlinear, 5, first), ("train", "run")))
+    plan.append(("daps-nonlinear-coupled-closed", _grid_config(
+        prior_seed, "DAPS", nonlinear, 5, dict(fit, closed_form=True)), ("train", "run")))
     keep_all = {"kind": "mask", "keep_ratio": 1.0}  # every coordinate: no seed is read
     switched_off = {
         "daps-mask-base-langevin-off": ("DAPS", "mask", {"daps": {"n_langevin": 0}}),
