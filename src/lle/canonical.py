@@ -14,7 +14,8 @@ is how the learned extrapolation plugs in, for training and inference alike, wit
 duplicating the data flow. Every stage has one form, sampler(ctx), corrector(ctx) and
 noiser(ctx, xhat), as the combiner(ctx, xhat) has: ctx is the step's one `StepContext`,
 built from the run's `RunTables` (what the driver call fixes: prior, schedule, obs,
-params and every step's x-independent constants) and the step's index.
+params, every step's x-independent constants, U^T y and the norms of y, and the
+solver's own tables) and the step's index.
 """
 
 from __future__ import annotations
@@ -56,27 +57,37 @@ class InnerOptParams(ConfigBlock):
 
 
 class RunTables:
-    """What one driver call fixes: its inputs prior, schedule, obs and params, and its
-    steps t_i[i] -> t_prev[i] down the timesteps ts with their x-independent constants:
-    rows[i] is step i's row of `diffusion.step_rows` (the mixture's constants at t_i,
-    then ab, ab_prev, sqrt(ab_prev) and sigma_prev), from one vectorized call, each
-    entry the bits a one-step table holds. `memo` keeps a solver's own x-independent
-    tables (DAPS's n-step factors, ReSample's descent table) for the rest of the run;
-    nothing is kept across runs."""
+    """Everything one driver call fixes, in one place: its inputs prior, schedule, obs and
+    params; its steps t_i[i] -> t_prev[i] down the timesteps ts with their x-independent
+    constants: rows[i] is step i's row of `diffusion.step_rows` (the mixture's constants
+    at t_i, then ab, ab_prev, sqrt(ab_prev) and sigma_prev), from one vectorized call,
+    each entry the bits a one-step table holds; y_norm2 = ||y||^2 per row and, for a
+    linear operator, ybar = U^T y and y_perp_norm2 = ||y - U U^T y||^2 per row, all
+    read-only; and `tables`, the solver's own x-independent tables (its `Solver.tables`
+    builder: DAPS's n-step factors, ReSample's descent table), built on first read.
+    Params that need a linear operator raise ConfigError on another one here, before
+    anything is built. Nothing is kept across runs."""
 
     def __init__(self, prior, schedule, ts, obs: ops.Observation, params: AlgoParams):
+        _need_linear(params, obs)
         self.prior, self.schedule, self.obs, self.params = prior, schedule, obs, params
         self.t_i, self.t_prev = list(ts[:-1]), list(ts[1:])
         self.rows = dif.step_rows(prior, schedule, self.t_i, self.t_prev)
-        self._memo = {}
+        self.y_norm2 = ops.row_dot(obs.y)
+        fixed = [self.y_norm2]
+        if obs.is_linear:
+            self.ybar = obs.y @ obs.op.U
+            self.y_perp_norm2 = ops.row_dot(obs.y - self.ybar @ obs.op.U.T)
+            fixed += [self.ybar, self.y_perp_norm2]
+        for a in fixed:
+            a.flags.writeable = False
+        self._tables = None
 
-    def memo(self, key: tuple, build):
-        """build(), made on the run's first call with this key and kept for the rest of
-        the run; key holds every value the result depends on."""
-        table = self._memo.get(key)
-        if table is None:
-            table = self._memo[key] = build()
-        return table
+    @property
+    def tables(self):
+        if self._tables is None:
+            self._tables = SOLVERS[self.params.algorithm].tables(self)
+        return self._tables
 
 
 class StepContext:
@@ -86,8 +97,7 @@ class StepContext:
     sigma_prev at t_prev; the state x_t, the stream and history (the earlier steps'
     combined estimates, oldest first) the driver hands it; and the sampler's x0_sampled.
     eps and the mixture whitening at (x_t, t_i) are evaluated once, on first read, and
-    shared by every stage. obs keeps U^T y and the norms of y from their first read on,
-    so obs.y must not be mutated in place after that."""
+    shared by every stage; what the whole run fixes is read from ctx.run."""
 
     def __init__(self, run: RunTables, step: int, x_t: np.ndarray,
                  stream: RngStream | RowStreams, history: list,
@@ -174,7 +184,7 @@ def corr_ddrm(ctx: StepContext) -> np.ndarray:
             / (math.sqrt(ctx.ab_prev) * obs.sigma_y),
             params.eta_b,
         )
-    spectral_y = obs.ybar / op.s
+    spectral_y = ctx.run.ybar / op.s
     innovation = spectral_y - x0 @ op.V
     return x0 + (lam * innovation) @ op.V.T
 
@@ -265,7 +275,7 @@ def corr_diffpir(ctx: StepContext) -> np.ndarray:
     if obs.is_linear:
         op = obs.op
         xbar = x0 @ op.V
-        ybar = obs.ybar
+        ybar = ctx.run.ybar
         if rho < 1e-12:
             # rho -> 0+ limit: exact projection x0 + A^+(y - A x0)
             corrected = ybar / op.s
@@ -282,7 +292,7 @@ def corr_diffpir(ctx: StepContext) -> np.ndarray:
 
     lr = params.inner_opt.lr
     opt = BatchScheduleFreeAdamW(x0, lr=lr)
-    limit = _divergence_limit(loss(x0), obs.y_norm2 + rho * ops.row_dot(x0))
+    limit = _divergence_limit(loss(x0), ctx.run.y_norm2 + rho * ops.row_dot(x0))
     for step in range(1, params.inner_opt.steps + 1):
         opt.step(grad(opt.eval_point()))
         _guard(loss(opt.params()), limit, step, lr, "DiffPIR inner optimizer")
@@ -299,7 +309,7 @@ def corr_dmps(ctx: StepContext) -> np.ndarray:
     denom = obs.sigma_y**2 + (1.0 - ab_i) / ab_i * op.s**2
     if np.any(denom == 0.0):
         raise ConvergenceError("singular solve: sigma_y = 0 and alphabar = 1")
-    innov = obs.ybar - (ctx.x_t @ op.V) * op.s / math.sqrt(ab_i)
+    innov = ctx.run.ybar - (ctx.x_t @ op.V) * op.s / math.sqrt(ab_i)
     score_y = ((innov / denom) * op.s) @ op.V.T / math.sqrt(ab_i)
     alpha_i = ab_i / ab_prev
     coef = params.lam * (1.0 - alpha_i) / math.sqrt(alpha_i) / math.sqrt(ab_prev)
@@ -321,10 +331,10 @@ def _descent_table(s: np.ndarray, lr: float, momentum: float, steps: int) -> np.
 
 
 class DescentTable(NamedTuple):
-    """`_descent_table` P of one (s, lr, momentum, steps) with what `corr_resample` reads
-    of it: P^2, whether every entry of P^2 is finite, and the final shift (P_n - 1) / s,
-    0 where P_n overflows. `build` makes its arrays read-only: one entry serves every
-    step of a run."""
+    """`_descent_table` P of a run's (s, lr, momentum, steps) with what `corr_resample`
+    reads of it: P^2, whether every entry of P^2 is finite, and the final shift
+    (P_n - 1) / s, 0 where P_n overflows. `build` makes its arrays read-only: one table
+    serves every step of a run."""
 
     P: np.ndarray
     P2: np.ndarray
@@ -332,9 +342,10 @@ class DescentTable(NamedTuple):
     shift: np.ndarray
 
     @classmethod
-    def build(cls, s: np.ndarray, lr: float, momentum: float, steps: int) -> DescentTable:
+    def build(cls, run: RunTables) -> DescentTable:
+        s, opt = run.obs.op.s, run.params.inner_opt
         with np.errstate(over="ignore", invalid="ignore"):
-            P = _descent_table(s, lr, momentum, steps)
+            P = _descent_table(s, opt.lr, opt.momentum, opt.steps)
             P2 = P * P
             shift = np.where(np.isfinite(P[-1]), (P[-1] - 1.0) / s, 0.0)
         for a in (P, P2, shift):
@@ -356,14 +367,12 @@ def corr_resample(ctx: StepContext) -> np.ndarray:
     is x0 + (e_0 (P_n - 1) / s) V. A coordinate whose e_0 is exactly 0 stays
     put, as it does in the loop: it adds 0 to the loss and the result even
     where P overflows. P, P^2 and the shift (P_n - 1) / s do not depend on x:
-    the run's first step builds them (`DescentTable`) and keeps them, read-only,
-    in the run's `RunTables` for its other steps; U^T y and both norms of y are
-    the observation's.
+    they are the run's `tables` (`DescentTable`), built on its first step that reads
+    them, read-only; U^T y and both norms of y are the run's too.
     """
-    obs, params, x0 = ctx.obs, ctx.params, ctx.x0_sampled
+    obs, params, x0, run = ctx.obs, ctx.params, ctx.x0_sampled, ctx.run
     opt = params.inner_opt
     if params.exact_hc:
-        _need_linear(params, obs)
         return x0 + ops.pinv_apply(obs.op, obs.y - ops.apply(obs.op, x0))
     if opt.steps == 0:
         return x0.copy()
@@ -375,19 +384,18 @@ def corr_resample(ctx: StepContext) -> np.ndarray:
             r = fx - obs.y
             return np.sum(r * r, axis=-1), 2.0 * ops.nl_vjp(nlop, x, r, fx=fx)
 
-        return _momentum_descent(value_and_grad, x0, opt, obs.y_norm2)
+        return _momentum_descent(value_and_grad, x0, opt, run.y_norm2)
     op = obs.op
-    e0 = op.s * (x0 @ op.V) - obs.ybar
-    limit = _divergence_limit(ops.row_dot(e0) + obs.y_perp_norm2, obs.y_norm2)
-    key = ("resample", opt.lr, opt.momentum, opt.steps, op.s.tobytes())
-    table = ctx.run.memo(key, lambda: DescentTable.build(op.s, opt.lr, opt.momentum, opt.steps))
+    e0 = op.s * (x0 @ op.V) - run.ybar
+    limit = _divergence_limit(ops.row_dot(e0) + run.y_perp_norm2, run.y_norm2)
+    table = run.tables
     with np.errstate(over="ignore", invalid="ignore"):
         if table.finite:
             loss = e0 * e0 @ table.P2.T
         else:  # 0 * inf is NaN, where the loop keeps a coordinate at exactly 0
             e = np.where(e0[..., None, :] == 0.0, 0.0, e0[..., None, :] * table.P)
             loss = np.sum(e * e, axis=-1)
-        loss += obs.y_perp_norm2[..., None]
+        loss += run.y_perp_norm2[..., None]
         bad = ~np.isfinite(loss) | (loss > limit[..., None])
         if bad.any():
             step = int(np.argmax(bad.reshape(-1, opt.steps).any(axis=0)))
@@ -399,6 +407,11 @@ def corr_resample(ctx: StepContext) -> np.ndarray:
 def daps_step_size(daps: DAPSParams, t: int, T: int) -> float:
     """Annealed Langevin step eta_t = eta0 * (delta + (t/T)(1 - delta))."""
     return daps.eta0 * (daps.delta + (t / T) * (1.0 - daps.delta))
+
+
+def _langevin_sigma(daps: DAPSParams, sigma_y: float) -> float:
+    """The noise level of DAPS's data term: sigma_langevin, or max(sigma_y, .02) when None."""
+    return max(sigma_y, 0.02) if daps.sigma_langevin is None else daps.sigma_langevin
 
 
 # Langevin iterations per noise draw of DAPS on a nonlinear operator: part of
@@ -426,14 +439,17 @@ def _geometric_sums(f: np.ndarray, n: int):
         step_power = step_power * step_power
 
 
-def _daps_rows(daps: DAPSParams, sigma: float, s: np.ndarray, run: RunTables, T: int) -> list:
+def _daps_rows(run: RunTables) -> list:
     """The factors of the linear DAPS chain's n-step law (see `corr_daps`) at each step
-    t_i of a run, its alphabar ab read from the run's rows: sqrt(2 eta_t), the null
-    space's anchor and noise factors, and per range coordinate (r,) the anchor's and the
-    noise's factors less the null space's, and U^T y's. `_geometric_sums` runs once, on
-    the (S, r + 1) stack of every step's factors; every operation is elementwise, so row
-    i holds the bits of the one-step form at (t_i, ab)."""
-    eta = daps_step_size(daps, np.asarray(run.t_i), T)
+    t_i of a run, for its daps block and its operator's s, alphabar ab read from the
+    run's rows: sqrt(2 eta_t), the null space's anchor and noise factors, and per range
+    coordinate (r,) the anchor's and the noise's factors less the null space's, and
+    U^T y's. `_geometric_sums` runs once, on the (S, r + 1) stack of every step's
+    factors; every operation is elementwise, so row i holds the bits of the one-step
+    form at (t_i, ab)."""
+    daps, s = run.params.daps, run.obs.op.s
+    sigma = _langevin_sigma(daps, run.obs.sigma_y)
+    eta = daps_step_size(daps, np.asarray(run.t_i), run.schedule.T)
     ab = np.array([row[5] for row in run.rows])
     pull = eta / (1.0 - ab)
     a = (1.0 - pull)[:, None]
@@ -461,8 +477,8 @@ def corr_daps(ctx: StepContext) -> np.ndarray:
     k, a on the null space), so the n = n_langevin step chain is one AR(1)
     recursion per coordinate and its result is drawn exactly:
     anchor M^n + g sum_{j<n} M^j + sqrt(2 eta_t) xi (sum_{j<n} M^(2j))^(1/2).
-    Those factors do not depend on x: the step's first call builds them for every
-    step of the run at once (`_daps_rows`) and keeps them in the run's `RunTables`.
+    Those factors do not depend on x: they are the run's `tables` (`_daps_rows`),
+    built for every step at once on the run's first step that reads them.
 
     Determinism contract: on a linear operator xi is one ``standard_normal``
     draw shaped like the anchor, so a call advances each row's counter once
@@ -480,19 +496,13 @@ def corr_daps(ctx: StepContext) -> np.ndarray:
     daps = params.daps
     if daps.n_langevin == 0:
         return np.array(anchor, copy=True)
-    sigma = daps.sigma_langevin
-    if sigma is None:
-        sigma = max(obs.sigma_y, 0.02)
-    _need_linear(params, obs)
     if obs.is_linear:
-        op, run = obs.op, ctx.run
-        key = ("daps", daps.eta0, daps.delta, daps.n_langevin, daps.noiseless_linear, sigma,
-               op.s.tobytes())
-        rows = run.memo(key, lambda: _daps_rows(daps, sigma, op.s, run, ctx.schedule.T))
-        noise_scale, keep_null, root_null, keep, y_gain, root = rows[ctx.step]
+        op = obs.op
+        noise_scale, keep_null, root_null, keep, y_gain, root = ctx.run.tables[ctx.step]
         xi = noise_scale * ctx.stream.standard_normal(anchor.shape)
-        coords = (anchor @ op.V) * keep + obs.ybar * y_gain + (xi @ op.V) * root
+        coords = (anchor @ op.V) * keep + ctx.run.ybar * y_gain + (xi @ op.V) * root
         return keep_null * anchor + root_null * xi + coords @ op.V.T
+    sigma = _langevin_sigma(daps, obs.sigma_y)
     eta_t = daps_step_size(daps, ctx.t_i, ctx.schedule.T)
     r2 = 1.0 - ctx.ab
     noise_scale = math.sqrt(2.0 * eta_t)
@@ -627,7 +637,9 @@ class Solver(NamedTuple):
     operator, or the key path of the bool that makes it need one (see
     `AlgoParams.linear_need`); noisy_gt: its corrector defines the noisy
     training target (lle.noisy_gt); unread_when: its `unread_when` table, whose switches are
-    `algorithm` keys or the task's "task.operator" ("linear"/"nonlinear") and "task.sigma_y"."""
+    `algorithm` keys or the task's "task.operator" ("linear"/"nonlinear") and "task.sigma_y";
+    tables: the builder of its own x-independent tables from a `RunTables`, which the
+    run's `tables` holds (None: it has none)."""
 
     sampler: Callable
     corrector: Callable
@@ -636,6 +648,7 @@ class Solver(NamedTuple):
     linear: bool | str = False
     noisy_gt: bool = False
     unread_when: dict = {}
+    tables: Callable | None = None
 
 
 SOLVERS = {
@@ -656,9 +669,9 @@ SOLVERS = {
                    linear=True),
     "ReSample": Solver(sampler_tweedie, corr_resample, noiser_resample,
                        {"eta": 1.0, "gamma_rs": 100.0, "exact_hc": False, "inner_opt": {}},
-                       linear="exact_hc"),
+                       linear="exact_hc", tables=DescentTable.build),
     "DAPS": Solver(sampler_ddim_chain, corr_daps, noiser_direct, {"daps": {}},
-                   linear="daps.noiseless_linear"),
+                   linear="daps.noiseless_linear", tables=_daps_rows),
 }
 ALGORITHMS = tuple(SOLVERS)
 # the driver dispatches correctors through this view of SOLVERS, so that a
@@ -761,15 +774,15 @@ def run_with_combiner(
     Returns the final estimate at t_1 (identical to x_{t_0} for the
     DDIM-family noisers since alphabar_0 = 1).
     Params that need a linear operator (`AlgoParams.linear_need`) raise
-    ConfigError on a nonlinear one here, before the first draw; an estimate
-    that is not finite raises ConvergenceError naming its step and rows.
+    ConfigError on a nonlinear one when the run's tables are built, before the
+    first draw; an estimate that is not finite raises ConvergenceError naming
+    its step and rows.
 
-    What does not depend on the state x is built once per call, not per step:
-    the run's `RunTables` (its inputs, and the mixture's constants and the schedule
-    quantities of every step, from one vectorized `prior._constants` call) before the
-    first draw, a solver's own per-step tables (DAPS's n-step factors) on the first
-    step that reads them, and U^T y and the norms of y on obs, on first read
-    (`ops.Observation`), so obs.y must not be mutated in place during the run.
+    What does not depend on the state x is built once per call, not per step, and
+    held in one place, the run's `RunTables`: before the first draw, its inputs, the
+    mixture's constants and the schedule quantities of every step (one vectorized
+    `prior._constants` call), and U^T y and the norms of y; on the first step that
+    reads them, the solver's own tables (DAPS's n-step factors, ReSample's descent table).
 
     Determinism: every product and reduction runs over the last two axes
     (a (B, m) batch is one matrix product), so an (N, 1, m) batch, drawn from
@@ -777,7 +790,6 @@ def run_with_combiner(
     a one-row run with (m,) y[i, 0] and row i's stream gives. A (B, m)
     batch, as training uses, does not have that property.
     """
-    _need_linear(params, obs)
     run = RunTables(prior, schedule, grid.timesteps, obs, params)
     x = stream.standard_normal(obs.y.shape[:-1] + (prior.d,))
     history: list[np.ndarray] = []

@@ -230,13 +230,15 @@ def oracle_posterior(prior: dif.GaussianMixturePrior, op: ops.LinearOperator, y,
     Per component, S = A Sigma_k A^T + sigma_y^2 I, its Cholesky factor, log
     determinant and the gain Sigma_k A^T S^-1 do not depend on y, so they are
     computed once and shared by every row. A noiseless request (sigma_y below
-    `SIGMA_FLOOR`) is solved at sigma_y = SIGMA_FLOOR.
+    `SIGMA_FLOOR`) is solved at sigma_y = SIGMA_FLOOR; a sigma_y that is not a
+    finite number >= 0 is a ValueError.
     Returns (posterior means (..., d), component weights (..., K)).
     A nonlinear operator has no conjugate posterior: that is a ConfigError.
     """
     if not isinstance(op, ops.LinearOperator):
         raise ConfigError("the posterior oracle needs a linear operator,"
                           " not task.operator.kind 'nonlinear'")
+    ops.check_sigma_y(sigma_y)
     sigma_y = max(sigma_y, SIGMA_FLOOR)
     A = op.dense()
     m = op.m

@@ -12,7 +12,6 @@ each `task.operator` kind of a config to its forms, and `build_operator` builds 
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -77,8 +76,15 @@ def project(op: LinearOperator, x: np.ndarray, which: str) -> np.ndarray:
     raise ValueError(f"which must be 'range' or 'null', got {which!r}")
 
 
+def check_sigma_y(sigma_y: float) -> None:
+    """Raise ValueError unless sigma_y is a finite number >= 0 (NaN compares false)."""
+    if not (math.isfinite(sigma_y) and sigma_y >= 0):
+        raise ValueError(f"sigma_y must be a finite number >= 0, got {sigma_y}")
+
+
 def observe(op, x, sigma_y: float, stream: RngStream | None = None) -> np.ndarray:
     """y = A(x) + sigma_y * n with a dedicated noise stream; exact when sigma_y = 0."""
+    check_sigma_y(sigma_y)
     if isinstance(op, NonlinearOperator):
         y = nl_apply(op, x)
     else:
@@ -93,17 +99,10 @@ def row_dot(a: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, repr=False, eq=False)
 class Observation:
-    """The data y = A(x) + sigma_y n of a run. The x-independent quantities of y that
-    the correctors read (ybar = U^T y, ||y||^2 and ||y - U U^T y||^2 per row) are
-    computed once, on first read, and kept read-only for the run, so y must not be
-    mutated in place after any of them has been read."""
+    """The data y = A(x) + sigma_y n of a run, with its operator and noise level. What a
+    run computes from it once (U^T y and the norms of y) lives in `canonical.RunTables`."""
 
     y: np.ndarray
     op: object  # LinearOperator or NonlinearOperator
@@ -112,27 +111,11 @@ class Observation:
     def __post_init__(self):
         if not np.all(np.isfinite(self.y)):
             raise ValueError("observation contains non-finite entries")
-        if self.sigma_y < 0:
-            raise ValueError("sigma_y must be nonnegative")
+        check_sigma_y(self.sigma_y)
 
     @property
     def is_linear(self) -> bool:
         return isinstance(self.op, LinearOperator)
-
-    @functools.cached_property
-    def ybar(self) -> np.ndarray:
-        """U^T y, the data in the left singular basis of a linear operator."""
-        return _read_only(self.y @ self.op.U)
-
-    @functools.cached_property
-    def y_norm2(self) -> np.ndarray:
-        """||y||^2 per row: the loss of the zero estimate."""
-        return _read_only(row_dot(self.y))
-
-    @functools.cached_property
-    def y_perp_norm2(self) -> np.ndarray:
-        """||y - U U^T y||^2 per row: the part of the loss no linear estimate moves."""
-        return _read_only(row_dot(self.y - self.ybar @ self.op.U.T))
 
 
 # ---------------------------------------------------------------------------

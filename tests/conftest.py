@@ -10,6 +10,7 @@ import pytest
 from lle import canonical as canon
 from lle import diffusion as dif
 from lle import harness
+from lle import operators as ops
 from lle.extrapolation import LLECoefficients
 from lle.numerics import RngStream
 
@@ -53,12 +54,24 @@ def small_prior():
     return random_mixture(3, 6, 2)
 
 
+def run_tables(prior, schedule, ts, obs=None, params=None) -> canon.RunTables:
+    """The `RunTables` of a run of (prior, schedule, obs, params) down the timesteps ts;
+    obs None is the identity mask with y = 0 and params None DPS's preset, for a test
+    of a stage that reads neither."""
+    if obs is None:
+        obs = ops.Observation(y=np.zeros(prior.d), op=ops.mask_operator(prior.d, range(prior.d)),
+                              sigma_y=0.0)
+    return canon.RunTables(prior, schedule, ts, obs,
+                           canon.default_params("DPS") if params is None else params)
+
+
 def step_context(x_t, t_i, t_prev, prior, schedule, stream, obs, params, history=(),
                  x0_sampled=None, run=None) -> canon.StepContext:
     """The `StepContext` of step (t_i, t_prev) of run, or, with run None, of a one-step
-    run of (prior, schedule, obs, params) built for it; history is copied."""
+    run of (prior, schedule, obs, params) built for it (see `run_tables`); history is
+    copied."""
     if run is None:
-        run = canon.RunTables(prior, schedule, (t_i, t_prev), obs, params)
+        run = run_tables(prior, schedule, (t_i, t_prev), obs, params)
     step = run.t_i.index(t_i)
     assert run.t_prev[step] == t_prev
     return canon.StepContext(run, step, x_t, stream, list(history), x0_sampled=x0_sampled)

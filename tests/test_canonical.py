@@ -20,7 +20,7 @@ from lle.errors import ConfigError, ConvergenceError
 from lle.numerics import RngStream, RowStreams
 
 from conftest import (field_values, loaded, preset_lists, random_mixture, random_spd, says_unread,
-                      scalar_ddim_coeffs, step_context, tweedie, with_value)
+                      run_tables, scalar_ddim_coeffs, step_context, tweedie, with_value)
 
 
 def make_ctx(prior, schedule, x_t, t_i, t_prev, stream=None, x0=None):
@@ -36,9 +36,10 @@ def make_ctx(prior, schedule, x_t, t_i, t_prev, stream=None, x0=None):
 
 
 def bind(ctx, obs, params):
-    """ctx with the observation and params its stages read, set in place."""
-    ctx.obs, ctx.params = obs, params
-    return ctx
+    """ctx's step, state, stream, history and sampled x0 in a fresh one-step run of obs
+    and params, the observation and params its stages read."""
+    return step_context(ctx.x_t, ctx.t_i, ctx.t_prev, ctx.prior, ctx.schedule, ctx.stream,
+                        obs, params, ctx.history, ctx.x0_sampled)
 
 
 def clone(stream: RngStream) -> RngStream:
@@ -1044,16 +1045,35 @@ def test_resample_builds_its_descent_table_once_per_run(schedule, small_prior, m
     assert built == [(0.01, 0.9, 50)] * 2
 
 
+def test_daps_builds_its_factors_once_per_run(schedule, small_prior, monkeypatch):
+    # one _geometric_sums call on the (S, r + 1) stack for all ten steps of a run on a
+    # linear operator, and one more for the next run: no factors are kept across runs
+    built = []
+    fresh = canon._geometric_sums
+
+    def spy(f, n):
+        built.append((f.shape, n))
+        return fresh(f, n)
+
+    monkeypatch.setattr(canon, "_geometric_sums", spy)
+    op = _inner_loop_operator("dense")
+    obs = ops.Observation(y=RngStream(396, 1).standard_normal((2, op.m)), op=op, sigma_y=0.05)
+    grid = dif.make_time_grid(schedule, 10)
+    canon.run(canon.default_params("DAPS"), small_prior, schedule, obs, grid, 7)
+    assert built == [((10, op.r + 1), 100)]
+    canon.run(canon.default_params("DAPS"), small_prior, schedule, obs, grid, 7)
+    assert built == [((10, op.r + 1), 100)] * 2
+
+
 def _resample_table(small_prior, schedule, op, inner_opt):
-    """The descent table a one-step ReSample corrector call keeps in its run's memo; at
+    """The descent table a one-step ReSample corrector call keeps as its run's tables; at
     x0 = 0 and y = 0 every e_0 is 0, so no lr makes the call diverge."""
     params = canon.default_params("ReSample")
     params.inner_opt = canon.InnerOptParams(**inner_opt)
     ctx = make_ctx(small_prior, schedule, np.zeros(op.n), 500, 400, x0=np.zeros(op.n))
-    bind(ctx, ops.Observation(y=np.zeros(op.m), op=op, sigma_y=0.05), params)
+    ctx = bind(ctx, ops.Observation(y=np.zeros(op.m), op=op, sigma_y=0.05), params)
     canon.corr_resample(ctx)
-    (table,) = ctx.run._memo.values()
-    return table
+    return ctx.run.tables
 
 
 def test_resample_descent_table_is_keyed_on_s_lr_momentum_and_steps(schedule, small_prior):
@@ -1077,8 +1097,7 @@ def test_resample_descent_table_is_keyed_on_s_lr_momentum_and_steps(schedule, sm
 
 @pytest.mark.parametrize("lr", [0.1, 1e6])  # 1e6 overflows P within the 60 steps
 def test_resample_descent_table_is_read_only(schedule, small_prior, lr):
-    # the run memo's entry holds P and what corr_resample reads of it, each as P alone
-    # gives it
+    # the run's table holds P and what corr_resample reads of it, each as P alone gives it
     op = ops.dense_operator(np.hstack([np.diag([0.5, 1.0, 2.0]), np.zeros((3, 3))]))
     s = op.s
     assert sorted(s) == [0.5, 1.0, 2.0]
@@ -1295,12 +1314,12 @@ def test_run_table_rows_equal_one_step_rows(schedule, small_prior, S):
     # a one-step run's table is the same table code, and every row holds the bits of
     # the per-step lookups it replaces
     ts = dif.make_time_grid(schedule, S).timesteps
-    run = canon.RunTables(small_prior, schedule, ts, None, None)
+    run = run_tables(small_prior, schedule, ts)
     assert len(run.rows) == S
     assert [_bits(v) for row in run.rows for v in row] == [
         _bits(v) for row in dif.step_rows(small_prior, schedule, ts[:-1], ts[1:]) for v in row]
     for i, (t_i, t_prev) in enumerate(zip(ts, ts[1:])):
-        one = canon.RunTables(small_prior, schedule, (t_i, t_prev), None, None).rows[0]
+        one = run_tables(small_prior, schedule, (t_i, t_prev)).rows[0]
         row = run.rows[i]
         assert [_bits(v) for v in row] == [_bits(v) for v in one]
         mixture = small_prior._constants(schedule.alphabars([t_i]))
@@ -1333,23 +1352,36 @@ def test_driver_builds_the_mixture_constants_once_per_call(schedule, small_prior
     assert calls == [(6,)]
 
 
-def test_observation_computes_ybar_and_the_norms_of_y_once(schedule, small_prior):
+def test_run_tables_compute_ybar_and_the_norms_of_y_once(schedule, small_prior):
+    # once per run, read-only, with y's own expressions, and read by every corrector from
+    # the run; a nonlinear operator has no U, so its run holds ||y||^2 alone
     op = ops.dense_operator(RngStream(421).standard_normal((4, 6)) / 3.0)
     y = RngStream(422).standard_normal((3, 1, 4))
     obs = ops.Observation(y=y, op=op, sigma_y=0.05)
-    ybar, norm2, perp2 = obs.ybar, obs.y_norm2, obs.y_perp_norm2
-    assert ybar.tobytes() == (y @ op.U).tobytes()
-    for kept in (ybar, norm2, perp2):  # shared by every step that reads them
+    grid = dif.make_time_grid(schedule, 5)
+    run = canon.RunTables(small_prior, schedule, grid.timesteps, obs,
+                          canon.default_params("ReSample"))
+    assert run.ybar.tobytes() == (y @ op.U).tobytes()
+    for kept in (run.ybar, run.y_norm2, run.y_perp_norm2):
         with pytest.raises(ValueError, match="read-only"):
             kept *= 2.0
     for i in range(3):
-        assert norm2[i, 0] == np.vdot(y[i, 0], y[i, 0])
+        assert run.y_norm2[i, 0] == np.vdot(y[i, 0], y[i, 0])
         perp = y[i, 0] - (y[i, 0] @ op.U) @ op.U.T
-        assert perp2[i, 0] == np.vdot(perp, perp)
-    grid = dif.make_time_grid(schedule, 5)
+        assert run.y_perp_norm2[i, 0] == np.vdot(perp, perp)
+    nlop = ops.NonlinearOperator(kernel=np.array([0.25, 0.5, 0.25]), scale=1.0)
+    nl = canon.RunTables(small_prior, schedule, grid.timesteps,
+                         ops.Observation(y=y[..., :1].repeat(6, -1), op=nlop, sigma_y=0.05),
+                         canon.default_params("DiffPIR"))
+    assert nl.y_norm2.shape == (3, 1) and not hasattr(nl, "ybar")
+    assert not hasattr(nl, "y_perp_norm2")
+    x = RngStream(423).standard_normal((3, 1, 6))
     for name in ("DDRM", "DiffPIR", "DMPS", "ReSample", "DAPS"):  # every reader of them
-        canon.run(canon.default_params(name), small_prior, schedule, obs, grid, seed=6)
-        assert obs.ybar is ybar and obs.y_norm2 is norm2 and obs.y_perp_norm2 is perp2
+        ctxs = [step_context(x, 500, 250, small_prior, schedule, RngStream(6), obs,
+                             canon.default_params(name), x0_sampled=x) for _ in range(2)]
+        ctxs[1].run.ybar = np.zeros_like(ctxs[1].run.ybar)  # read from the run, not obs
+        assert not np.array_equal(canon.CORRECTORS[name](ctxs[0]),
+                                  canon.CORRECTORS[name](ctxs[1])), name
 
 
 @given(eta0=st.sampled_from([0.0, 1e-4, 5e-4, 1e-2]) | st.floats(0.0, 0.05),
@@ -1371,7 +1403,7 @@ def test_daps_run_factors_equal_the_one_step_form(schedule, eta0, delta, sigma, 
     ts = dif.make_time_grid(schedule, S).timesteps
     run = canon.RunTables(prior, schedule, ts, obs, params)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = canon._daps_rows(params.daps, resolved, op.s, run, schedule.T)
+        rows = canon._daps_rows(run)
         for i, t_i in enumerate(ts[:-1]):
             eta_t = canon.daps_step_size(params.daps, t_i, schedule.T)
             pull = eta_t / (1.0 - schedule.alphabar(t_i))

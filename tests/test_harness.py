@@ -415,6 +415,14 @@ def test_oracle_floor_behavior():
     assert mean.tobytes() == floored.tobytes()
 
 
+@pytest.mark.parametrize("sigma_y", [-1.0, math.nan, math.inf])
+def test_oracle_rejects_a_sigma_y_that_is_not_finite_and_nonnegative(sigma_y):
+    # the floor is for a noiseless request, not for a negative, NaN or infinite one
+    prior = dif.GaussianMixturePrior([1.0], np.zeros((1, 2)), np.eye(2)[None])
+    with pytest.raises(ValueError, match="sigma_y must be a finite number >= 0"):
+        harness.oracle_posterior(prior, ops.dense_operator(np.eye(2)), np.ones(2), sigma_y)
+
+
 def _per_row_oracle(prior, op, y, sigma_y):
     """The oracle one observation y (m,) at a time, every factor solved anew:
     the reference the batched `oracle_posterior` is checked against."""

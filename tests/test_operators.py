@@ -223,6 +223,16 @@ def test_observation_validation():
         ops.Observation(y=np.array([1.0]), op=op, sigma_y=-0.1)
 
 
+@pytest.mark.parametrize("sigma_y", [math.nan, math.inf, -math.inf, -0.1])
+def test_observation_and_observe_reject_a_sigma_y_that_is_not_finite_and_nonnegative(sigma_y):
+    # NaN compares false with 0, so a sign check alone lets it through
+    op = ops.mask_operator(4, [0, 2])
+    with pytest.raises(ValueError, match="sigma_y must be a finite number >= 0"):
+        ops.Observation(y=np.array([1.0, 2.0]), op=op, sigma_y=sigma_y)
+    with pytest.raises(ValueError, match="sigma_y must be a finite number >= 0"):
+        ops.observe(op, np.ones(4), sigma_y, RngStream(3))
+
+
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=25, deadline=None)
 def test_avgpool_pinv_property(factor, seed):

@@ -290,9 +290,11 @@ def test_grid_runs_a_noisy_target_fit_last(compare):
 
 
 def test_grid_runs_each_stage_switched_off(compare):
-    # a zero count or weight, or a draw that keeps everything, with no key it leaves unread
+    # a zero count, weight or noise level, or a draw that keeps everything, with no key it
+    # leaves unread; and the one config whose prior is given inline
     off = [(name, cfg["algorithm"], cfg["task"]["operator"], cfg["lle"], calls)
-           for name, cfg, calls in compare.grid_plan(3) if "off" in name or "keep-all" in name]
+           for name, cfg, calls in compare.grid_plan(3)
+           if "off" in name or "keep-all" in name or "inline" in name]
     mask = compare.grid_plan(3)[0][1]["task"]["operator"]
     assert off == [
         ("daps-mask-base-langevin-off", {"name": "DAPS", "daps": {"n_langevin": 0}}, mask,
@@ -307,9 +309,19 @@ def test_grid_runs_each_stage_switched_off(compare):
          ("run", "eval")),
         ("ddnm-keep-all-base", {"name": "DDNM"}, {"kind": "mask", "keep_ratio": 1.0}, "none",
          ("run", "eval")),
+        ("dps-mask-base-zeta-off", {"name": "DPS", "zeta": 0}, mask, "none", ("run", "eval")),
+        ("dmps-mask-base-lam-off", {"name": "DMPS", "lam": 0}, mask, "none", ("run", "eval")),
+        ("resample-mask-base-gamma-off", {"name": "ReSample", "gamma_rs": 0}, mask, "none",
+         ("run", "eval")),
+        ("diffpir-mask-base-noise-off", {"name": "DiffPIR"}, mask, "none", ("run", "eval")),
+        ("ddnm-mask-base-inline-prior", {"name": "DDNM"}, mask, "none", ("run", "eval")),
         ("ddnm-mask-coupled-first-epochs-off", {"name": "DDNM"}, mask,
          {"n_refs": 12, "ref_steps": 100, "base_seed": off[-1][3]["base_seed"], "epochs": 0},
          ("train", "run"))]
+    plan = {name: cfg for name, cfg, _ in compare.grid_plan(3)}
+    assert plan["diffpir-mask-base-noise-off"]["task"]["sigma_y"] == 0.0
+    assert set(plan["ddnm-mask-base-inline-prior"]["prior"]) == {"weights", "means",
+                                                                 "covariances"}
     groups = compare.fit_groups([3])
     name = os.path.join("3", "grid", "coeffs-ddnm-mask-coupled-first-epochs-off.json")
     assert compare._group(name, groups) == ("coeffs", "DDNM", "first-order", "coupled")

@@ -52,8 +52,13 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   everything: one base ``run`` (and ``eval --oracle`` on the mask) of DAPS at
   ``daps.n_langevin`` 0 and at ``daps.eta0`` 0, ReSample at ``inner_opt.steps``
   0, DiffPIR on the nonlinear operator at ``inner_opt.steps`` 0, REDdiff at
-  ``xi`` 0 and DDNM on a mask at ``keep_ratio`` 1.0, and one DDNM first-order
-  fit at ``epochs`` 0 with ``train`` and ``run --coeffs``;
+  ``xi`` 0, DDNM on a mask at ``keep_ratio`` 1.0, DPS at ``zeta`` 0, DMPS at
+  ``lam`` 0 and ReSample at ``gamma_rs`` 0, one DiffPIR base ``run`` and
+  ``eval --oracle`` on the mask at ``task.sigma_y`` 0 (its exact projection
+  onto the data, the rho -> 0 branch), one DDNM base ``run`` and
+  ``eval --oracle`` whose config gives its prior inline (``weights``,
+  ``means``, ``covariances``), and one DDNM first-order fit at ``epochs`` 0
+  with ``train`` and ``run --coeffs``;
 - ReSample's range-coordinate descent table off its preset: one base ``run``
   and ``eval --oracle`` on the mask at ``inner_opt`` lr 0.5, momentum 0.5 and
   7 steps, then the same on the dense operator, after every draw so that no
@@ -251,12 +256,25 @@ def grid_plan(seed: int) -> list:
         "diffpir-nonlinear-base-steps-off": ("DiffPIR", "nonlinear", {"inner_opt": {"steps": 0}}),
         "reddiff-mask-base-xi-off": ("REDdiff", "mask", {"xi": 0}),
         "ddnm-keep-all-base": ("DDNM", "keep-all", {}),
+        "dps-mask-base-zeta-off": ("DPS", "mask", {"zeta": 0}),
+        "dmps-mask-base-lam-off": ("DMPS", "mask", {"lam": 0}),
+        "resample-mask-base-gamma-off": ("ReSample", "mask", {"gamma_rs": 0}),
     }
     by_name = dict(operators, nonlinear=nonlinear, **{"keep-all": keep_all})
     for name, (algorithm, op_name, keys) in switched_off.items():
         cfg = _grid_config(prior_seed, algorithm, by_name[op_name], 5, "none")
         cfg["algorithm"].update(keys)
         plan.append((name, cfg, ("run",) if op_name == "nonlinear" else ("run", "eval")))
+    cfg = _grid_config(prior_seed, "DiffPIR", operators["mask"], 5, "none")
+    cfg["task"]["sigma_y"] = 0.0  # rho is 0: DiffPIR's exact projection onto the data
+    plan.append(("diffpir-mask-base-noise-off", cfg, ("run", "eval")))
+    cfg = _grid_config(prior_seed, "DDNM", operators["mask"], 5, "none")
+    cfg["prior"] = {"weights": [0.25, 0.75],
+                    "means": [[0.5 * (j % 3) - 0.5 for j in range(8)],
+                              [1.0 - 0.25 * j for j in range(8)]],
+                    "covariances": [[[0.3 * (i == j) + 0.05 * (k + 1) for j in range(8)]
+                                     for i in range(8)] for k in range(2)]}
+    plan.append(("ddnm-mask-base-inline-prior", cfg, ("run", "eval")))
     plan.append(("ddnm-mask-coupled-first-epochs-off", _grid_config(
         prior_seed, "DDNM", operators["mask"], 5, dict(fit, epochs=0)), ("train", "run")))
     for op_name in ("mask", "dense"):  # one process: a table reused across s shows here
