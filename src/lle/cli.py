@@ -62,11 +62,10 @@ def _cmd_eval(args):
     if args.oracle:
         _, ys, op = harness.make_test_batch(cfg)
         oracle_means = harness.oracle_posterior(cfg.prior, op, ys, cfg.sigma_y)[0]
-    reports = harness.evaluate(recon, truth, cfg, oracle_means)
-    text = harness.metrics_csv(reports)
+    columns = harness.evaluate(recon, truth, cfg, oracle_means)
     with open(args.out, "w") as f:
-        f.write(text)
-    mean_mse = float(np.mean([r.mse for r in reports]))
+        f.write(harness.metrics_csv(columns))
+    mean_mse = float(np.mean(columns["mse"]))
     print(f"wrote per-sample metrics to {args.out} (mean mse {mean_mse:.6g})")
 
 

@@ -24,7 +24,7 @@ from . import extrapolation as lle
 from . import operators as ops
 from .config import SQRT_FLOAT_MAX, ConfigBlock, read_json, reject_unread, rule
 from .errors import ConfigError
-from .numerics import MetricReport, RngStream, RowStreams, mse, psnr
+from .numerics import RngStream, RowStreams, mse, psnr_of_mse
 
 SIGMA_FLOOR = 1e-6
 
@@ -275,8 +275,10 @@ def evaluate(
     truth_batch: np.ndarray,
     config: ExperimentConfig,
     oracle_means: np.ndarray | None = None,
-):
-    """Per-sample MSE/PSNR rows plus the batch means; optional oracle distance."""
+) -> dict:
+    """Each row's "mse", "psnr" (dB at config.peak, +inf where a row equals its truth) and
+    "oracle_mse" (None without oracle means): columns of Python floats from one vectorized
+    pass, bit for bit `numerics.mse` and `numerics.psnr` of each row."""
     recon = np.atleast_2d(recon_batch)
     truth = np.atleast_2d(truth_batch)
     if recon.shape != truth.shape:
@@ -285,20 +287,20 @@ def evaluate(
     if oracle is not None and oracle.shape != recon.shape:
         raise ConfigError(f"the oracle means of the config's held-out batch have shape"
                           f" {oracle.shape}, the reconstructions {recon.shape}")
-    reports = []
-    for i in range(recon.shape[0]):
-        o = None if oracle is None else mse(recon[i], oracle[i])
-        reports.append(MetricReport(mse=mse(recon[i], truth[i]),
-                                    psnr_db=psnr(recon[i], truth[i], config.peak), oracle_mse=o))
-    return reports
+    err = np.mean((recon - truth) ** 2, axis=-1).tolist()
+    o = None if oracle is None else np.mean((recon - oracle) ** 2, axis=-1).tolist()
+    return {"mse": err, "psnr": [psnr_of_mse(e, config.peak) for e in err], "oracle_mse": o}
 
 
-def metrics_csv(reports) -> str:
+def metrics_csv(columns: dict) -> str:
+    """`evaluate`'s columns as CSV, one line per row, each number %.12g (a PSNR of +inf
+    is written inf); the oracle_mse field is empty without oracle means."""
+    oracle = columns["oracle_mse"]
     buf = io.StringIO()
     buf.write("sample,mse,psnr,oracle_mse\n")
-    for i, r in enumerate(reports):
-        o = "" if r.oracle_mse is None else f"{r.oracle_mse:.12g}"
-        buf.write(f"{i},{r.mse:.12g},{r.psnr_db:.12g},{o}\n")
+    for i, (m, p) in enumerate(zip(columns["mse"], columns["psnr"])):
+        o = "" if oracle is None else f"{oracle[i]:.12g}"
+        buf.write(f"{i},{m:.12g},{p:.12g},{o}\n")
     return buf.getvalue()
 
 
@@ -358,7 +360,8 @@ def _sweep_cell(config: ExperimentConfig, grid: dif.TimeGrid, refs=None):
     def row(strategy, coeffs):
         try:
             recon, truths = run_experiment(config, config.test_seed, coeffs=coeffs())
-            return algo, S, strategy, mse(recon, truths), _mean_psnr(recon, truths, config.peak)
+            mean_psnr = float(np.mean(evaluate(recon, truths, config)["psnr"]))
+            return algo, S, strategy, mse(recon, truths), mean_psnr
         except Exception as exc:  # cell failure must not abort the sweep
             return algo, S, strategy, "error", f"error:{type(exc).__name__}"
 
@@ -371,10 +374,6 @@ def _sweep_cell(config: ExperimentConfig, grid: dif.TimeGrid, refs=None):
     if config.train_config is None:
         return [base, (algo, S, "LLE") + base[3:]]
     return [base, row("LLE", lle_coeffs)]
-
-
-def _mean_psnr(recon, truth, peak) -> float:
-    return float(np.mean([psnr(r, t, peak) for r, t in zip(recon, truth)]))
 
 
 def sweep(config: ExperimentConfig, steps_list) -> str:

@@ -216,14 +216,12 @@ def psnr(x: np.ndarray, ref: np.ndarray, peak: float = 2.0) -> float:
     """
     if peak <= 0:
         raise ValueError("peak must be positive")
-    err = mse(x, ref)
+    return psnr_of_mse(mse(x, ref), peak)
+
+
+def psnr_of_mse(err: float, peak: float) -> float:
+    """10 log10(peak^2 / err) dB, +inf at err 0: the one formula, in Python floats
+    (math.log10, not np.log10, whose SIMD path may round differently)."""
     if err == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / err)
-
-
-@dataclass(repr=False, eq=False)
-class MetricReport:
-    mse: float
-    psnr_db: float
-    oracle_mse: float | None = None

@@ -83,13 +83,15 @@ def check_sigma_y(sigma_y: float) -> None:
 
 
 def observe(op, x, sigma_y: float, stream: RngStream | None = None) -> np.ndarray:
-    """y = A(x) + sigma_y * n with a dedicated noise stream; exact when sigma_y = 0."""
+    """y = A(x) + sigma_y * n, n from a dedicated stream; exact, needing none, at sigma_y = 0."""
     check_sigma_y(sigma_y)
     if isinstance(op, NonlinearOperator):
         y = nl_apply(op, x)
     else:
         y = apply(op, x)
     if sigma_y > 0:
+        if stream is None:
+            raise ValueError(f"observe at sigma_y {sigma_y} > 0 needs a noise stream, got None")
         y = y + sigma_y * stream.standard_normal(y.shape)
     return y
 

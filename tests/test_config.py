@@ -128,7 +128,7 @@ def test_every_config_error_message_is_the_recorded_one():
 # the dataclasses of lle today, none of them a config block: each one's generated methods
 # are built when its module is imported, ~0.5 ms of every fresh process's set-up
 DATACLASSES_TODAY = {"diffusion.DiffusionSchedule", "diffusion.TimeGrid",
-                     "harness.ExperimentConfig", "numerics.MetricReport", "numerics.RngStream",
+                     "harness.ExperimentConfig", "numerics.RngStream",
                      "operators.LinearOperator", "operators.NonlinearOperator",
                      "operators.Observation"}
 

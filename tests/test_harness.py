@@ -507,12 +507,33 @@ def test_evaluate_and_csv(tmp_path):
     cfg = harness.load_config(write_config(tmp_path / "c.json"))
     recon = np.zeros((2, 4))
     truth = np.ones((2, 4))
-    reports = harness.evaluate(recon, truth, cfg)
-    assert [r.mse for r in reports] == [1.0, 1.0]
-    text = harness.metrics_csv(reports)
-    lines = text.strip().split("\n")
-    assert lines[0] == "sample,mse,psnr,oracle_mse"
-    assert len(lines) == 3 and lines[1].startswith("0,1,")
+    columns = harness.evaluate(recon, truth, cfg)
+    assert columns == {"mse": [1.0, 1.0], "psnr": [10 * math.log10(4.0)] * 2, "oracle_mse": None}
+    lines = harness.metrics_csv(columns).split("\n")
+    assert lines == ["sample,mse,psnr,oracle_mse", "0,1,6.02059991328,", "1,1,6.02059991328,", ""]
+
+
+def test_evaluate_columns_equal_the_one_row_metrics_bit_for_bit(tmp_path):
+    # one vectorized pass over the rows gives the bytes of numerics.mse and numerics.psnr
+    # on each row, at row lengths on and around the pairwise-summation block sizes
+    cfg = harness.load_config(write_config(tmp_path / "c.json", peak=1.5))
+    stream = RngStream(17)
+    for d in (1, 7, 8, 9, 31, 32, 33, 256):
+        for n in (1, 3, 50):
+            truth = stream.standard_normal((n, d))
+            recon = truth + 0.3 * stream.standard_normal((n, d))
+            oracle = truth + 0.1 * stream.standard_normal((n, d))
+            recon[n // 2] = truth[n // 2]  # a row equal to its truth: PSNR inf
+            columns = harness.evaluate(recon, truth, cfg, oracle)
+            assert columns == {"mse": [mse(r, t) for r, t in zip(recon, truth)],
+                               "psnr": [psnr(r, t, 1.5) for r, t in zip(recon, truth)],
+                               "oracle_mse": [mse(r, o) for r, o in zip(recon, oracle)]}, (d, n)
+            assert all(type(v) is float for col in columns.values() for v in col)
+            assert columns["psnr"][n // 2] == math.inf
+            lines = harness.metrics_csv(columns).split("\n")[1:-1]
+            assert lines[n // 2].split(",")[2] == "inf"
+            assert [line.split(",")[3] for line in lines] == [
+                f"{v:.12g}" for v in columns["oracle_mse"]]
 
 
 def test_evaluate_shape_mismatch(tmp_path):

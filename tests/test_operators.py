@@ -215,6 +215,14 @@ def test_observe_noiseless_and_seeded():
     assert np.array_equal(a, b)
 
 
+def test_observe_with_noise_and_no_stream_names_the_missing_stream():
+    # earlier an AttributeError on None.standard_normal
+    for op in (ops.mask_operator(4, [0, 2]), ops.nonlinear_operator(4, [0.25, 0.5, 0.25], 0.5)):
+        with pytest.raises(ValueError, match="sigma_y 0.1 > 0 needs a noise stream"):
+            ops.observe(op, np.ones(4), 0.1)
+        assert np.isfinite(ops.observe(op, np.ones(4), 0.0)).all()
+
+
 def test_observation_validation():
     op = ops.mask_operator(4, [0])
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import types
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +163,7 @@ def test_grid_runs_daps_on_linear_operators(compare):
                     ("daps-blur-binomial-base", "blur", None, ("run", "eval")),
                     ("daps-avgpool-base", "avgpool", None, ("run", "eval")),
                     ("daps-hadamard-base", "hadamard", None, ("run", "eval")),
-                    ("daps-nonlinear-base", "nonlinear", None, ("run",)),
+                    ("daps-nonlinear-base", "nonlinear", None, ("run", "eval")),
                     ("daps-nonlinear-coupled-closed", "nonlinear", None, ("train", "run")),
                     ("daps-mask-base-langevin-off", "mask", {"n_langevin": 0}, ("run", "eval")),
                     ("daps-mask-base-eta0-off", "mask", {"eta0": 0}, ("run", "eval"))]
@@ -171,6 +172,26 @@ def test_grid_runs_daps_on_linear_operators(compare):
     assert compare._group(name, groups) == ("recon", "DAPS", "closed", "coupled")
     name = os.path.join("3", "grid", "coeffs-daps-nonlinear-coupled-closed.json")
     assert compare._group(name, groups) == ("coeffs", "DAPS", "closed", "coupled")
+
+
+def test_grid_evals_each_nonlinear_base_run_without_the_oracle(compare, monkeypatch, tmp_path):
+    # so the metrics file with an empty oracle_mse column is compared too; the oracle
+    # needs a linear operator, so every other eval passes --oracle
+    plan = compare.grid_plan(3)
+    evals = {name: cfg["task"]["operator"]["kind"] for name, cfg, calls in plan
+             if "eval" in calls}
+    assert [name for name, kind in evals.items() if kind == "nonlinear"] == [
+        f"{algorithm.lower()}-nonlinear-base" for algorithm in compare.NONLINEAR_ALGORITHMS]
+    argvs = {}
+    monkeypatch.setattr(compare, "_bench_configs",
+                        lambda: types.SimpleNamespace(WORKLOADS=(), SWEEP_STEPS=(3,)))
+    monkeypatch.setattr(compare, "grid_plan", lambda seed: plan)
+    monkeypatch.setattr(compare, "_call",
+                        lambda cli, argv, out: argvs.setdefault(os.path.basename(out), argv))
+    compare.emit(str(tmp_path), [3])  # records each call's argv, runs none
+    for name, kind in evals.items():
+        argv = argvs[f"metrics-{name}.csv"]
+        assert argv[0] == "eval" and ("--oracle" in argv) == (kind != "nonlinear"), name
 
 
 def test_grid_runs_each_structured_operator(compare):

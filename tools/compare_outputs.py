@@ -44,10 +44,12 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   decoupled closed-form DDRM fit on the full-rank blur (whose null
   projections are zero) with ``train`` and ``run --coeffs``;
 - on the ``nonlinear`` operator, one base ``run`` for each of DPS, REDdiff,
-  DiffPIR, ReSample and DAPS (no ``eval --oracle``: the oracle needs a linear
-  operator), one DPS first-order fit and one DAPS closed-form fit, each with
-  ``train`` and ``run --coeffs`` (DAPS draws its Langevin noise there in
-  blocks, ``standard_normal_block``, from the training stream as from a run's);
+  DiffPIR, ReSample and DAPS, each followed by a plain ``eval`` (no
+  ``--oracle``: the oracle needs a linear operator), so the metrics file with
+  an empty ``oracle_mse`` column is compared too, and one DPS first-order fit
+  and one DAPS closed-form fit, each with ``train`` and ``run --coeffs`` (DAPS
+  draws its Langevin noise there in blocks, ``standard_normal_block``, from
+  the training stream as from a run's);
 - each stage switched off by a zero count or weight, or a draw that keeps
   everything: one base ``run`` (and ``eval --oracle`` on the mask) of DAPS at
   ``daps.n_langevin`` 0 and at ``daps.eta0`` 0, ReSample at ``inner_opt.steps``
@@ -243,7 +245,7 @@ def grid_plan(seed: int) -> list:
     nonlinear = {"kind": "nonlinear"}
     for algorithm in NONLINEAR_ALGORITHMS:
         plan.append((f"{algorithm.lower()}-nonlinear-base",
-                     _grid_config(prior_seed, algorithm, nonlinear, 5, "none"), ("run",)))
+                     _grid_config(prior_seed, algorithm, nonlinear, 5, "none"), ("run", "eval")))
     plan.append(("dps-nonlinear-coupled-first",
                  _grid_config(prior_seed, "DPS", nonlinear, 5, first), ("train", "run")))
     plan.append(("daps-nonlinear-coupled-closed", _grid_config(
@@ -365,11 +367,12 @@ def emit(outdir: str, seeds: list) -> None:
                     extra = ["--coeffs", coeffs] if "train" in calls else []
                     _call(cli, ["run", "--config", path, "--seed", run_seed, "--out", out]
                           + extra, out)
-                elif kind == "eval":
+                elif kind == "eval":  # with the oracle wherever the operator is linear
                     recon = os.path.join(d, f"recon-{name}.lle")
                     out = os.path.join(d, f"metrics-{name}.csv")
+                    oracle = [] if cfg["task"]["operator"]["kind"] == "nonlinear" else ["--oracle"]
                     _call(cli, ["eval", "--recon", recon, "--truth", recon + ".truth",
-                                "--config", path, "--oracle", "--out", out], out)
+                                "--config", path, "--out", out] + oracle, out)
                 elif kind == "sweep":
                     out = os.path.join(d, f"sweep-{name}.csv")
                     _call(cli, ["sweep", "--config", path, "--steps", GRID_STEPS,
