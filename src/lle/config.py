@@ -99,8 +99,9 @@ class ConfigBlock:
     `block` is the block's dotted path, which errors name keys from;
     `unread_when` maps a (switch key or dotted path, value) pair to the
     keys nothing reads while the switch has that value, which `from_dict` rejects.
-    Each class's rule table (`rules`) is built when the class is made, from its
-    bases' fields, then its own; an instance's attributes are exactly its fields."""
+    Each class's `rules` (JSON key -> `FieldRule` for every field, in field order) is
+    built when the class is made, from its bases' fields, then its own; an instance's
+    attributes are exactly its fields."""
 
     block = ""
     unread_when = {}
@@ -108,7 +109,7 @@ class ConfigBlock:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         table = {key: r._replace(path=cls._path(key))  # the base block's fields first
-                 for key, r in getattr(cls, "_rule_table", {}).items()}
+                 for key, r in getattr(cls, "rules", {}).items()}
         module = vars(sys.modules[cls.__module__])
         for attr, kind in cls.__annotations__.items():
             nested = module.get(kind)
@@ -118,11 +119,11 @@ class ConfigBlock:
             key = declared.key or attr
             table[key] = declared._replace(key=key, attr=attr, path=cls._path(key),
                                            kind=kind.split(" |")[0], nested=nested)
-        cls._rule_table = table
+        cls.rules = table
 
     def __init__(self, **values):
         """Each field from values or its default, checked in field order."""
-        for r in self._rule_table.values():
+        for r in self.rules.values():
             if r.attr in values:
                 value = values.pop(r.attr)
             elif r.required:
@@ -143,18 +144,13 @@ class ConfigBlock:
         return f"{cls.block}.{key}" if cls.block else key
 
     @classmethod
-    def rules(cls) -> dict:
-        """The rule table: JSON key -> `FieldRule` for every field, in field order."""
-        return cls._rule_table
-
-    @classmethod
     def from_dict(cls, obj, base=None):
         """Build the block from a parsed JSON object; given keys override base
         (absent: the defaults) and nested blocks recurse. A non-object, an
         unknown key or a missing required key is an error naming its path."""
         if not isinstance(obj, dict):
             raise ConfigError(f"{cls.block or cls.__name__} must be an object, got {obj!r}")
-        table = cls._rule_table
+        table = cls.rules
         unknown = [cls._path(key) for key in sorted(set(obj) - table.keys())]
         if unknown:
             raise ConfigError(f"unknown config key(s) {', '.join(unknown)}")
@@ -181,7 +177,7 @@ class ConfigBlock:
         each key in field order, a nested block as its own `to_dict`, leaving out a
         None value and a key that a switch leaves unread (`unread_when`)."""
         out = {}
-        for key, r in self._rule_table.items():
+        for key, r in self.rules.items():
             value = getattr(self, r.attr)
             if value is not None:
                 out[key] = value.to_dict() if r.nested is not None else value

@@ -26,8 +26,6 @@ from .config import SQRT_FLOAT_MAX, ConfigBlock, read_json, reject_unread, rule
 from .errors import ConfigError
 from .numerics import RngStream, RowStreams, mse, psnr_of_mse
 
-SIGMA_FLOOR = 1e-6
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -225,40 +223,38 @@ def load_config(path) -> ExperimentConfig:
 
 def oracle_posterior(prior: dif.GaussianMixturePrior, op: ops.LinearOperator, y, sigma_y: float):
     """Exact conjugate posterior of a GMM prior under y = A x + sigma_y n, for
-    every row of y (..., m) in one solve.
+    every row of y (..., m) in one solve, in the operator's SVD A = U diag(s) V^T.
 
-    Per component, S = A Sigma_k A^T + sigma_y^2 I, its Cholesky factor, log
-    determinant and the gain Sigma_k A^T S^-1 do not depend on y, so they are
-    computed once and shared by every row. A noiseless request (sigma_y below
-    `SIGMA_FLOOR`) is solved at sigma_y = SIGMA_FLOOR; a sigma_y that is not a
-    finite number >= 0 is a ValueError.
+    It conditions on z = U^T y, which observes B x (B = diag(s) V^T) plus
+    N(0, sigma_y^2 I_r) noise: the part of y outside range(U) has the same
+    likelihood under every component, so the means and weights do not read it.
+    Per component, S = B Sigma_k B^T + sigma_y^2 I_r is positive definite even
+    at sigma_y = 0, so the noiseless posterior is exact; its one Cholesky factor
+    gives the log determinant, the whitened innovation and the mean
+    mu_k + Sigma_k B^T S^-1 (z - B mu_k), shared by every row.
     Returns (posterior means (..., d), component weights (..., K)).
-    A nonlinear operator has no conjugate posterior: that is a ConfigError.
+    A y whose last axis is not m, or a sigma_y that is not a finite number
+    >= 0, is a ValueError; a nonlinear operator has no conjugate posterior,
+    which is a ConfigError.
     """
     if not isinstance(op, ops.LinearOperator):
         raise ConfigError("the posterior oracle needs a linear operator,"
                           " not task.operator.kind 'nonlinear'")
     ops.check_sigma_y(sigma_y)
-    sigma_y = max(sigma_y, SIGMA_FLOOR)
-    A = op.dense()
-    m = op.m
     y = np.asarray(y, dtype=float)
-    rows = y.reshape(-1, m)
-    logw = np.empty((rows.shape[0], prior.K))
-    means = np.empty((rows.shape[0], prior.K, prior.d))
+    if y.shape[-1] != op.m:
+        raise ValueError(f"expected last dim {op.m}, got {y.shape[-1]}")
+    z = y.reshape(-1, op.m) @ op.U
+    B = op.s[:, None] * op.V.T
+    logw = np.empty((z.shape[0], prior.K))
+    means = np.empty((z.shape[0], prior.K, prior.d))
     for k in range(prior.K):
-        mu, Sig = prior.means[k], prior.covariances[k]
-        S = A @ Sig @ A.T + sigma_y**2 * np.eye(m)
-        L = np.linalg.cholesky(S)
-        logdet = 2.0 * np.sum(np.log(np.diag(L)))
-        gain = Sig @ A.T @ np.linalg.solve(S, np.eye(m))
-        innov = rows - A @ mu
-        z = np.linalg.solve(L, innov.T)
-        logw[:, k] = (
-            math.log(prior.weights[k])
-            - 0.5 * (np.einsum("mn,mn->n", z, z) + logdet + m * math.log(2.0 * math.pi))
-        )
-        means[:, k] = mu + innov @ gain.T
+        mu, SBt = prior.means[k], prior.covariances[k] @ B.T
+        L = np.linalg.cholesky(B @ SBt + sigma_y**2 * np.eye(op.r))
+        white = np.linalg.solve(L, (z - B @ mu).T)  # (r, N)
+        logw[:, k] = (math.log(prior.weights[k]) - np.sum(np.log(np.diag(L)))
+                      - 0.5 * np.einsum("rn,rn->n", white, white))
+        means[:, k] = mu + (SBt @ np.linalg.solve(L.T, white)).T
     w = np.exp(logw - logw.max(axis=1, keepdims=True))
     w /= w.sum(axis=1, keepdims=True)
     mean = np.einsum("nk,nkd->nd", w, means)

@@ -88,7 +88,7 @@ def field_values(block) -> dict:
     """Every field of a config block under its JSON key, None values too, a nested block
     as a dict of its own fields."""
     return {key: field_values(getattr(block, r.attr)) if r.nested else getattr(block, r.attr)
-            for key, r in block.rules().items()}
+            for key, r in block.rules.items()}
 
 
 def preset_lists(algorithm: str, path: str) -> bool:

@@ -84,13 +84,12 @@ def _block_classes(root=config.ConfigBlock):
     return found
 
 
-def test_every_config_block_has_a_rule_table_of_its_own_fields():
+def test_every_config_block_has_rules_of_its_own_fields():
     blocks = _block_classes()
     assert {canon.AlgoParams, canon.DAPSParams, canon.InnerOptParams, harness.ConfigFile,
             harness.TaskSpec, harness.OperatorSpec} <= set(blocks)
     for cls in blocks:
-        table = cls.rules()
-        assert vars(cls)["_rule_table"] is table is cls.rules(), cls  # built once, on cls
+        table = vars(cls)["rules"]  # built once, on cls
         # each annotation of cls and its bases, bases first, is one field: a rule or,
         # bare, a nested block at its defaults
         declared = [(attr, kind) for klass in reversed(cls.__mro__)
@@ -110,27 +109,27 @@ def test_every_config_block_has_a_rule_table_of_its_own_fields():
                for key, r in table.items() if r.rule is not None]
         assert got == want, cls
         assert [r.attr for r in table.values()] == [attr for attr, _ in declared], cls
-    assert "_rule_table" not in vars(config.ConfigBlock)
+    assert "rules" not in vars(config.ConfigBlock)
     # spot checks: a renamed key, a nested block with a rule and one without, a list kind
-    assert canon.AlgoParams.rules()["name"][1:5] == ("algorithm", "algorithm.name", "str",
+    assert canon.AlgoParams.rules["name"][1:5] == ("algorithm", "algorithm.name", "str",
                                                     (canon.ALGORITHMS, False, {}))
-    assert harness.ConfigFile.rules()["task"].nested is harness.TaskSpec
-    assert canon.AlgoParams.rules()["daps"][4:] == (None, canon.DAPSParams, None)
-    assert canon.AlgoParams.rules()["name"].required
-    assert not canon.AlgoParams.rules()["daps"].required
-    assert harness.InlinePrior.rules()["means"].kind == "list[list[float]]"
+    assert harness.ConfigFile.rules["task"].nested is harness.TaskSpec
+    assert canon.AlgoParams.rules["daps"][4:] == (None, canon.DAPSParams, None)
+    assert canon.AlgoParams.rules["name"].required
+    assert not canon.AlgoParams.rules["daps"].required
+    assert harness.InlinePrior.rules["means"].kind == "list[list[float]]"
 
 
-def test_a_subclass_builds_its_own_rule_table():
-    parent = canon.InnerOptParams.rules()
+def test_a_subclass_gets_rules_of_its_own():
+    parent = canon.InnerOptParams.rules
 
     class Wider(canon.InnerOptParams):
         block = "wider"
         extra: "int" = config.rule(3, minimum=0)
 
     try:
-        table = Wider.rules()
-        assert table is not parent and canon.InnerOptParams.rules() is parent
+        table = Wider.rules
+        assert table is not parent and canon.InnerOptParams.rules is parent
         assert list(table) == ["lr", "momentum", "steps", "extra"]
         assert [r.path for r in table.values()] == ["wider.lr", "wider.momentum",
                                                     "wider.steps", "wider.extra"]
@@ -1769,10 +1768,10 @@ def test_a_non_finite_estimate_stops_the_run_naming_its_step_and_rows(schedule, 
 
 def _unread_fields_set_to_nan(params):
     """params with every field its algorithm's preset does not list set to NaN."""
-    for key, r in params.rules().items():
+    for key, r in params.rules.items():
         value = getattr(params, r.attr)
         if r.nested is not None:
-            for sub in r.nested.rules():
+            for sub in r.nested.rules:
                 if not preset_lists(params.algorithm, f"{key}.{sub}"):
                     setattr(value, sub, math.nan)
         elif key != "name" and not preset_lists(params.algorithm, key):

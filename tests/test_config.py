@@ -70,7 +70,7 @@ def probe() -> dict:
     out = {}
     for cls, base in sorted(BASES.items(), key=lambda item: item[0].__name__):
         name = cls.__name__
-        for key, r in cls.rules().items():
+        for key, r in cls.rules.items():
             for label, value in VALUES.items():
                 out[f"{name} {key}={label}"] = _message(cls, {**base, key: value})
             if r.required:
@@ -93,7 +93,7 @@ def test_the_probe_covers_every_block_and_both_sides_of_every_bound():
     assert set(_block_classes()) == set(BASES)
     numbers = [v for v in VALUES.values() if type(v) in (int, float) and abs(v) <= 1e308]
     for cls in BASES:
-        for r in cls.rules().values():
+        for r in cls.rules.values():
             for limit in (r.rule[2] if r.rule else {}).values():
                 assert min(numbers) < limit < max(numbers), (cls, r.path)
 
@@ -161,11 +161,11 @@ def _at_defaults():
                          ids=lambda x: x.__name__ if isinstance(x, type) else "")
 def test_a_block_holds_its_fields_and_reads_back_its_dict(cls, block):
     assert not dataclasses.is_dataclass(block) and not hasattr(cls, "__dataclass_fields__")
-    assert list(vars(block)) == [r.attr for r in cls.rules().values()]
+    assert list(vars(block)) == [r.attr for r in cls.rules.values()]
     text = json.dumps(block.to_dict())
     again = cls.from_dict(json.loads(text))
     assert again == block and again is not block
     assert json.dumps(again.to_dict()) == text
-    for r in cls.rules().values():  # a nested block at its defaults is a fresh one
+    for r in cls.rules.values():  # a nested block at its defaults is a fresh one
         if r.nested is not None:
             assert getattr(again, r.attr) is not getattr(block, r.attr), r.attr

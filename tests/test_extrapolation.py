@@ -788,7 +788,7 @@ def _fit(given: dict) -> tuple:
 
 
 def _fit_other(key, now):
-    choices = lle.TrainConfig.rules()[key].rule[0]
+    choices = lle.TrainConfig.rules[key].rule[0]
     if choices:
         return next(c for c in choices if c != now)
     return (not now) if isinstance(now, bool) else _FIT_OTHER[key]
@@ -799,10 +799,10 @@ def test_the_train_unread_cases_cover_every_entry():
     settable = set()
     for ctx in _FIT_CONTEXTS:
         tc = lle.TrainConfig.from_dict(ctx)
-        settable |= {key for key in tc.rules() if not any(
+        settable |= {key for key in tc.rules if not any(
             getattr(tc, switch) == value and key in keys
             for (switch, value), keys in tc.unread_when.items())}
-    assert settable == set(lle.TrainConfig.rules())
+    assert settable == set(lle.TrainConfig.rules)
     assert {next(iter(ctx.items())) for ctx in _FIT_CONTEXTS} == set(lle.TrainConfig.unread_when)
 
 
@@ -828,7 +828,7 @@ def test_a_key_its_switch_leaves_unread_leaves_the_fit_as_it_was(switch, on, key
 def test_every_lle_key_a_config_may_set_moves_the_fit(context):
     base = _fit(context)
     now = lle.TrainConfig.from_dict(context)
-    for key in lle.TrainConfig.rules():
+    for key in lle.TrainConfig.rules:
         moved = dict(context, **{key: _fit_other(key, getattr(now, key))})
         try:
             lle.TrainConfig.from_dict(moved)

@@ -287,7 +287,7 @@ def test_load_config_rejects_a_key_the_algorithm_does_not_read(tmp_path, algorit
 
 def _settable(preset, params):
     """How many values a preset lets a config set; a {} block, every field of params' block."""
-    return sum(len(getattr(params, key).rules()) if value == {}
+    return sum(len(getattr(params, key).rules) if value == {}
                else _settable(value, getattr(params, key)) if isinstance(value, dict) else 1
                for key, value in preset.items())
 
@@ -303,7 +303,7 @@ def test_settable_algorithm_values_are_the_presets_keys():
 
 def test_settable_values_fall_under_each_switch():
     # the keys a switch leaves unread are no longer settable beside it
-    fit = len(lle.TrainConfig.rules())
+    fit = len(lle.TrainConfig.rules)
     unread = lle.TrainConfig.unread_when
     closed, adam, none = (len(unread[switch]) for switch in (
         ("closed_form", True), ("optimizer", "adam"), ("plugin", "none")))
@@ -314,7 +314,7 @@ def test_settable_values_fall_under_each_switch():
     assert _settable(resample, canon.default_params("ReSample")) == 3
     assert fit - len(unread["epochs", 0]) == 10
     daps = canon.DAPSParams
-    assert [len(daps.rules()) - len(keys) for keys in daps.unread_when.values()] \
+    assert [len(daps.rules) - len(keys) for keys in daps.unread_when.values()] \
         == [5, 2, 4]  # noiseless_linear true, n_langevin 0, eta0 0
     assert 6 - len(canon.InnerOptParams.unread_when["steps", 0]) == 4  # ReSample at steps 0
     assert 2 - len(canon.AlgoParams.unread_when["xi", 0]) == 1  # REDdiff at xi 0
@@ -405,28 +405,37 @@ def test_oracle_two_component_scalar_case():
     assert np.max(np.abs(weights - wk)) < 1e-12
 
 
-def test_oracle_floor_behavior():
-    prior = dif.GaussianMixturePrior([1.0], np.zeros((1, 2)), np.eye(2)[None])
-    op = ops.dense_operator(np.eye(2))
-    y = np.array([1.0, 1.0])
-    mean, _ = harness.oracle_posterior(prior, op, y, 0.0)
-    assert np.max(np.abs(mean - 1.0)) < 1e-6
-    floored, _ = harness.oracle_posterior(prior, op, y, harness.SIGMA_FLOOR)
-    assert mean.tobytes() == floored.tobytes()
+def test_oracle_is_exact_at_sigma_y_0_on_a_mask():
+    # no floor: the noiseless posterior mean reproduces y on the kept coordinates
+    keep = [0, 2, 3, 5, 6]
+    for d, seed in ((8, 3), (16, 4), (32, 5)):
+        prior = harness.random_prior(d, 3, seed)
+        op = ops.mask_operator(d, keep)
+        ys = ops.observe(op, prior.sample(RngStream(seed, stream_id=10), 6), 0.0)
+        means, _ = harness.oracle_posterior(prior, op, ys, 0.0)
+        assert np.max(np.abs(means[:, keep] - ys)) <= 1e-14 * np.max(np.abs(ys))
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (8,), (3, 2, 5)])
+def test_oracle_rejects_an_observation_of_the_wrong_size_before_solving(shape):
+    prior = harness.random_prior(8, 2, 1)
+    op = ops.mask_operator(8, [0, 2, 4, 6])
+    with pytest.raises(ValueError, match=rf"^expected last dim 4, got {shape[-1]}$"):
+        harness.oracle_posterior(prior, op, np.ones(shape), 0.05)
 
 
 @pytest.mark.parametrize("sigma_y", [-1.0, math.nan, math.inf])
 def test_oracle_rejects_a_sigma_y_that_is_not_finite_and_nonnegative(sigma_y):
-    # the floor is for a noiseless request, not for a negative, NaN or infinite one
+    # sigma_y 0 is the exact noiseless posterior; a negative, NaN or infinite one is no noise level
     prior = dif.GaussianMixturePrior([1.0], np.zeros((1, 2)), np.eye(2)[None])
     with pytest.raises(ValueError, match="sigma_y must be a finite number >= 0"):
         harness.oracle_posterior(prior, ops.dense_operator(np.eye(2)), np.ones(2), sigma_y)
 
 
 def _per_row_oracle(prior, op, y, sigma_y):
-    """The oracle one observation y (m,) at a time, every factor solved anew:
-    the reference the batched `oracle_posterior` is checked against."""
-    sigma_y = max(sigma_y, harness.SIGMA_FLOOR)
+    """The oracle one observation y (m,) at a time, every factor solved anew in y-space
+    from the dense A, not in the operator's SVD basis: the reference the batched
+    `oracle_posterior` is checked against. At sigma_y 0 it needs a full row rank A."""
     A = op.dense()
     m = op.m
     logw = np.empty(prior.K)
@@ -468,6 +477,75 @@ def _oracle_case(prior_seed, kind, n_rows, sigma_y, d=8, K=3):
     stream = RngStream(prior_seed, stream_id=10)
     ys = ops.observe(op, prior.sample(stream, n_rows), sigma_y, stream)
     return prior, op, ys
+
+
+def _mp_oracle(mp, prior, A, ys, sigma_y):
+    """The posterior means and weights of the rows ys, in y-space from the matrix A at the
+    working precision: S = A Sigma_k A^T + sigma_y^2 I through mpmath's own `eigsy`, its
+    pseudo-inverse and pseudo-determinant over the eigenvalues above 1e-30 of the largest,
+    so that at sigma_y 0 a rank-deficient A's null directions of S drop out."""
+    A = mp.matrix(A.tolist())
+    logw, means = [[] for _ in ys], [[] for _ in ys]
+    for k in range(prior.K):
+        mu, Sig = mp.matrix(prior.means[k].tolist()), mp.matrix(prior.covariances[k].tolist())
+        SAt = Sig * A.T
+        lam, Q = mp.eigsy(A * SAt + mp.mpf(sigma_y) ** 2 * mp.eye(A.rows))
+        kept = [i for i in range(A.rows) if lam[i] > mp.mpf("1e-30") * max(lam)]
+        for n, y in enumerate(ys):
+            innov = Q.T * (mp.matrix(y.tolist()) - A * mu)
+            solved = Q * mp.matrix([innov[i] / lam[i] if i in kept else 0
+                                    for i in range(A.rows)])
+            logw[n].append(mp.log(prior.weights[k])
+                           - sum(mp.log(lam[i]) + innov[i] ** 2 / lam[i] for i in kept) / 2)
+            means[n].append(mu + SAt * solved)
+    out = []
+    for lw, mk in zip(logw, means):
+        w = [mp.exp(v - max(lw)) for v in lw]
+        w = [wk / sum(w) for wk in w]
+        mean = sum((w[k] * mk[k] for k in range(prior.K)), mp.matrix(prior.d, 1))
+        out.append((np.array([float(v) for v in mean]), np.array([float(v) for v in w])))
+    return out
+
+
+# each operator's matrix, as `operators` forms it before the SVD
+_MP_ORACLE_MATRICES = {
+    "mask": np.eye(8)[[0, 2, 3, 5]],
+    "blur-gauss": ops._circ_conv(ops.gaussian_kernel(5, 1.0), np.eye(8)).T,
+    "blur-binomial": ops._circ_conv(np.array([0.25, 0.5, 0.25]), np.eye(8)).T,  # rank 7
+    "avgpool": np.kron(np.eye(4), [0.5, 0.5]),
+    "hadamard": ops._hadamard(8)[[0, 3, 5, 6]] / math.sqrt(8),
+    # integer factors, so that the float matrix is exactly of rank 3 and the reference
+    # has no rounding-sized singular values for a small sigma_y to magnify
+    "dense-rank-3": (np.round(2 * RngStream(12, stream_id=9).standard_normal((6, 3)))
+                     @ np.round(2 * RngStream(13, stream_id=9).standard_normal((3, 8)))) / 8,
+}
+_MP_ORACLE_SPECS = {
+    "mask": {"kind": "mask", "keep_indices": [0, 2, 3, 5]},
+    "blur-gauss": {"kind": "blur", "sigma": 1.0, "width": 5},
+    "blur-binomial": {"kind": "blur", "kernel": [0.25, 0.5, 0.25]},
+    "avgpool": {"kind": "avgpool", "factor": 2},
+}
+
+
+@pytest.mark.parametrize("sigma_y", [0.0, 1e-5, 0.05])
+@pytest.mark.parametrize("kind", list(_MP_ORACLE_MATRICES))
+def test_oracle_matches_a_50_digit_reference(kind, sigma_y):
+    # the reference works in y-space from the matrix, never the operator's U, s or V;
+    # two of the matrices are rank-deficient, where sigma_y 0 leaves A Sigma_k A^T singular
+    mp = pytest.importorskip("mpmath")
+    A = _MP_ORACLE_MATRICES[kind]
+    spec = _MP_ORACLE_SPECS.get(kind, {"kind": "dense", "matrix": A.tolist()})
+    op = ops.build_operator(8, spec)
+    assert np.max(np.abs(op.dense() - A)) <= 1e-14 * np.max(np.abs(A))  # the same operator
+    prior = harness.random_prior(8, 2, 31)
+    stream = RngStream(32, stream_id=10)
+    ys = ops.observe(op, prior.sample(stream, 3), sigma_y, stream)
+    means, weights = harness.oracle_posterior(prior, op, ys, sigma_y)
+    with mp.workdps(50):
+        reference = _mp_oracle(mp, prior, A, ys, sigma_y)
+    for i, (ref_mean, ref_w) in enumerate(reference):
+        assert _relative(means[i], ref_mean) <= 1e-12, i
+        assert _relative(weights[i], ref_w) <= 1e-12, i
 
 
 def test_oracle_rows_of_a_batch_equal_one_row_calls():
@@ -1172,7 +1250,7 @@ def test_readme_config_schema_lists_every_key():
     blocks = _config_blocks()
     assert {"seeds", "schedule", "task", "task.operator", "prior", "algorithm",
             "algorithm.daps", "algorithm.inner_opt", "lle"} <= {b.block for b in blocks}
-    missing = [f"{cls.block}.{key}" for cls in blocks for key in cls.rules()
+    missing = [f"{cls.block}.{key}" for cls in blocks for key in cls.rules
                if not re.search(rf"\b{re.escape(key)}\b", section)]
     assert not missing
     for kind in ops.OPERATORS:
@@ -1378,7 +1456,7 @@ def _bounds(path):
     parent, _, key = path.rpartition(".")
     tables = {b.block: b for b in _config_blocks()
               if b not in (harness.InlinePrior, harness.PriorFile, lle.LLECoefficients)}
-    r = tables[parent].rules().get(key)
+    r = tables[parent].rules.get(key)
     return r.rule[2] if r is not None and r.rule is not None else {}
 
 

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import types
 from pathlib import Path
 
@@ -205,10 +206,34 @@ def test_grid_runs_each_structured_operator(compare):
     runs = [(algorithm, ("run", "eval")) for algorithm in ("DDRM", "DPS", "ReSample", "DAPS")]
     assert structured == {"blur-gauss-base": runs, "blur-binomial-base": runs,
                           "avgpool-base": runs, "hadamard-base": runs,
-                          "blur-gauss-decoupled-closed": [("DDRM", ("train", "run"))]}
+                          "blur-gauss-decoupled-closed": [("DDRM", ("train", "run"))],
+                          "blur-binomial-base-sigma-0": [("DDRM", ("run", "eval"))]}
     groups = compare.fit_groups([3])
     name = os.path.join("3", "grid", "coeffs-ddrm-blur-gauss-decoupled-closed.json")
     assert compare._group(name, groups) == ("coeffs", "DDRM", "closed", "decoupled")
+
+
+def test_grid_runs_the_noiseless_oracle_on_a_rank_deficient_operator(compare):
+    # every other sigma_y 0 entry has an operator of full row rank; this one's blur has a
+    # zero singular value, and it draws nothing from the plan's rng, so no config moves
+    from lle import operators as ops
+
+    plan = compare.grid_plan(3)
+    noiseless = [name for name, cfg, _ in plan if cfg["task"]["sigma_y"] == 0.0]
+    assert noiseless == ["ddnm-dense-base-sigma-0", "diffpir-mask-base-noise-off",
+                         "ddrm-blur-binomial-base-sigma-0"]
+    names = [name for name, _, _ in plan]
+    at = names.index("ddrm-blur-binomial-base-sigma-0")
+    assert names[at - 1] == "diffpir-mask-base-noise-off"
+    name, cfg, calls = plan[at]
+    assert (cfg["algorithm"], cfg["task"]["operator"], cfg["lle"], calls) == (
+        {"name": "DDRM"}, {"kind": "blur", "kernel": [0.25, 0.5, 0.25]}, "none",
+        ("run", "eval"))
+    op = ops.build_operator(cfg["prior"]["dim"], cfg["task"]["operator"])
+    assert (op.m, op.r) == (8, 7)
+    groups = compare.fit_groups([3])
+    name = os.path.join("3", "grid", "metrics-ddrm-blur-binomial-base-sigma-0.csv")
+    assert compare._group(name, groups) == ("metrics", "DDRM", "none", "-")
 
 
 def test_grid_runs_resample_exact_hc_on_each_linear_operator(compare):
@@ -356,3 +381,32 @@ def test_every_grid_config_loads(compare, tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
         harness.load_config(path)
+
+
+def test_linecov_reports_each_function_of_a_reduced_target(tmp_path):
+    # one `lle run` under the line collector: `run_with_combiner` ran, the oracle did not
+    from lle import cli
+
+    spec = importlib.util.spec_from_file_location("linecov", TOOLS_DIR / "linecov.py")
+    linecov = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(linecov)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "prior": {"dim": 8, "components": 2, "seed": 5},
+        "task": {"operator": {"kind": "mask", "keep_ratio": 0.5, "seed": 1}, "sigma_y": 0.05},
+        "algorithm": {"name": "DDRM"}, "steps": 2, "n_test": 2, "lle": "none"}))
+    out = str(tmp_path / "recon.lle")
+    text = linecov.report(lambda: cli.main(["run", "--config", str(config), "--seed", "3",
+                                            "--out", out]))
+    ran = {m[1]: (int(m[2]), int(m[3])) for m in
+           re.finditer(r"^(\S+: \S+): ran (\d+) of (\d+)$", text, re.M)}
+    k, n = ran["canonical.py: run_with_combiner"]
+    assert 0 < k <= n
+    k, n = ran["harness.py: oracle_posterior"]
+    assert k == 0 < n and "expected last dim" in text
+    # lle was imported before the collector started, so no module-level line ran
+    assert all(k == 0 for name, (k, _) in ran.items() if name.endswith(": <module>"))
+    missed, total = map(int, re.fullmatch(r"(\d+) of (\d+) executable lines never ran",
+                                          text.splitlines()[-1]).groups())
+    assert missed == sum(n - k for k, n in ran.values()) and total == sum(
+        n for _, n in ran.values())

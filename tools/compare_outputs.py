@@ -57,7 +57,9 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   ``xi`` 0, DDNM on a mask at ``keep_ratio`` 1.0, DPS at ``zeta`` 0, DMPS at
   ``lam`` 0 and ReSample at ``gamma_rs`` 0, one DiffPIR base ``run`` and
   ``eval --oracle`` on the mask at ``task.sigma_y`` 0 (its exact projection
-  onto the data, the rho -> 0 branch), one DDNM base ``run`` and
+  onto the data, the rho -> 0 branch), one DDRM base ``run`` and ``eval --oracle``
+  on the rank-deficient ``[0.25, 0.5, 0.25]`` blur at ``task.sigma_y`` 0 (the
+  noiseless oracle where A has a zero singular value), one DDNM base ``run`` and
   ``eval --oracle`` whose config gives its prior inline (``weights``,
   ``means``, ``covariances``), and one DDNM first-order fit at ``epochs`` 0
   with ``train`` and ``run --coeffs``;
@@ -270,6 +272,9 @@ def grid_plan(seed: int) -> list:
     cfg = _grid_config(prior_seed, "DiffPIR", operators["mask"], 5, "none")
     cfg["task"]["sigma_y"] = 0.0  # rho is 0: DiffPIR's exact projection onto the data
     plan.append(("diffpir-mask-base-noise-off", cfg, ("run", "eval")))
+    cfg = _grid_config(prior_seed, "DDRM", structured["blur-binomial"], 5, "none")
+    cfg["task"]["sigma_y"] = 0.0  # the noiseless oracle on an operator of rank d - 1
+    plan.append(("ddrm-blur-binomial-base-sigma-0", cfg, ("run", "eval")))
     cfg = _grid_config(prior_seed, "DDNM", operators["mask"], 5, "none")
     cfg["prior"] = {"weights": [0.25, 0.75],
                     "means": [[0.5 * (j % 3) - 0.5 for j in range(8)],
