@@ -30,7 +30,7 @@ from . import diffusion as dif
 from . import operators as ops
 from .config import SQRT_FLOAT_MAX, ConfigBlock, rule
 from .errors import ConfigError, ConvergenceError
-from .numerics import RngStream, RowStreams
+from .numerics import RngStream, RowStreams, StreamTape
 from .optim import BatchScheduleFreeAdamW
 
 
@@ -480,17 +480,18 @@ def corr_daps(ctx: StepContext) -> np.ndarray:
     Those factors do not depend on x: they are the run's `tables` (`_daps_rows`),
     built for every step at once on the run's first step that reads them.
 
-    Determinism contract: on a linear operator xi is one ``standard_normal``
-    draw shaped like the anchor, so a call advances each row's counter once
-    (not at all when n_langevin is 0). On a nonlinear operator the noise of
-    iterations 10b .. 10b + 9 is one ``standard_normal_block`` draw of
+    Draws: on a linear operator xi is one ``standard_normal`` draw shaped like
+    the anchor (none when n_langevin is 0). On a nonlinear operator the noise
+    of iterations 10b .. 10b + 9 is one ``standard_normal_block`` draw of
     `_LANGEVIN_BLOCK` = 10 iterations (the last block holds n_langevin mod 10
-    when that is not 0), and iteration j adds entry j mod 10; a call advances
-    each row's counter ceil(n_langevin / 10) times, and its noise takes memory
-    of the order of one N * 10 * d block, whatever n_langevin is. Changing
-    either rule changes DAPS outputs. Row i of a `RowStreams` batch reads its
-    numbers in the order a one-row run with its own `RngStream` does, so the
-    two stay bit-identical.
+    when that is not 0), and iteration j adds entry j mod 10, so the noise
+    takes memory of the order of one N * 10 * d block, whatever n_langevin
+    is. In the driver the stream is a noise tape (`numerics.RowStreams`), on
+    which a block reads the values its single draws would, so the block size
+    bounds memory and moves no output; on a bare `RngStream` each draw is one
+    counter advance. Row i of a `RowStreams` batch reads its numbers in the
+    order a one-row run with a tape of its own stream does, so the two stay
+    bit-identical.
     """
     obs, params, anchor = ctx.obs, ctx.params, ctx.x0_sampled
     daps = params.daps
@@ -784,6 +785,13 @@ def run_with_combiner(
     `prior._constants` call), and U^T y and the norms of y; on the first step that
     reads them, the solver's own tables (DAPS's n-step factors, ReSample's descent table).
 
+    Noise: a `RowStreams` stream, one noise tape per row, is read as given; a bare
+    `RngStream` is wrapped as a one-row tape (`numerics.StreamTape`), where a draw
+    of any shape reads the stream's next prod(shape) values. A tape fills a
+    chunk of `numerics.TAPE_CHUNK` values per counter value, so within a call a
+    counter value is one chunk of a row, not one draw. Any other stream object
+    (a scripted one in a test or a probe) is used as given.
+
     Determinism: every product and reduction runs over the last two axes
     (a (B, m) batch is one matrix product), so an (N, 1, m) batch, drawn from
     a `RowStreams` of one `RngStream` per row, gives row i bit for bit what
@@ -791,6 +799,8 @@ def run_with_combiner(
     batch, as training uses, does not have that property.
     """
     run = RunTables(prior, schedule, grid.timesteps, obs, params)
+    if isinstance(stream, RngStream):
+        stream = StreamTape(stream)
     x = stream.standard_normal(obs.y.shape[:-1] + (prior.d,))
     history: list[np.ndarray] = []
     for step in range(grid.S):

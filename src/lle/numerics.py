@@ -17,6 +17,8 @@ from .errors import FormatError
 ARRAY_MAGIC = b"LLEF64\n"
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _COUNTER_LIMIT = 2**190  # counter << 66 must fit Philox's 256-bit counter
+# deviates per counter value of a `RowStreams` / `StreamTape` row
+TAPE_CHUNK = 512
 
 
 # per thread, from its first draw on: (generator, its bit generator, the
@@ -52,27 +54,6 @@ def _check_counter(c: int) -> None:
         raise ValueError(f"counter must lie in [0, 2**190), got {c}")
 
 
-def _rewind(parts: tuple, stream: "RngStream") -> np.random.Generator:
-    """The thread's generator (from `_philox`), set to draw what
-    ``Philox(key, counter << 66)`` would, with key = base_seed + 2**64 *
-    stream_id (each taken mod 2**64) and the stream's current counter.
-
-    It writes the key and counter words into the thread's state dict in place
-    and sets it (which also empties the output buffer), so a reassigned field
-    takes effect on the next draw. The caller checks and advances the counter.
-    """
-    gen, bit_generator, state, key, ctr = parts
-    key[0] = stream.base_seed & _MASK64
-    key[1] = stream.stream_id & _MASK64
-    # counter << 66 as four little-endian 64-bit words; the lowest is 0
-    c = stream.counter
-    ctr[1] = (c << 2) & _MASK64
-    ctr[2] = (c >> 62) & _MASK64
-    ctr[3] = c >> 126
-    bit_generator.state = state
-    return gen
-
-
 @dataclass
 class RngStream:
     """Counter-based random stream, splittable by (base_seed, stream_id).
@@ -92,11 +73,26 @@ class RngStream:
         return RngStream(self.base_seed, stream_id, 0)
 
     def _generator(self) -> np.random.Generator:
-        """The thread's generator, rewound to this stream's next draw; the
-        counter advances past it."""
-        _check_counter(self.counter)
-        gen = _rewind(_philox(), self)
-        self.counter += 1
+        """The thread's generator (from `_philox`), set to draw what
+        ``Philox(key, counter << 66)`` would, with key = base_seed + 2**64 *
+        stream_id (each taken mod 2**64) and this stream's counter, which then
+        advances past it.
+
+        It writes the key and counter words into the thread's state dict in
+        place and sets it (which also empties the output buffer), so a
+        reassigned field takes effect on the next draw.
+        """
+        c = self.counter
+        _check_counter(c)
+        gen, bit_generator, state, key, ctr = _philox()
+        key[0] = self.base_seed & _MASK64
+        key[1] = self.stream_id & _MASK64
+        # counter << 66 as four little-endian 64-bit words; the lowest is 0
+        ctr[1] = (c << 2) & _MASK64
+        ctr[2] = (c >> 62) & _MASK64
+        ctr[3] = c >> 126
+        bit_generator.state = state
+        self.counter = c + 1
         return gen
 
     def standard_normal(self, shape) -> np.ndarray:
@@ -119,39 +115,72 @@ class RngStream:
 
 
 class RowStreams:
-    """One `RngStream` per row of a batch, drawn as one stream.
+    """A noise tape per row of a batch: row i reads only its own stream.
 
-    A draw of shape (N, ...) stacks each row's own draw of the trailing
-    shape, so row i of a batched run sees exactly the numbers its stream
-    gives a one-row run. A draw fills its shape in C order, so each row is
-    one rewind of the thread's generator and one draw straight into its
-    slice of the batch.
+    Each row's deviates come in chunks of `TAPE_CHUNK` values. One chunk is
+    one call to the row's stream, ``standard_normal(TAPE_CHUNK)``: for an
+    `RngStream` one rewind of the thread's generator and one advance of its
+    counter, so chunk c of a row is ``RngStream(seed, id, c)
+    .standard_normal(TAPE_CHUNK)``. A draw of shape (N, ...) reads each row's
+    next prod(shape[1:]) values in C order, and fills every row's next chunk
+    together when the current one runs out. So row i of a batched run reads
+    exactly what a one-row tape of its stream (`StreamTape`) reads in a
+    one-row run, and a block of `count` draws reads what `count` single draws
+    would. Nothing is drawn before the first read, and a read that would take
+    a counter past the limit raises before any stream is called. A row's
+    source may be any object with an int `counter` and that
+    ``standard_normal``.
     """
 
     def __init__(self, streams):
         self.streams = list(streams)
+        self._tape = np.empty((len(self.streams), 0))  # every row's filled values
+        self._pos = 0  # the next unread column of _tape
+
+    def _read(self, n: int) -> np.ndarray:
+        """Each row's next n values, as a new (rows, n) array."""
+        pos, left = self._pos, self._tape.shape[1] - self._pos
+        if n > left:
+            fills = -(-(n - left) // TAPE_CHUNK)
+            for stream in self.streams:
+                _check_counter(stream.counter)
+                _check_counter(stream.counter + fills - 1)
+            tape = np.empty((len(self.streams), left + fills * TAPE_CHUNK))
+            tape[:, :left] = self._tape[:, pos:]
+            for row, stream in zip(tape, self.streams):
+                for start in range(left, row.size, TAPE_CHUNK):
+                    row[start:start + TAPE_CHUNK] = stream.standard_normal(TAPE_CHUNK)
+            self._tape, pos = tape, 0
+        self._pos = pos + n
+        return self._tape[:, pos:pos + n].copy()
 
     def standard_normal(self, shape) -> np.ndarray:
-        streams = self.streams
-        if shape[0] != len(streams):
-            raise ValueError(f"{len(streams)} row streams, draw of shape {shape}")
-        # every counter is checked before any advances, so a failed draw moves none
-        for stream in streams:
-            _check_counter(stream.counter)
-        parts = _philox()
-        out = np.empty((shape[0], math.prod(shape[1:])))
-        for row, stream in zip(out, streams):
-            _rewind(parts, stream).standard_normal(out=row)
-            stream.counter += 1
-        return out.reshape(shape)
+        shape = tuple(shape)
+        if shape[0] != len(self.streams):
+            raise ValueError(f"{len(self.streams)} row streams, draw of shape {shape}")
+        return self._read(math.prod(shape[1:])).reshape(shape)
 
     def standard_normal_block(self, count: int, shape) -> np.ndarray:
         """`count` draws shaped like `shape` (N, ...), stacked on a new leading
-        axis, from one advance of each row's counter. Row i reads its own one
-        draw of (count, ...) in C order, as `RngStream.standard_normal_block`
-        does for a one-row run."""
+        axis: what `count` single draws read, from one read of each row's tape."""
         shape = tuple(shape)
         return np.moveaxis(self.standard_normal((shape[0], count) + shape[1:]), 1, 0)
+
+
+class StreamTape(RowStreams):
+    """One `RngStream` as a one-row tape: a draw of any shape reads the
+    stream's next prod(shape) values in C order, chunk by chunk as
+    `RowStreams` reads a row."""
+
+    def __init__(self, stream: RngStream):
+        super().__init__([stream])
+
+    def standard_normal(self, shape) -> np.ndarray:
+        shape = tuple(shape) if np.iterable(shape) else (shape,)
+        return self._read(math.prod(shape))[0].reshape(shape)
+
+    def standard_normal_block(self, count: int, shape) -> np.ndarray:
+        return self.standard_normal((count,) + tuple(shape))
 
 
 def save_array(path, rows: int, cols: int, data: np.ndarray) -> None:

@@ -28,25 +28,16 @@ def report(n, text):
 def base_training_final(params, prior, schedule, op, sigma_y, grid, tc):
     """Replay the training data flow without extrapolation (identity path).
 
-    Uses the same stream layout as lle.train, so the noise draws coincide and
-    the result is the base algorithm's trajectory on the training batch.
+    The driver call lle.train makes, on the same observation and stream, with
+    no combiner: the noise draws coincide and the result is the base
+    algorithm's trajectory on the training batch.
     """
     base = RngStream(tc.base_seed)
     refs = lle.generate_references(prior, schedule, tc)
     y = ops.observe(op, refs, sigma_y, base.child(12))
     observation = ops.Observation(y=y, op=op, sigma_y=sigma_y)
-    traj = base.child(13)
-    x = traj.standard_normal((tc.n_refs, prior.d))
-    ts = grid.timesteps
-    history = []
-    for idx in range(grid.S):
-        ctx = step_context(x, ts[idx], ts[idx + 1], prior, schedule, traj, observation, params,
-                           history=history)
-        canon.sample_phi(ctx)
-        xhat = canon.CORRECTORS[params.algorithm](ctx)
-        x = canon.apply_noiser(ctx, xhat)
-        history.append(xhat)
-    return refs, history[-1]
+    return refs, canon.run_with_combiner(params, prior, schedule, observation, grid,
+                                         base.child(13))
 
 
 # ---------------------------------------------------------------------------

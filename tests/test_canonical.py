@@ -17,7 +17,7 @@ from lle import harness
 from lle import diffusion as dif
 from lle import operators as ops
 from lle.errors import ConfigError, ConvergenceError
-from lle.numerics import RngStream, RowStreams
+from lle.numerics import TAPE_CHUNK, RngStream, RowStreams, StreamTape
 
 from conftest import (field_values, loaded, preset_lists, random_mixture, random_spd, says_unread,
                       run_tables, scalar_ddim_coeffs, step_context, tweedie, with_value)
@@ -747,7 +747,8 @@ def test_daps_advances_counter_once_per_block_of_ten(schedule, small_prior, n):
 @pytest.mark.parametrize("kind", ["mask", "nonlinear"])
 def test_daps_batched_rows_equal_one_row_calls(schedule, small_prior, kind, n):
     # an (N, 1, d) batch drawing from RowStreams against N one-row calls, each
-    # with its own RngStream: the same numbers in the same order, bit for bit
+    # with a one-row tape of its own RngStream: the same numbers in the same
+    # order, bit for bit
     N, d = 5, 6
     op = _inner_loop_operator(kind, d)
     m = d if kind == "nonlinear" else op.m
@@ -759,13 +760,14 @@ def test_daps_batched_rows_equal_one_row_calls(schedule, small_prior, kind, n):
     ctx = make_ctx(small_prior, schedule, x_t, 500, 250, stream=rows, x0=x0)
     got = canon.corr_daps(bind(ctx, ops.Observation(y=y, op=op, sigma_y=0.1), params))
     assert got.shape == (N, 1, d)
-    draws = math.ceil(n / 10) if kind == "nonlinear" else 1
+    read = n * d if kind == "nonlinear" else d  # each row's values
     for i in range(N):
         one = make_ctx(small_prior, schedule, x_t[i], 500, 250,
-                       stream=RngStream(323, 1000 + i), x0=x0[i])
+                       stream=StreamTape(RngStream(323, 1000 + i)), x0=x0[i])
         ref = canon.corr_daps(bind(one, ops.Observation(y=y[i], op=op, sigma_y=0.1), params))
         assert np.array_equal(got[i], ref), i
-        assert rows.streams[i].counter == one.stream.counter == draws
+        assert rows.streams[i].counter == one.stream.streams[0].counter \
+            == math.ceil(read / TAPE_CHUNK)
 
 
 def _daps_memory_case(schedule, n, op):

@@ -824,8 +824,13 @@ def test_a_key_its_switch_leaves_unread_leaves_the_fit_as_it_was(switch, on, key
     assert traces_again == traces
 
 
+# init_mode is read only where the older estimate's loss is the lower one (`init_coeffs`),
+# which the fit at `_fit`'s base_seed 7 never reaches; at this seed it does
+_INIT_MODE_SEED = 8
+
+
 @pytest.mark.parametrize("context", _FIT_CONTEXTS, ids=lambda ctx: json.dumps(ctx))
-def test_every_lle_key_a_config_may_set_moves_the_fit(context):
+def test_every_lle_key_a_config_may_set_moves_the_fit(context, monkeypatch):
     base = _fit(context)
     now = lle.TrainConfig.from_dict(context)
     for key in lle.TrainConfig.rules:
@@ -834,7 +839,24 @@ def test_every_lle_key_a_config_may_set_moves_the_fit(context):
             lle.TrainConfig.from_dict(moved)
         except ConfigError:  # unread here, or it leaves another given key unread
             continue
-        assert _fit(moved) != base, key
+        if key != "init_mode":
+            assert _fit(moved) != base, key
+            continue
+        # the soft-nonlinear one-hot puts alphabar on the older estimate; a spy on
+        # init_coeffs shows that branch ran
+        chosen = []
+
+        def spy(ls, mode, alphabar_ti, stream, decoupled=False, init=lle.init_coeffs):
+            gamma = init(ls, mode, alphabar_ti, stream, decoupled)
+            chosen.append(mode == "soft-nonlinear" and gamma.size > 1
+                          and gamma[gamma.size - 2] == alphabar_ti)
+            return gamma
+
+        monkeypatch.setattr(lle, "init_coeffs", spy)
+        seeded = dict(context, base_seed=_INIT_MODE_SEED)
+        assert _fit(dict(moved, base_seed=_INIT_MODE_SEED)) != _fit(seeded), key
+        assert any(chosen), key
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("decoupled", [False, True])

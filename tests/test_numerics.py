@@ -6,10 +6,16 @@ import threading
 import numpy as np
 import pytest
 
+from lle import canonical as canon
+from lle import diffusion as dif
+from lle import harness
+from lle import operators as ops
 from lle.errors import FormatError
 from lle.numerics import (
+    TAPE_CHUNK,
     RngStream,
     RowStreams,
+    StreamTape,
     load_array,
     mse,
     psnr,
@@ -234,13 +240,15 @@ class TestMetrics:
 
 class TestRowStreams:
     def test_row_draws_are_each_streams_own(self):
-        streams = [RngStream(3, 1000 + i) for i in range(4)]
+        # row i of a RowStreams tape reads what a one-row tape of its stream reads
+        tapes = [StreamTape(RngStream(3, 1000 + i)) for i in range(4)]
         rows = RowStreams(RngStream(3, 1000 + i) for i in range(4))
-        for shape in [(4, 1, 5), (4, 6), (4, 2, 3)]:
+        for shape in [(4, 1, 5), (4, 6), (4, 2, 3), (4, 300), (4, 1, 700)]:
             got = rows.standard_normal(shape)
             assert got.shape == shape
-            for i, s in enumerate(streams):
-                assert np.array_equal(got[i], s.standard_normal(shape[1:]))
+            for i, tape in enumerate(tapes):
+                assert np.array_equal(got[i], tape.standard_normal(shape[1:]))
+        assert [s.counter for s in rows.streams] == [t.streams[0].counter for t in tapes]
 
     def test_row_count_must_match(self):
         with pytest.raises(ValueError):
@@ -282,10 +290,121 @@ class TestRowStreams:
             RowStreams(streams[:2]).standard_normal_block(10, (3, 1, 4))
         assert [s.counter for s in streams] == [0, 2**190, 0]
 
-    def test_zero_size_draw_advances_every_row(self):
+    def test_zero_size_draw_reads_nothing(self):
         streams = [RngStream(5, 1000 + i, counter=i) for i in range(3)]
-        got = RowStreams(streams).standard_normal((3, 0, 4))
+        rows = RowStreams(streams)
+        got = rows.standard_normal((3, 0, 4))
         assert got.shape == (3, 0, 4)
+        assert [s.counter for s in streams] == [0, 1, 2]
+        expected = RngStream(5, 1000, counter=0).standard_normal(TAPE_CHUNK)[:4]
+        assert np.array_equal(rows.standard_normal((3, 4))[0], expected)
         assert [s.counter for s in streams] == [1, 2, 3]
-        expected = RngStream(5, 1000, counter=1).standard_normal(4)
-        assert np.array_equal(RowStreams(streams[:1]).standard_normal((1, 4))[0], expected)
+
+
+def _chunks(seed, stream_id, first, count):
+    """Chunks first .. first + count - 1 of a stream's tape, end to end."""
+    return np.concatenate([RngStream(seed, stream_id, c).standard_normal(TAPE_CHUNK)
+                           for c in range(first, first + count)])
+
+
+class TestTape:
+    # reads that straddle chunk ends, read nothing, or span several chunks
+    SIZES = [7, 500, 0, 1, 600, 4, 1030, TAPE_CHUNK - 4]
+
+    def test_rows_read_their_chunks_in_order_each_value_once(self):
+        streams = [RngStream(3, 1000 + i, counter=5 + i) for i in range(3)]
+        rows = RowStreams(streams)
+        got = np.concatenate([rows.standard_normal((3, n)) for n in self.SIZES], axis=1)
+        total = sum(self.SIZES)
+        fills = -(-total // TAPE_CHUNK)
+        for i, stream in enumerate(streams):
+            assert np.array_equal(got[i], _chunks(3, 1000 + i, 5 + i, fills)[:total])
+            assert stream.counter == 5 + i + fills
+
+    def test_one_row_tape_reads_its_chunks_in_order_each_value_once(self):
+        stream = RngStream(2**63 + 11, 2**40, counter=1000)
+        tape = StreamTape(stream)
+        shapes = [(7,), (5, 100), (), (1,), (3, 2, 100), 4, (2, 515), (TAPE_CHUNK - 4,)]
+        got = [tape.standard_normal(shape) for shape in shapes]
+        assert [g.shape for g in got] == [s if isinstance(s, tuple) else (s,) for s in shapes]
+        flat = np.concatenate([g.reshape(-1) for g in got])
+        fills = -(-flat.size // TAPE_CHUNK)
+        assert np.array_equal(flat, _chunks(2**63 + 11, 2**40, 1000, fills)[:flat.size])
+        assert stream.counter == 1000 + fills
+
+    @pytest.mark.parametrize("count, shape", [(10, (4, 1, 5)), (3, (2, 600)), (1, (3, 2, 2))])
+    def test_block_is_count_single_draws_and_one_joined_draw(self, count, shape):
+        def rows():
+            return RowStreams(RngStream(7, 1000 + i, counter=i) for i in range(shape[0]))
+
+        def one():
+            return StreamTape(RngStream(7, 2, counter=5))
+
+        head = (3, 1, 5)  # an earlier read, so the block starts inside a chunk
+        tapes = [rows() for _ in range(3)]
+        for tape in tapes:
+            tape.standard_normal((shape[0],) + head[1:])
+        block = tapes[0].standard_normal_block(count, shape)
+        singles = np.stack([tapes[1].standard_normal(shape) for _ in range(count)])
+        joined = np.moveaxis(tapes[2].standard_normal((shape[0], count) + shape[1:]), 1, 0)
+        assert block.shape == (count,) + shape
+        assert np.array_equal(block, singles) and np.array_equal(block, joined)
+        tapes = [one() for _ in range(3)]
+        for tape in tapes:
+            tape.standard_normal(head)
+        block = tapes[0].standard_normal_block(count, shape)
+        singles = np.stack([tapes[1].standard_normal(shape) for _ in range(count)])
+        joined = tapes[2].standard_normal((count,) + shape)
+        assert np.array_equal(block, singles) and np.array_equal(block, joined)
+
+    def test_a_counter_past_the_limit_raises_and_moves_nothing(self):
+        limit = 2**190
+        streams = [RngStream(5, 1000), RngStream(5, 1001, counter=limit - 1)]
+        rows = RowStreams(streams)
+        first = rows.standard_normal((2, 10))  # row 1 fills its last valid chunk
+        assert [s.counter for s in streams] == [1, limit]
+        for n in (TAPE_CHUNK, 3 * TAPE_CHUNK):  # each needs another fill
+            with pytest.raises(ValueError):
+                rows.standard_normal((2, n))
+            assert [s.counter for s in streams] == [1, limit]
+        # the tape is where the failed reads found it
+        rest = rows.standard_normal((2, TAPE_CHUNK - 10))
+        assert np.array_equal(np.hstack([first, rest])[0], _chunks(5, 1000, 0, 1))
+        assert np.array_equal(np.hstack([first, rest])[1], _chunks(5, 1001, limit - 1, 1))
+        one = RngStream(5, 7, counter=limit - 1)
+        with pytest.raises(ValueError):
+            StreamTape(one).standard_normal(TAPE_CHUNK + 1)  # two fills, the second past it
+        assert one.counter == limit - 1
+
+
+class _Recording(RowStreams):
+    """A `RowStreams` tape that keeps a copy of every draw it hands out."""
+
+    def __init__(self, streams):
+        super().__init__(streams)
+        self.draws = []
+
+    def standard_normal(self, shape):
+        out = super().standard_normal(shape)
+        self.draws.append(out.copy())
+        return out
+
+
+@pytest.mark.parametrize("algorithm", ["DDRM", "ReSample", "DAPS"])
+def test_each_steps_noise_slice_has_the_moments_of_a_standard_normal(algorithm):
+    # every slice a driver call draws from the tape, 4,000 rows of d = 6 at S = 5:
+    # each mean within 4 standard errors of 0, each covariance entry of I
+    n, d = 4000, 6
+    prior, schedule = harness.random_prior(d, 1, 3), dif.linear_beta_schedule()
+    op = ops.mask_operator(d, [0, 2, 3])
+    y = RngStream(71, 1).standard_normal((n, 1, op.m))
+    tape = _Recording(RngStream(71, 1000 + i) for i in range(n))
+    canon.run_with_combiner(canon.default_params(algorithm), prior, schedule,
+                            ops.Observation(y=y, op=op, sigma_y=0.05),
+                            dif.make_time_grid(schedule, 5), tape)
+    assert len(tape.draws) >= 6  # x_T and a noiser draw per step at least
+    se_cov = np.sqrt((1.0 + np.eye(d)) / n)  # the standard error of x_i x_j's mean
+    for k, draw in enumerate(tape.draws):
+        x = draw.reshape(n, d)
+        assert np.all(np.abs(x.mean(axis=0)) <= 4.0 / np.sqrt(n)), k
+        assert np.all(np.abs(x.T @ x / n - np.eye(d)) <= 4.0 * se_cov), k
