@@ -310,20 +310,75 @@ def make_test_batch(config: ExperimentConfig):
     return truths, ys, op
 
 
-def run_experiment(config: ExperimentConfig, seed: int, coeffs=None):
-    """Reconstruct the held-out batch with the base algorithm (coeffs None) or with
-    coefficients.
+def _row_streams(seed: int, n: int) -> RowStreams:
+    """Row i's noise tape: `RngStream(seed, 1000 + i)`."""
+    return RowStreams(RngStream(seed, stream_id=1000 + i) for i in range(n))
 
+
+def run_experiment(config: ExperimentConfig, seed: int, coeffs=None, batch=None):
+    """Reconstruct the held-out batch with the base algorithm (coeffs None) or with
+    coefficients; returns (reconstructions, truths).
+
+    batch: `make_test_batch(config)`, if already made (see `sweep`).
     One driver call runs all n_test rows as an (N, 1, d) batch with
     `RngStream(seed, 1000 + i)` for row i, so row i equals, bit for bit, a
     one-row `canonical.run` (or `lle.infer`) on ys[i] with that stream.
     """
-    truths, ys, op = make_test_batch(config)
+    truths, ys, op = make_test_batch(config) if batch is None else batch
     obs = ops.Observation(y=ys[:, None, :], op=op, sigma_y=config.sigma_y)
-    streams = RowStreams(RngStream(seed, stream_id=1000 + i) for i in range(config.n_test))
     recons = lle.infer(config.params, config.prior, config.schedule, obs, config.grid, coeffs,
-                       seed, stream=streams)
+                       seed, stream=_row_streams(seed, len(ys)))
     return recons[:, 0], truths
+
+
+class _TwinRows:
+    """The noise of a joint run on [ys; ys]: a draw of shape (2N, ...) reads
+    the (N, ...) values of N row tapes once, and rows i and N + i both get row
+    i's, which is what each half's lone N-row run reads."""
+
+    def __init__(self, rows: RowStreams):
+        self.rows = rows
+
+    def standard_normal(self, shape) -> np.ndarray:
+        half = self.rows.standard_normal((shape[0] // 2,) + tuple(shape[1:]))
+        return np.concatenate([half, half])
+
+    def standard_normal_block(self, count: int, shape) -> np.ndarray:
+        half = self.rows.standard_normal_block(count, (shape[0] // 2,) + tuple(shape[1:]))
+        return np.concatenate([half, half], axis=1)
+
+
+def _run_base_and_lle(config: ExperimentConfig, seed: int, coeffs: lle.LLECoefficients, batch):
+    """(base reconstructions, LLE reconstructions) of the held-out batch from one
+    driver call on the (2N, 1, m) batch [ys; ys], bit for bit the two
+    `run_experiment` calls it stands for.
+
+    Rows [:N] keep the corrector's estimate; rows [N:] are `lle.combine`d from
+    their own history, with coeffs trained on the config's grid. Every row is
+    computed on its own (see `canonical.run_with_combiner`), and a `_TwinRows`
+    hands both halves row i's tape, so each half reads what it reads alone.
+    """
+    _, ys, op = batch
+    n = len(ys)
+    obs = ops.Observation(y=np.concatenate([ys, ys])[:, None, :], op=op, sigma_y=config.sigma_y)
+    theta, linear = coeffs.theta, op if obs.is_linear else None
+
+    def combiner(ctx, xhat):
+        combined = lle.combine(theta[ctx.step], [h[n:] for h in ctx.history], xhat[n:], linear,
+                               coeffs.decoupled)
+        return np.concatenate([xhat[:n], combined])
+
+    recons = canon.run_with_combiner(config.params, config.prior, config.schedule, obs,
+                                     config.grid, _TwinRows(_row_streams(seed, n)), combiner)
+    return recons[:n, 0], recons[n:, 0]
+
+
+def _outcome(make, *args):
+    """make(*args), or the exception it raised."""
+    try:
+        return make(*args)
+    except Exception as exc:  # the caller turns it into error rows
+        return exc
 
 
 def train_lle(config: ExperimentConfig, refs=None):
@@ -342,43 +397,60 @@ def train_lle(config: ExperimentConfig, refs=None):
 # ---------------------------------------------------------------------------
 
 
-def _sweep_cell(config: ExperimentConfig, grid: dif.TimeGrid, refs=None):
+def _sweep_cell(config: ExperimentConfig, grid: dif.TimeGrid, refs=None, batch=None):
     """The base and LLE rows for one step count, run on its grid.
 
-    refs is the sweep's shared reference batch, or the exception that
-    generating it raised, which turns the LLE row into an error row. With no
-    training block the LLE row is the base solver's (identity coefficients),
-    so the base run is made once and written as both rows.
+    refs is the sweep's shared reference batch, and batch its held-out batch
+    (`make_test_batch`, made here when None); either may be the exception
+    that making it raised, which turns the rows that need it into error rows.
+    With no training block the LLE row is the base solver's (identity
+    coefficients), so the base run is made once and written as both rows.
+    With trained coefficients both strategies run as one driver call
+    (`_run_base_and_lle`). If that call raises, each strategy reruns alone,
+    so an LLE half that diverges still leaves its base row.
     """
     algo, S = config.params.algorithm, grid.S
     config = replace(config, grid=grid)
+    if batch is None:
+        batch = _outcome(make_test_batch, config)
 
-    def row(strategy, coeffs):
+    def row(strategy, recon, truths):
+        mean_psnr = float(np.mean(evaluate(recon, truths, config)["psnr"]))
+        return algo, S, strategy, mse(recon, truths), mean_psnr
+
+    def alone(strategy, coeffs):
         try:
-            recon, truths = run_experiment(config, config.test_seed, coeffs=coeffs())
-            mean_psnr = float(np.mean(evaluate(recon, truths, config)["psnr"]))
-            return algo, S, strategy, mse(recon, truths), mean_psnr
+            for made in (coeffs, batch):
+                if isinstance(made, Exception):
+                    raise made
+            return row(strategy, *run_experiment(config, config.test_seed, coeffs, batch))
         except Exception as exc:  # cell failure must not abort the sweep
             return algo, S, strategy, "error", f"error:{type(exc).__name__}"
 
-    def lle_coeffs():
-        if isinstance(refs, Exception):
-            raise refs
-        return train_lle(config, refs=refs)[0]
-
-    base = row("base", lambda: None)
     if config.train_config is None:
+        base = alone("base", None)
         return [base, (algo, S, "LLE") + base[3:]]
-    return [base, row("LLE", lle_coeffs)]
+    coeffs = refs if isinstance(refs, Exception) else _outcome(
+        lambda: train_lle(config, refs=refs)[0])
+    if not isinstance(coeffs, Exception) and not isinstance(batch, Exception):
+        try:
+            recons = _run_base_and_lle(config, config.test_seed, coeffs, batch)
+            return [row(strategy, recon, batch[0])
+                    for strategy, recon in zip(("base", "LLE"), recons)]
+        except Exception:  # rerun each strategy alone below
+            pass
+    return [alone("base", None), alone("LLE", coeffs)]
 
 
 def sweep(config: ExperimentConfig, steps_list) -> str:
     """Train + evaluate per step count; returns deterministic CSV text.
 
-    The training references do not depend on the step count, so they are
-    generated once and shared by every cell. Every step count's time grid is
-    built once, before any cell runs, so an invalid or repeated one is a
-    ConfigError naming it, not a row of error cells.
+    The training references and the held-out batch do not depend on the step
+    count, so each is made once and shared by every cell; each cell is two
+    driver calls, its fit and one joint base-and-LLE run, unless that run
+    raises (`_sweep_cell`). Every step count's time grid is built once,
+    before any cell runs, so an invalid or repeated one is a ConfigError
+    naming it, not a row of error cells.
     """
     if not steps_list:
         raise ConfigError("steps_list is empty")
@@ -388,12 +460,11 @@ def sweep(config: ExperimentConfig, steps_list) -> str:
             raise ConfigError(f"S={S} is repeated")
         grids[S] = dif.make_time_grid(config.schedule, S)
     refs = None
-    if config.train_config is not None:
-        try:
-            refs = lle.generate_references(config.prior, config.schedule, config.train_config)
-        except Exception as exc:  # reported in every cell's LLE row
-            refs = exc
-    results = {S: _sweep_cell(config, grid, refs) for S, grid in grids.items()}
+    if config.train_config is not None:  # an exception is reported in every cell's LLE row
+        refs = _outcome(lle.generate_references, config.prior, config.schedule,
+                        config.train_config)
+    batch = _outcome(make_test_batch, config)
+    results = {S: _sweep_cell(config, grid, refs, batch) for S, grid in grids.items()}
     buf = io.StringIO()
     buf.write("algorithm,S,strategy,mean_mse,mean_psnr\n")
     for S in sorted(steps_list):

@@ -85,6 +85,28 @@ def test_benchmark_configs_load_and_sweep_runs(tmp_path):
     assert not any("error" in row for row in rows)
 
 
+def test_tracer_counts_sweep_cells_and_driver_calls(tmp_path):
+    # one traced sweep-d8 pass: the cell hook still sees 6 rows, from one test batch,
+    # and each step count is two driver calls, its fit and the joint base-and-LLE run
+    configs = _load_bench_module("configs")
+    plan = configs.workload_plan("sweep-d8", seed=1)
+    path = configs.write_configs(plan, str(tmp_path))["ddnm"]
+    cfg = harness.load_config(path)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        text = harness.sweep(cfg, list(configs.SWEEP_STEPS))
+    finally:
+        tracer.uninstall()
+    snap = tracer.end_pass()
+    assert snap["counters"]["harness.cells"] == 6 == 2 * len(configs.SWEEP_STEPS)
+    assert snap["counters"]["harness.cells_failed"] == 0 and "error" not in text
+    assert snap["calls"]["harness.make_test_batch"] == 1
+    assert snap["calls"]["canonical.run_with_combiner"] == 6
+    n_refs = cfg.train_config.n_refs
+    assert snap["counters"]["canonical.driver_rows"] == 3 * (n_refs + 2 * cfg.n_test)
+
+
 def test_run_nine_rows_replay_canonical_run(tmp_path):
     # the benchmark's run-nine check, on a 3-sample test batch: row
     # run_seed % n_test of run_experiment equals canonical.run bit for bit

@@ -5,6 +5,7 @@ import math
 import operator
 import re
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -852,6 +853,20 @@ def test_sweep_reference_failure_gives_lle_error_rows(tmp_path, monkeypatch):
             assert math.isfinite(float(r[3])) and math.isfinite(float(r[4]))
 
 
+def test_sweep_test_batch_failure_gives_error_rows(tmp_path, monkeypatch):
+    # the batch is made once per sweep, and its failure is every row's, not the sweep's
+    cfg = harness.load_config(write_config(tmp_path / "c.json"))
+
+    def broken(config):
+        raise RuntimeError("no batch")
+
+    monkeypatch.setattr(harness, "make_test_batch", broken)
+    rows = _csv_rows(harness.sweep(cfg, [2, 3]))
+    assert [r[:3] for r in rows] == [("DDNM", "2", "LLE"), ("DDNM", "2", "base"),
+                                     ("DDNM", "3", "LLE"), ("DDNM", "3", "base")]
+    assert {r[3:] for r in rows} == {("error", "error:RuntimeError")}
+
+
 def test_sweep_mean_psnr_is_mean_of_per_sample_psnr(tmp_path):
     cfg = harness.load_config(write_config(tmp_path / "c.json", n_test=4))
     rows = {(r[1], r[2]): r for r in _csv_rows(harness.sweep(cfg, [2]))}
@@ -860,6 +875,117 @@ def test_sweep_mean_psnr_is_mean_of_per_sample_psnr(tmp_path):
     assert float(rows[("2", "base")][4]) == pytest.approx(np.mean(per_sample), rel=1e-11)
     pooled = psnr(recon, truths, cfg.peak)
     assert abs(np.mean(per_sample) - pooled) > 1e-6  # the two differ on this batch
+
+
+def _lone_rows(cfg, coeffs):
+    """The cell's rows from one run_experiment per strategy, as sweeps made them before
+    the joint call; coeffs is the LLE row's coefficients, or the exception training raised."""
+    rows = []
+    for strategy, c in (("base", None), ("LLE", coeffs)):
+        if isinstance(c, Exception):
+            rows.append((cfg.params.algorithm, cfg.steps, strategy, "error",
+                         f"error:{type(c).__name__}"))
+            continue
+        recon, truths = harness.run_experiment(cfg, cfg.test_seed, coeffs=c)
+        rows.append((cfg.params.algorithm, cfg.steps, strategy, mse(recon, truths),
+                     float(np.mean(harness.evaluate(recon, truths, cfg)["psnr"]))))
+    return rows
+
+
+@pytest.mark.parametrize("algorithm, operator, fit", [
+    ("DDNM", "mask", {"decoupled": False, "closed_form": True}),
+    ("DDNM", "mask", {"decoupled": False, "closed_form": False}),
+    ("DPS", "mask", {"decoupled": True, "closed_form": True}),
+    ("DiffPIR", "mask", {"decoupled": True, "closed_form": False}),
+    ("DAPS", "nonlinear", {"closed_form": True}),  # its Langevin noise in blocks
+])
+def test_joint_cell_rows_equal_separate_runs(tmp_path, algorithm, operator, fit):
+    # base and LLE from one driver call on [ys; ys] give each strategy's lone bytes
+    op = ({"kind": "nonlinear"} if operator == "nonlinear"
+          else {"kind": "mask", "keep_ratio": 0.5, "seed": 1})
+    block = ({"n_refs": 4, "ref_steps": 30, **fit} if fit["closed_form"] else _lle_block(**fit))
+    cfg = harness.load_config(write_config(
+        tmp_path / "c.json", prior={"dim": 8, "components": 2, "seed": 9}, n_test=5, steps=4,
+        algorithm={"name": algorithm}, task={"operator": op, "sigma_y": 0.05}, lle=block))
+    coeffs, _ = harness.train_lle(cfg)
+    batch = harness.make_test_batch(cfg)
+    base, combined = harness._run_base_and_lle(cfg, cfg.test_seed, coeffs, batch)
+    assert base.tobytes() == harness.run_experiment(cfg, cfg.test_seed)[0].tobytes()
+    assert combined.tobytes() == harness.run_experiment(cfg, cfg.test_seed, coeffs)[0].tobytes()
+    assert not np.array_equal(base, combined)
+    assert harness._sweep_cell(cfg, cfg.grid) == _lone_rows(cfg, coeffs)
+
+
+def test_joint_cell_with_a_diverging_lle_half_keeps_its_base_row(tmp_path, monkeypatch):
+    # a non-finite coefficient at the last step makes the joint call raise; each strategy
+    # then runs alone, so the base row is a lone base run's and the LLE row an error
+    cfg = harness.load_config(write_config(tmp_path / "c.json", steps=3))
+    ts = cfg.grid.timesteps[: cfg.grid.S]
+    theta = [np.eye(idx + 1)[idx] for idx in range(cfg.grid.S)]
+    theta[-1] = np.array([np.nan, 0.0, 1.0])
+    planted = types.SimpleNamespace(timesteps=ts, decoupled=False, theta=theta)
+    monkeypatch.setattr(harness, "train_lle", lambda config, refs=None: (planted, {}))
+    calls = []
+    orig = canon.run_with_combiner
+
+    def spy(params, prior, schedule, obs, grid, stream, combiner=None):
+        calls.append(obs.y.shape[0])
+        return orig(params, prior, schedule, obs, grid, stream, combiner)
+
+    monkeypatch.setattr(canon, "run_with_combiner", spy)
+    rows = harness._sweep_cell(cfg, cfg.grid)
+    assert calls == [2 * cfg.n_test, cfg.n_test, cfg.n_test]  # joint, then each alone
+    monkeypatch.undo()
+    assert rows == _lone_rows(cfg, errors.ConvergenceError())
+    assert rows[1][3:] == ("error", "error:ConvergenceError")
+
+
+def test_joint_cell_training_failure_still_gives_the_base_row(tmp_path, monkeypatch):
+    cfg = harness.load_config(write_config(tmp_path / "c.json", steps=3))
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("no fit")
+
+    monkeypatch.setattr(lle, "train", broken)
+    calls = []
+    orig = canon.run_with_combiner
+
+    def spy(*args, **kwargs):
+        calls.append(args[3].y.shape[0])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(canon, "run_with_combiner", spy)
+    rows = harness._sweep_cell(cfg, cfg.grid)
+    assert calls == [cfg.n_test]  # the base run alone
+    monkeypatch.undo()
+    assert rows == _lone_rows(cfg, RuntimeError())
+    assert math.isfinite(rows[0][3])
+
+
+@pytest.mark.parametrize("lle_block", [_lle_block(), "none"])
+def test_sweep_makes_one_test_batch_and_one_driver_call_per_strategy_pair(tmp_path,
+                                                                          monkeypatch, lle_block):
+    # the held-out batch once per sweep; per step count, the fit and one joint
+    # base-and-LLE call with training, the base call alone without
+    cfg = harness.load_config(write_config(tmp_path / "c.json", lle=lle_block))
+    counts = {"batch": 0, "driver": []}
+    make, run = harness.make_test_batch, canon.run_with_combiner
+
+    def batch_spy(config):
+        counts["batch"] += 1
+        return make(config)
+
+    def driver_spy(*args, **kwargs):
+        counts["driver"].append((args[4].S, args[3].y.shape[0]))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "make_test_batch", batch_spy)
+    monkeypatch.setattr(canon, "run_with_combiner", driver_spy)
+    text = harness.sweep(cfg, [2, 3, 5])
+    assert counts["batch"] == 1 and "error" not in text
+    per_step = ([("fit", 4), ("joint", 2 * cfg.n_test)] if lle_block != "none"
+                else [("base", cfg.n_test)])
+    assert counts["driver"] == [(S, rows) for S in (2, 3, 5) for _, rows in per_step]
 
 
 # ---------------------------------------------------------------------------

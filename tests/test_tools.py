@@ -138,6 +138,54 @@ def test_grid_runs_a_gen_prior_file_through_prior_file(compare):
     assert set(spec) == {"dim", "components", "seed"} and calls == ("gen-prior", "run", "eval")
 
 
+def test_the_gen_prior_file_is_compared_and_configs_are_not(compare, monkeypatch, tmp_path,
+                                                              capsys):
+    # a prior file whose bytes differ is reported, even where it reads back to the same
+    # values; a differing config is an input
+    grid = os.path.join("3", "grid")
+    prior = os.path.join(grid, "prior-ddnm-mask-base-prior-file.json")
+    config = os.path.join(grid, "ddnm-mask-base-prior-file.json")
+    sides = {"parent": {prior: b'{"weights": [0.5, 0.5]}', config: b'{"steps": 3}'},
+             "change": {prior: b'{"weights": [0.5, 0.50]}', config: b'{"steps": 4}'}}
+
+    class Side:
+        def __init__(self, argv, env):
+            out = argv[argv.index("--emit") + 1]
+            for rel, blob in sides[os.path.basename(env["PYTHONPATH"])].items():
+                os.makedirs(os.path.join(out, os.path.dirname(rel)), exist_ok=True)
+                Path(out, rel).write_bytes(blob)
+
+        def wait(self):
+            return 0
+
+    monkeypatch.setattr(compare.subprocess, "Popen", Side)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--seeds", "3"]
+    assert compare.main(argv) == 1
+    out = capsys.readouterr().out
+    assert f"{prior}: max rel dev 0" in out and "1 files: 1 deviating" in out
+    assert config not in out
+    sides["change"][prior] = sides["parent"][prior]
+    assert compare.main(argv) == 0
+    assert f"{prior}: identical" in capsys.readouterr().out
+
+
+def test_grid_sweeps_the_daps_fits_and_the_nonlinear_dps_fit(compare):
+    # a sweep's joint base-and-LLE call on DAPS's Langevin draws (closed-form law on the
+    # mask, standard_normal_block on the nonlinear operator) and on a nonlinear first-order fit
+    sweeps = [name for name, cfg, calls in compare.grid_plan(3) if "sweep" in calls
+              and name.split("-")[0] in ("daps", "dps")]
+    assert sweeps == ["dps-mask-coupled-closed", "dps-mask-coupled-first",
+                      "dps-mask-decoupled-closed", "dps-mask-decoupled-first",
+                      "dps-dense-coupled-closed", "dps-dense-coupled-first",
+                      "dps-dense-decoupled-closed", "dps-dense-decoupled-first",
+                      "daps-mask-coupled-closed", "dps-nonlinear-coupled-first",
+                      "daps-nonlinear-coupled-closed"]
+    groups = compare.fit_groups([3])
+    name = os.path.join("3", "grid", "sweep-daps-nonlinear-coupled-closed.csv")
+    assert compare._group(name, groups) == ("sweep", "DAPS", "closed", "coupled")
+
+
 def test_a_call_that_fails_writes_its_error(compare, tmp_path):
     # `lle` reports an LLEError as an exit code and one stderr line, not an exception
     from lle import cli
@@ -157,7 +205,7 @@ def test_grid_runs_daps_on_linear_operators(compare):
     assert daps == [("daps-dense-base", "dense", None, ("run", "eval")),
                     ("daps-mask-base-noiseless", "mask", {"noiseless_linear": True},
                      ("run", "eval")),
-                    ("daps-mask-coupled-closed", "mask", None, ("train", "run")),
+                    ("daps-mask-coupled-closed", "mask", None, ("train", "run", "sweep")),
                     ("daps-dense-base-langevin-7", "dense", {"n_langevin": 7, "eta0": 5e-4},
                      ("run", "eval")),
                     ("daps-blur-gauss-base", "blur", None, ("run", "eval")),
@@ -165,7 +213,8 @@ def test_grid_runs_daps_on_linear_operators(compare):
                     ("daps-avgpool-base", "avgpool", None, ("run", "eval")),
                     ("daps-hadamard-base", "hadamard", None, ("run", "eval")),
                     ("daps-nonlinear-base", "nonlinear", None, ("run", "eval")),
-                    ("daps-nonlinear-coupled-closed", "nonlinear", None, ("train", "run")),
+                    ("daps-nonlinear-coupled-closed", "nonlinear", None,
+                     ("train", "run", "sweep")),
                     ("daps-mask-base-langevin-off", "mask", {"n_langevin": 0}, ("run", "eval")),
                     ("daps-mask-base-eta0-off", "mask", {"eta0": 0}, ("run", "eval"))]
     groups = compare.fit_groups([3])

@@ -29,7 +29,8 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
 - DAPS on a linear operator, where its Langevin chain is drawn from its
   closed-form n-step law: one base ``run`` and ``eval --oracle`` on the dense
   operator, the same on the mask with ``daps.noiseless_linear`` true, and one
-  coupled closed-form fit on the mask with ``train`` and ``run --coeffs``;
+  coupled closed-form fit on the mask with ``train``, ``run --coeffs`` and
+  ``sweep``;
 - the solver driver's per-run tables on counts and branches no preset
   reaches: one DAPS base ``run`` and ``eval --oracle`` on the dense operator
   at ``daps.n_langevin`` 7 and ``daps.eta0`` 5e-4 over S = 15 steps (the
@@ -47,9 +48,10 @@ thread. For every seed it makes the same ``lle.cli.main`` calls:
   DiffPIR, ReSample and DAPS, each followed by a plain ``eval`` (no
   ``--oracle``: the oracle needs a linear operator), so the metrics file with
   an empty ``oracle_mse`` column is compared too, and one DPS first-order fit
-  and one DAPS closed-form fit, each with ``train`` and ``run --coeffs`` (DAPS
-  draws its Langevin noise there in blocks, ``standard_normal_block``, from
-  the training stream as from a run's);
+  and one DAPS closed-form fit, each with ``train``, ``run --coeffs`` and
+  ``sweep`` (DAPS draws its Langevin noise there in blocks,
+  ``standard_normal_block``, from the training stream as from a run's, and in
+  a sweep from the joint base-and-LLE call's shared row tapes);
 - each stage switched off by a zero count or weight, or a draw that keeps
   everything: one base ``run`` (and ``eval --oracle`` on the mask) of DAPS at
   ``daps.n_langevin`` 0 and at ``daps.eta0`` 0, ReSample at ``inner_opt.steps``
@@ -90,6 +92,9 @@ Every config sets only keys it reads: a closed-form fit takes no ``epochs``,
 ``warmup``, ``lr_rule`` or ``optimizer``, the Adam fit no ``warmup``, the fit at
 ``epochs`` 0 none of the three, and a switched-off stage none of the keys it
 leaves unread, since ``lle`` rejects a key its switch leaves unread.
+
+Every file the calls write is compared, the ``gen-prior`` file too; the
+configs the tool writes for them are inputs and are skipped.
 
 A call that fails writes ``<out>.error`` instead: the exception it raised, or
 the exit code and stderr line of an error ``lle`` reports itself. For
@@ -212,7 +217,8 @@ def grid_plan(seed: int) -> list:
         "daps-dense-base": ("dense", {}, "none", ("run", "eval")),
         "daps-mask-base-noiseless": ("mask", {"noiseless_linear": True}, "none",
                                      ("run", "eval")),
-        "daps-mask-coupled-closed": ("mask", {}, dict(fit, closed_form=True), ("train", "run")),
+        "daps-mask-coupled-closed": ("mask", {}, dict(fit, closed_form=True),
+                                     ("train", "run", "sweep")),
     }
     for name, (op_name, block, lle, calls) in daps.items():
         cfg = _grid_config(prior_seed, "DAPS", operators[op_name], 5, lle)
@@ -249,9 +255,10 @@ def grid_plan(seed: int) -> list:
         plan.append((f"{algorithm.lower()}-nonlinear-base",
                      _grid_config(prior_seed, algorithm, nonlinear, 5, "none"), ("run", "eval")))
     plan.append(("dps-nonlinear-coupled-first",
-                 _grid_config(prior_seed, "DPS", nonlinear, 5, first), ("train", "run")))
+                 _grid_config(prior_seed, "DPS", nonlinear, 5, first), ("train", "run", "sweep")))
     plan.append(("daps-nonlinear-coupled-closed", _grid_config(
-        prior_seed, "DAPS", nonlinear, 5, dict(fit, closed_form=True)), ("train", "run")))
+        prior_seed, "DAPS", nonlinear, 5, dict(fit, closed_form=True)),
+        ("train", "run", "sweep")))
     keep_all = {"kind": "mask", "keep_ratio": 1.0}  # every coordinate: no seed is read
     switched_off = {
         "daps-mask-base-langevin-off": ("DAPS", "mask", {"daps": {"n_langevin": 0}}),
@@ -497,7 +504,8 @@ def _files(root: str) -> dict:
         for name in names:
             path = os.path.join(directory, name)
             rel = os.path.relpath(path, root)
-            if not rel.endswith(".json") or "coeffs-" in rel:  # configs are inputs
+            # every other .json is a config the tool wrote: an input
+            if not rel.endswith(".json") or name.startswith(("coeffs-", "prior-")):
                 with open(path, "rb") as f:
                     found[rel] = f.read()
     return found
